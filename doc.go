@@ -63,12 +63,13 @@
 // Sweep-shaped work — many optimizations along an ordered axis over
 // which the optimum varies smoothly — should go through
 // optimize.SweepSolver / optimize.BatchOptimalPattern (or the service's
-// POST /v1/sweep, which adds per-cell caching and single-flight),
-// never through per-cell OptimalPattern calls: the solver warm-starts
-// each cell from its neighbour's optimum (narrow bracket + Brent
-// polish, cold fallback on class changes or bracket escapes) at ~an
-// order of magnitude below the per-cell cost, with property tests
-// pinning warm-vs-cold agreement. The experiment drivers (Figs. 2, 4–7,
+// POST /v1/sweep, which adds per-cell caching), never through per-cell
+// OptimalPattern calls: the solver warm-starts each cell from its
+// neighbour's optimum (narrow bracket + Brent polish, cold fallback on
+// class changes or bracket escapes) at ~an order of magnitude below the
+// per-cell cost, with property tests pinning warm-vs-cold agreement.
+// The bracket state and fallback rule are one type, optimize.WarmChain,
+// which the two-level solver shares. The experiment drivers (Figs. 2, 4–7,
 // baselines, robustness) already route through it; amdahl-exp
 // -warm=false restores the per-cell scans. See DESIGN.md, "Warm-start
 // sweep solver".
@@ -81,10 +82,13 @@
 // — the paper's central how-many-processors question asked of the
 // two-level protocol — with a closed-form inner (T, K) solve per
 // compiled evaluator; multilevel.SweepSolver warm-starts
-// (T*, K*, P*) chains along smooth axes exactly like
-// optimize.SweepSolver; Simulator.SimulateContext prices patterns on
+// (T*, K*, P*) chains along smooth axes on the same optimize.WarmChain
+// as optimize.SweepSolver; Simulator.SimulateContext prices patterns on
 // the shared chunked-dispatch runner (sim.ForEachRun) with per-run
-// streams and fail-fast cancellation. New two-level work goes through
+// streams and fail-fast cancellation, and multilevel.SimulateModel
+// derives costs, rates and H(P) from a core.Model for every caller. The
+// simulator refuses patterns beyond the single-level simulators'
+// iteration budget with sim.ErrErrorPressure. New two-level work goes through
 // multilevel.SweepSolver (or POST /v1/multilevel/*), never per-cell
 // FirstOrder calls in a loop. The study driver is
 // experiments.MultilevelStudy ("amdahl-exp multilevel"); the service
@@ -130,7 +134,11 @@
 // keys), deduplicates concurrent identical requests (single-flight, one
 // solve per key), bounds heavy jobs on a scheduler, and threads request
 // contexts into sim.SimulateContext so a client hang-up aborts its
-// campaign. Responses are bit-identical to the equivalent CLI invocation
+// campaign. The three protocols share that machinery rather than copy
+// it: one generic cache-miss path behind all six optimize/simulate
+// methods, one generic sweep loop behind the three /v1/sweep protocols,
+// and one table of result caches behind peer warm-fill, which accepts a
+// value only if it re-encodes to the offered bytes. Responses are bit-identical to the equivalent CLI invocation
 // for fixed seeds; campaigns replay from cache bit-exactly because they
 // are pure functions of their seeded configuration. Cancellation is also
 // available library-side: sim.SimulateContext and the ...Context

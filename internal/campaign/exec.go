@@ -20,6 +20,7 @@ import (
 	"amdahlyd/internal/multilevel"
 	"amdahlyd/internal/optimize"
 	"amdahlyd/internal/sim"
+	"amdahlyd/internal/stats"
 )
 
 // Options tunes the executor. The zero value runs a fresh campaign with
@@ -306,14 +307,19 @@ func (hs heteroSolver) solve(c *Cell) (solveResult, error) {
 }
 
 func (hs heteroSolver) observe(c *Cell, a *Artifact) {
+	hs.s.Observe(c.Hetero, hetero.PatternResult{
+		Groups: a.heteroPlan(), Active: a.G, Overhead: a.PredictedH,
+	})
+}
+
+// heteroPlan is the artifact's per-group plan in the optimizer's shape.
+func (a *Artifact) heteroPlan() []hetero.GroupPlan {
 	plans := make([]hetero.GroupPlan, len(a.Groups))
 	for i, g := range a.Groups {
 		plans[i] = hetero.GroupPlan{Group: g.Group, Fraction: g.Fraction,
 			T: g.T, P: g.P, GroupOverhead: g.Overhead, AtPBound: g.AtPBound}
 	}
-	hs.s.Observe(c.Hetero, hetero.PatternResult{
-		Groups: plans, Active: a.G, Overhead: a.PredictedH,
-	})
+	return plans
 }
 
 func (r *runner) newSolver(protocol string) chainSolver {
@@ -495,66 +501,35 @@ func (r *runner) attempt(ctx context.Context, c *Cell, a *Artifact, fault Fault,
 // simulate prices the solved cell on the protocol's simulator with the
 // cell's deterministic seed. Per-run streams are seed-derived, so the
 // result is independent of scheduling; Workers stays 1 because the
-// parallelism budget lives at the chain level.
+// parallelism budget lives at the chain level. A pattern off the
+// simulable map (error pressure, an oversized machine population, a
+// two-level optimum at the allocation bound) completes unsimulable.
 func (r *runner) simulate(ctx context.Context, c *Cell, a *Artifact) error {
-	markUnsimulable := func() {
-		a.Unsimulable = true
-		a.SimH, a.SimCI = nil, nil
-	}
+	cfg := sim.RunConfig{Runs: r.man.Runs, Patterns: r.man.Patterns, Seed: c.Seed, Workers: 1}
+	var (
+		overhead stats.Summary
+		err      error
+	)
 	switch {
 	case c.Protocol == ProtocolHetero:
-		groups := make([]sim.HeteroGroupRun, len(a.Groups))
-		for i, g := range a.Groups {
-			m, err := c.Hetero.ActiveModel(g.Group, a.G)
-			if err != nil {
-				return err
-			}
-			groups[i] = sim.HeteroGroupRun{Model: m, T: g.T, P: g.P, Fraction: g.Fraction}
-		}
-		res, err := sim.SimulateHeteroContext(ctx, groups, sim.RunConfig{
-			Runs:     r.man.Runs,
-			Patterns: r.man.Patterns,
-			Seed:     c.Seed,
-			Workers:  1,
-		})
-		if errors.Is(err, sim.ErrErrorPressure) {
-			markUnsimulable()
-			return nil
-		}
-		if err != nil {
+		var groups []sim.HeteroGroupRun
+		if groups, err = hetero.GroupRuns(c.Hetero, a.heteroPlan()); err != nil {
 			return err
 		}
-		a.SimH, a.SimCI = floatPtr(res.Overhead.Mean), floatPtr(res.Overhead.CI95)
-		return nil
+		var res sim.HeteroRunResult
+		res, err = sim.SimulateHeteroContext(ctx, groups, cfg)
+		overhead = res.Overhead
 
 	case c.Protocol == ProtocolMultilevel:
 		if a.AtPBound {
-			// The two-level simulator has no error-pressure escape at
-			// extreme allocations (mirrors the multilevel study).
-			markUnsimulable()
+			// At-bound optima stay unsimulated, as in the multilevel study.
+			a.Unsimulable = true
 			return nil
 		}
-		costs, err := multilevel.SingleLevelCosts(c.Model, a.P, c.Frac)
-		if err != nil {
-			return err
-		}
-		lf, ls := c.Model.Rates(a.P)
-		s, err := multilevel.NewSimulator(costs, multilevel.Pattern{T: a.T, K: a.K}, lf, ls)
-		if err != nil {
-			return err
-		}
-		res, err := s.SimulateContext(ctx, multilevel.CampaignConfig{
-			Runs:     r.man.Runs,
-			Patterns: r.man.Patterns,
-			Seed:     c.Seed,
-			Workers:  1,
-			HOfP:     c.Model.Profile.Overhead(a.P),
-		})
-		if err != nil {
-			return err
-		}
-		a.SimH, a.SimCI = floatPtr(res.Overhead.Mean), floatPtr(res.Overhead.CI95)
-		return nil
+		var res multilevel.CampaignResult
+		res, err = multilevel.SimulateModel(ctx, c.Model, c.Frac, multilevel.Pattern{T: a.T, K: a.K}, a.P,
+			multilevel.CampaignConfig{Runs: cfg.Runs, Patterns: cfg.Patterns, Seed: cfg.Seed, Workers: 1})
+		overhead = res.Overhead
 
 	case c.Dist != nil:
 		// Non-memoryless law: replay the exponential-optimal pattern on
@@ -565,45 +540,29 @@ func (r *runner) simulate(ctx context.Context, c *Cell, a *Artifact) error {
 			procs = 1
 		}
 		if procs > maxMachineProcs {
-			markUnsimulable()
+			a.Unsimulable = true
 			return nil
 		}
 		a.SimProcs = procs
-		res, err := sim.SimulateContext(ctx, c.Model, a.T, float64(procs), sim.RunConfig{
-			Runs:     r.man.Runs,
-			Patterns: r.man.Patterns,
-			Seed:     c.Seed,
-			Workers:  1,
-			Machine:  true,
-			Dist:     c.Dist,
-		})
-		if errors.Is(err, sim.ErrErrorPressure) {
-			markUnsimulable()
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		a.SimH, a.SimCI = floatPtr(res.Overhead.Mean), floatPtr(res.Overhead.CI95)
-		return nil
+		cfg.Machine, cfg.Dist = true, c.Dist
+		var res sim.RunResult
+		res, err = sim.SimulateContext(ctx, c.Model, a.T, float64(procs), cfg)
+		overhead = res.Overhead
 
 	default:
-		res, err := sim.SimulateContext(ctx, c.Model, a.T, a.P, sim.RunConfig{
-			Runs:     r.man.Runs,
-			Patterns: r.man.Patterns,
-			Seed:     c.Seed,
-			Workers:  1,
-		})
-		if errors.Is(err, sim.ErrErrorPressure) {
-			markUnsimulable()
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		a.SimH, a.SimCI = floatPtr(res.Overhead.Mean), floatPtr(res.Overhead.CI95)
+		var res sim.RunResult
+		res, err = sim.SimulateContext(ctx, c.Model, a.T, a.P, cfg)
+		overhead = res.Overhead
+	}
+	if errors.Is(err, sim.ErrErrorPressure) {
+		a.Unsimulable = true
 		return nil
 	}
+	if err != nil {
+		return err
+	}
+	a.SimH, a.SimCI = floatPtr(overhead.Mean), floatPtr(overhead.CI95)
+	return nil
 }
 
 // sleepCtx sleeps for d or until the context dies, whichever is first.

@@ -225,7 +225,7 @@ func HeterogeneousStudyContext(ctx context.Context, pl platform.Platform, comms,
 			return nil
 		}
 		cell := &cells[i]
-		groups, err := heteroRunPlan(models[i], plans[i])
+		groups, err := hetero.GroupRuns(models[i], plans[i].Groups)
 		if err != nil {
 			return err
 		}
@@ -303,20 +303,6 @@ func canonicalizePlan(hm core.HeteroModel, res hetero.PatternResult) (hetero.Pat
 		res.Groups[i].Fraction = res.Overhead / res.Groups[i].GroupOverhead
 	}
 	return res, nil
-}
-
-// heteroRunPlan lowers an optimizer plan to the sim layer: one
-// comm-charged model + pattern + fraction per active group.
-func heteroRunPlan(hm core.HeteroModel, res hetero.PatternResult) ([]sim.HeteroGroupRun, error) {
-	groups := make([]sim.HeteroGroupRun, len(res.Groups))
-	for i, gp := range res.Groups {
-		m, err := hm.ActiveModel(gp.Group, res.Active)
-		if err != nil {
-			return nil, err
-		}
-		groups[i] = sim.HeteroGroupRun{Model: m, T: gp.T, P: gp.P, Fraction: gp.Fraction}
-	}
-	return groups, nil
 }
 
 // Render writes the study as one table: the joint heterogeneous optimum

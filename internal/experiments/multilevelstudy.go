@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -12,6 +13,7 @@ import (
 	"amdahlyd/internal/optimize"
 	"amdahlyd/internal/platform"
 	"amdahlyd/internal/report"
+	"amdahlyd/internal/sim"
 )
 
 // MultilevelCell is one (scenario, in-memory fraction) cell of the
@@ -38,8 +40,8 @@ type MultilevelCell struct {
 	// two-level optimum over the simulated single-level one, in percent.
 	SavingPct float64
 	// AtBound flags a joint optimum that stopped at the processor search
-	// bound; such cells are reported unsimulated (the two-level simulator
-	// has no error-pressure escape at extreme allocations).
+	// bound; such cells are reported unsimulated, as are cells the
+	// two-level simulator refuses for error pressure.
 	AtBound bool
 	// Warm reports that the cell was solved in the warm bracket of its
 	// axis neighbour.
@@ -173,26 +175,19 @@ func MultilevelStudyContext(ctx context.Context, pl platform.Platform, fracs []f
 			cell.SimulatedH, cell.SimCI = math.NaN(), math.NaN()
 			return nil
 		}
-		si := i / len(fracs)
-		m := scModels[si]
-		costs, err := multilevel.SingleLevelCosts(m, cell.P, cell.Frac)
-		if err != nil {
-			return err
-		}
-		lf, ls := m.Rates(cell.P)
-		s, err := multilevel.NewSimulator(costs, multilevel.Pattern{T: cell.T, K: cell.K}, lf, ls)
-		if err != nil {
-			return err
-		}
 		seed := newSeedHash().str("multilevel/").str(pl.Name).str("/").str(cell.Scenario.String()).
 			str("/frac=").float(cell.Frac).seed(cfg.Seed)
-		res, err := s.SimulateContext(ctx, multilevel.CampaignConfig{
-			Runs:     cfg.Runs,
-			Patterns: cfg.Patterns,
-			Seed:     seed,
-			Workers:  1, // parallelism lives at the cell level
-			HOfP:     m.Profile.Overhead(cell.P),
-		})
+		res, err := multilevel.SimulateModel(ctx, scModels[i/len(fracs)], cell.Frac,
+			multilevel.Pattern{T: cell.T, K: cell.K}, cell.P, multilevel.CampaignConfig{
+				Runs:     cfg.Runs,
+				Patterns: cfg.Patterns,
+				Seed:     seed,
+				Workers:  1, // parallelism lives at the cell level
+			})
+		if errors.Is(err, sim.ErrErrorPressure) {
+			cell.SimulatedH, cell.SimCI = math.NaN(), math.NaN()
+			return nil
+		}
 		if err != nil {
 			return fmt.Errorf("experiments: simulating multilevel/%s/%v/frac=%g: %w",
 				pl.Name, cell.Scenario, cell.Frac, err)

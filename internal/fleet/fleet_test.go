@@ -93,6 +93,90 @@ func fleetRequests() []struct{ path, body string } {
 	}
 }
 
+// TestShardKeyIsTheModelCacheKey: every routed path shards by the
+// canonical cache key of the model or topology its body concerns — the
+// key the owning replica's caches are built on.
+func TestShardKeyIsTheModelCacheKey(t *testing.T) {
+	alpha := 0.2
+	model := service.ModelSpec{Platform: "atlas", Scenario: 4, Alpha: &alpha}
+	m, _, err := model.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk, err := m.CacheKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var topo service.TopologySpec
+	if err := json.Unmarshal([]byte(heteroTopology), &topo); err != nil {
+		t.Fatal(err)
+	}
+	hm, _, err := topo.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hk, err := hm.CacheKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	frac := 0.1
+	cases := []struct {
+		path string
+		body any
+		want string
+	}{
+		{"/v1/evaluate", service.EvaluateRequest{Model: model, T: 5000}, mk},
+		{"/v1/optimize", service.OptimizeRequest{Model: model}, mk},
+		{"/v1/simulate", service.SimulateRequest{Model: model, Runs: 3}, mk},
+		{"/v1/multilevel/optimize", service.MultilevelOptimizeRequest{Model: model, InMemFraction: &frac}, mk},
+		{"/v1/multilevel/simulate", service.MultilevelSimulateRequest{Model: model, K: 2}, mk},
+		{"/v1/hetero/optimize", service.HeteroOptimizeRequest{Topology: topo}, hk},
+		{"/v1/hetero/simulate", service.HeteroSimulateRequest{Topology: topo, Runs: 3}, hk},
+		{"/v1/sweep", service.SweepRequest{Model: model, Axis: "alpha", Values: []float64{0.1, 0.3}}, mk},
+		{"/v1/sweep", service.SweepRequest{Model: model, Axis: "lambda", Values: []float64{1e-9},
+			Multilevel: &service.MultilevelSweepSpec{InMemFraction: &frac}}, mk},
+		{"/v1/sweep", service.SweepRequest{Axis: "comm", Values: []float64{0, 0.01},
+			Hetero: &service.HeteroSweepSpec{Topology: topo}}, hk},
+	}
+	for _, tc := range cases {
+		body, err := json.Marshal(tc.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ShardKey(tc.path, body)
+		if err != nil {
+			t.Errorf("%s %s: %v", tc.path, body, err)
+			continue
+		}
+		if got != tc.want {
+			t.Errorf("%s %s: shard key %q, want %q", tc.path, body, got, tc.want)
+		}
+	}
+}
+
+// TestRouterRejectsMalformedModel: a body whose model cannot be built
+// or decoded is a 400 from the router itself, never forwarded.
+func TestRouterRejectsMalformedModel(t *testing.T) {
+	rt, reps := newFleet(t, 2, nil, -1)
+	front := httptest.NewServer(rt)
+	defer front.Close()
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/optimize", `{"model":{"platform":"nonesuch"}}`},
+		{"/v1/evaluate", `{"model":{"platform":"hera","scenario":9}}`},
+		{"/v1/multilevel/simulate", `{"model":{"scenario":"three"}}`},
+		{"/v1/sweep", `{"model":{"platform":"hera","lambda":-1},"axis":"alpha","values":[0.1]}`},
+	} {
+		if code, body := post(t, front.URL, tc.path, tc.body); code != http.StatusBadRequest {
+			t.Errorf("%s %s: status %d (%s), want 400", tc.path, tc.body, code, body)
+		}
+	}
+	for _, r := range reps {
+		if st := r.srv.Engine().Stats(); st.Evaluations+st.OptimizeCalls+st.MultilevelSimulateCalls+st.SweepCalls != 0 {
+			t.Errorf("%s served a malformed request: %+v", r.name, st)
+		}
+	}
+}
+
 func post(t *testing.T, base, path, body string) (int, string) {
 	t.Helper()
 	resp, err := http.Post(base+path, "application/json", strings.NewReader(body))

@@ -237,26 +237,8 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 // base (different values) reuse that replica's per-cell cache.
 func ShardKey(path string, body []byte) (string, error) {
 	switch RequestClass(path) {
-	case "evaluate":
-		var q service.EvaluateRequest
-		if err := json.Unmarshal(body, &q); err != nil {
-			return "", fmt.Errorf("bad request body: %w", err)
-		}
-		return modelKey(q.Model)
-	case "optimize":
-		var q service.OptimizeRequest
-		if err := json.Unmarshal(body, &q); err != nil {
-			return "", fmt.Errorf("bad request body: %w", err)
-		}
-		return modelKey(q.Model)
-	case "simulate":
-		var q service.SimulateRequest
-		if err := json.Unmarshal(body, &q); err != nil {
-			return "", fmt.Errorf("bad request body: %w", err)
-		}
-		return modelKey(q.Model)
-	case "multilevel":
-		// Both multilevel endpoints carry the base model in the same spot.
+	case "evaluate", "optimize", "simulate", "multilevel":
+		// Every model endpoint carries its model in the same spot.
 		var q struct {
 			Model service.ModelSpec `json:"model"`
 		}

@@ -43,6 +43,7 @@ import (
 
 	"amdahlyd/internal/core"
 	"amdahlyd/internal/optimize"
+	"amdahlyd/internal/sim"
 )
 
 // PatternOptions tunes the joint heterogeneous optimization. The
@@ -255,4 +256,19 @@ func assemble(selected []groupSolve) PatternResult {
 		}
 	}
 	return PatternResult{Groups: plans, Active: len(plans), Overhead: h}
+}
+
+// GroupRuns lowers a plan to the simulator: each entry's comm-charged
+// model at the plan's active count len(plan), with the entry's pattern
+// and work fraction.
+func GroupRuns(hm core.HeteroModel, plan []GroupPlan) ([]sim.HeteroGroupRun, error) {
+	runs := make([]sim.HeteroGroupRun, len(plan))
+	for i, gp := range plan {
+		m, err := hm.ActiveModel(gp.Group, len(plan))
+		if err != nil {
+			return nil, err
+		}
+		runs[i] = sim.HeteroGroupRun{Model: m, T: gp.T, P: gp.P, Fraction: gp.Fraction}
+	}
+	return runs, nil
 }

@@ -260,7 +260,7 @@ func TestSweepWarmMatchesCold(t *testing.T) {
 			}
 		}
 	}
-	st := func() SweepStats {
+	st := func() optimize.SweepStats {
 		s := NewSweepSolver(SweepOptions{})
 		for _, hm := range models {
 			if _, err := s.Solve(hm); err != nil {

@@ -12,26 +12,9 @@ import (
 type SweepOptions struct {
 	// PatternOptions bounds the search exactly as for OptimalPattern.
 	PatternOptions
-	// BracketFactor, WarmGridP and WarmGridT configure the per-group warm
-	// brackets (defaults 32, 10, 10, as in optimize.SweepOptions).
-	BracketFactor        float64
-	WarmGridP, WarmGridT int
 	// Cold disables warm-starting entirely: every cell runs the reference
 	// OptimalPattern scan and is bit-identical to a per-cell call.
 	Cold bool
-}
-
-// SweepStats counts how a solver spent its per-group chains, aggregated
-// across all (group, active-count) chains.
-type SweepStats struct {
-	// WarmSolves counts per-group solves inside a warm bracket.
-	WarmSolves int
-	// ColdSolves counts per-group full-box scans.
-	ColdSolves int
-	// Fallbacks counts rejected warm attempts re-solved on the full box.
-	Fallbacks int
-	// Evals totals exact-formula evaluations across all cells.
-	Evals int
 }
 
 // SweepSolver solves a sequence of related heterogeneous optimizations by
@@ -52,7 +35,7 @@ type SweepStats struct {
 type SweepSolver struct {
 	opts   SweepOptions
 	chains map[chainKey]*optimize.SweepSolver
-	stats  SweepStats
+	stats  optimize.SweepStats
 }
 
 // chainKey identifies one per-group warm chain. The group's clamped
@@ -74,8 +57,11 @@ func NewSweepSolver(opts SweepOptions) *SweepSolver {
 	}
 }
 
-// Stats returns the aggregated per-chain solve counters so far.
-func (s *SweepSolver) Stats() SweepStats { return s.stats }
+// Stats returns the solve counters so far, aggregated across all
+// (group, active-count) chains: WarmSolves, ColdSolves and Fallbacks
+// count per-group solves, Evals the exact-formula evaluations of every
+// cell.
+func (s *SweepSolver) Stats() optimize.SweepStats { return s.stats }
 
 // chain returns (creating on first use) the per-(group, active) chain
 // with the group's clamped search box baked in.
@@ -83,12 +69,7 @@ func (s *SweepSolver) chain(g, active int, po optimize.PatternOptions) *optimize
 	k := chainKey{group: g, active: active, pMax: po.PMax}
 	sv, ok := s.chains[k]
 	if !ok {
-		sv = optimize.NewSweepSolver(optimize.SweepOptions{
-			PatternOptions: po,
-			BracketFactor:  s.opts.BracketFactor,
-			WarmGridP:      s.opts.WarmGridP,
-			WarmGridT:      s.opts.WarmGridT,
-		})
+		sv = optimize.NewSweepSolver(optimize.SweepOptions{PatternOptions: po})
 		s.chains[k] = sv
 	}
 	return sv

@@ -7,6 +7,7 @@ import (
 	"math"
 	"runtime"
 
+	"amdahlyd/internal/core"
 	"amdahlyd/internal/rng"
 	"amdahlyd/internal/sim"
 	"amdahlyd/internal/stats"
@@ -115,4 +116,22 @@ func (s *Simulator) SimulateContext(ctx context.Context, cfg CampaignConfig) (Ca
 	}
 	res.Overhead = acc.Summarize()
 	return res, nil
+}
+
+// SimulateModel runs the seeded two-level campaign for PATTERN(T, K) at
+// P processors with everything derived from the model: the costs
+// (SingleLevelCosts at the in-memory fraction frac), the platform rates
+// at P, and H(P), which replaces cfg.HOfP.
+func SimulateModel(ctx context.Context, m core.Model, frac float64, pat Pattern, p float64, cfg CampaignConfig) (CampaignResult, error) {
+	costs, err := SingleLevelCosts(m, p, frac)
+	if err != nil {
+		return CampaignResult{}, err
+	}
+	lf, ls := m.Rates(p)
+	s, err := NewSimulator(costs, pat, lf, ls)
+	if err != nil {
+		return CampaignResult{}, err
+	}
+	cfg.HOfP = m.Profile.Overhead(p)
+	return s.SimulateContext(ctx, cfg)
 }

@@ -40,6 +40,7 @@ import (
 
 	"amdahlyd/internal/core"
 	"amdahlyd/internal/rng"
+	"amdahlyd/internal/sim"
 	"amdahlyd/internal/stats"
 )
 
@@ -185,16 +186,27 @@ type Simulator struct {
 	pattern Pattern
 }
 
-// NewSimulator validates and builds a simulator.
+// NewSimulator validates and builds a simulator. A pattern so deep in
+// the failure-dominated regime that simulating it cannot finish in
+// practical time is refused with sim.ErrErrorPressure, under the
+// single-level simulators' budget sim.MaxSimIters on the expected
+// iterations per pattern: K segments, each tried e^{λs·T} times, the
+// whole pattern replayed e^{λf·(K·(T+V+C1)+C2)} times, and every
+// fail-stop followed by ~e^{λf·R2} disk recovery tries.
 func NewSimulator(c Costs, p Pattern, lambdaF, lambdaS float64) (*Simulator, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if !(p.T > 0) || p.K < 1 {
+	if !(p.T > 0) || math.IsInf(p.T, 0) || p.K < 1 {
 		return nil, fmt.Errorf("multilevel: invalid pattern %+v", p)
 	}
 	if !(lambdaF >= 0) || !(lambdaS >= 0) {
 		return nil, errors.New("multilevel: negative rates")
+	}
+	k := float64(p.K)
+	attempts := math.Exp(lambdaF*(k*(p.T+c.V+c.C1)+c.C2) + lambdaS*p.T)
+	if iters := k * attempts * (1 + math.Exp(lambdaF*c.R2)); !(iters <= sim.MaxSimIters) {
+		return nil, sim.ErrErrorPressure
 	}
 	return &Simulator{costs: c, lambdaF: lambdaF, lambdaS: lambdaS, pattern: p}, nil
 }

@@ -1,9 +1,8 @@
 package multilevel
 
 import (
-	"math"
-
 	"amdahlyd/internal/core"
+	"amdahlyd/internal/optimize"
 )
 
 // SweepOptions tunes the warm-start batch solver for sweep-shaped
@@ -13,99 +12,61 @@ type SweepOptions struct {
 	// PatternOptions bounds the search box exactly as for OptimalPattern;
 	// a warm solve never leaves it, and every fallback runs inside it.
 	PatternOptions
-	// BracketFactor is the half-width of the warm bracket: cell i
-	// searches P in [P*_{i-1}/BracketFactor, P*_{i-1}·BracketFactor]
-	// (default 32, as in optimize.SweepOptions).
-	BracketFactor float64
-	// WarmGridP is the grid resolution inside the warm bracket
-	// (default 10); it only needs to localize the minimum for the Brent
-	// polish.
-	WarmGridP int
 	// Cold disables warm-starting entirely: every cell runs the
 	// reference OptimalPattern scan and is bit-identical to a per-cell
 	// call.
 	Cold bool
 }
 
-func (o SweepOptions) withDefaults() SweepOptions {
-	o.PatternOptions = o.PatternOptions.withDefaults()
-	if o.BracketFactor == 0 {
-		o.BracketFactor = 32
-	}
-	if o.WarmGridP == 0 {
-		o.WarmGridP = 10
-	}
-	return o
-}
-
-// coldScanGridP mirrors optimize's chain-restart resolution: coarser
-// than OptimalPattern's default 96 but still ~2 points per decade over
-// the default 13-decade box.
-const coldScanGridP = 64
-
-// SweepStats counts how a solver spent its cells.
-type SweepStats struct {
-	// WarmSolves counts cells solved inside the warm bracket.
-	WarmSolves int
-	// ColdSolves counts cells solved by a full-box scan (first cell of a
-	// chain, a rejected warm attempt, or Cold mode).
-	ColdSolves int
-	// Fallbacks counts warm attempts that were rejected and re-solved on
-	// the full box; they are also counted in ColdSolves.
-	Fallbacks int
-	// Evals totals inner (T, K) solves across all cells.
-	Evals int
-}
-
 // SweepSolver solves a sequence of related two-level optimizations — the
 // cells of one axis (in-memory fraction, λ, α, C1…), ordered so that
 // (T*, K*, P*) varies smoothly — by warm-starting each cell's outer P
 // search from the previous optimum, with the same bracket-narrowing and
-// full-box-fallback discipline as optimize.SweepSolver: a warm solve
-// whose optimum lands on a warm-only bracket edge, or whose bracket is
-// infeasible, falls back to the full cold box. Warm-starting is an
-// accelerator, never a different answer beyond the refinement tolerance
-// (pinned by the warm-vs-cold property tests).
+// full-box-fallback discipline as optimize.SweepSolver (the shared
+// optimize.WarmChain). Warm-starting is an accelerator, never a
+// different answer beyond the refinement tolerance (pinned by the
+// warm-vs-cold property tests).
 //
 // The two-level first-order objective has a single algebraic class (no
-// counterpart of costmodel.Classify), so the class-change fallback of
+// counterpart of costmodel.Classify), so the class-change restart of
 // the single-level solver has no analogue here.
 //
 // A solver is stateful and must not be shared between goroutines; run
 // one solver per chain.
 type SweepSolver struct {
-	opts SweepOptions
-
-	havePrev    bool
-	prevP       float64
-	prevAtBound bool
-
-	stats SweepStats
+	opts  PatternOptions
+	chain optimize.WarmChain
 }
 
 // NewSweepSolver builds a solver for one chain of related cells.
 func NewSweepSolver(opts SweepOptions) *SweepSolver {
-	return &SweepSolver{opts: opts.withDefaults()}
+	po := opts.PatternOptions.withDefaults()
+	return &SweepSolver{
+		opts:  po,
+		chain: optimize.NewWarmChain(po.PMin, po.PMax, po.GridP, opts.Cold),
+	}
 }
 
-// Stats returns the per-chain solve counters accumulated so far.
-func (s *SweepSolver) Stats() SweepStats { return s.stats }
+// Stats returns the per-chain solve counters accumulated so far; Evals
+// counts inner (T, K) solves.
+func (s *SweepSolver) Stats() optimize.SweepStats { return s.chain.Stats() }
 
 // Observe primes the warm-start state from an externally obtained
 // optimum (e.g. a cache hit for the cell), so the chain stays warm
 // across cells the solver did not compute itself.
 func (s *SweepSolver) Observe(res PatternResult) {
-	s.havePrev = true
-	s.prevP = res.P
-	s.prevAtBound = res.AtPBound
+	s.chain.Observe(res.P, res.AtPBound)
 }
 
 // Solve returns the joint (T, K, P) optimum for the next cell of the
 // chain. The first cell (and any cell whose warm solve is rejected)
 // pays a full-box scan; subsequent cells search only the narrow bracket
-// around the previous P*.
+// around the previous P*. In Cold mode every cell is bit-identical to a
+// per-cell OptimalPattern call (same grid, same refinement); a chain
+// restart in warm mode uses the same reference scan at a coarser outer
+// grid.
 func (s *SweepSolver) Solve(m core.Model, costsFor CostsFunc) (PatternResult, error) {
-	if err := s.opts.PatternOptions.validate(); err != nil {
+	if err := s.opts.validate(); err != nil {
 		return PatternResult{}, err
 	}
 	if err := validateJoint(m); err != nil {
@@ -114,78 +75,17 @@ func (s *SweepSolver) Solve(m core.Model, costsFor CostsFunc) (PatternResult, er
 	if costsFor == nil {
 		return PatternResult{}, errNilCosts
 	}
-	if s.opts.Cold || !s.havePrev {
-		return s.solveCold(m, costsFor, false)
-	}
-	res, ok, err := s.solveWarm(m, costsFor)
+	var res PatternResult
+	warm, err := s.chain.Solve(false, func(lo, hi float64, gridP int, warm bool) (float64, bool, int, error) {
+		var err error
+		res, err = scanBox(m, costsFor, s.opts, lo, hi, gridP, warm)
+		return res.P, res.AtPBound, res.Evals, err
+	})
 	if err != nil {
 		return PatternResult{}, err
 	}
-	if !ok {
-		return s.solveCold(m, costsFor, true)
-	}
-	s.stats.WarmSolves++
-	s.stats.Evals += res.Evals
-	s.Observe(res)
+	res.Warm = warm
 	return res, nil
-}
-
-// solveCold runs the full-box solve and records it as the new warm
-// seed. In Cold mode it is bit-identical to a per-cell OptimalPattern
-// call (same grid, same refinement); a chain restart in warm mode uses
-// the same reference scan at a coarser outer grid.
-func (s *SweepSolver) solveCold(m core.Model, costsFor CostsFunc, fallback bool) (PatternResult, error) {
-	if fallback {
-		s.stats.Fallbacks++
-	}
-	s.stats.ColdSolves++
-	opts := s.opts.PatternOptions
-	gridP := opts.GridP
-	if !s.opts.Cold {
-		gridP = min(coldScanGridP, gridP)
-	}
-	res, err := scanBox(m, costsFor, opts, opts.PMin, opts.PMax, gridP, false)
-	if err != nil {
-		return PatternResult{}, err
-	}
-	s.stats.Evals += res.Evals
-	s.Observe(res)
-	return res, nil
-}
-
-// solveWarm attempts the narrow-bracket solve. ok = false requests a
-// cold fallback (infeasible bracket, or an optimum pinned to a warm
-// edge that is not a global bound).
-func (s *SweepSolver) solveWarm(m core.Model, costsFor CostsFunc) (res PatternResult, ok bool, err error) {
-	opts := s.opts
-	pLo := math.Max(opts.PMin, s.prevP/opts.BracketFactor)
-	pHi := math.Min(opts.PMax, s.prevP*opts.BracketFactor)
-	if s.prevAtBound {
-		// An unbounded-allocation neighbour: the optimum may still sit at
-		// PMax, so the warm bracket must include it.
-		pHi = opts.PMax
-	}
-	if !(pHi > pLo) {
-		return PatternResult{}, false, nil
-	}
-	res, err = scanBox(m, costsFor, opts.PatternOptions, pLo, pHi, opts.WarmGridP, true)
-	if err != nil {
-		// An infeasible or unsolvable warm bracket is a fallback trigger,
-		// not a sweep failure: the cold box may still contain an optimum.
-		return PatternResult{}, false, nil
-	}
-	// Reject an optimum pinned against a warm-only edge: the true optimum
-	// drifted further than the bracket, so the narrow solve localized the
-	// wrong basin. Global bounds are legitimate resting points.
-	const edgeMargin = 0.02
-	uLo, uHi, uX := math.Log(pLo), math.Log(pHi), math.Log(res.P)
-	margin := edgeMargin * (uHi - uLo)
-	if (uX-uLo < margin && pLo > opts.PMin*(1+1e-12)) ||
-		(uHi-uX < margin && pHi < opts.PMax*(1-1e-12)) {
-		return PatternResult{}, false, nil
-	}
-	res.Warm = true
-	return res, true, nil
 }
 
 // BatchOptimalPattern solves every cell of an ordered sweep axis with

@@ -14,41 +14,30 @@ type SweepOptions struct {
 	// PatternOptions bounds the search box exactly as for OptimalPattern;
 	// a warm solve never leaves it, and every fallback runs inside it.
 	PatternOptions
-	// BracketFactor is the half-width of the warm bracket: cell i searches
-	// P in [P*_{i-1}/BracketFactor, P*_{i-1}·BracketFactor] (default 32,
-	// generous for every per-cell drift in Figs. 4–7, where P* moves by at
-	// most a few × between adjacent sweep coordinates).
-	BracketFactor float64
-	// WarmGridP and WarmGridT are the grid resolutions inside the warm
-	// brackets (defaults 10 and 10). They only need to localize the
-	// minimum for the Brent polish, not survive a cold multi-decade scan.
-	WarmGridP, WarmGridT int
 	// Cold disables warm-starting entirely: every cell runs the reference
 	// OptimalPattern grid scan (the -warm=false escape hatch; results are
 	// then bit-identical to per-cell OptimalPattern calls).
 	Cold bool
 }
 
-func (o SweepOptions) withDefaults() SweepOptions {
-	o.PatternOptions = o.PatternOptions.withDefaults()
-	if o.BracketFactor == 0 {
-		o.BracketFactor = 32
-	}
-	if o.WarmGridP == 0 {
-		o.WarmGridP = 10
-	}
-	if o.WarmGridT == 0 {
-		o.WarmGridT = 10
-	}
-	return o
-}
-
-// coldScanGridP is the outer grid of a chain-restart scan: coarser than
-// OptimalPattern's 96 (the Brent polish converges from a coarser
-// localization at equal tolerance), still dense enough to not skip the
-// feasible band of any Table II/III configuration (~2 points per decade
-// over the default 13-decade box).
-const coldScanGridP = 64
+const (
+	// warmBracketFactor is the half-width of the warm bracket: cell i
+	// searches P in [P*_{i-1}/32, P*_{i-1}·32], generous for every
+	// per-cell drift in Figs. 4–7, where P* moves by at most a few ×
+	// between adjacent sweep coordinates.
+	warmBracketFactor = 32
+	// warmGrid is the grid resolution inside a warm bracket, for the
+	// outer P and the inner T search alike: it only needs to localize
+	// the minimum for the Brent polish, not survive a cold multi-decade
+	// scan.
+	warmGrid = 10
+	// coldScanGridP is the outer grid of a chain-restart scan: coarser
+	// than OptimalPattern's 96 (the Brent polish converges from a coarser
+	// localization at equal tolerance), still dense enough to not skip
+	// the feasible band of any Table II/III configuration (~2 points per
+	// decade over the default 13-decade box).
+	coldScanGridP = 64
+)
 
 // SweepStats counts how a solver spent its cells: the measurable record
 // of what warm-starting bought a sweep.
@@ -62,8 +51,99 @@ type SweepStats struct {
 	// to a warm bracket edge, or an infeasible bracket) and re-solved on
 	// the full box; they are also counted in ColdSolves.
 	Fallbacks int
-	// Evals totals exact-formula evaluations across all cells.
+	// Evals totals the Evals of every accepted cell result.
 	Evals int
+}
+
+// WarmChain is the warm-start state of one sweep chain and its
+// bracket/fallback discipline, shared by SweepSolver and the two-level
+// solver in internal/multilevel. The first cell, every cell of a cold
+// chain and every cell the caller marks as a restart is solved on the
+// full box. Any other cell searches P in a bracket a factor 32 around the
+// previous optimum (up to PMax when that optimum sat at the bound) and
+// falls back to the full box when the bracket is empty, the warm solve
+// fails, or its optimum is pinned against a bracket edge that is not a
+// global bound — the axis jumped further than the bracket, so the narrow
+// solve localized the wrong basin. Warm-starting is an accelerator, never
+// a different answer beyond the refinement tolerance.
+type WarmChain struct {
+	pMin, pMax float64
+	gridP      int
+	cold       bool
+
+	seeded  bool
+	p       float64
+	atBound bool
+	stats   SweepStats
+}
+
+// NewWarmChain starts a chain over the processor box [pMin, pMax] whose
+// reference full-box scan uses a gridP-point outer grid. A cold chain
+// solves every cell with that scan; a warm chain's restarts use at most
+// 64 points.
+func NewWarmChain(pMin, pMax float64, gridP int, cold bool) WarmChain {
+	if !cold {
+		gridP = min(coldScanGridP, gridP)
+	}
+	return WarmChain{pMin: pMin, pMax: pMax, gridP: gridP, cold: cold}
+}
+
+// Stats returns the chain's solve counters so far.
+func (c *WarmChain) Stats() SweepStats { return c.stats }
+
+// Observe seeds the next cell's bracket with an optimum at P = p,
+// including one the chain did not solve itself (a cache hit for the
+// cell), so the chain stays warm across it.
+func (c *WarmChain) Observe(p float64, atBound bool) {
+	c.seeded, c.p, c.atBound = true, p, atBound
+}
+
+// Solve solves one cell through solve, which runs the protocol's outer P
+// search over [lo, hi] on a gridP-point log-grid (warm selects the short
+// Brent polish) and reports the optimum's P, whether it stopped at the
+// allocation bound, and its evaluation count. restart forces the full
+// box. warm reports that the last solve call, whose result the caller
+// keeps, was the accepted warm attempt.
+func (c *WarmChain) Solve(restart bool, solve func(lo, hi float64, gridP int, warm bool) (p float64, atBound bool, evals int, err error)) (warm bool, err error) {
+	if c.seeded && !c.cold && !restart {
+		lo := math.Max(c.pMin, c.p/warmBracketFactor)
+		hi := math.Min(c.pMax, c.p*warmBracketFactor)
+		if c.atBound {
+			hi = c.pMax
+		}
+		if hi > lo {
+			// An infeasible or unsolvable warm bracket is a fallback
+			// trigger, not a sweep failure: the full box may still
+			// contain an optimum.
+			p, atBound, evals, err := solve(lo, hi, warmGrid, true)
+			if err == nil && !c.atWarmEdge(p, lo, hi) {
+				c.stats.WarmSolves++
+				c.stats.Evals += evals
+				c.Observe(p, atBound)
+				return true, nil
+			}
+		}
+		c.stats.Fallbacks++
+	}
+	c.stats.ColdSolves++
+	p, atBound, evals, err := solve(c.pMin, c.pMax, c.gridP, false)
+	if err != nil {
+		return false, err
+	}
+	c.stats.Evals += evals
+	c.Observe(p, atBound)
+	return false, nil
+}
+
+// atWarmEdge reports a warm optimum within 2% (in log P) of a bracket
+// edge that is not also a global bound; global bounds are legitimate
+// resting points.
+func (c *WarmChain) atWarmEdge(p, lo, hi float64) bool {
+	const edgeMargin = 0.02
+	uLo, uHi, uX := math.Log(lo), math.Log(hi), math.Log(p)
+	margin := edgeMargin * (uHi - uLo)
+	return (uX-uLo < margin && lo > c.pMin*(1+1e-12)) ||
+		(uHi-uX < margin && hi < c.pMax*(1-1e-12))
 }
 
 // SweepSolver solves a sequence of related pattern optimizations — the
@@ -72,58 +152,54 @@ type SweepStats struct {
 //
 // The paper's sweep figures are continuous curves: along any one axis
 // (α, λ_ind, D, platform) the optimum moves by at most a few × per cell.
-// A warm cell therefore brackets the outer P search a factor
-// BracketFactor around the previous P*, localizes the minimum on a short
-// log-grid, and polishes with bounded Brent; the inner u = log T
-// minimization runs the same short-grid-plus-Brent scheme around the
-// Theorem 1 seed. A warm solve whose optimum lands on a warm bracket
-// edge (the axis jumped), whose bracket is infeasible, or whose
-// objective class changed since the previous cell falls back to the full
-// cold box — warm-starting is an accelerator, never a different answer
-// beyond the refinement tolerance (the sweep property tests pin warm
-// against per-cell OptimalPattern within Tol-derived bounds).
+// A warm cell therefore brackets the outer P search around the previous
+// P* (WarmChain), localizes the minimum on a short log-grid, and polishes
+// with bounded Brent; the inner u = log T minimization runs the same
+// short-grid-plus-Brent scheme around the Theorem 1 seed. A cell whose
+// objective class changed since the previous cell restarts on the full
+// cold box, as does any warm solve WarmChain rejects (the sweep property
+// tests pin warm against per-cell OptimalPattern within Tol-derived
+// bounds).
 //
-// A solver is stateful (the previous optimum and a reusable per-P probe
-// memo) and must not be shared between goroutines; run one solver per
-// chain. The memo is keyed by P and valid only within one cell — the
-// model changes between cells — so only its allocation is reused.
+// A solver is stateful (the chain state and a reusable per-P probe memo)
+// and must not be shared between goroutines; run one solver per chain.
+// The memo is keyed by P and valid only within one cell — the model
+// changes between cells — so only its allocation is reused.
 type SweepSolver struct {
-	opts SweepOptions
-
-	havePrev    bool
-	prevP       float64
-	prevAtBound bool
-	prevClass   costmodel.Class
-
-	memo  map[float64]innerProbe
-	stats SweepStats
+	opts      SweepOptions
+	chain     WarmChain
+	prevClass costmodel.Class
+	memo      map[float64]innerProbe
 }
 
 // NewSweepSolver builds a solver for one chain of related models.
 func NewSweepSolver(opts SweepOptions) *SweepSolver {
-	opts = opts.withDefaults()
+	opts.PatternOptions = opts.PatternOptions.withDefaults()
 	return &SweepSolver{
-		opts: opts,
-		memo: make(map[float64]innerProbe, opts.GridP+8),
+		opts:  opts,
+		chain: NewWarmChain(opts.PMin, opts.PMax, opts.GridP, opts.Cold),
+		memo:  make(map[float64]innerProbe, opts.GridP+8),
 	}
 }
 
 // Stats returns the per-chain solve counters accumulated so far.
-func (s *SweepSolver) Stats() SweepStats { return s.stats }
+func (s *SweepSolver) Stats() SweepStats { return s.chain.Stats() }
 
 // Observe primes the warm-start state from an externally obtained
 // optimum for m (e.g. a cache hit for the cell), so the chain stays warm
 // across cells the solver did not compute itself.
 func (s *SweepSolver) Observe(m core.Model, res PatternResult) {
-	s.havePrev = true
-	s.prevP = res.P
-	s.prevAtBound = res.AtPBound
+	s.chain.Observe(res.P, res.AtPBound)
 	s.prevClass = m.Res.Classify().Class
 }
 
 // Solve returns the numerical optimum for the next cell of the chain.
 // The first cell (and any cell whose warm solve is rejected) pays a full
 // cold scan; subsequent cells typically cost an order of magnitude less.
+// A full-box solve is the reference OptimalPattern in Cold mode
+// (bit-identical to a per-cell call); otherwise it keeps the fast
+// Brent-polished inner minimizer so even chain restarts stay ~2–3× under
+// the reference cost.
 func (s *SweepSolver) Solve(m core.Model) (PatternResult, error) {
 	// Hold warm mode to the same option contract as OptimalPattern: a
 	// bad search box must fail loudly here, not surface as an
@@ -135,81 +211,22 @@ func (s *SweepSolver) Solve(m core.Model) (PatternResult, error) {
 		return PatternResult{}, err
 	}
 	class := m.Res.Classify().Class
-	if s.opts.Cold || !s.havePrev || class != s.prevClass {
-		return s.solveCold(m, class, false)
-	}
-	res, ok, err := s.solveWarm(m)
+	var res PatternResult
+	warm, err := s.chain.Solve(class != s.prevClass, func(lo, hi float64, gridP int, warm bool) (float64, bool, int, error) {
+		var err error
+		if s.opts.Cold {
+			res, err = OptimalPattern(m, s.opts.PatternOptions)
+		} else {
+			res, err = s.scan(m, lo, hi, gridP, warm)
+		}
+		return res.P, res.AtPBound, res.Evals, err
+	})
 	if err != nil {
 		return PatternResult{}, err
 	}
-	if !ok {
-		return s.solveCold(m, class, true)
-	}
-	s.stats.WarmSolves++
-	s.stats.Evals += res.Evals
-	s.Observe(m, res)
+	s.prevClass = class
+	res.Warm = warm
 	return res, nil
-}
-
-// solveCold runs the full-box solve and records it as the new warm seed.
-// In Cold mode it is the reference OptimalPattern (bit-identical to a
-// per-cell call); otherwise it keeps the fast Brent-polished inner
-// minimizer so even chain restarts stay ~2–3× under the reference cost.
-func (s *SweepSolver) solveCold(m core.Model, class costmodel.Class, fallback bool) (PatternResult, error) {
-	if fallback {
-		s.stats.Fallbacks++
-	}
-	s.stats.ColdSolves++
-	var (
-		res PatternResult
-		err error
-	)
-	if s.opts.Cold {
-		res, err = OptimalPattern(m, s.opts.PatternOptions)
-	} else {
-		res, err = s.scan(m, s.opts.PMin, s.opts.PMax, min(coldScanGridP, s.opts.GridP), false)
-	}
-	if err != nil {
-		return PatternResult{}, err
-	}
-	s.stats.Evals += res.Evals
-	s.Observe(m, res)
-	return res, nil
-}
-
-// solveWarm attempts the narrow-bracket solve. ok = false requests a
-// cold fallback (infeasible bracket, or the optimum pinned to a warm
-// edge that is not a global bound).
-func (s *SweepSolver) solveWarm(m core.Model) (res PatternResult, ok bool, err error) {
-	opts := s.opts
-	pLo := math.Max(opts.PMin, s.prevP/opts.BracketFactor)
-	pHi := math.Min(opts.PMax, s.prevP*opts.BracketFactor)
-	if s.prevAtBound {
-		// An unbounded-allocation neighbour: the optimum may still sit at
-		// PMax, so the warm bracket must include it.
-		pHi = opts.PMax
-	}
-	if !(pHi > pLo) {
-		return PatternResult{}, false, nil
-	}
-	res, err = s.scan(m, pLo, pHi, opts.WarmGridP, true)
-	if err != nil {
-		// An infeasible or unsolvable warm bracket is a fallback trigger,
-		// not a sweep failure: the cold box may still contain an optimum.
-		return PatternResult{}, false, nil
-	}
-	// Reject an optimum pinned against a warm-only edge: the true optimum
-	// drifted further than the bracket, so the narrow solve localized the
-	// wrong basin. Global bounds are legitimate resting points.
-	const edgeMargin = 0.02
-	uLo, uHi, uX := math.Log(pLo), math.Log(pHi), math.Log(res.P)
-	margin := edgeMargin * (uHi - uLo)
-	if (uX-uLo < margin && pLo > opts.PMin*(1+1e-12)) ||
-		(uHi-uX < margin && pHi < opts.PMax*(1-1e-12)) {
-		return PatternResult{}, false, nil
-	}
-	res.Warm = true
-	return res, true, nil
 }
 
 // scan is the shared outer solve over [pLo, pHi]: a log-grid localization
@@ -226,7 +243,7 @@ func (s *SweepSolver) scan(m core.Model, pLo, pHi float64, gridP int, warm bool)
 			return pr
 		}
 		fz := m.Freeze(p)
-		res, err := minimizeTBrent(&fz, opts.PatternOptions, opts.WarmGridT)
+		res, err := minimizeTBrent(&fz, opts.PatternOptions)
 		evals += res.Evals
 		pr := innerProbe{res: res, err: err}
 		s.memo[p] = pr
@@ -295,12 +312,12 @@ func BatchOptimalPattern(models []core.Model, opts SweepOptions) ([]PatternResul
 }
 
 // minimizeTBrent is the warm-path inner period minimizer: the same
-// Theorem 1 seed bracket as minimizeT, localized on a short u = log T
-// grid and polished with bounded Brent instead of the cold path's
+// Theorem 1 seed bracket as minimizeT, localized on a warmGrid-point
+// u = log T grid and polished with bounded Brent instead of the cold path's
 // 48-point grid plus golden refinement (~3× fewer kernel calls at equal
 // tolerance). Any failure — no finite seed, empty bracket, an
 // all-infeasible grid — falls back to the robust cold minimizeT.
-func minimizeTBrent(fz *core.Frozen, opts PatternOptions, gridT int) (Result, error) {
+func minimizeTBrent(fz *core.Frozen, opts PatternOptions) (Result, error) {
 	seed := fz.OptimalPeriod()
 	if math.IsInf(seed, 0) || !(seed > 0) {
 		return minimizeT(fz, opts)
@@ -310,7 +327,7 @@ func minimizeTBrent(fz *core.Frozen, opts PatternOptions, gridT int) (Result, er
 	if !(hi > lo) {
 		return minimizeT(fz, opts)
 	}
-	res, err := gridBrentFrozen(fz, math.Log(lo), math.Log(hi), gridT, opts.Tol)
+	res, err := gridBrentFrozen(fz, math.Log(lo), math.Log(hi), warmGrid, opts.Tol)
 	if err != nil {
 		return minimizeT(fz, opts)
 	}

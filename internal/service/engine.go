@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"strings"
 	"sync/atomic"
 
 	"amdahlyd/internal/core"
@@ -235,6 +234,46 @@ func optionsKey(o optimize.PatternOptions) string {
 		o.GridP, o.GridT, core.FormatFloatKey(o.Tol), o.IntegerP)
 }
 
+// optKey is the optimizer-cache key of the model keyed mk, for a protocol
+// whose key version is version (mlKeyVersion for two-level results, empty
+// otherwise) and whose options encode as optsKey. Per-request optima live
+// under opt#, which cold sweep cells share in both directions; warm sweep
+// cells agree only within the refinement tolerance, so they live under
+// swopt# and a sweep never changes what an optimize request returns.
+func optKey(mk, version string, warm bool, optsKey string) string {
+	ns := "opt#"
+	if warm {
+		ns = "swopt#"
+	}
+	return mk + "#" + version + ns + optsKey
+}
+
+// solveOnce serves a cache miss for key as one job: concurrent identical
+// requests share a single solve (single-flight), which holds one
+// scheduler slot and adds its result to c. Callers probe c before
+// building solve, so a hit allocates no closure. shared reports that the
+// caller attached to a flight another request started — it did not pay
+// for a solve either.
+func solveOnce[R any](ctx context.Context, e *Engine, c *lruCache[R], key string, solve func(ctx context.Context) (R, error)) (res R, shared bool, err error) {
+	v, shared, err := e.flight.do(ctx, key, func(ctx context.Context) (any, error) {
+		if err := e.acquire(ctx); err != nil {
+			return nil, err
+		}
+		defer e.release()
+		r, err := solve(ctx)
+		if err != nil {
+			return nil, err
+		}
+		c.Add(key, r)
+		return r, nil
+	})
+	if err != nil {
+		e.countCancelled(err)
+		return res, false, err
+	}
+	return v.(R), shared, nil
+}
+
 // Optimize returns the numerical optimum (T*, P*) for the model,
 // memoizing by canonical (model, options) key and deduplicating
 // concurrent identical requests. cached reports whether the result was
@@ -244,175 +283,96 @@ func (e *Engine) Optimize(ctx context.Context, m core.Model, opts optimize.Patte
 	e.optCalls.Add(1)
 	mk, err := m.CacheKey()
 	if err != nil {
-		return optimize.PatternResult{}, false, err
+		return res, false, err
 	}
-	key := mk + "#opt#" + optionsKey(opts)
+	key := optKey(mk, "", false, optionsKey(opts))
 	if r, ok := e.optimizes.Get(key); ok {
 		return r, true, nil
 	}
-	v, shared, err := e.flight.do(ctx, key, func(ctx context.Context) (any, error) {
-		if err := e.acquire(ctx); err != nil {
-			return nil, err
-		}
-		defer e.release()
-		r, err := optimize.OptimalPattern(m, opts)
-		if err != nil {
-			return nil, err
-		}
-		e.optimizes.Add(key, r)
-		return r, nil
+	return solveOnce(ctx, e, e.optimizes, key, func(context.Context) (optimize.PatternResult, error) {
+		return optimize.OptimalPattern(m, opts)
 	})
-	if err != nil {
-		e.countCancelled(err)
-		return optimize.PatternResult{}, false, err
-	}
-	return v.(optimize.PatternResult), shared, nil
 }
 
-// SweepCell is one solved cell of a batched sweep: the optimizer result
-// plus whether it was served from the per-cell cache.
+// SweepCell is one solved cell of a sweep: the optimizer result plus
+// whether it was served from the per-cell cache.
 type SweepCell struct {
 	Result optimize.PatternResult
 	Cached bool
 }
 
-// maxSweepKeyModels caps how many per-cell canonical keys the sweep
-// flight key concatenates; beyond it the request is rejected upstream
-// (the HTTP handler enforces a smaller cell cap anyway).
-const maxSweepKeyModels = 1 << 16
-
-// Sweep solves an ordered axis of related models as one engine job: a
-// single scheduler slot, single-flight on the whole-axis key (concurrent
-// identical sweeps solve once), and one optimizer-cache entry per cell.
-// Cells are solved by a warm-start chain (optimize.SweepSolver) — each
-// optimum brackets the next, which is what makes a cold axis ~an order
-// of magnitude cheaper than per-cell /v1/optimize requests. A cached
-// cell primes the chain without re-solving.
-//
-// Cache namespaces: cold-mode cells are bit-identical to OptimalPattern
-// and share the /v1/optimize cache entries in both directions; warm-mode
-// cells agree within the refinement tolerance but not bitwise, so they
-// live under a separate per-cell namespace — a sweep never changes what
-// /v1/optimize returns.
-func (e *Engine) Sweep(ctx context.Context, models []core.Model, opts optimize.PatternOptions, cold bool) (res []SweepCell, shared bool, err error) {
-	e.sweepCalls.Add(1)
-	if len(models) == 0 {
-		return nil, false, errors.New("service: sweep needs at least one cell")
-	}
-	if len(models) > maxSweepKeyModels {
-		return nil, false, fmt.Errorf("service: sweep of %d cells exceeds the %d-cell limit", len(models), maxSweepKeyModels)
-	}
-	ns := "#swopt#"
-	if cold {
-		ns = "#opt#"
-	}
-	ok := optionsKey(opts)
-	keys := make([]string, len(models))
-	var flightKey strings.Builder
-	flightKey.WriteString("sweep#")
-	if cold {
-		flightKey.WriteString("cold#")
-	}
-	flightKey.WriteString(ok)
-	for i, m := range models {
-		mk, err := m.CacheKey()
-		if err != nil {
-			return nil, false, err
-		}
-		keys[i] = mk + ns + ok
-		flightKey.WriteString("|")
-		flightKey.WriteString(mk)
-	}
-	v, shared, err := e.flight.do(ctx, flightKey.String(), func(ctx context.Context) (any, error) {
-		if err := e.acquire(ctx); err != nil {
-			return nil, err
-		}
-		defer e.release()
-		solver := optimize.NewSweepSolver(optimize.SweepOptions{PatternOptions: opts, Cold: cold})
-		out := make([]SweepCell, len(models))
-		for i, m := range models {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if r, ok := e.optimizes.Get(keys[i]); ok {
-				solver.Observe(m, r)
-				out[i] = SweepCell{Result: r, Cached: true}
-				continue
-			}
-			r, err := solver.Solve(m)
-			if err != nil {
-				return nil, fmt.Errorf("service: sweep cell %d: %w", i, err)
-			}
-			e.optimizes.Add(keys[i], r)
-			out[i] = SweepCell{Result: r}
-		}
-		return out, nil
-	})
-	if err != nil {
-		e.countCancelled(err)
-		return nil, false, err
-	}
-	return v.([]SweepCell), shared, nil
-}
-
-// SweepStream solves the same warm-start axis as Sweep but hands each
-// cell to emit as soon as it is solved, instead of materializing the
-// whole axis first: the first row of a long sweep reaches the client
-// while the chain is still running, and a client hang-up (ctx cancelled
-// or emit returning an error) stops the chain at the next cell instead
-// of solving the rest for nobody. The per-cell cache namespaces are
-// identical to Sweep's, so the two paths warm each other; there is no
-// single-flight — an incremental stream has no whole-axis result for a
-// second request to attach to.
-//
-// emit runs on the caller's goroutine while the chain holds its one
-// scheduler slot; a non-nil emit error aborts the sweep and is returned
-// verbatim.
+// SweepStream solves an ordered axis of related models as one warm-start
+// chain (optimize.SweepSolver) and hands each cell to emit as soon as it
+// is solved, with the contract of sweepStream. Cold-mode cells are
+// bit-identical to Optimize and share its cache entries in both
+// directions; warm-mode cells live under their own namespace (optKey).
 func (e *Engine) SweepStream(ctx context.Context, models []core.Model, opts optimize.PatternOptions, cold bool, emit func(i int, c SweepCell) error) error {
 	e.sweepCalls.Add(1)
+	keys, err := sweepKeys(models, "", cold, optionsKey(opts))
+	if err != nil {
+		return err
+	}
+	solver := optimize.NewSweepSolver(optimize.SweepOptions{PatternOptions: opts, Cold: cold})
+	return sweepStream(ctx, e, e.optimizes, keys,
+		func(i int, r optimize.PatternResult) { solver.Observe(models[i], r) },
+		func(i int) (optimize.PatternResult, error) { return solver.Solve(models[i]) },
+		func(i int, r optimize.PatternResult, cached bool) error {
+			return emit(i, SweepCell{Result: r, Cached: cached})
+		})
+}
+
+// sweepKeys builds the per-cell optimizer-cache keys of a sweep axis over
+// models of any protocol (see optKey).
+func sweepKeys[M interface{ CacheKey() (string, error) }](models []M, version string, cold bool, optsKey string) ([]string, error) {
 	if len(models) == 0 {
-		return errors.New("service: sweep needs at least one cell")
+		return nil, errors.New("service: sweep needs at least one cell")
 	}
-	if len(models) > maxSweepKeyModels {
-		return fmt.Errorf("service: sweep of %d cells exceeds the %d-cell limit", len(models), maxSweepKeyModels)
-	}
-	ns := "#swopt#"
-	if cold {
-		ns = "#opt#"
-	}
-	ok := optionsKey(opts)
 	keys := make([]string, len(models))
 	for i, m := range models {
 		mk, err := m.CacheKey()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		keys[i] = mk + ns + ok
+		keys[i] = optKey(mk, version, !cold, optsKey)
 	}
+	return keys, nil
+}
+
+// sweepStream is the sweep loop of every protocol: one warm-start chain
+// under a single scheduler slot, walking the cells in axis order. A cell
+// cached under keys[i] primes the chain through observe instead of being
+// re-solved; any other cell is solved and cached. Each cell reaches emit
+// as soon as it is ready, so the first row of a long sweep reaches the
+// client while the chain is still running, and a client hang-up (ctx
+// cancelled, or emit returning an error) stops the chain at the next
+// cell instead of solving the rest for nobody. There is no single-flight:
+// an incremental stream has no whole-axis result for a second request to
+// attach to. emit runs on the caller's goroutine while the chain holds
+// its slot; a non-nil emit error aborts the sweep and is returned
+// verbatim.
+func sweepStream[R any](ctx context.Context, e *Engine, c *lruCache[R], keys []string,
+	observe func(i int, r R), solve func(i int) (R, error), emit func(i int, r R, cached bool) error) error {
 	if err := e.acquire(ctx); err != nil {
 		e.countCancelled(err)
 		return err
 	}
 	defer e.release()
-	solver := optimize.NewSweepSolver(optimize.SweepOptions{PatternOptions: opts, Cold: cold})
-	for i, m := range models {
+	for i, key := range keys {
 		if err := ctx.Err(); err != nil {
 			e.countCancelled(err)
 			return err
 		}
-		var cell SweepCell
-		if r, ok := e.optimizes.Get(keys[i]); ok {
-			solver.Observe(m, r)
-			cell = SweepCell{Result: r, Cached: true}
+		r, cached := c.Get(key)
+		if cached {
+			observe(i, r)
 		} else {
-			r, err := solver.Solve(m)
-			if err != nil {
+			var err error
+			if r, err = solve(i); err != nil {
 				return fmt.Errorf("service: sweep cell %d: %w", i, err)
 			}
-			e.optimizes.Add(keys[i], r)
-			cell = SweepCell{Result: r}
+			c.Add(key, r)
 		}
-		if err := emit(i, cell); err != nil {
+		if err := emit(i, r, cached); err != nil {
 			return err
 		}
 	}
@@ -447,7 +407,7 @@ func (e *Engine) Simulate(ctx context.Context, m core.Model, t, p float64, cfg s
 	e.simCalls.Add(1)
 	mk, err := m.CacheKey()
 	if err != nil {
-		return sim.RunResult{}, false, err
+		return res, false, err
 	}
 	// Normalize before keying: a zero-valued request and one spelling out
 	// the 500×500 defaults are the same campaign and must share a cache
@@ -459,23 +419,9 @@ func (e *Engine) Simulate(ctx context.Context, m core.Model, t, p float64, cfg s
 	if r, ok := e.sims.Get(key); ok {
 		return r, true, nil
 	}
-	v, shared, err := e.flight.do(ctx, key, func(ctx context.Context) (any, error) {
-		if err := e.acquire(ctx); err != nil {
-			return nil, err
-		}
-		defer e.release()
-		r, err := sim.SimulateContext(ctx, m, t, p, cfg)
-		if err != nil {
-			return nil, err
-		}
-		e.sims.Add(key, r)
-		return r, nil
+	return solveOnce(ctx, e, e.sims, key, func(ctx context.Context) (sim.RunResult, error) {
+		return sim.SimulateContext(ctx, m, t, p, cfg)
 	})
-	if err != nil {
-		e.countCancelled(err)
-		return sim.RunResult{}, false, err
-	}
-	return v.(sim.RunResult), shared, nil
 }
 
 // acquire claims a scheduler slot: immediately if one is free, otherwise

@@ -35,29 +35,15 @@ func (e *Engine) HeteroOptimize(ctx context.Context, hm core.HeteroModel, opts h
 	e.hgOptCalls.Add(1)
 	hmk, err := hm.CacheKey()
 	if err != nil {
-		return hetero.PatternResult{}, false, err
+		return res, false, err
 	}
-	key := hmk + "#opt#" + hgOptionsKey(opts)
+	key := optKey(hmk, "", false, hgOptionsKey(opts))
 	if r, ok := e.hgOptimizes.Get(key); ok {
 		return r, true, nil
 	}
-	v, shared, err := e.flight.do(ctx, key, func(ctx context.Context) (any, error) {
-		if err := e.acquire(ctx); err != nil {
-			return nil, err
-		}
-		defer e.release()
-		r, err := hetero.OptimalPattern(hm, opts)
-		if err != nil {
-			return nil, err
-		}
-		e.hgOptimizes.Add(key, r)
-		return r, nil
+	return solveOnce(ctx, e, e.hgOptimizes, key, func(context.Context) (hetero.PatternResult, error) {
+		return hetero.OptimalPattern(hm, opts)
 	})
-	if err != nil {
-		e.countCancelled(err)
-		return hetero.PatternResult{}, false, err
-	}
-	return v.(hetero.PatternResult), shared, nil
 }
 
 // hgSimKey canonically encodes a heterogeneous campaign request: the
@@ -110,22 +96,6 @@ func validatePlan(hm core.HeteroModel, plan []hetero.GroupPlan) error {
 	return nil
 }
 
-// heteroRuns lowers a plan to the sim layer: each entry's comm-charged
-// model at the plan's active count — exactly the derivation the
-// experiments layer uses, so service campaigns are bit-identical to
-// library ones.
-func heteroRuns(hm core.HeteroModel, plan []hetero.GroupPlan) ([]sim.HeteroGroupRun, error) {
-	runs := make([]sim.HeteroGroupRun, len(plan))
-	for i, gp := range plan {
-		m, err := hm.ActiveModel(gp.Group, len(plan))
-		if err != nil {
-			return nil, err
-		}
-		runs[i] = sim.HeteroGroupRun{Model: m, T: gp.T, P: gp.P, Fraction: gp.Fraction}
-	}
-	return runs, nil
-}
-
 // HeteroSimulate runs (or replays from cache) a seeded heterogeneous
 // Monte-Carlo campaign for the given per-group plan. Results are
 // bit-identical to sim.SimulateHetero on the same plan; concurrent
@@ -134,10 +104,10 @@ func (e *Engine) HeteroSimulate(ctx context.Context, hm core.HeteroModel, plan [
 	e.hgSimCalls.Add(1)
 	hmk, err := hm.CacheKey()
 	if err != nil {
-		return sim.HeteroRunResult{}, false, err
+		return res, false, err
 	}
 	if err := validatePlan(hm, plan); err != nil {
-		return sim.HeteroRunResult{}, false, err
+		return res, false, err
 	}
 	cfg := sim.RunConfig{Runs: runs, Patterns: patterns, Seed: seed}.WithDefaults()
 	cfg.Workers = e.opts.SimWorkers
@@ -145,90 +115,13 @@ func (e *Engine) HeteroSimulate(ctx context.Context, hm core.HeteroModel, plan [
 	if r, ok := e.hgSims.Get(key); ok {
 		return r, true, nil
 	}
-	v, shared, err := e.flight.do(ctx, key, func(ctx context.Context) (any, error) {
-		if err := e.acquire(ctx); err != nil {
-			return nil, err
-		}
-		defer e.release()
-		groups, err := heteroRuns(hm, plan)
+	return solveOnce(ctx, e, e.hgSims, key, func(ctx context.Context) (sim.HeteroRunResult, error) {
+		groups, err := hetero.GroupRuns(hm, plan)
 		if err != nil {
-			return nil, err
+			return sim.HeteroRunResult{}, err
 		}
-		r, err := sim.SimulateHeteroContext(ctx, groups, cfg)
-		if err != nil {
-			return nil, err
-		}
-		e.hgSims.Add(key, r)
-		return r, nil
+		return sim.SimulateHeteroContext(ctx, groups, cfg)
 	})
-	if err != nil {
-		e.countCancelled(err)
-		return sim.HeteroRunResult{}, false, err
-	}
-	return v.(sim.HeteroRunResult), shared, nil
-}
-
-// HeteroSweepCell is one solved cell of a batched heterogeneous sweep.
-type HeteroSweepCell struct {
-	Result hetero.PatternResult
-	Cached bool
-}
-
-// HeteroSweepStream solves an ordered axis of related heterogeneous
-// models as one warm-start chain (hetero.SweepSolver) under a single
-// scheduler slot, handing each cell to emit as soon as it is solved —
-// the same contract as SweepStream. Cold-mode cells are bit-identical to
-// HeteroOptimize and share its cache entries in both directions;
-// warm-mode cells live under a separate per-cell namespace.
-func (e *Engine) HeteroSweepStream(ctx context.Context, models []core.HeteroModel, opts hetero.PatternOptions, cold bool, emit func(i int, c HeteroSweepCell) error) error {
-	e.hgSweepCalls.Add(1)
-	if len(models) == 0 {
-		return errors.New("service: sweep needs at least one cell")
-	}
-	if len(models) > maxSweepKeyModels {
-		return fmt.Errorf("service: sweep of %d cells exceeds the %d-cell limit", len(models), maxSweepKeyModels)
-	}
-	ns := "#swopt#"
-	if cold {
-		ns = "#opt#"
-	}
-	ok := hgOptionsKey(opts)
-	keys := make([]string, len(models))
-	for i, hm := range models {
-		hmk, err := hm.CacheKey()
-		if err != nil {
-			return err
-		}
-		keys[i] = hmk + ns + ok
-	}
-	if err := e.acquire(ctx); err != nil {
-		e.countCancelled(err)
-		return err
-	}
-	defer e.release()
-	solver := hetero.NewSweepSolver(hetero.SweepOptions{PatternOptions: opts, Cold: cold})
-	for i, hm := range models {
-		if err := ctx.Err(); err != nil {
-			e.countCancelled(err)
-			return err
-		}
-		var cell HeteroSweepCell
-		if r, ok := e.hgOptimizes.Get(keys[i]); ok {
-			solver.Observe(hm, r)
-			cell = HeteroSweepCell{Result: r, Cached: true}
-		} else {
-			r, err := solver.Solve(hm)
-			if err != nil {
-				return fmt.Errorf("service: hetero sweep cell %d: %w", i, err)
-			}
-			e.hgOptimizes.Add(keys[i], r)
-			cell = HeteroSweepCell{Result: r}
-		}
-		if err := emit(i, cell); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------
@@ -494,7 +387,7 @@ func (s *Server) handleHeteroSimulate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, statusFor(r.Context(), err), err)
 		return
 	}
-	runs, err := heteroRuns(hm, plan)
+	runs, err := hetero.GroupRuns(hm, plan)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return

@@ -14,6 +14,7 @@ import (
 	"amdahlyd/internal/costmodel"
 	"amdahlyd/internal/experiments"
 	"amdahlyd/internal/failures"
+	"amdahlyd/internal/hetero"
 	"amdahlyd/internal/multilevel"
 	"amdahlyd/internal/optimize"
 	"amdahlyd/internal/platform"
@@ -157,8 +158,8 @@ type OptimizeResponse struct {
 // SweepRequest solves a whole sweep axis in one request: the base model
 // with one parameter — the axis — replaced by each value in turn, the
 // cells solved as a single warm-start chain on the engine (one scheduler
-// slot, single-flight on the axis, one cache entry per cell). The
-// response is NDJSON: one SweepRow per value, streamed in order.
+// slot, one cache entry per cell). The response is NDJSON: one SweepRow
+// per value, streamed in order.
 type SweepRequest struct {
 	Model ModelSpec `json:"model"`
 	// Axis names the swept parameter: "alpha", "lambda" or "downtime"
@@ -602,6 +603,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	var models []core.Model
 	var heteroModels []core.HeteroModel
+	var tp platform.Topology
 	if req.Hetero != nil {
 		// The heterogeneous axis sweeps the topology's coupling term: each
 		// cell recompiles the topology at the axis value of κ.
@@ -619,6 +621,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			}
 			heteroModels[i] = hm
 		}
+		var err error
+		if _, tp, err = req.Hetero.Topology.Build(); err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
 	} else {
 		models = make([]core.Model, len(req.Values))
 		for i, x := range req.Values {
@@ -634,6 +641,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			}
 			models[i] = m
 		}
+	}
+	// The two-level axis: the segment length is closed-form at every
+	// (K, P), so period search bounds have no meaning here — reject them
+	// loudly instead of silently ignoring half the options.
+	if req.Multilevel != nil && (req.Options.TMin != 0 || req.Options.TMax != 0) {
+		writeErr(w, http.StatusBadRequest,
+			fmt.Errorf("t_min/t_max have no effect on a multilevel sweep (the segment length is closed-form)"))
+		return
 	}
 	// Streams also answer to the drain lifecycle: once the server's drain
 	// grace expires the chain is cancelled at the next row boundary, and
@@ -671,70 +686,77 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		return nil
 	}
+	e := s.engine
+	var keys []string
 	var err error
-	if req.Hetero != nil {
-		hOpts := HeteroOptions{OptimizeOptions: req.Options, MaxGroups: req.Hetero.MaxGroups}
-		_, tp, berr := req.Hetero.Topology.Build()
-		if berr != nil {
-			writeErr(w, http.StatusBadRequest, berr)
-			return
+	switch {
+	case req.Hetero != nil:
+		e.hgSweepCalls.Add(1)
+		opts := HeteroOptions{OptimizeOptions: req.Options, MaxGroups: req.Hetero.MaxGroups}.pattern()
+		solver := hetero.NewSweepSolver(hetero.SweepOptions{PatternOptions: opts, Cold: req.Cold})
+		if keys, err = sweepKeys(heteroModels, "", req.Cold, hgOptionsKey(opts)); err != nil {
+			break
 		}
-		err = s.engine.HeteroSweepStream(ctx, heteroModels, hOpts.pattern(), req.Cold,
-			func(i int, c HeteroSweepCell) error {
+		err = sweepStream(ctx, e, e.hgOptimizes, keys,
+			func(i int, res hetero.PatternResult) { solver.Observe(heteroModels[i], res) },
+			func(i int) (hetero.PatternResult, error) { return solver.Solve(heteroModels[i]) },
+			func(i int, res hetero.PatternResult, cached bool) error {
 				return writeRow(i, SweepRow{
 					X:        req.Values[i],
-					Overhead: c.Result.Overhead,
+					Overhead: res.Overhead,
 					Method:   "hetero",
-					Evals:    c.Result.Evals,
-					G:        c.Result.Active,
-					Groups:   groupPlansJSON(tp, c.Result.Groups),
-					Warm:     c.Result.Warm,
-					Cached:   c.Cached,
+					Evals:    res.Evals,
+					G:        res.Active,
+					Groups:   groupPlansJSON(tp, res.Groups),
+					Warm:     res.Warm,
+					Cached:   cached,
 				})
 			})
-	} else if req.Multilevel != nil {
-		// The two-level axis: the segment length is closed-form at every
-		// (K, P), so period search bounds have no meaning here — reject
-		// them loudly instead of silently ignoring half the options.
-		if req.Options.TMin != 0 || req.Options.TMax != 0 {
-			writeErr(w, http.StatusBadRequest,
-				fmt.Errorf("t_min/t_max have no effect on a multilevel sweep (the segment length is closed-form)"))
-			return
+	case req.Multilevel != nil:
+		e.mlSweepCalls.Add(1)
+		frac := req.Multilevel.fraction()
+		opts := multilevel.PatternOptions{PMin: req.Options.PMin, PMax: req.Options.PMax, IntegerP: req.Options.IntegerP}
+		solver := multilevel.NewSweepSolver(multilevel.SweepOptions{PatternOptions: opts, Cold: req.Cold})
+		if err = validateFraction(frac); err != nil {
+			break
 		}
-		mlOpts := multilevel.PatternOptions{
-			PMin: req.Options.PMin, PMax: req.Options.PMax, IntegerP: req.Options.IntegerP,
+		if keys, err = sweepKeys(models, mlKeyVersion, req.Cold, mlOptionsKey(frac, opts)); err != nil {
+			break
 		}
-		err = s.engine.MultilevelSweepStream(ctx, models, req.Multilevel.fraction(), mlOpts, req.Cold,
-			func(i int, c MultilevelSweepCell) error {
+		err = sweepStream(ctx, e, e.mlOptimizes, keys,
+			func(_ int, res multilevel.PatternResult) { solver.Observe(res) },
+			func(i int) (multilevel.PatternResult, error) {
+				return solver.Solve(models[i], multilevel.InMemoryFraction(models[i], frac))
+			},
+			func(i int, res multilevel.PatternResult, cached bool) error {
 				return writeRow(i, SweepRow{
 					X:        req.Values[i],
-					T:        c.Result.T,
-					K:        c.Result.K,
-					P:        c.Result.P,
-					Overhead: c.Result.PredictedH,
+					T:        res.T,
+					K:        res.K,
+					P:        res.P,
+					Overhead: res.PredictedH,
 					Method:   "multilevel",
-					AtPBound: c.Result.AtPBound,
-					Evals:    c.Result.Evals,
-					Warm:     c.Result.Warm,
-					Cached:   c.Cached,
+					AtPBound: res.AtPBound,
+					Evals:    res.Evals,
+					Warm:     res.Warm,
+					Cached:   cached,
 				})
 			})
-	} else {
-		err = s.engine.SweepStream(ctx, models, req.Options.pattern(), req.Cold,
-			func(i int, c SweepCell) error {
-				return writeRow(i, SweepRow{
-					X:        req.Values[i],
-					T:        c.Result.T,
-					P:        c.Result.P,
-					Overhead: c.Result.Overhead,
-					Method:   c.Result.Method,
-					Class:    c.Result.Class.String(),
-					AtPBound: c.Result.AtPBound,
-					Evals:    c.Result.Evals,
-					Warm:     c.Result.Warm,
-					Cached:   c.Cached,
-				})
+	default:
+		err = e.SweepStream(ctx, models, req.Options.pattern(), req.Cold, func(i int, c SweepCell) error {
+			return writeRow(i, SweepRow{
+				X:        req.Values[i],
+				T:        c.Result.T,
+				P:        c.Result.P,
+				Overhead: c.Result.Overhead,
+				Method:   c.Result.Method,
+				Class:    c.Result.Class.String(),
+				AtPBound: c.Result.AtPBound,
+				Evals:    c.Result.Evals,
+				Warm:     c.Result.Warm,
+				Cached:   c.Cached,
 			})
+		})
 	}
 	if err != nil {
 		if errors.Is(err, errClientGone) {

@@ -2,11 +2,9 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
-	"strings"
 
 	"amdahlyd/internal/core"
 	"amdahlyd/internal/multilevel"
@@ -17,10 +15,10 @@ import (
 // namespaces: every multilevel cache and flight key embeds mlKeyVersion.
 const mlKeyVersion = "ml1|"
 
-// mlOptionsKey canonically encodes the joint-optimizer options (every
-// field is observable in the result).
-func mlOptionsKey(o multilevel.PatternOptions) string {
-	return fmt.Sprintf("%s,%s,%d,%s,%t",
+// mlOptionsKey canonically encodes the in-memory fraction and the
+// joint-optimizer options (every field is observable in the result).
+func mlOptionsKey(frac float64, o multilevel.PatternOptions) string {
+	return fmt.Sprintf("%s#%s,%s,%d,%s,%t", core.FormatFloatKey(frac),
 		core.FormatFloatKey(o.PMin), core.FormatFloatKey(o.PMax),
 		o.GridP, core.FormatFloatKey(o.Tol), o.IntegerP)
 }
@@ -44,33 +42,19 @@ func validateFraction(frac float64) error {
 func (e *Engine) MultilevelOptimize(ctx context.Context, m core.Model, frac float64, opts multilevel.PatternOptions) (res multilevel.PatternResult, cached bool, err error) {
 	e.mlOptCalls.Add(1)
 	if err := validateFraction(frac); err != nil {
-		return multilevel.PatternResult{}, false, err
+		return res, false, err
 	}
 	mk, err := m.CacheKey()
 	if err != nil {
-		return multilevel.PatternResult{}, false, err
+		return res, false, err
 	}
-	key := mk + "#" + mlKeyVersion + "opt#" + core.FormatFloatKey(frac) + "#" + mlOptionsKey(opts)
+	key := optKey(mk, mlKeyVersion, false, mlOptionsKey(frac, opts))
 	if r, ok := e.mlOptimizes.Get(key); ok {
 		return r, true, nil
 	}
-	v, shared, err := e.flight.do(ctx, key, func(ctx context.Context) (any, error) {
-		if err := e.acquire(ctx); err != nil {
-			return nil, err
-		}
-		defer e.release()
-		r, err := multilevel.OptimalPattern(m, multilevel.InMemoryFraction(m, frac), opts)
-		if err != nil {
-			return nil, err
-		}
-		e.mlOptimizes.Add(key, r)
-		return r, nil
+	return solveOnce(ctx, e, e.mlOptimizes, key, func(context.Context) (multilevel.PatternResult, error) {
+		return multilevel.OptimalPattern(m, multilevel.InMemoryFraction(m, frac), opts)
 	})
-	if err != nil {
-		e.countCancelled(err)
-		return multilevel.PatternResult{}, false, err
-	}
-	return v.(multilevel.PatternResult), shared, nil
 }
 
 // mlSimKey canonically encodes a two-level campaign request. Workers and
@@ -86,197 +70,30 @@ func mlSimKey(mk string, frac float64, pat multilevel.Pattern, p float64, cfg mu
 
 // MultilevelSimulate runs (or replays from cache) a seeded two-level
 // Monte-Carlo campaign for PATTERN(T, K) at P processors, with costs
-// derived from the model (multilevel.SingleLevelCosts at frac). Results
-// are bit-identical to the library path (Simulator.SimulateContext);
-// concurrent identical campaigns run once.
+// derived from the model (multilevel.SimulateModel at frac). Results are
+// bit-identical to the library path; concurrent identical campaigns run
+// once.
 func (e *Engine) MultilevelSimulate(ctx context.Context, m core.Model, frac float64, pat multilevel.Pattern, p float64, runs, patterns int, seed uint64) (res multilevel.CampaignResult, cached bool, err error) {
 	e.mlSimCalls.Add(1)
 	if err := validateFraction(frac); err != nil {
-		return multilevel.CampaignResult{}, false, err
+		return res, false, err
 	}
-	if math.IsNaN(p) || math.IsInf(p, 0) {
-		return multilevel.CampaignResult{}, false, fmt.Errorf("service: processor count P = %g must be finite", p)
+	if !(p >= 1) || math.IsInf(p, 0) {
+		return res, false, fmt.Errorf("service: processor count P = %g must be >= 1 and finite", p)
 	}
 	mk, err := m.CacheKey()
 	if err != nil {
-		return multilevel.CampaignResult{}, false, err
+		return res, false, err
 	}
-	cfg := multilevel.CampaignConfig{
-		Runs: runs, Patterns: patterns, Seed: seed,
-		HOfP: m.Profile.Overhead(p),
-	}.WithDefaults()
+	cfg := multilevel.CampaignConfig{Runs: runs, Patterns: patterns, Seed: seed}.WithDefaults()
 	cfg.Workers = e.opts.SimWorkers
 	key := mlSimKey(mk, frac, pat, p, cfg)
 	if r, ok := e.mlSims.Get(key); ok {
 		return r, true, nil
 	}
-	v, shared, err := e.flight.do(ctx, key, func(ctx context.Context) (any, error) {
-		if err := e.acquire(ctx); err != nil {
-			return nil, err
-		}
-		defer e.release()
-		costs, err := multilevel.SingleLevelCosts(m, p, frac)
-		if err != nil {
-			return nil, err
-		}
-		lf, ls := m.Rates(p)
-		s, err := multilevel.NewSimulator(costs, pat, lf, ls)
-		if err != nil {
-			return nil, err
-		}
-		r, err := s.SimulateContext(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		e.mlSims.Add(key, r)
-		return r, nil
+	return solveOnce(ctx, e, e.mlSims, key, func(ctx context.Context) (multilevel.CampaignResult, error) {
+		return multilevel.SimulateModel(ctx, m, frac, pat, p, cfg)
 	})
-	if err != nil {
-		e.countCancelled(err)
-		return multilevel.CampaignResult{}, false, err
-	}
-	return v.(multilevel.CampaignResult), shared, nil
-}
-
-// MultilevelSweepCell is one solved cell of a batched two-level sweep.
-type MultilevelSweepCell struct {
-	Result multilevel.PatternResult
-	Cached bool
-}
-
-// MultilevelSweep solves an ordered axis of related models as one
-// two-level warm-start chain (multilevel.SweepSolver): a single
-// scheduler slot, single-flight on the whole-axis key, one ml1| cache
-// entry per cell. Cold-mode cells are bit-identical to
-// MultilevelOptimize and share its cache entries in both directions;
-// warm-mode cells live under a separate per-cell namespace, exactly as
-// for the single-level sweep.
-func (e *Engine) MultilevelSweep(ctx context.Context, models []core.Model, frac float64, opts multilevel.PatternOptions, cold bool) (res []MultilevelSweepCell, shared bool, err error) {
-	e.mlSweepCalls.Add(1)
-	if len(models) == 0 {
-		return nil, false, errors.New("service: sweep needs at least one cell")
-	}
-	if len(models) > maxSweepKeyModels {
-		return nil, false, fmt.Errorf("service: sweep of %d cells exceeds the %d-cell limit", len(models), maxSweepKeyModels)
-	}
-	if err := validateFraction(frac); err != nil {
-		return nil, false, err
-	}
-	ns := "#" + mlKeyVersion + "swopt#"
-	if cold {
-		ns = "#" + mlKeyVersion + "opt#"
-	}
-	fk := core.FormatFloatKey(frac)
-	ok := mlOptionsKey(opts)
-	keys := make([]string, len(models))
-	var flightKey strings.Builder
-	flightKey.WriteString(mlKeyVersion)
-	flightKey.WriteString("sweep#")
-	if cold {
-		flightKey.WriteString("cold#")
-	}
-	flightKey.WriteString(fk)
-	flightKey.WriteString("#")
-	flightKey.WriteString(ok)
-	for i, m := range models {
-		mk, err := m.CacheKey()
-		if err != nil {
-			return nil, false, err
-		}
-		keys[i] = mk + ns + fk + "#" + ok
-		flightKey.WriteString("|")
-		flightKey.WriteString(mk)
-	}
-	v, shared, err := e.flight.do(ctx, flightKey.String(), func(ctx context.Context) (any, error) {
-		if err := e.acquire(ctx); err != nil {
-			return nil, err
-		}
-		defer e.release()
-		solver := multilevel.NewSweepSolver(multilevel.SweepOptions{PatternOptions: opts, Cold: cold})
-		out := make([]MultilevelSweepCell, len(models))
-		for i, m := range models {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if r, ok := e.mlOptimizes.Get(keys[i]); ok {
-				solver.Observe(r)
-				out[i] = MultilevelSweepCell{Result: r, Cached: true}
-				continue
-			}
-			r, err := solver.Solve(m, multilevel.InMemoryFraction(m, frac))
-			if err != nil {
-				return nil, fmt.Errorf("service: multilevel sweep cell %d: %w", i, err)
-			}
-			e.mlOptimizes.Add(keys[i], r)
-			out[i] = MultilevelSweepCell{Result: r}
-		}
-		return out, nil
-	})
-	if err != nil {
-		e.countCancelled(err)
-		return nil, false, err
-	}
-	return v.([]MultilevelSweepCell), shared, nil
-}
-
-// MultilevelSweepStream is the streaming counterpart of MultilevelSweep,
-// with the same contract as SweepStream: each cell reaches emit as soon
-// as the two-level chain solves it, a cancelled ctx or emit error stops
-// the chain at the next cell, cache namespaces are shared with the batch
-// path, and there is no single-flight.
-func (e *Engine) MultilevelSweepStream(ctx context.Context, models []core.Model, frac float64, opts multilevel.PatternOptions, cold bool, emit func(i int, c MultilevelSweepCell) error) error {
-	e.mlSweepCalls.Add(1)
-	if len(models) == 0 {
-		return errors.New("service: sweep needs at least one cell")
-	}
-	if len(models) > maxSweepKeyModels {
-		return fmt.Errorf("service: sweep of %d cells exceeds the %d-cell limit", len(models), maxSweepKeyModels)
-	}
-	if err := validateFraction(frac); err != nil {
-		return err
-	}
-	ns := "#" + mlKeyVersion + "swopt#"
-	if cold {
-		ns = "#" + mlKeyVersion + "opt#"
-	}
-	fk := core.FormatFloatKey(frac)
-	ok := mlOptionsKey(opts)
-	keys := make([]string, len(models))
-	for i, m := range models {
-		mk, err := m.CacheKey()
-		if err != nil {
-			return err
-		}
-		keys[i] = mk + ns + fk + "#" + ok
-	}
-	if err := e.acquire(ctx); err != nil {
-		e.countCancelled(err)
-		return err
-	}
-	defer e.release()
-	solver := multilevel.NewSweepSolver(multilevel.SweepOptions{PatternOptions: opts, Cold: cold})
-	for i, m := range models {
-		if err := ctx.Err(); err != nil {
-			e.countCancelled(err)
-			return err
-		}
-		var cell MultilevelSweepCell
-		if r, ok := e.mlOptimizes.Get(keys[i]); ok {
-			solver.Observe(r)
-			cell = MultilevelSweepCell{Result: r, Cached: true}
-		} else {
-			r, err := solver.Solve(m, multilevel.InMemoryFraction(m, frac))
-			if err != nil {
-				return fmt.Errorf("service: multilevel sweep cell %d: %w", i, err)
-			}
-			e.mlOptimizes.Add(keys[i], r)
-			cell = MultilevelSweepCell{Result: r}
-		}
-		if err := emit(i, cell); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"amdahlyd/internal/costmodel"
 	"amdahlyd/internal/experiments"
@@ -162,6 +163,40 @@ func TestMultilevelSimulateBudgetCap(t *testing.T) {
 	})
 	if code != http.StatusUnprocessableEntity {
 		t.Errorf("oversized campaign status %d, want 422", code)
+	}
+}
+
+// TestMultilevelSimulateRejectsUnsimulablePatterns: a pattern the
+// two-level simulator could never finish answers 4xx at once and frees
+// its scheduler slot, instead of pinning a replica's slot forever; a
+// processor count below one is a request error.
+func TestMultilevelSimulateRejectsUnsimulablePatterns(t *testing.T) {
+	srv, ts := newTestServer(t)
+	for _, body := range []string{
+		`{"model":{"platform":"hera"},"t":1e300,"k":2,"runs":2,"patterns":2}`,
+		`{"model":{"platform":"hera"},"k":2000000000,"runs":2,"patterns":2}`,
+		`{"model":{"platform":"hera"},"p":1e300,"runs":2,"patterns":2}`,
+		`{"model":{"platform":"hera"},"t":1e7,"k":1,"p":1e6,"runs":2,"patterns":2}`,
+		`{"model":{"platform":"hera"},"p":-1,"runs":2,"patterns":2}`,
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/multilevel/simulate", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		cancel()
+		if err != nil {
+			t.Errorf("%s: %v", body, err)
+			continue
+		}
+		resp.Body.Close()
+		if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+			t.Errorf("%s: status %d, want 4xx", body, resp.StatusCode)
+		}
+		if n := srv.Engine().Stats().InFlight; n != 0 {
+			t.Errorf("%s: in_flight = %d after the answer, want 0", body, n)
+		}
 	}
 }
 

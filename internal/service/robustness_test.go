@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -14,8 +15,11 @@ import (
 
 	"amdahlyd/internal/costmodel"
 	"amdahlyd/internal/experiments"
+	"amdahlyd/internal/hetero"
+	"amdahlyd/internal/multilevel"
 	"amdahlyd/internal/optimize"
 	"amdahlyd/internal/platform"
+	"amdahlyd/internal/sim"
 )
 
 // --- /readyz: readiness split from liveness ---
@@ -310,6 +314,65 @@ func TestWarmFillRoundTripBitIdentical(t *testing.T) {
 	}
 }
 
+// TestWarmFillAcceptsEveryExportedKind: the fill's re-encoding check
+// must accept every entry an export sends, for all six result kinds, so
+// a joiner replays each one bit-identically from cache.
+func TestWarmFillAcceptsEveryExportedKind(t *testing.T) {
+	ctx := context.Background()
+	donor := NewEngine(Options{})
+	m := heraModel(t)
+	hm, _, err := testTopologySpec(1e-6).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hres, _, err := donor.HeteroOptimize(ctx, hm, hetero.PatternOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pat := multilevel.Pattern{T: 2000, K: 3}
+	calls := map[string]func(e *Engine) (any, bool, error){
+		KindOptimize: func(e *Engine) (any, bool, error) { return e.Optimize(ctx, m, optimize.PatternOptions{}) },
+		KindMultilevelOptimize: func(e *Engine) (any, bool, error) {
+			return e.MultilevelOptimize(ctx, m, testFrac, multilevel.PatternOptions{})
+		},
+		KindHeteroOptimize: func(e *Engine) (any, bool, error) { return e.HeteroOptimize(ctx, hm, hetero.PatternOptions{}) },
+		KindSimulate: func(e *Engine) (any, bool, error) {
+			return e.Simulate(ctx, m, 5000, 4096, sim.RunConfig{Runs: 4, Patterns: 4, Seed: 3})
+		},
+		KindMultilevelSimulate: func(e *Engine) (any, bool, error) {
+			return e.MultilevelSimulate(ctx, m, testFrac, pat, 4096, 4, 4, 3)
+		},
+		KindHeteroSimulate: func(e *Engine) (any, bool, error) {
+			return e.HeteroSimulate(ctx, hm, hres.Groups, 4, 4, 3)
+		},
+	}
+	want := map[string]any{}
+	for kind, call := range calls {
+		v, _, err := call(donor)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		want[kind] = v
+	}
+	entries := donor.ExportHot(0)
+	if len(entries) != len(calls) {
+		t.Fatalf("exported %d entries, want one per kind (%d)", len(entries), len(calls))
+	}
+	joiner := NewEngine(Options{})
+	if n, err := joiner.ImportHot(entries); err != nil || n != len(entries) {
+		t.Fatalf("fill accepted %d of %d exported entries (err %v)", n, len(entries), err)
+	}
+	for kind, call := range calls {
+		got, cached, err := call(joiner)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if !cached || !reflect.DeepEqual(got, want[kind]) {
+			t.Errorf("%s: filled entry not replayed bit-identically (cached=%t)", kind, cached)
+		}
+	}
+}
+
 func TestWarmFillHTTPEndpoints(t *testing.T) {
 	donorSrv := NewServer(NewEngine(Options{}))
 	donorTS := httptest.NewServer(donorSrv)
@@ -410,5 +473,22 @@ func TestImportHotRejectsMalformedEntriesIndividually(t *testing.T) {
 	}
 	if n != 1 {
 		t.Fatalf("accepted %d entries, want exactly the 1 valid one", n)
+	}
+
+	// null and {} decode without error into a zero or half-filled result;
+	// offered under a real key, they must not poison that model's answer.
+	var poison []CacheEntry
+	for _, kind := range []string{KindOptimize, KindMultilevelOptimize, KindHeteroOptimize,
+		KindSimulate, KindMultilevelSimulate, KindHeteroSimulate} {
+		for _, v := range []string{`null`, `{}`} {
+			poison = append(poison, CacheEntry{Kind: kind, Key: good[0].Key, Value: json.RawMessage(v)})
+		}
+	}
+	fresh := NewEngine(Options{})
+	if n, err := fresh.ImportHot(poison); err != nil || n != 0 {
+		t.Fatalf("poisoned fill: accepted %d entries (err %v), want 0", n, err)
+	}
+	if _, cached, err := fresh.Optimize(context.Background(), m, optimize.PatternOptions{}); err != nil || cached {
+		t.Fatalf("optimize after a poisoned fill: cached=%t err=%v, want a genuine solve", cached, err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -15,6 +16,8 @@ import (
 	"amdahlyd/internal/core"
 	"amdahlyd/internal/costmodel"
 	"amdahlyd/internal/experiments"
+	"amdahlyd/internal/hetero"
+	"amdahlyd/internal/multilevel"
 	"amdahlyd/internal/optimize"
 	"amdahlyd/internal/platform"
 	"amdahlyd/internal/xmath"
@@ -35,81 +38,227 @@ func sweepModels(t *testing.T, lambdas []float64) []core.Model {
 
 var sweepLambdas = []float64{1e-10, 2e-10, 4e-10, 8e-10, 1.6e-9}
 
-// TestEngineSweepColdBitIdenticalToOptimize pins the cold-mode contract:
-// every cell equals a per-cell Optimize result bitwise, and the two
-// paths share cache entries in both directions.
-func TestEngineSweepColdBitIdenticalToOptimize(t *testing.T) {
-	e := NewEngine(Options{})
+// sweepProtocol is one protocol's sweep axis under test: the stream,
+// the protocol's per-request optimize on the same engine, and the
+// library optimum, each reduced to the fields a sweep row carries (X and
+// Cached aside). The single-level stream is Engine.SweepStream; the
+// two-level and heterogeneous streams are reachable only through
+// /v1/sweep.
+type sweepProtocol struct {
+	name     string
+	calls    func(Stats) uint64
+	sweep    func(t *testing.T, url string, e *Engine, cold bool) []SweepRow
+	optimize func(t *testing.T, e *Engine, i int) (row SweepRow, cached bool)
+	library  func(t *testing.T, i int) SweepRow
+}
+
+func sweepProtocols(t *testing.T) []sweepProtocol {
 	ctx := context.Background()
 	models := sweepModels(t, sweepLambdas)
-	cells, _, err := e.Sweep(ctx, models, optimize.PatternOptions{}, true)
-	if err != nil {
-		t.Fatal(err)
+	singleRow := func(r optimize.PatternResult) SweepRow {
+		return SweepRow{T: r.T, P: r.P, Overhead: r.Overhead, Method: r.Method, Class: r.Class.String(),
+			AtPBound: r.AtPBound, Evals: r.Evals, Warm: r.Warm}
 	}
-	for i, m := range models {
-		res, cached, err := e.Optimize(ctx, m, optimize.PatternOptions{})
+	frac := testFrac
+	mlRow := func(r multilevel.PatternResult) SweepRow {
+		return SweepRow{T: r.T, K: r.K, P: r.P, Overhead: r.PredictedH, Method: "multilevel",
+			AtPBound: r.AtPBound, Evals: r.Evals, Warm: r.Warm}
+	}
+	comms := []float64{0, 1e-6, 4e-6, 1e-5}
+	hms := make([]core.HeteroModel, len(comms))
+	var tp platform.Topology
+	for i, c := range comms {
+		hm, cellTP, err := testTopologySpec(c).Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !cached {
-			t.Errorf("cell %d: cold sweep did not warm the optimize cache", i)
+		hms[i], tp = hm, cellTP
+	}
+	hgRow := func(r hetero.PatternResult) SweepRow {
+		return SweepRow{Overhead: r.Overhead, Method: "hetero", Evals: r.Evals, G: r.Active,
+			Groups: groupPlansJSON(tp, r.Groups), Warm: r.Warm}
+	}
+	postSweep := func(t *testing.T, url string, req SweepRequest) []SweepRow {
+		rows, code := postNDJSON(t, url, req)
+		if code != http.StatusOK {
+			t.Fatalf("sweep status %d", code)
 		}
-		if res != cells[i].Result {
-			t.Errorf("cell %d: sweep %+v != optimize %+v", i, cells[i].Result, res)
-		}
+		return rows
+	}
+	return []sweepProtocol{{
+		name:  "single",
+		calls: func(st Stats) uint64 { return st.SweepCalls },
+		sweep: func(t *testing.T, _ string, e *Engine, cold bool) []SweepRow {
+			var rows []SweepRow
+			err := e.SweepStream(ctx, models, optimize.PatternOptions{}, cold, func(_ int, c SweepCell) error {
+				row := singleRow(c.Result)
+				row.Cached = c.Cached
+				rows = append(rows, row)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rows
+		},
+		optimize: func(t *testing.T, e *Engine, i int) (SweepRow, bool) {
+			r, cached, err := e.Optimize(ctx, models[i], optimize.PatternOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return singleRow(r), cached
+		},
+		library: func(t *testing.T, i int) SweepRow {
+			r, err := optimize.OptimalPattern(models[i], optimize.PatternOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return singleRow(r)
+		},
+	}, {
+		name:  "multilevel",
+		calls: func(st Stats) uint64 { return st.MultilevelSweepCalls },
+		sweep: func(t *testing.T, url string, _ *Engine, cold bool) []SweepRow {
+			return postSweep(t, url, SweepRequest{
+				Model: ModelSpec{Platform: "hera", Scenario: 3}, Axis: "lambda", Values: sweepLambdas,
+				Cold: cold, Multilevel: &MultilevelSweepSpec{InMemFraction: &frac},
+			})
+		},
+		optimize: func(t *testing.T, e *Engine, i int) (SweepRow, bool) {
+			r, cached, err := e.MultilevelOptimize(ctx, models[i], frac, multilevel.PatternOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return mlRow(r), cached
+		},
+		library: func(t *testing.T, i int) SweepRow {
+			r, err := multilevel.OptimalPattern(models[i], multilevel.InMemoryFraction(models[i], frac), multilevel.PatternOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return mlRow(r)
+		},
+	}, {
+		name:  "hetero",
+		calls: func(st Stats) uint64 { return st.HeteroSweepCalls },
+		sweep: func(t *testing.T, url string, _ *Engine, cold bool) []SweepRow {
+			return postSweep(t, url, SweepRequest{
+				Axis: "comm", Values: comms, Cold: cold,
+				Hetero: &HeteroSweepSpec{Topology: testTopologySpec(0)},
+			})
+		},
+		optimize: func(t *testing.T, e *Engine, i int) (SweepRow, bool) {
+			r, cached, err := e.HeteroOptimize(ctx, hms[i], hetero.PatternOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return hgRow(r), cached
+		},
+		library: func(t *testing.T, i int) SweepRow {
+			r, err := hetero.OptimalPattern(hms[i], hetero.PatternOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return hgRow(r)
+		},
+	}}
+}
+
+// sameCell reports whether two rows carry the same result bits.
+func sameCell(a, b SweepRow) bool {
+	a.X, a.Cached, b.X, b.Cached = 0, false, 0, false
+	return reflect.DeepEqual(a, b)
+}
+
+// TestEngineSweepColdBitIdenticalToOptimize pins the cold-mode contract
+// for every protocol: every cell equals the protocol's per-cell optimize
+// result bitwise, and the two paths share cache entries in both
+// directions.
+func TestEngineSweepColdBitIdenticalToOptimize(t *testing.T) {
+	for _, p := range sweepProtocols(t) {
+		t.Run(p.name, func(t *testing.T) {
+			srv, ts := newTestServer(t)
+			e := srv.Engine()
+			// Optimize first, then sweep: the cold chain serves the cell
+			// from the per-request entry.
+			first, _ := p.optimize(t, e, 0)
+			cells := p.sweep(t, ts.URL, e, true)
+			if !cells[0].Cached || !sameCell(cells[0], first) {
+				t.Errorf("cell 0: cold sweep did not serve the optimize cache entry: %+v vs %+v", cells[0], first)
+			}
+			for i := range cells {
+				res, cached := p.optimize(t, e, i)
+				if !cached {
+					t.Errorf("cell %d: cold sweep did not warm the optimize cache", i)
+				}
+				if !sameCell(res, cells[i]) {
+					t.Errorf("cell %d: sweep %+v != optimize %+v", i, cells[i], res)
+				}
+			}
+			if n := p.calls(e.Stats()); n != 1 {
+				t.Errorf("sweep calls = %d, want 1", n)
+			}
+		})
 	}
 }
 
-// TestEngineSweepWarmWithinTolAndIsolated checks the warm mode: cells
-// agree with per-cell OptimalPattern within the refinement tolerance,
-// the per-cell cache serves a repeat sweep, and the /v1/optimize cache
-// is NOT polluted (bit-exactness of optimize survives a warm sweep).
+// TestEngineSweepWarmWithinTolAndIsolated checks the warm mode for every
+// protocol: cells agree with the library optimum within the refinement
+// tolerance, the per-cell cache serves a repeat sweep, and the
+// per-request optimize cache is NOT polluted (bit-exactness of optimize
+// survives a warm sweep).
 func TestEngineSweepWarmWithinTolAndIsolated(t *testing.T) {
-	e := NewEngine(Options{})
-	ctx := context.Background()
-	models := sweepModels(t, sweepLambdas)
-	cells, _, err := e.Sweep(ctx, models, optimize.PatternOptions{}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, m := range models {
-		cold, err := optimize.OptimalPattern(m, optimize.PatternOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := xmath.RelDiff(cells[i].Result.Overhead, cold.Overhead); d > 1e-8 {
-			t.Errorf("cell %d: overhead off by %.3g", i, d)
-		}
-		if d := xmath.RelDiff(cells[i].Result.P, cold.P); d > 1e-4 {
-			t.Errorf("cell %d: P* off by %.3g", i, d)
-		}
-		res, cached, err := e.Optimize(ctx, m, optimize.PatternOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cached && i == 0 {
-			// The first optimize after a warm sweep must be a genuine
-			// solve, not a warm-sweep cache hit.
-			t.Error("warm sweep polluted the optimize cache")
-		}
-		if res.T != cold.T || res.P != cold.P {
-			t.Errorf("cell %d: optimize after warm sweep is not bit-identical to OptimalPattern", i)
-		}
-	}
-	again, _, err := e.Sweep(ctx, models, optimize.PatternOptions{}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range again {
-		if !again[i].Cached {
-			t.Errorf("cell %d: repeat sweep missed the per-cell cache", i)
-		}
-		if again[i].Result != cells[i].Result {
-			t.Errorf("cell %d: repeat sweep returned different bits", i)
-		}
-	}
-	if st := e.Stats(); st.SweepCalls != 2 {
-		t.Errorf("SweepCalls = %d, want 2", st.SweepCalls)
+	for _, p := range sweepProtocols(t) {
+		t.Run(p.name, func(t *testing.T) {
+			srv, ts := newTestServer(t)
+			e := srv.Engine()
+			cells := p.sweep(t, ts.URL, e, false)
+			warm := 0
+			for i, cell := range cells {
+				cold := p.library(t, i)
+				if cell.Warm {
+					warm++
+				}
+				if d := xmath.RelDiff(cell.Overhead, cold.Overhead); d > 1e-8 {
+					t.Errorf("cell %d: overhead off by %.3g", i, d)
+				}
+				if d := xmath.RelDiff(cell.P, cold.P); d > 1e-4 {
+					t.Errorf("cell %d: P* off by %.3g", i, d)
+				}
+				if len(cell.Groups) != len(cold.Groups) {
+					t.Fatalf("cell %d: %d active groups, cold %d", i, len(cell.Groups), len(cold.Groups))
+				}
+				for j := range cell.Groups {
+					if d := xmath.RelDiff(cell.Groups[j].P, cold.Groups[j].P); d > 1e-4 {
+						t.Errorf("cell %d group %d: P* off by %.3g", i, j, d)
+					}
+				}
+				// Every optimize after a warm sweep must be a genuine solve,
+				// not a warm-sweep cache hit.
+				res, cached := p.optimize(t, e, i)
+				if cached {
+					t.Errorf("cell %d: warm sweep polluted the optimize cache", i)
+				}
+				if !sameCell(res, cold) {
+					t.Errorf("cell %d: optimize after warm sweep is not bit-identical to the library optimum", i)
+				}
+			}
+			if warm == 0 {
+				t.Error("no cell warm-started on a smooth axis")
+			}
+			again := p.sweep(t, ts.URL, e, false)
+			for i := range again {
+				if !again[i].Cached {
+					t.Errorf("cell %d: repeat sweep missed the per-cell cache", i)
+				}
+				if !sameCell(again[i], cells[i]) {
+					t.Errorf("cell %d: repeat sweep returned different bits", i)
+				}
+			}
+			if n := p.calls(e.Stats()); n != 2 {
+				t.Errorf("sweep calls = %d, want 2", n)
+			}
+		})
 	}
 }
 

@@ -1,16 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
-
-	"amdahlyd/internal/hetero"
-	"amdahlyd/internal/multilevel"
-	"amdahlyd/internal/optimize"
-	"amdahlyd/internal/sim"
 )
 
 // Peer warm-fill: when a fleet replica joins (or rejoins) the ring, it
@@ -54,9 +50,68 @@ const (
 	maxHotLimit     = 4096
 )
 
+// hotCache is a result cache as warm-fill sees it: typed values cross
+// the fleet as JSON.
+type hotCache interface {
+	appendHot(out []CacheEntry, kind string, limit int) []CacheEntry
+	fill(key string, raw json.RawMessage) bool
+}
+
+// kindCache is one transferable result cache and its entry kind.
+type kindCache struct {
+	kind  string
+	cache hotCache
+}
+
+// resultCaches lists the transferable result caches in kind order,
+// optimizer results first (they are the expensive solves a cold replica
+// feels most), then campaign results.
+func (e *Engine) resultCaches() []kindCache {
+	return []kindCache{
+		{KindOptimize, e.optimizes},
+		{KindMultilevelOptimize, e.mlOptimizes},
+		{KindHeteroOptimize, e.hgOptimizes},
+		{KindSimulate, e.sims},
+		{KindMultilevelSimulate, e.mlSims},
+		{KindHeteroSimulate, e.hgSims},
+	}
+}
+
+// appendHot appends up to limit−len(out) of c's hottest entries as kind,
+// skipping values JSON cannot represent.
+func (c *lruCache[V]) appendHot(out []CacheEntry, kind string, limit int) []CacheEntry {
+	keys, vals := c.Hot(limit - len(out))
+	for i, key := range keys {
+		raw, err := json.Marshal(vals[i])
+		if err != nil {
+			continue // an unrepresentable value is skipped, not fatal
+		}
+		out = append(out, CacheEntry{Kind: kind, Key: key, Value: raw})
+	}
+	return out
+}
+
+// fill inserts raw under key when it is exactly what an export sends: it
+// must decode as V and re-encode to the same bytes (up to whitespace).
+// Decoding alone is not enough — null or a partial object such as {}
+// decodes without error into a zero or half-filled result that would
+// then be served as a cache hit.
+func (c *lruCache[V]) fill(key string, raw json.RawMessage) bool {
+	var v V
+	if json.Unmarshal(raw, &v) != nil {
+		return false
+	}
+	back, err := json.Marshal(v)
+	var offered bytes.Buffer
+	if err != nil || json.Compact(&offered, raw) != nil || !bytes.Equal(back, offered.Bytes()) {
+		return false
+	}
+	c.Add(key, v)
+	return true
+}
+
 // ExportHot snapshots up to limit hot cache entries across the result
-// caches, optimizer results first (they are the expensive solves a cold
-// replica feels most), then campaign results with the remaining budget.
+// caches, in resultCaches order.
 func (e *Engine) ExportHot(limit int) []CacheEntry {
 	if limit <= 0 {
 		limit = defaultHotLimit
@@ -65,59 +120,21 @@ func (e *Engine) ExportHot(limit int) []CacheEntry {
 		limit = maxHotLimit
 	}
 	out := make([]CacheEntry, 0, limit)
-	appendEntries := func(kind string, keys []string, marshal func(i int) (json.RawMessage, error)) {
-		for i := range keys {
-			if len(out) >= limit {
-				return
-			}
-			raw, err := marshal(i)
-			if err != nil {
-				continue // an unrepresentable value is skipped, not fatal
-			}
-			out = append(out, CacheEntry{Kind: kind, Key: keys[i], Value: raw})
-		}
+	for _, rc := range e.resultCaches() {
+		out = rc.cache.appendHot(out, rc.kind, limit)
 	}
-	marshalAt := func(vals any) func(i int) (json.RawMessage, error) {
-		return func(i int) (json.RawMessage, error) {
-			switch vs := vals.(type) {
-			case []optimize.PatternResult:
-				return json.Marshal(vs[i])
-			case []multilevel.PatternResult:
-				return json.Marshal(vs[i])
-			case []hetero.PatternResult:
-				return json.Marshal(vs[i])
-			case []sim.RunResult:
-				return json.Marshal(vs[i])
-			case []multilevel.CampaignResult:
-				return json.Marshal(vs[i])
-			case []sim.HeteroRunResult:
-				return json.Marshal(vs[i])
-			}
-			return nil, fmt.Errorf("service: unknown hot-entry type %T", vals)
-		}
-	}
-	ok, ov := e.optimizes.Hot(limit)
-	appendEntries(KindOptimize, ok, marshalAt(ov))
-	mk, mv := e.mlOptimizes.Hot(limit - len(out))
-	appendEntries(KindMultilevelOptimize, mk, marshalAt(mv))
-	hk, hv := e.hgOptimizes.Hot(limit - len(out))
-	appendEntries(KindHeteroOptimize, hk, marshalAt(hv))
-	sk, sv := e.sims.Hot(limit - len(out))
-	appendEntries(KindSimulate, sk, marshalAt(sv))
-	msk, msv := e.mlSims.Hot(limit - len(out))
-	appendEntries(KindMultilevelSimulate, msk, marshalAt(msv))
-	hsk, hsv := e.hgSims.Hot(limit - len(out))
-	appendEntries(KindHeteroSimulate, hsk, marshalAt(hsv))
 	return out
 }
 
 // ImportHot inserts transferred entries into the matching result caches,
 // returning how many were accepted. Entries with an unknown kind, a key
-// that does not carry a service namespace, or a value that does not
-// decode as the kind's result type are rejected individually — one bad
-// entry must not abort a fill. Fills never count as solves: optimize and
-// simulate call counters are untouched, only the cache_fills stat moves.
+// that does not carry a service namespace, or a value that is not what
+// an export of the kind's result type sends are rejected individually —
+// one bad entry must not abort a fill. Fills never count as solves:
+// optimize and simulate call counters are untouched, only the
+// cache_fills stat moves.
 func (e *Engine) ImportHot(entries []CacheEntry) (int, error) {
+	caches := e.resultCaches()
 	accepted := 0
 	for _, en := range entries {
 		// Every legitimate key is "<versioned model key>#<namespace>#…":
@@ -126,41 +143,8 @@ func (e *Engine) ImportHot(entries []CacheEntry) (int, error) {
 		if en.Key == "" || !strings.Contains(en.Key, "#") {
 			continue
 		}
-		switch en.Kind {
-		case KindOptimize:
-			var v optimize.PatternResult
-			if json.Unmarshal(en.Value, &v) == nil {
-				e.optimizes.Add(en.Key, v)
-				accepted++
-			}
-		case KindMultilevelOptimize:
-			var v multilevel.PatternResult
-			if json.Unmarshal(en.Value, &v) == nil {
-				e.mlOptimizes.Add(en.Key, v)
-				accepted++
-			}
-		case KindHeteroOptimize:
-			var v hetero.PatternResult
-			if json.Unmarshal(en.Value, &v) == nil {
-				e.hgOptimizes.Add(en.Key, v)
-				accepted++
-			}
-		case KindSimulate:
-			var v sim.RunResult
-			if json.Unmarshal(en.Value, &v) == nil {
-				e.sims.Add(en.Key, v)
-				accepted++
-			}
-		case KindMultilevelSimulate:
-			var v multilevel.CampaignResult
-			if json.Unmarshal(en.Value, &v) == nil {
-				e.mlSims.Add(en.Key, v)
-				accepted++
-			}
-		case KindHeteroSimulate:
-			var v sim.HeteroRunResult
-			if json.Unmarshal(en.Value, &v) == nil {
-				e.hgSims.Add(en.Key, v)
+		for _, rc := range caches {
+			if rc.kind == en.Kind && rc.cache.fill(en.Key, en.Value) {
 				accepted++
 			}
 		}

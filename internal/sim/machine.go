@@ -101,7 +101,7 @@ func newMachine(m core.Model, t float64, procs int, dist failures.Distribution) 
 		ls = m.SilentFrac * lambdaEff * p
 	}
 	if expectedIters(lf, ls, t, m.Res.Verification.At(p), m.Res.Checkpoint.At(p),
-		m.Res.Recovery.At(p)) > maxSimIters {
+		m.Res.Recovery.At(p)) > MaxSimIters {
 		return nil, ErrErrorPressure
 	}
 	mach := &Machine{

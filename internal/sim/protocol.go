@@ -41,11 +41,12 @@ type Protocol struct {
 var ErrErrorPressure = errors.New(
 	"sim: error pressure too high to simulate (expected iterations per pattern exceed the budget)")
 
-// maxSimIters bounds the expected simulator iterations per pattern.
+// MaxSimIters bounds the expected simulator iterations per pattern, for
+// this package's simulators and the two-level one in internal/multilevel.
 // Every experiment in the paper stays below ~10² even at the extreme
 // points of Fig. 6; 1e4 leaves two orders of headroom while keeping a
 // 500×500 campaign under a minute.
-const maxSimIters = 1e4
+const MaxSimIters = 1e4
 
 // expectedIters estimates simulator iterations per pattern.
 func expectedIters(lf, ls, t, v, c, r float64) float64 {
@@ -74,7 +75,7 @@ func NewProtocolFrozen(fz *core.Frozen, t float64) (*Protocol, error) {
 	if !(t > 0) || math.IsInf(t, 0) {
 		return nil, fmt.Errorf("sim: invalid pattern T=%g, P=%g", t, fz.P)
 	}
-	if expectedIters(fz.LambdaF, fz.LambdaS, t, fz.V, fz.C, fz.R) > maxSimIters {
+	if expectedIters(fz.LambdaF, fz.LambdaS, t, fz.V, fz.C, fz.R) > MaxSimIters {
 		return nil, ErrErrorPressure
 	}
 	pr := &Protocol{

@@ -56,7 +56,7 @@ func heraModel(b *testing.B, sc costmodel.Scenario, alpha float64) core.Model {
 // four Table II platforms.
 func BenchmarkFig2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig2(platform.All(), benchConfig()); err != nil {
+		if _, err := experiments.Fig2(context.Background(), platform.All(), benchConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -67,7 +67,7 @@ func BenchmarkFig2(b *testing.B) {
 func BenchmarkFig3(b *testing.B) {
 	procs := []float64{256, 512, 768, 1024, 1280}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig3(platform.Hera(), procs, benchConfig()); err != nil {
+		if _, err := experiments.Fig3(context.Background(), platform.Hera(), procs, benchConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -76,7 +76,7 @@ func BenchmarkFig3(b *testing.B) {
 // BenchmarkFig4 regenerates Fig. 4 (impact of the sequential fraction α).
 func BenchmarkFig4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig4(platform.Hera(), nil, benchConfig()); err != nil {
+		if _, err := experiments.Fig4(context.Background(), platform.Hera(), nil, benchConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -86,7 +86,7 @@ func BenchmarkFig4(b *testing.B) {
 func BenchmarkFig5(b *testing.B) {
 	lambdas := []float64{1e-12, 1e-11, 1e-10, 1e-9, 1e-8}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig5(platform.Hera(), lambdas, benchConfig()); err != nil {
+		if _, err := experiments.Fig5(context.Background(), platform.Hera(), lambdas, benchConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -96,7 +96,7 @@ func BenchmarkFig5(b *testing.B) {
 func BenchmarkFig6(b *testing.B) {
 	lambdas := []float64{1e-12, 1e-11, 1e-10, 1e-9, 1e-8}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig6(platform.Hera(), lambdas, benchConfig()); err != nil {
+		if _, err := experiments.Fig6(context.Background(), platform.Hera(), lambdas, benchConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -105,7 +105,7 @@ func BenchmarkFig6(b *testing.B) {
 // BenchmarkFig7 regenerates Fig. 7 (impact of the downtime D).
 func BenchmarkFig7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig7(platform.Hera(), nil, benchConfig()); err != nil {
+		if _, err := experiments.Fig7(context.Background(), platform.Hera(), nil, benchConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"amdahlyd/internal/campaign"
+	"amdahlyd/internal/experiments"
 )
 
 // runCampaign drives the crash-safe campaign orchestrator: a manifest
@@ -74,7 +75,8 @@ func runCampaign(ctx context.Context, args []string) error {
 	// output directory, so a resume must repeat them — the directory
 	// never silently mixes budgets.
 	if *quick {
-		man.Runs, man.Patterns = 40, 60
+		q := experiments.Quick()
+		man.Runs, man.Patterns = q.Runs, q.Patterns
 	}
 	if *seed != 0 {
 		man.Seed = *seed

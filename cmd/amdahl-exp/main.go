@@ -168,7 +168,7 @@ func runRobustness(ctx context.Context, args []string) error {
 		}
 		scenarios = []costmodel.Scenario{sc}
 	}
-	res, err := experiments.RobustnessStudyContext(ctx, pl, *dist, shapes, scenarios, cfg)
+	res, err := experiments.RobustnessStudy(ctx, pl, *dist, shapes, scenarios, cfg)
 	if err != nil {
 		return err
 	}
@@ -208,15 +208,9 @@ func runMultilevel(ctx context.Context, args []string) error {
 	}
 	cfg := buildConfig(*quick, *seed, *runs, *patterns)
 	cfg.ColdSolve = !*warm
-	var fracList []float64
-	if *fracs != "" {
-		for _, s := range strings.Split(*fracs, ",") {
-			f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-			if err != nil {
-				return fmt.Errorf("bad fraction %q: %w", s, err)
-			}
-			fracList = append(fracList, f)
-		}
+	fracList, err := parseFloats(*fracs)
+	if err != nil {
+		return fmt.Errorf("-frac: %w", err)
 	}
 	var scenarios []costmodel.Scenario
 	if *scenario != 0 {
@@ -226,7 +220,7 @@ func runMultilevel(ctx context.Context, args []string) error {
 		}
 		scenarios = []costmodel.Scenario{sc}
 	}
-	res, err := experiments.MultilevelStudyContext(ctx, pl, fracList, scenarios, cfg)
+	res, err := experiments.MultilevelStudy(ctx, pl, fracList, scenarios, cfg)
 	if err != nil {
 		return err
 	}
@@ -285,7 +279,7 @@ func runHetero(ctx context.Context, args []string) error {
 		}
 		scenarios = []costmodel.Scenario{sc}
 	}
-	res, err := experiments.HeterogeneousStudyContext(ctx, pl, commList, splitList, scenarios, cfg)
+	res, err := experiments.HeterogeneousStudy(ctx, pl, commList, splitList, scenarios, cfg)
 	if err != nil {
 		return err
 	}
@@ -337,7 +331,7 @@ func run(ctx context.Context, args []string) error {
 	if fs.NArg() > 0 {
 		// A misspelled subcommand ("robustnes") or a misplaced positional
 		// must not silently launch the full-budget figure suite.
-		return fmt.Errorf("unexpected argument %q (subcommands: robustness)", fs.Arg(0))
+		return fmt.Errorf("unexpected argument %q (subcommands: robustness, multilevel, hetero, campaign)", fs.Arg(0))
 	}
 
 	cfg := buildConfig(*quick, *seed, *runs, *patterns)
@@ -360,32 +354,33 @@ func run(ctx context.Context, args []string) error {
 	}
 
 	for _, f := range figures {
+		f = strings.TrimSpace(f)
 		var (
 			res  renderable
 			err  error
 			name = "fig" + f
 		)
-		switch strings.TrimSpace(f) {
+		switch f {
 		case "2":
-			res, err = experiments.Fig2Context(ctx, fig2Platforms, cfg)
+			res, err = experiments.Fig2(ctx, fig2Platforms, cfg)
 		case "3":
-			res, err = experiments.Fig3Context(ctx, sweepPlatform, nil, cfg)
+			res, err = experiments.Fig3(ctx, sweepPlatform, nil, cfg)
 		case "4":
-			res, err = experiments.Fig4Context(ctx, sweepPlatform, nil, cfg)
+			res, err = experiments.Fig4(ctx, sweepPlatform, nil, cfg)
 		case "5":
-			res, err = experiments.Fig5Context(ctx, sweepPlatform, nil, cfg)
+			res, err = experiments.Fig5(ctx, sweepPlatform, nil, cfg)
 		case "6":
-			res, err = experiments.Fig6Context(ctx, sweepPlatform, nil, cfg)
+			res, err = experiments.Fig6(ctx, sweepPlatform, nil, cfg)
 		case "7":
-			res, err = experiments.Fig7Context(ctx, sweepPlatform, nil, cfg)
+			res, err = experiments.Fig7(ctx, sweepPlatform, nil, cfg)
 		case "profiles":
 			// Extension beyond the paper: speedup profiles other than
 			// Amdahl's law (Section V future work).
-			res, err = experiments.ProfileStudyContext(ctx, sweepPlatform, costmodel.Scenario1, nil, cfg)
+			res, err = experiments.ProfileStudy(ctx, sweepPlatform, costmodel.Scenario1, nil, cfg)
 		case "baselines":
 			// The intro's motivation quantified: fail-stop-only
 			// Young/Daly tuning vs the VC-aware optimum, all platforms.
-			res, err = experiments.BaselineStudyContext(ctx, fig2Platforms, costmodel.Scenario1, cfg)
+			res, err = experiments.BaselineStudy(ctx, fig2Platforms, costmodel.Scenario1, cfg)
 		default:
 			return fmt.Errorf("unknown figure %q (want 2-7, profiles, baselines, or all)", f)
 		}

@@ -204,3 +204,36 @@ func TestRunMultilevelRejectsBadFlags(t *testing.T) {
 		t.Error("stray positional accepted")
 	}
 }
+
+// Entries of a -fig list are trimmed once, so "4, 5" names its CSV
+// fig5.csv and prints Fig. 5's slope table like "4,5" does.
+func TestRunFigListWithSpaces(t *testing.T) {
+	dir := t.TempDir()
+	out, err := capture(t, func() error {
+		return run(context.Background(), []string{"-fig", "4, 5", "-quick", "-runs", "10", "-patterns", "20",
+			"-out", dir})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "log-log slopes") {
+		t.Errorf("Fig. 5 slopes missing:\n%s", out)
+	}
+	for _, name := range []string{"fig4.csv", "fig5.csv"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+func TestRunStrayPositionalListsSubcommands(t *testing.T) {
+	err := run(context.Background(), []string{"hetro"})
+	if err == nil {
+		t.Fatal("stray positional accepted")
+	}
+	for _, sub := range []string{"robustness", "multilevel", "hetero", "campaign"} {
+		if !strings.Contains(err.Error(), sub) {
+			t.Errorf("error %q does not list subcommand %s", err, sub)
+		}
+	}
+}

@@ -34,9 +34,9 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("amdahl-opt", flag.ContinueOnError)
 	platName := fs.String("platform", "hera", "platform name (hera, atlas, coastal, coastalssd)")
 	scenario := fs.Int("scenario", 1, "resilience scenario 1-6 (Table III)")
-	alpha := fs.Float64("alpha", 0.1, "sequential fraction α (0 selects perfectly parallel)")
+	alpha := fs.Float64("alpha", experiments.DefaultAlpha, "sequential fraction α (0 selects perfectly parallel)")
 	lambda := fs.Float64("lambda", 0, "override individual error rate λ_ind (1/s); 0 keeps the platform value")
-	downtime := fs.Float64("downtime", 3600, "downtime D after a fail-stop error (s)")
+	downtime := fs.Float64("downtime", experiments.DefaultDowntime, "downtime D after a fail-stop error (s)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -31,8 +31,8 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("amdahl-sim", flag.ContinueOnError)
 	platName := fs.String("platform", "hera", "platform name")
 	scenario := fs.Int("scenario", 1, "resilience scenario 1-6")
-	alpha := fs.Float64("alpha", 0.1, "sequential fraction α")
-	downtime := fs.Float64("downtime", 3600, "downtime D (s)")
+	alpha := fs.Float64("alpha", experiments.DefaultAlpha, "sequential fraction α")
+	downtime := fs.Float64("downtime", experiments.DefaultDowntime, "downtime D (s)")
 	period := fs.Float64("T", 0, "checkpointing period (s); 0 uses the Theorem 1 optimum")
 	procs := fs.Float64("P", 0, "processor count; 0 uses the platform's deployed count")
 	runs := fs.Int("runs", 500, "Monte-Carlo runs")

@@ -141,9 +141,9 @@
 // value only if it re-encodes to the offered bytes. Responses are bit-identical to the equivalent CLI invocation
 // for fixed seeds; campaigns replay from cache bit-exactly because they
 // are pure functions of their seeded configuration. Cancellation is also
-// available library-side: sim.SimulateContext and the ...Context
-// experiment drivers (Fig2Context et al.) abort between runs and fail
-// fast on the first error. See DESIGN.md, "Service layer".
+// available library-side: sim.SimulateContext and the experiment drivers
+// (experiments.Fig2 et al., each taking a context) abort between runs and
+// fail fast on the first error. See DESIGN.md, "Service layer".
 //
 // # Enforced invariants: amdahl-lint
 //

@@ -27,7 +27,8 @@ func (*SeedParamFact) AFact() {}
 // SeedDerivedFact marks a function whose every return value is built
 // from canonical seed material only (FNV folds, rng draws, constants,
 // parameter arithmetic) — calling it inside a seed position is sound.
-// experiments.cellSeed and the seedHash chain earn this fact.
+// experiments.cellSeed (an rng.HashLabel fold of the cell label) earns
+// this fact.
 type SeedDerivedFact struct{}
 
 // AFact marks SeedDerivedFact as a fact type.

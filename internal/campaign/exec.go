@@ -87,11 +87,6 @@ type Summary struct {
 	ReportText, ReportCSV string
 }
 
-// maxMachineProcs mirrors the robustness study's bound on the
-// machine-level event population: exponential-optimal allocations beyond
-// it are reported unsimulable rather than silently mispriced.
-const maxMachineProcs = 1 << 16
-
 type runner struct {
 	man  Manifest
 	plan *Plan
@@ -539,7 +534,7 @@ func (r *runner) simulate(ctx context.Context, c *Cell, a *Artifact) error {
 		if procs < 1 {
 			procs = 1
 		}
-		if procs > maxMachineProcs {
+		if procs > sim.MaxMachineProcs {
 			a.Unsimulable = true
 			return nil
 		}

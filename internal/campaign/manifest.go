@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"amdahlyd/internal/costmodel"
+	"amdahlyd/internal/experiments"
 	"amdahlyd/internal/failures"
 	"amdahlyd/internal/platform"
 )
@@ -99,24 +100,18 @@ type Manifest struct {
 	ColdSolve bool `json:"cold_solve,omitempty"`
 }
 
-// defaults for the fixed model parameters, mirroring the CLI flags.
-const (
-	defaultAlpha    = 0.1
-	defaultDowntime = 3600.0
-)
-
 func (m Manifest) alpha() float64 {
 	if m.Alpha != nil {
 		return *m.Alpha
 	}
-	return defaultAlpha
+	return experiments.DefaultAlpha
 }
 
 func (m Manifest) downtime() float64 {
 	if m.Downtime != nil {
 		return *m.Downtime
 	}
-	return defaultDowntime
+	return experiments.DefaultDowntime
 }
 
 // heteroOnly reports whether every listed protocol is the hetero

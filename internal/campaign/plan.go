@@ -13,6 +13,7 @@ import (
 	"amdahlyd/internal/failures"
 	"amdahlyd/internal/hetero"
 	"amdahlyd/internal/platform"
+	"amdahlyd/internal/rng"
 )
 
 // Cell is one planned grid point: the resolved model, the failure law it
@@ -247,15 +248,9 @@ func (c *Cell) identify(m Manifest) error {
 		"|cold=" + strconv.FormatBool(m.ColdSolve)
 	sum := sha256.Sum256([]byte(material))
 	c.ID = hex.EncodeToString(sum[:8])
-	// The seed folds the master seed into an FNV-1a digest of the same
-	// material (the sha digest would do too; FNV keeps the derivation
-	// identical in spirit to the experiment drivers' cellSeed).
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(material); i++ {
-		h ^= uint64(material[i])
-		h *= 1099511628211
-	}
-	c.Seed = h ^ m.Seed
+	// The seed folds the master seed into the FNV-1a digest of the same
+	// material, exactly as the experiment drivers' cellSeed does.
+	c.Seed = rng.HashLabel(material) ^ m.Seed
 	return nil
 }
 

@@ -10,7 +10,6 @@ import (
 	"amdahlyd/internal/costmodel"
 	"amdahlyd/internal/optimize"
 	"amdahlyd/internal/platform"
-	"amdahlyd/internal/report"
 )
 
 // BaselineCell compares tuning policies on one platform: what a
@@ -42,20 +41,15 @@ type BaselineStudyResult struct {
 }
 
 // BaselineStudy runs the comparison on the given platforms under one
-// scenario at α = cfg.Alpha.
-func BaselineStudy(platforms []platform.Platform, sc costmodel.Scenario, cfg Config) (*BaselineStudyResult, error) {
-	return BaselineStudyContext(context.Background(), platforms, sc, cfg)
-}
-
-// BaselineStudyContext is BaselineStudy with cancellation. The numerical
-// optima are solved as one warm-start chain across the platform list
-// (the scenario — and hence the objective class — is fixed, so adjacent
-// platforms bracket each other; see optimize.SweepSolver).
-func BaselineStudyContext(ctx context.Context, platforms []platform.Platform, sc costmodel.Scenario, cfg Config) (*BaselineStudyResult, error) {
+// scenario at α = DefaultAlpha. The numerical optima are solved as one
+// warm-start chain across the platform list (the scenario — and hence
+// the objective class — is fixed, so adjacent platforms bracket each
+// other; see optimize.SweepSolver).
+func BaselineStudy(ctx context.Context, platforms []platform.Platform, sc costmodel.Scenario, cfg Config) (*BaselineStudyResult, error) {
 	cfg = cfg.withDefaults()
 	models := make([]core.Model, len(platforms))
 	for i, pl := range platforms {
-		m, err := BuildModel(pl, sc, cfg.Alpha, cfg.Downtime)
+		m, err := BuildModel(pl, sc, DefaultAlpha, DefaultDowntime)
 		if err != nil {
 			return nil, err
 		}
@@ -66,7 +60,7 @@ func BaselineStudyContext(ctx context.Context, platforms []platform.Platform, sc
 		return nil, fmt.Errorf("experiments: optimizing baselines/%v: %w", sc, err)
 	}
 	cells := make([]BaselineCell, len(platforms))
-	err = parallelFor(ctx, len(platforms), cfg.Workers, func(ctx context.Context, i int) error {
+	err = parallelFor(ctx, len(platforms), func(ctx context.Context, i int) error {
 		pl := platforms[i]
 		label := fmt.Sprintf("baselines/%s/%v", pl.Name, sc)
 		m, num := models[i], nums[i]
@@ -121,46 +115,29 @@ func BaselineStudyContext(ctx context.Context, platforms []platform.Platform, sc
 	return &BaselineStudyResult{Cells: cells, Cfg: cfg}, nil
 }
 
-// Render writes the comparison table. The "Young believes" column shows
-// the overhead the fail-stop-only model predicts for its own plan; the
-// gap to "Young actual" is the modelling error caused by silent errors.
+// baselineColumns render the comparison. The "Young believes" column
+// shows the overhead the fail-stop-only model predicts for its own plan;
+// the gap to "Young actual" is the modelling error caused by silent
+// errors. The excess is table-only.
+var baselineColumns = []column[BaselineCell]{
+	{header: "platform", text: func(c BaselineCell) string { return c.Platform }},
+	{header: "VC optimal", csv: "overhead_optimal", value: func(c BaselineCell) float64 { return c.Optimal.SimulatedH }},
+	{header: "Young actual", csv: "overhead_young", value: func(c BaselineCell) float64 { return c.Young.SimulatedH }},
+	{header: "Young believes", csv: "overhead_young_assumed", value: func(c BaselineCell) float64 { return c.YoungAssumedH }},
+	{header: "Daly actual", csv: "overhead_daly", value: func(c BaselineCell) float64 { return c.Daly.SimulatedH }},
+	{header: "relaxation", csv: "overhead_relaxation", value: func(c BaselineCell) float64 { return c.Relaxation.SimulatedH }},
+	{header: "Young excess", text: func(c BaselineCell) string {
+		return fmt.Sprintf("+%.2f%%", (c.Young.SimulatedH-c.Optimal.SimulatedH)/c.Optimal.SimulatedH*100)
+	}},
+}
+
+// Render writes the comparison table.
 func (r *BaselineStudyResult) Render(w io.Writer) error {
-	tb := report.NewTable(
-		fmt.Sprintf("Baseline comparison — %v, α=%g (simulated overheads, full error model)",
-			r.Cells[0].Scenario, r.Cfg.Alpha),
-		"platform", "VC optimal", "Young actual", "Young believes",
-		"Daly actual", "relaxation", "Young excess")
-	for _, c := range r.Cells {
-		excess := (c.Young.SimulatedH - c.Optimal.SimulatedH) / c.Optimal.SimulatedH * 100
-		tb.AddRow(c.Platform,
-			report.Fmt(c.Optimal.SimulatedH),
-			report.Fmt(c.Young.SimulatedH),
-			report.Fmt(c.YoungAssumedH),
-			report.Fmt(c.Daly.SimulatedH),
-			report.Fmt(c.Relaxation.SimulatedH),
-			fmt.Sprintf("+%.2f%%", excess))
-	}
-	if err := tb.Render(w); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, "\n")
-	return err
+	return renderTable(w, fmt.Sprintf("Baseline comparison — %v, α=%g (simulated overheads, full error model)",
+		r.Cells[0].Scenario, DefaultAlpha), baselineColumns, r.Cells)
 }
 
 // WriteCSV emits the comparison in long form.
 func (r *BaselineStudyResult) WriteCSV(w io.Writer) error {
-	var series []report.Series
-	add := func(name string, get func(BaselineCell) float64) {
-		s := report.Series{Name: name}
-		for i, c := range r.Cells {
-			s.Add(float64(i), get(c))
-		}
-		series = append(series, s)
-	}
-	add("overhead_optimal", func(c BaselineCell) float64 { return c.Optimal.SimulatedH })
-	add("overhead_young", func(c BaselineCell) float64 { return c.Young.SimulatedH })
-	add("overhead_young_assumed", func(c BaselineCell) float64 { return c.YoungAssumedH })
-	add("overhead_daly", func(c BaselineCell) float64 { return c.Daly.SimulatedH })
-	add("overhead_relaxation", func(c BaselineCell) float64 { return c.Relaxation.SimulatedH })
-	return report.WriteSeriesCSV(w, "platform_index", "value", series...)
+	return writeColumnsCSV(w, "platform_index", baselineColumns, r.Cells)
 }

@@ -7,6 +7,8 @@
 // numerical optimization of the exact overhead, then priced by Monte-Carlo
 // simulation (500 runs × 500 patterns by default, Section IV-A) and by the
 // analytical model. Randomness is fully deterministic given Config.Seed.
+// Every driver takes a context: a done ctx aborts in-flight Monte-Carlo
+// campaigns and skips undispatched cells.
 package experiments
 
 import (
@@ -15,58 +17,36 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"strconv"
 	"sync"
 
 	"amdahlyd/internal/core"
 	"amdahlyd/internal/costmodel"
 	"amdahlyd/internal/platform"
+	"amdahlyd/internal/rng"
 	"amdahlyd/internal/sim"
 	"amdahlyd/internal/speedup"
 )
 
-// Config holds the Monte-Carlo budget and global experiment parameters.
+// DefaultAlpha is the sequential fraction α of the α-fixed figures and
+// studies (Section IV-A), and the default of every CLI, request and
+// campaign manifest.
+const DefaultAlpha = 0.1
+
+// DefaultDowntime is the downtime D in seconds after a fail-stop error
+// (Section IV-A), defaulted wherever DefaultAlpha is.
+const DefaultDowntime = 3600.0
+
+// Config holds the Monte-Carlo budget of an experiment.
 type Config struct {
 	// Runs and Patterns set the Monte-Carlo budget per data point
 	// (defaults 500 and 500, the paper's choice).
 	Runs, Patterns int
 	// Seed makes the whole experiment deterministic.
 	Seed uint64
-	// Workers bounds experiment-level parallelism (default GOMAXPROCS).
-	Workers int
-	// Downtime is D in seconds (default 3600, Section IV-A). The zero
-	// value selects the default; an actual zero-downtime study must set
-	// DowntimeSet (a plain Downtime: 0 cannot be told apart from "not
-	// configured").
-	Downtime float64
-	// DowntimeSet marks Downtime as explicitly configured, so
-	// Downtime: 0 means a zero-downtime study rather than the default.
-	DowntimeSet bool
-	// Alpha is the sequential fraction for the α-fixed figures
-	// (default 0.1). The zero value selects the default; an α = 0
-	// (perfectly parallel) study must set AlphaSet.
-	Alpha float64
-	// AlphaSet marks Alpha as explicitly configured, so Alpha: 0 selects
-	// the perfectly parallel profile rather than the default 0.1.
-	AlphaSet bool
 	// ColdSolve disables the warm-start sweep solver: every sweep cell
 	// pays the full OptimalPattern grid scan, bit-identical to the
 	// historical per-cell path (the amdahl-exp -warm=false escape hatch).
 	ColdSolve bool
-}
-
-// WithDowntime returns a copy with the downtime explicitly configured;
-// unlike assigning Downtime directly, it makes a zero value stick.
-func (c Config) WithDowntime(d float64) Config {
-	c.Downtime, c.DowntimeSet = d, true
-	return c
-}
-
-// WithAlpha returns a copy with the sequential fraction explicitly
-// configured; unlike assigning Alpha directly, it makes α = 0 stick.
-func (c Config) WithAlpha(alpha float64) Config {
-	c.Alpha, c.AlphaSet = alpha, true
-	return c
 }
 
 func (c Config) withDefaults() Config {
@@ -75,15 +55,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Patterns == 0 {
 		c.Patterns = 500
-	}
-	if c.Workers == 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Downtime == 0 && !c.DowntimeSet {
-		c.Downtime = 3600
-	}
-	if c.Alpha == 0 && !c.AlphaSet {
-		c.Alpha = 0.1
 	}
 	return c
 }
@@ -145,38 +116,8 @@ type Eval struct {
 // cellSeed derives a stable per-cell seed from the master seed and a cell
 // label, so adding or reordering cells never changes other cells' streams.
 func cellSeed(master uint64, label string) uint64 {
-	return uint64(newSeedHash().str(label)) ^ master
+	return rng.HashLabel(label) ^ master
 }
-
-// seedHash is a streaming FNV-1a over the bytes a cell label would
-// contain, so the sweep hot path can derive cellSeed-identical seeds
-// without materializing the fmt.Sprintf label (which is now built only
-// on error paths). The digest over str/float parts is bit-identical to
-// hashing the concatenated formatted string.
-type seedHash uint64
-
-func newSeedHash() seedHash { return 1469598103934665603 }
-
-func (h seedHash) str(s string) seedHash {
-	for i := 0; i < len(s); i++ {
-		h ^= seedHash(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// float hashes the exact bytes fmt's %g verb renders for x.
-func (h seedHash) float(x float64) seedHash {
-	var buf [32]byte
-	b := strconv.AppendFloat(buf[:0], x, 'g', -1, 64)
-	for _, c := range b {
-		h ^= seedHash(c)
-		h *= 1099511628211
-	}
-	return h
-}
-
-func (h seedHash) seed(master uint64) uint64 { return uint64(h) ^ master }
 
 // simulateEval prices a solution with the Monte-Carlo simulator. A
 // solution that sits too deep in the failure-dominated regime to simulate
@@ -185,36 +126,13 @@ func (h seedHash) seed(master uint64) uint64 { return uint64(h) ^ master }
 // the processor search bound) is returned with NaN simulated fields and
 // the model prediction intact.
 func simulateEval(ctx context.Context, m core.Model, sol core.Solution, atBound bool, cfg Config, label string) (Eval, error) {
-	return simulateEvalSeed(ctx, m, sol, atBound, cfg, cellSeed(cfg.Seed, label),
-		func() string { return label })
-}
-
-// simulateEvalSeed is simulateEval with the campaign seed precomputed and
-// the label deferred to a thunk: the sweep hot path derives both from the
-// streaming seedHash, so the per-cell fmt.Sprintf happens only when an
-// error actually needs the label.
-func simulateEvalSeed(ctx context.Context, m core.Model, sol core.Solution, atBound bool, cfg Config, seed uint64, label func() string) (Eval, error) {
 	res, err := sim.SimulateContext(ctx, m, sol.T, sol.P, sim.RunConfig{
 		Runs:     cfg.Runs,
 		Patterns: cfg.Patterns,
-		Seed:     seed,
+		Seed:     cellSeed(cfg.Seed, label),
 		Workers:  1, // parallelism lives at the cell level
 	})
-	if errors.Is(err, sim.ErrErrorPressure) {
-		return Eval{
-			P:          sol.P,
-			T:          sol.T,
-			PredictedH: m.Overhead(sol.T, sol.P),
-			SimulatedH: math.NaN(),
-			SimCI:      math.NaN(),
-			AtBound:    atBound,
-			Method:     sol.Method + " (unsimulable)",
-		}, nil
-	}
-	if err != nil {
-		return Eval{}, fmt.Errorf("experiments: simulating %s: %w", label(), err)
-	}
-	return Eval{
+	ev := Eval{
 		P:          sol.P,
 		T:          sol.T,
 		PredictedH: m.Overhead(sol.T, sol.P),
@@ -222,20 +140,21 @@ func simulateEvalSeed(ctx context.Context, m core.Model, sol core.Solution, atBo
 		SimCI:      res.Overhead.CI95,
 		AtBound:    atBound,
 		Method:     sol.Method,
-	}, nil
+	}
+	if errors.Is(err, sim.ErrErrorPressure) {
+		ev.SimulatedH, ev.SimCI = math.NaN(), math.NaN()
+		ev.Method += " (unsimulable)"
+		return ev, nil
+	}
+	if err != nil {
+		return Eval{}, fmt.Errorf("experiments: simulating %s: %w", label, err)
+	}
+	return ev, nil
 }
 
 // solveFirstOrder returns the simulated first-order solution, or nil when
 // the first-order analysis has no bounded optimum (scenario 6, or α = 0).
 func solveFirstOrder(ctx context.Context, m core.Model, cfg Config, label string) (*Eval, error) {
-	return solveFirstOrderSeed(ctx, m, cfg,
-		cellSeed(cfg.Seed, label+"/first-order"),
-		func() string { return label + "/first-order" })
-}
-
-// solveFirstOrderSeed is solveFirstOrder with the campaign seed
-// precomputed and the label deferred (see simulateEvalSeed).
-func solveFirstOrderSeed(ctx context.Context, m core.Model, cfg Config, seed uint64, label func() string) (*Eval, error) {
 	sol, err := m.FirstOrder()
 	if errors.Is(err, core.ErrNoFirstOrder) {
 		return nil, nil
@@ -246,26 +165,22 @@ func solveFirstOrderSeed(ctx context.Context, m core.Model, cfg Config, seed uin
 	if sol.P < 1 {
 		sol.P = 1
 	}
-	ev, err := simulateEvalSeed(ctx, m, sol, false, cfg, seed, label)
+	ev, err := simulateEval(ctx, m, sol, false, cfg, label+"/first-order")
 	if err != nil {
 		return nil, err
 	}
 	return &ev, nil
 }
 
-// parallelFor runs fn(ctx, i) for i in [0, n) on up to workers goroutines
-// and returns the first error. Cancellation is two-way: a done ctx stops
-// further cells from being dispatched (and the per-cell ctx aborts
-// in-flight campaigns via sim.SimulateContext), and the first cell error
-// cancels every other cell — an experiment with a broken cell fails fast
-// instead of finishing the sweep.
-func parallelFor(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
+// parallelFor runs fn(ctx, i) for i in [0, n) on up to GOMAXPROCS
+// goroutines and returns the first error; every cell derives its own
+// seed, so the worker count never changes results. Cancellation is
+// two-way: a done ctx stops further cells from being dispatched (and the
+// per-cell ctx aborts in-flight campaigns via sim.SimulateContext), and
+// the first cell error cancels every other cell — an experiment with a
+// broken cell fails fast instead of finishing the sweep.
+func parallelFor(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
+	workers := min(runtime.GOMAXPROCS(0), n)
 	cellCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	jobs := make(chan int)

@@ -59,54 +59,14 @@ func TestQuickConfig(t *testing.T) {
 	if q.Runs*q.Patterns >= full.Runs*full.Patterns/10 {
 		t.Error("Quick config is not substantially cheaper than the default")
 	}
-	if full.Runs != 500 || full.Patterns != 500 || full.Downtime != 3600 || full.Alpha != 0.1 {
+	if full.Runs != 500 || full.Patterns != 500 || DefaultDowntime != 3600 || DefaultAlpha != 0.1 {
 		t.Errorf("paper defaults wrong: %+v", full)
-	}
-}
-
-// TestConfigZeroValueSentinels is the regression test for the zero-value
-// footgun: Downtime: 0 and Alpha: 0 used to be silently rewritten to the
-// paper defaults, making zero-downtime and perfectly-parallel studies
-// impossible to configure.
-func TestConfigZeroValueSentinels(t *testing.T) {
-	zeroD := Config{DowntimeSet: true}.withDefaults()
-	if zeroD.Downtime != 0 {
-		t.Errorf("explicit zero downtime rewritten to %g", zeroD.Downtime)
-	}
-	zeroA := Config{AlphaSet: true}.withDefaults()
-	if zeroA.Alpha != 0 {
-		t.Errorf("explicit α = 0 rewritten to %g", zeroA.Alpha)
-	}
-
-	viaWith := Quick().WithDowntime(0).WithAlpha(0).withDefaults()
-	if viaWith.Downtime != 0 || viaWith.Alpha != 0 {
-		t.Errorf("WithDowntime(0)/WithAlpha(0) did not stick: %+v", viaWith)
-	}
-	if nonZero := Quick().WithDowntime(7200).withDefaults(); nonZero.Downtime != 7200 {
-		t.Errorf("WithDowntime(7200) = %g", nonZero.Downtime)
-	}
-
-	// The unset path keeps the paper defaults.
-	def := Config{}.withDefaults()
-	if def.Downtime != 3600 || def.Alpha != 0.1 {
-		t.Errorf("unset defaults changed: %+v", def)
-	}
-
-	// End to end: an α = 0 config must reach BuildModel as the perfectly
-	// parallel profile, not as Amdahl(0.1).
-	cfg := Quick().WithAlpha(0).withDefaults()
-	m, err := BuildModel(platform.Hera(), costmodel.Scenario1, cfg.Alpha, cfg.Downtime)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := m.Profile.(speedup.PerfectlyParallel); !ok {
-		t.Errorf("α = 0 config selected %s, want perfectly-parallel", m.Profile.Name())
 	}
 }
 
 func TestParallelFor(t *testing.T) {
 	out := make([]int, 100)
-	err := parallelFor(context.Background(), 100, 8, func(_ context.Context, i int) error {
+	err := parallelFor(context.Background(), 100, func(_ context.Context, i int) error {
 		out[i] = i * i
 		return nil
 	})
@@ -126,7 +86,7 @@ func TestParallelForCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int64
-	err := parallelFor(ctx, 1000, 4, func(_ context.Context, i int) error {
+	err := parallelFor(ctx, 1000, func(_ context.Context, i int) error {
 		ran.Add(1)
 		return nil
 	})
@@ -144,7 +104,7 @@ func TestParallelForCancelled(t *testing.T) {
 func TestParallelForFailFast(t *testing.T) {
 	sentinel := errors.New("cell broke")
 	var ran atomic.Int64
-	err := parallelFor(context.Background(), 1000, 4, func(ctx context.Context, i int) error {
+	err := parallelFor(context.Background(), 1000, func(ctx context.Context, i int) error {
 		ran.Add(1)
 		if i == 0 {
 			return sentinel
@@ -169,7 +129,7 @@ func TestParallelForFailFast(t *testing.T) {
 
 // Fig. 2 on Hera (quick budget): the headline claims of the figure.
 func TestFig2Hera(t *testing.T) {
-	res, err := Fig2([]platform.Platform{platform.Hera()}, Quick())
+	res, err := Fig2(context.Background(), []platform.Platform{platform.Hera()}, Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +193,7 @@ func TestFig2Hera(t *testing.T) {
 }
 
 func TestFig2RenderAndCSV(t *testing.T) {
-	res, err := Fig2([]platform.Platform{platform.Hera()}, Quick())
+	res, err := Fig2(context.Background(), []platform.Platform{platform.Hera()}, Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +220,7 @@ func TestFig2RenderAndCSV(t *testing.T) {
 // per-P numerical optimum stays within a fraction of a percent.
 func TestFig3Hera(t *testing.T) {
 	procs := []float64{256, 512, 1024}
-	res, err := Fig3(platform.Hera(), procs, Quick())
+	res, err := Fig3(context.Background(), platform.Hera(), procs, Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +281,7 @@ func TestFig3Hera(t *testing.T) {
 // Fig. 4 (quick): smaller α enrolls more processors and lowers overhead.
 func TestFig4Hera(t *testing.T) {
 	alphas := []float64{0, 1e-3, 1e-1}
-	res, err := Fig4(platform.Hera(), alphas, Quick())
+	res, err := Fig4(context.Background(), platform.Hera(), alphas, Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +321,7 @@ func TestFig4Hera(t *testing.T) {
 // from the numerical optima by log-log regression.
 func TestFig5AsymptoticOrders(t *testing.T) {
 	lambdas := []float64{1e-12, 1e-11, 1e-10, 1e-9, 1e-8}
-	res, err := Fig5(platform.Hera(), lambdas, Quick())
+	res, err := Fig5(context.Background(), platform.Hera(), lambdas, Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +368,7 @@ func TestFig5AsymptoticOrders(t *testing.T) {
 // Fig. 6 (quick): perfectly parallel orders from the numerical solution.
 func TestFig6PerfectlyParallelOrders(t *testing.T) {
 	lambdas := []float64{1e-12, 1e-11, 1e-10, 1e-9, 1e-8}
-	res, err := Fig6(platform.Hera(), lambdas, Quick())
+	res, err := Fig6(context.Background(), platform.Hera(), lambdas, Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +402,7 @@ func TestFig6PerfectlyParallelOrders(t *testing.T) {
 // is constant; overheads stay close.
 func TestFig7DowntimeImpact(t *testing.T) {
 	ds := []float64{0, 3600, 10800}
-	res, err := Fig7(platform.Hera(), ds, Quick())
+	res, err := Fig7(context.Background(), platform.Hera(), ds, Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +450,7 @@ func TestFig7DowntimeImpact(t *testing.T) {
 }
 
 func TestSweepRenderAndCSV(t *testing.T) {
-	res, err := Fig7(platform.Hera(), []float64{0, 3600}, Quick())
+	res, err := Fig7(context.Background(), platform.Hera(), []float64{0, 3600}, Quick())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,12 +4,11 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 
 	"amdahlyd/internal/core"
 	"amdahlyd/internal/costmodel"
-	"amdahlyd/internal/optimize"
 	"amdahlyd/internal/platform"
-	"amdahlyd/internal/report"
 )
 
 // Fig2Cell is one (platform, scenario) cell of Fig. 2: the first-order and
@@ -30,122 +29,71 @@ type Fig2Result struct {
 }
 
 // Fig2 reproduces Fig. 2 on the given platforms (the paper uses all four
-// of Table II).
-func Fig2(platforms []platform.Platform, cfg Config) (*Fig2Result, error) {
-	return Fig2Context(context.Background(), platforms, cfg)
-}
-
-// Fig2Context is Fig2 with cancellation: a done ctx aborts in-flight
-// Monte-Carlo campaigns and skips undispatched cells.
-//
-// The numerical optima are solved as one warm-start chain per scenario
-// across the platform list (optimize.SweepSolver): for a fixed scenario
-// the optimum moves by only a few × between Table II platforms, so most
-// platform cells warm-start from their neighbour; a platform whose
-// optimum drifted outside the bracket falls back to the full scan.
-// Simulation then prices all cells in parallel with the historical
-// per-cell seeds.
-func Fig2Context(ctx context.Context, platforms []platform.Platform, cfg Config) (*Fig2Result, error) {
+// of Table II). It is a sweep whose x is the platform index: the
+// numerical optima are solved as one warm-start chain per scenario
+// across the platform list — for a fixed scenario the optimum moves by
+// only a few × between Table II platforms, so most platform cells
+// warm-start from their neighbour; a platform whose optimum drifted
+// outside the bracket falls back to the full scan.
+func Fig2(ctx context.Context, platforms []platform.Platform, cfg Config) (*Fig2Result, error) {
 	cfg = cfg.withDefaults()
-	scenarios := costmodel.AllScenarios
-	nS := len(scenarios)
-	models := make([]core.Model, len(platforms)*nS)
-	for pi, pl := range platforms {
-		for si, sc := range scenarios {
-			m, err := BuildModel(pl, sc, cfg.Alpha, cfg.Downtime)
-			if err != nil {
-				return nil, err
-			}
-			models[pi*nS+si] = m
-		}
+	xs := make([]float64, len(platforms))
+	for i := range xs {
+		xs[i] = float64(i)
 	}
-
-	nums := make([]optimize.PatternResult, len(models))
-	err := parallelFor(ctx, nS, cfg.Workers, func(ctx context.Context, si int) error {
-		solver := optimize.NewSweepSolver(optimize.SweepOptions{Cold: cfg.ColdSolve})
-		for pi := range platforms {
-			i := pi*nS + si
-			num, err := solver.Solve(models[i])
-			if err != nil {
-				return fmt.Errorf("experiments: optimizing fig2/%s/%v: %w",
-					platforms[pi].Name, scenarios[si], err)
-			}
-			nums[i] = num
-		}
-		return nil
-	})
+	build := func(x float64, sc costmodel.Scenario) (core.Model, error) {
+		return BuildModel(platforms[int(x)], sc, DefaultAlpha, DefaultDowntime)
+	}
+	points, err := runSweep(ctx, costmodel.AllScenarios, xs, build, func(sc costmodel.Scenario, x float64) string {
+		return fmt.Sprintf("fig2/%s/%v", platforms[int(x)].Name, sc)
+	}, cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	cells := make([]Fig2Cell, len(models))
-	err = parallelFor(ctx, len(models), cfg.Workers, func(ctx context.Context, i int) error {
-		pi, si := i/nS, i%nS
-		pl, sc := platforms[pi], scenarios[si]
-		label := fmt.Sprintf("fig2/%s/%v", pl.Name, sc)
-		m := models[i]
-		fo, err := solveFirstOrder(ctx, m, cfg, label)
-		if err != nil {
-			return err
-		}
-		opt, err := simulateEval(ctx, m, nums[i].Solution, nums[i].AtPBound, cfg, label+"/numerical")
-		if err != nil {
-			return err
-		}
-		cells[i] = Fig2Cell{Platform: pl.Name, Scenario: sc, FirstOrder: fo, Optimal: &opt}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	// Cells are platform-major, the sweep scenario-major.
+	nS := len(costmodel.AllScenarios)
+	cells := make([]Fig2Cell, len(points))
+	for i, pt := range points {
+		si, pi := i/len(platforms), i%len(platforms)
+		cells[pi*nS+si] = Fig2Cell{Platform: platforms[pi].Name, Scenario: pt.Scenario,
+			FirstOrder: pt.FirstOrder, Optimal: pt.Optimal}
 	}
 	return &Fig2Result{Cells: cells, Cfg: cfg}, nil
 }
 
-// Tables renders one table per platform with the paper's three panels
-// (P*, T*, overhead) as columns.
-func (r *Fig2Result) Tables() []*report.Table {
-	byPlatform := map[string]*report.Table{}
-	var order []string
-	for _, c := range r.Cells {
-		tb, ok := byPlatform[c.Platform]
-		if !ok {
-			tb = report.NewTable(
-				fmt.Sprintf("Fig. 2 — optimal patterns on %s (α=%g, D=%gs)",
-					c.Platform, r.Cfg.Alpha, r.Cfg.Downtime),
-				"scenario",
-				"P* (first-order)", "P* (optimal)",
-				"T* (first-order)", "T* (optimal)",
-				"H sim (first-order)", "H sim (optimal)",
-				"H pred (first-order)", "H pred (optimal)",
-			)
-			byPlatform[c.Platform] = tb
-			order = append(order, c.Platform)
-		}
-		tb.AddFloats(c.Scenario.String(),
-			orNaN(c.FirstOrder, func(e Eval) float64 { return e.P }),
-			orNaN(c.Optimal, func(e Eval) float64 { return e.P }),
-			orNaN(c.FirstOrder, func(e Eval) float64 { return e.T }),
-			orNaN(c.Optimal, func(e Eval) float64 { return e.T }),
-			orNaN(c.FirstOrder, func(e Eval) float64 { return e.SimulatedH }),
-			orNaN(c.Optimal, func(e Eval) float64 { return e.SimulatedH }),
-			orNaN(c.FirstOrder, func(e Eval) float64 { return e.PredictedH }),
-			orNaN(c.Optimal, func(e Eval) float64 { return e.PredictedH }),
-		)
-	}
-	out := make([]*report.Table, 0, len(order))
-	for _, name := range order {
-		out = append(out, byPlatform[name])
-	}
-	return out
+// fig2Columns are the paper's three panels (P*, T*, overhead), first-order
+// and numerical, plus the model prediction, which only the tables carry.
+var fig2Columns = []column[Fig2Cell]{
+	{header: "scenario", text: func(c Fig2Cell) string { return c.Scenario.String() }},
+	{header: "P* (first-order)", csv: "pstar_first_order", value: fig2FirstOrder(quantityP.get)},
+	{header: "P* (optimal)", csv: "pstar_optimal", value: fig2Optimal(quantityP.get)},
+	{header: "T* (first-order)", csv: "tstar_first_order", value: fig2FirstOrder(quantityT.get)},
+	{header: "T* (optimal)", csv: "tstar_optimal", value: fig2Optimal(quantityT.get)},
+	{header: "H sim (first-order)", csv: "overhead_sim_first_order", value: fig2FirstOrder(quantityH.get)},
+	{header: "H sim (optimal)", csv: "overhead_sim_optimal", value: fig2Optimal(quantityH.get)},
+	{header: "H pred (first-order)", value: fig2FirstOrder(predictedH)},
+	{header: "H pred (optimal)", value: fig2Optimal(predictedH)},
 }
 
-// Render writes all tables.
+func predictedH(e Eval) float64 { return e.PredictedH }
+
+// fig2FirstOrder and fig2Optimal read a quantity of one of the cell's
+// patterns, NaN where the pattern does not exist.
+func fig2FirstOrder(get func(Eval) float64) func(Fig2Cell) float64 {
+	return func(c Fig2Cell) float64 { return orNaN(c.FirstOrder, get) }
+}
+
+func fig2Optimal(get func(Eval) float64) func(Fig2Cell) float64 {
+	return func(c Fig2Cell) float64 { return orNaN(c.Optimal, get) }
+}
+
+// Render writes one table per platform with the paper's three panels
+// (P*, T*, overhead) as columns.
 func (r *Fig2Result) Render(w io.Writer) error {
-	for _, tb := range r.Tables() {
-		if err := tb.Render(w); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(w, "\n"); err != nil {
+	for cells := range slices.Chunk(r.Cells, len(costmodel.AllScenarios)) {
+		title := fmt.Sprintf("Fig. 2 — optimal patterns on %s (α=%g, D=%gs)",
+			cells[0].Platform, DefaultAlpha, DefaultDowntime)
+		if err := renderTable(w, title, fig2Columns, cells); err != nil {
 			return err
 		}
 	}
@@ -155,32 +103,5 @@ func (r *Fig2Result) Render(w io.Writer) error {
 // WriteCSV emits the long-form series (one row per platform × scenario ×
 // method × quantity).
 func (r *Fig2Result) WriteCSV(w io.Writer) error {
-	var series []report.Series
-	add := func(name string, value func(Fig2Cell) float64) {
-		s := report.Series{Name: name}
-		for i, c := range r.Cells {
-			v := value(c)
-			s.Add(float64(i), v)
-		}
-		series = append(series, s)
-	}
-	add("pstar_first_order", func(c Fig2Cell) float64 {
-		return orNaN(c.FirstOrder, func(e Eval) float64 { return e.P })
-	})
-	add("pstar_optimal", func(c Fig2Cell) float64 {
-		return orNaN(c.Optimal, func(e Eval) float64 { return e.P })
-	})
-	add("tstar_first_order", func(c Fig2Cell) float64 {
-		return orNaN(c.FirstOrder, func(e Eval) float64 { return e.T })
-	})
-	add("tstar_optimal", func(c Fig2Cell) float64 {
-		return orNaN(c.Optimal, func(e Eval) float64 { return e.T })
-	})
-	add("overhead_sim_first_order", func(c Fig2Cell) float64 {
-		return orNaN(c.FirstOrder, func(e Eval) float64 { return e.SimulatedH })
-	})
-	add("overhead_sim_optimal", func(c Fig2Cell) float64 {
-		return orNaN(c.Optimal, func(e Eval) float64 { return e.SimulatedH })
-	})
-	return report.WriteSeriesCSV(w, "cell_index", "value", series...)
+	return writeColumnsCSV(w, "cell_index", fig2Columns, r.Cells)
 }

@@ -54,12 +54,7 @@ func DefaultFig3Procs() []float64 {
 // Theorem 1), the simulated execution overhead, and the overhead gap to
 // the per-P numerical optimum, for each of the six scenarios across a
 // range of processor counts.
-func Fig3(pl platform.Platform, procs []float64, cfg Config) (*Fig3Result, error) {
-	return Fig3Context(context.Background(), pl, procs, cfg)
-}
-
-// Fig3Context is Fig3 with cancellation.
-func Fig3Context(ctx context.Context, pl platform.Platform, procs []float64, cfg Config) (*Fig3Result, error) {
+func Fig3(ctx context.Context, pl platform.Platform, procs []float64, cfg Config) (*Fig3Result, error) {
 	cfg = cfg.withDefaults()
 	if len(procs) == 0 {
 		procs = DefaultFig3Procs()
@@ -75,10 +70,10 @@ func Fig3Context(ctx context.Context, pl platform.Platform, procs []float64, cfg
 		}
 	}
 	points := make([]Fig3Point, len(idx))
-	err := parallelFor(ctx, len(idx), cfg.Workers, func(ctx context.Context, i int) error {
+	err := parallelFor(ctx, len(idx), func(ctx context.Context, i int) error {
 		sc, p := idx[i].sc, idx[i].p
 		label := fmt.Sprintf("fig3/%s/%v/P=%g", pl.Name, sc, p)
-		m, err := BuildModel(pl, sc, cfg.Alpha, cfg.Downtime)
+		m, err := BuildModel(pl, sc, DefaultAlpha, DefaultDowntime)
 		if err != nil {
 			return err
 		}
@@ -132,7 +127,7 @@ func (r *Fig3Result) PanelSeries() (periods, overheads, diffs []report.Series) {
 // Render writes the three panels as tables.
 func (r *Fig3Result) Render(w io.Writer) error {
 	ta := report.NewTable(
-		fmt.Sprintf("Fig. 3(a) — optimal period T*_P on %s (α=%g)", r.Platform, r.Cfg.Alpha),
+		fmt.Sprintf("Fig. 3(a) — optimal period T*_P on %s (α=%g)", r.Platform, DefaultAlpha),
 		"P", "sc1", "sc2", "sc3", "sc4", "sc5", "sc6")
 	tb := report.NewTable(
 		fmt.Sprintf("Fig. 3(b) — simulated overhead on %s", r.Platform),

@@ -18,20 +18,14 @@ func DefaultFig4Alphas() []float64 {
 
 // Fig4 reproduces Fig. 4: the impact of the sequential fraction α on
 // P*, T* and the simulated overhead for scenarios 1, 3 and 5.
-func Fig4(pl platform.Platform, alphas []float64, cfg Config) (*SweepResult, error) {
-	return Fig4Context(context.Background(), pl, alphas, cfg)
-}
-
-// Fig4Context is Fig4 with cancellation.
-func Fig4Context(ctx context.Context, pl platform.Platform, alphas []float64, cfg Config) (*SweepResult, error) {
+func Fig4(ctx context.Context, pl platform.Platform, alphas []float64, cfg Config) (*SweepResult, error) {
 	if len(alphas) == 0 {
 		alphas = DefaultFig4Alphas()
 	}
-	cfg = cfg.withDefaults()
 	build := func(alpha float64, sc costmodel.Scenario) (core.Model, error) {
-		return BuildModel(pl, sc, alpha, cfg.Downtime)
+		return BuildModel(pl, sc, alpha, DefaultDowntime)
 	}
-	return runSweep(ctx, "Fig. 4", "alpha", alphas, build, cfg)
+	return runSweepFigure(ctx, "Fig. 4", "alpha", alphas, build, cfg)
 }
 
 // DefaultLambdas mirrors the λ_ind axis of Figs. 5 and 6: 1e-12 … 1e-8.
@@ -40,43 +34,31 @@ func DefaultLambdas() []float64 {
 }
 
 // Fig5 reproduces Fig. 5: the impact of the individual error rate λ_ind
-// at α = cfg.Alpha (0.1 in the paper). The asymptotic orders of Theorems
-// 2 and 3 — P* = Θ(λ^-1/4) / Θ(λ^-1/3), T* = Θ(λ^-1/2) / Θ(λ^-1/3) —
-// are recovered from the result by SweepResult.Slopes.
-func Fig5(pl platform.Platform, lambdas []float64, cfg Config) (*SweepResult, error) {
-	return Fig5Context(context.Background(), pl, lambdas, cfg)
-}
-
-// Fig5Context is Fig5 with cancellation.
-func Fig5Context(ctx context.Context, pl platform.Platform, lambdas []float64, cfg Config) (*SweepResult, error) {
+// at α = DefaultAlpha (0.1, as in the paper). The asymptotic orders of
+// Theorems 2 and 3 — P* = Θ(λ^-1/4) / Θ(λ^-1/3), T* = Θ(λ^-1/2) /
+// Θ(λ^-1/3) — are recovered from the result by SweepResult.Slopes.
+func Fig5(ctx context.Context, pl platform.Platform, lambdas []float64, cfg Config) (*SweepResult, error) {
 	if len(lambdas) == 0 {
 		lambdas = DefaultLambdas()
 	}
-	cfg = cfg.withDefaults()
 	build := func(lambda float64, sc costmodel.Scenario) (core.Model, error) {
-		return BuildModel(pl.WithLambda(lambda), sc, cfg.Alpha, cfg.Downtime)
+		return BuildModel(pl.WithLambda(lambda), sc, DefaultAlpha, DefaultDowntime)
 	}
-	return runSweep(ctx, "Fig. 5", "lambda_ind", lambdas, build, cfg)
+	return runSweepFigure(ctx, "Fig. 5", "lambda_ind", lambdas, build, cfg)
 }
 
 // Fig6 reproduces Fig. 6: the same λ_ind sweep with a perfectly parallel
 // application (α = 0), where no first-order solution exists and the paper
 // reports numerical orders P* ≈ λ^-1/2 (scenario 1) and ≈ λ^-1
 // (scenarios 3 and 5).
-func Fig6(pl platform.Platform, lambdas []float64, cfg Config) (*SweepResult, error) {
-	return Fig6Context(context.Background(), pl, lambdas, cfg)
-}
-
-// Fig6Context is Fig6 with cancellation.
-func Fig6Context(ctx context.Context, pl platform.Platform, lambdas []float64, cfg Config) (*SweepResult, error) {
+func Fig6(ctx context.Context, pl platform.Platform, lambdas []float64, cfg Config) (*SweepResult, error) {
 	if len(lambdas) == 0 {
 		lambdas = DefaultLambdas()
 	}
-	cfg = cfg.withDefaults()
 	build := func(lambda float64, sc costmodel.Scenario) (core.Model, error) {
-		return BuildModel(pl.WithLambda(lambda), sc, 0, cfg.Downtime)
+		return BuildModel(pl.WithLambda(lambda), sc, 0, DefaultDowntime)
 	}
-	return runSweep(ctx, "Fig. 6", "lambda_ind", lambdas, build, cfg)
+	return runSweepFigure(ctx, "Fig. 6", "lambda_ind", lambdas, build, cfg)
 }
 
 // DefaultFig7Downtimes mirrors the paper's x-axis: 0 to 3 hours.
@@ -84,21 +66,15 @@ func DefaultFig7Downtimes() []float64 {
 	return []float64{0, 1800, 3600, 5400, 7200, 9000, 10800}
 }
 
-// Fig7 reproduces Fig. 7: the impact of the downtime D at α = cfg.Alpha.
-// The first-order pattern is D-independent (D is a lower-order term);
-// the numerical P* decreases as D grows.
-func Fig7(pl platform.Platform, downtimes []float64, cfg Config) (*SweepResult, error) {
-	return Fig7Context(context.Background(), pl, downtimes, cfg)
-}
-
-// Fig7Context is Fig7 with cancellation.
-func Fig7Context(ctx context.Context, pl platform.Platform, downtimes []float64, cfg Config) (*SweepResult, error) {
+// Fig7 reproduces Fig. 7: the impact of the downtime D at α =
+// DefaultAlpha. The first-order pattern is D-independent (D is a
+// lower-order term); the numerical P* decreases as D grows.
+func Fig7(ctx context.Context, pl platform.Platform, downtimes []float64, cfg Config) (*SweepResult, error) {
 	if len(downtimes) == 0 {
 		downtimes = DefaultFig7Downtimes()
 	}
-	cfg = cfg.withDefaults()
 	build := func(d float64, sc costmodel.Scenario) (core.Model, error) {
-		return BuildModel(pl, sc, cfg.Alpha, d)
+		return BuildModel(pl, sc, DefaultAlpha, d)
 	}
-	return runSweep(ctx, "Fig. 7", "D", downtimes, build, cfg)
+	return runSweepFigure(ctx, "Fig. 7", "D", downtimes, build, cfg)
 }

@@ -6,13 +6,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 
 	"amdahlyd/internal/core"
 	"amdahlyd/internal/costmodel"
 	"amdahlyd/internal/hetero"
 	"amdahlyd/internal/optimize"
 	"amdahlyd/internal/platform"
-	"amdahlyd/internal/report"
 	"amdahlyd/internal/sim"
 )
 
@@ -94,18 +94,13 @@ func HeteroStudyTopology(pl platform.Platform, comm, split float64) platform.Top
 // pattern each group runs — priced by Monte-Carlo and compared with the
 // CPU-only single-group optimum. nil comms and splits select the default
 // axes; scenarios defaults to 1, 3 and 5 as in the sweep figures.
-func HeterogeneousStudy(pl platform.Platform, comms, splits []float64,
-	scenarios []costmodel.Scenario, cfg Config) (*HeteroResult, error) {
-	return HeterogeneousStudyContext(context.Background(), pl, comms, splits, scenarios, cfg)
-}
-
-// HeterogeneousStudyContext is HeterogeneousStudy with cancellation. It
-// runs the two-phase sweep shape: phase 1 solves the joint optima as one
-// hetero.SweepSolver chain per (scenario, split) along the comm axis
+//
+// It runs the two-phase sweep shape: phase 1 solves the joint optima as
+// one hetero.SweepSolver chain per (scenario, split) along the comm axis
 // (cfg.ColdSolve restores per-cell full-box scans) plus one CPU-only
 // baseline solve per scenario, phase 2 prices every cell by Monte-Carlo
-// in parallel with per-cell seeds derived from the streaming label hash.
-func HeterogeneousStudyContext(ctx context.Context, pl platform.Platform, comms, splits []float64,
+// in parallel with per-cell label seeds.
+func HeterogeneousStudy(ctx context.Context, pl platform.Platform, comms, splits []float64,
 	scenarios []costmodel.Scenario, cfg Config) (*HeteroResult, error) {
 	cfg = cfg.withDefaults()
 	if len(comms) == 0 {
@@ -125,7 +120,7 @@ func HeterogeneousStudyContext(ctx context.Context, pl platform.Platform, comms,
 	basePlans := make([]hetero.PatternResult, len(scenarios))
 	for si, sc := range scenarios {
 		//lint:allow frozenloop one baseline compile per scenario; the optimizer runs on the compiled model
-		hm, err := hetero.CompileTopology(platform.SingleGroup(pl), sc, cfg.Alpha, cfg.Downtime)
+		hm, err := hetero.CompileTopology(platform.SingleGroup(pl), sc, DefaultAlpha, DefaultDowntime)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: hetero/%s/%v baseline: %w", pl.Name, sc, err)
 		}
@@ -151,7 +146,7 @@ func HeterogeneousStudyContext(ctx context.Context, pl platform.Platform, comms,
 		PatternOptions: hetero.PatternOptions{PatternOptions: singleIntegerOpts()},
 		Cold:           cfg.ColdSolve,
 	}
-	err := parallelFor(ctx, nSc*nSp, cfg.Workers, func(ctx context.Context, j int) error {
+	err := parallelFor(ctx, nSc*nSp, func(ctx context.Context, j int) error {
 		si, pi := j/nSp, j%nSp
 		sc := scenarios[si]
 		solver := hetero.NewSweepSolver(swOpts)
@@ -161,7 +156,7 @@ func HeterogeneousStudyContext(ctx context.Context, pl platform.Platform, comms,
 			}
 			tp := HeteroStudyTopology(pl, comm, splits[pi])
 			//lint:allow frozenloop one compile per (scenario, split, comm) cell, each a distinct topology
-			hm, err := hetero.CompileTopology(tp, sc, cfg.Alpha, cfg.Downtime)
+			hm, err := hetero.CompileTopology(tp, sc, DefaultAlpha, DefaultDowntime)
 			if err != nil {
 				return fmt.Errorf("experiments: hetero/%s/%v/split=%g/comm=%g: %w",
 					pl.Name, sc, splits[pi], comm, err)
@@ -208,16 +203,12 @@ func HeterogeneousStudyContext(ctx context.Context, pl platform.Platform, comms,
 	// campaign per cell plus one CPU-only baseline per scenario (appended
 	// after the cells in the job index space).
 	singleH := make([]float64, len(scenarios))
-	err = parallelFor(ctx, nCells+nSc, cfg.Workers, func(ctx context.Context, i int) error {
+	err = parallelFor(ctx, nCells+nSc, func(ctx context.Context, i int) error {
 		if i >= nCells {
 			si := i - nCells
-			sc := scenarios[si]
 			plan := basePlans[si].Groups[0]
-			seed := newSeedHash().str("hetero/").str(pl.Name).str("/").str(sc.String()).
-				str("/cpu-only").seed(cfg.Seed)
-			ev, err := simulateEvalSeed(ctx, baseModels[si].Groups[0].Model,
-				solutionAt(plan.T, plan.P), false, cfg, seed,
-				func() string { return fmt.Sprintf("hetero/%s/%v/cpu-only", pl.Name, sc) })
+			ev, err := simulateEval(ctx, baseModels[si].Groups[0].Model, solutionAt(plan.T, plan.P), false, cfg,
+				fmt.Sprintf("hetero/%s/%v/cpu-only", pl.Name, scenarios[si]))
 			if err != nil {
 				return err
 			}
@@ -229,12 +220,11 @@ func HeterogeneousStudyContext(ctx context.Context, pl platform.Platform, comms,
 		if err != nil {
 			return err
 		}
-		seed := newSeedHash().str("hetero/").str(pl.Name).str("/").str(cell.Scenario.String()).
-			str("/split=").float(cell.Split).str("/comm=").float(cell.Comm).seed(cfg.Seed)
+		label := fmt.Sprintf("hetero/%s/%v/split=%g/comm=%g", pl.Name, cell.Scenario, cell.Split, cell.Comm)
 		res, err := sim.SimulateHeteroContext(ctx, groups, sim.RunConfig{
 			Runs:     cfg.Runs,
 			Patterns: cfg.Patterns,
-			Seed:     seed,
+			Seed:     cellSeed(cfg.Seed, label),
 			Workers:  1, // parallelism lives at the cell level
 		})
 		if errors.Is(err, sim.ErrErrorPressure) {
@@ -242,8 +232,7 @@ func HeterogeneousStudyContext(ctx context.Context, pl platform.Platform, comms,
 			return nil
 		}
 		if err != nil {
-			return fmt.Errorf("experiments: simulating hetero/%s/%v/split=%g/comm=%g: %w",
-				pl.Name, cell.Scenario, cell.Split, cell.Comm, err)
+			return fmt.Errorf("experiments: simulating %s: %w", label, err)
 		}
 		cell.SimulatedH, cell.SimCI = res.Overhead.Mean, res.Overhead.CI95
 		return nil
@@ -305,61 +294,32 @@ func canonicalizePlan(hm core.HeteroModel, res hetero.PatternResult) (hetero.Pat
 	return res, nil
 }
 
-// Render writes the study as one table: the joint heterogeneous optimum
-// and price per (scenario, split, comm), against the CPU-only optimum.
+// heteroColumns render the study: the joint heterogeneous optimum and
+// price per (scenario, split, comm), against the CPU-only optimum.
+var heteroColumns = []column[HeteroCell]{
+	scenarioColumn(func(c HeteroCell) costmodel.Scenario { return c.Scenario }),
+	{header: "split", csv: "split", value: func(c HeteroCell) float64 { return c.Split }},
+	{header: "κ", csv: "comm", value: func(c HeteroCell) float64 { return c.Comm }},
+	{header: "G", csv: "active", value: func(c HeteroCell) float64 { return float64(c.Active) },
+		text: func(c HeteroCell) string { return strconv.Itoa(c.Active) }},
+	{header: "P cpu", csv: "p_cpu", value: func(c HeteroCell) float64 { return c.CPUP }},
+	{header: "P accel", csv: "p_accel", value: func(c HeteroCell) float64 { return c.AccelP }},
+	{header: "x accel", csv: "x_accel", value: func(c HeteroCell) float64 { return c.AccelFrac }},
+	{header: "H pred", csv: "overhead_pred", value: func(c HeteroCell) float64 { return c.PredictedH }},
+	{header: "H sim", csv: "overhead_sim", value: func(c HeteroCell) float64 { return c.SimulatedH }},
+	{header: "H sim (cpu)", csv: "overhead_sim_cpu", value: func(c HeteroCell) float64 { return c.SingleH }},
+	{header: "saving", csv: "saving_pct", value: func(c HeteroCell) float64 { return c.SavingPct },
+		text: func(c HeteroCell) string { return percentText("%+.2f%%", c.SavingPct) }},
+}
+
+// Render writes the study as one table.
 func (r *HeteroResult) Render(w io.Writer) error {
-	tb := report.NewTable(
-		fmt.Sprintf("Heterogeneous study on %s — joint (groups, split, T, P) optimum vs CPU-only, α=%g, D=%gs",
-			r.Platform, r.Cfg.Alpha, r.Cfg.Downtime),
-		"scenario", "split", "κ", "G", "P cpu", "P accel", "x accel",
-		"H pred", "H sim", "H sim (cpu)", "saving")
-	for _, c := range r.Cells {
-		saving := "-"
-		if !math.IsNaN(c.SavingPct) {
-			saving = fmt.Sprintf("%+.2f%%", c.SavingPct)
-		}
-		if err := tb.AddRow(c.Scenario.String(),
-			report.Fmt(c.Split),
-			report.Fmt(c.Comm),
-			fmt.Sprintf("%d", c.Active),
-			report.Fmt(c.CPUP),
-			report.Fmt(c.AccelP),
-			report.Fmt(c.AccelFrac),
-			report.Fmt(c.PredictedH),
-			report.Fmt(c.SimulatedH),
-			report.Fmt(c.SingleH),
-			saving); err != nil {
-			return err
-		}
-	}
-	if err := tb.Render(w); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, "\n")
-	return err
+	return renderTable(w, fmt.Sprintf("Heterogeneous study on %s — joint (groups, split, T, P) optimum vs CPU-only, α=%g, D=%gs",
+		r.Platform, DefaultAlpha, DefaultDowntime), heteroColumns, r.Cells)
 }
 
 // WriteCSV emits the study in long form, one series per quantity, x =
 // cell index in (scenario-major, split, comm-minor) order.
 func (r *HeteroResult) WriteCSV(w io.Writer) error {
-	var series []report.Series
-	add := func(name string, get func(HeteroCell) float64) {
-		s := report.Series{Name: name}
-		for i, c := range r.Cells {
-			s.Add(float64(i), get(c))
-		}
-		series = append(series, s)
-	}
-	add("scenario", func(c HeteroCell) float64 { return float64(c.Scenario) })
-	add("split", func(c HeteroCell) float64 { return c.Split })
-	add("comm", func(c HeteroCell) float64 { return c.Comm })
-	add("active", func(c HeteroCell) float64 { return float64(c.Active) })
-	add("p_cpu", func(c HeteroCell) float64 { return c.CPUP })
-	add("p_accel", func(c HeteroCell) float64 { return c.AccelP })
-	add("x_accel", func(c HeteroCell) float64 { return c.AccelFrac })
-	add("overhead_pred", func(c HeteroCell) float64 { return c.PredictedH })
-	add("overhead_sim", func(c HeteroCell) float64 { return c.SimulatedH })
-	add("overhead_sim_cpu", func(c HeteroCell) float64 { return c.SingleH })
-	add("saving_pct", func(c HeteroCell) float64 { return c.SavingPct })
-	return report.WriteSeriesCSV(w, "cell_index", "value", series...)
+	return writeColumnsCSV(w, "cell_index", heteroColumns, r.Cells)
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -17,7 +18,7 @@ func quickHeteroStudy(t *testing.T, cold bool) *HeteroResult {
 	cfg := Quick()
 	cfg.Seed = 42
 	cfg.ColdSolve = cold
-	res, err := HeterogeneousStudy(platform.Hera(),
+	res, err := HeterogeneousStudy(context.Background(), platform.Hera(),
 		[]float64{0, 1e-5, 1e-4}, []float64{0.25},
 		[]costmodel.Scenario{costmodel.Scenario1}, cfg)
 	if err != nil {

@@ -6,13 +6,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 
 	"amdahlyd/internal/core"
 	"amdahlyd/internal/costmodel"
 	"amdahlyd/internal/multilevel"
 	"amdahlyd/internal/optimize"
 	"amdahlyd/internal/platform"
-	"amdahlyd/internal/report"
 	"amdahlyd/internal/sim"
 )
 
@@ -69,19 +69,13 @@ var DefaultMultilevelFractions = []float64{1.0 / 60, 1.0 / 15, 0.2, 0.5, 1}
 // optimum. nil fracs and scenarios select the defaults (the
 // DefaultMultilevelFractions axis; scenarios 1, 3, 5 as in the sweep
 // figures).
-func MultilevelStudy(pl platform.Platform, fracs []float64,
-	scenarios []costmodel.Scenario, cfg Config) (*MultilevelResult, error) {
-	return MultilevelStudyContext(context.Background(), pl, fracs, scenarios, cfg)
-}
-
-// MultilevelStudyContext is MultilevelStudy with cancellation. It runs
-// the two-phase sweep shape: phase 1 solves the joint optima as one
-// warm-start chain per scenario along the fraction axis
+//
+// It runs the two-phase sweep shape: phase 1 solves the joint optima as
+// one warm-start chain per scenario along the fraction axis
 // (multilevel.SweepSolver; cfg.ColdSolve restores per-cell full-box
 // scans) plus one single-level chain across scenarios, phase 2 prices
-// every cell by Monte-Carlo in parallel with per-cell seeds derived from
-// the streaming label hash.
-func MultilevelStudyContext(ctx context.Context, pl platform.Platform, fracs []float64,
+// every cell by Monte-Carlo in parallel with per-cell label seeds.
+func MultilevelStudy(ctx context.Context, pl platform.Platform, fracs []float64,
 	scenarios []costmodel.Scenario, cfg Config) (*MultilevelResult, error) {
 	cfg = cfg.withDefaults()
 	if len(fracs) == 0 {
@@ -95,7 +89,7 @@ func MultilevelStudyContext(ctx context.Context, pl platform.Platform, fracs []f
 	// (the baseline depends only on the scenario, not on the fraction).
 	scModels := make([]core.Model, len(scenarios))
 	for i, sc := range scenarios {
-		m, err := BuildModel(pl, sc, cfg.Alpha, cfg.Downtime)
+		m, err := BuildModel(pl, sc, DefaultAlpha, DefaultDowntime)
 		if err != nil {
 			return nil, err
 		}
@@ -117,7 +111,7 @@ func MultilevelStudyContext(ctx context.Context, pl platform.Platform, fracs []f
 		PatternOptions: multilevel.PatternOptions{IntegerP: true},
 		Cold:           cfg.ColdSolve,
 	}
-	err = parallelFor(ctx, len(scenarios), cfg.Workers, func(ctx context.Context, si int) error {
+	err = parallelFor(ctx, len(scenarios), func(ctx context.Context, si int) error {
 		sc := scenarios[si]
 		m := scModels[si]
 		solver := multilevel.NewSweepSolver(mlOpts)
@@ -151,19 +145,14 @@ func MultilevelStudyContext(ctx context.Context, pl platform.Platform, fracs []f
 	// campaign per cell plus one single-level baseline per scenario
 	// (appended after the cells in the job index space).
 	singleH := make([]float64, len(scenarios))
-	err = parallelFor(ctx, nCells+len(scenarios), cfg.Workers, func(ctx context.Context, i int) error {
+	err = parallelFor(ctx, nCells+len(scenarios), func(ctx context.Context, i int) error {
 		if i >= nCells {
 			// Single-level baseline: the scenario's numerical optimum
 			// priced by the pattern-level simulator.
 			si := i - nCells
-			sc := scenarios[si]
 			num := scNums[si]
-			seed := newSeedHash().str("multilevel/").str(pl.Name).str("/").str(sc.String()).
-				str("/single-level").seed(cfg.Seed)
-			ev, err := simulateEvalSeed(ctx, scModels[si], num.Solution, num.AtPBound, cfg, seed,
-				func() string {
-					return fmt.Sprintf("multilevel/%s/%v/single-level", pl.Name, sc)
-				})
+			ev, err := simulateEval(ctx, scModels[si], num.Solution, num.AtPBound, cfg,
+				fmt.Sprintf("multilevel/%s/%v/single-level", pl.Name, scenarios[si]))
 			if err != nil {
 				return err
 			}
@@ -175,13 +164,12 @@ func MultilevelStudyContext(ctx context.Context, pl platform.Platform, fracs []f
 			cell.SimulatedH, cell.SimCI = math.NaN(), math.NaN()
 			return nil
 		}
-		seed := newSeedHash().str("multilevel/").str(pl.Name).str("/").str(cell.Scenario.String()).
-			str("/frac=").float(cell.Frac).seed(cfg.Seed)
+		label := fmt.Sprintf("multilevel/%s/%v/frac=%g", pl.Name, cell.Scenario, cell.Frac)
 		res, err := multilevel.SimulateModel(ctx, scModels[i/len(fracs)], cell.Frac,
 			multilevel.Pattern{T: cell.T, K: cell.K}, cell.P, multilevel.CampaignConfig{
 				Runs:     cfg.Runs,
 				Patterns: cfg.Patterns,
-				Seed:     seed,
+				Seed:     cellSeed(cfg.Seed, label),
 				Workers:  1, // parallelism lives at the cell level
 			})
 		if errors.Is(err, sim.ErrErrorPressure) {
@@ -189,8 +177,7 @@ func MultilevelStudyContext(ctx context.Context, pl platform.Platform, fracs []f
 			return nil
 		}
 		if err != nil {
-			return fmt.Errorf("experiments: simulating multilevel/%s/%v/frac=%g: %w",
-				pl.Name, cell.Scenario, cell.Frac, err)
+			return fmt.Errorf("experiments: simulating %s: %w", label, err)
 		}
 		cell.SimulatedH, cell.SimCI = res.Overhead.Mean, res.Overhead.CI95
 		return nil
@@ -209,59 +196,31 @@ func MultilevelStudyContext(ctx context.Context, pl platform.Platform, fracs []f
 	return &MultilevelResult{Platform: pl.Name, Cells: cells, Cfg: cfg}, nil
 }
 
-// Render writes the study as one table: the joint two-level structure
-// and price per (scenario, fraction), against the single-level optimum.
+// multilevelColumns render the study: the joint two-level structure and
+// price per (scenario, fraction), against the single-level optimum.
+var multilevelColumns = []column[MultilevelCell]{
+	scenarioColumn(func(c MultilevelCell) costmodel.Scenario { return c.Scenario }),
+	{header: "C1/C2", csv: "frac", value: func(c MultilevelCell) float64 { return c.Frac }},
+	{header: "T* (s)", csv: "tstar", value: func(c MultilevelCell) float64 { return c.T }},
+	{header: "K*", csv: "kstar", value: func(c MultilevelCell) float64 { return float64(c.K) },
+		text: func(c MultilevelCell) string { return strconv.Itoa(c.K) }},
+	{header: "P*", csv: "pstar", value: func(c MultilevelCell) float64 { return c.P }},
+	{header: "H pred", csv: "overhead_pred", value: func(c MultilevelCell) float64 { return c.PredictedH }},
+	{header: "H sim", csv: "overhead_sim", value: func(c MultilevelCell) float64 { return c.SimulatedH }},
+	{header: "P* (1-level)", csv: "pstar_single", value: func(c MultilevelCell) float64 { return c.SingleP }},
+	{header: "H sim (1-level)", csv: "overhead_sim_single", value: func(c MultilevelCell) float64 { return c.SingleH }},
+	{header: "saving", csv: "saving_pct", value: func(c MultilevelCell) float64 { return c.SavingPct },
+		text: func(c MultilevelCell) string { return percentText("%+.2f%%", c.SavingPct) }},
+}
+
+// Render writes the study as one table.
 func (r *MultilevelResult) Render(w io.Writer) error {
-	tb := report.NewTable(
-		fmt.Sprintf("Multilevel study on %s — joint (T, K, P) optimum vs single-level, α=%g, D=%gs",
-			r.Platform, r.Cfg.Alpha, r.Cfg.Downtime),
-		"scenario", "C1/C2", "T* (s)", "K*", "P*", "H pred", "H sim",
-		"P* (1-level)", "H sim (1-level)", "saving")
-	for _, c := range r.Cells {
-		saving := "-"
-		if !math.IsNaN(c.SavingPct) {
-			saving = fmt.Sprintf("%+.2f%%", c.SavingPct)
-		}
-		if err := tb.AddRow(c.Scenario.String(),
-			report.Fmt(c.Frac),
-			report.Fmt(c.T),
-			fmt.Sprintf("%d", c.K),
-			report.Fmt(c.P),
-			report.Fmt(c.PredictedH),
-			report.Fmt(c.SimulatedH),
-			report.Fmt(c.SingleP),
-			report.Fmt(c.SingleH),
-			saving); err != nil {
-			return err
-		}
-	}
-	if err := tb.Render(w); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, "\n")
-	return err
+	return renderTable(w, fmt.Sprintf("Multilevel study on %s — joint (T, K, P) optimum vs single-level, α=%g, D=%gs",
+		r.Platform, DefaultAlpha, DefaultDowntime), multilevelColumns, r.Cells)
 }
 
 // WriteCSV emits the study in long form, one series per quantity, x =
 // cell index in (scenario-major, fraction-minor) order.
 func (r *MultilevelResult) WriteCSV(w io.Writer) error {
-	var series []report.Series
-	add := func(name string, get func(MultilevelCell) float64) {
-		s := report.Series{Name: name}
-		for i, c := range r.Cells {
-			s.Add(float64(i), get(c))
-		}
-		series = append(series, s)
-	}
-	add("scenario", func(c MultilevelCell) float64 { return float64(c.Scenario) })
-	add("frac", func(c MultilevelCell) float64 { return c.Frac })
-	add("tstar", func(c MultilevelCell) float64 { return c.T })
-	add("kstar", func(c MultilevelCell) float64 { return float64(c.K) })
-	add("pstar", func(c MultilevelCell) float64 { return c.P })
-	add("overhead_pred", func(c MultilevelCell) float64 { return c.PredictedH })
-	add("overhead_sim", func(c MultilevelCell) float64 { return c.SimulatedH })
-	add("pstar_single", func(c MultilevelCell) float64 { return c.SingleP })
-	add("overhead_sim_single", func(c MultilevelCell) float64 { return c.SingleH })
-	add("saving_pct", func(c MultilevelCell) float64 { return c.SavingPct })
-	return report.WriteSeriesCSV(w, "cell_index", "value", series...)
+	return writeColumnsCSV(w, "cell_index", multilevelColumns, r.Cells)
 }

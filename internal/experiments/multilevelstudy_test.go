@@ -19,7 +19,7 @@ import (
 func TestMultilevelStudyBasics(t *testing.T) {
 	cfg := Quick()
 	cfg.Seed = 3
-	res, err := MultilevelStudy(platform.Hera(), nil, nil, cfg)
+	res, err := MultilevelStudy(context.Background(), platform.Hera(), nil, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestMultilevelStudyWarmColdRenderByteIdentical(t *testing.T) {
 	run := func(cold bool) (string, *MultilevelResult) {
 		c := cfg
 		c.ColdSolve = cold
-		res, err := MultilevelStudy(platform.Hera(), nil, nil, c)
+		res, err := MultilevelStudy(context.Background(), platform.Hera(), nil, nil, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func TestMultilevelStudyWarmColdRenderByteIdentical(t *testing.T) {
 func TestMultilevelStudyCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := MultilevelStudyContext(ctx, platform.Hera(), nil, nil, Quick())
+	_, err := MultilevelStudy(ctx, platform.Hera(), nil, nil, Quick())
 	if err == nil {
 		t.Fatal("cancelled study returned nil error")
 	}
@@ -123,7 +123,7 @@ func TestMultilevelStudyCancellation(t *testing.T) {
 // TestMultilevelStudySingleScenario exercises the -scenario restriction.
 func TestMultilevelStudySingleScenario(t *testing.T) {
 	cfg := Quick()
-	res, err := MultilevelStudy(platform.Hera(), []float64{0.1}, []costmodel.Scenario{costmodel.Scenario2}, cfg)
+	res, err := MultilevelStudy(context.Background(), platform.Hera(), []float64{0.1}, []costmodel.Scenario{costmodel.Scenario2}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

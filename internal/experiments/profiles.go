@@ -8,7 +8,6 @@ import (
 	"amdahlyd/internal/costmodel"
 	"amdahlyd/internal/optimize"
 	"amdahlyd/internal/platform"
-	"amdahlyd/internal/report"
 	"amdahlyd/internal/speedup"
 )
 
@@ -56,31 +55,27 @@ func DefaultProfiles(alpha float64) ([]speedup.Profile, error) {
 	return []speedup.Profile{am, gu, pw9, pw7}, nil
 }
 
-// ProfileStudy runs the extension experiment: for each profile and each
-// of scenarios 1, 3 and 5, compute the semi-analytic and fully numerical
-// optima and price both by Monte-Carlo simulation.
-func ProfileStudy(pl platform.Platform, sc costmodel.Scenario, profiles []speedup.Profile, cfg Config) (*ProfileStudyResult, error) {
-	return ProfileStudyContext(context.Background(), pl, sc, profiles, cfg)
-}
-
-// ProfileStudyContext is ProfileStudy with cancellation.
-func ProfileStudyContext(ctx context.Context, pl platform.Platform, sc costmodel.Scenario, profiles []speedup.Profile, cfg Config) (*ProfileStudyResult, error) {
+// ProfileStudy runs the extension experiment: for each profile (nil
+// selects DefaultProfiles at DefaultAlpha), compute the semi-analytic and
+// fully numerical optima at scenario sc and price both by Monte-Carlo
+// simulation.
+func ProfileStudy(ctx context.Context, pl platform.Platform, sc costmodel.Scenario, profiles []speedup.Profile, cfg Config) (*ProfileStudyResult, error) {
 	cfg = cfg.withDefaults()
 	if len(profiles) == 0 {
 		var err error
-		profiles, err = DefaultProfiles(cfg.Alpha)
+		profiles, err = DefaultProfiles(DefaultAlpha)
 		if err != nil {
 			return nil, err
 		}
 	}
 	cells := make([]ProfileCell, len(profiles))
-	err := parallelFor(ctx, len(profiles), cfg.Workers, func(ctx context.Context, i int) error {
+	err := parallelFor(ctx, len(profiles), func(ctx context.Context, i int) error {
 		prof := profiles[i]
 		if err := speedup.Validate(prof); err != nil {
 			return err
 		}
 		label := fmt.Sprintf("profiles/%s/%v/%s", pl.Name, sc, prof.Name())
-		m, err := BuildModel(pl, sc, cfg.Alpha, cfg.Downtime)
+		m, err := BuildModel(pl, sc, DefaultAlpha, DefaultDowntime)
 		if err != nil {
 			return err
 		}
@@ -120,43 +115,24 @@ func ProfileStudyContext(ctx context.Context, pl platform.Platform, sc costmodel
 	return &ProfileStudyResult{Platform: pl.Name, Cells: cells, Cfg: cfg}, nil
 }
 
+// profileColumns render the study; the periods are table-only.
+var profileColumns = []column[ProfileCell]{
+	{header: "profile", text: func(c ProfileCell) string { return c.Profile }},
+	{header: "P* (semi-analytic)", csv: "pstar_semi_analytic", value: func(c ProfileCell) float64 { return c.SemiAnalytic.P }},
+	{header: "P* (optimal)", csv: "pstar_optimal", value: func(c ProfileCell) float64 { return c.Optimal.P }},
+	{header: "T* (semi-analytic)", value: func(c ProfileCell) float64 { return c.SemiAnalytic.T }},
+	{header: "T* (optimal)", value: func(c ProfileCell) float64 { return c.Optimal.T }},
+	{header: "H sim (semi-analytic)", csv: "overhead_sim_semi_analytic", value: func(c ProfileCell) float64 { return c.SemiAnalytic.SimulatedH }},
+	{header: "H sim (optimal)", csv: "overhead_sim_optimal", value: func(c ProfileCell) float64 { return c.Optimal.SimulatedH }},
+}
+
 // Render writes the study as one table.
 func (r *ProfileStudyResult) Render(w io.Writer) error {
-	tb := report.NewTable(
-		fmt.Sprintf("Profile study (extension) on %s — %v, D=%gs",
-			r.Platform, r.Cells[0].Scenario, r.Cfg.Downtime),
-		"profile",
-		"P* (semi-analytic)", "P* (optimal)",
-		"T* (semi-analytic)", "T* (optimal)",
-		"H sim (semi-analytic)", "H sim (optimal)",
-	)
-	for _, c := range r.Cells {
-		tb.AddFloats(c.Profile,
-			c.SemiAnalytic.P, c.Optimal.P,
-			c.SemiAnalytic.T, c.Optimal.T,
-			c.SemiAnalytic.SimulatedH, c.Optimal.SimulatedH,
-		)
-	}
-	if err := tb.Render(w); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, "\n")
-	return err
+	return renderTable(w, fmt.Sprintf("Profile study (extension) on %s — %v, D=%gs",
+		r.Platform, r.Cells[0].Scenario, DefaultDowntime), profileColumns, r.Cells)
 }
 
 // WriteCSV emits the study in long form.
 func (r *ProfileStudyResult) WriteCSV(w io.Writer) error {
-	var series []report.Series
-	add := func(name string, get func(ProfileCell) float64) {
-		s := report.Series{Name: name}
-		for i, c := range r.Cells {
-			s.Add(float64(i), get(c))
-		}
-		series = append(series, s)
-	}
-	add("pstar_semi_analytic", func(c ProfileCell) float64 { return c.SemiAnalytic.P })
-	add("pstar_optimal", func(c ProfileCell) float64 { return c.Optimal.P })
-	add("overhead_sim_semi_analytic", func(c ProfileCell) float64 { return c.SemiAnalytic.SimulatedH })
-	add("overhead_sim_optimal", func(c ProfileCell) float64 { return c.Optimal.SimulatedH })
-	return report.WriteSeriesCSV(w, "profile_index", "value", series...)
+	return writeColumnsCSV(w, "profile_index", profileColumns, r.Cells)
 }

@@ -6,13 +6,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 
 	"amdahlyd/internal/core"
 	"amdahlyd/internal/costmodel"
 	"amdahlyd/internal/failures"
 	"amdahlyd/internal/optimize"
 	"amdahlyd/internal/platform"
-	"amdahlyd/internal/report"
 	"amdahlyd/internal/sim"
 )
 
@@ -82,12 +82,6 @@ type RobustnessResult struct {
 // anything understated).
 var retuneMultipliers = []float64{0.25, 0.3536, 0.5, 0.7071, 1, 1.4142, 2, 2.8284, 4}
 
-// maxMachineProcs bounds the per-processor event population the
-// machine-level simulator is asked to carry; optima beyond it (unbounded
-// allocation regimes) are reported unsimulable rather than silently
-// mispriced.
-const maxMachineProcs = 1 << 16
-
 // RobustnessStudy stresses the exponential-optimal patterns of the given
 // scenarios (nil = all six Table III scenarios) against a non-memoryless
 // failure law: for each scenario it computes the paper's numerical
@@ -96,13 +90,7 @@ const maxMachineProcs = 1 << 16
 // re-tunes the period by simulated search over retuneMultipliers. The
 // reported gap is the price of tuning with the wrong (memoryless) model,
 // exactly the classic robustness question asked of Young/Daly formulas.
-func RobustnessStudy(pl platform.Platform, distName string, shapes []float64,
-	scenarios []costmodel.Scenario, cfg Config) (*RobustnessResult, error) {
-	return RobustnessStudyContext(context.Background(), pl, distName, shapes, scenarios, cfg)
-}
-
-// RobustnessStudyContext is RobustnessStudy with cancellation.
-func RobustnessStudyContext(ctx context.Context, pl platform.Platform, distName string, shapes []float64,
+func RobustnessStudy(ctx context.Context, pl platform.Platform, distName string, shapes []float64,
 	scenarios []costmodel.Scenario, cfg Config) (*RobustnessResult, error) {
 	cfg = cfg.withDefaults()
 	if len(shapes) == 0 {
@@ -121,7 +109,7 @@ func RobustnessStudyContext(ctx context.Context, pl platform.Platform, distName 
 	// chain) instead of once per (scenario, shape) cell.
 	scModels := make([]core.Model, len(scenarios))
 	for i, sc := range scenarios {
-		m, err := BuildModel(pl, sc, cfg.Alpha, cfg.Downtime)
+		m, err := BuildModel(pl, sc, DefaultAlpha, DefaultDowntime)
 		if err != nil {
 			return nil, err
 		}
@@ -133,7 +121,7 @@ func RobustnessStudyContext(ctx context.Context, pl platform.Platform, distName 
 	}
 
 	cells := make([]RobustnessCell, len(scenarios)*len(shapes))
-	err = parallelFor(ctx, len(cells), cfg.Workers, func(ctx context.Context, i int) error {
+	err = parallelFor(ctx, len(cells), func(ctx context.Context, i int) error {
 		sc := scenarios[i/len(shapes)]
 		shape := shapes[i%len(shapes)]
 		label := fmt.Sprintf("robustness/%s/%s/k%g/%v", pl.Name, distName, shape, sc)
@@ -156,7 +144,7 @@ func RobustnessStudyContext(ctx context.Context, pl platform.Platform, distName 
 			P:          float64(procs),
 			PredictedH: m.Overhead(num.T, float64(procs)),
 		}
-		if procs > maxMachineProcs {
+		if procs > sim.MaxMachineProcs {
 			cell.markUnsimulable()
 			cells[i] = cell
 			return nil
@@ -165,16 +153,13 @@ func RobustnessStudyContext(ctx context.Context, pl platform.Platform, distName 
 		// Price every period in the grid with common random numbers (the
 		// same per-cell seed), so grid points differ only by the period.
 		seed := cellSeed(cfg.Seed, label)
-		// Divide the worker budget between the cell level and the runs
+		// Divide the GOMAXPROCS budget between the cell level and the runs
 		// within each campaign: the outer parallelFor already runs up to
-		// cfg.Workers cells, so a single-cell study (the common CLI
+		// GOMAXPROCS cells, so a single-cell study (the common CLI
 		// invocation) gets its whole budget per campaign while a full
-		// sweep stays at ~cfg.Workers total. Per-run streams are
+		// sweep stays at ~GOMAXPROCS total. Per-run streams are
 		// seed-derived, so the worker count never changes results.
-		cellWorkers := cfg.Workers / (len(scenarios) * len(shapes))
-		if cellWorkers < 1 {
-			cellWorkers = 1
-		}
+		cellWorkers := max(runtime.GOMAXPROCS(0)/len(cells), 1)
 		price := func(t float64, s uint64) (mean, ci float64, pressure bool, err error) {
 			res, err := sim.SimulateContext(ctx, m, t, float64(procs), sim.RunConfig{
 				Runs:     cfg.Runs,
@@ -251,58 +236,32 @@ func RobustnessStudyContext(ctx context.Context, pl platform.Platform, distName 
 	}, nil
 }
 
-// Render writes the study as one table: the exponential-optimal pattern,
+// robustnessColumns render the study: the exponential-optimal pattern,
 // what the memoryless model believes it costs, what it actually costs
 // under the true law, and what a re-tuned period recovers.
+var robustnessColumns = []column[RobustnessCell]{
+	scenarioColumn(func(c RobustnessCell) costmodel.Scenario { return c.Scenario }),
+	{header: "shape", csv: "shape", value: func(c RobustnessCell) float64 { return c.Shape }},
+	{header: "P*", csv: "pstar", value: func(c RobustnessCell) float64 { return c.P }},
+	{header: "T* (exp-opt)", csv: "tstar", value: func(c RobustnessCell) float64 { return c.T }},
+	{header: "H pred (exp)", csv: "overhead_pred_exponential", value: func(c RobustnessCell) float64 { return c.PredictedH }},
+	{header: "H sim (exp-opt T)", csv: "overhead_sim_naive", value: func(c RobustnessCell) float64 { return c.NaiveH }},
+	{header: "T (re-tuned)", csv: "t_retuned", value: func(c RobustnessCell) float64 { return c.RetunedT }},
+	{header: "H sim (re-tuned)", csv: "overhead_sim_retuned", value: func(c RobustnessCell) float64 { return c.RetunedH }},
+	{header: "gap", csv: "gap_pct", value: func(c RobustnessCell) float64 { return c.GapPct },
+		text: func(c RobustnessCell) string { return percentText("+%.2f%%", c.GapPct) }},
+}
+
+// Render writes the study as one table.
 func (r *RobustnessResult) Render(w io.Writer) error {
-	tb := report.NewTable(
-		fmt.Sprintf("Robustness study on %s — %s arrivals, α=%g, D=%gs (machine-level simulation)",
-			r.Platform, r.DistName, r.Cfg.Alpha, r.Cfg.Downtime),
-		"scenario", "shape", "P*", "T* (exp-opt)", "H pred (exp)",
-		"H sim (exp-opt T)", "T (re-tuned)", "H sim (re-tuned)", "gap")
-	for _, c := range r.Cells {
-		gap := "-"
-		if !math.IsNaN(c.GapPct) {
-			gap = fmt.Sprintf("+%.2f%%", c.GapPct)
-		}
-		tb.AddRow(c.Scenario.String(),
-			report.Fmt(c.Shape),
-			report.Fmt(c.P),
-			report.Fmt(c.T),
-			report.Fmt(c.PredictedH),
-			report.Fmt(c.NaiveH),
-			report.Fmt(c.RetunedT),
-			report.Fmt(c.RetunedH),
-			gap)
-	}
-	if err := tb.Render(w); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, "\n")
-	return err
+	return renderTable(w, fmt.Sprintf("Robustness study on %s — %s arrivals, α=%g, D=%gs (machine-level simulation)",
+		r.Platform, r.DistName, DefaultAlpha, DefaultDowntime), robustnessColumns, r.Cells)
 }
 
 // WriteCSV emits the study in long form, one series per quantity, x =
 // cell index in (scenario-major, shape-minor) order.
 func (r *RobustnessResult) WriteCSV(w io.Writer) error {
-	var series []report.Series
-	add := func(name string, get func(RobustnessCell) float64) {
-		s := report.Series{Name: name}
-		for i, c := range r.Cells {
-			s.Add(float64(i), get(c))
-		}
-		series = append(series, s)
-	}
-	add("scenario", func(c RobustnessCell) float64 { return float64(c.Scenario) })
-	add("shape", func(c RobustnessCell) float64 { return c.Shape })
-	add("pstar", func(c RobustnessCell) float64 { return c.P })
-	add("tstar", func(c RobustnessCell) float64 { return c.T })
-	add("overhead_pred_exponential", func(c RobustnessCell) float64 { return c.PredictedH })
-	add("overhead_sim_naive", func(c RobustnessCell) float64 { return c.NaiveH })
-	add("t_retuned", func(c RobustnessCell) float64 { return c.RetunedT })
-	add("overhead_sim_retuned", func(c RobustnessCell) float64 { return c.RetunedH })
-	add("gap_pct", func(c RobustnessCell) float64 { return c.GapPct })
-	return report.WriteSeriesCSV(w, "cell_index", "value", series...)
+	return writeColumnsCSV(w, "cell_index", robustnessColumns, r.Cells)
 }
 
 // DefaultRobustnessShapes is the Weibull shape sweep of the study:

@@ -37,23 +37,23 @@ type SweepResult struct {
 // modelBuilder produces the model for a given sweep coordinate.
 type modelBuilder func(x float64, sc costmodel.Scenario) (core.Model, error)
 
-// runSweep evaluates all (scenario ∈ {1,3,5}) × xs cells in two phases.
-// Phase 1 solves the numerical optima as one warm-start chain per
-// scenario: the cells along a sweep axis are ordered and (T*, P*) varies
-// smoothly, so each cell's optimum brackets the next solve
-// (optimize.SweepSolver; cfg.ColdSolve restores the historical per-cell
-// grid scans). Phase 2 prices every cell by Monte-Carlo in parallel,
-// with seeds bit-identical to the historical per-cell path (the label
-// strings are no longer materialized per cell — only their hash — and
-// are formatted only when an error needs them).
-func runSweep(ctx context.Context, name, xLabel string, xs []float64, build modelBuilder, cfg Config) (*SweepResult, error) {
-	cfg = cfg.withDefaults()
-	nCells := len(scenarios135) * len(xs)
+// runSweep prices every (scenario, x) cell in two phases and returns
+// them scenario-major. Phase 1 solves the numerical optima as one
+// warm-start chain per scenario along xs: the cells along a sweep axis
+// are ordered and (T*, P*) varies smoothly, so each cell's optimum
+// brackets the next solve (optimize.SweepSolver; cfg.ColdSolve restores
+// the historical per-cell grid scans). Phase 2 prices each cell's
+// first-order and numerical patterns by Monte-Carlo in parallel, seeded
+// from label(sc, x) — formatted once per priced cell. cfg must carry
+// its defaults.
+func runSweep(ctx context.Context, scenarios []costmodel.Scenario, xs []float64, build modelBuilder,
+	label func(sc costmodel.Scenario, x float64) string, cfg Config) ([]SweepPoint, error) {
+	nCells := len(scenarios) * len(xs)
 	models := make([]core.Model, nCells)
 	nums := make([]optimize.PatternResult, nCells)
 
-	err := parallelFor(ctx, len(scenarios135), cfg.Workers, func(ctx context.Context, si int) error {
-		sc := scenarios135[si]
+	err := parallelFor(ctx, len(scenarios), func(ctx context.Context, si int) error {
+		sc := scenarios[si]
 		solver := optimize.NewSweepSolver(optimize.SweepOptions{Cold: cfg.ColdSolve})
 		for xi, x := range xs {
 			if err := ctx.Err(); err != nil {
@@ -65,8 +65,7 @@ func runSweep(ctx context.Context, name, xLabel string, xs []float64, build mode
 			}
 			num, err := solver.Solve(m)
 			if err != nil {
-				return fmt.Errorf("experiments: optimizing %s/%v/%s=%g: %w",
-					name, sc, xLabel, x, err)
+				return fmt.Errorf("experiments: optimizing %s: %w", label(sc, x), err)
 			}
 			i := si*len(xs) + xi
 			models[i], nums[i] = m, num
@@ -78,30 +77,34 @@ func runSweep(ctx context.Context, name, xLabel string, xs []float64, build mode
 	}
 
 	points := make([]SweepPoint, nCells)
-	err = parallelFor(ctx, nCells, cfg.Workers, func(ctx context.Context, i int) error {
-		si, xi := i/len(xs), i%len(xs)
-		sc, x := scenarios135[si], xs[xi]
+	err = parallelFor(ctx, nCells, func(ctx context.Context, i int) error {
+		sc, x := scenarios[i/len(xs)], xs[i%len(xs)]
 		m, num := models[i], nums[i]
-		base := newSeedHash().str(name).str("/").str(sc.String()).
-			str("/").str(xLabel).str("=").float(x)
-		label := func(suffix string) func() string {
-			return func() string {
-				return fmt.Sprintf("%s/%v/%s=%g%s", name, sc, xLabel, x, suffix)
-			}
-		}
-		fo, err := solveFirstOrderSeed(ctx, m, cfg,
-			base.str("/first-order").seed(cfg.Seed), label("/first-order"))
+		cell := label(sc, x)
+		fo, err := solveFirstOrder(ctx, m, cfg, cell)
 		if err != nil {
 			return err
 		}
-		opt, err := simulateEvalSeed(ctx, m, num.Solution, num.AtPBound, cfg,
-			base.str("/numerical").seed(cfg.Seed), label("/numerical"))
+		opt, err := simulateEval(ctx, m, num.Solution, num.AtPBound, cfg, cell+"/numerical")
 		if err != nil {
 			return err
 		}
 		points[i] = SweepPoint{Scenario: sc, X: x, FirstOrder: fo, Optimal: &opt}
 		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return points, nil
+}
+
+// runSweepFigure runs a Figs. 4–7 sweep over scenarios 1, 3 and 5, with
+// cells labelled "<name>/<scenario>/<xLabel>=<x>".
+func runSweepFigure(ctx context.Context, name, xLabel string, xs []float64, build modelBuilder, cfg Config) (*SweepResult, error) {
+	cfg = cfg.withDefaults()
+	points, err := runSweep(ctx, scenarios135, xs, build, func(sc costmodel.Scenario, x float64) string {
+		return fmt.Sprintf("%s/%v/%s=%g", name, sc, xLabel, x)
+	}, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -2,33 +2,11 @@ package experiments
 
 import (
 	"bytes"
-	"fmt"
+	"context"
 	"testing"
 
-	"amdahlyd/internal/costmodel"
 	"amdahlyd/internal/platform"
 )
-
-// TestSeedHashMatchesSprintfLabels pins the streaming seedHash against
-// the historical cellSeed-over-fmt.Sprintf path: the sweep hot loop
-// derives per-cell seeds without materializing the label, and the digest
-// must be bit-identical or every figure's Monte-Carlo streams change.
-func TestSeedHashMatchesSprintfLabels(t *testing.T) {
-	const master = 12345
-	for _, sc := range costmodel.AllScenarios {
-		for _, x := range []float64{0, 1e-12, 0.1, 3600, 1.69e-8, 1472, 1e300} {
-			for _, suffix := range []string{"/first-order", "/numerical"} {
-				label := fmt.Sprintf("%s/%v/%s=%g%s", "Fig. 5", sc, "lambda_ind", x, suffix)
-				want := cellSeed(master, label)
-				got := newSeedHash().str("Fig. 5").str("/").str(sc.String()).
-					str("/").str("lambda_ind").str("=").float(x).str(suffix).seed(master)
-				if got != want {
-					t.Fatalf("seedHash(%q) = %d, want %d", label, got, want)
-				}
-			}
-		}
-	}
-}
 
 // TestSweepWarmColdRenderByteIdentical is the figure-level equivalence
 // pin: a warm-start sweep and the historical cold per-cell sweep must
@@ -40,7 +18,7 @@ func TestSweepWarmColdRenderByteIdentical(t *testing.T) {
 	run := func(cold bool) (string, *SweepResult) {
 		c := cfg
 		c.ColdSolve = cold
-		res, err := Fig4(platform.Hera(), nil, c)
+		res, err := Fig4(context.Background(), platform.Hera(), nil, c)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -233,9 +233,14 @@ func TestSweepWarmMatchesCold(t *testing.T) {
 	for i, c := range comms {
 		models[i] = compile(t, heraAccel(c), costmodel.Scenario1, 0.1, 3600)
 	}
-	warm, err := BatchOptimalPattern(models, SweepOptions{})
-	if err != nil {
-		t.Fatalf("warm batch: %v", err)
+	chain := NewSweepSolver(SweepOptions{})
+	warm := make([]PatternResult, len(models))
+	for i, hm := range models {
+		res, err := chain.Solve(hm)
+		if err != nil {
+			t.Fatalf("warm batch: %v", err)
+		}
+		warm[i] = res
 	}
 	for i, hm := range models {
 		cold, err := OptimalPattern(hm, PatternOptions{})
@@ -282,9 +287,14 @@ func TestSweepColdModeBitIdentical(t *testing.T) {
 	for i, c := range comms {
 		models[i] = compile(t, heraAccel(c), costmodel.Scenario3, 0.1, 3600)
 	}
-	batch, err := BatchOptimalPattern(models, SweepOptions{Cold: true})
-	if err != nil {
-		t.Fatalf("cold batch: %v", err)
+	chain := NewSweepSolver(SweepOptions{Cold: true})
+	batch := make([]PatternResult, len(models))
+	for i, hm := range models {
+		res, err := chain.Solve(hm)
+		if err != nil {
+			t.Fatalf("cold batch: %v", err)
+		}
+		batch[i] = res
 	}
 	for i, hm := range models {
 		ref, err := OptimalPattern(hm, PatternOptions{})

@@ -139,20 +139,3 @@ func (s *SweepSolver) Solve(hm core.HeteroModel) (PatternResult, error) {
 // per feasible group per distinct comm charge; approximated by the active
 // set size, the only observable part).
 func solvesIn(res PatternResult) int { return len(res.Groups) }
-
-// BatchOptimalPattern solves every cell of an ordered sweep axis with one
-// warm-start chain, returning one result per model. It is the batch
-// counterpart of per-cell OptimalPattern calls: same answers within the
-// refinement tolerance at a fraction of the evaluations.
-func BatchOptimalPattern(models []core.HeteroModel, opts SweepOptions) ([]PatternResult, error) {
-	s := NewSweepSolver(opts)
-	out := make([]PatternResult, len(models))
-	for i, hm := range models {
-		res, err := s.Solve(hm)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res
-	}
-	return out, nil
-}

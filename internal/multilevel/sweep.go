@@ -87,22 +87,3 @@ func (s *SweepSolver) Solve(m core.Model, costsFor CostsFunc) (PatternResult, er
 	res.Warm = warm
 	return res, nil
 }
-
-// BatchOptimalPattern solves every cell of an ordered sweep axis with
-// one warm-start chain: models[i] is paired with the derived in-memory
-// fraction frac (the common axis shape — the models vary, the fraction
-// is the protocol choice). It is the batch counterpart of per-cell
-// OptimalPattern calls: same answers within the refinement tolerance at
-// a fraction of the inner solves.
-func BatchOptimalPattern(models []core.Model, frac float64, opts SweepOptions) ([]PatternResult, error) {
-	s := NewSweepSolver(opts)
-	out := make([]PatternResult, len(models))
-	for i, m := range models {
-		res, err := s.Solve(m, InMemoryFraction(m, frac))
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res
-	}
-	return out, nil
-}

@@ -56,9 +56,14 @@ func TestMultilevelBatchMatchesColdLambdaAxis(t *testing.T) {
 		for _, lambda := range mlLambdaAxis(17) {
 			models = append(models, jointModel(t, sc, 0.1, lambda))
 		}
-		batch, err := BatchOptimalPattern(models, frac, SweepOptions{})
-		if err != nil {
-			t.Fatalf("%v: %v", sc, err)
+		chain := NewSweepSolver(SweepOptions{})
+		batch := make([]PatternResult, len(models))
+		for i, m := range models {
+			res, err := chain.Solve(m, InMemoryFraction(m, frac))
+			if err != nil {
+				t.Fatalf("%v: %v", sc, err)
+			}
+			batch[i] = res
 		}
 		for i, m := range models {
 			cold, err := OptimalPattern(m, InMemoryFraction(m, frac), PatternOptions{})
@@ -80,9 +85,14 @@ func TestMultilevelBatchMatchesColdAlphaAndFracAxes(t *testing.T) {
 	for _, alpha := range alphas {
 		models = append(models, jointModel(t, costmodel.Scenario3, alpha, 1.69e-8))
 	}
-	batch, err := BatchOptimalPattern(models, 0.1, SweepOptions{})
-	if err != nil {
-		t.Fatal(err)
+	chain := NewSweepSolver(SweepOptions{})
+	batch := make([]PatternResult, len(models))
+	for i, m := range models {
+		res, err := chain.Solve(m, InMemoryFraction(m, 0.1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch[i] = res
 	}
 	for i, m := range models {
 		cold, err := OptimalPattern(m, InMemoryFraction(m, 0.1), PatternOptions{})
@@ -146,9 +156,14 @@ func TestMultilevelColdModeBitIdentical(t *testing.T) {
 	for _, lambda := range mlLambdaAxis(5) {
 		models = append(models, jointModel(t, costmodel.Scenario3, 0.1, lambda))
 	}
-	batch, err := BatchOptimalPattern(models, frac, SweepOptions{Cold: true})
-	if err != nil {
-		t.Fatal(err)
+	chain := NewSweepSolver(SweepOptions{Cold: true})
+	batch := make([]PatternResult, len(models))
+	for i, m := range models {
+		res, err := chain.Solve(m, InMemoryFraction(m, frac))
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch[i] = res
 	}
 	for i, m := range models {
 		cold, err := OptimalPattern(m, InMemoryFraction(m, frac), PatternOptions{})
@@ -173,9 +188,14 @@ func TestMultilevelBatchAmortizesEvals(t *testing.T) {
 	for _, lambda := range mlLambdaAxis(17) {
 		models = append(models, jointModel(t, costmodel.Scenario3, 0.1, lambda))
 	}
-	batch, err := BatchOptimalPattern(models, frac, SweepOptions{})
-	if err != nil {
-		t.Fatal(err)
+	chain := NewSweepSolver(SweepOptions{})
+	batch := make([]PatternResult, len(models))
+	for i, m := range models {
+		res, err := chain.Solve(m, InMemoryFraction(m, frac))
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch[i] = res
 	}
 	warmEvals, warmCells := 0, 0
 	for _, r := range batch {

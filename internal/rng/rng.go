@@ -83,12 +83,21 @@ func (r *Rand) Split(index uint64) *Rand {
 // SplitString derives a child stream keyed by a string label, for named
 // experiment sub-streams ("failstop", "silent", …).
 func (r *Rand) SplitString(label string) *Rand {
-	h := uint64(1469598103934665603) // FNV-1a offset basis
+	return r.Split(HashLabel(label))
+}
+
+// HashLabel folds a label into 64 bits with FNV-1a: the one fold behind
+// SplitString, the experiment drivers' cell seeds and the campaign cell
+// seeds. The offset basis is this package's own 1469598103934665603, not
+// hash/fnv's 14695981039346656037: every pinned stream and seed in the
+// repo derives from it, so it must never change.
+func HashLabel(label string) uint64 {
+	h := uint64(1469598103934665603)
 	for i := 0; i < len(label); i++ {
 		h ^= uint64(label[i])
 		h *= 1099511628211
 	}
-	return r.Split(h)
+	return h
 }
 
 // Float64 returns a uniform variate in [0, 1) with 53 random bits.

@@ -10,6 +10,7 @@ import (
 
 	"amdahlyd/internal/core"
 	"amdahlyd/internal/costmodel"
+	"amdahlyd/internal/experiments"
 	"amdahlyd/internal/hetero"
 	"amdahlyd/internal/platform"
 	"amdahlyd/internal/sim"
@@ -167,11 +168,11 @@ func (s TopologySpec) Build() (core.HeteroModel, platform.Topology, error) {
 	if !sc.Valid() {
 		return core.HeteroModel{}, platform.Topology{}, fmt.Errorf("scenario %d outside 1-6", scenario)
 	}
-	alpha := 0.1
+	alpha := experiments.DefaultAlpha
 	if s.Alpha != nil {
 		alpha = *s.Alpha
 	}
-	downtime := 3600.0
+	downtime := experiments.DefaultDowntime
 	if s.Downtime != nil {
 		downtime = *s.Downtime
 	}

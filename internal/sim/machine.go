@@ -52,6 +52,13 @@ type Machine struct {
 	downtime   float64
 }
 
+// MaxMachineProcs bounds the per-processor event population the
+// machine-level simulator is asked to carry. The robustness study and
+// the campaign executor report larger allocations (unbounded-allocation
+// regimes) unsimulable rather than silently mispriced, and the service
+// rejects machine-level requests beyond it.
+const MaxMachineProcs = 1 << 16
+
 // NewMachine builds a machine-level simulator for PATTERN(T, P) under the
 // model, with exponential per-processor arrivals. P must be an integer
 // processor count.

@@ -8,7 +8,9 @@
 //
 //   - internal/core — exact expected pattern time (Proposition 1),
 //     Theorems 1–3, case analysis and validity bounds;
-//   - internal/optimize — the numerical (T, P) optimizer;
+//   - internal/optimize — the numerical (T, P) optimizer: one memoized
+//     outer processor scan over one grid-then-refine routine, shared by
+//     every pattern solver;
 //   - internal/sim — pattern-level and machine-level Monte-Carlo
 //     simulators of the VC protocol;
 //   - internal/experiments — drivers regenerating Figs. 2–7;
@@ -69,7 +71,12 @@
 // class changes or bracket escapes) at ~an order of magnitude below the
 // per-cell cost, with property tests pinning warm-vs-cold agreement.
 // The bracket state and fallback rule are one type, optimize.WarmChain,
-// which the two-level solver shares. The experiment drivers (Figs. 2, 4–7,
+// which the two-level solver shares. Underneath, every pattern solver —
+// OptimalPattern, SweepSolver, SemiAnalyticOptimum and the two-level
+// solvers — runs one outer processor scan, optimize.Scan, over one
+// grid-then-refine routine: golden section on the cold path, whose
+// results are pinned bit for bit, bounded Brent on the warm path. The
+// experiment drivers (Figs. 2, 4–7,
 // baselines, robustness) already route through it; amdahl-exp
 // -warm=false restores the per-cell scans. See DESIGN.md, "Warm-start
 // sweep solver".
@@ -80,8 +87,8 @@
 // in-memory checkpoints under the disk level) to a first-class
 // workload: multilevel.OptimalPattern searches the joint (T, K, P) box
 // — the paper's central how-many-processors question asked of the
-// two-level protocol — with a closed-form inner (T, K) solve per
-// compiled evaluator; multilevel.SweepSolver warm-starts
+// two-level protocol — on optimize.Scan, with a closed-form inner
+// (T, K) solve per compiled evaluator; multilevel.SweepSolver warm-starts
 // (T*, K*, P*) chains along smooth axes on the same optimize.WarmChain
 // as optimize.SweepSolver; Simulator.SimulateContext prices patterns on
 // the shared chunked-dispatch runner (sim.ForEachRun) with per-run
@@ -110,7 +117,8 @@
 // hetero.OptimalPattern answers the joint question: which groups to
 // activate, how to split the work (harmonic in the per-group effective
 // overheads), and each group's own (T, P) — warm-started along smooth
-// axes by hetero.SweepSolver over per-(group, active-count) chains.
+// axes by hetero.SweepSolver over per-(group, active-count) chains,
+// which its Cold mode runs cold.
 // Group-shaped platform work goes through platform.Topology +
 // hetero.SweepSolver, not ad-hoc per-group loops. The study driver is
 // experiments.HeterogeneousStudy ("amdahl-exp hetero"); the service

@@ -100,7 +100,8 @@ type PatternResult struct {
 	// Overhead is the combined overhead H = 1/Σ 1/A_g (A_0 itself when a
 	// single group is active — not the round-tripped reciprocal).
 	Overhead float64
-	// Evals counts exact-formula evaluations across all per-group solves.
+	// Evals counts exact-formula evaluations across the distinct
+	// per-group solves; a solve reused across active counts counts once.
 	Evals int
 	// Warm reports the result came from a SweepSolver warm-start solve.
 	Warm bool
@@ -113,39 +114,34 @@ var errNoFeasible = errors.New("hetero: no feasible pattern for any group")
 type groupSolve struct {
 	group int
 	res   optimize.PatternResult
-	ok    bool
 }
 
 // solverFunc abstracts how a per-group pattern optimization is performed:
-// the cold path calls optimize.OptimalPattern (bit-identical to the
-// single-platform reference), the warm path routes through per-chain
+// OptimalPattern calls optimize.OptimalPattern (bit-identical to the
+// single-platform reference), SweepSolver routes through its per-chain
 // optimize.SweepSolvers.
 type solverFunc func(g, active int, m core.Model, opts optimize.PatternOptions) (optimize.PatternResult, error)
 
 // OptimalPattern solves the joint heterogeneous problem by the complete
-// active-count scan described in the package comment. Per-group solves
-// are memoized on the effective comm charge, so a zero-comm topology pays
-// exactly one solve per group across all G.
+// active-count scan described in the package comment.
 func OptimalPattern(hm core.HeteroModel, opts PatternOptions) (PatternResult, error) {
 	if err := hm.Validate(); err != nil {
 		return PatternResult{}, err
 	}
-	evals := 0
-	cold := func(g, active int, m core.Model, po optimize.PatternOptions) (optimize.PatternResult, error) {
+	return solveScan(hm, opts, func(_, _ int, m core.Model, po optimize.PatternOptions) (optimize.PatternResult, error) {
 		return optimize.OptimalPattern(m, po)
-	}
-	res, err := solveScan(hm, opts, memoized(hm, cold), &evals)
-	if err != nil {
-		return PatternResult{}, err
-	}
-	res.Evals = evals
-	return res, nil
+	})
 }
 
-// memoized wraps a solver with a per-call cache keyed by (group, comm
-// charge): distinct active counts reuse the identical solve whenever the
-// effective profile is unchanged (always, when Comm = 0).
-func memoized(hm core.HeteroModel, solve solverFunc) solverFunc {
+// solveScan runs the G = 1..maxG scan on any per-group solver. Per-group
+// solves are memoized on (group, comm charge): distinct active counts
+// reuse the identical solve whenever the effective profile is unchanged
+// (always, when Comm = 0), so a zero-comm topology pays exactly one solve
+// per group across all G, and each solve's evaluations count once. Group
+// solves that fail (no feasible pattern in the group's box) exclude the
+// group from that active count; an active count with fewer feasible
+// groups than G contributes no candidate.
+func solveScan(hm core.HeteroModel, opts PatternOptions, solve solverFunc) (PatternResult, error) {
 	type key struct {
 		group int
 		extra float64
@@ -154,30 +150,15 @@ func memoized(hm core.HeteroModel, solve solverFunc) solverFunc {
 		res optimize.PatternResult
 		err error
 	}
-	memo := make(map[key]entry, len(hm.Groups)*2)
-	return func(g, active int, m core.Model, po optimize.PatternOptions) (optimize.PatternResult, error) {
-		k := key{group: g, extra: hm.Comm * float64(active-1)}
-		if e, ok := memo[k]; ok {
-			return e.res, e.err
-		}
-		res, err := solve(g, active, m, po)
-		memo[k] = entry{res: res, err: err}
-		return res, err
-	}
-}
-
-// solveScan runs the G = 1..maxG scan on any per-group solver. Group
-// solves that fail (no feasible pattern in the group's box) exclude the
-// group from that active count; an active count with fewer feasible
-// groups than G contributes no candidate.
-func solveScan(hm core.HeteroModel, opts PatternOptions, solve solverFunc, evals *int) (PatternResult, error) {
 	n := len(hm.Groups)
+	memo := make(map[key]entry, n*2)
 	maxG := n
 	if opts.MaxGroups > 0 && opts.MaxGroups < n {
 		maxG = opts.MaxGroups
 	}
 	best := PatternResult{Overhead: math.Inf(1)}
 	found := false
+	evals := 0
 	for active := 1; active <= maxG; active++ {
 		solves := make([]groupSolve, 0, n)
 		for g := 0; g < n; g++ {
@@ -185,14 +166,19 @@ func solveScan(hm core.HeteroModel, opts PatternOptions, solve solverFunc, evals
 			if err != nil {
 				return PatternResult{}, err
 			}
-			res, err := solve(g, active, m, opts.groupOptions(hm.Groups[g].Size))
-			if err != nil {
+			k := key{group: g, extra: hm.Comm * float64(active-1)}
+			e, ok := memo[k]
+			if !ok {
+				e.res, e.err = solve(g, active, m, opts.groupOptions(hm.Groups[g].Size))
+				evals += e.res.Evals
+				memo[k] = e
+			}
+			if e.err != nil {
 				// An infeasible group box is an exclusion, not a failure:
 				// the remaining groups may still carry the job.
 				continue
 			}
-			*evals += res.Evals
-			solves = append(solves, groupSolve{group: g, res: res, ok: true})
+			solves = append(solves, groupSolve{group: g, res: e.res})
 		}
 		if len(solves) < active {
 			continue
@@ -212,6 +198,7 @@ func solveScan(hm core.HeteroModel, opts PatternOptions, solve solverFunc, evals
 	if !found {
 		return PatternResult{}, errNoFeasible
 	}
+	best.Evals = evals
 	return best, nil
 }
 

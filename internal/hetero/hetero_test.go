@@ -313,6 +313,61 @@ func TestSweepColdModeBitIdentical(t *testing.T) {
 	}
 }
 
+// TestEvalsCountEachSolveOnce pins the solver-effort accounting: a
+// per-group solve that several active counts reuse (at zero comm, every
+// one) counts its evaluations once, and the sweep solver's Cold-mode
+// stats count per-group solves, not active groups.
+func TestEvalsCountEachSolveOnce(t *testing.T) {
+	// refEvals is the cost of the distinct per-group solves: one per
+	// group and distinct comm charge.
+	refEvals := func(hm core.HeteroModel) int {
+		total := 0
+		charges := map[float64]bool{}
+		for active := 1; active <= len(hm.Groups); active++ {
+			if charges[hm.Comm*float64(active-1)] {
+				continue
+			}
+			charges[hm.Comm*float64(active-1)] = true
+			for g := range hm.Groups {
+				m, err := hm.ActiveModel(g, active)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := optimize.OptimalPattern(m, PatternOptions{}.groupOptions(hm.Groups[g].Size))
+				if err != nil {
+					t.Fatal(err)
+				}
+				total += ref.Evals
+			}
+		}
+		return total
+	}
+
+	free := compile(t, heraAccel(0), costmodel.Scenario1, 0.1, 3600)
+	res, err := OptimalPattern(free, PatternOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := refEvals(free); res.Evals != want {
+		t.Errorf("zero comm: Evals = %d, want %d (one solve per group)", res.Evals, want)
+	}
+
+	comm := compile(t, heraAccel(1e-5), costmodel.Scenario1, 0.1, 3600)
+	s := NewSweepSolver(SweepOptions{Cold: true})
+	res, err = s.Solve(comm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := refEvals(comm)
+	st := s.Stats()
+	if st.ColdSolves != 4 || st.WarmSolves != 0 || st.Fallbacks != 0 {
+		t.Errorf("cold stats = %+v, want 4 per-group cold solves (2 groups × 2 comm charges)", st)
+	}
+	if res.Evals != want || st.Evals != want {
+		t.Errorf("cold mode: result Evals %d, stats Evals %d, want %d", res.Evals, st.Evals, want)
+	}
+}
+
 // TestCompileTopologyDegenerateProfile pins that a speed-1 zero-comm
 // group compiles to the plain Amdahl profile — same cache key as the
 // classical model, so the hg1| cache layer and the m1| layer share

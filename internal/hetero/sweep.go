@@ -24,9 +24,9 @@ type SweepOptions struct {
 // drifts slowly, so each chain pays the narrow-bracket solve with the
 // standard edge-rejection/full-box-fallback discipline. Warm-starting is
 // an accelerator, never a different answer beyond the refinement
-// tolerance (pinned by the warm-vs-cold property tests); Cold mode
-// delegates to OptimalPattern wholesale and is bit-identical to per-cell
-// calls.
+// tolerance (pinned by the warm-vs-cold property tests). In Cold mode the
+// same chains run optimize's Cold mode, so every cell is bit-identical to
+// a per-cell OptimalPattern call.
 //
 // A solver is stateful and must not be shared between goroutines; run one
 // solver per chain. The chains are keyed by (group index, active count),
@@ -35,7 +35,6 @@ type SweepOptions struct {
 type SweepSolver struct {
 	opts   SweepOptions
 	chains map[chainKey]*optimize.SweepSolver
-	stats  optimize.SweepStats
 }
 
 // chainKey identifies one per-group warm chain. The group's clamped
@@ -57,11 +56,20 @@ func NewSweepSolver(opts SweepOptions) *SweepSolver {
 	}
 }
 
-// Stats returns the solve counters so far, aggregated across all
-// (group, active-count) chains: WarmSolves, ColdSolves and Fallbacks
-// count per-group solves, Evals the exact-formula evaluations of every
-// cell.
-func (s *SweepSolver) Stats() optimize.SweepStats { return s.stats }
+// Stats returns the solve counters so far, summed over all (group,
+// active-count) chains: WarmSolves, ColdSolves and Fallbacks count
+// per-group solves, Evals the exact-formula evaluations of every cell.
+func (s *SweepSolver) Stats() optimize.SweepStats {
+	var st optimize.SweepStats
+	for _, c := range s.chains {
+		cs := c.Stats()
+		st.WarmSolves += cs.WarmSolves
+		st.ColdSolves += cs.ColdSolves
+		st.Fallbacks += cs.Fallbacks
+		st.Evals += cs.Evals
+	}
+	return st
+}
 
 // chain returns (creating on first use) the per-(group, active) chain
 // with the group's clamped search box baked in.
@@ -69,7 +77,7 @@ func (s *SweepSolver) chain(g, active int, po optimize.PatternOptions) *optimize
 	k := chainKey{group: g, active: active, pMax: po.PMax}
 	sv, ok := s.chains[k]
 	if !ok {
-		sv = optimize.NewSweepSolver(optimize.SweepOptions{PatternOptions: po})
+		sv = optimize.NewSweepSolver(optimize.SweepOptions{PatternOptions: po, Cold: s.opts.Cold})
 		s.chains[k] = sv
 	}
 	return sv
@@ -102,40 +110,15 @@ func (s *SweepSolver) Observe(hm core.HeteroModel, res PatternResult) {
 // rejected) pays full-box scans; subsequent cells search only the narrow
 // brackets around the previous per-group optima.
 func (s *SweepSolver) Solve(hm core.HeteroModel) (PatternResult, error) {
-	if s.opts.Cold {
-		res, err := OptimalPattern(hm, s.opts.PatternOptions)
-		if err != nil {
-			return PatternResult{}, err
-		}
-		s.stats.ColdSolves += solvesIn(res)
-		s.stats.Evals += res.Evals
-		return res, nil
-	}
 	if err := hm.Validate(); err != nil {
 		return PatternResult{}, err
 	}
-	evals := 0
-	warm := func(g, active int, m core.Model, po optimize.PatternOptions) (optimize.PatternResult, error) {
-		sv := s.chain(g, active, po)
-		before := sv.Stats()
-		res, err := sv.Solve(m)
-		after := sv.Stats()
-		s.stats.WarmSolves += after.WarmSolves - before.WarmSolves
-		s.stats.ColdSolves += after.ColdSolves - before.ColdSolves
-		s.stats.Fallbacks += after.Fallbacks - before.Fallbacks
-		return res, err
-	}
-	res, err := solveScan(hm, s.opts.PatternOptions, memoized(hm, warm), &evals)
+	res, err := solveScan(hm, s.opts.PatternOptions, func(g, active int, m core.Model, po optimize.PatternOptions) (optimize.PatternResult, error) {
+		return s.chain(g, active, po).Solve(m)
+	})
 	if err != nil {
 		return PatternResult{}, err
 	}
-	res.Evals = evals
-	s.stats.Evals += evals
-	res.Warm = true
+	res.Warm = !s.opts.Cold
 	return res, nil
 }
-
-// solvesIn counts the per-group solves a cold joint solve performed (one
-// per feasible group per distinct comm charge; approximated by the active
-// set size, the only observable part).
-func solvesIn(res PatternResult) int { return len(res.Groups) }

@@ -65,22 +65,22 @@ func TestCampaignWorkerCountIndependent(t *testing.T) {
 	}
 }
 
-// TestCampaignMatchesLegacySimulate: the Simulate wrapper and a parallel
-// SimulateContext must summarize the identical sample.
+// TestCampaignMatchesLegacySimulate: a sequential single-worker campaign
+// and a parallel one must summarize the identical sample.
 func TestCampaignMatchesLegacySimulate(t *testing.T) {
 	s := testSimulator(t)
-	sum, err := s.Simulate(40, 30, 7, 0.1)
+	cfg := CampaignConfig{Runs: 40, Patterns: 30, Seed: 7, Workers: 1, HOfP: 0.1}
+	seq, err := s.SimulateContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.SimulateContext(context.Background(), CampaignConfig{
-		Runs: 40, Patterns: 30, Seed: 7, Workers: 8, HOfP: 0.1,
-	})
+	cfg.Workers = 8
+	res, err := s.SimulateContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Overhead != sum {
-		t.Errorf("parallel campaign %+v differs from sequential %+v", res.Overhead, sum)
+	if res.Overhead != seq.Overhead {
+		t.Errorf("parallel campaign %+v differs from sequential %+v", res.Overhead, seq.Overhead)
 	}
 }
 
@@ -125,9 +125,6 @@ func TestCampaignValidation(t *testing.T) {
 	for _, h := range []float64{0, -1, math.NaN(), math.Inf(1)} {
 		if _, err := s.SimulateContext(bg, CampaignConfig{Runs: 4, Patterns: 4, Seed: 1, HOfP: h}); err == nil {
 			t.Errorf("H(P) = %g accepted", h)
-		}
-		if _, err := s.Simulate(4, 4, 1, h); err == nil {
-			t.Errorf("Simulate with H(P) = %g accepted", h)
 		}
 	}
 }

@@ -33,7 +33,6 @@
 package multilevel
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -41,7 +40,6 @@ import (
 	"amdahlyd/internal/core"
 	"amdahlyd/internal/rng"
 	"amdahlyd/internal/sim"
-	"amdahlyd/internal/stats"
 )
 
 // Costs holds the two-level resilience costs at a fixed processor count.
@@ -309,51 +307,6 @@ func (s *Simulator) attemptPattern(r *rng.Rand, st *Stats) bool {
 	}
 	st.Elapsed += c.C2
 	return true
-}
-
-// Simulate runs a Monte-Carlo campaign and returns the per-run overhead
-// summary, where overhead = elapsed / (patterns·K·T) · hOfP. It is
-// SimulateContext with a background context and a single worker; per-run
-// streams (Split(i)) make the two return identical statistics at any
-// worker count.
-func (s *Simulator) Simulate(runs, patterns int, seed uint64, hOfP float64) (stats.Summary, error) {
-	// Explicit arguments keep the historical contract: zero is an error
-	// here, a select-the-default in CampaignConfig.
-	if runs < 1 || patterns < 1 {
-		return stats.Summary{}, errors.New("multilevel: need positive runs and patterns")
-	}
-	res, err := s.SimulateContext(context.Background(), CampaignConfig{
-		Runs: runs, Patterns: patterns, Seed: seed, Workers: 1, HOfP: hOfP,
-	})
-	if err != nil {
-		return stats.Summary{}, err
-	}
-	return res.Overhead, nil
-}
-
-// OptimalNumerical refines the first-order plan by direct search: golden
-// refinement over the segment length T at each integer K in a window
-// around the first-order K*, scoring with the first-order overhead. It
-// guards against regimes where the separable approximation's rounding of
-// K is visibly suboptimal.
-func OptimalNumerical(c Costs, lambdaF, lambdaS, hOfP float64) (Plan, error) {
-	seed, err := FirstOrder(c, lambdaF, lambdaS, hOfP)
-	if err != nil {
-		return Plan{}, err
-	}
-	best := seed
-	lo := seed.K - 3
-	if lo < 1 {
-		lo = 1
-	}
-	for k := lo; k <= seed.K+3; k++ {
-		t := OptimalSegmentLength(c, k, lambdaF, lambdaS)
-		h := overhead(c, t, k, lambdaF, lambdaS, hOfP)
-		if h < best.PredictedH {
-			best = Plan{Pattern: Pattern{T: t, K: k}, PredictedH: h}
-		}
-	}
-	return best, nil
 }
 
 // OptimalSegmentLength minimizes the first-order overhead over T for a

@@ -1,6 +1,7 @@
 package multilevel
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -182,8 +183,8 @@ func TestSimulatorValidation(t *testing.T) {
 	if err != nil || s == nil {
 		t.Fatalf("valid simulator rejected: %v", err)
 	}
-	if _, err := s.Simulate(0, 10, 1, 0.1); err == nil {
-		t.Error("zero runs accepted")
+	if _, err := s.SimulateContext(context.Background(), CampaignConfig{Runs: -1, Patterns: 10, Seed: 1, HOfP: 0.1}); err == nil {
+		t.Error("negative runs accepted")
 	}
 }
 
@@ -219,12 +220,14 @@ func TestSimulationMatchesFirstOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := s.Simulate(120, 80, 7, 0.1)
+	res, err := s.SimulateContext(context.Background(), CampaignConfig{
+		Runs: 120, Patterns: 80, Seed: 7, Workers: 1, HOfP: 0.1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if xmath.RelDiff(sum.Mean, plan.PredictedH) > 0.03 {
-		t.Errorf("simulated %g vs predicted %g", sum.Mean, plan.PredictedH)
+	if xmath.RelDiff(res.Overhead.Mean, plan.PredictedH) > 0.03 {
+		t.Errorf("simulated %g vs predicted %g", res.Overhead.Mean, plan.PredictedH)
 	}
 }
 
@@ -270,12 +273,14 @@ func TestTwoLevelBeatsSingleLevelWhenSilentDominates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := s.Simulate(100, 60, 11, hOfP)
+	camp, err := s.SimulateContext(context.Background(), CampaignConfig{
+		Runs: 100, Patterns: 60, Seed: 11, Workers: 1, HOfP: hOfP,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Mean >= single {
-		t.Errorf("simulated two-level %g should beat single-level %g", sum.Mean, single)
+	if camp.Overhead.Mean >= single {
+		t.Errorf("simulated two-level %g should beat single-level %g", camp.Overhead.Mean, single)
 	}
 }
 
@@ -390,25 +395,6 @@ func TestFailStopOnlyUsesDiskRecoveries(t *testing.T) {
 	}
 }
 
-func TestOptimalNumericalNeverWorseThanFirstOrder(t *testing.T) {
-	c := heraCosts()
-	lf, ls := heraRates(512)
-	fo, err := FirstOrder(c, lf, ls, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	num, err := OptimalNumerical(c, lf, ls, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if num.PredictedH > fo.PredictedH+1e-15 {
-		t.Errorf("numerical %g worse than first-order %g", num.PredictedH, fo.PredictedH)
-	}
-	if num.K < 1 || num.T <= 0 {
-		t.Errorf("degenerate plan %+v", num)
-	}
-}
-
 func TestOptimalSegmentLengthStationarity(t *testing.T) {
 	// For each K, the closed-form T must be the minimum of the overhead.
 	c := heraCosts()
@@ -421,11 +407,5 @@ func TestOptimalSegmentLengthStationarity(t *testing.T) {
 				t.Errorf("K=%d: %g at %g·T beats %g", k, h, f, h0)
 			}
 		}
-	}
-}
-
-func TestOptimalNumericalPropagatesErrors(t *testing.T) {
-	if _, err := OptimalNumerical(heraCosts(), 0, 1e-6, 0.1); err == nil {
-		t.Error("zero rate accepted")
 	}
 }

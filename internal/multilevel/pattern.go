@@ -3,7 +3,6 @@ package multilevel
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"amdahlyd/internal/core"
 	"amdahlyd/internal/optimize"
@@ -84,12 +83,6 @@ type PatternResult struct {
 	Warm bool
 }
 
-// innerPlan is the memoized outcome of one per-P inner (T, K) solve.
-type innerPlan struct {
-	plan Plan
-	err  error
-}
-
 // errNilCosts is shared by every entry point that takes a CostsFunc.
 var errNilCosts = errors.New("multilevel: nil CostsFunc")
 
@@ -124,7 +117,7 @@ func solveAtP(m core.Model, costsFor CostsFunc, p float64) (Plan, error) {
 
 // OptimalPattern minimizes the two-level first-order overhead jointly
 // over (T, K, P): a log-grid scan over P with golden refinement (the
-// same outer scheme as the single-level optimize.OptimalPattern), each
+// single-level optimizer's outer search, optimize.Scan), each
 // probe solving the inner (T, K) problem exactly via the closed-form
 // first-order optimum on a per-P compiled evaluator. This answers the
 // paper's central question — how many processors should the job use — for
@@ -143,49 +136,25 @@ func OptimalPattern(m core.Model, costsFor CostsFunc, opts PatternOptions) (Patt
 	return scanBox(m, costsFor, opts, opts.PMin, opts.PMax, opts.GridP, false)
 }
 
-// scanBox runs the outer P solve over [pLo, pHi]: log-grid localization
-// of g(P) = min_{T,K} H(T, K, P), refinement, optional integer rounding.
-// warm selects the short Brent polish (SweepSolver's narrow brackets);
-// the full box keeps the reference GridRefine path so OptimalPattern is
+// scanBox runs the shared outer optimize.Scan over [pLo, pHi] for
+// g(P) = min_{T,K} H(T, K, P), counting one evaluation per inner (T, K)
+// solve. warm selects the short Brent polish (SweepSolver's narrow
+// brackets); the full box keeps golden section, so OptimalPattern is
 // deterministic and cold sweep cells are bit-identical to it.
 func scanBox(m core.Model, costsFor CostsFunc, opts PatternOptions, pLo, pHi float64, gridP int, warm bool) (PatternResult, error) {
-	evals := 0
-	memo := make(map[float64]innerPlan, gridP+8)
 	var probeErr error // first inner failure, for the all-infeasible diagnostic
-	probe := func(p float64) innerPlan {
-		if pr, ok := memo[p]; ok {
-			return pr
-		}
-		plan, err := solveAtP(m, costsFor, p)
-		evals++
-		if err != nil && probeErr == nil {
-			probeErr = err
-		}
-		pr := innerPlan{plan: plan, err: err}
-		memo[p] = pr
-		return pr
+	s := optimize.Scan[Pattern]{
+		PMin: opts.PMin, PMax: opts.PMax, Tol: opts.Tol, IntegerP: opts.IntegerP,
+		Inner: func(p float64) (optimize.Probe[Pattern], int) {
+			plan, err := solveAtP(m, costsFor, p)
+			if err != nil && probeErr == nil {
+				probeErr = err
+			}
+			return optimize.Probe[Pattern]{Inner: plan.Pattern, F: plan.PredictedH, Err: err}, 1
+		},
 	}
-	g := func(p float64) float64 {
-		pr := probe(p)
-		if pr.err != nil {
-			return math.Inf(1)
-		}
-		return pr.plan.PredictedH
-	}
-
-	var (
-		outer optimize.Result
-		err   error
-	)
-	if warm {
-		outer, err = optimize.GridBrentLog(g, pLo, pHi, gridP, opts.Tol)
-	} else {
-		outer, err = optimize.GridRefine(g, pLo, pHi, gridP, true, opts.Tol)
-	}
-	if err != nil {
-		if warm {
-			return PatternResult{}, err
-		}
+	out, err := s.Run(pLo, pHi, gridP, warm)
+	if errors.Is(err, optimize.ErrNoFeasible) {
 		// A whole-box failure means every probe was infeasible; the first
 		// inner error is the actual cause (e.g. an out-of-range in-memory
 		// fraction from the CostsFunc), not search-box geometry.
@@ -194,20 +163,13 @@ func scanBox(m core.Model, costsFor CostsFunc, opts PatternOptions, pLo, pHi flo
 		}
 		return PatternResult{}, errors.New("multilevel: no feasible pattern in the search box")
 	}
-
-	pStar := outer.X
-	atBound := pStar >= opts.PMax*(1-1e-6)
-	if opts.IntegerP && !atBound {
-		pStar = optimize.BetterInteger(g, pStar, opts.PMin, opts.PMax)
-	}
-	inner := probe(pStar)
-	if inner.err != nil {
-		return PatternResult{}, inner.err
+	if err != nil {
+		return PatternResult{}, err
 	}
 	return PatternResult{
-		Plan:     inner.plan,
-		P:        pStar,
-		AtPBound: atBound,
-		Evals:    evals,
+		Plan:     Plan{Pattern: out.Inner, PredictedH: out.F},
+		P:        out.P,
+		AtPBound: out.AtBound,
+		Evals:    out.Evals,
 	}, nil
 }

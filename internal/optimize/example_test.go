@@ -9,19 +9,6 @@ import (
 	"amdahlyd/internal/speedup"
 )
 
-// Minimize a/x + b·x over twelve decades with a log-axis grid scan plus
-// golden refinement; the analytic optimum is sqrt(a/b) = 1e6.
-func ExampleGridRefine() {
-	f := func(x float64) float64 { return 1e6/x + 1e-6*x }
-	res, err := optimize.GridRefine(f, 1, 1e12, 80, true, 1e-12)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("x* = %.4g, f(x*) = %.4g\n", res.X, res.F)
-	// Output:
-	// x* = 1e+06, f(x*) = 2
-}
-
 // The paper's "optimal (numerical)" solution: joint minimization of the
 // exact overhead over period and processor count.
 func ExampleOptimalPattern() {

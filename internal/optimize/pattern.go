@@ -1,7 +1,6 @@
 package optimize
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -22,8 +21,7 @@ type PatternOptions struct {
 	// GridP and GridT are the coarse log-grid resolutions (defaults 96
 	// and 48).
 	GridP, GridT int
-	// Tol is the relative tolerance of the golden refinements
-	// (default 1e-10).
+	// Tol is the relative tolerance of the refinements (default 1e-10).
 	Tol float64
 	// IntegerP rounds the processor allocation to the better of
 	// floor/ceil after the continuous optimization.
@@ -91,7 +89,7 @@ func OptimalPeriod(m core.Model, p float64, opts PatternOptions) (float64, float
 		return 0, 0, err
 	}
 	fz := m.Freeze(p)
-	res, err := minimizeT(&fz, opts)
+	res, err := minimizeT(&fz, opts, false)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -100,114 +98,60 @@ func OptimalPeriod(m core.Model, p float64, opts PatternOptions) (float64, float
 
 // minimizeT solves the inner period problem min_T H(T, P) on a compiled
 // evaluator, so the ~50–100 objective evaluations of the grid scan and the
-// golden refinement pay only the frozen per-call cost (no Rates, cost-model
-// or exponential recomputation).
+// refinement pay only the frozen per-call cost (no Rates, cost-model or
+// exponential recomputation).
 //
-// The search runs natively in u = log T coordinates with the exp transform
-// fused into the frozen kernel (OverheadLog), through gridRefineFrozen —
-// a statically dispatched replica of GridRefine+Golden. The grid points,
-// probes and refinement are bit-identical to GridRefine's log-axis mode.
-func minimizeT(fz *core.Frozen, opts PatternOptions) (Result, error) {
+// The cold search runs a GridT-point grid plus golden section in a
+// bracket of a factor 1e3 around Theorem 1's period, falling back to the
+// full [TMin, TMax] range with twice the points. warm first tries the
+// sweep solver's short search in the seed bracket: a warmGrid-point grid
+// polished with bounded Brent (~3× fewer kernel calls at equal
+// tolerance); any failure of it continues with the cold search.
+func minimizeT(fz *core.Frozen, opts PatternOptions, warm bool) (Result, error) {
 	lo, hi := opts.TMin, opts.TMax
 	// Tighten the bracket around the first-order seed: the exact optimum
 	// sits within a small factor of Theorem 1's T*_P whenever the
 	// approximation is anywhere near valid.
 	if seed := fz.OptimalPeriod(); !math.IsInf(seed, 0) && seed > 0 {
-		lo = math.Max(opts.TMin, seed/1e3)
-		hi = math.Min(opts.TMax, seed*1e3)
-		if !(hi > lo) {
-			lo, hi = opts.TMin, opts.TMax
+		sLo := math.Max(opts.TMin, seed/1e3)
+		sHi := math.Min(opts.TMax, seed*1e3)
+		if sHi > sLo {
+			if warm {
+				if res, err := searchT(fz, sLo, sHi, warmGrid, opts.Tol, true); err == nil {
+					return res, nil
+				}
+			}
+			lo, hi = sLo, sHi
 		}
 	}
-	res, err := gridRefineFrozen(fz, math.Log(lo), math.Log(hi), opts.GridT, opts.Tol)
+	res, err := searchT(fz, lo, hi, opts.GridT, opts.Tol, false)
 	if err != nil {
 		// Fall back to the full range (the seed bracket may have missed).
-		res, err = gridRefineFrozen(fz, math.Log(opts.TMin), math.Log(opts.TMax), opts.GridT*2, opts.Tol)
-		if err != nil {
-			return res, err
-		}
+		return searchT(fz, opts.TMin, opts.TMax, opts.GridT*2, opts.Tol, false)
 	}
-	res.X = math.Exp(res.X)
 	return res, nil
 }
 
-// gridRefineFrozen is GridRefine (linear axis) followed by Golden,
-// specialized to the frozen overhead kernel: every objective evaluation is
-// a static call to Frozen.OverheadLog instead of two closure dispatches,
-// which is worth ~10% of the whole nested optimization at the ~10⁴
-// evaluations a single OptimalPattern performs. The probe sequence, the
-// tie-breaking and the convergence tests replicate GridRefine and Golden
-// exactly (the determinism tests pin the equivalence).
-func gridRefineFrozen(fz *core.Frozen, uLo, uHi float64, points int, tol float64) (Result, error) {
+// searchT runs gridRefine over u = log T in [log lo, log hi], with the
+// exp transform fused into the frozen kernel (OverheadLog).
+func searchT(fz *core.Frozen, lo, hi float64, points int, tol float64, brent bool) (Result, error) {
+	uLo, uHi := math.Log(lo), math.Log(hi)
 	if !(uHi > uLo) {
 		return Result{}, errGridBounds
-	}
-	if points < 3 {
-		return Result{}, errGridPoints
 	}
 	// The overhead's overflow exponent is monotone in the period, so an
 	// overflow at the grid's low edge proves every grid point is +Inf:
 	// reject the whole bracket after one probe instead of points+refine
 	// evaluations (this is what the P-grid's deep failure-dominated tail
-	// costs otherwise).
-	if fz.OverflowsBeyond(uLo) {
+	// costs otherwise). A too-small grid keeps its own error.
+	if points >= 3 && fz.OverflowsBeyond(uLo) {
 		return Result{}, errGridAllInf
 	}
-	step := (uHi - uLo) / float64(points-1)
-	gridPoint := func(i int) float64 {
-		if i == points-1 {
-			return uHi
-		}
-		return uLo + float64(i)*step
+	res, err := gridRefine(fz.OverheadLog, uLo, uHi, points, tol, brent)
+	if err != nil {
+		return Result{}, err
 	}
-
-	bestI, bestF := 0, math.Inf(1)
-	for i := 0; i < points; i++ {
-		if v := fz.OverheadLog(gridPoint(i)); v < bestF {
-			bestI, bestF = i, v
-		}
-	}
-	if math.IsInf(bestF, 1) {
-		return Result{}, errGridAllInf
-	}
-
-	// Golden-section refinement within the bracket around the best grid
-	// point (tol and iteration budget as Golden's defaults).
-	a := gridPoint(max(bestI-1, 0))
-	b := gridPoint(min(bestI+1, points-1))
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	x1 := b - invPhi*(b-a)
-	x2 := a + invPhi*(b-a)
-	f1, f2 := fz.OverheadLog(x1), fz.OverheadLog(x2)
-	evals := 2
-	converged := false
-	for i := 0; i < 200; i++ {
-		if b-a <= tol*(1+math.Abs(a)+math.Abs(b)) {
-			converged = true
-			break
-		}
-		if f1 <= f2 { // keep [a, x2]
-			b, x2, f2 = x2, x1, f1
-			x1 = b - invPhi*(b-a)
-			f1 = fz.OverheadLog(x1)
-		} else { // keep [x1, b]
-			a, x1, f1 = x1, x2, f2
-			x2 = a + invPhi*(b-a)
-			f2 = fz.OverheadLog(x2)
-		}
-		evals++
-	}
-	res := Result{X: x1, F: f1, Evals: evals, Converged: converged}
-	if f1 > f2 {
-		res.X, res.F = x2, f2
-	}
-	res.Evals += points
-	// The grid best might still beat the refined point on plateaus.
-	if bestF < res.F {
-		res.X, res.F = gridPoint(bestI), bestF
-	}
+	res.X = math.Exp(res.X)
 	return res, nil
 }
 
@@ -224,84 +168,35 @@ func OptimalPattern(m core.Model, opts PatternOptions) (PatternResult, error) {
 	if err := m.Validate(); err != nil {
 		return PatternResult{}, err
 	}
+	return solvePattern(m, opts, nil, opts.PMin, opts.PMax, opts.GridP, false)
+}
 
-	evals := 0
-	// probe solves the inner period problem at P exactly once: the outer
-	// grid scan, the golden refinement and the integer rounding all
-	// re-visit grid points and bracket endpoints, and the memo guarantees
-	// each distinct P is compiled (Freeze) and minimized a single time.
-	type innerProbe struct {
-		res Result
-		err error
+// solvePattern runs the outer Scan over [lo, hi] on a gridP-point log-grid
+// with the inner period search at every probe. brent selects the warm
+// path's minimizers at both levels; memo is the caller's probe memo
+// (nil for a fresh one) of each P's optimal period.
+func solvePattern(m core.Model, opts PatternOptions, memo map[float64]Probe[float64], lo, hi float64, gridP int, brent bool) (PatternResult, error) {
+	s := Scan[float64]{
+		PMin: opts.PMin, PMax: opts.PMax, Tol: opts.Tol, IntegerP: opts.IntegerP, Memo: memo,
+		Inner: func(p float64) (Probe[float64], int) {
+			fz := m.Freeze(p)
+			res, err := minimizeT(&fz, opts, brent)
+			return Probe[float64]{Inner: res.X, F: res.F, Err: err}, res.Evals
+		},
 	}
-	memo := make(map[float64]innerProbe, opts.GridP+8)
-	probe := func(p float64) innerProbe {
-		if pr, ok := memo[p]; ok {
-			return pr
-		}
-		fz := m.Freeze(p)
-		res, err := minimizeT(&fz, opts)
-		evals += res.Evals
-		pr := innerProbe{res: res, err: err}
-		memo[p] = pr
-		return pr
-	}
-	// g(P) = min_T H(T, P); +Inf marks an inner failure.
-	g := func(p float64) float64 {
-		pr := probe(p)
-		if pr.err != nil {
-			return math.Inf(1)
-		}
-		return pr.res.F
-	}
-
-	outer, err := GridRefine(g, opts.PMin, opts.PMax, opts.GridP, true, opts.Tol)
+	out, err := s.Run(lo, hi, gridP, brent)
 	if err != nil {
-		return PatternResult{}, errors.New("optimize: no feasible pattern in the search box")
+		return PatternResult{}, err
 	}
-
-	pStar := outer.X
-	atBound := pStar >= opts.PMax*(1-1e-6)
-	if opts.IntegerP && !atBound {
-		pStar = BetterInteger(g, pStar, opts.PMin, opts.PMax)
-	}
-	inner := probe(pStar)
-	if inner.err != nil {
-		return PatternResult{}, inner.err
-	}
-
 	return PatternResult{
 		Solution: core.Solution{
-			T:        inner.res.X,
-			P:        pStar,
-			Overhead: inner.res.F,
+			T:        out.Inner,
+			P:        out.P,
+			Overhead: out.F,
 			Method:   "numerical",
 			Class:    m.Res.Classify().Class,
 		},
-		AtPBound: atBound,
-		Evals:    evals,
+		AtPBound: out.AtBound,
+		Evals:    out.Evals,
 	}, nil
-}
-
-// Shared error values of the frozen grid refinement (allocated once; the
-// infeasible-grid rejection fires on every deep-tail P probe).
-var (
-	errGridBounds = errors.New("optimize: GridRefine needs hi > lo")
-	errGridPoints = errors.New("optimize: GridRefine needs at least 3 grid points")
-	errGridAllInf = errors.New("optimize: objective is +Inf over the whole grid")
-)
-
-// BetterInteger picks the best integer processor count adjacent to the
-// continuous optimum (exported for the outer P rounding of every joint
-// optimizer, including the two-level one in internal/multilevel).
-func BetterInteger(g Func, p, pMin, pMax float64) float64 {
-	lo := math.Max(pMin, math.Floor(p))
-	hi := math.Min(pMax, math.Ceil(p))
-	if lo == hi {
-		return lo
-	}
-	if g(lo) <= g(hi) {
-		return lo
-	}
-	return hi
 }

@@ -1,9 +1,12 @@
 // Package optimize provides the numerical-optimization substrate used to
 // compute the paper's "optimal (numerical)" curves: derivative-free scalar
-// minimization (golden section and bounded Brent), root finding (bisection
-// and Brent–Dekker), grid-scan-plus-refine for robustly non-unimodal
-// objectives, and the nested two-dimensional optimizer over (T, P) built
-// on the exact overhead formula of Proposition 1.
+// minimization (golden section and bounded Brent), one grid-then-refine
+// routine for robustly non-unimodal objectives, and one memoized outer
+// processor scan (Scan) nested over an inner solve at each P. The
+// single-level optimizer over (T, P) built on the exact overhead formula
+// of Proposition 1, the semi-analytic optimum, the warm-start sweep
+// solver and the two-level optimizer in internal/multilevel all run on
+// that scan.
 package optimize
 
 import (
@@ -167,64 +170,62 @@ func BrentMin(f Func, a, b, tol float64, maxIter int) Result {
 	return Result{X: x, F: fx, Evals: evals, Converged: converged}
 }
 
-// GridRefine scans points samples of f over [lo, hi] (geometrically spaced
-// when logAxis is true), then refines the best bracket with golden-section
-// search. It is robust to objectives that are not globally unimodal, at
-// the cost of the initial sweep. The returned Result is the refined
-// minimum; ties prefer the smaller x.
-func GridRefine(f Func, lo, hi float64, points int, logAxis bool, tol float64) (Result, error) {
-	if !(hi > lo) {
-		return Result{}, errors.New("optimize: GridRefine needs hi > lo")
-	}
+// gridRefine scans f on points evenly spaced grid points over [lo, hi],
+// then refines the bracket around the best point with golden section, or
+// with bounded Brent when brent is set. It is robust to objectives that
+// are not globally unimodal, at the cost of the initial sweep; both
+// searches run it in u = log x coordinates. The returned Result is the
+// refined minimum; ties prefer the smaller x, and the grid best wins a
+// plateau. Callers check lo < hi in their own coordinates.
+func gridRefine(f Func, lo, hi float64, points int, tol float64, brent bool) (Result, error) {
 	if points < 3 {
-		return Result{}, errors.New("optimize: GridRefine needs at least 3 grid points")
+		return Result{}, errGridPoints
 	}
-	if logAxis && lo <= 0 {
-		return Result{}, errors.New("optimize: log-axis grid needs lo > 0")
-	}
-
-	// In log-axis mode the grid lives in u = log x coordinates and the
-	// exp transform is fused into a single objective wrapper; otherwise
-	// the objective is probed directly, with no transform indirection.
-	obj := f
-	uLo, uHi := lo, hi
-	if logAxis {
-		obj = func(u float64) float64 { return f(math.Exp(u)) }
-		uLo, uHi = math.Log(lo), math.Log(hi)
-	}
-	step := (uHi - uLo) / float64(points-1)
-
+	step := (hi - lo) / float64(points-1)
 	// gridPoint recomputes the i-th grid coordinate instead of storing the
 	// whole grid: only the best point and its two neighbours are ever
 	// needed again, which keeps the scan allocation-free.
 	gridPoint := func(i int) float64 {
 		if i == points-1 {
-			return uHi
+			return hi
 		}
-		return uLo + float64(i)*step
+		return lo + float64(i)*step
 	}
 
 	bestI, bestF := 0, math.Inf(1)
 	for i := 0; i < points; i++ {
-		if v := obj(gridPoint(i)); v < bestF {
+		if v := f(gridPoint(i)); v < bestF {
 			bestI, bestF = i, v
 		}
 	}
 	if math.IsInf(bestF, 1) {
-		return Result{}, errors.New("optimize: objective is +Inf over the whole grid")
+		return Result{}, errGridAllInf
 	}
 
-	// Refine within the bracket around the best grid point.
+	// Refine within the bracket around the best grid point. The two
+	// minimizers are called directly: a minimizer chosen through a func
+	// variable would make every probe's objective (and the frozen kernel
+	// it is bound to) escape to the heap.
 	a := gridPoint(max(bestI-1, 0))
 	b := gridPoint(min(bestI+1, points-1))
-	res := Golden(obj, a, b, tol, 0)
+	var res Result
+	if brent {
+		res = BrentMin(f, a, b, tol, 0)
+	} else {
+		res = Golden(f, a, b, tol, 0)
+	}
 	res.Evals += points
 	// The grid best might still beat the refined point on plateaus.
 	if bestF < res.F {
 		res.X, res.F = gridPoint(bestI), bestF
 	}
-	if logAxis {
-		res.X = math.Exp(res.X)
-	}
 	return res, nil
 }
+
+// Shared error values of the grid refinement (allocated once; the
+// infeasible-grid rejection fires on every deep-tail P probe).
+var (
+	errGridBounds = errors.New("optimize: GridRefine needs hi > lo")
+	errGridPoints = errors.New("optimize: GridRefine needs at least 3 grid points")
+	errGridAllInf = errors.New("optimize: objective is +Inf over the whole grid")
+)

@@ -1,10 +1,12 @@
 package optimize
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
 
+	"amdahlyd/internal/costmodel"
 	"amdahlyd/internal/xmath"
 )
 
@@ -98,114 +100,68 @@ func TestGridRefineMultimodal(t *testing.T) {
 	f := func(x float64) float64 {
 		return -math.Exp(-(x-2)*(x-2)) - 2*math.Exp(-(x-8)*(x-8))
 	}
-	res, err := GridRefine(f, 0, 10, 60, false, 1e-10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.X-8) > 1e-4 {
-		t.Errorf("global minimizer = %g, want 8", res.X)
+	for _, brent := range []bool{false, true} {
+		res, err := gridRefine(f, 0, 10, 60, 1e-10, brent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(res.X-8) > 1e-4 {
+			t.Errorf("brent=%t: global minimizer = %g, want 8", brent, res.X)
+		}
 	}
 }
 
 func TestGridRefineLogAxis(t *testing.T) {
-	// Minimum of a/x + b·x is at sqrt(a/b); spans decades, so log grid.
+	// Minimum of a/x + b·x is at sqrt(a/b); spans decades, so the grid
+	// runs in u = log x.
 	a, b := 1e6, 1e-6
 	want := math.Sqrt(a / b) // 1e6
-	f := func(x float64) float64 { return a/x + b*x }
-	res, err := GridRefine(f, 1, 1e12, 80, true, 1e-12)
+	f := func(u float64) float64 { x := math.Exp(u); return a/x + b*x }
+	res, err := gridRefine(f, 0, math.Log(1e12), 80, 1e-12, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if xmath.RelDiff(res.X, want) > 1e-6 {
-		t.Errorf("minimizer = %g, want %g", res.X, want)
+	if xmath.RelDiff(math.Exp(res.X), want) > 1e-6 {
+		t.Errorf("minimizer = %g, want %g", math.Exp(res.X), want)
 	}
 }
 
 func TestGridRefineErrors(t *testing.T) {
 	f := func(x float64) float64 { return x }
-	if _, err := GridRefine(f, 1, 1, 10, false, 0); err == nil {
-		t.Error("hi == lo accepted")
-	}
-	if _, err := GridRefine(f, 0, 1, 2, false, 0); err == nil {
+	if _, err := gridRefine(f, 0, 1, 2, 0, false); err == nil {
 		t.Error("2 grid points accepted")
 	}
-	if _, err := GridRefine(f, 0, 1, 10, true, 0); err == nil {
-		t.Error("log axis with lo = 0 accepted")
-	}
 	inf := func(float64) float64 { return math.Inf(1) }
-	if _, err := GridRefine(inf, 1, 10, 10, false, 0); err == nil {
+	if _, err := gridRefine(inf, 1, 10, 10, 0, false); err == nil {
 		t.Error("all-Inf objective accepted")
+	}
+	// The bounds are checked by the callers, each in its own coordinates:
+	// the scan on P (log axis, so P must be positive), the period search
+	// on u = log T.
+	s := Scan[struct{}]{PMax: 10, Inner: func(p float64) (Probe[struct{}], int) {
+		return Probe[struct{}]{F: p}, 1
+	}}
+	for _, box := range [][2]float64{{1, 1}, {5, 2}, {0, 1}, {math.NaN(), 2}} {
+		if _, err := s.Run(box[0], box[1], 10, false); !errors.Is(err, ErrNoFeasible) {
+			t.Errorf("scan over [%g, %g] returned %v, want ErrNoFeasible", box[0], box[1], err)
+		}
+	}
+	fz := heraModel(t, costmodel.Scenario1, 0.1).Freeze(512)
+	if _, err := searchT(&fz, 5, 5, 10, 0, false); !errors.Is(err, errGridBounds) {
+		t.Errorf("empty period bracket returned %v", err)
 	}
 }
 
 func TestGridRefineBoundaryMinimum(t *testing.T) {
 	// Monotone decreasing objective: the minimum is the right endpoint.
 	f := func(x float64) float64 { return -x }
-	res, err := GridRefine(f, 0, 10, 30, false, 1e-10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.X-10) > 1e-4 {
-		t.Errorf("boundary minimum at %g, want 10", res.X)
-	}
-}
-
-func TestBisect(t *testing.T) {
-	f := func(x float64) float64 { return x*x - 2 }
-	root, err := Bisect(f, 0, 2, 1e-12, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(root-math.Sqrt2) > 1e-9 {
-		t.Errorf("root = %.12g, want √2", root)
-	}
-	if _, err := Bisect(f, 2, 3, 0, 0); err != ErrNoBracket {
-		t.Error("non-bracketing interval accepted")
-	}
-	// Exact root at an endpoint.
-	g := func(x float64) float64 { return x*x - 4 }
-	if r, err := Bisect(g, 2, 3, 0, 0); err != nil || r != 2 {
-		t.Error("endpoint root not detected")
-	}
-}
-
-func TestBrentRoot(t *testing.T) {
-	f := func(x float64) float64 { return math.Cos(x) - x }
-	root, err := BrentRoot(f, 0, 1, 1e-14, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The Dottie number.
-	if math.Abs(root-0.7390851332151607) > 1e-10 {
-		t.Errorf("root = %.16g, want Dottie number", root)
-	}
-	if _, err := BrentRoot(f, 2, 3, 0, 0); err != ErrNoBracket {
-		t.Error("non-bracketing interval accepted")
-	}
-}
-
-func TestBrentRootHardCases(t *testing.T) {
-	// Flat near the root: f(x) = (x−1)^9.
-	f := func(x float64) float64 { return math.Pow(x-1, 9) }
-	root, err := BrentRoot(f, -4, 4.3, 1e-12, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(root-1) > 1e-3 {
-		t.Errorf("flat-root estimate = %g, want 1", root)
-	}
-}
-
-// Property: BrentRoot and Bisect agree on random monotone cubics.
-func TestRootFindersAgree(t *testing.T) {
-	f := func(cRaw uint16) bool {
-		c := 1 + float64(cRaw%100)
-		obj := func(x float64) float64 { return x*x*x + c*x - 5 }
-		r1, err1 := Bisect(obj, -10, 10, 1e-12, 0)
-		r2, err2 := BrentRoot(obj, -10, 10, 1e-12, 0)
-		return err1 == nil && err2 == nil && math.Abs(r1-r2) < 1e-8
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
+	for _, brent := range []bool{false, true} {
+		res, err := gridRefine(f, 0, 10, 30, 1e-10, brent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(res.X-10) > 1e-4 {
+			t.Errorf("brent=%t: boundary minimum at %g, want 10", brent, res.X)
+		}
 	}
 }

@@ -25,24 +25,17 @@ func SemiAnalyticOptimum(m core.Model, opts PatternOptions) (core.Solution, erro
 	if err := m.Validate(); err != nil {
 		return core.Solution{}, err
 	}
-	// The Theorem 1 objective is closed-form but still pays a cost-model
-	// and profile evaluation per probe; the memo keeps the grid scan and
-	// the golden refinement from re-pricing the same P (bracket endpoints
-	// and the final reported optimum are always revisited).
-	memo := make(map[float64]float64, opts.GridP+8)
-	obj := func(p float64) float64 {
-		if h, ok := memo[p]; ok {
-			return h
-		}
-		h := m.OverheadAtOptimalPeriod(p)
-		memo[p] = h
-		return h
+	s := Scan[struct{}]{
+		PMin: opts.PMin, PMax: opts.PMax, Tol: opts.Tol,
+		Inner: func(p float64) (Probe[struct{}], int) {
+			return Probe[struct{}]{F: m.OverheadAtOptimalPeriod(p)}, 1
+		},
 	}
-	res, err := GridRefine(obj, opts.PMin, opts.PMax, opts.GridP, true, opts.Tol)
+	res, err := s.Run(opts.PMin, opts.PMax, opts.GridP, false)
 	if err != nil {
 		return core.Solution{}, errors.New("optimize: semi-analytic objective infeasible")
 	}
-	p := res.X
+	p := res.P
 	t := m.OptimalPeriodFixedP(p)
 	if math.IsInf(t, 0) || !(t > 0) {
 		return core.Solution{}, errors.New("optimize: degenerate period at semi-analytic optimum")

@@ -1,7 +1,6 @@
 package optimize
 
 import (
-	"errors"
 	"math"
 
 	"amdahlyd/internal/core"
@@ -169,7 +168,7 @@ type SweepSolver struct {
 	opts      SweepOptions
 	chain     WarmChain
 	prevClass costmodel.Class
-	memo      map[float64]innerProbe
+	memo      map[float64]Probe[float64]
 }
 
 // NewSweepSolver builds a solver for one chain of related models.
@@ -178,7 +177,7 @@ func NewSweepSolver(opts SweepOptions) *SweepSolver {
 	return &SweepSolver{
 		opts:  opts,
 		chain: NewWarmChain(opts.PMin, opts.PMax, opts.GridP, opts.Cold),
-		memo:  make(map[float64]innerProbe, opts.GridP+8),
+		memo:  make(map[float64]Probe[float64], opts.GridP+8),
 	}
 }
 
@@ -196,10 +195,9 @@ func (s *SweepSolver) Observe(m core.Model, res PatternResult) {
 // Solve returns the numerical optimum for the next cell of the chain.
 // The first cell (and any cell whose warm solve is rejected) pays a full
 // cold scan; subsequent cells typically cost an order of magnitude less.
-// A full-box solve is the reference OptimalPattern in Cold mode
-// (bit-identical to a per-cell call); otherwise it keeps the fast
-// Brent-polished inner minimizer so even chain restarts stay ~2–3× under
-// the reference cost.
+// A full-box solve is OptimalPattern's scan in Cold mode (bit-identical
+// to a per-cell call); otherwise it keeps the Brent refinement at both
+// levels so even chain restarts stay ~2–3× under the reference cost.
 func (s *SweepSolver) Solve(m core.Model) (PatternResult, error) {
 	// Hold warm mode to the same option contract as OptimalPattern: a
 	// bad search box must fail loudly here, not surface as an
@@ -212,13 +210,9 @@ func (s *SweepSolver) Solve(m core.Model) (PatternResult, error) {
 	}
 	class := m.Res.Classify().Class
 	var res PatternResult
-	warm, err := s.chain.Solve(class != s.prevClass, func(lo, hi float64, gridP int, warm bool) (float64, bool, int, error) {
+	warm, err := s.chain.Solve(class != s.prevClass, func(lo, hi float64, gridP int, _ bool) (float64, bool, int, error) {
 		var err error
-		if s.opts.Cold {
-			res, err = OptimalPattern(m, s.opts.PatternOptions)
-		} else {
-			res, err = s.scan(m, lo, hi, gridP, warm)
-		}
+		res, err = solvePattern(m, s.opts.PatternOptions, s.memo, lo, hi, gridP, !s.opts.Cold)
 		return res.P, res.AtPBound, res.Evals, err
 	})
 	if err != nil {
@@ -227,70 +221,6 @@ func (s *SweepSolver) Solve(m core.Model) (PatternResult, error) {
 	s.prevClass = class
 	res.Warm = warm
 	return res, nil
-}
-
-// scan is the shared outer solve over [pLo, pHi]: a log-grid localization
-// of g(P) = min_T H(T, P) followed by a bounded-Brent polish, with the
-// same per-P probe memoization as OptimalPattern. warm selects the short
-// inner minimizer (grid + Brent around the Theorem 1 seed); the cold
-// restart keeps it too — only Cold mode routes to OptimalPattern.
-func (s *SweepSolver) scan(m core.Model, pLo, pHi float64, gridP int, warm bool) (PatternResult, error) {
-	opts := s.opts
-	evals := 0
-	clear(s.memo)
-	probe := func(p float64) innerProbe {
-		if pr, ok := s.memo[p]; ok {
-			return pr
-		}
-		fz := m.Freeze(p)
-		res, err := minimizeTBrent(&fz, opts.PatternOptions)
-		evals += res.Evals
-		pr := innerProbe{res: res, err: err}
-		s.memo[p] = pr
-		return pr
-	}
-	g := func(p float64) float64 {
-		pr := probe(p)
-		if pr.err != nil {
-			return math.Inf(1)
-		}
-		return pr.res.F
-	}
-
-	outer, err := GridBrentLog(g, pLo, pHi, gridP, opts.Tol)
-	if err != nil {
-		if warm {
-			return PatternResult{}, err
-		}
-		return PatternResult{}, errors.New("optimize: no feasible pattern in the search box")
-	}
-
-	pStar := outer.X
-	atBound := pStar >= opts.PMax*(1-1e-6)
-	if opts.IntegerP && !atBound {
-		pStar = BetterInteger(g, pStar, opts.PMin, opts.PMax)
-	}
-	inner := probe(pStar)
-	if inner.err != nil {
-		return PatternResult{}, inner.err
-	}
-	return PatternResult{
-		Solution: core.Solution{
-			T:        inner.res.X,
-			P:        pStar,
-			Overhead: inner.res.F,
-			Method:   "numerical",
-			Class:    m.Res.Classify().Class,
-		},
-		AtPBound: atBound,
-		Evals:    evals,
-	}, nil
-}
-
-// innerProbe is the memoized outcome of one inner period minimization.
-type innerProbe struct {
-	res Result
-	err error
 }
 
 // BatchOptimalPattern solves every model of an ordered sweep axis with
@@ -309,111 +239,4 @@ func BatchOptimalPattern(models []core.Model, opts SweepOptions) ([]PatternResul
 		out[i] = res
 	}
 	return out, nil
-}
-
-// minimizeTBrent is the warm-path inner period minimizer: the same
-// Theorem 1 seed bracket as minimizeT, localized on a warmGrid-point
-// u = log T grid and polished with bounded Brent instead of the cold path's
-// 48-point grid plus golden refinement (~3× fewer kernel calls at equal
-// tolerance). Any failure — no finite seed, empty bracket, an
-// all-infeasible grid — falls back to the robust cold minimizeT.
-func minimizeTBrent(fz *core.Frozen, opts PatternOptions) (Result, error) {
-	seed := fz.OptimalPeriod()
-	if math.IsInf(seed, 0) || !(seed > 0) {
-		return minimizeT(fz, opts)
-	}
-	lo := math.Max(opts.TMin, seed/1e3)
-	hi := math.Min(opts.TMax, seed*1e3)
-	if !(hi > lo) {
-		return minimizeT(fz, opts)
-	}
-	res, err := gridBrentFrozen(fz, math.Log(lo), math.Log(hi), warmGrid, opts.Tol)
-	if err != nil {
-		return minimizeT(fz, opts)
-	}
-	res.X = math.Exp(res.X)
-	return res, nil
-}
-
-// gridBrentFrozen localizes the frozen overhead kernel's minimum on a
-// short u-grid and polishes the best bracket with bounded Brent. It
-// keeps gridRefineFrozen's monotone infeasible-grid rejection: an
-// overflow at the low edge proves the whole bracket infeasible after a
-// single probe.
-func gridBrentFrozen(fz *core.Frozen, uLo, uHi float64, points int, tol float64) (Result, error) {
-	if !(uHi > uLo) {
-		return Result{}, errGridBounds
-	}
-	if points < 3 {
-		return Result{}, errGridPoints
-	}
-	if fz.OverflowsBeyond(uLo) {
-		return Result{}, errGridAllInf
-	}
-	step := (uHi - uLo) / float64(points-1)
-	gridPoint := func(i int) float64 {
-		if i == points-1 {
-			return uHi
-		}
-		return uLo + float64(i)*step
-	}
-	bestI, bestF := 0, math.Inf(1)
-	for i := 0; i < points; i++ {
-		if v := fz.OverheadLog(gridPoint(i)); v < bestF {
-			bestI, bestF = i, v
-		}
-	}
-	if math.IsInf(bestF, 1) {
-		return Result{}, errGridAllInf
-	}
-	a := gridPoint(max(bestI-1, 0))
-	b := gridPoint(min(bestI+1, points-1))
-	res := BrentMin(fz.OverheadLog, a, b, tol, 0)
-	res.Evals += points
-	// The grid best might still beat the polished point on plateaus.
-	if bestF < res.F {
-		res.X, res.F = gridPoint(bestI), bestF
-	}
-	return res, nil
-}
-
-// GridBrentLog is the outer-loop counterpart on an arbitrary objective:
-// a geometric grid over [lo, hi] followed by bounded Brent in u = log x
-// coordinates. The returned X is in natural (not log) coordinates.
-// Exported as the shared warm-bracket outer solve (the two-level sweep
-// solver in internal/multilevel runs the same scheme).
-func GridBrentLog(f Func, lo, hi float64, points int, tol float64) (Result, error) {
-	if !(hi > lo) || lo <= 0 {
-		return Result{}, errGridBounds
-	}
-	if points < 3 {
-		return Result{}, errGridPoints
-	}
-	obj := func(u float64) float64 { return f(math.Exp(u)) }
-	uLo, uHi := math.Log(lo), math.Log(hi)
-	step := (uHi - uLo) / float64(points-1)
-	gridPoint := func(i int) float64 {
-		if i == points-1 {
-			return uHi
-		}
-		return uLo + float64(i)*step
-	}
-	bestI, bestF := 0, math.Inf(1)
-	for i := 0; i < points; i++ {
-		if v := obj(gridPoint(i)); v < bestF {
-			bestI, bestF = i, v
-		}
-	}
-	if math.IsInf(bestF, 1) {
-		return Result{}, errGridAllInf
-	}
-	a := gridPoint(max(bestI-1, 0))
-	b := gridPoint(min(bestI+1, points-1))
-	res := BrentMin(obj, a, b, tol, 0)
-	res.Evals += points
-	if bestF < res.F {
-		res.X, res.F = gridPoint(bestI), bestF
-	}
-	res.X = math.Exp(res.X)
-	return res, nil
 }

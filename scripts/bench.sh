@@ -7,10 +7,12 @@
 #   N defaults to one past the highest existing BENCH_<N>.json.
 #
 #        scripts/bench.sh -compare BENCH_<N>.json [extra go test args...]
-#   Regression gate: re-runs the frozen-kernel benchmarks (count=5, min
-#   ns/op — the min absorbs frequency-scaling dips on shared hosts) and
-#   exits 1 if any of them regressed by more than 15% against the named
-#   baseline. Nothing is written.
+#   Regression gate: re-runs the frozen-kernel benchmarks (count=5,
+#   -benchmem, min ns/op — the min absorbs frequency-scaling dips on
+#   shared hosts) and exits 1 if any of them regressed by more than 15%
+#   in ns/op, or its minimum allocs/op exceeds the named baseline's.
+#   Allocation counts do not depend on the host; ns/op does. Nothing is
+#   written.
 #
 # The JSON records the environment (go version, CPU, GOMAXPROCS), the raw
 # `go test -bench` output, and a parsed {name: {ns_per_op, bytes_per_op,
@@ -28,18 +30,35 @@ cd "$(dirname "$0")/.."
 frozen_benchmarks="BenchmarkExactPatternTime BenchmarkFreeze BenchmarkFrozenOverhead BenchmarkFrozenOverheadLog BenchmarkFirstOrderSolve BenchmarkMultilevelOptimize BenchmarkMultilevelCampaign BenchmarkHeteroOptimize BenchmarkHeteroSweep BenchmarkFleetLoadGen"
 regression_pct=15
 
-# parse_min_ns <raw-file>: emit "name ns" lines, min ns/op per benchmark.
-parse_min_ns() {
+# parse_min <raw-file>: emit "name ns allocs" lines, the minimum ns/op
+# and the minimum allocs/op per benchmark.
+parse_min() {
     awk '
     /^Benchmark/ {
         name = $1
         sub(/-[0-9]+$/, "", name)
-        ns = ""
-        for (i = 2; i <= NF; i++) if ($(i) == "ns/op") ns = $(i - 1)
-        if (ns == "") next
+        ns = ""; allocs = ""
+        for (i = 2; i <= NF; i++) {
+            if ($(i) == "ns/op") ns = $(i - 1)
+            if ($(i) == "allocs/op") allocs = $(i - 1)
+        }
+        if (ns == "" || allocs == "") next
         if (!(name in best) || ns + 0 < best[name] + 0) best[name] = ns
+        if (!(name in fewest) || allocs + 0 < fewest[name] + 0) fewest[name] = allocs
     }
-    END { for (name in best) print name, best[name] }' "$1"
+    END { for (name in best) print name, best[name], fewest[name] }' "$1"
+}
+
+# baseline_field <name> <field> <baseline-file>: one field of a benchmark
+# entry in a BENCH_<N>.json file (empty when absent).
+baseline_field() {
+    awk -v n="\"$1\"" -v f="\"$2\"" '
+        index($0, n ": {") && index($0, f ":") {
+            s = $0
+            sub(".*" f ": *", "", s)
+            sub(/[,}].*/, "", s)
+            print s
+        }' "$3"
 }
 
 if [ "${1:-}" = "-compare" ]; then
@@ -53,21 +72,16 @@ if [ "${1:-}" = "-compare" ]; then
     raw="$(mktemp)"
     trap 'rm -f "$raw"' EXIT
     echo "running frozen-kernel benchmarks (count=5) for comparison against $baseline…" >&2
-    go test -bench "$regex" -count 5 -run XXX "$@" . | tee "$raw" >&2
+    go test -bench "$regex" -benchmem -count 5 -run XXX "$@" . | tee "$raw" >&2
 
     expected=$(echo "$frozen_benchmarks" | wc -w)
-    parse_min_ns "$raw" | {
+    parse_min "$raw" | {
         status=0
         compared=0
-        while read -r name ns; do
-            base_ns="$(awk -v n="\"$name\"" '
-                index($0, n ": {") {
-                    s = $0
-                    sub(/.*"ns_per_op": */, "", s)
-                    sub(/[,}].*/, "", s)
-                    print s
-                }' "$baseline")"
-            if [ -z "$base_ns" ]; then
+        while read -r name ns allocs; do
+            base_ns="$(baseline_field "$name" ns_per_op "$baseline")"
+            base_allocs="$(baseline_field "$name" allocs_per_op "$baseline")"
+            if [ -z "$base_ns" ] || [ -z "$base_allocs" ]; then
                 echo "  $name: not in baseline, skipped" >&2
                 continue
             fi
@@ -81,6 +95,12 @@ if [ "${1:-}" = "-compare" ]; then
                 status=1
             else
                 echo "  ok $name: $ns ns/op vs baseline $base_ns ($delta)" >&2
+            fi
+            if [ "$allocs" -gt "$base_allocs" ]; then
+                echo "  REGRESSION $name: $allocs allocs/op vs baseline $base_allocs" >&2
+                status=1
+            else
+                echo "  ok $name: $allocs allocs/op vs baseline $base_allocs" >&2
             fi
         done
         # A gate that compared nothing (renamed benchmark, stale baseline

@@ -290,7 +290,7 @@ func BenchmarkMachinePattern(b *testing.B) {
 // processors) — the hot path of trace-driven workloads.
 func BenchmarkTraceGenerationExponential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tr, err := failures.GenerateTrace(1e-6, 0.3, 64, 2e8, rng.New(uint64(i)))
+		tr, err := failures.GenerateTraceDist(failures.Exponential{Rate: 1e-6}, 0.3, 64, 2e8, rng.New(uint64(i)))
 		if err != nil {
 			b.Fatal(err)
 		}

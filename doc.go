@@ -124,9 +124,9 @@
 // experiments.HeterogeneousStudy ("amdahl-exp hetero"); the service
 // endpoints are /v1/hetero/optimize, /v1/hetero/simulate and the
 // "hetero" switch on /v1/sweep; the campaign preset is "hetero" (comm
-// axis). sim.SimulateHetero prices a joint plan on the shared chunked
-// runner, scoring each run by its makespan overhead max_g x_g·H_g. See
-// DESIGN.md, "Heterogeneous topologies".
+// axis). sim.SimulateHeteroContext prices a joint plan on the shared
+// chunked runner, scoring each run by its makespan overhead
+// max_g x_g·H_g. See DESIGN.md, "Heterogeneous topologies".
 //
 // # Service layer
 //

@@ -9,11 +9,11 @@ import (
 )
 
 // A Fact is a serializable datum an analyzer attaches to a package-level
-// object (or to a package) in one compilation unit and consumes in
-// another — the mechanism that makes whole-program invariants tractable
-// without whole-program analysis, exactly as in x/tools go/analysis.
-// Facts are gob-encoded at export time in every mode, so a fact type
-// that cannot round-trip fails fast in source mode too, not only under
+// object in one compilation unit and consumes in another — the
+// mechanism that makes whole-program invariants tractable without
+// whole-program analysis, exactly as in x/tools go/analysis. Facts are
+// gob-encoded at export time in every mode, so a fact type that cannot
+// round-trip fails fast in source mode too, not only under
 // `go vet -vettool`.
 //
 // Fact types must be pointers to structs with exported fields, must
@@ -22,8 +22,8 @@ import (
 type Fact interface{ AFact() }
 
 // factKey names one fact: the exporting analyzer, the package, the
-// object within it ("" for package facts — see objectKey for the object
-// path syntax), and the concrete fact type. Keying by (obj, type) rather
+// object within it (see objectKey for the object path syntax), and the
+// concrete fact type. Keying by (obj, type) rather
 // than by types.Object identity is what lets facts survive the
 // source-mode/export-data split: the same function seen from its own
 // source and through a dependent's gc export data yields two distinct
@@ -234,20 +234,6 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 		return false
 	}
 	return p.importFact(obj.Pkg().Path(), key, fact)
-}
-
-// ExportPackageFact attaches fact to the package under analysis.
-func (p *Pass) ExportPackageFact(fact Fact) {
-	p.exportFact(p.Pkg.Path(), "", fact)
-}
-
-// ImportPackageFact decodes the package fact of the given concrete type
-// attached to pkg, reporting whether one was found.
-func (p *Pass) ImportPackageFact(pkg *types.Package, fact Fact) bool {
-	if pkg == nil {
-		return false
-	}
-	return p.importFact(pkg.Path(), "", fact)
 }
 
 // An ObjectFactRef names one exported object fact without decoding it —

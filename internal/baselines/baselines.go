@@ -64,14 +64,6 @@ func IgnoreSilent(m core.Model) core.Model {
 	return m
 }
 
-// AllFailStop returns a copy of the model in which every error is treated
-// as fail-stop at the same total rate, the modelling choice of fail-stop-
-// only analyses such as [22] when confronted with mixed error logs.
-func AllFailStop(m core.Model) core.Model {
-	m.FailStopFrac, m.SilentFrac = 1, 0
-	return m
-}
-
 // YoungDalyPlan is a baseline pattern choice: the processor count is taken
 // as given (or from the paper's optimum) and the period from Young's or
 // Daly's fail-stop-only formula using C_P + V_P as the "checkpoint cost".

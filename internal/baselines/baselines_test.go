@@ -110,19 +110,6 @@ func TestIgnoreSilentPreservesFailStopRate(t *testing.T) {
 	}
 }
 
-func TestAllFailStopPreservesTotalRate(t *testing.T) {
-	m := heraModel(t, costmodel.Scenario1, 0.1)
-	af := AllFailStop(m)
-	lfB, lsB := m.Rates(512)
-	lfA, lsA := af.Rates(512)
-	if !xmath.EqualWithin(lfA, lfB+lsB, 1e-12, 0) || lsA != 0 {
-		t.Errorf("AllFailStop rates wrong: %g, %g", lfA, lsA)
-	}
-	if err := af.Validate(); err != nil {
-		t.Errorf("AllFailStop produced invalid model: %v", err)
-	}
-}
-
 func TestPlanYoungUnderestimatesTrueCost(t *testing.T) {
 	// A Young plan derived from fail-stop errors alone must look cheaper
 	// to the fail-stop-only model than it truly is under both sources.

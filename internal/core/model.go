@@ -127,12 +127,6 @@ func (m Model) FirstOrderPatternTime(t, p float64) float64 {
 	return f.FirstOrderPatternTime(t)
 }
 
-// PatternWork returns the amount of sequential-equivalent work a pattern
-// processes: W_pattern = T · S(P).
-func (m Model) PatternWork(t, p float64) float64 {
-	return t * m.Profile.Speedup(p)
-}
-
 // Overhead returns the expected execution overhead of the pattern,
 // H(T, P) = E(PATTERN)/(T·S(P)) = (E/T)·H(P): the expected seconds of
 // wall-clock time per second of sequential work. Minimizing it minimizes
@@ -151,7 +145,8 @@ func (m Model) Speedup(t, p float64) float64 {
 }
 
 // ErrorFreeOverhead returns H(T, P) with both error rates forced to zero:
-// the pattern still pays V_P + C_P per period. Used by ablation benches.
+// the pattern still pays V_P + C_P per period. The service reports the
+// Frozen form; TestFrozenMatchesModel holds it to this one.
 func (m Model) ErrorFreeOverhead(t, p float64) float64 {
 	if t <= 0 {
 		return math.Inf(1)
@@ -166,10 +161,4 @@ func (m Model) ErrorFreeOverhead(t, p float64) float64 {
 // objective).
 func (m Model) ExpectedMakespan(wTotal, t, p float64) float64 {
 	return m.Overhead(t, p) * wTotal
-}
-
-// PatternCount returns the approximate number of patterns the application
-// executes: W_total / (T·S(P)).
-func (m Model) PatternCount(wTotal, t, p float64) float64 {
-	return wTotal / m.PatternWork(t, p)
 }

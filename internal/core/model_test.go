@@ -248,17 +248,11 @@ func TestOverheadExceedsErrorFreeFloor(t *testing.T) {
 	}
 }
 
-func TestExpectedMakespanAndPatternCount(t *testing.T) {
+func TestExpectedMakespan(t *testing.T) {
 	m := heraModel(t, costmodel.Scenario1, 0.1)
 	tt, p, w := 6000.0, 512.0, 1e9
 	if got, want := m.ExpectedMakespan(w, tt, p), m.Overhead(tt, p)*w; got != want {
 		t.Errorf("makespan = %g, want %g", got, want)
-	}
-	if got, want := m.PatternCount(w, tt, p), w/(tt*m.Profile.Speedup(p)); got != want {
-		t.Errorf("pattern count = %g, want %g", got, want)
-	}
-	if got := m.PatternWork(tt, p); !xmath.EqualWithin(got, tt*m.Profile.Speedup(p), 1e-15, 0) {
-		t.Errorf("pattern work = %g", got)
 	}
 }
 

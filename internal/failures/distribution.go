@@ -236,9 +236,8 @@ func CacheKey(dist Distribution) string {
 }
 
 // ValidateMean rejects a distribution whose mean is non-positive,
-// non-finite or NaN — the shared gate for every consumer that derives a
-// rate or an error-pressure bound from 1/mean (Source, the machine
-// simulator).
+// non-finite or NaN — the gate for a consumer that derives a rate or an
+// error-pressure bound from 1/mean (the machine simulator).
 func ValidateMean(dist Distribution) error {
 	mean := dist.Mean()
 	if !(mean > 0) || math.IsInf(mean, 0) {

@@ -205,7 +205,7 @@ func TestWeibullShape1TraceBitIdentical(t *testing.T) {
 	if w.Scale != 1/lambda {
 		t.Fatalf("shape-1 calibration: scale %g, want %g", w.Scale, 1/lambda)
 	}
-	exp, err := GenerateTrace(lambda, 0.3, 16, 3e7, rng.New(5))
+	exp, err := GenerateTraceDist(Exponential{Rate: lambda}, 0.3, 16, 3e7, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,10 +253,11 @@ func TestWeibullShape1TraceStatisticallyExponential(t *testing.T) {
 }
 
 // Golden pin of the exponential generator: these fingerprints were
-// captured from the pre-Distribution GenerateTrace; the refactored path
-// must reproduce them bit-identically for the same seed.
+// captured from the generator that predates the Distribution interface;
+// GenerateTraceDist with the exponential law must reproduce them
+// bit-identically for the same seed.
 func TestGenerateTraceGoldenPinned(t *testing.T) {
-	tr, err := GenerateTrace(1e-6, 0.3, 64, 2e8, rng.New(11))
+	tr, err := GenerateTraceDist(Exponential{Rate: 1e-6}, 0.3, 64, 2e8, rng.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +315,7 @@ func TestSortEventsDeterministicTieBreak(t *testing.T) {
 }
 
 func TestTraceCSVPersistsHorizon(t *testing.T) {
-	tr, err := GenerateTrace(1e-5, 0.4, 8, 1e6, rng.New(19))
+	tr, err := GenerateTraceDist(Exponential{Rate: 1e-5}, 0.4, 8, 1e6, rng.New(19))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,49 +424,6 @@ func TestReadCSVRejectsBadHorizon(t *testing.T) {
 	for i, in := range cases {
 		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
 			t.Errorf("case %d: bad horizon accepted", i)
-		}
-	}
-}
-
-func TestNewSourceDist(t *testing.T) {
-	d, err := NewWeibullMTBF(0.7, 1e5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSourceDist(d, rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(s.Rate()-1e-5)/1e-5 > 1e-12 {
-		t.Errorf("source rate = %g, want 1e-5", s.Rate())
-	}
-	if s.Dist() != Distribution(d) {
-		t.Error("Dist() does not expose the law")
-	}
-	for i := 0; i < 100; i++ {
-		if x := s.Next(); !(x > 0) {
-			t.Fatalf("non-positive draw %g", x)
-		}
-	}
-	if _, err := NewSourceDist(nil, rng.New(1)); err == nil {
-		t.Error("nil distribution accepted")
-	}
-	if _, err := NewSourceDist(d, nil); err == nil {
-		t.Error("nil rng accepted")
-	}
-}
-
-// Source.Next for the exponential law must sample the identical stream
-// as before the Distribution refactor: r.Exp(rate) draws.
-func TestSourceExponentialBitCompatible(t *testing.T) {
-	s, err := NewSource(2.5e-7, rng.New(77))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := rng.New(77)
-	for i := 0; i < 1000; i++ {
-		if got, want := s.Next(), ref.Exp(2.5e-7); got != want {
-			t.Fatalf("draw %d: %x, want %x", i, got, want)
 		}
 	}
 }

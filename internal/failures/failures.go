@@ -1,8 +1,10 @@
 // Package failures implements the error-process substrate of Section II:
-// fail-stop and silent error arrivals, the platform-level superposition
-// of P per-processor processes (λ_P = P·λ_ind), thinning of a combined
-// stream into fail-stop (fraction f) and silent (fraction s) sub-streams,
-// and synthetic failure traces with CSV persistence.
+// the two error kinds, the inter-arrival laws, and synthetic
+// machine-level failure traces — the superposition of P per-processor
+// processes (λ_P = P·λ_ind), each arrival fail-stop with probability f
+// and silent otherwise — with CSV persistence and a replay cursor. The
+// simulators draw their own arrivals from the same laws; traces feed
+// trace replay and amdahl-trace.
 //
 // The paper's model is exponential everywhere; the Distribution interface
 // generalizes the inter-arrival law to Weibull, log-normal and Gamma
@@ -56,117 +58,6 @@ func (k Kind) String() string {
 	}
 }
 
-// Source draws inter-arrival times for one error stream. The default
-// (NewSource) law is exponential — a thin, allocation-free wrapper over
-// an rng stream — and NewSourceDist generalizes it to any Distribution.
-type Source struct {
-	rate float64
-	dist Distribution // nil for the zero-rate never-arriving source
-	r    *rng.Rand
-}
-
-// NewSource returns an exponential Source with the given arrival rate
-// (1/s). A zero rate is allowed and never produces an arrival.
-func NewSource(rate float64, r *rng.Rand) (*Source, error) {
-	if rate < 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
-		return nil, fmt.Errorf("failures: invalid rate %g", rate)
-	}
-	if r == nil {
-		return nil, errors.New("failures: nil rng")
-	}
-	s := &Source{rate: rate, r: r}
-	if rate > 0 {
-		s.dist = Exponential{Rate: rate}
-	}
-	return s, nil
-}
-
-// NewSourceDist returns a Source drawing from an arbitrary inter-arrival
-// law. The source's nominal rate is 1/dist.Mean().
-func NewSourceDist(dist Distribution, r *rng.Rand) (*Source, error) {
-	if dist == nil {
-		return nil, errors.New("failures: nil distribution")
-	}
-	if r == nil {
-		return nil, errors.New("failures: nil rng")
-	}
-	if err := ValidateMean(dist); err != nil {
-		return nil, err
-	}
-	return &Source{rate: 1 / dist.Mean(), dist: dist, r: r}, nil
-}
-
-// Rate returns the nominal arrival rate (the reciprocal mean).
-func (s *Source) Rate() float64 { return s.rate }
-
-// Dist returns the inter-arrival law (nil for a zero-rate source).
-func (s *Source) Dist() Distribution { return s.dist }
-
-// Next returns the time to the next arrival (+Inf when the rate is 0).
-func (s *Source) Next() float64 {
-	if s.dist == nil {
-		return math.Inf(1)
-	}
-	return s.dist.Sample(s.r)
-}
-
-// FirstInWindow samples whether an arrival occurs within a window of the
-// given length, and if so at what offset. For the exponential law,
-// memorylessness makes this exactly one draw truncated to the window —
-// the age of the renewal process is irrelevant. For any other law the
-// draw is a fresh (age-zero) renewal interval: correct immediately after
-// an arrival or a protocol reset, an approximation mid-stream; callers
-// that need exact non-memoryless arrivals must track absolute next-event
-// clocks (as the machine-level simulator does) instead.
-func (s *Source) FirstInWindow(window float64) (offset float64, struck bool) {
-	if window <= 0 || s.dist == nil {
-		return 0, false
-	}
-	t := s.dist.Sample(s.r)
-	if t < window {
-		return t, true
-	}
-	return 0, false
-}
-
-// Environment bundles the two platform-level error streams for a job on P
-// processors, with independent sub-streams for each source as in the
-// paper's simulator ("two independent Poisson processes", Section IV-A).
-type Environment struct {
-	failStop *Source
-	silent   *Source
-}
-
-// NewEnvironment builds the platform-level environment: fail-stop rate
-// f·λ_ind·P and silent rate s·λ_ind·P, each with its own deterministic
-// rng sub-stream split from parent.
-func NewEnvironment(lambdaInd, f, s, procs float64, parent *rng.Rand) (*Environment, error) {
-	if !(lambdaInd >= 0) || !(procs >= 1) {
-		return nil, fmt.Errorf("failures: invalid λ_ind=%g or P=%g", lambdaInd, procs)
-	}
-	if !(f >= 0) || !(s >= 0) || math.Abs(f+s-1) > 1e-3 {
-		return nil, fmt.Errorf("failures: fractions f=%g, s=%g must sum to 1", f, s)
-	}
-	if parent == nil {
-		return nil, errors.New("failures: nil rng")
-	}
-	fs, err := NewSource(f*lambdaInd*procs, parent.SplitString("failstop"))
-	if err != nil {
-		return nil, err
-	}
-	ss, err := NewSource(s*lambdaInd*procs, parent.SplitString("silent"))
-	if err != nil {
-		return nil, err
-	}
-	return &Environment{failStop: fs, silent: ss}, nil
-}
-
-// FailStop returns the fail-stop stream.
-func (e *Environment) FailStop() *Source { return e.failStop }
-
-// Silent returns the silent stream.
-func (e *Environment) Silent() *Source { return e.silent }
-
 // Event is one failure in a trace.
 type Event struct {
 	// Time is the absolute occurrence time in seconds.
@@ -186,26 +77,7 @@ type Trace struct {
 	Horizon float64
 }
 
-// GenerateTrace builds a synthetic machine-level trace: each of procs
-// processors suffers errors at rate λ_ind, each error independently
-// fail-stop with probability f. Events are merged and time-ordered.
-// Arrivals are exponential; GenerateTraceDist generalizes the law.
-func GenerateTrace(lambdaInd, f float64, procs int, horizon float64, r *rng.Rand) (*Trace, error) {
-	if lambdaInd < 0 || math.IsNaN(lambdaInd) || math.IsInf(lambdaInd, 0) {
-		return nil, fmt.Errorf("failures: invalid trace rate λ=%g", lambdaInd)
-	}
-	if lambdaInd == 0 {
-		// Valid degenerate case: an empty trace of the full horizon.
-		if err := validateTraceParams(f, procs, horizon, r); err != nil {
-			return nil, err
-		}
-		return &Trace{Horizon: horizon}, nil
-	}
-	return GenerateTraceDist(Exponential{Rate: lambdaInd}, f, procs, horizon, r)
-}
-
-// validateTraceParams holds the parameter checks shared by both
-// generator entry points, so a tightened rule cannot miss one of them.
+// validateTraceParams checks the generator parameters other than the law.
 func validateTraceParams(f float64, procs int, horizon float64, r *rng.Rand) error {
 	// !(horizon > 0) also catches NaN, which would yield a silently
 	// empty, headerless trace.
@@ -510,13 +382,3 @@ func (rp *Replay) Peek() (Event, bool) {
 	}
 	return rp.trace.Events[rp.pos], true
 }
-
-// SkipTo advances the cursor past every event strictly before t.
-func (rp *Replay) SkipTo(t float64) {
-	for rp.pos < len(rp.trace.Events) && rp.trace.Events[rp.pos].Time < t {
-		rp.pos++
-	}
-}
-
-// Rewind resets the cursor to the start.
-func (rp *Replay) Rewind() { rp.pos = 0 }

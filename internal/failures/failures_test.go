@@ -20,141 +20,12 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestNewSourceValidation(t *testing.T) {
-	r := rng.New(1)
-	if _, err := NewSource(-1, r); err == nil {
-		t.Error("negative rate accepted")
-	}
-	if _, err := NewSource(math.Inf(1), r); err == nil {
-		t.Error("infinite rate accepted")
-	}
-	if _, err := NewSource(1, nil); err == nil {
-		t.Error("nil rng accepted")
-	}
-	s, err := NewSource(2.5, r)
-	if err != nil || s.Rate() != 2.5 {
-		t.Errorf("valid source rejected: %v", err)
-	}
-}
-
-func TestZeroRateNeverArrives(t *testing.T) {
-	s, _ := NewSource(0, rng.New(1))
-	if !math.IsInf(s.Next(), 1) {
-		t.Error("zero-rate Next should be +Inf")
-	}
-	if _, struck := s.FirstInWindow(1e12); struck {
-		t.Error("zero-rate source struck")
-	}
-}
-
-func TestSourceInterArrivalsAreExponential(t *testing.T) {
-	rate := 1e-5
-	s, _ := NewSource(rate, rng.New(42))
-	xs := make([]float64, 4000)
-	for i := range xs {
-		xs[i] = s.Next()
-	}
-	res, err := stats.KSTestExponential(xs, rate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Reject(0.01) {
-		t.Errorf("inter-arrivals rejected as Exp(%g): D=%g p=%g", rate, res.Statistic, res.PValue)
-	}
-}
-
-func TestFirstInWindowProbability(t *testing.T) {
-	// P(strike in window) = 1 − e^{−λW}.
-	rate, window := 1e-4, 5000.0
-	s, _ := NewSource(rate, rng.New(7))
-	const n = 200000
-	hits := 0
-	for i := 0; i < n; i++ {
-		if off, struck := s.FirstInWindow(window); struck {
-			hits++
-			if off < 0 || off >= window {
-				t.Fatalf("offset %g outside window", off)
-			}
-		}
-	}
-	want := -math.Expm1(-rate * window)
-	got := float64(hits) / n
-	if math.Abs(got-want) > 0.005 {
-		t.Errorf("strike probability = %g, want %g", got, want)
-	}
-}
-
-func TestFirstInWindowConditionalDensity(t *testing.T) {
-	// Conditioned on striking, the offset follows the truncated
-	// exponential; its mean is E_lost(W) = 1/λ − W/(e^{λW}−1).
-	rate, window := 2e-4, 8000.0
-	s, _ := NewSource(rate, rng.New(9))
-	var acc stats.Welford
-	for i := 0; i < 400000; i++ {
-		if off, struck := s.FirstInWindow(window); struck {
-			acc.Add(off)
-		}
-	}
-	want := 1/rate - window/math.Expm1(rate*window)
-	if math.Abs(acc.Mean()-want)/want > 0.01 {
-		t.Errorf("conditional mean offset = %g, want %g", acc.Mean(), want)
-	}
-}
-
-func TestNewEnvironment(t *testing.T) {
-	r := rng.New(3)
-	env, err := NewEnvironment(1.69e-8, 0.2188, 0.7812, 512, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantF := 0.2188 * 1.69e-8 * 512
-	wantS := 0.7812 * 1.69e-8 * 512
-	if math.Abs(env.FailStop().Rate()-wantF) > 1e-18 {
-		t.Errorf("fail-stop rate = %g, want %g", env.FailStop().Rate(), wantF)
-	}
-	if math.Abs(env.Silent().Rate()-wantS) > 1e-18 {
-		t.Errorf("silent rate = %g, want %g", env.Silent().Rate(), wantS)
-	}
-}
-
-func TestNewEnvironmentValidation(t *testing.T) {
-	r := rng.New(3)
-	if _, err := NewEnvironment(-1, 0.5, 0.5, 10, r); err == nil {
-		t.Error("negative λ accepted")
-	}
-	if _, err := NewEnvironment(1e-8, 0.5, 0.2, 10, r); err == nil {
-		t.Error("f+s != 1 accepted")
-	}
-	if _, err := NewEnvironment(1e-8, 0.5, 0.5, 0, r); err == nil {
-		t.Error("P=0 accepted")
-	}
-	if _, err := NewEnvironment(1e-8, 0.5, 0.5, 10, nil); err == nil {
-		t.Error("nil rng accepted")
-	}
-}
-
-func TestEnvironmentStreamsIndependent(t *testing.T) {
-	// Identical parent seeds must give identical environments; the two
-	// sub-streams must differ from each other.
-	e1, _ := NewEnvironment(1e-6, 0.5, 0.5, 100, rng.New(5))
-	e2, _ := NewEnvironment(1e-6, 0.5, 0.5, 100, rng.New(5))
-	if e1.FailStop().Next() != e2.FailStop().Next() {
-		t.Error("environment not deterministic")
-	}
-	e3, _ := NewEnvironment(1e-6, 0.5, 0.5, 100, rng.New(6))
-	a := e3.FailStop().Next()
-	b := e3.Silent().Next()
-	if a == b {
-		t.Error("fail-stop and silent streams identical")
-	}
-}
-
 func TestGenerateTraceSuperposition(t *testing.T) {
 	// The merged stream of P independent Exp(λ_ind) processes must be
 	// Exp(P·λ_ind): Proposition 1.2 of the fault-tolerance book [13].
 	lambda, procs := 1e-6, 64
 	horizon := 2e8 // expect ~12800 events
-	tr, err := GenerateTrace(lambda, 0.3, procs, horizon, rng.New(11))
+	tr, err := GenerateTraceDist(Exponential{Rate: lambda}, 0.3, procs, horizon, rng.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +44,7 @@ func TestGenerateTraceSuperposition(t *testing.T) {
 
 func TestGenerateTraceKindFractions(t *testing.T) {
 	f := 0.2188
-	tr, err := GenerateTrace(1e-6, f, 32, 5e8, rng.New(13))
+	tr, err := GenerateTraceDist(Exponential{Rate: 1e-6}, f, 32, 5e8, rng.New(13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +63,7 @@ func TestGenerateTraceKindFractions(t *testing.T) {
 }
 
 func TestGenerateTraceOrderingAndHorizon(t *testing.T) {
-	tr, err := GenerateTrace(1e-5, 0.5, 16, 1e7, rng.New(17))
+	tr, err := GenerateTraceDist(Exponential{Rate: 1e-5}, 0.5, 16, 1e7, rng.New(17))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,30 +84,23 @@ func TestGenerateTraceOrderingAndHorizon(t *testing.T) {
 
 func TestGenerateTraceValidation(t *testing.T) {
 	r := rng.New(1)
-	if _, err := GenerateTrace(-1, 0.5, 4, 100, r); err == nil {
-		t.Error("negative λ accepted")
-	}
-	if _, err := GenerateTrace(1e-6, 1.5, 4, 100, r); err == nil {
+	exp := Exponential{Rate: 1e-6}
+	if _, err := GenerateTraceDist(exp, 1.5, 4, 100, r); err == nil {
 		t.Error("f > 1 accepted")
 	}
-	if _, err := GenerateTrace(1e-6, 0.5, 0, 100, r); err == nil {
+	if _, err := GenerateTraceDist(exp, 0.5, 0, 100, r); err == nil {
 		t.Error("0 processors accepted")
 	}
-	if _, err := GenerateTrace(1e-6, 0.5, 4, 0, r); err == nil {
+	if _, err := GenerateTraceDist(exp, 0.5, 4, 0, r); err == nil {
 		t.Error("zero horizon accepted")
 	}
-	if _, err := GenerateTrace(1e-6, 0.5, 4, 100, nil); err == nil {
+	if _, err := GenerateTraceDist(exp, 0.5, 4, 100, nil); err == nil {
 		t.Error("nil rng accepted")
-	}
-	// Zero rate: valid, empty trace.
-	tr, err := GenerateTrace(0, 0.5, 4, 100, r)
-	if err != nil || len(tr.Events) != 0 {
-		t.Error("zero-rate trace should be empty and valid")
 	}
 }
 
 func TestTraceCSVRoundTrip(t *testing.T) {
-	tr, err := GenerateTrace(1e-5, 0.4, 8, 1e6, rng.New(19))
+	tr, err := GenerateTraceDist(Exponential{Rate: 1e-5}, 0.4, 8, 1e6, rng.New(19))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,16 +149,14 @@ func TestReplay(t *testing.T) {
 	if e, ok := rp.Next(); !ok || e.Time != 1 {
 		t.Error("first Next wrong")
 	}
-	rp.SkipTo(5)
+	if e, ok := rp.Next(); !ok || e.Time != 2 {
+		t.Errorf("second Next wrong: %+v", e)
+	}
 	if e, ok := rp.Next(); !ok || e.Time != 5 {
-		t.Errorf("SkipTo landed wrong: %+v", e)
+		t.Errorf("third Next wrong: %+v", e)
 	}
 	if _, ok := rp.Next(); ok {
 		t.Error("exhausted replay returned an event")
-	}
-	rp.Rewind()
-	if e, ok := rp.Next(); !ok || e.Time != 1 {
-		t.Error("Rewind failed")
 	}
 }
 
@@ -311,7 +173,7 @@ func TestInterArrivalsEmpty(t *testing.T) {
 func TestTraceWindowCountsArePoisson(t *testing.T) {
 	lambda, procs := 1e-6, 32
 	horizon := 4e8
-	tr, err := GenerateTrace(lambda, 0.3, procs, horizon, rng.New(21))
+	tr, err := GenerateTraceDist(Exponential{Rate: lambda}, 0.3, procs, horizon, rng.New(21))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func TestGenerateTraceDistOverflowingEstimate(t *testing.T) {
 // buffer is sized from procs × horizon/MTBF so a realistic trace fits
 // its first allocation.
 func TestGenerateTracePreallocMatchesDensity(t *testing.T) {
-	tr, err := GenerateTrace(1e-6, 0.3, 16, 1e8, rng.New(7))
+	tr, err := GenerateTraceDist(Exponential{Rate: 1e-6}, 0.3, 16, 1e8, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,8 +22,9 @@
 // from a single node — the fleet adds availability, never a different
 // answer.
 //
-// FaultPlan scripts replica misbehaviour (injected statuses, delays,
-// connection drops, mid-stream deaths) by peer and request class, so
+// The package's tests script replica misbehaviour (injected statuses,
+// delays, connection drops, mid-stream deaths) by peer and request class
+// through a fault-injection harness that lives in faults_test.go, so
 // every degradation path above is exercised by deterministic tests
 // rather than left to production to discover.
 package fleet

@@ -224,15 +224,13 @@ func TestFleetFailoverOnReplicaDeathMidRun(t *testing.T) {
 	front := httptest.NewServer(rt)
 	defer front.Close()
 
-	// RetryClient is the fleet's own client discipline; the run must not
-	// need it (the router absorbs the failure), but a real client would
-	// wear it, so the test does too.
-	rc := &service.RetryClient{MaxAttempts: 3, Base: time.Millisecond}
+	// A plain client with no retries of its own: the router must absorb
+	// the failure.
 	do := func(i int, alpha float64) {
 		t.Helper()
 		body := fmt.Sprintf(`{"model":{"platform":"hera","scenario":1,"alpha":%g}}`, alpha)
 		_, want := post(t, single.URL, "/v1/optimize", body)
-		resp, err := rc.Post(context.Background(), front.URL+"/v1/optimize", []byte(body))
+		resp, err := http.Post(front.URL+"/v1/optimize", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 )
 
@@ -136,52 +135,5 @@ func TestRequestClass(t *testing.T) {
 		if got := RequestClass(path); got != want {
 			t.Errorf("RequestClass(%q) = %q; want %q", path, got, want)
 		}
-	}
-}
-
-func TestFaultPlanValidate(t *testing.T) {
-	if err := (FaultPlan{"p1|optimize": {Code: 503}}).Validate(); err != nil {
-		t.Fatalf("valid plan rejected: %v", err)
-	}
-	for name, fp := range map[string]FaultPlan{
-		"bad key":    {"p1": {Code: 503}},
-		"bad status": {"p1|*": {Code: 42}},
-		"negative":   {"*": {DelayMS: -1}},
-	} {
-		if err := fp.Validate(); err == nil {
-			t.Errorf("%s: plan %v validated; want error", name, fp)
-		}
-	}
-	fp, err := ReadFaultPlan(strings.NewReader(`{"*|optimize":{"code":503,"reqs":2}}`))
-	if err != nil {
-		t.Fatalf("ReadFaultPlan: %v", err)
-	}
-	if fp["*|optimize"].Reqs != 2 {
-		t.Fatalf("decoded plan %v lost reqs", fp)
-	}
-}
-
-// TestFaultBoundedReqsAreFleetWide pins the determinism contract: a
-// bounded entry fires exactly Reqs times across all peers, most-specific
-// key first.
-func TestFaultBoundedReqsAreFleetWide(t *testing.T) {
-	c := NewController(FaultPlan{
-		"*|optimize": {Code: 503, Reqs: 2},
-		"p2|*":       {DelayMS: 1},
-	})
-	// p1 consumes both bounded firings; the third optimize match falls
-	// through to no fault.
-	for i, wantFault := range []bool{true, true, false} {
-		_, ok := c.match("p1", "optimize")
-		if ok != wantFault {
-			t.Fatalf("p1 optimize match %d = %v; want %v", i, ok, wantFault)
-		}
-	}
-	// p2's more specific peer wildcard still matches (separate entry).
-	if f, ok := c.match("p2", "optimize"); !ok || f.DelayMS != 1 {
-		t.Fatalf("p2 match = %+v, %v; want the p2|* delay", f, ok)
-	}
-	if got := c.Seen("p1", "optimize"); got != 3 {
-		t.Fatalf("Seen(p1, optimize) = %d; want 3", got)
 	}
 }

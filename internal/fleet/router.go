@@ -180,9 +180,6 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 // Ring exposes the membership ring (the health checker drives it).
 func (rt *Router) Ring() *Ring { return rt.ring }
 
-// PeerURL returns a peer's base URL ("" for unknown peers).
-func (rt *Router) PeerURL(peer string) string { return rt.opts.Peers[peer] }
-
 // ServeHTTP implements http.Handler.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rt.mux.ServeHTTP(w, r)
@@ -265,6 +262,24 @@ func ShardKey(path string, body []byte) (string, error) {
 		return modelKey(q.Model)
 	}
 	return "", fmt.Errorf("fleet: no shard key for %q", path)
+}
+
+// RequestClass maps an URL path onto its request class: the first path
+// segment under /v1/ ("optimize", "sweep", "multilevel", "cache", …),
+// or the bare first segment for the health endpoints. ShardKey
+// dispatches on it, and the fault-injection tests key their plans by it.
+func RequestClass(path string) string {
+	p := strings.TrimPrefix(path, "/")
+	if rest, ok := strings.CutPrefix(p, "v1/"); ok {
+		p = rest
+	}
+	if i := strings.IndexByte(p, '/'); i >= 0 {
+		p = p[:i]
+	}
+	if p == "" {
+		return "*"
+	}
+	return p
 }
 
 func modelKey(spec service.ModelSpec) (string, error) {

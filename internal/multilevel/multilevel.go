@@ -104,8 +104,10 @@ func FirstOrder(c Costs, lambdaF, lambdaS, hOfP float64) (Plan, error) {
 	if err := c.Validate(); err != nil {
 		return Plan{}, err
 	}
-	if !(lambdaF > 0) || !(lambdaS > 0) {
-		return Plan{}, errors.New("multilevel: both error rates must be positive")
+	// An infinite rate passes the positivity test but zeroes a segment
+	// length, leaving K = U/T undefined.
+	if !(lambdaF > 0) || !(lambdaS > 0) || math.IsInf(lambdaF, 0) || math.IsInf(lambdaS, 0) {
+		return Plan{}, errors.New("multilevel: both error rates must be positive and finite")
 	}
 	if !(hOfP > 0) {
 		return Plan{}, errors.New("multilevel: H(P) must be positive")

@@ -3,6 +3,7 @@ package multilevel
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"amdahlyd/internal/core"
@@ -160,6 +161,12 @@ func TestFirstOrderValidation(t *testing.T) {
 	}
 	if _, err := FirstOrder(c, 1e-6, 1e-6, 0); err == nil {
 		t.Error("zero H(P) accepted")
+	}
+	inf := math.Inf(1)
+	for _, rates := range [][2]float64{{inf, 1e-6}, {1e-6, inf}} {
+		if _, err := FirstOrder(c, rates[0], rates[1], 0.1); err == nil || !strings.Contains(err.Error(), "finite") {
+			t.Errorf("rates (λf, λs) = %v: err = %v, want the infinite rate rejected", rates, err)
+		}
 	}
 	bad := c
 	bad.V = math.NaN()

@@ -1,7 +1,7 @@
 // Package platform holds the platform parameters of Table II: the four
 // real machines (Hera, Atlas, Coastal, Coastal SSD) whose error rates and
 // checkpointing costs were measured for the Scalable Checkpoint/Restart
-// (SCR) study, plus JSON load/save for user-defined platforms.
+// (SCR) study, and the heterogeneous topologies built from such rows.
 //
 // λ_ind aggregates both fail-stop and silent errors per processor; the
 // fractions f and s = 1−f split it into the two sources. The checkpoint
@@ -11,10 +11,8 @@
 package platform
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strings"
@@ -77,20 +75,6 @@ func (pl Platform) Validate() error {
 	return nil
 }
 
-// MTBFInd returns the individual-processor MTBF μ_ind = 1/λ_ind (seconds).
-func (pl Platform) MTBFInd() float64 { return 1 / pl.LambdaInd }
-
-// Rates returns the platform-level fail-stop and silent error rates for a
-// job running on procs processors: λf = f·λ_ind·P and λs = s·λ_ind·P
-// (Section II, failure model).
-func (pl Platform) Rates(procs float64) (lambdaF, lambdaS float64) {
-	if procs < 1 {
-		procs = 1
-	}
-	return pl.FailStopFraction * pl.LambdaInd * procs,
-		pl.SilentFraction * pl.LambdaInd * procs
-}
-
 // Resilience calibrates the scenario's cost model from this platform's
 // measurements (Section IV-A) with the given downtime.
 func (pl Platform) Resilience(s costmodel.Scenario, downtime float64) (costmodel.Resilience, error) {
@@ -151,25 +135,4 @@ func Lookup(name string) (Platform, error) {
 	sort.Strings(names)
 	return Platform{}, fmt.Errorf("platform: unknown platform %q (built-ins: %s)",
 		name, strings.Join(names, ", "))
-}
-
-// WriteJSON serializes a set of platforms.
-func WriteJSON(w io.Writer, pls []Platform) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(pls)
-}
-
-// ReadJSON loads and validates a set of platforms.
-func ReadJSON(r io.Reader) ([]Platform, error) {
-	var pls []Platform
-	if err := json.NewDecoder(r).Decode(&pls); err != nil {
-		return nil, fmt.Errorf("platform: decoding JSON: %w", err)
-	}
-	for _, pl := range pls {
-		if err := pl.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	return pls, nil
 }

@@ -1,7 +1,6 @@
 package platform
 
 import (
-	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -48,40 +47,6 @@ func TestAllReturnsCopy(t *testing.T) {
 	pls[0].LambdaInd = 42
 	if Hera().LambdaInd == 42 {
 		t.Error("All exposed internal registry storage")
-	}
-}
-
-func TestRatesSplitAndScale(t *testing.T) {
-	h := Hera()
-	lf, ls := h.Rates(512)
-	if !xmath.EqualWithin(lf+ls, 512*1.69e-8, 1e-12, 0) {
-		t.Errorf("total platform rate = %g, want %g", lf+ls, 512*1.69e-8)
-	}
-	if !xmath.EqualWithin(lf/(lf+ls), 0.2188, 1e-9, 0) {
-		t.Errorf("fail-stop share = %g, want f", lf/(lf+ls))
-	}
-	// Rates scale linearly with P (Proposition 1.2 of [13]).
-	lf2, ls2 := h.Rates(1024)
-	if !xmath.EqualWithin(lf2, 2*lf, 1e-12, 0) || !xmath.EqualWithin(ls2, 2*ls, 1e-12, 0) {
-		t.Error("rates not linear in P")
-	}
-	// P < 1 clamps.
-	lfc, _ := h.Rates(0)
-	lf1, _ := h.Rates(1)
-	if lfc != lf1 {
-		t.Error("P < 1 not clamped in Rates")
-	}
-}
-
-func TestMTBFInd(t *testing.T) {
-	h := Hera()
-	if !xmath.EqualWithin(h.MTBFInd(), 1/1.69e-8, 1e-12, 0) {
-		t.Errorf("MTBF = %g", h.MTBFInd())
-	}
-	// Roughly 1.9 years: λ_ind ≈ 1.69e-8 per second.
-	years := h.MTBFInd() / (365.25 * 86400)
-	if years < 1.5 || years > 2.5 {
-		t.Errorf("Hera individual MTBF = %g years, outside plausible range", years)
 	}
 }
 
@@ -151,34 +116,5 @@ func TestValidateRejectsBadPlatforms(t *testing.T) {
 		if err := pl.Validate(); err == nil {
 			t.Errorf("case %d: invalid platform accepted: %+v", i, pl)
 		}
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, All()); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 4 {
-		t.Fatalf("round trip lost platforms: %d", len(back))
-	}
-	for i, pl := range back {
-		if pl != All()[i] {
-			t.Errorf("platform %d changed in round trip: %+v", i, pl)
-		}
-	}
-}
-
-func TestReadJSONRejectsInvalid(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("not json")); err == nil {
-		t.Error("garbage JSON accepted")
-	}
-	bad := `[{"name":"X","lambda_ind":-1,"f":0.5,"s":0.5,"p":10,"cp":10,"vp":1}]`
-	if _, err := ReadJSON(strings.NewReader(bad)); err == nil {
-		t.Error("invalid platform accepted from JSON")
 	}
 }

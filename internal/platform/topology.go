@@ -1,10 +1,8 @@
 package platform
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 )
 
@@ -107,15 +105,6 @@ func (tp Topology) Validate() error {
 	return nil
 }
 
-// TotalSize returns the total processor count across all groups.
-func (tp Topology) TotalSize() float64 {
-	total := 0.0
-	for _, g := range tp.Groups {
-		total += g.Size
-	}
-	return total
-}
-
 // SingleGroup wraps a classical platform as a one-group topology with
 // speed 1 and zero communication — the degenerate case every hetero
 // layer must reproduce bit-identically.
@@ -134,25 +123,4 @@ func SingleGroup(pl Platform) Topology {
 			VerificationCost: pl.VerificationCost,
 		}},
 	}
-}
-
-// WriteTopologyJSON serializes a set of topologies.
-func WriteTopologyJSON(w io.Writer, tps []Topology) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(tps)
-}
-
-// ReadTopologyJSON loads and validates a set of topologies.
-func ReadTopologyJSON(r io.Reader) ([]Topology, error) {
-	var tps []Topology
-	if err := json.NewDecoder(r).Decode(&tps); err != nil {
-		return nil, fmt.Errorf("platform: decoding topology JSON: %w", err)
-	}
-	for _, tp := range tps {
-		if err := tp.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	return tps, nil
 }

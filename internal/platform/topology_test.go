@@ -1,9 +1,7 @@
 package platform
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -95,56 +93,5 @@ func TestSingleGroupView(t *testing.T) {
 	// The Platform round trip through Group must be lossless.
 	if got := tp.Groups[0].Platform(); got != h {
 		t.Errorf("Group.Platform() round trip changed the row:\n got %+v\nwant %+v", got, h)
-	}
-	if tp.TotalSize() != h.Processors {
-		t.Errorf("TotalSize = %g, want %g", tp.TotalSize(), h.Processors)
-	}
-}
-
-func TestTopologyJSONRoundTrip(t *testing.T) {
-	tps := []Topology{
-		SingleGroup(Hera()),
-		{
-			Name: "hera+accel",
-			Comm: 1e-5,
-			Groups: []Group{
-				{Name: "cpu", LambdaInd: 1.69e-8, FailStopFraction: 0.2188, SilentFraction: 0.7812,
-					Size: 512, Speed: 1, CheckpointCost: 300, VerificationCost: 15.4},
-				{Name: "accel", LambdaInd: 8.45e-7, FailStopFraction: 0.2188, SilentFraction: 0.7812,
-					Size: 128, Speed: 8, CheckpointCost: 60, VerificationCost: 4},
-			},
-		},
-	}
-	var buf bytes.Buffer
-	if err := WriteTopologyJSON(&buf, tps); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadTopologyJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(tps) {
-		t.Fatalf("round trip lost topologies: %d", len(back))
-	}
-	for i := range tps {
-		if back[i].Name != tps[i].Name || back[i].Comm != tps[i].Comm ||
-			len(back[i].Groups) != len(tps[i].Groups) {
-			t.Errorf("topology %d header changed in round trip: %+v", i, back[i])
-		}
-		for j := range tps[i].Groups {
-			if back[i].Groups[j] != tps[i].Groups[j] {
-				t.Errorf("topology %d group %d changed in round trip: %+v", i, j, back[i].Groups[j])
-			}
-		}
-	}
-}
-
-func TestReadTopologyJSONRejectsInvalid(t *testing.T) {
-	if _, err := ReadTopologyJSON(strings.NewReader("not json")); err == nil {
-		t.Error("garbage topology JSON accepted")
-	}
-	bad := `[{"name":"x","comm":-1,"groups":[{"name":"g","lambda_ind":1e-8,"f":0.2,"s":0.8,"size":8,"speed":1,"cp":10,"vp":1}]}]`
-	if _, err := ReadTopologyJSON(strings.NewReader(bad)); err == nil {
-		t.Error("invalid topology accepted from JSON")
 	}
 }

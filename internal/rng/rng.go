@@ -227,56 +227,3 @@ func (r *Rand) Normal() float64 {
 		}
 	}
 }
-
-// Poisson returns a Poisson variate with the given mean. For small means
-// it uses Knuth multiplication; for large means it uses the PTRS
-// transformed-rejection method of Hörmann (1993).
-func (r *Rand) Poisson(mean float64) int64 {
-	switch {
-	case mean < 0 || math.IsNaN(mean):
-		panic("rng: Poisson with negative mean")
-	case mean == 0:
-		return 0
-	case mean < 30:
-		return r.poissonKnuth(mean)
-	default:
-		return r.poissonPTRS(mean)
-	}
-}
-
-func (r *Rand) poissonKnuth(mean float64) int64 {
-	l := math.Exp(-mean)
-	var k int64
-	p := 1.0
-	for {
-		p *= r.Float64Open()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
-func (r *Rand) poissonPTRS(mean float64) int64 {
-	b := 0.931 + 2.53*math.Sqrt(mean)
-	a := -0.059 + 0.02483*b
-	invAlpha := 1.1239 + 1.1328/(b-3.4)
-	vr := 0.9277 - 3.6224/(b-2)
-	logMean := math.Log(mean)
-	for {
-		u := r.Float64() - 0.5
-		v := r.Float64Open()
-		us := 0.5 - math.Abs(u)
-		k := math.Floor((2*a/us+b)*u + mean + 0.43)
-		if us >= 0.07 && v <= vr {
-			return int64(k)
-		}
-		if k < 0 || (us < 0.013 && v > us) {
-			continue
-		}
-		lg, _ := math.Lgamma(k + 1)
-		if math.Log(v*invAlpha/(a/(us*us)+b)) <= k*logMean-mean-lg {
-			return int64(k)
-		}
-	}
-}

@@ -227,45 +227,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
-func TestPoissonMoments(t *testing.T) {
-	r := New(37)
-	for _, mean := range []float64{0.5, 3, 12, 30, 80, 400} {
-		const n = 300000
-		var sum, sumSq float64
-		for i := 0; i < n; i++ {
-			k := float64(r.Poisson(mean))
-			if k < 0 {
-				t.Fatal("negative Poisson variate")
-			}
-			sum += k
-			sumSq += k * k
-		}
-		m := sum / n
-		v := sumSq/n - m*m
-		if math.Abs(m-mean)/mean > 0.02 {
-			t.Errorf("Poisson(%g) mean = %g", mean, m)
-		}
-		if math.Abs(v-mean)/mean > 0.05 {
-			t.Errorf("Poisson(%g) variance = %g", mean, v)
-		}
-	}
-}
-
-func TestPoissonZeroMean(t *testing.T) {
-	if New(1).Poisson(0) != 0 {
-		t.Error("Poisson(0) should be 0")
-	}
-}
-
-func TestPoissonPanicsOnNegative(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Poisson(-1) should panic")
-		}
-	}()
-	New(1).Poisson(-1)
-}
-
 // Property: split children with distinct indices never share their first
 // few outputs (collision would break run independence).
 func TestSplitChildrenDistinctProperty(t *testing.T) {
@@ -297,15 +258,6 @@ func BenchmarkExp(b *testing.B) {
 	var sink float64
 	for i := 0; i < b.N; i++ {
 		sink += r.Exp(1e-5)
-	}
-	_ = sink
-}
-
-func BenchmarkPoissonLargeMean(b *testing.B) {
-	r := New(1)
-	var sink int64
-	for i := 0; i < b.N; i++ {
-		sink += r.Poisson(500)
 	}
 	_ = sink
 }

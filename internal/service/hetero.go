@@ -99,7 +99,7 @@ func validatePlan(hm core.HeteroModel, plan []hetero.GroupPlan) error {
 
 // HeteroSimulate runs (or replays from cache) a seeded heterogeneous
 // Monte-Carlo campaign for the given per-group plan. Results are
-// bit-identical to sim.SimulateHetero on the same plan; concurrent
+// bit-identical to sim.SimulateHeteroContext on the same plan; concurrent
 // identical campaigns run once.
 func (e *Engine) HeteroSimulate(ctx context.Context, hm core.HeteroModel, plan []hetero.GroupPlan, runs, patterns int, seed uint64) (res sim.HeteroRunResult, cached bool, err error) {
 	e.hgSimCalls.Add(1)

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"net/http"
 	"testing"
 
@@ -80,7 +81,7 @@ func TestHeteroOptimizeMatchesLibrary(t *testing.T) {
 }
 
 // TestHeteroSimulateMatchesLibrary: the campaign endpoint must be
-// bit-identical to sim.SimulateHetero on the same plan.
+// bit-identical to sim.SimulateHeteroContext on the same plan.
 func TestHeteroSimulateMatchesLibrary(t *testing.T) {
 	_, ts := newTestServer(t)
 	spec := testTopologySpec(1e-6)
@@ -101,7 +102,7 @@ func TestHeteroSimulateMatchesLibrary(t *testing.T) {
 		}
 		groups[i] = sim.HeteroGroupRun{Model: m, T: pg.T, P: pg.P, Fraction: pg.Fraction}
 	}
-	want, err := sim.SimulateHetero(groups, sim.RunConfig{Runs: 40, Patterns: 30, Seed: 9, Workers: 1})
+	want, err := sim.SimulateHeteroContext(context.Background(), groups, sim.RunConfig{Runs: 40, Patterns: 30, Seed: 9, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -365,9 +365,6 @@ func (s *Server) StartDrain(grace time.Duration) {
 	time.AfterFunc(grace, s.drainCancel)
 }
 
-// Draining reports whether StartDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Engine returns the underlying engine (for stats and tests).
 func (s *Server) Engine() *Engine { return s.engine }
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -163,6 +164,26 @@ func TestMultilevelSimulateBudgetCap(t *testing.T) {
 	})
 	if code != http.StatusUnprocessableEntity {
 		t.Errorf("oversized campaign status %d, want 422", code)
+	}
+}
+
+// TestMultilevelSimulateRejectsOverflowingRates: a λ whose platform
+// rates overflow to +Inf is a request error that names the rates, not a
+// NaN pattern.
+func TestMultilevelSimulateRejectsOverflowingRates(t *testing.T) {
+	_, ts := newTestServer(t)
+	resp, err := http.Post(ts.URL+"/v1/multilevel/simulate", "application/json",
+		strings.NewReader(`{"model":{"lambda":1e308},"runs":2,"patterns":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "positive and finite") {
+		t.Errorf("status %d: %s; want 400 rejecting the infinite rates", resp.StatusCode, body)
 	}
 }
 

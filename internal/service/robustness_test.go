@@ -4,12 +4,10 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -139,106 +137,6 @@ func TestSweepStreamDrainsCleanlyMidStream(t *testing.T) {
 	}
 	if rows == 0 || rows >= cells {
 		t.Fatalf("drain cut nothing: %d of %d rows arrived", rows, cells)
-	}
-}
-
-// --- RetryClient: the client side of load-shedding ---
-
-func TestRetryClientConvergesOn503(t *testing.T) {
-	var hits atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if hits.Add(1) <= 2 {
-			w.Header().Set("Retry-After", "0")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			return
-		}
-		fmt.Fprintln(w, `{"ok":true}`)
-	}))
-	defer ts.Close()
-
-	rc := &RetryClient{MaxAttempts: 5, Base: time.Millisecond, Seed: 1}
-	resp, err := rc.Post(context.Background(), ts.URL, []byte(`{}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d after retries, want 200", resp.StatusCode)
-	}
-	if got := hits.Load(); got != 3 {
-		t.Fatalf("server saw %d requests, want exactly 3 (2 shed + 1 success) — no storm, no give-up", got)
-	}
-}
-
-func TestRetryClientDoesNotRetryRequestErrors(t *testing.T) {
-	var hits atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		http.Error(w, "bad request", http.StatusBadRequest)
-	}))
-	defer ts.Close()
-	rc := &RetryClient{MaxAttempts: 5, Base: time.Millisecond, Seed: 1}
-	resp, err := rc.Post(context.Background(), ts.URL, []byte(`{}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want the 400 surfaced", resp.StatusCode)
-	}
-	if got := hits.Load(); got != 1 {
-		t.Fatalf("server saw %d requests for a non-transient 400, want 1", got)
-	}
-}
-
-func TestRetryClientBoundedAttemptsSurfaceFinal503(t *testing.T) {
-	var hits atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		w.Header().Set("Retry-After", "0")
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}))
-	defer ts.Close()
-	rc := &RetryClient{MaxAttempts: 3, Base: time.Millisecond, Seed: 1}
-	resp, err := rc.Post(context.Background(), ts.URL, []byte(`{}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("final status %d, want the last 503 surfaced with its Retry-After", resp.StatusCode)
-	}
-	if got := hits.Load(); got != 3 {
-		t.Fatalf("server saw %d requests, want exactly MaxAttempts=3", got)
-	}
-}
-
-func TestRetryClientHonoursRetryAfterFloor(t *testing.T) {
-	var hits atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if hits.Add(1) == 1 {
-			w.Header().Set("Retry-After", "1") // 1 s, far above the backoff base
-			w.WriteHeader(http.StatusServiceUnavailable)
-			return
-		}
-		fmt.Fprintln(w, `{}`)
-	}))
-	defer ts.Close()
-	// MaxDelay caps the honoured Retry-After at 30 ms: the wait must land
-	// between the cap and well under the server's full second.
-	rc := &RetryClient{MaxAttempts: 3, Base: time.Millisecond, MaxDelay: 30 * time.Millisecond, Seed: 1}
-	start := time.Now()
-	resp, err := rc.Post(context.Background(), ts.URL, []byte(`{}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	elapsed := time.Since(start)
-	if elapsed < 30*time.Millisecond {
-		t.Fatalf("retried after %v, before the capped Retry-After floor of 30ms", elapsed)
-	}
-	if elapsed > 500*time.Millisecond {
-		t.Fatalf("retried after %v: MaxDelay cap on Retry-After not applied", elapsed)
 	}
 }
 

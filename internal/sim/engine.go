@@ -144,25 +144,6 @@ func (e *Engine) Run() {
 	}
 }
 
-// RunUntil fires events with time <= deadline, then sets the clock to the
-// deadline (if it advanced that far).
-func (e *Engine) RunUntil(deadline float64) {
-	for e.pq.Len() > 0 {
-		next := e.pq[0]
-		if next.stopped {
-			heap.Pop(&e.pq)
-			continue
-		}
-		if next.time > deadline {
-			break
-		}
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-}
-
 // eventHeap is a min-heap on (time, seq).
 type eventHeap []*Scheduled
 

@@ -67,28 +67,6 @@ func TestEngineEventsScheduleEvents(t *testing.T) {
 	}
 }
 
-func TestEngineRunUntil(t *testing.T) {
-	var e Engine
-	count := 0
-	for i := 1; i <= 5; i++ {
-		e.Schedule(float64(i), func() { count++ })
-	}
-	e.RunUntil(3)
-	if count != 3 {
-		t.Errorf("fired %d events by t=3, want 3", count)
-	}
-	if e.Now() != 3 {
-		t.Errorf("clock = %g, want 3", e.Now())
-	}
-	if e.Pending() != 2 {
-		t.Errorf("pending = %d, want 2", e.Pending())
-	}
-	e.RunUntil(10)
-	if count != 5 || e.Now() != 10 {
-		t.Errorf("after RunUntil(10): count=%d now=%g", count, e.Now())
-	}
-}
-
 func TestEngineNegativeDelayClamped(t *testing.T) {
 	var e Engine
 	e.Schedule(5, func() {

@@ -45,19 +45,14 @@ type HeteroRunResult struct {
 	Config RunConfig
 }
 
-// SimulateHetero runs the Monte-Carlo campaign for a heterogeneous plan:
-// each run plays every group's pattern stream independently and scores
-// the run by its makespan overhead max_g x_g·H_g. It is
-// SimulateHeteroContext with a background context.
-func SimulateHetero(groups []HeteroGroupRun, cfg RunConfig) (HeteroRunResult, error) {
-	return SimulateHeteroContext(context.Background(), groups, cfg)
-}
-
-// SimulateHeteroContext simulates the heterogeneous plan on the shared
-// chunked runner. Run i draws from the deterministic child stream
-// Split(i) and group g within the run from the grandchild Split(g), so
-// results are independent of worker count and dispatch order, and a
-// group's stream does not shift when another group's plan changes.
+// SimulateHeteroContext runs the Monte-Carlo campaign for a
+// heterogeneous plan on the shared chunked runner: each run plays every
+// group's pattern stream independently and scores the run by its
+// makespan overhead max_g x_g·H_g. Run i draws from the deterministic
+// child stream Split(i) and group g within the run from the grandchild
+// Split(g), so results are independent of worker count and dispatch
+// order, and a group's stream does not shift when another group's plan
+// changes.
 func SimulateHeteroContext(ctx context.Context, groups []HeteroGroupRun, cfg RunConfig) (HeteroRunResult, error) {
 	cfg = cfg.WithDefaults()
 	if cfg.Runs < 1 || cfg.Patterns < 1 {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -31,7 +32,7 @@ func TestSimulateHeteroWorkerIndependence(t *testing.T) {
 	groups := heteroTestGroups(t)
 	var ref HeteroRunResult
 	for i, workers := range []int{1, 3, 8} {
-		res, err := SimulateHetero(groups, RunConfig{Runs: 60, Patterns: 40, Seed: 7, Workers: workers})
+		res, err := SimulateHeteroContext(context.Background(), groups, RunConfig{Runs: 60, Patterns: 40, Seed: 7, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,13 +58,13 @@ func TestSimulateHeteroWorkerIndependence(t *testing.T) {
 // expectation-free, stream-exact terms when its own plan is unchanged).
 func TestSimulateHeteroGroupStreamIsolation(t *testing.T) {
 	groups := heteroTestGroups(t)
-	base, err := SimulateHetero(groups, RunConfig{Runs: 40, Patterns: 30, Seed: 11, Workers: 1})
+	base, err := SimulateHeteroContext(context.Background(), groups, RunConfig{Runs: 40, Patterns: 30, Seed: 11, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	perturbed := append([]HeteroGroupRun{}, groups...)
 	perturbed[1].T = 4321
-	got, err := SimulateHetero(perturbed, RunConfig{Runs: 40, Patterns: 30, Seed: 11, Workers: 1})
+	got, err := SimulateHeteroContext(context.Background(), perturbed, RunConfig{Runs: 40, Patterns: 30, Seed: 11, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestSimulateHeteroGroupStreamIsolation(t *testing.T) {
 // be max_g x_g·H_g of the same run.
 func TestSimulateHeteroAgreesWithModel(t *testing.T) {
 	groups := heteroTestGroups(t)
-	res, err := SimulateHetero(groups, RunConfig{Runs: 300, Patterns: 200, Seed: 3})
+	res, err := SimulateHeteroContext(context.Background(), groups, RunConfig{Runs: 300, Patterns: 200, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestSimulateHeteroAgreesWithModel(t *testing.T) {
 func TestSimulateHeteroSingleGroupMatchesClassic(t *testing.T) {
 	m := heraModel(t, costmodel.Scenario1, 0.1)
 	one := []HeteroGroupRun{{Model: m, T: 5000, P: 256, Fraction: 1}}
-	het, err := SimulateHetero(one, RunConfig{Runs: 200, Patterns: 100, Seed: 5})
+	het, err := SimulateHeteroContext(context.Background(), one, RunConfig{Runs: 200, Patterns: 100, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,20 +132,20 @@ func TestSimulateHeteroSingleGroupMatchesClassic(t *testing.T) {
 
 func TestSimulateHeteroRejectsBadPlans(t *testing.T) {
 	groups := heteroTestGroups(t)
-	if _, err := SimulateHetero(nil, RunConfig{Runs: 10, Patterns: 10}); err == nil {
+	if _, err := SimulateHeteroContext(context.Background(), nil, RunConfig{Runs: 10, Patterns: 10}); err == nil {
 		t.Error("empty plan accepted")
 	}
 	bad := append([]HeteroGroupRun{}, groups...)
 	bad[0].Fraction = 0
-	if _, err := SimulateHetero(bad, RunConfig{Runs: 10, Patterns: 10}); err == nil {
+	if _, err := SimulateHeteroContext(context.Background(), bad, RunConfig{Runs: 10, Patterns: 10}); err == nil {
 		t.Error("zero fraction accepted")
 	}
 	bad = append([]HeteroGroupRun{}, groups...)
 	bad[0].Fraction = math.NaN()
-	if _, err := SimulateHetero(bad, RunConfig{Runs: 10, Patterns: 10}); err == nil {
+	if _, err := SimulateHeteroContext(context.Background(), bad, RunConfig{Runs: 10, Patterns: 10}); err == nil {
 		t.Error("NaN fraction accepted")
 	}
-	if _, err := SimulateHetero(groups, RunConfig{Runs: 10, Patterns: 10, Machine: true}); err == nil {
+	if _, err := SimulateHeteroContext(context.Background(), groups, RunConfig{Runs: 10, Patterns: 10, Machine: true}); err == nil {
 		t.Error("machine mode accepted for heterogeneous plans")
 	}
 	// Error pressure propagates per group.
@@ -153,7 +154,7 @@ func TestSimulateHeteroRejectsBadPlans(t *testing.T) {
 	if err := hot[1].Model.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SimulateHetero(hot, RunConfig{Runs: 10, Patterns: 10}); err == nil {
+	if _, err := SimulateHeteroContext(context.Background(), hot, RunConfig{Runs: 10, Patterns: 10}); err == nil {
 		t.Error("unsimulable error pressure accepted")
 	}
 }

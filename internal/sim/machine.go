@@ -395,14 +395,3 @@ func (mc *Machine) SimulateRunWorkspace(patterns int, r *rng.Rand, ws *Workspace
 	}
 	return st, nil
 }
-
-// TheoreticalPlatformRate returns the machine's true long-run superposed
-// error rate: P·λ_ind for the exponential configuration, P/mean for a
-// renewal law (which NewMachineDist allows to differ from the model
-// MTBF). Tests compare it against the observed rate.
-func (mc *Machine) TheoreticalPlatformRate() float64 {
-	if mc.dist != nil {
-		return float64(mc.procs) / mc.dist.Mean()
-	}
-	return float64(mc.procs) * mc.lambdaInd
-}

@@ -44,17 +44,6 @@ func TestMachineErrorFree(t *testing.T) {
 	}
 }
 
-func TestMachineTheoreticalRate(t *testing.T) {
-	m := heraModel(t, costmodel.Scenario1, 0.1)
-	mc, err := NewMachine(m, 6000, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !xmath.EqualWithin(mc.TheoreticalPlatformRate(), 512*1.69e-8, 1e-12, 0) {
-		t.Errorf("platform rate = %g", mc.TheoreticalPlatformRate())
-	}
-}
-
 // The central cross-validation: the machine-level simulator (P explicit
 // exponential processors) and the pattern-level simulator (aggregated
 // platform rate) must agree on the mean pattern time within confidence

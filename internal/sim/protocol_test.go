@@ -251,7 +251,8 @@ func TestSilentRetryCountMatchesGeometry(t *testing.T) {
 }
 
 // Kolmogorov–Smirnov check on the simulator's fail-stop inter-arrival
-// sampling through the public FirstInWindow-equivalent path.
+// sampling: a window far longer than any draw makes failStopIn return
+// the raw exponential draw.
 func TestProtocolFailStopSamplingIsExponential(t *testing.T) {
 	m := heraModel(t, costmodel.Scenario3, 0.1)
 	m.FailStopFrac, m.SilentFrac = 1, 0
@@ -274,5 +275,62 @@ func TestProtocolFailStopSamplingIsExponential(t *testing.T) {
 	}
 	if res.Reject(0.01) {
 		t.Errorf("fail-stop arrivals rejected as exponential: p=%g", res.PValue)
+	}
+}
+
+// failStopOnlyProtocol returns a pattern simulator on P = 512 whose
+// only error source is fail-stop, at an individual rate that puts the
+// platform rate λf near lf.
+func failStopOnlyProtocol(t *testing.T, lf float64) *Protocol {
+	t.Helper()
+	m := heraModel(t, costmodel.Scenario3, 0.1)
+	m.FailStopFrac, m.SilentFrac = 1, 0
+	m.LambdaInd = lf / 512
+	pr, err := NewProtocol(m, 1e3, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pr
+}
+
+// The window sampler behind every fail-stop draw strikes a window of
+// length W with probability 1 − e^{−λf·W}, at an offset inside it.
+func TestFailStopInStrikeProbability(t *testing.T) {
+	pr := failStopOnlyProtocol(t, 1e-4)
+	window := 5000.0
+	r := rng.New(7)
+	const n = 200000
+	hits := 0
+	for i := 0; i < n; i++ {
+		if off, struck := pr.failStopIn(window, r); struck {
+			hits++
+			if off < 0 || off >= window {
+				t.Fatalf("offset %g outside window", off)
+			}
+		}
+	}
+	want := -math.Expm1(-pr.lambdaF * window)
+	got := float64(hits) / n
+	if math.Abs(got-want) > 0.005 {
+		t.Errorf("strike probability = %g, want %g", got, want)
+	}
+}
+
+// Conditioned on striking, the offset follows the truncated exponential:
+// its mean is Proposition 1's lost time E_lost(W) = 1/λf − W/(e^{λf·W}−1).
+func TestFailStopInConditionalMean(t *testing.T) {
+	pr := failStopOnlyProtocol(t, 2e-4)
+	window := 8000.0
+	r := rng.New(9)
+	var acc stats.Welford
+	for i := 0; i < 400000; i++ {
+		if off, struck := pr.failStopIn(window, r); struck {
+			acc.Add(off)
+		}
+	}
+	lf := pr.lambdaF
+	want := 1/lf - window/math.Expm1(lf*window)
+	if math.Abs(acc.Mean()-want)/want > 0.01 {
+		t.Errorf("conditional mean offset = %g, want %g", acc.Mean(), want)
 	}
 }

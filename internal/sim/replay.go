@@ -16,7 +16,7 @@ import (
 // and downtime consumes wall clock but no trace time.
 //
 // Replay is the bridge between failure logs and the model: a synthetic
-// trace generated by failures.GenerateTrace reproduces the Monte-Carlo
+// trace generated by failures.GenerateTraceDist reproduces the Monte-Carlo
 // simulator statistically (a property the tests assert), and a real
 // machine log in the same CSV format can be replayed unchanged. The
 // stats cover as many whole patterns as the trace horizon accommodates.

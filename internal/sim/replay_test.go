@@ -152,7 +152,7 @@ func TestReplayMatchesMonteCarlo(t *testing.T) {
 
 	var acc stats.Welford
 	for seed := uint64(0); seed < 60; seed++ {
-		tr, err := failures.GenerateTrace(m.LambdaInd, m.FailStopFrac, procs, 3e5, rng.New(seed))
+		tr, err := failures.GenerateTraceDist(failures.Exponential{Rate: m.LambdaInd}, m.FailStopFrac, procs, 3e5, rng.New(seed))
 		if err != nil {
 			t.Fatal(err)
 		}

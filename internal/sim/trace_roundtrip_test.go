@@ -21,7 +21,7 @@ func TestReplayCSVRoundTripBitEqual(t *testing.T) {
 	// A sparse trace with a long event-free tail before the horizon: the
 	// patterns completed in that tail are exactly what the lossy horizon
 	// used to drop.
-	tr, err := failures.GenerateTrace(1e-6, pl.FailStopFraction, 8, 4e6, rng.New(23))
+	tr, err := failures.GenerateTraceDist(failures.Exponential{Rate: 1e-6}, pl.FailStopFraction, 8, 4e6, rng.New(23))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,14 +62,6 @@ func (a Amdahl) Overhead(p float64) float64 {
 // Name implements Profile.
 func (a Amdahl) Name() string { return fmt.Sprintf("amdahl(α=%g)", a.Alpha) }
 
-// MaxSpeedup returns the asymptotic speedup bound 1/α (infinite for α = 0).
-func (a Amdahl) MaxSpeedup() float64 {
-	if a.Alpha == 0 {
-		return math.Inf(1)
-	}
-	return 1 / a.Alpha
-}
-
 // PerfectlyParallel is the H(P) = 1/P profile of Section III-D.4.
 type PerfectlyParallel struct{}
 

@@ -17,9 +17,6 @@ func TestAmdahlKnownValues(t *testing.T) {
 	if !xmath.EqualWithin(a.Speedup(1e12), 10, 1e-6, 0) {
 		t.Errorf("S(1e12) = %g, want ≈10", a.Speedup(1e12))
 	}
-	if a.MaxSpeedup() != 10 {
-		t.Errorf("MaxSpeedup = %g", a.MaxSpeedup())
-	}
 	// H(P) = α + (1−α)/P: H(9) = 0.2 for α = 0.1.
 	if !xmath.EqualWithin(a.Overhead(9), 0.2, 1e-12, 0) {
 		t.Errorf("H(9) = %g, want 0.2", a.Overhead(9))
@@ -33,9 +30,6 @@ func TestAmdahlAlphaZeroIsLinear(t *testing.T) {
 		if !xmath.EqualWithin(a.Speedup(p), pp.Speedup(p), 1e-12, 0) {
 			t.Errorf("α=0 Amdahl differs from PerfectlyParallel at P=%g", p)
 		}
-	}
-	if !math.IsInf(a.MaxSpeedup(), 1) {
-		t.Error("α=0 MaxSpeedup should be +Inf")
 	}
 }
 

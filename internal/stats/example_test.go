@@ -6,22 +6,6 @@ import (
 	"amdahlyd/internal/stats"
 )
 
-// Welford accumulation with a parallel merge: the way the Monte-Carlo
-// runner aggregates per-worker results.
-func ExampleWelford_Merge() {
-	var a, b stats.Welford
-	for _, x := range []float64{2, 4, 4, 4} {
-		a.Add(x)
-	}
-	for _, x := range []float64{5, 5, 7, 9} {
-		b.Add(x)
-	}
-	a.Merge(b)
-	fmt.Printf("n = %d, mean = %g, variance = %.4f\n", a.N(), a.Mean(), a.Variance())
-	// Output:
-	// n = 8, mean = 5, variance = 4.5714
-}
-
 func ExampleQuantile() {
 	xs := []float64{9, 1, 8, 2, 7, 3, 6, 4, 5}
 	med, _ := stats.Median(xs)

@@ -53,66 +53,3 @@ func KSTestExponential(xs []float64, rate float64) (KSResult, error) {
 		return -math.Expm1(-rate * x)
 	})
 }
-
-// KSTestUniform01 tests xs against the uniform distribution on [0, 1].
-func KSTestUniform01(xs []float64) (KSResult, error) {
-	return KSTest(xs, func(x float64) float64 { return xmath.Clamp(x, 0, 1) })
-}
-
-// Histogram is a fixed-width binning of observations on [Lo, Hi); values
-// outside the range are counted in Under/Over.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int64
-	Under  int64
-	Over   int64
-	total  int64
-}
-
-// NewHistogram creates a histogram with the given bounds and bin count.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins < 1 || !(hi > lo) {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, bins)}
-}
-
-// Add bins one observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-		if i == len(h.Counts) { // guard FP edge at x == Hi−ulp
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of observations added, including out-of-range.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Density returns the normalized density of bin i (counts / total / width).
-func (h *Histogram) Density(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return float64(h.Counts[i]) / float64(h.total) / width
-}
-
-// Mode returns the index of the fullest bin.
-func (h *Histogram) Mode() int {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return best
-}

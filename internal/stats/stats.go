@@ -1,9 +1,10 @@
 // Package stats provides the statistics substrate for the Monte-Carlo
-// experiments: online moment accumulation, confidence intervals, quantiles,
-// histograms, bootstrap resampling and Kolmogorov–Smirnov goodness-of-fit
-// tests. The simulation study in the paper reports means over 500 runs;
-// this package supplies those means together with uncertainty estimates so
-// EXPERIMENTS.md can state how tight the reproduction is.
+// experiments: online moment accumulation, confidence intervals,
+// quantiles, bootstrap resampling, and Kolmogorov–Smirnov and chi-square
+// goodness-of-fit tests. The simulation study in the paper reports means
+// over 500 runs; this package supplies those means together with
+// uncertainty estimates so the reports can state how tight the
+// reproduction is.
 package stats
 
 import (
@@ -44,30 +45,6 @@ func (w *Welford) Add(x float64) {
 	delta := x - w.mean
 	w.mean += delta / float64(w.n)
 	w.m2 += delta * (x - w.mean)
-}
-
-// Merge combines another accumulator into this one (Chan et al. parallel
-// formula), enabling per-worker accumulation in the parallel runner.
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n1, n2 := float64(w.n), float64(o.n)
-	delta := o.mean - w.mean
-	total := n1 + n2
-	w.mean += delta * n2 / total
-	w.m2 += o.m2 + delta*delta*n1*n2/total
-	w.n += o.n
-	if o.min < w.min {
-		w.min = o.min
-	}
-	if o.max > w.max {
-		w.max = o.max
-	}
 }
 
 // N returns the number of observations.
@@ -138,28 +115,6 @@ func (w *Welford) Summarize() Summary {
 		Max:    w.max,
 		CI95:   w.CI(0.95),
 	}
-}
-
-// Mean returns the arithmetic mean of xs.
-func Mean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	return xmath.SumSlice(xs) / float64(len(xs)), nil
-}
-
-// Variance returns the unbiased sample variance of xs.
-func Variance(xs []float64) (float64, error) {
-	if len(xs) < 2 {
-		return 0, ErrEmpty
-	}
-	m, _ := Mean(xs)
-	var s xmath.Sum
-	for _, x := range xs {
-		d := x - m
-		s.Add(d * d)
-	}
-	return s.Value() / float64(len(xs)-1), nil
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear

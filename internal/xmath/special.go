@@ -67,11 +67,6 @@ func NormalCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }
 
-// NormalPDF returns the standard normal density at x.
-func NormalPDF(x float64) float64 {
-	return math.Exp(-x*x/2) / math.Sqrt(2*math.Pi)
-}
-
 // StudentTQuantile returns the upper-tail two-sided critical value t such
 // that P(|T_ν| <= t) = conf for a Student-t variable with ν degrees of
 // freedom, using the Cornish–Fisher style expansion of Hill (1970). For

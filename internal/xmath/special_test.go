@@ -45,21 +45,6 @@ func TestNormalQuantileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNormalPDFIntegratesToCDF(t *testing.T) {
-	// Trapezoidal integral of the pdf from −8 to x should match the CDF.
-	x := 1.3
-	const n = 400000
-	lo := -8.0
-	h := (x - lo) / n
-	var s Sum
-	for i := 0; i < n; i++ {
-		s.Add(NormalPDF(lo+(float64(i)+0.5)*h) * h)
-	}
-	if !EqualWithin(s.Value(), NormalCDF(x), 1e-7, 0) {
-		t.Errorf("∫pdf = %g, CDF = %g", s.Value(), NormalCDF(x))
-	}
-}
-
 func TestStudentTQuantileReferenceValues(t *testing.T) {
 	// Reference two-sided 95% and 99% critical values (standard tables).
 	cases := []struct {

@@ -1,24 +1,20 @@
-// Package xmath provides numerically careful scalar math helpers shared by
-// the analytical model, the optimizers and the statistics layer.
+// Package xmath provides the scalar math helpers shared by the
+// analytical model, the optimizers, the experiment grids and the
+// statistics layer: exact float tokens for cache keys, axis grids, a
+// compensated sum, and the special functions the statistics layer needs
+// (inverse normal CDF, Student-t quantiles, the Kolmogorov distribution,
+// the regularized incomplete gamma function) without any dependency
+// outside the standard library.
 //
-// The expected-time formula of Proposition 1 mixes terms such as
-// exp(λC)·(exp(λ(C+T+V))−1) where the exponents span many orders of
-// magnitude: λ is as small as 1e-12 while T can exceed 1e7 seconds. The
-// helpers here keep those evaluations stable (expm1-based forms, log-space
-// products) and supply the special functions the statistics layer needs
-// (inverse normal CDF, Student-t quantiles, the Kolmogorov distribution)
-// without any dependency outside the standard library.
+// The expm1 forms that keep Proposition 1 stable — λ as small as 1e-12
+// while T exceeds 1e7 seconds — are written out inline in internal/core,
+// next to the terms they protect.
 package xmath
 
 import (
-	"errors"
 	"math"
 	"strconv"
 )
-
-// ErrDomain is returned by functions whose argument lies outside the
-// mathematical domain of the function.
-var ErrDomain = errors.New("xmath: argument outside domain")
 
 // FloatKey encodes a float64 exactly for use inside cache keys: shortest
 // hexadecimal form, so two values share a token iff they are the same
@@ -31,71 +27,6 @@ func FloatKey(v float64) string {
 	return strconv.FormatFloat(v, 'x', -1, 64)
 }
 
-// Expm1Div returns (e^x - 1)/x, evaluated stably for small |x|.
-// The limit at x = 0 is 1.
-func Expm1Div(x float64) float64 {
-	if x == 0 {
-		return 1
-	}
-	// For tiny x, expm1 keeps full precision where exp(x)-1 would not.
-	return math.Expm1(x) / x
-}
-
-// XOverExpm1 returns x/(e^x - 1), the reciprocal of Expm1Div. The limit at
-// x = 0 is 1. This is the factor appearing in the expected lost time
-// E_lost(W) = 1/λ − W/(e^{λW}−1) of Proposition 1.
-func XOverExpm1(x float64) float64 {
-	if x == 0 {
-		return 1
-	}
-	em := math.Expm1(x)
-	if math.IsInf(em, 1) {
-		return 0
-	}
-	return x / em
-}
-
-// ExpectedLost returns E_lost(W) for an exponential failure process with
-// rate lambda observed over an execution of length w: the expected time
-// elapsed before the failure, conditioned on the failure striking within
-// the window. It equals 1/λ − W/(e^{λW}−1) and tends to W/2 as λW → 0.
-func ExpectedLost(lambda, w float64) float64 {
-	if lambda <= 0 || w <= 0 {
-		return w / 2 // λ→0 limit of the closed form
-	}
-	x := lambda * w
-	if x < 1e-8 {
-		// Second-order Taylor expansion: W/2 − λW²/12 + O((λW)³).
-		return w/2 - lambda*w*w/12
-	}
-	return 1/lambda - w/math.Expm1(x)
-}
-
-// Log1pExp returns log(1 + e^x) without overflow for large x.
-func Log1pExp(x float64) float64 {
-	if x > 35 {
-		return x + math.Exp(-x)
-	}
-	if x < -35 {
-		return math.Exp(x)
-	}
-	return math.Log1p(math.Exp(x))
-}
-
-// LogExpm1 returns log(e^x − 1) for x > 0, stable for both tiny and huge x.
-func LogExpm1(x float64) float64 {
-	if !(x > 0) {
-		return math.NaN()
-	}
-	if x > 35 {
-		return x // e^x − 1 ≈ e^x
-	}
-	if x < 1e-8 {
-		return math.Log(x) + x/2 // log(x + x²/2 + …)
-	}
-	return math.Log(math.Expm1(x))
-}
-
 // Clamp limits v to the closed interval [lo, hi].
 func Clamp(v, lo, hi float64) float64 {
 	switch {
@@ -106,19 +37,6 @@ func Clamp(v, lo, hi float64) float64 {
 	default:
 		return v
 	}
-}
-
-// Lerp linearly interpolates between a and b with parameter t in [0, 1].
-func Lerp(a, b, t float64) float64 { return a + (b-a)*t }
-
-// Horner evaluates the polynomial with the given coefficients (constant
-// term first) at x using Horner's rule.
-func Horner(x float64, coeffs ...float64) float64 {
-	var acc float64
-	for i := len(coeffs) - 1; i >= 0; i-- {
-		acc = acc*x + coeffs[i]
-	}
-	return acc
 }
 
 // Sum is a compensated (Neumaier) accumulator. The zero value is ready to
@@ -143,18 +61,6 @@ func (s *Sum) Add(v float64) {
 
 // Value returns the compensated total.
 func (s *Sum) Value() float64 { return s.sum + s.c }
-
-// Reset clears the accumulator.
-func (s *Sum) Reset() { s.sum, s.c = 0, 0 }
-
-// SumSlice returns the compensated sum of xs.
-func SumSlice(xs []float64) float64 {
-	var s Sum
-	for _, x := range xs {
-		s.Add(x)
-	}
-	return s.Value()
-}
 
 // EqualWithin reports whether a and b agree within relative tolerance rel
 // or absolute tolerance abs (whichever is looser). NaNs are never equal.
@@ -212,19 +118,4 @@ func Logspace(lo, hi float64, n int) []float64 {
 	}
 	pts[0], pts[n-1] = lo, hi
 	return pts
-}
-
-// GeometricMean returns the geometric mean of xs (all positive).
-func GeometricMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrDomain
-	}
-	var s Sum
-	for _, x := range xs {
-		if !(x > 0) {
-			return 0, ErrDomain
-		}
-		s.Add(math.Log(x))
-	}
-	return math.Exp(s.Value() / float64(len(xs))), nil
 }

@@ -3,142 +3,11 @@ package xmath
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
-func TestExpm1DivBasics(t *testing.T) {
-	cases := []struct {
-		x, want float64
-	}{
-		{0, 1},
-		{1, math.E - 1},
-		{-1, 1 - 1/math.E},
-		{1e-12, 1 + 0.5e-12},
-	}
-	for _, c := range cases {
-		if got := Expm1Div(c.x); !EqualWithin(got, c.want, 1e-12, 1e-15) {
-			t.Errorf("Expm1Div(%g) = %g, want %g", c.x, got, c.want)
-		}
-	}
-}
-
-func TestXOverExpm1Reciprocal(t *testing.T) {
-	for _, x := range []float64{-5, -1, -1e-6, 1e-9, 0.5, 3, 20} {
-		prod := Expm1Div(x) * XOverExpm1(x)
-		if !EqualWithin(prod, 1, 1e-12, 0) {
-			t.Errorf("Expm1Div(%g)*XOverExpm1(%g) = %g, want 1", x, x, prod)
-		}
-	}
-}
-
-func TestXOverExpm1Overflow(t *testing.T) {
-	if got := XOverExpm1(1e6); got != 0 {
-		t.Errorf("XOverExpm1(1e6) = %g, want 0 (underflow of x·e^{-x})", got)
-	}
-}
-
-func TestExpectedLostSmallRateLimit(t *testing.T) {
-	// As λW → 0, E_lost(W) → W/2.
-	w := 100.0
-	got := ExpectedLost(1e-15, w)
-	if !EqualWithin(got, w/2, 1e-9, 0) {
-		t.Errorf("ExpectedLost tiny rate = %g, want %g", got, w/2)
-	}
-	// λ = 0 exactly uses the limit.
-	if got := ExpectedLost(0, w); got != w/2 {
-		t.Errorf("ExpectedLost(0, w) = %g, want %g", got, w/2)
-	}
-}
-
-func TestExpectedLostClosedForm(t *testing.T) {
-	lambda, w := 0.01, 250.0
-	want := 1/lambda - w/math.Expm1(lambda*w)
-	if got := ExpectedLost(lambda, w); !EqualWithin(got, want, 1e-12, 0) {
-		t.Errorf("ExpectedLost = %g, want %g", got, want)
-	}
-}
-
-func TestExpectedLostMonotoneInW(t *testing.T) {
-	// Expected lost time grows with the window length.
-	lambda := 1e-4
-	prev := 0.0
-	for _, w := range []float64{1, 10, 100, 1e3, 1e4, 1e5} {
-		got := ExpectedLost(lambda, w)
-		if got <= prev {
-			t.Fatalf("ExpectedLost not increasing at w=%g: %g <= %g", w, got, prev)
-		}
-		prev = got
-	}
-}
-
-func TestExpectedLostBelowHalfWindowProperty(t *testing.T) {
-	// For an exponential process, the conditional expected loss is always
-	// strictly between 0 and W/2 · (1 + small); more precisely it is at
-	// most W/2 and at least 0, approaching 1/λ for λW large.
-	f := func(l, w uint32) bool {
-		lambda := 1e-9 + float64(l%100000)*1e-7
-		win := 1 + float64(w%1000000)
-		got := ExpectedLost(lambda, win)
-		return got > 0 && got <= win/2+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLog1pExp(t *testing.T) {
-	cases := []float64{-100, -40, -5, 0, 5, 40, 100, 700}
-	for _, x := range cases {
-		got := Log1pExp(x)
-		var want float64
-		switch {
-		case x > 30:
-			want = x + math.Exp(-x)
-		case x < -30:
-			want = math.Exp(x) // log(1+ε) ≈ ε; naive form rounds to 0
-		default:
-			want = math.Log(1 + math.Exp(x))
-		}
-		if !EqualWithin(got, want, 1e-12, 1e-300) {
-			t.Errorf("Log1pExp(%g) = %g, want %g", x, got, want)
-		}
-	}
-}
-
-func TestLogExpm1(t *testing.T) {
-	for _, x := range []float64{1e-12, 1e-6, 0.1, 1, 10, 50, 500} {
-		got := LogExpm1(x)
-		var want float64
-		if x > 30 {
-			want = x
-		} else {
-			want = math.Log(math.Expm1(x))
-		}
-		if !EqualWithin(got, want, 1e-9, 0) {
-			t.Errorf("LogExpm1(%g) = %g, want %g", x, got, want)
-		}
-	}
-	if !math.IsNaN(LogExpm1(-1)) {
-		t.Error("LogExpm1(-1) should be NaN")
-	}
-}
-
-func TestClampAndLerp(t *testing.T) {
+func TestClamp(t *testing.T) {
 	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
 		t.Error("Clamp misbehaves")
-	}
-	if Lerp(2, 4, 0.5) != 3 {
-		t.Error("Lerp midpoint wrong")
-	}
-}
-
-func TestHorner(t *testing.T) {
-	// p(x) = 1 + 2x + 3x²  at x = 2 → 1 + 4 + 12 = 17
-	if got := Horner(2, 1, 2, 3); got != 17 {
-		t.Errorf("Horner = %g, want 17", got)
-	}
-	if got := Horner(5); got != 0 {
-		t.Errorf("empty Horner = %g, want 0", got)
 	}
 }
 
@@ -150,21 +19,6 @@ func TestNeumaierSumCancellation(t *testing.T) {
 	}
 	if got := s.Value(); got != 2 {
 		t.Errorf("compensated sum = %g, want 2", got)
-	}
-	s.Reset()
-	if s.Value() != 0 {
-		t.Error("Reset did not clear the accumulator")
-	}
-}
-
-func TestSumSliceMatchesAccumulator(t *testing.T) {
-	xs := []float64{0.1, 0.2, 0.3, 1e-17, -0.6}
-	var s Sum
-	for _, x := range xs {
-		s.Add(x)
-	}
-	if SumSlice(xs) != s.Value() {
-		t.Error("SumSlice disagrees with incremental accumulator")
 	}
 }
 
@@ -237,39 +91,4 @@ func TestLogspacePanicsOnNonPositive(t *testing.T) {
 		}
 	}()
 	Logspace(0, 1, 3)
-}
-
-func TestGeometricMean(t *testing.T) {
-	got, err := GeometricMean([]float64{1, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !EqualWithin(got, 10, 1e-12, 0) {
-		t.Errorf("GeometricMean = %g, want 10", got)
-	}
-	if _, err := GeometricMean(nil); err == nil {
-		t.Error("empty slice should error")
-	}
-	if _, err := GeometricMean([]float64{1, -1}); err == nil {
-		t.Error("negative value should error")
-	}
-}
-
-// Property: ExpectedLost agrees with a numerical integration of the
-// conditional density for moderate λW.
-func TestExpectedLostMatchesNumericalIntegral(t *testing.T) {
-	lambda, w := 0.002, 800.0
-	// ∫0^W t λ e^{−λt} dt / (1 − e^{−λW})
-	const n = 200000
-	dt := w / n
-	var num Sum
-	for i := 0; i < n; i++ {
-		tm := (float64(i) + 0.5) * dt
-		num.Add(tm * lambda * math.Exp(-lambda*tm) * dt)
-	}
-	want := num.Value() / (-math.Expm1(-lambda * w))
-	got := ExpectedLost(lambda, w)
-	if !EqualWithin(got, want, 1e-6, 0) {
-		t.Errorf("ExpectedLost = %g, numerical integral = %g", got, want)
-	}
 }

@@ -463,29 +463,15 @@ func BenchmarkHeteroSweep(b *testing.B) {
 // Ablations called out in DESIGN.md.
 // ---------------------------------------------------------------------
 
-// BenchmarkInnerGolden vs BenchmarkInnerBrent: the two scalar minimizers
-// on the real inner objective (overhead as a function of log-period).
-func innerObjective(b *testing.B) func(float64) float64 {
+// BenchmarkInnerBrent: the scalar minimizer behind every refinement, on
+// the real inner objective (overhead as a function of log-period).
+func BenchmarkInnerBrent(b *testing.B) {
 	m := heraModel(b, costmodel.Scenario1, 0.1)
-	return func(logT float64) float64 {
+	obj := func(logT float64) float64 {
 		return m.Overhead(math.Exp(logT), 512)
 	}
-}
-
-func BenchmarkInnerGolden(b *testing.B) {
-	obj := innerObjective(b)
 	for i := 0; i < b.N; i++ {
-		res := optimize.Golden(obj, 0, 25, 1e-10, 0)
-		if !res.Converged {
-			b.Fatal("golden did not converge")
-		}
-	}
-}
-
-func BenchmarkInnerBrent(b *testing.B) {
-	obj := innerObjective(b)
-	for i := 0; i < b.N; i++ {
-		res := optimize.BrentMin(obj, 0, 25, 1e-10, 0)
+		res := optimize.BrentMin(obj, 0, 25, 1e-10)
 		if !res.Converged {
 			b.Fatal("brent did not converge")
 		}

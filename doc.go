@@ -74,12 +74,11 @@
 // which the two-level solver shares. Underneath, every pattern solver —
 // OptimalPattern, SweepSolver, SemiAnalyticOptimum and the two-level
 // solvers — runs one outer processor scan, optimize.Scan, over one
-// grid-then-refine routine: golden section on the cold path, whose
-// results are pinned bit for bit, bounded Brent on the warm path. The
-// experiment drivers (Figs. 2, 4–7,
-// baselines, robustness) already route through it; amdahl-exp
-// -warm=false restores the per-cell scans. See DESIGN.md, "Warm-start
-// sweep solver".
+// grid-then-refine routine with bounded Brent as its only refinement;
+// warm and cold solves differ in grids and brackets, not in algorithm.
+// The experiment drivers (Figs. 2, 4–7, baselines, robustness) already
+// route through it; amdahl-exp -warm=false runs per-cell scans instead.
+// See DESIGN.md, "Warm-start sweep solver".
 //
 // # Two-level resilience end-to-end
 //

@@ -44,8 +44,9 @@ type Config struct {
 	// Seed makes the whole experiment deterministic.
 	Seed uint64
 	// ColdSolve disables the warm-start sweep solver: every sweep cell
-	// pays the full OptimalPattern grid scan, bit-identical to the
-	// historical per-cell path (the amdahl-exp -warm=false escape hatch).
+	// pays the full OptimalPattern grid scan, bit-identical to per-cell
+	// OptimalPattern calls (the amdahl-exp -warm=false escape hatch).
+	// Warm cells agree with cold ones within the SweepSolver tolerance.
 	ColdSolve bool
 }
 

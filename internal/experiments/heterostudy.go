@@ -258,13 +258,13 @@ func singleIntegerOpts() optimize.PatternOptions {
 }
 
 // canonicalizePlan re-solves each active group's period at its chosen
-// integral allocation with the reference inner minimizer
+// integral allocation with the reference inner search
 // (optimize.OptimalPeriod) and reassembles the harmonic combination in
 // hetero's arithmetic order. On a cold solve this is a bit-identical
-// no-op (the cold path's inner probe is the same minimizer); on a warm
-// solve it snaps the Brent-polished period onto the reference answer, so
-// warm and cold studies land on bit-identical cells and the phase-2
-// campaigns replay bit-identically across -warm modes.
+// no-op (the cold path's inner probe is the same search); on a warm
+// solve it snaps the period found on the warm short grid onto the
+// reference answer, so warm and cold studies land on bit-identical cells
+// and the phase-2 campaigns replay bit-identically across -warm modes.
 func canonicalizePlan(hm core.HeteroModel, res hetero.PatternResult) (hetero.PatternResult, error) {
 	inv := 0.0
 	for i := range res.Groups {

@@ -41,8 +41,8 @@ type modelBuilder func(x float64, sc costmodel.Scenario) (core.Model, error)
 // them scenario-major. Phase 1 solves the numerical optima as one
 // warm-start chain per scenario along xs: the cells along a sweep axis
 // are ordered and (T*, P*) varies smoothly, so each cell's optimum
-// brackets the next solve (optimize.SweepSolver; cfg.ColdSolve restores
-// the historical per-cell grid scans). Phase 2 prices each cell's
+// brackets the next solve (optimize.SweepSolver; cfg.ColdSolve runs
+// per-cell OptimalPattern scans instead). Phase 2 prices each cell's
 // first-order and numerical patterns by Monte-Carlo in parallel, seeded
 // from label(sc, x) — formatted once per priced cell. cfg must carry
 // its defaults.

@@ -30,13 +30,6 @@ type PatternOptions struct {
 	// PMin and PMax bound the processor search (defaults 1 and 1e13,
 	// matching optimize.PatternOptions).
 	PMin, PMax float64
-	// GridP is the coarse log-grid resolution of the outer P scan
-	// (default 96; the inner (T, K) solve is closed-form, so outer grid
-	// points are cheap).
-	GridP int
-	// Tol is the relative tolerance of the outer refinement
-	// (default 1e-10).
-	Tol float64
 	// IntegerP rounds the processor allocation to the better of
 	// floor/ceil after the continuous optimization.
 	IntegerP bool
@@ -48,12 +41,6 @@ func (o PatternOptions) withDefaults() PatternOptions {
 	}
 	if o.PMax == 0 {
 		o.PMax = 1e13
-	}
-	if o.GridP == 0 {
-		o.GridP = 96
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-10
 	}
 	return o
 }
@@ -116,7 +103,7 @@ func solveAtP(m core.Model, costsFor CostsFunc, p float64) (Plan, error) {
 }
 
 // OptimalPattern minimizes the two-level first-order overhead jointly
-// over (T, K, P): a log-grid scan over P with golden refinement (the
+// over (T, K, P): a log-grid scan over P with Brent refinement (the
 // single-level optimizer's outer search, optimize.Scan), each
 // probe solving the inner (T, K) problem exactly via the closed-form
 // first-order optimum on a per-P compiled evaluator. This answers the
@@ -133,18 +120,17 @@ func OptimalPattern(m core.Model, costsFor CostsFunc, opts PatternOptions) (Patt
 	if costsFor == nil {
 		return PatternResult{}, errNilCosts
 	}
-	return scanBox(m, costsFor, opts, opts.PMin, opts.PMax, opts.GridP, false)
+	return scanBox(m, costsFor, opts, opts.PMin, opts.PMax, optimize.GridP)
 }
 
-// scanBox runs the shared outer optimize.Scan over [pLo, pHi] for
-// g(P) = min_{T,K} H(T, K, P), counting one evaluation per inner (T, K)
-// solve. warm selects the short Brent polish (SweepSolver's narrow
-// brackets); the full box keeps golden section, so OptimalPattern is
-// deterministic and cold sweep cells are bit-identical to it.
-func scanBox(m core.Model, costsFor CostsFunc, opts PatternOptions, pLo, pHi float64, gridP int, warm bool) (PatternResult, error) {
+// scanBox runs the shared outer optimize.Scan over [pLo, pHi] on a
+// gridP-point log-grid for g(P) = min_{T,K} H(T, K, P), counting one
+// evaluation per inner (T, K) solve. The inner solve is closed-form, so
+// outer grid points are cheap.
+func scanBox(m core.Model, costsFor CostsFunc, opts PatternOptions, pLo, pHi float64, gridP int) (PatternResult, error) {
 	var probeErr error // first inner failure, for the all-infeasible diagnostic
 	s := optimize.Scan[Pattern]{
-		PMin: opts.PMin, PMax: opts.PMax, Tol: opts.Tol, IntegerP: opts.IntegerP,
+		PMin: opts.PMin, PMax: opts.PMax, IntegerP: opts.IntegerP,
 		Inner: func(p float64) (optimize.Probe[Pattern], int) {
 			plan, err := solveAtP(m, costsFor, p)
 			if err != nil && probeErr == nil {
@@ -153,7 +139,7 @@ func scanBox(m core.Model, costsFor CostsFunc, opts PatternOptions, pLo, pHi flo
 			return optimize.Probe[Pattern]{Inner: plan.Pattern, F: plan.PredictedH, Err: err}, 1
 		},
 	}
-	out, err := s.Run(pLo, pHi, gridP, warm)
+	out, err := s.Run(pLo, pHi, gridP)
 	if errors.Is(err, optimize.ErrNoFeasible) {
 		// A whole-box failure means every probe was infeasible; the first
 		// inner error is the actual cause (e.g. an out-of-range in-memory

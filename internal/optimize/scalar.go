@@ -1,12 +1,12 @@
 // Package optimize provides the numerical-optimization substrate used to
-// compute the paper's "optimal (numerical)" curves: derivative-free scalar
-// minimization (golden section and bounded Brent), one grid-then-refine
-// routine for robustly non-unimodal objectives, and one memoized outer
-// processor scan (Scan) nested over an inner solve at each P. The
-// single-level optimizer over (T, P) built on the exact overhead formula
-// of Proposition 1, the semi-analytic optimum, the warm-start sweep
-// solver and the two-level optimizer in internal/multilevel all run on
-// that scan.
+// compute the paper's "optimal (numerical)" curves: one derivative-free
+// scalar minimizer (bounded Brent), one grid-then-refine routine for
+// robustly non-unimodal objectives, and one memoized outer processor
+// scan (Scan) nested over an inner solve at each P. The single-level
+// optimizer over (T, P) built on the exact overhead formula of
+// Proposition 1, the semi-analytic optimum, the warm-start sweep solver
+// and the two-level optimizer in internal/multilevel all run on that
+// scan.
 package optimize
 
 import (
@@ -15,7 +15,7 @@ import (
 )
 
 // Func is a scalar objective. It may return +Inf to reject a point, which
-// the comparison-based minimizers treat as "worse than everything".
+// gridRefine treats as "worse than everything".
 type Func func(float64) float64
 
 // Result reports a scalar minimization outcome.
@@ -31,63 +31,24 @@ type Result struct {
 	Converged bool
 }
 
-const invPhi = 0.6180339887498949 // (√5 − 1)/2
-
-// Golden minimizes f on [a, b] by golden-section search. It assumes f is
-// unimodal on the interval; with a non-unimodal f it still returns a local
-// minimum. tol is the absolute interval tolerance on x.
-func Golden(f Func, a, b, tol float64, maxIter int) Result {
-	if b < a {
-		a, b = b, a
-	}
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	if maxIter <= 0 {
-		maxIter = 200
-	}
-	x1 := b - invPhi*(b-a)
-	x2 := a + invPhi*(b-a)
-	f1, f2 := f(x1), f(x2)
-	evals := 2
-	converged := false
-	for i := 0; i < maxIter; i++ {
-		if b-a <= tol*(1+math.Abs(a)+math.Abs(b)) {
-			converged = true
-			break
-		}
-		if f1 <= f2 { // keep [a, x2]
-			b, x2, f2 = x2, x1, f1
-			x1 = b - invPhi*(b-a)
-			f1 = f(x1)
-		} else { // keep [x1, b]
-			a, x1, f1 = x1, x2, f2
-			x2 = a + invPhi*(b-a)
-			f2 = f(x2)
-		}
-		evals++
-	}
-	if f1 <= f2 {
-		return Result{X: x1, F: f1, Evals: evals, Converged: converged}
-	}
-	return Result{X: x2, F: f2, Evals: evals, Converged: converged}
-}
-
 // BrentMin minimizes f on [a, b] with Brent's method (parabolic
 // interpolation with golden-section fallback), the bounded variant used by
 // scipy's fminbound. tol is the relative x tolerance.
-func BrentMin(f Func, a, b, tol float64, maxIter int) Result {
+//
+// BrentMin assumes f is finite on [a, b]. A +Inf region is no barrier:
+// Brent accepts fu <= fx as progress, so from a +Inf first probe it can
+// walk across a +Inf plateau and return F = +Inf. gridRefine is safe,
+// because its bracket is centred on a finite grid point and it keeps the
+// grid best when the refinement ends worse.
+func BrentMin(f Func, a, b, tol float64) Result {
 	if b < a {
 		a, b = b, a
 	}
-	if tol <= 0 {
-		tol = 1e-11
-	}
-	if maxIter <= 0 {
+	const (
 		maxIter = 200
-	}
-	const tiny = 1e-21
-	cg := 1 - invPhi // 0.381966…
+		tiny    = 1e-21
+		cg      = 0.3819660112501051 // (3 − √5)/2, the golden-section step
+	)
 
 	x := a + cg*(b-a)
 	w, v := x, x
@@ -171,13 +132,13 @@ func BrentMin(f Func, a, b, tol float64, maxIter int) Result {
 }
 
 // gridRefine scans f on points evenly spaced grid points over [lo, hi],
-// then refines the bracket around the best point with golden section, or
-// with bounded Brent when brent is set. It is robust to objectives that
-// are not globally unimodal, at the cost of the initial sweep; both
-// searches run it in u = log x coordinates. The returned Result is the
-// refined minimum; ties prefer the smaller x, and the grid best wins a
-// plateau. Callers check lo < hi in their own coordinates.
-func gridRefine(f Func, lo, hi float64, points int, tol float64, brent bool) (Result, error) {
+// then refines the bracket around the best point with bounded Brent at
+// refineTol. It is robust to objectives that are not globally unimodal,
+// at the cost of the initial sweep; both searches run it in u = log x
+// coordinates. The returned Result is the refined minimum; ties prefer
+// the smaller x, and the grid best wins a plateau. Callers check lo < hi
+// in their own coordinates.
+func gridRefine(f Func, lo, hi float64, points int) (Result, error) {
 	if points < 3 {
 		return Result{}, errGridPoints
 	}
@@ -202,18 +163,7 @@ func gridRefine(f Func, lo, hi float64, points int, tol float64, brent bool) (Re
 		return Result{}, errGridAllInf
 	}
 
-	// Refine within the bracket around the best grid point. The two
-	// minimizers are called directly: a minimizer chosen through a func
-	// variable would make every probe's objective (and the frozen kernel
-	// it is bound to) escape to the heap.
-	a := gridPoint(max(bestI-1, 0))
-	b := gridPoint(min(bestI+1, points-1))
-	var res Result
-	if brent {
-		res = BrentMin(f, a, b, tol, 0)
-	} else {
-		res = Golden(f, a, b, tol, 0)
-	}
+	res := BrentMin(f, gridPoint(max(bestI-1, 0)), gridPoint(min(bestI+1, points-1)), refineTol)
 	res.Evals += points
 	// The grid best might still beat the refined point on plateaus.
 	if bestF < res.F {

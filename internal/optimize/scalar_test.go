@@ -10,42 +10,9 @@ import (
 	"amdahlyd/internal/xmath"
 )
 
-func TestGoldenQuadratic(t *testing.T) {
-	f := func(x float64) float64 { return (x - 3) * (x - 3) }
-	res := Golden(f, -10, 10, 1e-10, 0)
-	if !res.Converged {
-		t.Error("golden did not converge on a parabola")
-	}
-	if math.Abs(res.X-3) > 1e-6 {
-		t.Errorf("minimizer = %g, want 3", res.X)
-	}
-}
-
-func TestGoldenReversedBounds(t *testing.T) {
-	f := func(x float64) float64 { return x * x }
-	res := Golden(f, 5, -5, 1e-10, 0)
-	if math.Abs(res.X) > 1e-6 {
-		t.Errorf("minimizer = %g, want 0", res.X)
-	}
-}
-
-func TestGoldenHandlesInfPlateau(t *testing.T) {
-	// Objective is +Inf for x > 2 (like an overflowing exponential).
-	f := func(x float64) float64 {
-		if x > 2 {
-			return math.Inf(1)
-		}
-		return (x - 1) * (x - 1)
-	}
-	res := Golden(f, 0, 100, 1e-9, 400)
-	if math.Abs(res.X-1) > 1e-4 {
-		t.Errorf("minimizer = %g, want 1 despite Inf plateau", res.X)
-	}
-}
-
 func TestBrentMinQuadratic(t *testing.T) {
 	f := func(x float64) float64 { return 2*(x-1.5)*(x-1.5) + 7 }
-	res := BrentMin(f, -100, 100, 1e-12, 0)
+	res := BrentMin(f, -100, 100, 1e-12)
 	if !res.Converged {
 		t.Error("Brent did not converge")
 	}
@@ -57,38 +24,29 @@ func TestBrentMinQuadratic(t *testing.T) {
 	}
 }
 
-func TestBrentMinBeatsGoldenOnSmoothFunctions(t *testing.T) {
-	// Brent's parabolic steps should need fewer evaluations than golden
-	// on a well-behaved smooth objective at the same tolerance.
-	f := func(x float64) float64 { return math.Cosh(x - 0.7) }
-	g := Golden(f, -10, 10, 1e-10, 0)
-	b := BrentMin(f, -10, 10, 1e-10, 0)
-	if math.Abs(b.X-0.7) > 1e-6 || math.Abs(g.X-0.7) > 1e-6 {
-		t.Fatalf("wrong minimizers: golden %g, brent %g", g.X, b.X)
-	}
-	if b.Evals >= g.Evals {
-		t.Errorf("Brent used %d evals, golden %d; expected Brent to be cheaper",
-			b.Evals, g.Evals)
+func TestBrentMinReversedBounds(t *testing.T) {
+	f := func(x float64) float64 { return x * x }
+	res := BrentMin(f, 5, -5, 1e-10)
+	if math.Abs(res.X) > 1e-6 {
+		t.Errorf("minimizer = %g, want 0", res.X)
 	}
 }
 
 func TestBrentMinNonSmooth(t *testing.T) {
 	f := func(x float64) float64 { return math.Abs(x - 2) }
-	res := BrentMin(f, -10, 10, 1e-10, 0)
+	res := BrentMin(f, -10, 10, 1e-10)
 	if math.Abs(res.X-2) > 1e-6 {
 		t.Errorf("|x−2| minimizer = %g", res.X)
 	}
 }
 
-// Property: for random parabolas, both minimizers find the vertex.
+// Property: for random parabolas, Brent finds the vertex.
 func TestMinimizersOnRandomParabolas(t *testing.T) {
 	f := func(vRaw, aRaw uint16) bool {
 		vertex := float64(vRaw%2000)/100 - 10 // [−10, 10)
 		scale := 0.1 + float64(aRaw%100)
 		obj := func(x float64) float64 { return scale * (x - vertex) * (x - vertex) }
-		g := Golden(obj, -15, 15, 1e-10, 0)
-		b := BrentMin(obj, -15, 15, 1e-10, 0)
-		return math.Abs(g.X-vertex) < 1e-5 && math.Abs(b.X-vertex) < 1e-5
+		return math.Abs(BrentMin(obj, -15, 15, 1e-10).X-vertex) < 1e-5
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -100,14 +58,31 @@ func TestGridRefineMultimodal(t *testing.T) {
 	f := func(x float64) float64 {
 		return -math.Exp(-(x-2)*(x-2)) - 2*math.Exp(-(x-8)*(x-8))
 	}
-	for _, brent := range []bool{false, true} {
-		res, err := gridRefine(f, 0, 10, 60, 1e-10, brent)
-		if err != nil {
-			t.Fatal(err)
+	res, err := gridRefine(f, 0, 10, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(res.X-8) > 1e-4 {
+		t.Errorf("global minimizer = %g, want 8", res.X)
+	}
+}
+
+func TestGridRefineHandlesInfPlateau(t *testing.T) {
+	// Objective is +Inf for x > 2 (like an overflowing exponential).
+	// BrentMin alone would start on the plateau and stay there; the grid
+	// centres its bracket on a finite point.
+	f := func(x float64) float64 {
+		if x > 2 {
+			return math.Inf(1)
 		}
-		if math.Abs(res.X-8) > 1e-4 {
-			t.Errorf("brent=%t: global minimizer = %g, want 8", brent, res.X)
-		}
+		return (x - 1) * (x - 1)
+	}
+	res, err := gridRefine(f, 0, 100, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(res.X-1) > 1e-4 {
+		t.Errorf("minimizer = %g, want 1 despite Inf plateau", res.X)
 	}
 }
 
@@ -117,7 +92,7 @@ func TestGridRefineLogAxis(t *testing.T) {
 	a, b := 1e6, 1e-6
 	want := math.Sqrt(a / b) // 1e6
 	f := func(u float64) float64 { x := math.Exp(u); return a/x + b*x }
-	res, err := gridRefine(f, 0, math.Log(1e12), 80, 1e-12, false)
+	res, err := gridRefine(f, 0, math.Log(1e12), 80)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +103,11 @@ func TestGridRefineLogAxis(t *testing.T) {
 
 func TestGridRefineErrors(t *testing.T) {
 	f := func(x float64) float64 { return x }
-	if _, err := gridRefine(f, 0, 1, 2, 0, false); err == nil {
+	if _, err := gridRefine(f, 0, 1, 2); err == nil {
 		t.Error("2 grid points accepted")
 	}
 	inf := func(float64) float64 { return math.Inf(1) }
-	if _, err := gridRefine(inf, 1, 10, 10, 0, false); err == nil {
+	if _, err := gridRefine(inf, 1, 10, 10); err == nil {
 		t.Error("all-Inf objective accepted")
 	}
 	// The bounds are checked by the callers, each in its own coordinates:
@@ -142,12 +117,12 @@ func TestGridRefineErrors(t *testing.T) {
 		return Probe[struct{}]{F: p}, 1
 	}}
 	for _, box := range [][2]float64{{1, 1}, {5, 2}, {0, 1}, {math.NaN(), 2}} {
-		if _, err := s.Run(box[0], box[1], 10, false); !errors.Is(err, ErrNoFeasible) {
+		if _, err := s.Run(box[0], box[1], 10); !errors.Is(err, ErrNoFeasible) {
 			t.Errorf("scan over [%g, %g] returned %v, want ErrNoFeasible", box[0], box[1], err)
 		}
 	}
 	fz := heraModel(t, costmodel.Scenario1, 0.1).Freeze(512)
-	if _, err := searchT(&fz, 5, 5, 10, 0, false); !errors.Is(err, errGridBounds) {
+	if _, err := searchT(&fz, 5, 5, 10); !errors.Is(err, errGridBounds) {
 		t.Errorf("empty period bracket returned %v", err)
 	}
 }
@@ -155,13 +130,11 @@ func TestGridRefineErrors(t *testing.T) {
 func TestGridRefineBoundaryMinimum(t *testing.T) {
 	// Monotone decreasing objective: the minimum is the right endpoint.
 	f := func(x float64) float64 { return -x }
-	for _, brent := range []bool{false, true} {
-		res, err := gridRefine(f, 0, 10, 30, 1e-10, brent)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(res.X-10) > 1e-4 {
-			t.Errorf("brent=%t: boundary minimum at %g, want 10", brent, res.X)
-		}
+	res, err := gridRefine(f, 0, 10, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(res.X-10) > 1e-4 {
+		t.Errorf("boundary minimum at %g, want 10", res.X)
 	}
 }

@@ -27,8 +27,6 @@ type Scan[R any] struct {
 	// relative 1e-6 of PMax is reported at the bound, and the integer
 	// rounding stays inside them.
 	PMin, PMax float64
-	// Tol is the relative tolerance of the refinement.
-	Tol float64
 	// IntegerP rounds the optimum to the better of floor/ceil.
 	IntegerP bool
 	// Memo, when set, is the caller's per-P probe memo: Run clears it and
@@ -53,13 +51,13 @@ type ScanResult[R any] struct {
 }
 
 // Run minimizes g over [lo, hi]: a gridP-point log-grid localization,
-// refined by golden section (the cold path) or bounded Brent (brent, the
-// warm path), the optional integer rounding and a final probe at the
-// chosen P. Each distinct P is solved once: the grid scan, the
-// refinement, the rounding and the final probe all revisit grid points
-// and bracket endpoints through the memo. The final probe's error is
-// returned as is; a grid with no feasible probe is ErrNoFeasible.
-func (s *Scan[R]) Run(lo, hi float64, gridP int, brent bool) (ScanResult[R], error) {
+// refined by gridRefine's bounded Brent, the optional integer rounding
+// and a final probe at the chosen P. Each distinct P is solved once: the
+// grid scan, the refinement, the rounding and the final probe all
+// revisit grid points and bracket endpoints through the memo. The final
+// probe's error is returned as is; a grid with no feasible probe is
+// ErrNoFeasible.
+func (s *Scan[R]) Run(lo, hi float64, gridP int) (ScanResult[R], error) {
 	if !(hi > lo && lo > 0) {
 		return ScanResult[R]{}, ErrNoFeasible
 	}
@@ -87,7 +85,7 @@ func (s *Scan[R]) Run(lo, hi float64, gridP int, brent bool) (ScanResult[R], err
 	}
 
 	outer, err := gridRefine(func(u float64) float64 { return g(math.Exp(u)) },
-		math.Log(lo), math.Log(hi), gridP, s.Tol, brent)
+		math.Log(lo), math.Log(hi), gridP)
 	if err != nil {
 		return ScanResult[R]{}, ErrNoFeasible
 	}

@@ -26,12 +26,12 @@ func SemiAnalyticOptimum(m core.Model, opts PatternOptions) (core.Solution, erro
 		return core.Solution{}, err
 	}
 	s := Scan[struct{}]{
-		PMin: opts.PMin, PMax: opts.PMax, Tol: opts.Tol,
+		PMin: opts.PMin, PMax: opts.PMax,
 		Inner: func(p float64) (Probe[struct{}], int) {
 			return Probe[struct{}]{F: m.OverheadAtOptimalPeriod(p)}, 1
 		},
 	}
-	res, err := s.Run(opts.PMin, opts.PMax, opts.GridP, false)
+	res, err := s.Run(opts.PMin, opts.PMax, GridP)
 	if err != nil {
 		return core.Solution{}, errors.New("optimize: semi-analytic objective infeasible")
 	}

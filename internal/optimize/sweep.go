@@ -31,10 +31,10 @@ const (
 	// scan.
 	warmGrid = 10
 	// coldScanGridP is the outer grid of a chain-restart scan: coarser
-	// than OptimalPattern's 96 (the Brent polish converges from a coarser
-	// localization at equal tolerance), still dense enough to not skip
-	// the feasible band of any Table II/III configuration (~2 points per
-	// decade over the default 13-decade box).
+	// than GridP (the Brent polish converges from a coarser localization
+	// at equal tolerance), still dense enough to not skip the feasible
+	// band of any Table II/III configuration (~5 points per decade over
+	// the default 13-decade box).
 	coldScanGridP = 64
 )
 
@@ -76,13 +76,13 @@ type WarmChain struct {
 	stats   SweepStats
 }
 
-// NewWarmChain starts a chain over the processor box [pMin, pMax] whose
-// reference full-box scan uses a gridP-point outer grid. A cold chain
-// solves every cell with that scan; a warm chain's restarts use at most
-// 64 points.
-func NewWarmChain(pMin, pMax float64, gridP int, cold bool) WarmChain {
-	if !cold {
-		gridP = min(coldScanGridP, gridP)
+// NewWarmChain starts a chain over the processor box [pMin, pMax]. A
+// cold chain solves every cell with the reference GridP-point full-box
+// scan; a warm chain's restarts use coldScanGridP points.
+func NewWarmChain(pMin, pMax float64, cold bool) WarmChain {
+	gridP := coldScanGridP
+	if cold {
+		gridP = GridP
 	}
 	return WarmChain{pMin: pMin, pMax: pMax, gridP: gridP, cold: cold}
 }
@@ -98,12 +98,12 @@ func (c *WarmChain) Observe(p float64, atBound bool) {
 }
 
 // Solve solves one cell through solve, which runs the protocol's outer P
-// search over [lo, hi] on a gridP-point log-grid (warm selects the short
-// Brent polish) and reports the optimum's P, whether it stopped at the
-// allocation bound, and its evaluation count. restart forces the full
-// box. warm reports that the last solve call, whose result the caller
-// keeps, was the accepted warm attempt.
-func (c *WarmChain) Solve(restart bool, solve func(lo, hi float64, gridP int, warm bool) (p float64, atBound bool, evals int, err error)) (warm bool, err error) {
+// search over [lo, hi] on a gridP-point log-grid and reports the
+// optimum's P, whether it stopped at the allocation bound, and its
+// evaluation count. restart forces the full box. warm reports that the
+// last solve call, whose result the caller keeps, was the accepted warm
+// attempt.
+func (c *WarmChain) Solve(restart bool, solve func(lo, hi float64, gridP int) (p float64, atBound bool, evals int, err error)) (warm bool, err error) {
 	if c.seeded && !c.cold && !restart {
 		lo := math.Max(c.pMin, c.p/warmBracketFactor)
 		hi := math.Min(c.pMax, c.p*warmBracketFactor)
@@ -114,7 +114,7 @@ func (c *WarmChain) Solve(restart bool, solve func(lo, hi float64, gridP int, wa
 			// An infeasible or unsolvable warm bracket is a fallback
 			// trigger, not a sweep failure: the full box may still
 			// contain an optimum.
-			p, atBound, evals, err := solve(lo, hi, warmGrid, true)
+			p, atBound, evals, err := solve(lo, hi, warmGrid)
 			if err == nil && !c.atWarmEdge(p, lo, hi) {
 				c.stats.WarmSolves++
 				c.stats.Evals += evals
@@ -125,7 +125,7 @@ func (c *WarmChain) Solve(restart bool, solve func(lo, hi float64, gridP int, wa
 		c.stats.Fallbacks++
 	}
 	c.stats.ColdSolves++
-	p, atBound, evals, err := solve(c.pMin, c.pMax, c.gridP, false)
+	p, atBound, evals, err := solve(c.pMin, c.pMax, c.gridP)
 	if err != nil {
 		return false, err
 	}
@@ -157,8 +157,8 @@ func (c *WarmChain) atWarmEdge(p, lo, hi float64) bool {
 // short-grid-plus-Brent scheme around the Theorem 1 seed. A cell whose
 // objective class changed since the previous cell restarts on the full
 // cold box, as does any warm solve WarmChain rejects (the sweep property
-// tests pin warm against per-cell OptimalPattern within Tol-derived
-// bounds).
+// tests pin warm against per-cell OptimalPattern within bounds derived
+// from refineTol).
 //
 // A solver is stateful (the chain state and a reusable per-P probe memo)
 // and must not be shared between goroutines; run one solver per chain.
@@ -176,8 +176,8 @@ func NewSweepSolver(opts SweepOptions) *SweepSolver {
 	opts.PatternOptions = opts.PatternOptions.withDefaults()
 	return &SweepSolver{
 		opts:  opts,
-		chain: NewWarmChain(opts.PMin, opts.PMax, opts.GridP, opts.Cold),
-		memo:  make(map[float64]Probe[float64], opts.GridP+8),
+		chain: NewWarmChain(opts.PMin, opts.PMax, opts.Cold),
+		memo:  make(map[float64]Probe[float64], GridP+8),
 	}
 }
 
@@ -196,8 +196,9 @@ func (s *SweepSolver) Observe(m core.Model, res PatternResult) {
 // The first cell (and any cell whose warm solve is rejected) pays a full
 // cold scan; subsequent cells typically cost an order of magnitude less.
 // A full-box solve is OptimalPattern's scan in Cold mode (bit-identical
-// to a per-cell call); otherwise it keeps the Brent refinement at both
-// levels so even chain restarts stay ~2–3× under the reference cost.
+// to a per-cell call); otherwise it runs the coarser coldScanGridP outer
+// grid over the short inner search, so even chain restarts cost well
+// under the reference scan.
 func (s *SweepSolver) Solve(m core.Model) (PatternResult, error) {
 	// Hold warm mode to the same option contract as OptimalPattern: a
 	// bad search box must fail loudly here, not surface as an
@@ -210,7 +211,7 @@ func (s *SweepSolver) Solve(m core.Model) (PatternResult, error) {
 	}
 	class := m.Res.Classify().Class
 	var res PatternResult
-	warm, err := s.chain.Solve(class != s.prevClass, func(lo, hi float64, gridP int, _ bool) (float64, bool, int, error) {
+	warm, err := s.chain.Solve(class != s.prevClass, func(lo, hi float64, gridP int) (float64, bool, int, error) {
 		var err error
 		res, err = solvePattern(m, s.opts.PatternOptions, s.memo, lo, hi, gridP, !s.opts.Cold)
 		return res.P, res.AtPBound, res.Evals, err

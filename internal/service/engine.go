@@ -162,15 +162,12 @@ func NewEngine(opts Options) *Engine {
 // most once per (model, P): the per-request cost of a warm evaluate is
 // one cache probe instead of a Freeze.
 func (e *Engine) Frozen(m core.Model, p float64) (*core.Frozen, error) {
-	// Model.CacheKey rejects NaN parameters; hold the request-supplied P
-	// to the same standard instead of caching an all-NaN kernel under a
-	// "#p=NaN" key (NaN never compares equal, so it could also never be
-	// evicted by a repeat request).
-	if math.IsNaN(p) || math.IsInf(p, 0) {
-		return nil, fmt.Errorf("service: processor count P = %g must be finite", p)
-	}
-	if p < 1 {
-		p = 1 // Freeze clamps identically; clamp before keying so P=0.5 and P=1 share an entry
+	// Hold the request-supplied P to the simulate endpoints' standard:
+	// Freeze would silently price any P < 1 as P = 1, and a NaN P would
+	// cache an all-NaN kernel under a "#p=NaN" key (NaN never compares
+	// equal, so a repeat request could never hit or evict it).
+	if !(p >= 1) || math.IsInf(p, 0) {
+		return nil, fmt.Errorf("service: processor count P = %g must be >= 1 and finite", p)
 	}
 	mk, err := m.CacheKey()
 	if err != nil {
@@ -228,10 +225,9 @@ func (e *Engine) Evaluate(m core.Model, t, p float64) (Evaluation, error) {
 // optionsKey canonically encodes the optimizer options (every field is
 // observable in the result).
 func optionsKey(o optimize.PatternOptions) string {
-	return fmt.Sprintf("%s,%s,%s,%s,%d,%d,%s,%t",
+	return fmt.Sprintf("%s,%s,%s,%s,%t",
 		core.FormatFloatKey(o.PMin), core.FormatFloatKey(o.PMax),
-		core.FormatFloatKey(o.TMin), core.FormatFloatKey(o.TMax),
-		o.GridP, o.GridT, core.FormatFloatKey(o.Tol), o.IntegerP)
+		core.FormatFloatKey(o.TMin), core.FormatFloatKey(o.TMax), o.IntegerP)
 }
 
 // optKey is the optimizer-cache key of the model keyed mk, for a protocol

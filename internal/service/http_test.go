@@ -190,6 +190,9 @@ func TestServeErrors(t *testing.T) {
 		{"/v1/evaluate", EvaluateRequest{Model: ModelSpec{Platform: "nonesuch"}}, http.StatusBadRequest},
 		{"/v1/evaluate", EvaluateRequest{Model: ModelSpec{Scenario: 9}}, http.StatusBadRequest},
 		{"/v1/evaluate", EvaluateRequest{Model: ModelSpec{}, T: -5, P: 10}, http.StatusBadRequest},
+		// P < 1 is rejected as on the simulate endpoints, not priced as P = 1.
+		{"/v1/evaluate", EvaluateRequest{Model: ModelSpec{}, P: -5}, http.StatusBadRequest},
+		{"/v1/evaluate", EvaluateRequest{Model: ModelSpec{}, P: 0.5}, http.StatusBadRequest},
 		{"/v1/simulate", SimulateRequest{Model: ModelSpec{}, Dist: "weibull", Shape: 0.7}, http.StatusBadRequest}, // dist without machine
 		{"/v1/simulate", SimulateRequest{Model: ModelSpec{}, Machine: true, P: 219.5}, http.StatusBadRequest},
 		{"/v1/simulate", SimulateRequest{Model: ModelSpec{}, Dist: "cauchy", Machine: true}, http.StatusBadRequest},

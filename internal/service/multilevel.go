@@ -18,9 +18,8 @@ const mlKeyVersion = "ml1|"
 // mlOptionsKey canonically encodes the in-memory fraction and the
 // joint-optimizer options (every field is observable in the result).
 func mlOptionsKey(frac float64, o multilevel.PatternOptions) string {
-	return fmt.Sprintf("%s#%s,%s,%d,%s,%t", core.FormatFloatKey(frac),
-		core.FormatFloatKey(o.PMin), core.FormatFloatKey(o.PMax),
-		o.GridP, core.FormatFloatKey(o.Tol), o.IntegerP)
+	return fmt.Sprintf("%s#%s,%s,%t", core.FormatFloatKey(frac),
+		core.FormatFloatKey(o.PMin), core.FormatFloatKey(o.PMax), o.IntegerP)
 }
 
 // validateFraction holds the request-supplied in-memory fraction to the

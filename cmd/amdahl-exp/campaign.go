@@ -87,6 +87,11 @@ func runCampaign(ctx context.Context, args []string) error {
 	if *patterns != 0 {
 		man.Patterns = *patterns
 	}
+	// A bad override must fail before the run summary prints: a summary
+	// of zero cells reads like a campaign that ran and found nothing.
+	if err := man.Validate(); err != nil {
+		return err
+	}
 
 	var faults campaign.FaultPlan
 	if *faultsPath != "" {

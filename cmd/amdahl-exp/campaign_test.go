@@ -96,17 +96,25 @@ func TestRunCampaignList(t *testing.T) {
 	}
 }
 
+// Every flag error fails before anything prints: a run summary of zero
+// cells ahead of the error would read like a campaign that ran.
 func TestRunCampaignFlagErrors(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "run")
 	cases := [][]string{
 		{},                                     // no manifest or preset
-		{"-preset", "nonesuch", "-out", "x"},   // unknown preset
+		{"-preset", "nonesuch", "-out", out},   // unknown preset
 		{"-preset", "smoke"},                   // missing -out
 		{"-preset", "smoke", "-manifest", "m"}, // mutually exclusive
-		{"-preset", "smoke", "-out", "x", "stray"},
+		{"-preset", "smoke", "-out", out, "stray"},
+		{"-preset", "smoke", "-runs", "-3", "-out", out}, // override fails manifest validation
 	}
 	for _, args := range cases {
-		if err := runCampaign(context.Background(), args); err == nil {
+		stdout, err := capture(t, func() error { return runCampaign(context.Background(), args) })
+		if err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+		if stdout != "" {
+			t.Errorf("args %v printed before failing:\n%s", args, stdout)
 		}
 	}
 }

@@ -100,8 +100,14 @@ func main() {
 
 // buildConfig assembles the Monte-Carlo budget shared by every
 // subcommand: -quick selects the reduced preset, -runs/-patterns
-// override either axis.
-func buildConfig(quick bool, seed uint64, runs, patterns int) experiments.Config {
+// override either axis, and 0 keeps the preset's value.
+func buildConfig(quick bool, seed uint64, runs, patterns int) (experiments.Config, error) {
+	if runs < 0 {
+		return experiments.Config{}, fmt.Errorf("-runs %d is negative (0 keeps the default)", runs)
+	}
+	if patterns < 0 {
+		return experiments.Config{}, fmt.Errorf("-patterns %d is negative (0 keeps the default)", patterns)
+	}
 	cfg := experiments.Config{Seed: seed}
 	if quick {
 		cfg = experiments.Quick()
@@ -113,7 +119,7 @@ func buildConfig(quick bool, seed uint64, runs, patterns int) experiments.Config
 	if patterns > 0 {
 		cfg.Patterns = patterns
 	}
-	return cfg
+	return cfg, nil
 }
 
 // runRobustness drives the non-exponential robustness study (extension
@@ -140,7 +146,10 @@ func runRobustness(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg := buildConfig(*quick, *seed, *runs, *patterns)
+	cfg, err := buildConfig(*quick, *seed, *runs, *patterns)
+	if err != nil {
+		return err
+	}
 	cfg.ColdSolve = !*warm
 	shapes := experiments.DefaultRobustnessShapes
 	switch {
@@ -207,7 +216,10 @@ func runMultilevel(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg := buildConfig(*quick, *seed, *runs, *patterns)
+	cfg, err := buildConfig(*quick, *seed, *runs, *patterns)
+	if err != nil {
+		return err
+	}
 	cfg.ColdSolve = !*warm
 	fracList, err := parseFloats(*fracs)
 	if err != nil {
@@ -262,7 +274,10 @@ func runHetero(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg := buildConfig(*quick, *seed, *runs, *patterns)
+	cfg, err := buildConfig(*quick, *seed, *runs, *patterns)
+	if err != nil {
+		return err
+	}
 	cfg.ColdSolve = !*warm
 	commList, err := parseFloats(*comms)
 	if err != nil {
@@ -335,7 +350,10 @@ func run(ctx context.Context, args []string) error {
 		return fmt.Errorf("unexpected argument %q (subcommands: robustness, multilevel, hetero, campaign)", fs.Arg(0))
 	}
 
-	cfg := buildConfig(*quick, *seed, *runs, *patterns)
+	cfg, err := buildConfig(*quick, *seed, *runs, *patterns)
+	if err != nil {
+		return err
+	}
 	cfg.ColdSolve = !*warm
 
 	sweepPlatform := platform.Hera()
@@ -349,42 +367,40 @@ func run(ctx context.Context, args []string) error {
 		fig2Platforms = []platform.Platform{pl}
 	}
 
-	figures := strings.Split(*fig, ",")
-	if *fig == "all" {
-		figures = []string{"2", "3", "4", "5", "6", "7", "profiles", "baselines"}
+	figures := map[string]func() (renderable, error){
+		"2": func() (renderable, error) { return experiments.Fig2(ctx, fig2Platforms, cfg) },
+		"3": func() (renderable, error) { return experiments.Fig3(ctx, sweepPlatform, nil, cfg) },
+		"4": func() (renderable, error) { return experiments.Fig4(ctx, sweepPlatform, nil, cfg) },
+		"5": func() (renderable, error) { return experiments.Fig5(ctx, sweepPlatform, nil, cfg) },
+		"6": func() (renderable, error) { return experiments.Fig6(ctx, sweepPlatform, nil, cfg) },
+		"7": func() (renderable, error) { return experiments.Fig7(ctx, sweepPlatform, nil, cfg) },
+		// Extension beyond the paper: speedup profiles other than
+		// Amdahl's law (Section V future work).
+		"profiles": func() (renderable, error) {
+			return experiments.ProfileStudy(ctx, sweepPlatform, costmodel.Scenario1, nil, cfg)
+		},
+		// The intro's motivation quantified: fail-stop-only Young/Daly
+		// tuning vs the VC-aware optimum, all platforms.
+		"baselines": func() (renderable, error) {
+			return experiments.BaselineStudy(ctx, fig2Platforms, costmodel.Scenario1, cfg)
+		},
+	}
+	names := []string{"2", "3", "4", "5", "6", "7", "profiles", "baselines"}
+	if *fig != "all" {
+		// Every name is checked before the first figure renders, so a typo
+		// late in the list fails fast instead of after minutes of work.
+		names = strings.Split(*fig, ",")
+		for i, f := range names {
+			names[i] = strings.TrimSpace(f)
+			if figures[names[i]] == nil {
+				return fmt.Errorf("unknown figure %q (want 2-7, profiles, baselines, or all)", names[i])
+			}
+		}
 	}
 
-	for _, f := range figures {
-		f = strings.TrimSpace(f)
-		var (
-			res  renderable
-			err  error
-			name = "fig" + f
-		)
-		switch f {
-		case "2":
-			res, err = experiments.Fig2(ctx, fig2Platforms, cfg)
-		case "3":
-			res, err = experiments.Fig3(ctx, sweepPlatform, nil, cfg)
-		case "4":
-			res, err = experiments.Fig4(ctx, sweepPlatform, nil, cfg)
-		case "5":
-			res, err = experiments.Fig5(ctx, sweepPlatform, nil, cfg)
-		case "6":
-			res, err = experiments.Fig6(ctx, sweepPlatform, nil, cfg)
-		case "7":
-			res, err = experiments.Fig7(ctx, sweepPlatform, nil, cfg)
-		case "profiles":
-			// Extension beyond the paper: speedup profiles other than
-			// Amdahl's law (Section V future work).
-			res, err = experiments.ProfileStudy(ctx, sweepPlatform, costmodel.Scenario1, nil, cfg)
-		case "baselines":
-			// The intro's motivation quantified: fail-stop-only
-			// Young/Daly tuning vs the VC-aware optimum, all platforms.
-			res, err = experiments.BaselineStudy(ctx, fig2Platforms, costmodel.Scenario1, cfg)
-		default:
-			return fmt.Errorf("unknown figure %q (want 2-7, profiles, baselines, or all)", f)
-		}
+	for _, f := range names {
+		name := "fig" + f
+		res, err := figures[f]()
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}

@@ -84,12 +84,25 @@ func TestRunProfilesExtension(t *testing.T) {
 	}
 }
 
+// Bad flags fail before any figure renders: an unknown name late in a
+// -fig list and a negative budget included.
 func TestRunErrors(t *testing.T) {
-	if err := run(context.Background(), []string{"-fig", "99"}); err == nil {
-		t.Error("unknown figure accepted")
+	cases := [][]string{
+		{"-fig", "99"},
+		{"-platform", "unknown"},
+		{"-fig", "4,", "-quick", "-runs", "2", "-patterns", "2"},
+		{"-fig", "7,bogus", "-quick", "-runs", "2", "-patterns", "2"},
+		{"-fig", "7", "-quick", "-runs", "-5"},
+		{"-fig", "7", "-quick", "-patterns", "-1"},
 	}
-	if err := run(context.Background(), []string{"-platform", "unknown"}); err == nil {
-		t.Error("unknown platform accepted")
+	for _, args := range cases {
+		out, err := capture(t, func() error { return run(context.Background(), args) })
+		if err == nil {
+			t.Errorf("args %v accepted", args)
+		}
+		if out != "" {
+			t.Errorf("args %v rendered before failing:\n%s", args, out)
+		}
 	}
 }
 
@@ -126,6 +139,11 @@ func TestRunRobustnessRejectsBadFlags(t *testing.T) {
 	}
 	if err := runRobustness(context.Background(), []string{"-platform", "nonesuch"}); err == nil {
 		t.Error("unknown platform accepted")
+	}
+	if _, err := capture(t, func() error {
+		return runRobustness(context.Background(), []string{"-scenario", "1", "-quick", "-runs", "-5"})
+	}); err == nil {
+		t.Error("negative -runs accepted")
 	}
 }
 
@@ -202,6 +220,11 @@ func TestRunMultilevelRejectsBadFlags(t *testing.T) {
 		return runMultilevel(context.Background(), []string{"stray"})
 	}); err == nil {
 		t.Error("stray positional accepted")
+	}
+	if _, err := capture(t, func() error {
+		return runMultilevel(context.Background(), []string{"-scenario", "3", "-quick", "-patterns", "-1"})
+	}); err == nil {
+		t.Error("negative -patterns accepted")
 	}
 }
 

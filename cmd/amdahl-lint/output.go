@@ -1,71 +1,26 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"log"
 	"os"
 	"path/filepath"
 
 	"amdahlyd/internal/analyzers/analysis"
 )
 
-// outputOptions selects how surviving diagnostics are rendered. The zero
-// value is the human text form ("file:line:col: message [analyzer]" on
-// stderr); -json switches to NDJSON on stdout for tooling, and
-// -format=github to workflow commands GitHub renders as inline PR
-// annotations.
-type outputOptions struct {
-	json   bool
-	format string // "" or "text" for the default; "github" for ::error commands
-}
-
-func (o outputOptions) validate() error {
-	switch o.format {
-	case "", "text", "github":
-		return nil
-	}
-	return fmt.Errorf("unknown -format=%s (use text or github)", o.format)
-}
-
-// jsonDiagnostic is one NDJSON record. Suppressible distinguishes
-// analyzer findings (a //lint:allow with a reason silences them) from
-// the lintdirective meta-diagnostics about the directives themselves,
-// which only deleting or completing the directive can clear.
-type jsonDiagnostic struct {
-	File         string `json:"file"`
-	Line         int    `json:"line"`
-	Col          int    `json:"col"`
-	Analyzer     string `json:"analyzer"`
-	Message      string `json:"message"`
-	Suppressible bool   `json:"suppressible"`
-}
-
-// emitDiagnostics renders diags in the selected format and reports
-// whether any were emitted.
-func emitDiagnostics(diags []analysis.Diagnostic, opts outputOptions) bool {
-	enc := json.NewEncoder(os.Stdout)
+// emitDiagnostics renders diags and reports whether any were emitted.
+// The default is the human text form ("file:line:col: message
+// [analyzer]" on stderr); github selects workflow commands on stdout,
+// which GitHub renders as inline PR annotations.
+func emitDiagnostics(diags []analysis.Diagnostic, github bool) bool {
 	for _, d := range diags {
-		switch {
-		case opts.json:
-			rec := jsonDiagnostic{
-				File:         relPath(d.Position.Filename),
-				Line:         d.Position.Line,
-				Col:          d.Position.Column,
-				Analyzer:     d.Analyzer,
-				Message:      d.Message,
-				Suppressible: d.Analyzer != "lintdirective",
-			}
-			if err := enc.Encode(rec); err != nil {
-				log.Fatal(err)
-			}
-		case opts.format == "github":
+		if github {
 			// Workflow-command grammar: properties are comma-separated,
 			// the message follows "::" with newlines %-escaped.
 			fmt.Printf("::error file=%s,line=%d,col=%d,title=amdahl-lint %s::%s\n",
 				relPath(d.Position.Filename), d.Position.Line, d.Position.Column,
 				d.Analyzer, escapeWorkflowData(d.Message))
-		default:
+		} else {
 			fmt.Fprintln(os.Stderr, d)
 		}
 	}
@@ -74,7 +29,7 @@ func emitDiagnostics(diags []analysis.Diagnostic, opts outputOptions) bool {
 
 // relPath rewrites an absolute position to be relative to the working
 // directory when possible: GitHub annotations match files by
-// workspace-relative path, and shorter paths read better in NDJSON too.
+// workspace-relative path.
 func relPath(path string) string {
 	wd, err := os.Getwd()
 	if err != nil {

@@ -1,12 +1,28 @@
 // Command amdahl-serve exposes the Amdahl/Young-Daly analyses as a
-// long-running JSON-over-HTTP planning service: evaluate (exact overhead
-// and pattern time at a given (T, P)), optimize (the numerical optimum
-// (T*, P*)), simulate (seeded Monte-Carlo campaigns, including the
-// non-exponential -dist laws), sweep (a whole figure axis solved as one
-// warm-start chain, streamed back as NDJSON rows — single-level, or
-// two-level with "multilevel"), and the two-level protocol endpoints
-// multilevel/optimize (the joint (T*, K*, P*) optimum) and
-// multilevel/simulate (seeded two-level campaigns).
+// long-running JSON-over-HTTP planning service. Its endpoints:
+//
+//   - POST /v1/evaluate: exact overhead and pattern time at a given
+//     (T, P);
+//   - POST /v1/optimize: the numerical optimum (T*, P*);
+//   - POST /v1/simulate: seeded Monte-Carlo campaigns, including the
+//     non-exponential -dist laws;
+//   - POST /v1/sweep: a whole figure axis solved as one warm-start
+//     chain, streamed back as NDJSON rows — single-level, two-level with
+//     "multilevel", or heterogeneous with "hetero";
+//   - POST /v1/multilevel/optimize and /v1/multilevel/simulate: the
+//     joint two-level (T*, K*, P*) optimum and seeded two-level
+//     campaigns;
+//   - POST /v1/hetero/optimize and /v1/hetero/simulate: the joint
+//     optimum over a heterogeneous topology (which groups work, how the
+//     load splits, each group's pattern) and seeded campaigns of a plan,
+//     the optimum when none is given;
+//   - GET /v1/cache/hot and POST /v1/cache/fill: export the hottest
+//     cached results and import them on another replica, the pair the
+//     fleet router warm-fills a rejoining replica with;
+//   - GET /v1/stats: engine, cache and scheduler counters;
+//   - GET /healthz: liveness, 200 while the process serves;
+//   - GET /readyz: readiness, 503 while draining or while the scheduler
+//     is saturated, which is what the router's health probes read.
 //
 // One process amortizes repeated configurations across requests: compiled
 // evaluators, optimizer results and campaign results are cached under
@@ -32,7 +48,11 @@
 //	curl -s localhost:8080/v1/sweep -d '{"model":{"platform":"hera","scenario":3},"axis":"lambda","values":[1e-10,2e-10,4e-10]}'
 //	curl -s localhost:8080/v1/multilevel/optimize -d '{"model":{"platform":"hera","scenario":3},"in_mem_fraction":0.0667}'
 //	curl -s localhost:8080/v1/multilevel/simulate -d '{"model":{"platform":"hera","scenario":3},"runs":100,"seed":1}'
+//	curl -s localhost:8080/v1/hetero/optimize -d '{"topology":{"comm":0.02,"groups":[
+//	  {"name":"cpu","lambda_ind":1.69e-8,"f":0.2188,"s":0.7812,"size":25600,"speed":1,"cp":300,"vp":15},
+//	  {"name":"accel","lambda_ind":8.45e-7,"f":0.2188,"s":0.7812,"size":128,"speed":8,"cp":60,"vp":4}]}}'
 //	curl -s localhost:8080/v1/stats
+//	curl -s localhost:8080/readyz
 //
 //	amdahl-serve -addr :8090 -router -peers a=http://h1:8080,b=http://h2:8080
 package main

@@ -166,11 +166,12 @@
 // atomicwrite, rawrand, keyfmt, mapiter, walltime, seedflow,
 // errclass). The last two are interprocedural: they attach
 // gob-serialized facts to objects, carried between packages in
-// dependency order and between `go vet` compilation units in .vetx
-// stamp files. CI runs the suite via scripts/lint.sh; it also speaks
-// the `go vet -vettool` protocol and emits -json NDJSON or
-// -format=github annotations. Justified exceptions are annotated in
-// place with `//lint:allow <analyzer> <reason>`. New cross-cutting
+// dependency order. CI runs the suite via scripts/lint.sh, with
+// -format=github annotations. It has one driver, which loads packages
+// through `go list -export`; it does not plug into `go vet`, whose
+// build cache bought nothing (0.45 s for ./... against 5.3 s cold and
+// ~1 s warm under vet, 2-CPU host). Justified exceptions are annotated
+// in place with `//lint:allow <analyzer> <reason>`. New cross-cutting
 // invariants ship with an analyzer, not a comment. See DESIGN.md,
 // "Enforced invariants".
 //

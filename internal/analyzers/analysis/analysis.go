@@ -43,8 +43,7 @@ type Analyzer struct {
 	// FactTypes declares, by prototype value, every Fact type this
 	// analyzer exports or imports. An analyzer with a nil FactTypes is
 	// purely local; one with facts participates in cross-package
-	// propagation (dependency order in source mode, .vetx files under
-	// `go vet -vettool`).
+	// propagation, in the dependency order Run analyzes packages in.
 	FactTypes []Fact
 }
 
@@ -61,7 +60,7 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	report func(Diagnostic)
-	facts  *FactSet
+	facts  factStore
 }
 
 // Report records a finding. The Analyzer field is filled in by the

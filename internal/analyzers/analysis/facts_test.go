@@ -97,76 +97,20 @@ import "lib"
 func Use() uint64 { return lib.SeedStream(7) }
 `
 
-// TestObjectFactsFlowAcrossPackages checks the in-process path: one
-// RunWithFacts over [lib, app] in dependency order, the fact exported
-// while analyzing lib is visible while analyzing app.
+// TestObjectFactsFlowAcrossPackages: in one Run over [lib, app] in
+// dependency order, the fact exported while analyzing lib is visible
+// while analyzing app.
 func TestObjectFactsFlowAcrossPackages(t *testing.T) {
 	fset := token.NewFileSet()
 	lib := checkSrc(t, fset, "lib", libSrc, nil)
 	lib.DepOnly = true
 	app := checkSrc(t, fset, "app", appSrc, map[string]*Package{"lib": lib})
 
-	diags, facts, err := RunWithFacts([]*Package{lib, app}, []*Analyzer{factAnalyzer}, nil)
+	diags, err := Run([]*Package{lib, app}, []*Analyzer{factAnalyzer})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(diags) != 1 || !strings.Contains(diags[0].Message, "SeedStream (from lib)") {
 		t.Fatalf("want one cross-package diagnostic naming SeedStream, got %v", diags)
-	}
-	if facts.Len() == 0 {
-		t.Fatal("run exported no facts")
-	}
-}
-
-// TestObjectFactsSurviveEncoding checks the unitchecker-shaped path: lib
-// is analyzed in one run, its facts round-trip through Encode/Decode
-// (the .vetx representation), and a separate run over app alone imports
-// them.
-func TestObjectFactsSurviveEncoding(t *testing.T) {
-	fset := token.NewFileSet()
-	lib := checkSrc(t, fset, "lib", libSrc, nil)
-	app := checkSrc(t, fset, "app", appSrc, map[string]*Package{"lib": lib})
-
-	_, libFacts, err := RunWithFacts([]*Package{lib}, []*Analyzer{factAnalyzer}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := libFacts.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	data2, err := libFacts.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != string(data2) {
-		t.Fatal("FactSet.Encode is not deterministic")
-	}
-	decoded, err := DecodeFacts(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if decoded.Len() != libFacts.Len() {
-		t.Fatalf("decode lost facts: %d != %d", decoded.Len(), libFacts.Len())
-	}
-
-	diags, _, err := RunWithFacts([]*Package{app}, []*Analyzer{factAnalyzer}, decoded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "SeedStream (from lib)") {
-		t.Fatalf("want one diagnostic from imported facts, got %v", diags)
-	}
-}
-
-// TestLegacyEmptyVetxDecodes pins the compatibility contract with the
-// zero-length stamp files written before the facts layer existed.
-func TestLegacyEmptyVetxDecodes(t *testing.T) {
-	s, err := DecodeFacts(nil)
-	if err != nil || s.Len() != 0 {
-		t.Fatalf("empty vetx: got %v, %v", s, err)
-	}
-	if _, err := DecodeFacts([]byte("garbage")); err == nil {
-		t.Fatal("garbage vetx decoded without error")
 	}
 }

@@ -114,23 +114,12 @@ func newTypesInfo() *types.Info {
 	}
 }
 
-// TypeCheckFiles parses the named files (absolute paths) and
-// type-checks them as one package against the given importer. It is the
-// entry point for external drivers such as amdahl-lint's `go vet
-// -vettool` mode, where the build system supplies the file list and the
-// export-data map.
-func TypeCheckFiles(fset *token.FileSet, importPath string, files []string, imp types.Importer) (*Package, error) {
-	return typeCheck(fset, importPath, "", files, imp)
-}
-
-// typeCheck parses files and type-checks them as one package.
+// typeCheck parses the named files of dir and type-checks them as one
+// package.
 func typeCheck(fset *token.FileSet, importPath, dir string, fileNames []string, imp types.Importer) (*Package, error) {
 	var files []*ast.File
 	for _, name := range fileNames {
-		if !filepath.IsAbs(name) {
-			name = filepath.Join(dir, name)
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: %v", err)
 		}
@@ -163,7 +152,7 @@ func typeCheck(fset *token.FileSet, importPath, dir string, fileNames []string, 
 //
 // The returned slice preserves `go list -deps` order — dependencies
 // before dependents — which is the order the facts layer requires:
-// RunWithFacts analyzes packages front to back, so by the time a package
+// Run analyzes packages front to back, so by the time a package
 // is inspected, every fact its dependencies export is already in the
 // store. Non-standard dependencies outside the requested patterns are
 // loaded too, marked DepOnly: they contribute facts but their

@@ -62,29 +62,19 @@ func (d *directive) suppresses(a string, pos token.Position) bool {
 
 // Run executes every analyzer over every package, applies //lint:allow
 // suppression, and returns the surviving diagnostics sorted by position.
-// Malformed directives and directives that suppressed nothing are
-// reported as diagnostics from the pseudo-analyzer "lintdirective", so a
-// stale exception cannot quietly outlive the code it excused.
+// pkgs must be in dependency order (as Load returns them): one fact
+// store is threaded through the packages front to back, so a pass sees
+// every fact its dependencies exported. Packages marked DepOnly are
+// analyzed for their facts only; their diagnostics and directives are
+// discarded. Malformed directives and directives that suppressed nothing
+// are reported as diagnostics from the pseudo-analyzer "lintdirective",
+// so a stale exception cannot quietly outlive the code it excused.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, _, err := RunWithFacts(pkgs, analyzers, nil)
-	return diags, err
-}
-
-// RunWithFacts is Run with the facts store exposed: pkgs must be in
-// dependency order (as Load returns them), imported pre-seeds the store
-// with facts from compilation units analyzed elsewhere (the vettool
-// driver's decoded .vetx files; nil is an empty store), and the returned
-// FactSet holds every fact known after the run — the imported ones plus
-// everything the analyzers exported — ready to encode into this unit's
-// .vetx output. Packages marked DepOnly are analyzed for their facts
-// only; their diagnostics and directives are discarded.
-func RunWithFacts(pkgs []*Package, analyzers []*Analyzer, imported *FactSet) ([]Diagnostic, *FactSet, error) {
 	known := map[string]bool{}
 	for _, a := range analyzers {
 		known[a.Name] = true
 	}
-	facts := NewFactSet()
-	facts.Merge(imported)
+	facts := factStore{}
 	var out []Diagnostic
 	for _, pkg := range pkgs {
 		var raw []Diagnostic
@@ -99,7 +89,7 @@ func RunWithFacts(pkgs []*Package, analyzers []*Analyzer, imported *FactSet) ([]
 			}
 			pass.report = func(d Diagnostic) { raw = append(raw, d) }
 			if err := a.Run(pass); err != nil {
-				return nil, nil, fmt.Errorf("analysis: %s on %s: %v", a.Name, pkg.ImportPath, err)
+				return nil, fmt.Errorf("analysis: %s on %s: %v", a.Name, pkg.ImportPath, err)
 			}
 		}
 		if pkg.DepOnly {
@@ -154,5 +144,5 @@ func RunWithFacts(pkgs []*Package, analyzers []*Analyzer, imported *FactSet) ([]
 		}
 		return out[i].Analyzer < out[j].Analyzer
 	})
-	return out, facts, nil
+	return out, nil
 }

@@ -20,8 +20,7 @@
 //
 // PR 10 added the determinism suite, two of which are interprocedural
 // through the facts layer in the sibling analysis package (facts are
-// gob-encoded per object, propagated in dependency order by the source
-// driver and through .vetx stamp files under `go vet -vettool`):
+// gob-encoded per object and propagated in dependency order):
 //
 //	mapiter     — no order-sensitive output (appends, row/CSV/JSON
 //	              writes, string building, float accumulation, channel

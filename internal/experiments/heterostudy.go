@@ -109,6 +109,14 @@ func HeterogeneousStudy(ctx context.Context, pl platform.Platform, comms, splits
 	if len(splits) == 0 {
 		splits = DefaultHeteroSplits
 	}
+	for _, split := range splits {
+		// HeteroStudyTopology rounds a sub-processor accelerator up to one
+		// processor; a split of 0 or below would be priced as that and
+		// reported under a size that was never run.
+		if !(split > 0) {
+			return nil, fmt.Errorf("experiments: hetero split %g is not positive", split)
+		}
+	}
 	if len(scenarios) == 0 {
 		scenarios = scenarios135
 	}

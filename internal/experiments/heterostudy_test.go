@@ -103,6 +103,21 @@ func TestHeterogeneousStudyRenderAndCSV(t *testing.T) {
 	}
 }
 
+// TestHeterogeneousStudyRejectsNonPositiveSplits: a split of 0 or -1
+// would be rounded up to a one-processor accelerator and reported under
+// the split that was asked for; it is an error naming the value.
+func TestHeterogeneousStudyRejectsNonPositiveSplits(t *testing.T) {
+	cfg := Config{Runs: 2, Patterns: 2, Seed: 1}
+	for _, split := range []float64{0, -1} {
+		_, err := HeterogeneousStudy(context.Background(), platform.Hera(),
+			[]float64{0}, []float64{0.25, split},
+			[]costmodel.Scenario{costmodel.Scenario1}, cfg)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("split %g is not positive", split)) {
+			t.Errorf("split %g: err = %v; want it rejected by value", split, err)
+		}
+	}
+}
+
 func TestHeteroStudyTopologyShape(t *testing.T) {
 	tp := HeteroStudyTopology(platform.Hera(), 1e-5, 0.25)
 	if err := tp.Validate(); err != nil {

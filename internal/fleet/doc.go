@@ -13,7 +13,8 @@
 // at its own bounded in-flight cap instead of amplifying a saturated
 // replica into a retry storm. The HealthChecker drives ring membership
 // from /readyz probes and warm-fills a rejoining replica from its ring
-// Neighbour before readmission.
+// Neighbour before readmission, under a deadline derived from the probe
+// timeout so a hung donor cannot stall membership.
 //
 // Everything rests on one invariant inherited from the service layer:
 // responses are pure functions of requests (solves are deterministic,

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"amdahlyd/internal/backoff"
 	"amdahlyd/internal/service"
 )
 
@@ -264,7 +265,7 @@ func TestFleetFailoverOnReplicaDeathMidRun(t *testing.T) {
 	if reroutes == 0 {
 		t.Fatalf("killed a replica mid-run but nothing failed over: %+v", st.Peers)
 	}
-	// The health checker notices within FailAfter probes and evicts.
+	// The health checker notices within failAfter probes and evicts.
 	peers := map[string]string{}
 	for _, r := range reps {
 		peers[r.name] = r.ts.URL
@@ -506,9 +507,89 @@ func TestFleetWarmFillOnRejoin(t *testing.T) {
 	}
 }
 
+// TestHealthCheckerBoundsAHungWarmFill: a donor whose /readyz answers
+// but whose /v1/cache/hot never does must not stall membership. The
+// fill runs under a deadline derived from the probe timeout, so both
+// rounds return promptly and the joiner is admitted cold.
+func TestHealthCheckerBoundsAHungWarmFill(t *testing.T) {
+	release := make(chan struct{})
+	donor := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/cache/hot" {
+			select {
+			case <-release:
+			case <-r.Context().Done():
+			}
+			return
+		}
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer donor.Close()
+	defer close(release) // before Close, which waits for the hung handler
+	joiner := httptest.NewServer(service.NewServer(service.NewEngine(service.Options{})))
+	defer joiner.Close()
+
+	ring := NewRing()
+	ring.Add("donor")
+	const timeout = 200 * time.Millisecond
+	hc := NewHealthChecker(ring, map[string]string{"donor": donor.URL, "joiner": joiner.URL},
+		HealthOptions{Timeout: timeout})
+	start := time.Now()
+	rounds := make(chan struct{})
+	go func() {
+		defer close(rounds)
+		hc.ProbeOnce(context.Background())
+		hc.ProbeOnce(context.Background()) // second pass: join, after the fill
+	}()
+	select {
+	case <-rounds:
+	case <-time.After(25 * timeout):
+		t.Fatal("probe rounds still blocked behind a hung warm-fill donor")
+	}
+	if elapsed := time.Since(start); elapsed > 10*timeout {
+		t.Errorf("two probe rounds took %v; want within 10× the %v probe timeout", elapsed, timeout)
+	}
+	if !ring.Has("joiner") {
+		t.Fatal("joiner not admitted after its warm-fill timed out")
+	}
+	if hc.Fills() != 0 {
+		t.Fatalf("Fills = %d; a timed-out fill must not count", hc.Fills())
+	}
+}
+
+// TestRetryDelayIsPerKey: the failover backoff is jittered by the ring
+// hash of the request's shard key, so requests that fail together
+// spread out instead of retrying in lockstep, and one key always gets
+// the same schedule.
+func TestRetryDelayIsPerKey(t *testing.T) {
+	rt, err := NewRouter(RouterOptions{Peers: map[string]string{"p1": "http://127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const a, b = `m1|hera|a`, `m1|hera|b`
+	for attempt := 1; attempt <= 3; attempt++ {
+		da := rt.retryDelay(a, attempt, 0)
+		if want := backoff.Delay(50*time.Millisecond, attempt, ringHash(a)); da != want {
+			t.Errorf("attempt %d: delay %v; want %v, the schedule seeded by the key's ring hash", attempt, da, want)
+		}
+		if again := rt.retryDelay(a, attempt, 0); again != da {
+			t.Errorf("attempt %d: same key gave %v then %v", attempt, da, again)
+		}
+		if db := rt.retryDelay(b, attempt, 0); db == da {
+			t.Errorf("attempt %d: keys %q and %q share the delay %v", attempt, a, b, da)
+		}
+	}
+	// A replica's Retry-After floors the wait; MaxDelay (default 2 s) caps it.
+	if d := rt.retryDelay(a, 1, time.Second); d != time.Second {
+		t.Errorf("Retry-After floor: delay %v; want 1s", d)
+	}
+	if d := rt.retryDelay(a, 1, time.Minute); d != 2*time.Second {
+		t.Errorf("MaxDelay cap: delay %v; want 2s", d)
+	}
+}
+
 // TestRouterShedsAtInFlightCap pins the router's own load-shedding
-// contract: past MaxInFlight it answers 503 + Retry-After immediately
-// instead of queueing.
+// contract: past its in-flight cap it answers 503 + Retry-After
+// immediately instead of queueing.
 func TestRouterShedsAtInFlightCap(t *testing.T) {
 	rt, _ := newFleet(t, 1, nil, -1)
 	rt.inflight = make(chan struct{}, 1)

@@ -14,27 +14,24 @@ import (
 	"amdahlyd/internal/service"
 )
 
-// HealthOptions tunes the checker. The zero value probes every 500 ms,
-// evicts after 2 consecutive failures and readmits after 2 consecutive
-// passes — eager enough that a killed replica leaves the ring within a
-// second, hysteretic enough that one dropped probe does not flap it.
+// HealthOptions tunes the checker; the zero value probes every 500 ms.
+// Whatever the options, a member is evicted after 2 consecutive failed
+// probes and readmitted after 2 consecutive passes — eager enough that
+// a killed replica leaves the ring within a second, hysteretic enough
+// that one dropped probe does not flap it.
 type HealthOptions struct {
 	// Interval between probe rounds (default 500 ms).
 	Interval time.Duration
 	// Timeout per probe (default Interval, so rounds never pile up).
 	Timeout time.Duration
-	// FailAfter consecutive failed probes evict a member (default 2).
-	FailAfter int
-	// RiseAfter consecutive passing probes readmit a non-member
-	// (default 2).
-	RiseAfter int
-	// Client issues the probes (default http.DefaultClient).
-	Client *http.Client
-	// WarmFillLimit caps entries pulled per warm-fill (default 256,
-	// the replica's own default; 0 keeps that default, negative
-	// disables warm-fill).
-	WarmFillLimit int
 }
+
+const (
+	// failAfter consecutive failed probes evict a member.
+	failAfter = 2
+	// riseAfter consecutive passing probes readmit a non-member.
+	riseAfter = 2
+)
 
 func (o HealthOptions) interval() time.Duration {
 	if o.Interval > 0 {
@@ -50,30 +47,9 @@ func (o HealthOptions) timeout() time.Duration {
 	return o.interval()
 }
 
-func (o HealthOptions) failAfter() int {
-	if o.FailAfter > 0 {
-		return o.FailAfter
-	}
-	return 2
-}
-
-func (o HealthOptions) riseAfter() int {
-	if o.RiseAfter > 0 {
-		return o.RiseAfter
-	}
-	return 2
-}
-
-func (o HealthOptions) client() *http.Client {
-	if o.Client != nil {
-		return o.Client
-	}
-	return http.DefaultClient
-}
-
 // HealthChecker drives ring membership from each peer's /readyz: a
 // replica that stops answering (dead, draining, or saturated past its
-// queue) is evicted after FailAfter consecutive failed probes, and a
+// queue) is evicted after failAfter consecutive failed probes, and a
 // replica that comes back is warm-filled from its ring neighbour —
 // the member that owned its keyspace in its absence — before being
 // readmitted, so a rejoining peer takes traffic warm instead of paying
@@ -170,7 +146,7 @@ func (h *HealthChecker) ProbeOnce(ctx context.Context) {
 		verdicts[v.peer] = v.ok
 	}
 	for _, name := range names {
-		h.observe(name, verdicts[name])
+		h.observe(ctx, name, verdicts[name])
 	}
 }
 
@@ -184,7 +160,7 @@ func (h *HealthChecker) probe(ctx context.Context, base string) bool {
 	if err != nil {
 		return false
 	}
-	resp, err := h.opts.client().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return false
 	}
@@ -193,12 +169,12 @@ func (h *HealthChecker) probe(ctx context.Context, base string) bool {
 }
 
 // observe applies one probe verdict with hysteresis.
-func (h *HealthChecker) observe(peer string, ok bool) {
+func (h *HealthChecker) observe(ctx context.Context, peer string, ok bool) {
 	h.mu.Lock()
 	if !ok {
 		h.fails[peer]++
 		h.passes[peer] = 0
-		evict := h.fails[peer] >= h.opts.failAfter()
+		evict := h.fails[peer] >= failAfter
 		h.mu.Unlock()
 		if evict {
 			h.ring.Remove(peer)
@@ -207,7 +183,7 @@ func (h *HealthChecker) observe(peer string, ok bool) {
 	}
 	h.fails[peer] = 0
 	h.passes[peer]++
-	join := h.passes[peer] >= h.opts.riseAfter() && !h.ring.Has(peer)
+	join := h.passes[peer] >= riseAfter && !h.ring.Has(peer)
 	h.mu.Unlock()
 	if !join {
 		return
@@ -215,39 +191,37 @@ func (h *HealthChecker) observe(peer string, ok bool) {
 	// Warm-fill before admission: once the peer is in the ring it takes
 	// traffic, so the fill must land first. The donor is computed against
 	// the current ring (peer absent): the member owning its keyspace now.
-	if h.opts.WarmFillLimit >= 0 {
-		if donor := h.ring.Neighbour(peer); donor != "" {
-			if _, err := WarmFill(context.Background(), h.opts.client(),
-				h.peers[donor], h.peers[peer], h.opts.WarmFillLimit); err == nil {
-				h.mu.Lock()
-				h.fills++
-				h.mu.Unlock()
-			}
-			// A failed fill is not a reason to keep a ready peer out of the
-			// ring: it joins cold, exactly as if it had no donor.
+	if donor := h.ring.Neighbour(peer); donor != "" {
+		// The fill is two requests, a pull and a push; each gets one probe
+		// timeout. A donor that is ready but never answers its hot set
+		// must not hold this round, and with it every other peer's
+		// membership, hostage.
+		fctx, cancel := context.WithTimeout(ctx, 2*h.opts.timeout())
+		_, err := WarmFill(fctx, h.peers[donor], h.peers[peer])
+		cancel()
+		if err == nil {
+			h.mu.Lock()
+			h.fills++
+			h.mu.Unlock()
 		}
+		// A failed or timed-out fill is not a reason to keep a ready peer
+		// out of the ring: it joins cold, exactly as if it had no donor.
 	}
 	h.ring.Add(peer)
 }
 
-// WarmFill pulls up to limit hot cache entries from the donor replica
-// and pushes them into the joiner, returning how many the joiner
-// accepted. Sound end to end: entries are pure functions of their keys
-// and float64 survives the JSON hop bit-exactly, so a filled entry is
-// indistinguishable from one the joiner solved itself.
-func WarmFill(ctx context.Context, client *http.Client, donorURL, joinerURL string, limit int) (int, error) {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	url := donorURL + "/v1/cache/hot"
-	if limit > 0 {
-		url = fmt.Sprintf("%s?limit=%d", url, limit)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+// WarmFill pulls the donor replica's hot cache entries (as many as its
+// /v1/cache/hot returns by default) and pushes them into the joiner,
+// returning how many the joiner accepted. Sound end to end: entries are
+// pure functions of their keys and float64 survives the JSON hop
+// bit-exactly, so a filled entry is indistinguishable from one the
+// joiner solved itself.
+func WarmFill(ctx context.Context, donorURL, joinerURL string) (int, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, donorURL+"/v1/cache/hot", nil)
 	if err != nil {
 		return 0, err
 	}
-	resp, err := client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return 0, fmt.Errorf("fleet: warm-fill pull from %s: %w", donorURL, err)
 	}
@@ -264,7 +238,7 @@ func WarmFill(ctx context.Context, client *http.Client, donorURL, joinerURL stri
 		return 0, err
 	}
 	preq.Header.Set("Content-Type", "application/json")
-	presp, err := client.Do(preq)
+	presp, err := http.DefaultClient.Do(preq)
 	if err != nil {
 		return 0, fmt.Errorf("fleet: warm-fill push to %s: %w", joinerURL, err)
 	}

@@ -45,7 +45,7 @@ type Router struct {
 	ring *Ring
 	mux  *http.ServeMux
 
-	// inflight bounds concurrently forwarded requests; nil = unbounded.
+	// inflight bounds concurrently forwarded requests at maxInFlight.
 	inflight chan struct{}
 	shed     atomic.Uint64
 
@@ -63,24 +63,23 @@ type RouterOptions struct {
 	// disables hedging). Streams are never hedged — a slow first row is
 	// legitimate on a long axis.
 	HedgeAfter time.Duration
-	// MaxAttempts bounds total sends per request, hedges included
-	// (default 4).
-	MaxAttempts int
 	// RetryBase is the first failover backoff delay (default 50 ms),
 	// growing exponentially with deterministic splitmix64 jitter.
 	RetryBase time.Duration
 	// MaxDelay caps any single backoff wait, including a replica's
 	// Retry-After (default 2 s).
 	MaxDelay time.Duration
-	// MaxInFlight bounds concurrently forwarded requests; past it the
-	// router sheds with 503 + Retry-After (default 256; negative =
-	// unbounded).
-	MaxInFlight int
-	// Seed decorrelates this router's backoff jitter from its peers'.
-	Seed uint64
 	// Client is the forwarding HTTP client (default http.DefaultClient).
 	Client *http.Client
 }
+
+const (
+	// maxAttempts bounds total sends per request, hedges included.
+	maxAttempts = 4
+	// maxInFlight bounds concurrently forwarded requests; past it the
+	// router sheds with 503 + Retry-After.
+	maxInFlight = 256
+)
 
 func (o RouterOptions) hedgeAfter() time.Duration {
 	if o.HedgeAfter < 0 {
@@ -90,13 +89,6 @@ func (o RouterOptions) hedgeAfter() time.Duration {
 		return 150 * time.Millisecond
 	}
 	return o.HedgeAfter
-}
-
-func (o RouterOptions) maxAttempts() int {
-	if o.MaxAttempts > 0 {
-		return o.MaxAttempts
-	}
-	return 4
 }
 
 func (o RouterOptions) retryBase() time.Duration {
@@ -152,14 +144,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		ring.Add(name)
 		peers[name] = &peerCounters{}
 	}
-	rt := &Router{opts: opts, ring: ring, peers: peers}
-	if opts.MaxInFlight >= 0 {
-		n := opts.MaxInFlight
-		if n == 0 {
-			n = 256
-		}
-		rt.inflight = make(chan struct{}, n)
-	}
+	rt := &Router{opts: opts, ring: ring, peers: peers, inflight: make(chan struct{}, maxInFlight)}
 	rt.mux = http.NewServeMux()
 	for _, p := range []string{
 		"/v1/evaluate", "/v1/optimize", "/v1/simulate",
@@ -195,9 +180,6 @@ func (rt *Router) bump(peer string, f func(*peerCounters)) {
 
 // admit claims an in-flight slot, or reports the router saturated.
 func (rt *Router) admit() bool {
-	if rt.inflight == nil {
-		return true
-	}
 	select {
 	case rt.inflight <- struct{}{}:
 		return true
@@ -207,10 +189,17 @@ func (rt *Router) admit() bool {
 	}
 }
 
-func (rt *Router) done() {
-	if rt.inflight != nil {
-		<-rt.inflight
-	}
+func (rt *Router) done() { <-rt.inflight }
+
+// retryDelay is the wait before the send that follows the given failed
+// attempt: the backoff schedule, floored at a replica's Retry-After and
+// capped at MaxDelay. The jitter is seeded by the ring hash of the
+// request's shard key, so the requests a dead replica held retry at
+// spread-out times instead of in lockstep, while one key keeps one
+// reproducible schedule.
+func (rt *Router) retryDelay(key string, attempt int, floor time.Duration) time.Duration {
+	delay := max(backoff.Delay(rt.opts.retryBase(), attempt, ringHash(key)), floor)
+	return min(delay, rt.opts.maxDelay())
 }
 
 // maxRouterBody mirrors the replica's request bound.
@@ -345,7 +334,6 @@ func (rt *Router) dispatch(ctx context.Context, key, path string, body []byte) (
 	if len(owners) == 0 {
 		return nil, "", errors.New("fleet: no peers in ring")
 	}
-	maxAttempts := rt.opts.maxAttempts()
 	results := make(chan attemptResult, maxAttempts)
 	launched, received := 0, 0
 	next := 0
@@ -418,15 +406,8 @@ func (rt *Router) dispatch(ctx context.Context, key, path string, body []byte) (
 				}
 				return nil, "", fmt.Errorf("fleet: giving up after %d attempts: %w", launched, lastErr)
 			}
-			delay := backoff.Delay(rt.opts.retryBase(), launched, rt.opts.Seed)
-			if ra := service.RetryAfter(lastResp); ra > delay {
-				delay = ra
-			}
-			if lim := rt.opts.maxDelay(); delay > lim {
-				delay = lim
-			}
 			select {
-			case <-time.After(delay):
+			case <-time.After(rt.retryDelay(key, launched, service.RetryAfter(lastResp))):
 			case <-ctx.Done():
 				return nil, "", ctx.Err()
 			}
@@ -531,15 +512,9 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var lastPeer string
 	var lastErr error
 	var retryFloor time.Duration
-	for attempt := 1; attempt <= rt.opts.maxAttempts(); attempt++ {
+	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		if attempt > 1 {
-			delay := backoff.Delay(rt.opts.retryBase(), attempt-1, rt.opts.Seed)
-			if retryFloor > delay {
-				delay = retryFloor
-			}
-			if lim := rt.opts.maxDelay(); delay > lim {
-				delay = lim
-			}
+			delay := rt.retryDelay(key, attempt-1, retryFloor)
 			retryFloor = 0
 			select {
 			case <-time.After(delay):
@@ -612,7 +587,7 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if lastErr == nil {
 		lastErr = errors.New("fleet: sweep failed")
 	}
-	err = fmt.Errorf("fleet: giving up after %d attempts: %w", rt.opts.maxAttempts(), lastErr)
+	err = fmt.Errorf("fleet: giving up after %d attempts: %w", maxAttempts, lastErr)
 	if !wroteHeader {
 		writeErr(w, http.StatusBadGateway, err)
 		return

@@ -26,16 +26,15 @@ var reachAllowlist = map[string]string{
 	"analyzers.StatusClassifierFact.AFact": "analysis.Fact marker; TestErrClass exports and imports the fact",
 
 	// Test accessors.
-	"analyzers/analysis.FactSet.Len": "TestObjectFactsSurviveEncoding counts the decoded facts",
-	"analyzers/analysis.LoadDir":     "the analysistest fixture loader behind TestSeedFlow and the other analyzer tests",
-	"fleet.HealthChecker.Fills":      "TestFleetWarmFillOnRejoin counts warm-fills",
-	"fleet.Ring.Owner":               "TestRingRemovalOnlyMovesTheRemovedPeersKeys reads single-key placement",
-	"multilevel.SweepSolver.Stats":   "TestMultilevelAxisJumpFallsBack reads the warm/cold/fallback counts",
-	"report.Table.Rows":              "TestTableRender reads the rows back",
-	"sim.Engine.Pending":             "TestEngineResetReuse checks the queue is empty after a reset",
-	"stats.Welford.N":                "TestWelfordAgainstDirect checks the count",
-	"platform.Atlas":                 "Table II row beside the linked Hera and Coastal; TestTable2Values",
-	"platform.CoastalSSD":            "Table II row beside the linked Hera and Coastal; TestTable2Values",
+	"analyzers/analysis.LoadDir":   "the analysistest fixture loader behind TestSeedFlow and the other analyzer tests",
+	"fleet.HealthChecker.Fills":    "TestFleetWarmFillOnRejoin counts warm-fills",
+	"fleet.Ring.Owner":             "TestRingRemovalOnlyMovesTheRemovedPeersKeys reads single-key placement",
+	"multilevel.SweepSolver.Stats": "TestMultilevelAxisJumpFallsBack reads the warm/cold/fallback counts",
+	"report.Table.Rows":            "TestTableRender reads the rows back",
+	"sim.Engine.Pending":           "TestEngineResetReuse checks the queue is empty after a reset",
+	"stats.Welford.N":              "TestWelfordAgainstDirect checks the count",
+	"platform.Atlas":               "Table II row beside the linked Hera and Coastal; TestTable2Values",
+	"platform.CoastalSSD":          "Table II row beside the linked Hera and Coastal; TestTable2Values",
 
 	// Oracles that tests compare production code against.
 	"core.Model.ErrorFreeOverhead":         "mirror of the Frozen method; TestFrozenMatchesModel",

@@ -8,17 +8,18 @@
 #
 #        scripts/lint.sh -selfcheck [packages...]
 #   Gate-of-the-gate: before the real run, seed known violations in a
-#   scratch module — one per analyzer added since the suite grew — and
-#   require the suite to reject every one, so a silently broken analyzer
-#   build cannot pass as "no findings". The seeds include a
-#   cross-package seedflow violation (the SeedParam fact is earned in
-#   seed/lib and the bad caller lives in seed/app), proven in source
-#   mode and again through `go vet -vettool`, so fact propagation
-#   through .vetx stamp files is exercised end to end.
+#   scratch module — one each for five of the nine analyzers
+#   (atomicwrite, mapiter, walltime, errclass, seedflow) — and require
+#   the suite to reject every one, so a silently broken analyzer build
+#   cannot pass as "no findings". The seedflow seed is cross-package
+#   (the SeedParam fact is earned in seed/lib and the bad caller lives
+#   in seed/app), so fact propagation in dependency order is exercised
+#   end to end.
 #
-# Exit status 1 on any diagnostic (after //lint:allow suppression),
-# matching `go vet`. The same binary also drives
-# `go vet -vettool=$(pwd)/amdahl-lint ./...` if you prefer vet's caching.
+# Exit status 1 on any diagnostic (after //lint:allow suppression).
+# amdahl-lint has one driver, the source mode run here; it does not
+# plug into `go vet`, whose build cache bought nothing (0.45 s for ./...
+# here against 5.3 s cold and ~1 s warm under vet, on a 2-CPU host).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -97,18 +98,8 @@ EOF
         fi
     done
     if ! grep -q "app.go.*\[seedflow\]" <<<"$out"; then
-        echo "lint.sh: SELF-CHECK FAILED: cross-package seedflow violation not caught in source mode" >&2
+        echo "lint.sh: SELF-CHECK FAILED: cross-package seedflow violation not caught" >&2
         echo "$out" >&2
-        exit 2
-    fi
-    echo "lint.sh: self-check — same seeds through go vet -vettool…" >&2
-    if vetout="$(cd "$seed" && go vet -vettool="$bin/amdahl-lint" ./... 2>&1)"; then
-        echo "lint.sh: SELF-CHECK FAILED: go vet -vettool missed every seeded violation" >&2
-        exit 2
-    fi
-    if ! grep -q "app.go.*\[seedflow\]" <<<"$vetout"; then
-        echo "lint.sh: SELF-CHECK FAILED: cross-package seedflow violation not caught under go vet -vettool (vetx fact propagation broken)" >&2
-        echo "$vetout" >&2
         exit 2
     fi
     echo "lint.sh: self-check ok" >&2

@@ -42,8 +42,11 @@
 //	amdahl-exp hetero -scenario 1 -comm 0,1e-5 -split 0.25
 //
 // The campaign subcommand is the crash-safe grid orchestrator: a
-// declarative manifest (or a built-in preset mirroring the five studies)
-// expands into a deterministic cell grid, every completed cell is banked
+// declarative manifest (or one of seven built-in presets: the six studies
+// above and a smoke grid) expands into a deterministic cell grid — one
+// protocol under one failure law, over platforms × scenarios × one axis,
+// spelled {"protocol": "multilevel", "in_mem_fraction": 0.1} or
+// {"dist": "weibull", "shape": 0.7} — every completed cell is banked
 // as an atomic checksummed artifact, and -resume finishes an interrupted
 // campaign — SIGKILL included — to the byte-identical aggregate report:
 //

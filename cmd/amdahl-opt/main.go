@@ -19,7 +19,6 @@ import (
 	"amdahlyd/internal/costmodel"
 	"amdahlyd/internal/experiments"
 	"amdahlyd/internal/optimize"
-	"amdahlyd/internal/platform"
 	"amdahlyd/internal/report"
 )
 
@@ -41,21 +40,11 @@ func run(args []string) error {
 		return err
 	}
 
-	pl, err := platform.Lookup(*platName)
+	m, pl, err := experiments.ResolveModel(*platName, *scenario, *alpha, *downtime, *lambda)
 	if err != nil {
 		return err
-	}
-	if *lambda > 0 {
-		pl = pl.WithLambda(*lambda)
 	}
 	sc := costmodel.Scenario(*scenario)
-	if !sc.Valid() {
-		return fmt.Errorf("scenario %d outside 1-6", *scenario)
-	}
-	m, err := experiments.BuildModel(pl, sc, *alpha, *downtime)
-	if err != nil {
-		return err
-	}
 
 	fmt.Printf("Platform %s: λ_ind=%.3g /s (MTBF %.1f years), f=%.4f, s=%.4f\n",
 		pl.Name, pl.LambdaInd, 1/pl.LambdaInd/(365.25*86400),

@@ -79,4 +79,11 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-badflag"}); err == nil {
 		t.Error("unknown flag accepted")
 	}
+	// A bad override is an error, as on /v1/optimize, never a silent
+	// fallback to the platform's own rate.
+	for _, lambda := range []string{"-1e-9", "NaN", "+Inf"} {
+		if err := run([]string{"-lambda", lambda}); err == nil {
+			t.Errorf("-lambda %s accepted", lambda)
+		}
+	}
 }

@@ -15,7 +15,6 @@ import (
 
 	"amdahlyd/internal/costmodel"
 	"amdahlyd/internal/experiments"
-	"amdahlyd/internal/platform"
 	"amdahlyd/internal/report"
 	"amdahlyd/internal/sim"
 )
@@ -43,18 +42,19 @@ func run(args []string) error {
 		return err
 	}
 
-	pl, err := platform.Lookup(*platName)
+	// Fail before the header prints, and print the budget that runs: 0
+	// keeps the simulator's 500 default, as amdahl-exp's -runs does.
+	if *runs < 0 {
+		return fmt.Errorf("-runs %d is negative (0 keeps the default)", *runs)
+	}
+	if *patterns < 0 {
+		return fmt.Errorf("-patterns %d is negative (0 keeps the default)", *patterns)
+	}
+	m, pl, err := experiments.ResolveModel(*platName, *scenario, *alpha, *downtime, 0)
 	if err != nil {
 		return err
 	}
 	sc := costmodel.Scenario(*scenario)
-	if !sc.Valid() {
-		return fmt.Errorf("scenario %d outside 1-6", *scenario)
-	}
-	m, err := experiments.BuildModel(pl, sc, *alpha, *downtime)
-	if err != nil {
-		return err
-	}
 	p := *procs
 	if p == 0 {
 		p = pl.Processors
@@ -64,14 +64,14 @@ func run(args []string) error {
 		t = m.OptimalPeriodFixedP(p)
 	}
 
+	cfg := sim.RunConfig{Runs: *runs, Patterns: *patterns, Seed: *seed, Machine: *machine}.WithDefaults()
+
 	fmt.Printf("Simulating PATTERN(T=%.4g s, P=%.4g) on %s, %v, α=%g, D=%gs\n",
 		t, p, pl.Name, sc, *alpha, *downtime)
 	fmt.Printf("  %d runs × %d patterns, seed %d, simulator: %s\n\n",
-		*runs, *patterns, *seed, map[bool]string{false: "pattern-level", true: "machine-level"}[*machine])
+		cfg.Runs, cfg.Patterns, *seed, map[bool]string{false: "pattern-level", true: "machine-level"}[*machine])
 
-	res, err := sim.Simulate(m, t, p, sim.RunConfig{
-		Runs: *runs, Patterns: *patterns, Seed: *seed, Machine: *machine,
-	})
+	res, err := sim.Simulate(m, t, p, cfg)
 	if err != nil {
 		return err
 	}

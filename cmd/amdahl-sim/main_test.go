@@ -79,3 +79,35 @@ func TestRunErrors(t *testing.T) {
 		t.Error("fractional P accepted for machine simulation")
 	}
 }
+
+// TestRunBudgetFlags: -runs 0 and -patterns 0 keep the simulator's 500
+// default and the header prints the budget that ran, so the output
+// equals the explicit run's byte for byte; a negative budget fails
+// before anything prints.
+func TestRunBudgetFlags(t *testing.T) {
+	for _, tc := range []struct{ zero, explicit []string }{
+		{[]string{"-runs", "0", "-patterns", "10"}, []string{"-runs", "500", "-patterns", "10"}},
+		{[]string{"-runs", "10", "-patterns", "0"}, []string{"-runs", "10", "-patterns", "500"}},
+	} {
+		got, err := capture(t, func() error { return run(append(tc.zero, "-T", "6240", "-P", "219")) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := capture(t, func() error { return run(append(tc.explicit, "-T", "6240", "-P", "219")) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%v does not run the default budget:\n%s\nwant\n%s", tc.zero, got, want)
+		}
+	}
+	for _, args := range [][]string{{"-runs", "-1"}, {"-patterns", "-1"}} {
+		out, err := capture(t, func() error { return run(args) })
+		if err == nil {
+			t.Errorf("%v accepted", args)
+		}
+		if out != "" {
+			t.Errorf("%v printed before failing:\n%s", args, out)
+		}
+	}
+}

@@ -25,7 +25,6 @@ import (
 	"os"
 
 	"amdahlyd/internal/atomicio"
-	"amdahlyd/internal/costmodel"
 	"amdahlyd/internal/experiments"
 	"amdahlyd/internal/failures"
 	"amdahlyd/internal/platform"
@@ -212,15 +211,7 @@ func runReplay(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("need -in")
 	}
-	pl, err := platform.Lookup(*platName)
-	if err != nil {
-		return err
-	}
-	sc := costmodel.Scenario(*scenario)
-	if !sc.Valid() {
-		return fmt.Errorf("scenario %d outside 1-6", *scenario)
-	}
-	m, err := experiments.BuildModel(pl, sc, *alpha, *downtime)
+	m, pl, err := experiments.ResolveModel(*platName, *scenario, *alpha, *downtime, 0)
 	if err != nil {
 		return err
 	}
@@ -244,6 +235,11 @@ func runReplay(args []string) error {
 	res, err := sim.SimulateReplay(m, t, p, tr)
 	if err != nil {
 		return err
+	}
+	if res.Patterns == 0 {
+		// A mean over no pattern is NaN, not a measurement.
+		return fmt.Errorf("the trace completed no pattern: its horizon is %.6g s, and a pattern needs at least T+V+C = %.6g s of exposure",
+			tr.Horizon, t+m.Res.Verification.At(p)+m.Res.Checkpoint.At(p))
 	}
 	fmt.Printf("replayed %d patterns (T=%.4g s, P=%.4g) against %d trace events\n",
 		res.Patterns, t, p, len(tr.Events))

@@ -193,3 +193,26 @@ func TestStatShapeWithoutDistRejected(t *testing.T) {
 		t.Error("stat: -shape/-lambda without -dist accepted")
 	}
 }
+
+// TestReplayWithoutWholePatternFails: a trace that completes no pattern
+// — too short a horizon, or too long a period — is an error naming the
+// horizon and the minimum exposure T+V+C, never a NaN mean.
+func TestReplayWithoutWholePatternFails(t *testing.T) {
+	dir := t.TempDir()
+	short, long := filepath.Join(dir, "short.csv"), filepath.Join(dir, "long.csv")
+	if err := runGen([]string{"-procs", "4", "-horizon", "100", "-out", short}); err != nil {
+		t.Fatal(err)
+	}
+	if err := runGen([]string{"-procs", "64", "-horizon", "1e7", "-out", long}); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"-in", short}, {"-in", long, "-T", "1e9"}} {
+		out, err := capture(t, func() error { return runReplay(args) })
+		if err == nil || !strings.Contains(err.Error(), "horizon") || !strings.Contains(err.Error(), "T+V+C") {
+			t.Errorf("%v: error %v, want one naming the horizon and T+V+C", args, err)
+		}
+		if strings.Contains(out, "NaN") {
+			t.Errorf("%v printed a NaN:\n%s", args, out)
+		}
+	}
+}

@@ -149,19 +149,14 @@ func TestManifestValidation(t *testing.T) {
 		{"unknown axis", func(m *Manifest) { m.Axis = "temperature" }},
 		{"negative lambda value", func(m *Manifest) { m.Axis = AxisLambda; m.Values = []float64{-1e-9} }},
 		{"alpha fixed and swept", func(m *Manifest) { a := 0.3; m.Alpha = &a }},
-		{"exponential with shapes", func(m *Manifest) {
-			m.Distributions = []DistSpec{{Name: "exponential", Shapes: []float64{0.7}}}
-		}},
-		{"weibull without shapes", func(m *Manifest) { m.Distributions = []DistSpec{{Name: "weibull"}} }},
-		{"single-level with fractions", func(m *Manifest) {
-			m.Protocols = []ProtocolSpec{{Name: ProtocolSingle, InMemFractions: []float64{0.1}}}
-		}},
-		{"multilevel without fractions", func(m *Manifest) {
-			m.Protocols = []ProtocolSpec{{Name: ProtocolMultilevel}}
-		}},
+		{"exponential with shapes", func(m *Manifest) { m.Shape = 0.7 }},
+		{"weibull without shapes", func(m *Manifest) { m.Dist = "weibull" }},
+		{"single-level with fractions", func(m *Manifest) { frac := 0.1; m.InMemFraction = &frac }},
+		{"multilevel without fractions", func(m *Manifest) { m.Protocol = ProtocolMultilevel }},
 		{"multilevel with weibull", func(m *Manifest) {
-			m.Protocols = []ProtocolSpec{{Name: ProtocolMultilevel, InMemFractions: []float64{0.1}}}
-			m.Distributions = []DistSpec{{Name: "weibull", Shapes: []float64{0.7}}}
+			frac := 0.1
+			m.Protocol, m.InMemFraction = ProtocolMultilevel, &frac
+			m.Dist, m.Shape = "weibull", 0.7
 		}},
 		{"frac axis with single protocol", func(m *Manifest) {
 			m.Axis = AxisFraction
@@ -170,7 +165,7 @@ func TestManifestValidation(t *testing.T) {
 		{"shape axis with exponential", func(m *Manifest) {
 			m.Axis = AxisShape
 			m.Values = []float64{0.7}
-			m.Distributions = []DistSpec{{Name: "exponential"}}
+			m.Dist = "exponential"
 		}},
 		{"zero runs", func(m *Manifest) { m.Runs = -1 }},
 	}
@@ -467,20 +462,20 @@ func TestMultilevelAndWeibullCells(t *testing.T) {
 			Patterns:  5,
 			Platforms: []string{"Hera"},
 			Scenarios: []int{1},
-			Protocols: []ProtocolSpec{{Name: ProtocolMultilevel}},
+			Protocol:  ProtocolMultilevel,
 			Axis:      AxisFraction,
 			Values:    []float64{1.0 / 15, 0.5},
 		}},
 		{"weibull", Manifest{
-			Name:          "wb",
-			Seed:          13,
-			Runs:          2,
-			Patterns:      4,
-			Platforms:     []string{"Hera"},
-			Scenarios:     []int{1},
-			Distributions: []DistSpec{{Name: "weibull"}},
-			Axis:          AxisShape,
-			Values:        []float64{0.7, 1.5},
+			Name:      "wb",
+			Seed:      13,
+			Runs:      2,
+			Patterns:  4,
+			Platforms: []string{"Hera"},
+			Scenarios: []int{1},
+			Dist:      "weibull",
+			Axis:      AxisShape,
+			Values:    []float64{0.7, 1.5},
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

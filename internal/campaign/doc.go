@@ -1,8 +1,15 @@
 // Package campaign is the crash-safe grid orchestrator: a declarative
-// manifest expands into a deterministic grid of cells (platforms ×
-// scenarios × distributions × protocols × one sweep axis), each cell is
-// solved on the warm-start sweep solvers and priced by Monte-Carlo, and
-// every result lands as one atomic, checksummed artifact file. A
+// manifest expands into a deterministic grid of cells — one protocol
+// under one failure law, over platforms × scenarios × one sweep axis —
+// each cell is solved on the warm-start sweep solvers and priced by
+// Monte-Carlo, and every result lands as one atomic, checksummed
+// artifact file. The protocol and the law are four scalar fields:
+//
+//	{"protocol": "multilevel", "in_mem_fraction": 0.1,
+//	 "dist": "exponential", "axis": "alpha", "values": [0.05, 0.1]}
+//
+// (a non-exponential law such as {"dist": "weibull", "shape": 0.7}
+// prices only single-level cells). A
 // campaign killed at any instant — SIGKILL included — loses at most its
 // in-flight cells: resuming re-plans the grid, verifies completed
 // artifacts by checksum, deterministically replays the solver chains,
@@ -33,7 +40,7 @@
 // (FaultPlan: error/panic/delay by cell ID, label or wildcard) lets
 // tests prove the crash/resume/retry behavior instead of hoping for it.
 //
-// The CLI entry point is "amdahl-exp campaign"; the five study presets
-// (Preset, PresetNames) express the paper's hand-written drivers as
-// manifests.
+// The CLI entry point is "amdahl-exp campaign"; the six study presets
+// (Preset, PresetNames) express the hand-written drivers as manifests,
+// and a seventh, smoke, is the tiny CI grid.
 package campaign

@@ -225,36 +225,21 @@ func (r *runner) runChains(ctx context.Context) {
 	wg.Wait()
 }
 
-// chainSolver abstracts the two warm-start solvers behind the cell loop:
-// solve the next cell, or observe a verified artifact so the chain stays
-// warm across skipped cells (the service cache-hit idiom).
+// chainSolver abstracts the three warm-start solvers behind the cell
+// loop: solve the next cell into the solve-phase fields of its artifact,
+// or observe a verified artifact so the chain stays warm across skipped
+// cells (the service cache-hit idiom).
 type chainSolver interface {
-	solve(c *Cell) (solveResult, error)
+	solve(c *Cell) (Artifact, error)
 	observe(c *Cell, a *Artifact)
-}
-
-// solveResult is the protocol-independent slice of a solver result the
-// artifact records. Hetero solves leave T/P zero and fill Active/Plans.
-type solveResult struct {
-	T          float64
-	K          int
-	P          float64
-	PredictedH float64
-	AtPBound   bool
-	Warm       bool
-	Active     int
-	Plans      []hetero.GroupPlan
 }
 
 type singleSolver struct{ s *optimize.SweepSolver }
 
-func (ss singleSolver) solve(c *Cell) (solveResult, error) {
+func (ss singleSolver) solve(c *Cell) (Artifact, error) {
 	res, err := ss.s.Solve(c.Model)
-	if err != nil {
-		return solveResult{}, err
-	}
-	return solveResult{T: res.T, P: res.P, PredictedH: res.Overhead,
-		AtPBound: res.AtPBound, Warm: res.Warm}, nil
+	return Artifact{T: res.T, P: res.P, PredictedH: res.Overhead,
+		AtPBound: res.AtPBound, Warm: res.Warm}, err
 }
 
 func (ss singleSolver) observe(c *Cell, a *Artifact) {
@@ -266,13 +251,10 @@ func (ss singleSolver) observe(c *Cell, a *Artifact) {
 
 type mlSolver struct{ s *multilevel.SweepSolver }
 
-func (ms mlSolver) solve(c *Cell) (solveResult, error) {
+func (ms mlSolver) solve(c *Cell) (Artifact, error) {
 	res, err := ms.s.Solve(c.Model, multilevel.InMemoryFraction(c.Model, c.Frac))
-	if err != nil {
-		return solveResult{}, err
-	}
-	return solveResult{T: res.T, K: res.K, P: res.P, PredictedH: res.PredictedH,
-		AtPBound: res.AtPBound, Warm: res.Warm}, nil
+	return Artifact{T: res.T, K: res.K, P: res.P, PredictedH: res.PredictedH,
+		AtPBound: res.AtPBound, Warm: res.Warm}, err
 }
 
 func (ms mlSolver) observe(c *Cell, a *Artifact) {
@@ -288,17 +270,17 @@ func (ms mlSolver) observe(c *Cell, a *Artifact) {
 
 type heteroSolver struct{ s *hetero.SweepSolver }
 
-func (hs heteroSolver) solve(c *Cell) (solveResult, error) {
+// solve records the joint plan: the active count, one group artifact
+// per active group, and AtPBound when any group stopped at its bound.
+func (hs heteroSolver) solve(c *Cell) (Artifact, error) {
 	res, err := hs.s.Solve(c.Hetero)
-	if err != nil {
-		return solveResult{}, err
-	}
-	atBound := false
+	a := Artifact{PredictedH: res.Overhead, Warm: res.Warm, G: res.Active}
 	for _, g := range res.Groups {
-		atBound = atBound || g.AtPBound
+		a.Groups = append(a.Groups, HeteroGroupArtifact{Group: g.Group, Fraction: g.Fraction,
+			T: g.T, P: g.P, Overhead: g.GroupOverhead, AtPBound: g.AtPBound})
+		a.AtPBound = a.AtPBound || g.AtPBound
 	}
-	return solveResult{PredictedH: res.Overhead, AtPBound: atBound,
-		Warm: res.Warm, Active: res.Active, Plans: res.Groups}, nil
+	return a, err
 }
 
 func (hs heteroSolver) observe(c *Cell, a *Artifact) {
@@ -317,8 +299,9 @@ func (a *Artifact) heteroPlan() []hetero.GroupPlan {
 	return plans
 }
 
-func (r *runner) newSolver(protocol string) chainSolver {
-	if protocol == ProtocolHetero {
+func (r *runner) newSolver() chainSolver {
+	switch r.man.Protocol {
+	case ProtocolHetero:
 		// IntegerP for the same reason as multilevel below: integral
 		// per-group allocations keep warm and cold chains on the same
 		// cells, and the priced plan stays physical.
@@ -328,8 +311,7 @@ func (r *runner) newSolver(protocol string) chainSolver {
 			},
 			Cold: r.man.ColdSolve,
 		})}
-	}
-	if protocol == ProtocolMultilevel {
+	case ProtocolMultilevel:
 		// IntegerP keeps the joint optimum on integral allocations so
 		// warm and cold chains land on bit-identical cells (mirrors the
 		// multilevel study).
@@ -337,8 +319,9 @@ func (r *runner) newSolver(protocol string) chainSolver {
 			PatternOptions: multilevel.PatternOptions{IntegerP: true},
 			Cold:           r.man.ColdSolve,
 		})}
+	default:
+		return singleSolver{optimize.NewSweepSolver(optimize.SweepOptions{Cold: r.man.ColdSolve})}
 	}
-	return singleSolver{optimize.NewSweepSolver(optimize.SweepOptions{Cold: r.man.ColdSolve})}
 }
 
 // runChain walks one warm-start chain in axis order: verified artifacts
@@ -346,10 +329,7 @@ func (r *runner) newSolver(protocol string) chainSolver {
 // permanent cell failure is recorded against the budget but does not
 // stop the chain — later cells still make banked, resumable progress.
 func (r *runner) runChain(ctx context.Context, chain []*Cell) {
-	if len(chain) == 0 {
-		return
-	}
-	solver := r.newSolver(chain[0].Protocol)
+	solver := r.newSolver()
 	for _, c := range chain {
 		if ctx.Err() != nil {
 			return
@@ -365,34 +345,15 @@ func (r *runner) runChain(ctx context.Context, chain []*Cell) {
 			r.jrn.log(journalEntry{Event: "invalid-artifact", Cell: c.Label(), ID: c.ID, Error: err.Error()})
 		}
 
-		res, err := solver.solve(c)
+		a, err := solver.solve(c)
 		if err != nil {
 			// Solver errors are deterministic (bad search box, invalid
 			// model) — retrying cannot help; fail the cell permanently.
 			r.recordFailure(c, fmt.Errorf("campaign: solving %s: %w", c.Label(), err))
 			continue
 		}
-		a := Artifact{
-			Version:  artifactVersion,
-			CellID:   c.ID,
-			Label:    c.Label(),
-			Seed:     c.Seed,
-			Runs:     r.man.Runs,
-			Patterns: r.man.Patterns,
-			Protocol: c.Protocol,
-			T:        res.T, K: res.K, P: res.P,
-			PredictedH: res.PredictedH,
-			AtPBound:   res.AtPBound,
-			Warm:       res.Warm,
-		}
-		if len(res.Plans) > 0 {
-			a.G = res.Active
-			a.Groups = make([]HeteroGroupArtifact, len(res.Plans))
-			for i, gp := range res.Plans {
-				a.Groups[i] = HeteroGroupArtifact{Group: gp.Group, Fraction: gp.Fraction,
-					T: gp.T, P: gp.P, Overhead: gp.GroupOverhead, AtPBound: gp.AtPBound}
-			}
-		}
+		a.Version, a.CellID, a.Label, a.Seed = artifactVersion, c.ID, c.Label(), c.Seed
+		a.Runs, a.Patterns, a.Protocol = r.man.Runs, r.man.Patterns, c.Protocol
 		if err := r.price(ctx, c, &a); err != nil {
 			if ctx.Err() != nil {
 				return
@@ -446,7 +407,11 @@ func (r *runner) price(ctx context.Context, c *Cell, a *Artifact) error {
 			break
 		}
 		r.retries.Add(1)
-		delay := r.backoff(c, attempt)
+		// RetryBase·2^(attempt-1) plus up to 100% jitter derived
+		// deterministically from the cell seed and attempt (splitmix64) —
+		// the shared internal/backoff schedule — so co-failing cells
+		// decorrelate without making runs nondeterministic.
+		delay := backoff.Delay(r.opts.RetryBase, attempt, c.Seed)
 		r.jrn.log(journalEntry{Event: "retry", Cell: c.Label(), ID: c.ID,
 			Attempt: attempt, Error: err.Error(), Detail: delay.String()})
 		if err := sleepCtx(ctx, delay); err != nil {
@@ -454,14 +419,6 @@ func (r *runner) price(ctx context.Context, c *Cell, a *Artifact) error {
 		}
 	}
 	return fmt.Errorf("campaign: cell %s failed after %d attempts: %w", c.Label(), r.opts.MaxAttempts, last)
-}
-
-// backoff is RetryBase·2^(attempt-1) plus up to 100% jitter derived
-// deterministically from the cell seed and attempt (splitmix64) — the
-// shared internal/backoff schedule — so co-failing cells decorrelate
-// without making runs nondeterministic.
-func (r *runner) backoff(c *Cell, attempt int) time.Duration {
-	return backoff.Delay(r.opts.RetryBase, attempt, c.Seed)
 }
 
 // attempt runs one try: injected delay, injected failure, then the real

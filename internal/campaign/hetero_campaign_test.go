@@ -21,7 +21,7 @@ func heteroTestManifest() Manifest {
 		Patterns:  5,
 		Topology:  &tp,
 		Scenarios: []int{1},
-		Protocols: []ProtocolSpec{{Name: ProtocolHetero}},
+		Protocol:  ProtocolHetero,
 		Axis:      AxisComm,
 		Values:    []float64{0, 1e-5},
 	}
@@ -129,12 +129,6 @@ func TestHeteroManifestValidation(t *testing.T) {
 		t.Error("hetero protocol without a topology accepted")
 	}
 
-	mixed := base
-	mixed.Protocols = []ProtocolSpec{{Name: ProtocolHetero}, {Name: ProtocolSingle}}
-	if err := mixed.Validate(); err == nil {
-		t.Error("hetero mixed with single-level accepted")
-	}
-
 	commNoHetero := testManifest()
 	commNoHetero.Axis = AxisComm
 	commNoHetero.Values = []float64{0, 1e-5}
@@ -157,7 +151,7 @@ func TestHeteroManifestValidation(t *testing.T) {
 	}
 
 	weird := base
-	weird.Distributions = []DistSpec{{Name: "weibull", Shapes: []float64{0.7}}}
+	weird.Dist, weird.Shape = "weibull", 0.7
 	if err := weird.Validate(); err == nil {
 		t.Error("non-exponential distribution on the hetero protocol accepted")
 	}

@@ -36,28 +36,15 @@ const (
 	AxisComm = "comm"
 )
 
-// DistSpec selects a failure law for the Monte-Carlo phase. Shapes is
-// the shape grid (Weibull/Gamma k, log-normal σ); the exponential law is
-// shapeless and must leave Shapes empty. Non-exponential laws price the
-// exponential-optimal pattern under the true law on the machine-level
-// simulator, exactly like the robustness study.
-type DistSpec struct {
-	Name   string    `json:"name"`
-	Shapes []float64 `json:"shapes,omitempty"`
-}
-
-// ProtocolSpec selects a protocol for the solve + pricing phases.
-// InMemFractions is the C1/C2 grid for the multilevel protocol (ignored
-// and rejected for single-level).
-type ProtocolSpec struct {
-	Name           string    `json:"name"`
-	InMemFractions []float64 `json:"in_mem_fractions,omitempty"`
-}
-
-// Manifest is the declarative campaign specification: the full grid is
-// Platforms × Scenarios × Distributions(shape) × Protocols(fraction) ×
-// Axis values. Cells that differ only in the axis coordinate form one
-// warm-start solver chain, in axis order.
+// Manifest is the declarative campaign specification: one protocol
+// under one failure law, over the grid Platforms × Scenarios × Axis
+// values. Cells that differ only in the axis coordinate form one
+// warm-start solver chain, in axis order. A study that compares
+// protocols or laws runs one manifest per protocol and law. The
+// protocol and the law are four scalar fields, for example
+//
+//	{"protocol": "multilevel", "in_mem_fraction": 0.1}
+//	{"dist": "weibull", "shape": 0.7}
 type Manifest struct {
 	// Name labels the campaign in reports and journals.
 	Name string `json:"name"`
@@ -79,11 +66,23 @@ type Manifest struct {
 	// manifest is a file, absence is representable.
 	Alpha    *float64 `json:"alpha,omitempty"`
 	Downtime *float64 `json:"downtime,omitempty"`
-	// Distributions lists the failure laws to price under (default the
-	// exponential law the patterns are optimized for).
-	Distributions []DistSpec `json:"distributions,omitempty"`
-	// Protocols lists the protocols to solve (default single-level).
-	Protocols []ProtocolSpec `json:"protocols,omitempty"`
+	// Protocol names the protocol every cell solves and prices:
+	// "single" (the default), "multilevel" or "hetero".
+	Protocol string `json:"protocol,omitempty"`
+	// InMemFraction prices the multilevel protocol's in-memory level at
+	// frac·C_P (an explicit zero sticks). The multilevel protocol needs
+	// it unless the frac axis sweeps it; the others reject it.
+	InMemFraction *float64 `json:"in_mem_fraction,omitempty"`
+	// Dist names the failure law the Monte-Carlo phase prices under
+	// (default the exponential law the patterns are optimized for).
+	// Non-exponential laws price the exponential-optimal pattern under
+	// the true law on the machine-level simulator, exactly like the
+	// robustness study.
+	Dist string `json:"dist,omitempty"`
+	// Shape is the non-exponential law's shape (Weibull/Gamma k,
+	// log-normal σ), needed unless the shape axis sweeps it; the
+	// exponential law is shapeless and rejects it.
+	Shape float64 `json:"shape,omitempty"`
 	// Topology is the heterogeneous platform the hetero protocol solves;
 	// required by (and only meaningful with) that protocol. The topology
 	// replaces the Platforms dimension: group membership is explicit, the
@@ -114,21 +113,8 @@ func (m Manifest) downtime() float64 {
 	return experiments.DefaultDowntime
 }
 
-// heteroOnly reports whether every listed protocol is the hetero
-// protocol (the only shape a topology-bearing manifest may take).
-func (m Manifest) heteroOnly() bool {
-	if len(m.Protocols) == 0 {
-		return false
-	}
-	for _, p := range m.Protocols {
-		if p.Name != ProtocolHetero {
-			return false
-		}
-	}
-	return true
-}
-
-// withDefaults fills the enumerable grid dimensions.
+// withDefaults fills the protocol, the law and the enumerable grid
+// dimensions.
 func (m Manifest) withDefaults() Manifest {
 	if m.Name == "" {
 		m.Name = "campaign"
@@ -139,9 +125,15 @@ func (m Manifest) withDefaults() Manifest {
 	if m.Patterns == 0 {
 		m.Patterns = 500
 	}
+	if m.Protocol == "" {
+		m.Protocol = ProtocolSingle
+	}
+	if failures.IsExponentialName(m.Dist) {
+		m.Dist = "exponential"
+	}
 	if len(m.Platforms) == 0 {
 		switch {
-		case m.heteroOnly() && m.Topology != nil:
+		case m.Protocol == ProtocolHetero && m.Topology != nil:
 			// The topology replaces the platform dimension: one pseudo
 			// platform named after it, never looked up.
 			m.Platforms = []string{m.Topology.Name}
@@ -154,12 +146,6 @@ func (m Manifest) withDefaults() Manifest {
 	if len(m.Scenarios) == 0 {
 		m.Scenarios = []int{1, 3, 5}
 	}
-	if len(m.Distributions) == 0 {
-		m.Distributions = []DistSpec{{Name: "exponential"}}
-	}
-	if len(m.Protocols) == 0 {
-		m.Protocols = []ProtocolSpec{{Name: ProtocolSingle}}
-	}
 	return m
 }
 
@@ -171,16 +157,8 @@ func (m Manifest) Validate() error {
 	if m.Runs < 1 || m.Patterns < 1 {
 		return fmt.Errorf("campaign: runs and patterns must be positive, got %d×%d", m.Runs, m.Patterns)
 	}
-	heteroSeen := false
-	for _, p := range m.Protocols {
-		if p.Name == ProtocolHetero {
-			heteroSeen = true
-		}
-	}
-	if heteroSeen {
-		if !m.heteroOnly() {
-			return fmt.Errorf("campaign: the hetero protocol cannot mix with other protocols in one manifest")
-		}
+	switch m.Protocol {
+	case ProtocolHetero:
 		if m.Topology == nil {
 			return fmt.Errorf("campaign: the hetero protocol needs a topology")
 		}
@@ -190,7 +168,7 @@ func (m Manifest) Validate() error {
 		if len(m.Platforms) > 1 {
 			return fmt.Errorf("campaign: the hetero protocol replaces the platform dimension (got %d platforms)", len(m.Platforms))
 		}
-	} else {
+	case ProtocolSingle, ProtocolMultilevel:
 		if m.Topology != nil {
 			return fmt.Errorf("campaign: a topology has no effect without the hetero protocol")
 		}
@@ -199,155 +177,102 @@ func (m Manifest) Validate() error {
 				return fmt.Errorf("campaign: %w", err)
 			}
 		}
+	default:
+		return fmt.Errorf("campaign: unknown protocol %q (want %s, %s or %s)", m.Protocol, ProtocolSingle, ProtocolMultilevel, ProtocolHetero)
 	}
 	for _, sc := range m.Scenarios {
 		if !costmodel.Scenario(sc).Valid() {
 			return fmt.Errorf("campaign: scenario %d outside 1-6", sc)
 		}
 	}
-	for _, d := range m.Distributions {
-		if failures.IsExponentialName(d.Name) {
-			if len(d.Shapes) > 0 {
-				return fmt.Errorf("campaign: the exponential law is shapeless; drop shapes %v", d.Shapes)
-			}
-			continue
+
+	// The failure law. Non-exponential laws need the machine-level
+	// simulator, which only the single-level protocol has.
+	if m.Dist == "exponential" {
+		if m.Shape != 0 {
+			return fmt.Errorf("campaign: the exponential law is shapeless; drop shape %g", m.Shape)
 		}
-		shapes := d.Shapes
-		if m.Axis == AxisShape {
+	} else {
+		if m.Protocol != ProtocolSingle {
+			return fmt.Errorf("campaign: the %s protocol supports only exponential failures (got %q)", m.Protocol, m.Dist)
+		}
+		shapes := []float64{m.Shape}
+		switch {
+		case m.Axis == AxisShape && m.Shape != 0:
+			return fmt.Errorf("campaign: shape is both fixed and the axis")
+		case m.Axis == AxisShape:
 			shapes = m.Values
-		}
-		if len(shapes) == 0 {
-			return fmt.Errorf("campaign: distribution %q needs shapes (or the shape axis)", d.Name)
+		case m.Shape == 0:
+			return fmt.Errorf("campaign: distribution %q needs a shape (or the shape axis)", m.Dist)
 		}
 		for _, s := range shapes {
-			if _, err := failures.ParseDistribution(d.Name, s, 1e-9); err != nil {
+			if _, err := failures.ParseDistribution(m.Dist, s, 1e-9); err != nil {
 				return fmt.Errorf("campaign: %w", err)
 			}
 		}
 	}
-	multilevelSeen := false
-	for _, p := range m.Protocols {
-		switch p.Name {
-		case ProtocolSingle:
-			if len(p.InMemFractions) > 0 {
-				return fmt.Errorf("campaign: in_mem_fractions have no effect on the single-level protocol")
-			}
-		case ProtocolMultilevel:
-			multilevelSeen = true
-			fracs := p.InMemFractions
-			if m.Axis == AxisFraction {
-				fracs = m.Values
-			}
-			if len(fracs) == 0 {
-				return fmt.Errorf("campaign: the multilevel protocol needs in_mem_fractions (or the frac axis)")
-			}
-			for _, f := range fracs {
-				if math.IsNaN(f) || math.IsInf(f, 0) || f < 0 || f > 1 {
-					return fmt.Errorf("campaign: in-memory fraction %g outside [0, 1]", f)
-				}
-			}
-		case ProtocolHetero:
-			if len(p.InMemFractions) > 0 {
-				return fmt.Errorf("campaign: in_mem_fractions have no effect on the hetero protocol")
-			}
-		default:
-			return fmt.Errorf("campaign: unknown protocol %q (want %s, %s or %s)", p.Name, ProtocolSingle, ProtocolMultilevel, ProtocolHetero)
+
+	// The in-memory fraction.
+	if m.Protocol == ProtocolMultilevel {
+		fracs := m.Values
+		switch {
+		case m.Axis == AxisFraction && m.InMemFraction != nil:
+			return fmt.Errorf("campaign: in_mem_fraction is both fixed and the axis")
+		case m.Axis != AxisFraction && m.InMemFraction == nil:
+			return fmt.Errorf("campaign: the multilevel protocol needs in_mem_fraction (or the frac axis)")
+		case m.Axis != AxisFraction:
+			fracs = []float64{*m.InMemFraction}
 		}
+		for _, f := range fracs {
+			if math.IsNaN(f) || math.IsInf(f, 0) || f < 0 || f > 1 {
+				return fmt.Errorf("campaign: in-memory fraction %g outside [0, 1]", f)
+			}
+		}
+	} else if m.InMemFraction != nil {
+		return fmt.Errorf("campaign: in_mem_fraction has no effect on the %s protocol", m.Protocol)
 	}
-	if heteroSeen {
-		switch m.Axis {
-		case AxisNone, AxisComm, AxisAlpha, AxisDowntime:
-		default:
-			return fmt.Errorf("campaign: the hetero protocol supports the comm, alpha and downtime axes (got %q)", m.Axis)
-		}
-		// The heterogeneous simulator is pattern-level only: no machine
-		// mode, hence no non-exponential pricing.
-		for _, d := range m.Distributions {
-			if !failures.IsExponentialName(d.Name) {
-				return fmt.Errorf("campaign: the hetero protocol supports only exponential failures (got %q)", d.Name)
-			}
-		}
-	}
+
+	// The axis: known, finite, fitting the protocol and the law, and not
+	// also fixed elsewhere in the manifest.
 	switch m.Axis {
 	case AxisNone:
 		if len(m.Values) > 0 {
 			return fmt.Errorf("campaign: axis values without an axis name")
 		}
+		return nil
 	case AxisAlpha, AxisLambda, AxisDowntime, AxisShape, AxisFraction, AxisComm:
-		if len(m.Values) == 0 {
-			return fmt.Errorf("campaign: axis %q needs values", m.Axis)
-		}
-		for i, v := range m.Values {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("campaign: axis value %d is not finite", i)
-			}
-			if m.Axis == AxisLambda && !(v > 0) {
-				return fmt.Errorf("campaign: lambda axis value %g must be positive", v)
-			}
-			if m.Axis == AxisComm && v < 0 {
-				return fmt.Errorf("campaign: comm axis value %g must be non-negative", v)
-			}
-		}
-		if m.Axis == AxisComm {
-			if !heteroSeen {
-				return fmt.Errorf("campaign: the comm axis needs the hetero protocol")
-			}
-			if m.Topology != nil && m.Topology.Comm != 0 {
-				return fmt.Errorf("campaign: comm is both fixed in the topology and the axis")
-			}
-		}
-		if m.Axis == AxisAlpha && m.Alpha != nil {
-			return fmt.Errorf("campaign: alpha is both fixed and the axis")
-		}
-		if m.Axis == AxisDowntime && m.Downtime != nil {
-			return fmt.Errorf("campaign: downtime is both fixed and the axis")
-		}
-		if m.Axis == AxisFraction {
-			if !multilevelSeen {
-				return fmt.Errorf("campaign: the frac axis needs the multilevel protocol")
-			}
-			for _, p := range m.Protocols {
-				if p.Name != ProtocolMultilevel {
-					return fmt.Errorf("campaign: the frac axis requires every protocol to be multilevel (got %q)", p.Name)
-				}
-				if len(p.InMemFractions) > 0 {
-					return fmt.Errorf("campaign: protocol %q has both fixed in_mem_fractions and the frac axis", p.Name)
-				}
-			}
-		}
-		if m.Axis == AxisShape {
-			for _, d := range m.Distributions {
-				if failures.IsExponentialName(d.Name) {
-					return fmt.Errorf("campaign: the shape axis cannot include the shapeless exponential law")
-				}
-				if len(d.Shapes) > 0 {
-					return fmt.Errorf("campaign: distribution %q has both fixed shapes and the shape axis", d.Name)
-				}
-			}
-		}
 	default:
 		return fmt.Errorf("campaign: unknown axis %q (want alpha, lambda, downtime, shape, frac or comm)", m.Axis)
 	}
-	if m.Axis != AxisShape {
-		// Non-exponential laws need the machine-level simulator; the
-		// two-level simulator has no such path. Reject the combination at
-		// manifest level rather than per cell.
-		for _, p := range m.Protocols {
-			if p.Name != ProtocolMultilevel {
-				continue
-			}
-			for _, d := range m.Distributions {
-				if !failures.IsExponentialName(d.Name) {
-					return fmt.Errorf("campaign: the multilevel protocol supports only exponential failures (got %q)", d.Name)
-				}
-			}
+	if len(m.Values) == 0 {
+		return fmt.Errorf("campaign: axis %q needs values", m.Axis)
+	}
+	for i, v := range m.Values {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("campaign: axis value %d is not finite", i)
 		}
-	} else {
-		for _, p := range m.Protocols {
-			if p.Name == ProtocolMultilevel {
-				return fmt.Errorf("campaign: the multilevel protocol supports only exponential failures (shape axis present)")
-			}
+		if m.Axis == AxisLambda && !(v > 0) {
+			return fmt.Errorf("campaign: lambda axis value %g must be positive", v)
 		}
+		if m.Axis == AxisComm && v < 0 {
+			return fmt.Errorf("campaign: comm axis value %g must be non-negative", v)
+		}
+	}
+	switch {
+	case m.Protocol == ProtocolHetero && m.Axis != AxisComm && m.Axis != AxisAlpha && m.Axis != AxisDowntime:
+		return fmt.Errorf("campaign: the hetero protocol supports the comm, alpha and downtime axes (got %q)", m.Axis)
+	case m.Axis == AxisComm && m.Protocol != ProtocolHetero:
+		return fmt.Errorf("campaign: the comm axis needs the hetero protocol")
+	case m.Axis == AxisFraction && m.Protocol != ProtocolMultilevel:
+		return fmt.Errorf("campaign: the frac axis needs the multilevel protocol")
+	case m.Axis == AxisShape && m.Dist == "exponential":
+		return fmt.Errorf("campaign: the shape axis cannot include the shapeless exponential law")
+	case m.Axis == AxisComm && m.Topology.Comm != 0:
+		return fmt.Errorf("campaign: comm is both fixed in the topology and the axis")
+	case m.Axis == AxisAlpha && m.Alpha != nil:
+		return fmt.Errorf("campaign: alpha is both fixed and the axis")
+	case m.Axis == AxisDowntime && m.Downtime != nil:
+		return fmt.Errorf("campaign: downtime is both fixed and the axis")
 	}
 	return nil
 }

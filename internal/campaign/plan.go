@@ -17,7 +17,7 @@ import (
 )
 
 // Cell is one planned grid point: the resolved model, the failure law it
-// is priced under, the protocol, and its place in a warm-start chain.
+// is priced under, the protocol and its grid coordinates.
 type Cell struct {
 	// ID is the stable identity: a digest of the canonical model key
 	// (core.Model.CacheKey), the distribution key (failures.CacheKey),
@@ -26,8 +26,6 @@ type Cell struct {
 	// cell's ID — which is what lets a resumed campaign match artifacts
 	// against a re-expanded plan.
 	ID string
-	// Chain and Index locate the cell in its warm-start solver chain.
-	Chain, Index int
 	// Grid coordinates, for reports and journals.
 	Platform string
 	Scenario costmodel.Scenario
@@ -63,8 +61,8 @@ type Cell struct {
 type Plan struct {
 	Manifest Manifest
 	Cells    []*Cell
-	// Chains groups Cells by chain index; every cell appears exactly
-	// once, chains are contiguous in planning order.
+	// Chains holds one chain per (platform, scenario) pair; every cell
+	// appears exactly once, chains are contiguous in planning order.
 	Chains [][]*Cell
 }
 
@@ -73,10 +71,10 @@ type Plan struct {
 // otherwise happily create a million artifact files.
 const maxPlanCells = 1 << 16
 
-// Expand expands the manifest into its deterministic cell grid. The
-// planning order is platforms → scenarios → distributions(shape) →
-// protocols(fraction) → axis values; the innermost axis run forms one
-// warm-start chain.
+// Expand expands the manifest into its deterministic cell grid: one
+// warm-start chain per (platform, scenario) pair, in that order, each
+// running the manifest's protocol under its failure law along the axis
+// values.
 func Expand(manifest Manifest) (*Plan, error) {
 	if err := manifest.Validate(); err != nil {
 		return nil, err
@@ -84,49 +82,22 @@ func Expand(manifest Manifest) (*Plan, error) {
 	m := manifest.withDefaults()
 	p := &Plan{Manifest: m}
 
-	type distInstance struct {
-		name  string
-		shape float64 // NaN = exponential
+	// Shapeless (exponential) and single-level cells carry NaN, as does
+	// a coordinate the axis fills in per cell; Validate admits a fixed
+	// shape or fraction only where it applies.
+	shape, frac := math.NaN(), math.NaN()
+	if m.Shape != 0 {
+		shape = m.Shape
 	}
-	var dists []distInstance
-	for _, d := range m.Distributions {
-		switch {
-		case failures.IsExponentialName(d.Name):
-			dists = append(dists, distInstance{name: "exponential", shape: math.NaN()})
-		case m.Axis == AxisShape:
-			// One instance per axis value, materialized by the chain loop.
-			dists = append(dists, distInstance{name: d.Name, shape: math.NaN()})
-		default:
-			for _, s := range d.Shapes {
-				dists = append(dists, distInstance{name: d.Name, shape: s})
-			}
-		}
-	}
-	type protoInstance struct {
-		name string
-		frac float64 // NaN = single-level
-	}
-	var protos []protoInstance
-	for _, pr := range m.Protocols {
-		switch {
-		case pr.Name == ProtocolSingle:
-			protos = append(protos, protoInstance{name: ProtocolSingle, frac: math.NaN()})
-		case pr.Name == ProtocolHetero:
-			protos = append(protos, protoInstance{name: ProtocolHetero, frac: math.NaN()})
-		case m.Axis == AxisFraction:
-			protos = append(protos, protoInstance{name: ProtocolMultilevel, frac: math.NaN()})
-		default:
-			for _, f := range pr.InMemFractions {
-				protos = append(protos, protoInstance{name: ProtocolMultilevel, frac: f})
-			}
-		}
+	if m.InMemFraction != nil {
+		frac = *m.InMemFraction
 	}
 	xs := m.Values
 	if m.Axis == AxisNone {
 		xs = []float64{math.NaN()}
 	}
 
-	isHetero := m.heteroOnly()
+	isHetero := m.Protocol == ProtocolHetero
 	for _, plName := range m.Platforms {
 		var basePl platform.Platform
 		if isHetero {
@@ -142,77 +113,69 @@ func Expand(manifest Manifest) (*Plan, error) {
 		}
 		for _, scn := range m.Scenarios {
 			sc := costmodel.Scenario(scn)
-			for _, di := range dists {
-				for _, pi := range protos {
-					chain := make([]*Cell, 0, len(xs))
-					for xi, x := range xs {
-						cell := &Cell{
-							Chain:    len(p.Chains),
-							Index:    xi,
-							Platform: basePl.Name,
-							Scenario: sc,
-							Alpha:    m.alpha(),
-							Downtime: m.downtime(),
-							DistName: di.name,
-							Shape:    di.shape,
-							Protocol: pi.name,
-							Frac:     pi.frac,
-							Comm:     math.NaN(),
-							X:        x,
-						}
-						pl := basePl
-						switch m.Axis {
-						case AxisAlpha:
-							cell.Alpha = x
-						case AxisDowntime:
-							cell.Downtime = x
-						case AxisLambda:
-							pl = pl.WithLambda(x)
-						case AxisShape:
-							cell.Shape = x
-						case AxisFraction:
-							cell.Frac = x
-						}
-						var err error
-						if isHetero {
-							tp := *m.Topology
-							if m.Axis == AxisComm {
-								tp.Comm = x
-							}
-							cell.Comm = tp.Comm
-							cell.Lambda = math.NaN()
-							//lint:allow frozenloop plan-time compile, one per grid cell's distinct topology
-							cell.Hetero, err = hetero.CompileTopology(tp, sc, cell.Alpha, cell.Downtime)
-							if err != nil {
-								return nil, fmt.Errorf("campaign: cell %s/%v/%s=%g: %w",
-									cell.Platform, sc, m.Axis, x, err)
-							}
-						} else {
-							cell.Lambda = pl.LambdaInd
-							cell.Model, err = experiments.BuildModel(pl, sc, cell.Alpha, cell.Downtime)
-							if err != nil {
-								return nil, fmt.Errorf("campaign: cell %s/%v/%s=%g: %w",
-									cell.Platform, sc, m.Axis, x, err)
-							}
-							if cell.DistName != "exponential" {
-								cell.Dist, err = failures.ParseDistribution(cell.DistName, cell.Shape, pl.LambdaInd)
-								if err != nil {
-									return nil, fmt.Errorf("campaign: %w", err)
-								}
-							}
-						}
-						if err := cell.identify(m); err != nil {
-							return nil, err
-						}
-						chain = append(chain, cell)
-						p.Cells = append(p.Cells, cell)
-						if len(p.Cells) > maxPlanCells {
-							return nil, fmt.Errorf("campaign: grid exceeds %d cells", maxPlanCells)
-						}
+			chain := make([]*Cell, 0, len(xs))
+			for _, x := range xs {
+				cell := &Cell{
+					Platform: basePl.Name,
+					Scenario: sc,
+					Alpha:    m.alpha(),
+					Downtime: m.downtime(),
+					DistName: m.Dist,
+					Shape:    shape,
+					Protocol: m.Protocol,
+					Frac:     frac,
+					Comm:     math.NaN(),
+					X:        x,
+				}
+				pl := basePl
+				switch m.Axis {
+				case AxisAlpha:
+					cell.Alpha = x
+				case AxisDowntime:
+					cell.Downtime = x
+				case AxisLambda:
+					pl = pl.WithLambda(x)
+				case AxisShape:
+					cell.Shape = x
+				case AxisFraction:
+					cell.Frac = x
+				}
+				var err error
+				if isHetero {
+					tp := *m.Topology
+					if m.Axis == AxisComm {
+						tp.Comm = x
 					}
-					p.Chains = append(p.Chains, chain)
+					cell.Comm = tp.Comm
+					cell.Lambda = math.NaN()
+					//lint:allow frozenloop plan-time compile, one per grid cell's distinct topology
+					cell.Hetero, err = hetero.CompileTopology(tp, sc, cell.Alpha, cell.Downtime)
+				} else {
+					cell.Lambda = pl.LambdaInd
+					cell.Model, err = experiments.BuildModel(pl, sc, cell.Alpha, cell.Downtime)
+				}
+				if err != nil {
+					return nil, fmt.Errorf("campaign: cell %s/%v/%s=%g: %w",
+						cell.Platform, sc, m.Axis, x, err)
+				}
+				// Validate admits a non-exponential law on single-level
+				// cells only.
+				if cell.DistName != "exponential" {
+					cell.Dist, err = failures.ParseDistribution(cell.DistName, cell.Shape, pl.LambdaInd)
+					if err != nil {
+						return nil, fmt.Errorf("campaign: %w", err)
+					}
+				}
+				if err := cell.identify(m); err != nil {
+					return nil, err
+				}
+				chain = append(chain, cell)
+				p.Cells = append(p.Cells, cell)
+				if len(p.Cells) > maxPlanCells {
+					return nil, fmt.Errorf("campaign: grid exceeds %d cells", maxPlanCells)
 				}
 			}
+			p.Chains = append(p.Chains, chain)
 		}
 	}
 	seen := make(map[string]*Cell, len(p.Cells))

@@ -9,7 +9,7 @@ import (
 	"amdahlyd/internal/platform"
 )
 
-// presets maps the five hand-written study drivers onto campaign
+// presets maps the six hand-written study drivers onto campaign
 // manifests — the ROADMAP routing rule made concrete: grid-shaped
 // experiment work is a config file, not a new driver. Axis values come
 // from the drivers' own exported defaults, so a preset campaign prices
@@ -43,12 +43,12 @@ var presets = map[string]func() Manifest{
 	// level pricing of the exponential-optimal patterns.
 	"robustness": func() Manifest {
 		return Manifest{
-			Name:          "robustness",
-			Platforms:     []string{"Hera"},
-			Scenarios:     []int{1, 2, 3, 4, 5, 6},
-			Distributions: []DistSpec{{Name: "weibull"}},
-			Axis:          AxisShape,
-			Values:        experiments.DefaultRobustnessShapes,
+			Name:      "robustness",
+			Platforms: []string{"Hera"},
+			Scenarios: []int{1, 2, 3, 4, 5, 6},
+			Dist:      "weibull",
+			Axis:      AxisShape,
+			Values:    experiments.DefaultRobustnessShapes,
 		}
 	},
 	// Multilevel study: in-memory cost-fraction axis, joint (T, K, P)
@@ -57,7 +57,7 @@ var presets = map[string]func() Manifest{
 		return Manifest{
 			Name:      "multilevel",
 			Platforms: []string{"Hera"},
-			Protocols: []ProtocolSpec{{Name: ProtocolMultilevel}},
+			Protocol:  ProtocolMultilevel,
 			Axis:      AxisFraction,
 			Values:    experiments.DefaultMultilevelFractions,
 		}
@@ -67,11 +67,11 @@ var presets = map[string]func() Manifest{
 	"hetero": func() Manifest {
 		tp := experiments.HeteroStudyTopology(platform.Hera(), 0, 0.25)
 		return Manifest{
-			Name:      "hetero",
-			Topology:  &tp,
-			Protocols: []ProtocolSpec{{Name: ProtocolHetero}},
-			Axis:      AxisComm,
-			Values:    experiments.DefaultHeteroComms,
+			Name:     "hetero",
+			Topology: &tp,
+			Protocol: ProtocolHetero,
+			Axis:     AxisComm,
+			Values:   experiments.DefaultHeteroComms,
 		}
 	},
 	// A deliberately tiny grid for CI smoke and the kill-and-resume

@@ -97,6 +97,32 @@ func BuildModel(pl platform.Platform, sc costmodel.Scenario, alpha, downtime flo
 	return m, m.Validate()
 }
 
+// ResolveModel builds the model a CLI invocation or a service request
+// names: the Table II platform, its λ_ind replaced by a positive lambda
+// override, the Table III scenario, α and D. Zero keeps the platform
+// rate; a negative or non-finite override is an error, never a silent
+// fallback to the platform rate. Every surface resolves through here,
+// so equal parameters build the identical model everywhere.
+func ResolveModel(platformName string, scenario int, alpha, downtime, lambda float64) (core.Model, platform.Platform, error) {
+	pl, err := platform.Lookup(platformName)
+	if err != nil {
+		return core.Model{}, platform.Platform{}, err
+	}
+	if lambda < 0 || math.IsNaN(lambda) || math.IsInf(lambda, 0) {
+		return core.Model{}, platform.Platform{}, fmt.Errorf(
+			"lambda override %g must be positive (omit or zero to keep the platform rate)", lambda)
+	}
+	if lambda > 0 {
+		pl = pl.WithLambda(lambda)
+	}
+	sc := costmodel.Scenario(scenario)
+	if !sc.Valid() {
+		return core.Model{}, platform.Platform{}, fmt.Errorf("scenario %d outside 1-6", scenario)
+	}
+	m, err := BuildModel(pl, sc, alpha, downtime)
+	return m, pl, err
+}
+
 // Eval is one evaluated pattern configuration: the parameters, the model
 // prediction and the Monte-Carlo measurement.
 type Eval struct {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net/http"
 	"strings"
 
 	"amdahlyd/internal/core"
@@ -168,15 +167,8 @@ func (s TopologySpec) Build() (core.HeteroModel, platform.Topology, error) {
 	if !sc.Valid() {
 		return core.HeteroModel{}, platform.Topology{}, fmt.Errorf("scenario %d outside 1-6", scenario)
 	}
-	alpha := experiments.DefaultAlpha
-	if s.Alpha != nil {
-		alpha = *s.Alpha
-	}
-	downtime := experiments.DefaultDowntime
-	if s.Downtime != nil {
-		downtime = *s.Downtime
-	}
-	hm, err := hetero.CompileTopology(tp, sc, alpha, downtime)
+	hm, err := hetero.CompileTopology(tp, sc, orDefault(s.Alpha, experiments.DefaultAlpha),
+		orDefault(s.Downtime, experiments.DefaultDowntime))
 	if err != nil {
 		return core.HeteroModel{}, platform.Topology{}, err
 	}
@@ -228,17 +220,24 @@ func groupPlansJSON(tp platform.Topology, plans []hetero.GroupPlan) []HeteroGrou
 	for i, gp := range plans {
 		out[i] = HeteroGroupPlanJSON{
 			Group:    gp.Group,
+			Name:     groupName(tp, gp.Group),
 			Fraction: gp.Fraction,
 			T:        gp.T,
 			P:        gp.P,
 			Overhead: gp.GroupOverhead,
 			AtPBound: gp.AtPBound,
 		}
-		if gp.Group >= 0 && gp.Group < len(tp.Groups) {
-			out[i].Name = tp.Groups[gp.Group].Name
-		}
 	}
 	return out
+}
+
+// groupName is the topology's name for group g; empty when g is out of
+// range.
+func groupName(tp platform.Topology, g int) string {
+	if g >= 0 && g < len(tp.Groups) {
+		return tp.Groups[g].Name
+	}
+	return ""
 }
 
 // HeteroOptimizeResponse is the solved joint plan.
@@ -314,67 +313,45 @@ type HeteroSweepSpec struct {
 	MaxGroups int          `json:"max_groups,omitempty"`
 }
 
-func (s *Server) handleHeteroOptimize(w http.ResponseWriter, r *http.Request) {
-	var req HeteroOptimizeRequest
-	if err := decode(w, r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
+func (s *Server) heteroOptimize(ctx context.Context, req *HeteroOptimizeRequest) (any, error) {
 	hm, tp, err := req.Topology.Build()
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
-	res, cached, err := s.engine.HeteroOptimize(r.Context(), hm, req.Options.pattern())
+	res, cached, err := s.engine.HeteroOptimize(ctx, hm, req.Options.pattern())
 	if err != nil {
-		writeErr(w, statusFor(r.Context(), err), err)
-		return
+		return nil, err
 	}
-	writeJSON(w, http.StatusOK, HeteroOptimizeResponse{
+	return HeteroOptimizeResponse{
 		Overhead: res.Overhead,
 		Active:   res.Active,
 		Groups:   groupPlansJSON(tp, res.Groups),
 		Evals:    res.Evals,
 		Cached:   cached,
-	})
+	}, nil
 }
 
-func (s *Server) handleHeteroSimulate(w http.ResponseWriter, r *http.Request) {
-	var req HeteroSimulateRequest
-	if err := decode(w, r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
+func (s *Server) heteroSimulate(ctx context.Context, req *HeteroSimulateRequest) (any, error) {
 	hm, tp, err := req.Topology.Build()
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
-	if req.Runs < 0 || req.Patterns < 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("runs and patterns must be non-negative"))
-		return
-	}
-	eff := sim.RunConfig{Runs: req.Runs, Patterns: req.Patterns}.WithDefaults()
 	// Every group plays its own pattern stream, so the request's work is
 	// groups × runs × patterns — budget accordingly.
 	groups := len(req.Plan)
 	if groups == 0 {
 		groups = len(hm.Groups)
 	}
-	if budget := float64(eff.Runs) * float64(eff.Patterns) * float64(groups); budget > maxRequestPatternBudget {
-		writeErr(w, http.StatusUnprocessableEntity, fmt.Errorf(
-			"campaign budget %d×%d×%d exceeds the per-request limit of %g patterns",
-			groups, eff.Runs, eff.Patterns, float64(maxRequestPatternBudget)))
-		return
+	if err := checkBudget(req.Runs, req.Patterns, groups); err != nil {
+		return nil, err
 	}
 	var plan []hetero.GroupPlan
 	if len(req.Plan) == 0 {
 		// Default the plan from the joint optimum, through the optimize
 		// cache (a prior /v1/hetero/optimize primes this request).
-		res, _, err := s.engine.HeteroOptimize(r.Context(), hm, req.Options.pattern())
+		res, _, err := s.engine.HeteroOptimize(ctx, hm, req.Options.pattern())
 		if err != nil {
-			writeErr(w, statusFor(r.Context(), err), err)
-			return
+			return nil, err
 		}
 		plan = res.Groups
 	} else {
@@ -383,15 +360,13 @@ func (s *Server) handleHeteroSimulate(w http.ResponseWriter, r *http.Request) {
 			plan[i] = hetero.GroupPlan{Group: pg.Group, T: pg.T, P: pg.P, Fraction: pg.Fraction}
 		}
 	}
-	res, cached, err := s.engine.HeteroSimulate(r.Context(), hm, plan, req.Runs, req.Patterns, req.Seed)
+	res, cached, err := s.engine.HeteroSimulate(ctx, hm, plan, req.Runs, req.Patterns, req.Seed)
 	if err != nil {
-		writeErr(w, statusFor(r.Context(), err), err)
-		return
+		return nil, err
 	}
 	runs, err := hetero.GroupRuns(hm, plan)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
 	gout := make([]HeteroGroupSimJSON, len(plan))
 	predicted := 0.0
@@ -403,17 +378,15 @@ func (s *Server) handleHeteroSimulate(w http.ResponseWriter, r *http.Request) {
 		}
 		gout[i] = HeteroGroupSimJSON{
 			Group:      gp.Group,
+			Name:       groupName(tp, gp.Group),
 			Fraction:   gp.Fraction,
 			T:          gp.T,
 			P:          gp.P,
 			Overhead:   summaryJSON(res.GroupOverheads[i]),
 			PredictedH: h,
 		}
-		if gp.Group >= 0 && gp.Group < len(tp.Groups) {
-			gout[i].Name = tp.Groups[gp.Group].Name
-		}
 	}
-	writeJSON(w, http.StatusOK, HeteroSimulateResponse{
+	return HeteroSimulateResponse{
 		Overhead:         summaryJSON(res.Overhead),
 		Groups:           gout,
 		PredictedH:       predicted,
@@ -423,5 +396,5 @@ func (s *Server) handleHeteroSimulate(w http.ResponseWriter, r *http.Request) {
 		Runs:             res.Config.Runs,
 		Patterns:         res.Config.Patterns,
 		Cached:           cached,
-	})
+	}, nil
 }

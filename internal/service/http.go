@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"amdahlyd/internal/core"
-	"amdahlyd/internal/costmodel"
 	"amdahlyd/internal/experiments"
 	"amdahlyd/internal/failures"
 	"amdahlyd/internal/hetero"
@@ -58,48 +57,27 @@ type ModelSpec struct {
 	Lambda float64 `json:"lambda,omitempty"`
 }
 
-// Build resolves the spec into a model plus its platform, following the
-// CLI code path (platform.Lookup → WithLambda → experiments.BuildModel).
+// Build resolves the spec into a model plus its platform, through the
+// resolution every CLI runs (experiments.ResolveModel), after filling
+// the request defaults: platform hera, scenario 1, α 0.1, D 3600 s.
 func (s ModelSpec) Build() (core.Model, platform.Platform, error) {
-	name := s.Platform
+	name, scenario := s.Platform, s.Scenario
 	if name == "" {
 		name = "hera"
 	}
-	pl, err := platform.Lookup(name)
-	if err != nil {
-		return core.Model{}, platform.Platform{}, err
-	}
-	// "Overrides when positive" used to silently ignore a negative (or
-	// NaN/Inf) override and serve the platform rate as if the request had
-	// been honoured; an explicit bad override must be a request error.
-	if s.Lambda < 0 || math.IsNaN(s.Lambda) || math.IsInf(s.Lambda, 0) {
-		return core.Model{}, platform.Platform{}, fmt.Errorf(
-			"lambda override %g must be positive (omit or zero to keep the platform rate)", s.Lambda)
-	}
-	if s.Lambda > 0 {
-		pl = pl.WithLambda(s.Lambda)
-	}
-	scenario := s.Scenario
 	if scenario == 0 {
 		scenario = 1
 	}
-	sc := costmodel.Scenario(scenario)
-	if !sc.Valid() {
-		return core.Model{}, platform.Platform{}, fmt.Errorf("scenario %d outside 1-6", scenario)
+	return experiments.ResolveModel(name, scenario, orDefault(s.Alpha, experiments.DefaultAlpha),
+		orDefault(s.Downtime, experiments.DefaultDowntime), s.Lambda)
+}
+
+// orDefault dereferences an optional request field.
+func orDefault(v *float64, def float64) float64 {
+	if v != nil {
+		return *v
 	}
-	alpha := experiments.DefaultAlpha
-	if s.Alpha != nil {
-		alpha = *s.Alpha
-	}
-	downtime := experiments.DefaultDowntime
-	if s.Downtime != nil {
-		downtime = *s.Downtime
-	}
-	m, err := experiments.BuildModel(pl, sc, alpha, downtime)
-	if err != nil {
-		return core.Model{}, platform.Platform{}, err
-	}
-	return m, pl, nil
+	return def
 }
 
 // EvaluateRequest prices PATTERN(T, P). T = 0 selects the Theorem 1
@@ -194,13 +172,6 @@ type MultilevelSweepSpec struct {
 	// InMemFraction prices the in-memory level at frac·C_P; null/omitted
 	// selects the default 1/15 (as for /v1/multilevel/optimize).
 	InMemFraction *float64 `json:"in_mem_fraction,omitempty"`
-}
-
-func (s *MultilevelSweepSpec) fraction() float64 {
-	if s.InMemFraction != nil {
-		return *s.InMemFraction
-	}
-	return defaultInMemFraction
 }
 
 // withAxis returns the spec with the axis parameter replaced by v.
@@ -332,14 +303,14 @@ type Server struct {
 func NewServer(e *Engine) *Server {
 	s := &Server{engine: e, mux: http.NewServeMux()}
 	s.drainCtx, s.drainCancel = context.WithCancel(context.Background())
-	s.mux.HandleFunc("POST /v1/evaluate", s.handleEvaluate)
-	s.mux.HandleFunc("POST /v1/optimize", s.handleOptimize)
-	s.mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
+	s.mux.HandleFunc("POST /v1/evaluate", unary(s.evaluate))
+	s.mux.HandleFunc("POST /v1/optimize", unary(s.optimize))
+	s.mux.HandleFunc("POST /v1/simulate", unary(s.simulate))
 	s.mux.HandleFunc("POST /v1/sweep", s.handleSweep)
-	s.mux.HandleFunc("POST /v1/multilevel/optimize", s.handleMultilevelOptimize)
-	s.mux.HandleFunc("POST /v1/multilevel/simulate", s.handleMultilevelSimulate)
-	s.mux.HandleFunc("POST /v1/hetero/optimize", s.handleHeteroOptimize)
-	s.mux.HandleFunc("POST /v1/hetero/simulate", s.handleHeteroSimulate)
+	s.mux.HandleFunc("POST /v1/multilevel/optimize", unary(s.multilevelOptimize))
+	s.mux.HandleFunc("POST /v1/multilevel/simulate", unary(s.multilevelSimulate))
+	s.mux.HandleFunc("POST /v1/hetero/optimize", unary(s.heteroOptimize))
+	s.mux.HandleFunc("POST /v1/hetero/simulate", unary(s.heteroSimulate))
 	s.mux.HandleFunc("GET /v1/cache/hot", s.handleCacheHot)
 	s.mux.HandleFunc("POST /v1/cache/fill", s.handleCacheFill)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
@@ -407,20 +378,28 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, apiError{Error: err.Error()})
 }
 
-// statusFor maps engine errors onto HTTP statuses: cancelled requests map
-// to 499 (client closed request, nginx convention — the client is gone
-// anyway), a saturated scheduler to 503 (retry later — the request was
-// fine, the server is full), patterns too failure-dominated to simulate
-// to 422, and everything else to 400: every remaining error the engine
-// returns is parameter-driven (bad model, search box, campaign config) —
-// internal invariant violations would surface as panics, not errors.
+// overCap is a well-formed request past a per-request cap: more work
+// than one request may claim (HTTP 422).
+type overCap string
+
+func (e overCap) Error() string { return string(e) }
+
+// statusFor maps every error a request meets onto its HTTP status:
+// cancelled requests map to 499 (client closed request, nginx convention
+// — the client is gone anyway), a saturated scheduler to 503 (retry
+// later — the request was fine, the server is full), a per-request cap
+// and patterns too failure-dominated to simulate to 422, and everything
+// else to 400: every remaining error is parameter-driven (bad model,
+// search box, campaign config) — internal invariant violations would
+// surface as panics, not errors.
 func statusFor(ctx context.Context, err error) int {
+	var capErr overCap
 	switch {
 	case errors.Is(err, context.Canceled) && ctx.Err() != nil:
 		return 499
 	case errors.Is(err, ErrSaturated):
 		return http.StatusServiceUnavailable
-	case errors.Is(err, sim.ErrErrorPressure):
+	case errors.As(err, &capErr), errors.Is(err, sim.ErrErrorPressure):
 		return http.StatusUnprocessableEntity
 	default:
 		return http.StatusBadRequest
@@ -439,6 +418,46 @@ func decode[T any](w http.ResponseWriter, r *http.Request, into *T) error {
 	return nil
 }
 
+// unary is the request pipeline of every JSON-in, JSON-out endpoint:
+// decode the body into a Req (400 when it does not decode), serve it,
+// and encode the answer — or the error, at the status statusFor maps
+// it to.
+func unary[Req any](serve func(context.Context, *Req) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if err := decode(w, r, &req); err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
+		resp, err := serve(r.Context(), &req)
+		if err != nil {
+			writeErr(w, statusFor(r.Context(), err), err)
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
+	}
+}
+
+// checkBudget holds a campaign of runs × patterns (zero taking the 500
+// default) to the per-request pattern cap. groups counts the pattern
+// streams of a heterogeneous campaign, which plays one per group; it is
+// 0 for the homogeneous protocols, whose message has no group factor.
+func checkBudget(runs, patterns, groups int) error {
+	if runs < 0 || patterns < 0 {
+		return errors.New("runs and patterns must be non-negative")
+	}
+	eff := sim.RunConfig{Runs: runs, Patterns: patterns}.WithDefaults()
+	if float64(eff.Runs)*float64(eff.Patterns)*float64(max(groups, 1)) <= maxRequestPatternBudget {
+		return nil
+	}
+	budget := fmt.Sprintf("%d×%d", eff.Runs, eff.Patterns)
+	if groups > 0 {
+		budget = fmt.Sprintf("%d×%s", groups, budget)
+	}
+	return overCap(fmt.Sprintf("campaign budget %s exceeds the per-request limit of %g patterns",
+		budget, float64(maxRequestPatternBudget)))
+}
+
 // defaultTP resolves the T = 0 / P = 0 conventions shared by evaluate and
 // simulate: P defaults to the platform's deployed count, T to the
 // Theorem 1 optimum at P — the same lines amdahl-sim runs.
@@ -452,43 +471,29 @@ func defaultTP(m core.Model, pl platform.Platform, t, p float64) (float64, float
 	return t, p
 }
 
-func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	var req EvaluateRequest
-	if err := decode(w, r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
+func (s *Server) evaluate(_ context.Context, req *EvaluateRequest) (any, error) {
 	m, pl, err := req.Model.Build()
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
 	t, p := defaultTP(m, pl, req.T, req.P)
 	ev, err := s.engine.Evaluate(m, t, p)
 	if err != nil {
-		writeErr(w, statusFor(r.Context(), err), err)
-		return
+		return nil, err
 	}
-	writeJSON(w, http.StatusOK, EvaluateResponse{Evaluation: ev, Platform: pl.Name})
+	return EvaluateResponse{Evaluation: ev, Platform: pl.Name}, nil
 }
 
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	var req OptimizeRequest
-	if err := decode(w, r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
+func (s *Server) optimize(ctx context.Context, req *OptimizeRequest) (any, error) {
 	m, _, err := req.Model.Build()
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
-	res, cached, err := s.engine.Optimize(r.Context(), m, req.Options.pattern())
+	res, cached, err := s.engine.Optimize(ctx, m, req.Options.pattern())
 	if err != nil {
-		writeErr(w, statusFor(r.Context(), err), err)
-		return
+		return nil, err
 	}
-	writeJSON(w, http.StatusOK, OptimizeResponse{
+	return OptimizeResponse{
 		T:        res.T,
 		P:        res.P,
 		Overhead: res.Overhead,
@@ -497,65 +502,42 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		AtPBound: res.AtPBound,
 		Evals:    res.Evals,
 		Cached:   cached,
-	})
+	}, nil
 }
 
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	var req SimulateRequest
-	if err := decode(w, r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
+func (s *Server) simulate(ctx context.Context, req *SimulateRequest) (any, error) {
 	m, pl, err := req.Model.Build()
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
 	t, p := defaultTP(m, pl, req.T, req.P)
+	if err := checkBudget(req.Runs, req.Patterns, 0); err != nil {
+		return nil, err
+	}
+	if req.Machine && p > sim.MaxMachineProcs {
+		return nil, overCap(fmt.Sprintf(
+			"machine-level P = %g exceeds the per-request limit of %d processors", p, sim.MaxMachineProcs))
+	}
 	cfg := sim.RunConfig{
 		Runs:     req.Runs,
 		Patterns: req.Patterns,
 		Seed:     req.Seed,
 		Machine:  req.Machine,
 	}
-	if req.Runs < 0 || req.Patterns < 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("runs and patterns must be non-negative"))
-		return
-	}
-	eff := cfg.WithDefaults()
-	if budget := float64(eff.Runs) * float64(eff.Patterns); budget > maxRequestPatternBudget {
-		writeErr(w, http.StatusUnprocessableEntity, fmt.Errorf(
-			"campaign budget %d×%d exceeds the per-request limit of %g patterns",
-			eff.Runs, eff.Patterns, float64(maxRequestPatternBudget)))
-		return
-	}
-	if req.Machine && p > sim.MaxMachineProcs {
-		writeErr(w, http.StatusUnprocessableEntity, fmt.Errorf(
-			"machine-level P = %g exceeds the per-request limit of %d processors", p, sim.MaxMachineProcs))
-		return
-	}
 	if failures.IsExponentialName(req.Dist) {
 		// Parity with the CLI (amdahl-exp robustness): a shape with the
 		// exponential law would silently misstate the campaign that ran.
 		if req.Shape != 0 {
-			writeErr(w, http.StatusBadRequest,
-				fmt.Errorf("shape has no effect with an exponential dist"))
-			return
+			return nil, errors.New("shape has no effect with an exponential dist")
 		}
-	} else {
-		dist, err := failures.ParseDistribution(req.Dist, req.Shape, m.LambdaInd)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		cfg.Dist = dist
+	} else if cfg.Dist, err = failures.ParseDistribution(req.Dist, req.Shape, m.LambdaInd); err != nil {
+		return nil, err
 	}
-	res, cached, err := s.engine.Simulate(r.Context(), m, t, p, cfg)
+	res, cached, err := s.engine.Simulate(ctx, m, t, p, cfg)
 	if err != nil {
-		writeErr(w, statusFor(r.Context(), err), err)
-		return
+		return nil, err
 	}
-	writeJSON(w, http.StatusOK, SimulateResponse{
+	return SimulateResponse{
 		T:                t,
 		P:                p,
 		Overhead:         summaryJSON(res.Overhead),
@@ -568,7 +550,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		Runs:             res.Config.Runs,
 		Patterns:         res.Config.Patterns,
 		Cached:           cached,
-	})
+	}, nil
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -710,7 +692,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			})
 	case req.Multilevel != nil:
 		e.mlSweepCalls.Add(1)
-		frac := req.Multilevel.fraction()
+		frac := inMemFraction(req.Multilevel.InMemFraction)
 		opts := multilevel.PatternOptions{PMin: req.Options.PMin, PMax: req.Options.PMax, IntegerP: req.Options.IntegerP}
 		solver := multilevel.NewSweepSolver(multilevel.SweepOptions{PatternOptions: opts, Cold: req.Cold})
 		if err = validateFraction(frac); err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"net/http"
 
 	"amdahlyd/internal/core"
 	"amdahlyd/internal/multilevel"
@@ -104,6 +103,9 @@ func (e *Engine) MultilevelSimulate(ctx context.Context, m core.Model, frac floa
 // ratio of the multilevel example study.
 const defaultInMemFraction = 1.0 / 15
 
+// inMemFraction resolves a request's optional in-memory fraction.
+func inMemFraction(frac *float64) float64 { return orDefault(frac, defaultInMemFraction) }
+
 // MultilevelOptions is the JSON shape of multilevel.PatternOptions. The
 // segment length has no search bounds: it is closed-form at every
 // (K, P).
@@ -125,13 +127,6 @@ type MultilevelOptimizeRequest struct {
 	// selects the default 1/15, an explicit 0 a free in-memory level.
 	InMemFraction *float64          `json:"in_mem_fraction,omitempty"`
 	Options       MultilevelOptions `json:"options,omitempty"`
-}
-
-func (r MultilevelOptimizeRequest) fraction() float64 {
-	if r.InMemFraction != nil {
-		return *r.InMemFraction
-	}
-	return defaultInMemFraction
 }
 
 // MultilevelOptimizeResponse is the solved two-level pattern.
@@ -161,13 +156,6 @@ type MultilevelSimulateRequest struct {
 	Seed          uint64    `json:"seed,omitempty"`
 }
 
-func (r MultilevelSimulateRequest) fraction() float64 {
-	if r.InMemFraction != nil {
-		return *r.InMemFraction
-	}
-	return defaultInMemFraction
-}
-
 // MultilevelSimulateResponse mirrors multilevel.CampaignResult plus the
 // first-order prediction for the simulated pattern.
 type MultilevelSimulateResponse struct {
@@ -186,57 +174,42 @@ type MultilevelSimulateResponse struct {
 	Cached           bool        `json:"cached"`
 }
 
-func (s *Server) handleMultilevelOptimize(w http.ResponseWriter, r *http.Request) {
-	var req MultilevelOptimizeRequest
-	if err := decode(w, r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
+func (s *Server) multilevelOptimize(ctx context.Context, req *MultilevelOptimizeRequest) (any, error) {
 	m, _, err := req.Model.Build()
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
-	res, cached, err := s.engine.MultilevelOptimize(r.Context(), m, req.fraction(), req.Options.pattern())
+	frac := inMemFraction(req.InMemFraction)
+	res, cached, err := s.engine.MultilevelOptimize(ctx, m, frac, req.Options.pattern())
 	if err != nil {
-		writeErr(w, statusFor(r.Context(), err), err)
-		return
+		return nil, err
 	}
-	writeJSON(w, http.StatusOK, MultilevelOptimizeResponse{
+	return MultilevelOptimizeResponse{
 		T:             res.T,
 		K:             res.K,
 		P:             res.P,
 		Overhead:      res.PredictedH,
-		InMemFraction: req.fraction(),
+		InMemFraction: frac,
 		AtPBound:      res.AtPBound,
 		Evals:         res.Evals,
 		Cached:        cached,
-	})
+	}, nil
 }
 
-func (s *Server) handleMultilevelSimulate(w http.ResponseWriter, r *http.Request) {
-	var req MultilevelSimulateRequest
-	if err := decode(w, r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
+func (s *Server) multilevelSimulate(ctx context.Context, req *MultilevelSimulateRequest) (any, error) {
 	m, pl, err := req.Model.Build()
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
-	if req.Runs < 0 || req.Patterns < 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("runs and patterns must be non-negative"))
-		return
+	if err := checkBudget(req.Runs, req.Patterns, 0); err != nil {
+		return nil, err
 	}
-	eff := multilevel.CampaignConfig{Runs: req.Runs, Patterns: req.Patterns}.WithDefaults()
-	if budget := float64(eff.Runs) * float64(eff.Patterns); budget > maxRequestPatternBudget {
-		writeErr(w, http.StatusUnprocessableEntity, fmt.Errorf(
-			"campaign budget %d×%d exceeds the per-request limit of %g patterns",
-			eff.Runs, eff.Patterns, float64(maxRequestPatternBudget)))
-		return
+	if req.K < 0 {
+		// Before the defaults below: a negative K would reach the segment
+		// length formula and come back as a NaN pattern.
+		return nil, fmt.Errorf("segment count k = %d must be non-negative (omit or zero for the first-order optimum)", req.K)
 	}
-	frac := req.fraction()
+	frac := inMemFraction(req.InMemFraction)
 	p := req.P
 	if p == 0 {
 		p = pl.Processors
@@ -246,8 +219,7 @@ func (s *Server) handleMultilevelSimulate(w http.ResponseWriter, r *http.Request
 	// flight from the same inputs, bit-identically).
 	costs, err := multilevel.SingleLevelCosts(m, p, frac)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
 	lf, ls := m.Rates(p)
 	pat := multilevel.Pattern{T: req.T, K: req.K}
@@ -257,8 +229,7 @@ func (s *Server) handleMultilevelSimulate(w http.ResponseWriter, r *http.Request
 		// omitted T re-optimizes the segment length for that K.
 		plan, err := multilevel.FirstOrder(costs, lf, ls, m.Profile.Overhead(p))
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
+			return nil, err
 		}
 		pat.K = plan.K
 		if pat.T == 0 {
@@ -268,12 +239,11 @@ func (s *Server) handleMultilevelSimulate(w http.ResponseWriter, r *http.Request
 	if pat.T == 0 {
 		pat.T = multilevel.OptimalSegmentLength(costs, pat.K, lf, ls)
 	}
-	res, cached, err := s.engine.MultilevelSimulate(r.Context(), m, frac, pat, p, req.Runs, req.Patterns, req.Seed)
+	res, cached, err := s.engine.MultilevelSimulate(ctx, m, frac, pat, p, req.Runs, req.Patterns, req.Seed)
 	if err != nil {
-		writeErr(w, statusFor(r.Context(), err), err)
-		return
+		return nil, err
 	}
-	writeJSON(w, http.StatusOK, MultilevelSimulateResponse{
+	return MultilevelSimulateResponse{
 		T:                pat.T,
 		K:                pat.K,
 		P:                p,
@@ -287,5 +257,5 @@ func (s *Server) handleMultilevelSimulate(w http.ResponseWriter, r *http.Request
 		Runs:             res.Config.Runs,
 		Patterns:         res.Config.Patterns,
 		Cached:           cached,
-	})
+	}, nil
 }

@@ -221,6 +221,27 @@ func TestMultilevelSimulateRejectsUnsimulablePatterns(t *testing.T) {
 	}
 }
 
+// TestMultilevelSimulateRejectsNegativeK: a negative segment count is a
+// 400 that names k, raised before the pattern defaults run (which would
+// otherwise leak a NaN segment length into the message).
+func TestMultilevelSimulateRejectsNegativeK(t *testing.T) {
+	_, ts := newTestServer(t)
+	resp, err := http.Post(ts.URL+"/v1/multilevel/simulate", "application/json",
+		strings.NewReader(`{"model":{"platform":"hera"},"k":-1,"runs":2,"patterns":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "k = -1") ||
+		strings.Contains(string(body), "NaN") {
+		t.Errorf("status %d: %s; want 400 naming k = -1 and no NaN", resp.StatusCode, body)
+	}
+}
+
 // TestModelSpecRejectsNegativeLambda is the regression for the silent
 // "overrides when positive" fallback: an explicit negative override must
 // be a 400 with a self-explanatory body, not the platform rate.

@@ -23,6 +23,8 @@ var goldenDigests = map[string]string{
 	"campaign/hetero/report.txt":           "bdd48296022640efd5f0d6c62330fac67dd1bbc572f6e8f7076db9190218d9d2",
 	"campaign/multilevel/report.csv":       "5af1d4cc5ab4ff4e8dc85616bbb8ed80cbffb2f9d61fe2be18b70bc7a0cad661",
 	"campaign/multilevel/report.txt":       "260fa56537abf5eda3ca48f4534b53472d3d077355ab057ccee954fed92c25d8",
+	"campaign/robustness/report.csv":       "8db089af0a3a7acdb762de558b5430928433ae97915a3fe5974a165860f1d5c9",
+	"campaign/robustness/report.txt":       "8dee502acd48358afdcd14baed89631c6cdeb76f6875f232cd5c0879eff4f797",
 	"campaign/smoke/report.csv":            "7af4afb128c3cb1a6a763cb1ef9eede5ca0c5d58ee4a709c62141acbc7c7f319",
 	"campaign/smoke/report.txt":            "3d4e054fab316b9c1cf098d73fd8f44ca4b88b9de401cef19393e6106877406c",
 	"campaign/sweep-alpha/report.csv":      "8948daefe41bcf0c3001672a59630f373fc0a9ee6d5f29825f3010dace8e2b88",
@@ -60,7 +62,7 @@ var goldenDigests = map[string]string{
 }
 
 // TestGoldenRenders runs the figure suite, the three study subcommands
-// (warm and cold) and four campaign presets through the CLI entry points
+// (warm and cold) and five campaign presets through the CLI entry points
 // and compares each output's digest with goldenDigests. A mismatch logs
 // every observed digest as a map literal.
 func TestGoldenRenders(t *testing.T) {
@@ -103,7 +105,7 @@ func TestGoldenRenders(t *testing.T) {
 			}
 		}
 	}
-	for _, preset := range []string{"smoke", "sweep-alpha", "multilevel", "hetero"} {
+	for _, preset := range []string{"smoke", "sweep-alpha", "multilevel", "hetero", "robustness"} {
 		dir := t.TempDir()
 		if _, err := capture(t, func() error {
 			return runCampaign(ctx, []string{"-preset", preset, "-quick", "-seed", "3", "-out", dir})

@@ -52,6 +52,8 @@ var unaryGolden = map[string]string{
 	"/v1/optimize unknown-field":            "400 application/json retry-after=\"\" 3cf9d273f53a2acb98f3ac3509607ba6e0ab620d1f7da55b8045d5cfe8efe698",
 	"/v1/optimize valid":                    "200 application/json retry-after=\"\" c78ecf3877f063f51845cc68087692d0001c55eeabd195f04029d0c9607421fb",
 	"/v1/simulate bad-model":                "400 application/json retry-after=\"\" 669290898f2106f29a87be7ebb0f01c7442f8cdb32d2416a5fc0aa7eb16396de",
+	"/v1/simulate machine":                  "200 application/json retry-after=\"\" d7a6c92b8a9ee1f519955b439c43a5909aea40f567dbb6e59aba6ce97333d511",
+	"/v1/simulate machine-weibull":          "200 application/json retry-after=\"\" 98032238216662ad6e90b15bef68f3d3d666cb4badbf572f9f335b13561ef6e2",
 	"/v1/simulate malformed":                "400 application/json retry-after=\"\" 9cf4ee19006dac1ae185d98e141aecee071257fb6720e8db83151af4365fcc27",
 	"/v1/simulate over-budget":              "422 application/json retry-after=\"\" d96825f964547041b892429ce702adee9d1ca82e83e3d8a081fa0cab836a6277",
 	"/v1/simulate saturated":                "503 application/json retry-after=\"1\" 634e30b25437dbf2fb057106de072dc6965433db2d2316dfe82796b475dbf16f",
@@ -64,7 +66,8 @@ type goldenRequest struct{ name, body string }
 
 // unaryGoldenTable is the request table. Every endpoint gets a valid
 // request, malformed JSON, an unknown field and a bad model; the
-// campaign endpoints also get an over-budget request.
+// campaign endpoints also get an over-budget request, and /v1/simulate
+// also runs the machine-level simulator under both failure laws.
 func unaryGoldenTable(t *testing.T) map[string][]goldenRequest {
 	t.Helper()
 	js := func(v any) string {
@@ -93,6 +96,8 @@ func unaryGoldenTable(t *testing.T) map[string][]goldenRequest {
 		),
 		"/v1/simulate": rows(
 			goldenRequest{"valid", `{"model":{"platform":"hera","scenario":1},"t":6240,"p":219,"runs":20,"patterns":20,"seed":7}`},
+			goldenRequest{"machine", `{"model":{"platform":"hera","scenario":1},"t":6240,"p":219,"runs":20,"patterns":20,"seed":7,"machine":true}`},
+			goldenRequest{"machine-weibull", `{"model":{"platform":"hera","scenario":1},"t":6240,"p":219,"runs":20,"patterns":20,"seed":7,"machine":true,"dist":"weibull","shape":0.7}`},
 			goldenRequest{"bad-model", `{"model":{"lambda":-1e-9}}`},
 			goldenRequest{"over-budget", `{"model":{},"runs":2000000000,"patterns":2000000000}`},
 		),

@@ -70,6 +70,50 @@ func TestMachineExponentialGoldenPinned(t *testing.T) {
 	}
 }
 
+// Golden pin of the renewal (non-exponential) machine simulator: a fold
+// of every run's elapsed-time bits and event counts over Weibull
+// campaigns hot enough that fail-stops restart the clocks many times.
+// It catches any reordering of the clock arithmetic, such as shifting a
+// pending arrival to (pause + t) − now instead of pause + (t − now).
+func TestMachineRenewalGoldenPinned(t *testing.T) {
+	fold := uint64(14695981039346656037)
+	var total PatternStats
+	for _, sc := range []costmodel.Scenario{costmodel.Scenario5, costmodel.Scenario6} {
+		m := testModel(t, platform.Hera(), sc, 0.1, 3600)
+		for _, shape := range []float64{0.5, 0.7, 0.9} {
+			d, err := failures.NewWeibullMTBF(shape, 1/m.LambdaInd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mc, err := NewMachineDist(m, 4558.08, 707, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			master := rng.New(31)
+			for i := uint64(0); i < 40; i++ {
+				st, err := mc.SimulateRun(60, master.Split(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, v := range []uint64{math.Float64bits(st.Elapsed),
+					uint64(st.FailStops), uint64(st.SilentDetections), uint64(st.Recoveries)} {
+					fold = (fold ^ v) * 1099511628211
+				}
+				total.FailStops += st.FailStops
+				total.SilentDetections += st.SilentDetections
+				total.Recoveries += st.Recoveries
+			}
+		}
+	}
+	if total.FailStops != 2338 || total.SilentDetections != 5019 || total.Recoveries != 7357 {
+		t.Errorf("totals fs=%d sd=%d rec=%d, want fs=2338 sd=5019 rec=7357",
+			total.FailStops, total.SilentDetections, total.Recoveries)
+	}
+	if fold != 0xd4de309238b59ba4 {
+		t.Errorf("fold = %#x, want %#x", fold, uint64(0xd4de309238b59ba4))
+	}
+}
+
 func TestNewMachineDistValidation(t *testing.T) {
 	m := testModel(t, platform.Hera(), costmodel.Scenario1, 0.1, 3600)
 	if _, err := NewMachineDist(m, 6240, 219, nil); err == nil {

@@ -6,6 +6,7 @@ import (
 
 	"amdahlyd/internal/costmodel"
 	"amdahlyd/internal/failures"
+	"amdahlyd/internal/platform"
 	"amdahlyd/internal/rng"
 	"amdahlyd/internal/stats"
 	"amdahlyd/internal/xmath"
@@ -184,5 +185,41 @@ func TestReplayTraceExhaustionMidPattern(t *testing.T) {
 	}
 	if res.Patterns != 0 || !res.TraceExhausted {
 		t.Errorf("short trace handled wrongly: %+v", res)
+	}
+}
+
+// TestReplayGoldenPinned pins trace replay bit for bit: seeded
+// machine-level traces under the exponential law and a bursty Weibull
+// law of the same MTBF, replayed through SimulateReplay.
+func TestReplayGoldenPinned(t *testing.T) {
+	pl := platform.Hera().WithLambda(1e-6)
+	m := testModel(t, pl, costmodel.Scenario1, 0.1, 360)
+	weibull, err := failures.NewWeibullMTBF(0.7, 1/pl.LambdaInd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		dist failures.Distribution
+		want ReplayResult
+	}{
+		{failures.Exponential{Rate: pl.LambdaInd}, ReplayResult{PatternStats: PatternStats{
+			Patterns: 8715, Elapsed: 0x1.329a0f62a617dp+24, FailStops: 263, SilentDetections: 892, Recoveries: 1155,
+		}, TraceExhausted: true}},
+		{weibull, ReplayResult{PatternStats: PatternStats{
+			Patterns: 8724, Elapsed: 0x1.329ae86a83bccp+24, FailStops: 261, SilentDetections: 892, Recoveries: 1153,
+		}, TraceExhausted: true}},
+	} {
+		tr, err := failures.GenerateTraceDist(tc.dist, pl.FailStopFraction, 64, 2e7, rng.New(17))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := SimulateReplay(m, 2000, 64, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want || math.Float64bits(got.Elapsed) != math.Float64bits(tc.want.Elapsed) {
+			t.Errorf("%s: replay = %+v (elapsed %x), want %+v (elapsed %x)",
+				tc.dist.Name(), got, got.Elapsed, tc.want, tc.want.Elapsed)
+		}
 	}
 }

@@ -2,9 +2,9 @@
 // the two error kinds, the inter-arrival laws, and synthetic
 // machine-level failure traces — the superposition of P per-processor
 // processes (λ_P = P·λ_ind), each arrival fail-stop with probability f
-// and silent otherwise — with CSV persistence and a replay cursor. The
-// simulators draw their own arrivals from the same laws; traces feed
-// trace replay and amdahl-trace.
+// and silent otherwise — with CSV persistence. The simulators draw their
+// own arrivals from the same laws; traces feed trace replay and
+// amdahl-trace.
 //
 // The paper's model is exponential everywhere; the Distribution interface
 // generalizes the inter-arrival law to Weibull, log-normal and Gamma
@@ -354,31 +354,4 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 		tr.Horizon = tr.Events[n-1].Time
 	}
 	return tr, nil
-}
-
-// Replay iterates over a trace in time order.
-type Replay struct {
-	trace *Trace
-	pos   int
-}
-
-// NewReplay returns a cursor at the beginning of the trace.
-func NewReplay(tr *Trace) *Replay { return &Replay{trace: tr} }
-
-// Next returns the next event, or ok = false when exhausted.
-func (rp *Replay) Next() (Event, bool) {
-	if rp.pos >= len(rp.trace.Events) {
-		return Event{}, false
-	}
-	e := rp.trace.Events[rp.pos]
-	rp.pos++
-	return e, true
-}
-
-// Peek returns the next event without consuming it.
-func (rp *Replay) Peek() (Event, bool) {
-	if rp.pos >= len(rp.trace.Events) {
-		return Event{}, false
-	}
-	return rp.trace.Events[rp.pos], true
 }

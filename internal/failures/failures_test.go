@@ -136,30 +136,6 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
-func TestReplay(t *testing.T) {
-	tr := &Trace{Events: []Event{
-		{Time: 1, Kind: Silent, Proc: 0},
-		{Time: 2, Kind: FailStop, Proc: 1},
-		{Time: 5, Kind: Silent, Proc: 2},
-	}, Horizon: 10}
-	rp := NewReplay(tr)
-	if e, ok := rp.Peek(); !ok || e.Time != 1 {
-		t.Error("Peek failed")
-	}
-	if e, ok := rp.Next(); !ok || e.Time != 1 {
-		t.Error("first Next wrong")
-	}
-	if e, ok := rp.Next(); !ok || e.Time != 2 {
-		t.Errorf("second Next wrong: %+v", e)
-	}
-	if e, ok := rp.Next(); !ok || e.Time != 5 {
-		t.Errorf("third Next wrong: %+v", e)
-	}
-	if _, ok := rp.Next(); ok {
-		t.Error("exhausted replay returned an event")
-	}
-}
-
 func TestInterArrivalsEmpty(t *testing.T) {
 	tr := &Trace{}
 	if tr.InterArrivals() != nil {

@@ -119,12 +119,19 @@ func All() []Platform {
 	return out
 }
 
-// Lookup finds a built-in platform by case-insensitive name. The Coastal
-// SSD platform also answers to "coastal-ssd" and "coastal ssd".
+// Lookup finds a built-in platform by case-insensitive name, ignoring
+// spaces, hyphens and underscores: the Coastal SSD platform also answers
+// to "coastal-ssd" and "coastal ssd". Only an unknown name allocates.
 func Lookup(name string) (Platform, error) {
-	key := strings.ToLower(strings.NewReplacer(" ", "", "-", "", "_", "").Replace(name))
+	var buf [32]byte
+	key := buf[:0]
+	for i := 0; i < len(name); i++ {
+		if c := name[i]; c != ' ' && c != '-' && c != '_' {
+			key = append(key, c)
+		}
+	}
 	for _, pl := range table2 {
-		if strings.ToLower(pl.Name) == key {
+		if strings.EqualFold(string(key), pl.Name) {
 			return pl, nil
 		}
 	}

@@ -97,6 +97,24 @@ func TestLookup(t *testing.T) {
 	}
 }
 
+// TestLookupAllocationFree pins that a name lookup allocates nothing:
+// it runs in every ModelSpec.Build and in the router's shard key.
+func TestLookupAllocationFree(t *testing.T) {
+	for _, name := range []string{"hera", "Hera", "coastal-ssd"} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := Lookup(name); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("Lookup(%q): %v allocs, want 0", name, allocs)
+		}
+	}
+	_, err := Lookup("summit")
+	if want := `platform: unknown platform "summit" (built-ins: Atlas, Coastal, CoastalSSD, Hera)`; err == nil || err.Error() != want {
+		t.Errorf("unknown name: err = %v, want %s", err, want)
+	}
+}
+
 func TestValidateRejectsBadPlatforms(t *testing.T) {
 	good := Hera()
 	cases := []func(*Platform){

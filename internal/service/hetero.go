@@ -66,7 +66,8 @@ func hgSimKey(hmk string, plan []hetero.GroupPlan, cfg sim.RunConfig) string {
 
 // validatePlan holds a request-supplied plan to the cache-key standard
 // and to the sim layer's preconditions: in-range distinct group indices,
-// finite positive T and P, fractions in (0, 1].
+// finite positive T, P between 1 and the group's size, fractions in
+// (0, 1].
 func validatePlan(hm core.HeteroModel, plan []hetero.GroupPlan) error {
 	if len(plan) == 0 {
 		return errors.New("service: heterogeneous plan with no groups")
@@ -88,6 +89,10 @@ func validatePlan(hm core.HeteroModel, plan []hetero.GroupPlan) error {
 		}
 		if !(gp.P >= 1) || math.IsInf(gp.P, 0) {
 			return fmt.Errorf("service: plan entry %d: allocation P = %g must be >= 1 and finite", i, gp.P)
+		}
+		if size := hm.Groups[gp.Group].Size; !(gp.P <= size) {
+			return fmt.Errorf("service: plan entry %d: allocation P = %g exceeds group %d's %g processors",
+				i, gp.P, gp.Group, size)
 		}
 		if !(gp.Fraction > 0 && gp.Fraction <= 1) {
 			return fmt.Errorf("service: plan entry %d: work fraction %g outside (0,1]", i, gp.Fraction)

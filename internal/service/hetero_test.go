@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"net/http"
+	"strings"
 	"testing"
 
 	"amdahlyd/internal/costmodel"
@@ -91,7 +92,7 @@ func TestHeteroSimulateMatchesLibrary(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := []HeteroPlanGroup{
-		{Group: 0, T: 5000, P: 4096, Fraction: 0.7},
+		{Group: 0, T: 5000, P: 512, Fraction: 0.7},
 		{Group: 1, T: 2000, P: 128, Fraction: 0.3},
 	}
 	groups := make([]sim.HeteroGroupRun, len(plan))
@@ -180,12 +181,23 @@ func TestHeteroSimulateRejectsBadPlans(t *testing.T) {
 		}},
 		{Topology: spec, Plan: []HeteroPlanGroup{{Group: 0, T: -1, P: 2, Fraction: 1}}},
 		{Topology: spec, Plan: []HeteroPlanGroup{{Group: 0, T: 100, P: 2, Fraction: 1.5}}},
+		// The accel group has 128 processors.
+		{Topology: spec, Plan: []HeteroPlanGroup{{Group: 1, T: 100, P: 200, Fraction: 1}}},
 	}
 	for i, req := range bad {
 		req.Runs, req.Patterns = 5, 5
 		if _, code := post[HeteroSimulateResponse](t, ts, "/v1/hetero/simulate", req); code != http.StatusBadRequest {
 			t.Errorf("bad plan %d: status %d, want 400", i, code)
 		}
+	}
+	tp := platform.Topology{Name: spec.Name, Comm: spec.Comm, Groups: spec.Groups}
+	hm, err := hetero.CompileTopology(tp, costmodel.Scenario1, 0.1, 3600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = validatePlan(hm, []hetero.GroupPlan{{Group: 1, T: 100, P: 200, Fraction: 1}})
+	if err == nil || !strings.Contains(err.Error(), "entry 0: allocation P = 200 exceeds group 1's 128 processors") {
+		t.Errorf("oversize plan error %v does not name the entry, its P and the group size", err)
 	}
 	// The per-request budget scales with the group count.
 	big := HeteroSimulateRequest{Topology: spec, Runs: 1 << 18, Patterns: 1 << 12}

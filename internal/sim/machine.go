@@ -138,98 +138,100 @@ const (
 	phaseRecovering
 )
 
-// Workspace holds the reusable scratch state of machine-level
-// simulation: the event engine (with its arena and heap capacity), each
-// processor's pending-error handle, and the per-processor event handlers
-// themselves. A fresh run on a reused workspace allocates nothing in
-// steady state — SimulateRun draws workspaces from an internal pool, and
-// callers that manage their own reuse (benchmarks, long campaigns) can
-// pass one explicitly to SimulateRunWorkspace.
-//
-// A Workspace serves one run at a time; concurrent runs need one
-// workspace each (the pool hands every goroutine its own).
-type Workspace struct {
-	eng Engine
+// clock is a pending event of a machine-level run: one processor's next
+// error arrival, or the end of the current segment (proc = -1). seq is
+// the scheduling order, which breaks exact time ties deterministically.
+type clock struct {
+	t    float64
+	seq  uint64
+	proc int
+}
 
-	mc       *Machine
-	r        *rng.Rand
-	patterns int
+// before orders clocks by time, then by scheduling order.
+func (c clock) before(d clock) bool {
+	return c.t < d.t || (c.t == d.t && c.seq < d.seq)
+}
 
-	st    PatternStats
+// workspace is the run state of the machine-level simulator. The whole
+// event population of a run is one pending arrival per processor plus
+// the end of the current segment: arrivals is a binary min-heap of the
+// processor clocks, and re-arming a clock overwrites its entry in place,
+// so nothing is ever cancelled and memory is O(P). A workspace serves
+// one run at a time; SimulateRun draws them from a pool, so a run on a
+// reused workspace allocates nothing.
+type workspace struct {
+	mc  *Machine
+	r   *rng.Rand
+	st  PatternStats
+	now float64
+	seq uint64
+
 	phase machPhase
 	// silentPending records an undetected corruption of the current
 	// pattern's computation.
 	silentPending bool
-	// segmentDone is the pending end-of-segment event.
-	segmentDone *Scheduled
-	// errEvents holds each processor's pending error event.
-	errEvents []*Scheduled
-	done      bool
-
-	// procActions are the per-processor error handlers, allocated once
-	// per workspace (not once per event, as the closure-based simulator
-	// did — that was most of its 474 allocs per run).
-	procActions []func()
-	// segmentFn is the bound end-of-segment handler, allocated once.
-	segmentFn func()
+	segment       clock
+	arrivals      []clock
 }
 
-// NewWorkspace returns an empty workspace; it grows to fit the first
-// run and is reused allocation-free afterwards.
-func NewWorkspace() *Workspace { return &Workspace{} }
-
-// reset binds the workspace to one run and clears all run state.
-func (w *Workspace) reset(mc *Machine, patterns int, r *rng.Rand) {
-	w.eng.Reset()
-	w.mc, w.r, w.patterns = mc, r, patterns
-	w.st = PatternStats{}
-	w.phase = phaseComputing
-	w.silentPending = false
-	w.segmentDone = nil
-	w.done = false
-	if len(w.procActions) < mc.procs {
-		w.procActions = make([]func(), mc.procs)
-		for i := range w.procActions {
-			w.procActions[i] = func() { w.procError(i) }
+// run plays the patterns on mc and returns their statistics.
+func (w *workspace) run(mc *Machine, patterns int, r *rng.Rand) PatternStats {
+	*w = workspace{mc: mc, r: r, arrivals: w.arrivals[:0]}
+	if mc.lambdaInd > 0 || mc.dist != nil {
+		if cap(w.arrivals) < mc.procs {
+			w.arrivals = make([]clock, mc.procs)
 		}
-		w.errEvents = make([]*Scheduled, mc.procs)
-	} else {
-		w.errEvents = w.errEvents[:mc.procs]
-		for i := range w.errEvents {
-			w.errEvents[i] = nil
-		}
+		w.arrivals = w.arrivals[:mc.procs]
+		w.redraw(0)
 	}
-	if w.segmentFn == nil {
-		w.segmentFn = w.onSegmentDone
+	w.startPattern()
+	for {
+		if len(w.arrivals) > 0 && w.arrivals[0].before(w.segment) {
+			w.now = w.arrivals[0].t
+			w.arrive()
+			continue
+		}
+		w.now = w.segment.t
+		if w.endSegment(patterns) {
+			w.st.Elapsed = w.now
+			return w.st
+		}
 	}
 }
 
-// drawInterArrival samples the next per-processor gap: exponential on
-// the fast path (one log, one multiply — the historical simulator's
-// exact draw), the renewal law otherwise.
-func (w *Workspace) drawInterArrival() float64 {
+// schedule returns a clock delay seconds from now, next in scheduling
+// order.
+func (w *workspace) schedule(proc int, delay float64) clock {
+	w.seq++
+	return clock{t: w.now + delay, seq: w.seq, proc: proc}
+}
+
+// draw samples the next per-processor gap: exponential on the fast path
+// (one log, one multiply — the historical simulator's exact draw), the
+// renewal law otherwise.
+func (w *workspace) draw() float64 {
 	if w.mc.dist != nil {
 		return w.mc.dist.Sample(w.r)
 	}
 	return w.r.ExpInv(w.mc.invLambdaInd)
 }
 
-// armProc schedules the processor's next error at a known delay; the
-// handler draws the following gap itself, so arrivals form a renewal
-// process per processor regardless of job state.
-func (w *Workspace) armProc(proc int, delay float64) {
-	w.errEvents[proc] = w.eng.Schedule(delay, w.procActions[proc])
+// redraw arms every processor at pause plus a fresh gap, drawn in
+// processor order, and rebuilds the heap.
+func (w *workspace) redraw(pause float64) {
+	for i := range w.arrivals {
+		w.arrivals[i] = w.schedule(i, pause+w.draw())
+	}
+	w.heapify()
 }
 
-// procError is the error-arrival handler of one processor.
-func (w *Workspace) procError(proc int) {
-	if w.done {
-		return
-	}
+// arrive handles the error at the top of the heap.
+func (w *workspace) arrive() {
 	isFailStop := w.r.Float64() < w.mc.failFrac
-	// Re-arm this processor's error clock first: the next renewal
-	// interval starts at this arrival.
-	w.armProc(proc, w.drawInterArrival())
+	// Re-arm this processor's clock first: the next renewal interval
+	// starts at this arrival.
+	w.arrivals[0] = w.schedule(w.arrivals[0].proc, w.draw())
+	w.siftDown(0)
 	if isFailStop {
 		w.failStop()
 	} else if w.phase == phaseComputing {
@@ -241,157 +243,115 @@ func (w *Workspace) procError(proc int) {
 	// protected (Section II, resilience model).
 }
 
-func (w *Workspace) scheduleProcError(proc int, extraDelay float64) {
-	if w.mc.lambdaInd == 0 && w.mc.dist == nil {
-		return
+// failStop aborts the pattern: downtime, then recovery. No error strikes
+// during downtime, so every processor clock restarts past it. For the
+// memoryless exponential, a fresh draw after the pause is statistically
+// identical to pausing, and it is the historical draw sequence. A
+// renewal process remembers its age, so its pending arrival is shifted
+// by the pause instead, keeping the processor-order tie rule.
+func (w *workspace) failStop() {
+	w.st.FailStops++
+	pause := w.mc.downtime
+	if w.mc.dist == nil {
+		w.redraw(pause)
+	} else {
+		base := w.seq
+		for i := range w.arrivals {
+			c := &w.arrivals[i]
+			// pause + (t − now), never (pause + t) − now: the rounding
+			// of this sum is part of the pinned results.
+			c.t = w.now + (pause + (c.t - w.now))
+			c.seq = base + uint64(c.proc) + 1
+		}
+		w.seq += uint64(len(w.arrivals))
+		w.heapify()
 	}
-	w.armProc(proc, extraDelay+w.drawInterArrival())
+	w.st.Recoveries++
+	w.enter(phaseRecovering, pause+w.mc.recovery)
 }
 
-// restartClocksAfter pauses every per-processor error clock across a
-// downtime ("no error strikes during downtime"). For the memoryless
-// exponential, discarding the pending arrival and drawing a fresh one
-// after the pause is statistically identical to pausing — and is what
-// the historical simulator did, so the fast path keeps that exact draw
-// sequence. A renewal process remembers its age, so the generic path
-// must shift the pending arrival past the pause instead of redrawing it.
-func (w *Workspace) restartClocksAfter(pause float64) {
-	for i, ev := range w.errEvents {
-		if w.mc.dist == nil {
-			if ev != nil {
-				ev.Cancel()
-			}
-			w.scheduleProcError(i, pause)
-			continue
-		}
-		if ev == nil {
-			continue
-		}
-		remaining := ev.Time() - w.eng.Now()
-		ev.Cancel()
-		w.armProc(i, pause+remaining)
-	}
-}
-
-func (w *Workspace) startSegment() {
-	var length float64
+// endSegment advances the VC protocol at the end of the current segment
+// and reports whether the last pattern has completed.
+func (w *workspace) endSegment(patterns int) bool {
 	switch w.phase {
 	case phaseComputing:
-		length = w.mc.t
-	case phaseVerifying:
-		length = w.mc.verify
-	case phaseCheckpointing:
-		length = w.mc.checkpoint
-	case phaseRecovering:
-		length = w.mc.recovery
-	}
-	w.segmentDone = w.eng.Schedule(length, w.segmentFn)
-}
-
-func (w *Workspace) onSegmentDone() {
-	switch w.phase {
-	case phaseComputing:
-		w.phase = phaseVerifying
-		w.startSegment()
+		w.enter(phaseVerifying, w.mc.verify)
 	case phaseVerifying:
 		if w.silentPending {
-			w.detectAndRecover()
-			return
+			w.st.SilentDetections++
+			w.st.Recoveries++
+			w.enter(phaseRecovering, w.mc.recovery)
+		} else {
+			w.enter(phaseCheckpointing, w.mc.checkpoint)
 		}
-		w.phase = phaseCheckpointing
-		w.startSegment()
 	case phaseCheckpointing:
 		w.st.Patterns++
-		if w.st.Patterns >= int64(w.patterns) {
-			w.done = true
-			for _, ev := range w.errEvents {
-				if ev != nil {
-					ev.Cancel()
-				}
-			}
-			return
+		if w.st.Patterns == int64(patterns) {
+			return true
 		}
 		w.startPattern()
 	case phaseRecovering:
 		w.startPattern()
 	}
+	return false
 }
 
-func (w *Workspace) failStop() {
-	w.st.FailStops++
-	if w.segmentDone != nil {
-		w.segmentDone.Cancel()
+func (w *workspace) startPattern() {
+	w.silentPending = false
+	w.enter(phaseComputing, w.mc.t)
+}
+
+// enter starts a segment of the given phase and length.
+func (w *workspace) enter(ph machPhase, length float64) {
+	w.phase = ph
+	w.segment = w.schedule(-1, length)
+}
+
+// siftDown restores the heap order below position i.
+func (w *workspace) siftDown(i int) {
+	h := w.arrivals
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
-	w.silentPending = false
-	// Downtime: errors cannot strike; re-arm clocks past it.
-	w.restartClocksAfter(w.mc.downtime)
-	w.phase = phaseRecovering
-	w.st.Recoveries++
-	w.segmentDone = w.eng.Schedule(w.mc.downtime+w.mc.recovery, w.segmentFn)
 }
 
-func (w *Workspace) detectAndRecover() {
-	w.st.SilentDetections++
-	w.silentPending = false
-	w.phase = phaseRecovering
-	w.st.Recoveries++
-	w.startSegment()
+func (w *workspace) heapify() {
+	for i := len(w.arrivals)/2 - 1; i >= 0; i-- {
+		w.siftDown(i)
+	}
 }
 
-func (w *Workspace) startPattern() {
-	w.silentPending = false
-	w.phase = phaseComputing
-	w.startSegment()
-}
+// workspaces recycles run state across SimulateRun calls: a Monte-Carlo
+// campaign reuses one workspace per worker, so every run after the first
+// is allocation-free.
+var workspaces = sync.Pool{New: func() any { return new(workspace) }}
 
-// release drops the run bindings so a pooled workspace does not pin the
-// machine or the rng stream alive between runs.
-func (w *Workspace) release() {
-	w.mc, w.r = nil, nil
-}
-
-// workspacePool recycles workspaces across SimulateRun calls: a
-// Monte-Carlo campaign reuses one workspace per worker, so every run
-// after the first is allocation-free.
-var workspacePool = sync.Pool{New: func() any { return NewWorkspace() }}
-
-// SimulateRun plays the requested number of patterns on the event engine
-// and returns the same statistics as the pattern-level simulator. It
-// draws a reusable workspace from an internal pool; the draw sequence
-// and results are bit-identical to the historical closure-based
-// simulator (pinned by the machine golden tests).
+// SimulateRun plays the requested number of patterns and returns the
+// same statistics as the pattern-level simulator. The draw sequence and
+// results are bit-identical to the historical closure-based simulator
+// (pinned by the machine golden tests).
 func (mc *Machine) SimulateRun(patterns int, r *rng.Rand) (PatternStats, error) {
-	ws := workspacePool.Get().(*Workspace)
-	st, err := mc.SimulateRunWorkspace(patterns, r, ws)
-	ws.release()
-	workspacePool.Put(ws)
-	return st, err
-}
-
-// SimulateRunWorkspace is SimulateRun on an explicit workspace, for
-// callers that manage reuse themselves. A nil workspace allocates a
-// fresh one.
-func (mc *Machine) SimulateRunWorkspace(patterns int, r *rng.Rand, ws *Workspace) (PatternStats, error) {
 	if patterns < 1 {
 		return PatternStats{}, errors.New("sim: need at least one pattern")
 	}
 	if r == nil {
 		return PatternStats{}, errors.New("sim: nil rng")
 	}
-	if ws == nil {
-		ws = NewWorkspace()
-	}
-	ws.reset(mc, patterns, r)
-	for i := 0; i < mc.procs; i++ {
-		ws.scheduleProcError(i, 0)
-	}
-	ws.startPattern()
-	ws.eng.Run()
-
-	st := ws.st
-	st.Elapsed = ws.eng.Now()
-	if st.Patterns != int64(patterns) {
-		return st, fmt.Errorf("sim: machine run ended with %d/%d patterns", st.Patterns, patterns)
-	}
+	w := workspaces.Get().(*workspace)
+	st := w.run(mc, patterns, r)
+	// Do not pin the machine or the rng stream alive between runs.
+	w.mc, w.r = nil, nil
+	workspaces.Put(w)
 	return st, nil
 }

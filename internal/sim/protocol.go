@@ -1,3 +1,16 @@
+// Package sim implements the paper's simulation study (Section IV): a
+// pattern-level Monte-Carlo simulator of the VC protocol (the exact
+// stochastic process of Fig. 1), an independent machine-level
+// discrete-event simulator that models each of the P processors as its
+// own failure source, a replay of recorded failure traces, and a
+// parallel Monte-Carlo runner that reproduces the paper's methodology
+// (500 runs of at least 500 patterns, averaged).
+//
+// Having two simulators of different granularity is deliberate: the
+// pattern-level simulator is the fast oracle used by the experiment
+// drivers, and the machine-level simulator validates the platform-rate
+// abstraction λ_P = P·λ_ind that both the analysis and the fast simulator
+// rely on.
 package sim
 
 import (
@@ -60,26 +73,15 @@ func NewProtocol(m core.Model, t, p float64) (*Protocol, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	if !(p >= 1) || math.IsInf(p, 0) {
+	if !(t > 0) || math.IsInf(t, 0) || !(p >= 1) || math.IsInf(p, 0) {
 		return nil, fmt.Errorf("sim: invalid pattern T=%g, P=%g", t, p)
 	}
 	fz := m.Freeze(p)
-	return NewProtocolFrozen(&fz, t)
-}
-
-// NewProtocolFrozen prepares a simulator for PATTERN(T, fz.P) from a
-// compiled evaluator, skipping model validation (the caller vouches for
-// the Frozen). This is the constructor the Monte-Carlo runner uses so the
-// rates and resilience costs are derived exactly once per (T, P).
-func NewProtocolFrozen(fz *core.Frozen, t float64) (*Protocol, error) {
-	if !(t > 0) || math.IsInf(t, 0) {
-		return nil, fmt.Errorf("sim: invalid pattern T=%g, P=%g", t, fz.P)
-	}
 	if expectedIters(fz.LambdaF, fz.LambdaS, t, fz.V, fz.C, fz.R) > MaxSimIters {
 		return nil, ErrErrorPressure
 	}
 	pr := &Protocol{
-		T: t, P: fz.P,
+		T: t, P: p,
 		checkpoint: fz.C,
 		recovery:   fz.R,
 		verify:     fz.V,

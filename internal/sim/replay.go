@@ -27,41 +27,124 @@ type ReplayResult struct {
 	TraceExhausted bool
 }
 
-// replayCursor walks a trace in "exposure time": the trace clock counts
-// only operational (error-exposed) time, so a downtime consumes wall
-// clock but zero trace time — exactly the "no error strikes during
-// downtime" rule. By memorylessness this matches the Monte-Carlo
-// simulator's fresh-draw-after-downtime behaviour in distribution.
+// replayCursor plays the VC protocol against a trace in "exposure time":
+// the trace clock counts only operational (error-exposed) time, so a
+// downtime consumes wall clock but zero trace time — exactly the "no
+// error strikes during downtime" rule. By memorylessness this matches
+// the Monte-Carlo simulator's fresh-draw-after-downtime behaviour in
+// distribution.
 type replayCursor struct {
-	rp  *failures.Replay
-	hor float64
+	events []failures.Event
+	pos    int
+	hor    float64
+	now    float64 // exposure time (wall-clock minus downtimes)
+	res    ReplayResult
+
+	t, checkpoint, recovery, verify, downtime float64
 }
 
 // nextIn reports the first event within the exposure window
-// [from, from+length) of the given phase, honouring the protection
-// rules: silent events outside computation phases are consumed and
-// ignored.
-func (c *replayCursor) nextIn(from, length float64, computation bool) (failures.Event, float64, bool) {
-	for {
-		ev, ok := c.rp.Peek()
-		if !ok {
-			return failures.Event{}, 0, false
+// [now, now+length) of the given phase, honouring the protection rules:
+// silent events outside computation phases are consumed and ignored.
+func (c *replayCursor) nextIn(length float64, computation bool) (failures.Event, float64, bool) {
+	for ; c.pos < len(c.events); c.pos++ {
+		ev := c.events[c.pos]
+		if ev.Time >= c.now+length {
+			break
 		}
-		if ev.Time >= from+length {
-			return failures.Event{}, 0, false
-		}
-		c.rp.Next()
 		if ev.Kind == failures.Silent && !computation {
 			continue // protected phase: silent arrival discarded
 		}
-		return ev, ev.Time - from, true
+		c.pos++
+		return ev, ev.Time - c.now, true
 	}
+	return failures.Event{}, 0, false
 }
 
-// covers reports whether the trace horizon still covers a window ending
-// at the given exposure time.
-func (c *replayCursor) covers(until float64) bool {
-	return until <= c.hor
+// advance completes a window of the given length.
+func (c *replayCursor) advance(length float64) {
+	c.now += length
+	c.res.Elapsed += length
+}
+
+// failStop charges a fail-stop off seconds into the current window and
+// its downtime, then plays the recoveries that follow. It reports false
+// when the trace runs out first.
+func (c *replayCursor) failStop(off float64) bool {
+	c.res.FailStops++
+	c.now += off
+	c.res.Elapsed += off + c.downtime
+	return c.rollback()
+}
+
+// rollback plays recoveries until one completes. It reports false when
+// the trace runs out first.
+func (c *replayCursor) rollback() bool {
+	for c.now+c.recovery <= c.hor {
+		c.res.Recoveries++
+		// Only fail-stop events strike a recovery (silent filtered).
+		if _, off, struck := c.nextIn(c.recovery, false); struck {
+			c.res.FailStops++
+			c.now += off
+			c.res.Elapsed += off + c.downtime
+			continue
+		}
+		c.advance(c.recovery)
+		return true
+	}
+	return false
+}
+
+// pattern plays one pattern to completion: T (computation), V and C,
+// each window walked separately so silent protection is honoured per
+// phase. It reports false when the trace runs out first; the partial
+// pattern is not counted.
+func (c *replayCursor) pattern() bool {
+	for c.now+c.t+c.verify+c.checkpoint <= c.hor {
+		// Computation window: a silent corruption is remembered and the
+		// computation goes on; a fail-stop aborts the attempt.
+		silentPending := false
+		ev, off, struck := c.nextIn(c.t, true)
+		for struck && ev.Kind == failures.Silent {
+			silentPending = true
+			ev, off, struck = c.nextIn(c.t, true)
+		}
+		if struck {
+			if !c.failStop(off) {
+				return false
+			}
+			continue
+		}
+		c.advance(c.t)
+
+		// Verification window (protected from silent errors).
+		if _, off, struck := c.nextIn(c.verify, false); struck {
+			if !c.failStop(off) {
+				return false
+			}
+			continue
+		}
+		c.advance(c.verify)
+		if silentPending {
+			// Verification detects the corruption: recover, retry.
+			c.res.SilentDetections++
+			if !c.rollback() {
+				return false
+			}
+			continue
+		}
+
+		// Checkpoint window (protected).
+		if _, off, struck := c.nextIn(c.checkpoint, false); struck {
+			if !c.failStop(off) {
+				return false
+			}
+			continue
+		}
+		c.advance(c.checkpoint)
+		return true
+	}
+	return false
 }
 
 // SimulateReplay runs PATTERN(T, P) of the model against the trace and
@@ -79,113 +162,18 @@ func SimulateReplay(m core.Model, t, p float64, tr *failures.Trace) (ReplayResul
 	if tr == nil || !(tr.Horizon > 0) {
 		return ReplayResult{}, errors.New("sim: nil or empty trace")
 	}
-
-	checkpoint := m.Res.Checkpoint.At(p)
-	recovery := m.Res.Recovery.At(p)
-	verify := m.Res.Verification.At(p)
-	downtime := m.Res.Downtime
-
-	cur := &replayCursor{rp: failures.NewReplay(tr), hor: tr.Horizon}
-	var res ReplayResult
-	now := 0.0 // exposure time (wall-clock minus downtimes)
-
-	// doRecovery plays recoveries until one completes; returns false if
-	// the trace ran out.
-	doRecovery := func() bool {
-		for {
-			if !cur.covers(now + recovery) {
-				return false
-			}
-			res.Recoveries++
-			if ev, off, struck := cur.nextIn(now, recovery, false); struck {
-				// Only fail-stop events reach here (silent filtered).
-				_ = ev
-				res.FailStops++
-				now += off
-				res.Elapsed += off + downtime
-				continue
-			}
-			now += recovery
-			res.Elapsed += recovery
-			return true
-		}
+	c := replayCursor{
+		events:     tr.Events,
+		hor:        tr.Horizon,
+		t:          t,
+		checkpoint: m.Res.Checkpoint.At(p),
+		recovery:   m.Res.Recovery.At(p),
+		verify:     m.Res.Verification.At(p),
+		downtime:   m.Res.Downtime,
 	}
-
-	for {
-		// Phase 1: T (computation) then V (protected). Walk them as two
-		// windows so silent protection is honoured per phase.
-		if !cur.covers(now + t + verify + checkpoint) {
-			res.TraceExhausted = true
-			return res, nil
-		}
-		silentPending := false
-		restart := false
-
-		// Computation window.
-		for {
-			ev, off, struck := cur.nextIn(now, t, true)
-			if !struck {
-				break
-			}
-			if ev.Kind == failures.FailStop {
-				res.FailStops++
-				now += off
-				res.Elapsed += off + downtime
-				if !doRecovery() {
-					res.TraceExhausted = true
-					return res, nil
-				}
-				restart = true
-				break
-			}
-			// Silent corruption: remember it, keep computing. The
-			// cursor has consumed the event; remaining events in the
-			// window are still visible.
-			silentPending = true
-		}
-		if restart {
-			continue
-		}
-		now += t
-		res.Elapsed += t
-
-		// Verification window (protected from silent errors).
-		if _, off, struck := cur.nextIn(now, verify, false); struck {
-			res.FailStops++
-			now += off
-			res.Elapsed += off + downtime
-			if !doRecovery() {
-				res.TraceExhausted = true
-				return res, nil
-			}
-			continue
-		}
-		now += verify
-		res.Elapsed += verify
-
-		if silentPending {
-			// Verification detects the corruption: recover, retry.
-			res.SilentDetections++
-			if !doRecovery() {
-				res.TraceExhausted = true
-				return res, nil
-			}
-			continue
-		}
-
-		// Checkpoint window (protected).
-		if _, off, struck := cur.nextIn(now, checkpoint, false); struck {
-			res.FailStops++
-			now += off
-			res.Elapsed += off + downtime
-			if !doRecovery() {
-				res.TraceExhausted = true
-				return res, nil
-			}
-			continue
-		}
-		now += checkpoint
-		res.Elapsed += checkpoint
-		res.Patterns++
+	for c.pattern() {
+		c.res.Patterns++
 	}
+	c.res.TraceExhausted = true
+	return c.res, nil
 }

@@ -11,6 +11,7 @@ import (
 
 	"amdahlyd/internal/core"
 	"amdahlyd/internal/costmodel"
+	"amdahlyd/internal/failures"
 	"amdahlyd/internal/rng"
 	"amdahlyd/internal/speedup"
 )
@@ -43,26 +44,46 @@ func runnerModel(t *testing.T) core.Model {
 // Split(i), the campaign statistics must be bit-identical whatever the
 // worker count (including the sequential fast path). Run under -race this
 // also exercises the "Split only reads the master state" claim: up to 16
-// workers concurrently split one master rng.Rand.
+// workers concurrently split one master rng.Rand, and the machine-level
+// configurations run pooled workspaces on concurrent goroutines.
 func TestSimulateWorkerCountIndependent(t *testing.T) {
 	m := runnerModel(t)
-	cfg := RunConfig{Runs: 64, Patterns: 20, Seed: 42}
-
-	var want RunResult
-	for i, workers := range []int{1, 2, 3, 7, 16} {
-		cfg.Workers = workers
-		got, err := Simulate(m, 6240, 219, cfg)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	hot := m
+	hot.LambdaInd = 1e-7 // enough fail-stops to restart the machine's clocks
+	weibull, err := failures.NewWeibullMTBF(0.7, 1/hot.LambdaInd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		m    core.Model
+		cfg  RunConfig
+	}{
+		{"protocol", m, RunConfig{}},
+		{"machine", hot, RunConfig{Machine: true}},
+		{"machine-weibull", hot, RunConfig{Machine: true, Dist: weibull}},
+	} {
+		cfg := tc.cfg
+		cfg.Runs, cfg.Patterns, cfg.Seed = 64, 20, 42
+		var want RunResult
+		for i, workers := range []int{1, 2, 3, 7, 16} {
+			cfg.Workers = workers
+			got, err := Simulate(tc.m, 6240, 219, cfg)
+			if err != nil {
+				t.Fatalf("%s, workers=%d: %v", tc.name, workers, err)
+			}
+			// Normalize the echoed config: only the statistics must agree.
+			got.Config = RunConfig{}
+			if i == 0 {
+				want = got
+				continue
+			}
+			if got != want {
+				t.Errorf("%s: workers=%d changed results:\n got %+v\nwant %+v", tc.name, workers, got, want)
+			}
 		}
-		// Normalize the echoed config: only the statistics must agree.
-		got.Config = RunConfig{}
-		if i == 0 {
-			want = got
-			continue
-		}
-		if got != want {
-			t.Errorf("workers=%d changed results:\n got %+v\nwant %+v", workers, got, want)
+		if tc.cfg.Machine && want.FailStops == 0 {
+			t.Errorf("%s: no fail-stops, the clock restart is unexercised", tc.name)
 		}
 	}
 }

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"amdahlyd/internal/core"
 	"amdahlyd/internal/costmodel"
+	"amdahlyd/internal/failures"
 	"amdahlyd/internal/rng"
 	"amdahlyd/internal/speedup"
 )
@@ -28,83 +30,60 @@ func workspaceTestModel(t *testing.T) core.Model {
 	return m
 }
 
-// TestEngineResetReuse pins the arena contract: a reset engine replays a
-// schedule from time zero with the same ordering, reusing its capacity.
-func TestEngineResetReuse(t *testing.T) {
-	var e Engine
-	run := func() []int {
-		var got []int
-		e.Schedule(2, func() { got = append(got, 2) })
-		e.Schedule(1, func() { got = append(got, 1) })
-		ev := e.Schedule(1.5, func() { got = append(got, 15) })
-		ev.Cancel()
-		e.Run()
-		return got
+// TestEngineOrdering pins the event order of the machine-level run: the
+// clock heap's top is always the earliest pending arrival, and re-arming
+// the fired clock in place keeps that true.
+func TestEngineOrdering(t *testing.T) {
+	w := &workspace{arrivals: []clock{
+		{t: 3, seq: 1, proc: 0}, {t: 1, seq: 2, proc: 1}, {t: 5, seq: 3, proc: 2},
+		{t: 2, seq: 4, proc: 3}, {t: 4, seq: 5, proc: 4},
+	}}
+	w.heapify()
+	var fired []float64
+	for range w.arrivals {
+		w.now = w.arrivals[0].t
+		fired = append(fired, w.now)
+		// Re-arm the fired clock past every other one, in place.
+		w.arrivals[0] = w.schedule(-1, 10)
+		w.siftDown(0)
 	}
-	first := run()
-	if e.Now() != 2 {
-		t.Fatalf("clock = %g, want 2", e.Now())
-	}
-	e.Reset()
-	if e.Now() != 0 || e.Pending() != 0 {
-		t.Fatalf("reset left now=%g pending=%d", e.Now(), e.Pending())
-	}
-	second := run()
-	if len(first) != 2 || len(second) != 2 || first[0] != second[0] || first[1] != second[1] {
-		t.Fatalf("replay differs: %v vs %v", first, second)
+	if want := []float64{1, 2, 3, 4, 5}; !slices.Equal(fired, want) {
+		t.Errorf("clocks fired at times %v, want %v", fired, want)
 	}
 }
 
-// TestEngineArenaSurvivesChunkBoundary schedules more events than one
-// arena chunk holds, across a Reset, to exercise chunk growth and reuse.
-func TestEngineArenaSurvivesChunkBoundary(t *testing.T) {
-	var e Engine
-	for round := 0; round < 2; round++ {
-		fired := 0
-		for i := 0; i < 3*arenaChunk/2; i++ {
-			e.Schedule(float64(i), func() { fired++ })
-		}
-		e.Run()
-		if want := 3 * arenaChunk / 2; fired != want {
-			t.Fatalf("round %d: fired %d, want %d", round, fired, want)
-		}
-		e.Reset()
+// TestEngineTieBreakBySchedulingOrder pins the tie rule of the
+// machine-level run: clocks due at the same instant fire in the order
+// they were scheduled, between arrivals and against the segment end.
+func TestEngineTieBreakBySchedulingOrder(t *testing.T) {
+	w := new(workspace)
+	for _, proc := range []int{3, 1, 4, 0, 2} {
+		w.arrivals = append(w.arrivals, w.schedule(proc, 1))
+	}
+	// Scramble the slice so only seq can restore the scheduling order.
+	slices.Reverse(w.arrivals)
+	w.heapify()
+	var fired []int
+	for range w.arrivals {
+		fired = append(fired, w.arrivals[0].proc)
+		w.arrivals[0] = w.schedule(-1, 10)
+		w.siftDown(0)
+	}
+	if want := []int{3, 1, 4, 0, 2}; !slices.Equal(fired, want) {
+		t.Errorf("tied clocks fired in processor order %v, want %v", fired, want)
+	}
+	w.now = 0
+	arrival := w.schedule(0, 2)
+	segment := w.schedule(-1, 2)
+	if !arrival.before(segment) || segment.before(arrival) {
+		t.Errorf("arrival %+v and segment end %+v tie broken against scheduling order", arrival, segment)
 	}
 }
 
-// TestEngineArenaCapFallsBackToHeap schedules past the arena retention
-// cap in a single run: events beyond maxArenaBlocks×arenaChunk must
-// heap-allocate (bounding a long run's memory at O(outstanding), as
-// before the arena) while ordering and cancellation keep working.
-func TestEngineArenaCapFallsBackToHeap(t *testing.T) {
-	var e Engine
-	total := maxArenaBlocks*arenaChunk + 2*arenaChunk
-	fired := 0
-	for i := 0; i < total; i++ {
-		e.Schedule(float64(i), func() { fired++ })
-	}
-	if len(e.blocks) != maxArenaBlocks {
-		t.Fatalf("arena grew to %d blocks, cap is %d", len(e.blocks), maxArenaBlocks)
-	}
-	// A post-cap (heap-allocated) handle must still cancel cleanly.
-	ev := e.Schedule(float64(total), func() { fired++ })
-	ev.Cancel()
-	e.Run()
-	if fired != total {
-		t.Fatalf("fired %d, want %d", fired, total)
-	}
-	e.Reset()
-	e.Schedule(1, func() { fired = -1 })
-	e.Run()
-	if fired != -1 {
-		t.Fatal("engine unusable after capped run + Reset")
-	}
-}
-
-// TestWorkspaceReuseBitIdentical pins that an explicitly reused
-// workspace replays bit-identically to fresh workspaces and to the
-// pooled SimulateRun path, across machines of different sizes (the
-// per-processor handler slices must re-bind cleanly).
+// TestWorkspaceReuseBitIdentical pins that a reused workspace replays
+// bit-identically to fresh workspaces and to the pooled SimulateRun
+// path, across machines of different sizes (the clock heap must resize
+// cleanly).
 func TestWorkspaceReuseBitIdentical(t *testing.T) {
 	m := workspaceTestModel(t)
 	mcBig, err := NewMachine(m, 6240, 219)
@@ -115,17 +94,11 @@ func TestWorkspaceReuseBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := NewWorkspace()
+	ws := new(workspace)
 	for i, mc := range []*Machine{mcBig, mcSmall, mcBig} {
 		seed := uint64(100 + i)
-		reused, err := mc.SimulateRunWorkspace(5, rng.New(seed), ws)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := mc.SimulateRunWorkspace(5, rng.New(seed), NewWorkspace())
-		if err != nil {
-			t.Fatal(err)
-		}
+		reused := ws.run(mc, 5, rng.New(seed))
+		fresh := new(workspace).run(mc, 5, rng.New(seed))
 		pooled, err := mc.SimulateRun(5, rng.New(seed))
 		if err != nil {
 			t.Fatal(err)
@@ -139,22 +112,36 @@ func TestWorkspaceReuseBitIdentical(t *testing.T) {
 	}
 }
 
-// TestWorkspaceNilAllocatesFresh covers the nil-workspace convenience.
-func TestWorkspaceNilAllocatesFresh(t *testing.T) {
+// TestMachineRunAllocationFree pins that a machine-level run on a reused
+// workspace allocates nothing, under the exponential law and a renewal
+// law alike.
+func TestMachineRunAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not pinned under -race")
+	}
 	m := workspaceTestModel(t)
-	mc, err := NewMachine(m, 6240, 3)
+	d, err := failures.NewWeibullMTBF(0.7, 1/m.LambdaInd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := mc.SimulateRunWorkspace(3, rng.New(9), nil)
+	exp, err := NewMachine(m, 6240, 219)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := mc.SimulateRun(3, rng.New(9))
+	weibull, err := NewMachineDist(m, 6240, 219, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Fatalf("nil-workspace run %+v != pooled run %+v", a, b)
+	for name, mc := range map[string]*Machine{"exponential": exp, "weibull": weibull} {
+		ws := new(workspace)
+		r := rng.New(3)
+		var failStops int64
+		allocs := testing.AllocsPerRun(20, func() { failStops += ws.run(mc, 20, r).FailStops })
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs per run, want 0", name, allocs)
+		}
+		if failStops == 0 {
+			t.Errorf("%s: no fail-stop in the measured runs", name)
+		}
 	}
 }

@@ -31,7 +31,6 @@ var reachAllowlist = map[string]string{
 	"fleet.Ring.Owner":             "TestRingRemovalOnlyMovesTheRemovedPeersKeys reads single-key placement",
 	"multilevel.SweepSolver.Stats": "TestMultilevelAxisJumpFallsBack reads the warm/cold/fallback counts",
 	"report.Table.Rows":            "TestTableRender reads the rows back",
-	"sim.Engine.Pending":           "TestEngineResetReuse checks the queue is empty after a reset",
 	"stats.Welford.N":              "TestWelfordAgainstDirect checks the count",
 	"platform.Atlas":               "Table II row beside the linked Hera and Coastal; TestTable2Values",
 	"platform.CoastalSSD":          "Table II row beside the linked Hera and Coastal; TestTable2Values",
@@ -141,7 +140,7 @@ func linkedFuncs(t *testing.T, dir string) map[string]bool {
 			t.Fatalf("go tool nm %s: %v", path, err)
 		}
 		for _, line := range strings.Split(string(out), "\n") {
-			// "  4a1b20 T amdahlyd/internal/sim.(*Engine).Run"; a shape
+			// "  4a1b20 T amdahlyd/internal/sim.(*Machine).SimulateRun"; a shape
 			// in brackets may contain spaces, so the name is the rest.
 			fields := strings.SplitN(strings.TrimSpace(line), " ", 3)
 			if len(fields) != 3 || (fields[1] != "T" && fields[1] != "t") {

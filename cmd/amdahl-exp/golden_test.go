@@ -19,45 +19,45 @@ import (
 // Refactors of the drivers, the renderers or the seed derivation must
 // leave every digest unchanged.
 var goldenDigests = map[string]string{
-	"campaign/hetero/report.csv":           "0be65bf09d1cb57da90a01153cbc1724c8d8e5d16fc02cda590addf0ac0fd89e",
+	"campaign/hetero/report.csv":           "ba93e3e2c2852b4e47dd0aed8aa17287f69e0d4202b1db75f86a68779f383936",
 	"campaign/hetero/report.txt":           "bdd48296022640efd5f0d6c62330fac67dd1bbc572f6e8f7076db9190218d9d2",
 	"campaign/multilevel/report.csv":       "5af1d4cc5ab4ff4e8dc85616bbb8ed80cbffb2f9d61fe2be18b70bc7a0cad661",
 	"campaign/multilevel/report.txt":       "260fa56537abf5eda3ca48f4534b53472d3d077355ab057ccee954fed92c25d8",
-	"campaign/robustness/report.csv":       "8db089af0a3a7acdb762de558b5430928433ae97915a3fe5974a165860f1d5c9",
-	"campaign/robustness/report.txt":       "8dee502acd48358afdcd14baed89631c6cdeb76f6875f232cd5c0879eff4f797",
-	"campaign/smoke/report.csv":            "7af4afb128c3cb1a6a763cb1ef9eede5ca0c5d58ee4a709c62141acbc7c7f319",
+	"campaign/robustness/report.csv":       "d5d8eccd0b01c7762afb537c55d54103b3c9db91385dc1f6a641176997722fab",
+	"campaign/robustness/report.txt":       "45aee7bb572bd93e08e465f5e572775e0a7311e56a4d974746cc4f3a5acd8e3e",
+	"campaign/smoke/report.csv":            "7d2cba4cd17e9cac175c54c54eb068ce587bae29b0d3901f17df75c49e0918ed",
 	"campaign/smoke/report.txt":            "3d4e054fab316b9c1cf098d73fd8f44ca4b88b9de401cef19393e6106877406c",
-	"campaign/sweep-alpha/report.csv":      "8948daefe41bcf0c3001672a59630f373fc0a9ee6d5f29825f3010dace8e2b88",
+	"campaign/sweep-alpha/report.csv":      "398a644d89b0d60cb8224cf5adc6b9e3deb592b2a1844630e3135c99e272ea76",
 	"campaign/sweep-alpha/report.txt":      "ce732c7c28466d9493cb97b08d50c437d431fb928ff8e06dbc4d5ec2219f9568",
-	"fig/warm=false/fig2.csv":              "14fa763a0ab04aec2a570171da9aca1c535212e1d18a82999e3278348afb44db",
-	"fig/warm=false/fig3.csv":              "7b031caa5d679db28e1a9366e94cb64901ca29e34edd5e5fb6554ecaa1a610e8",
-	"fig/warm=false/fig4.csv":              "e72fd9efcfadc445158b381123818ea505832f0012ec08eeed994fbf28da2ef1",
-	"fig/warm=false/fig5.csv":              "46ce9c4e6d052dfbbd725d6a0587e429526e5cc82e070f281dea5cf79be7b4d0",
-	"fig/warm=false/fig6.csv":              "bfb5fc14e9001247e840256eaa1f5dd92e874de17c1fca5b94cc0aff2ec7fcf9",
-	"fig/warm=false/fig7.csv":              "88827dab93b17a215936a955f9d5bff8ea19346cc8667834996b134e3293a426",
-	"fig/warm=false/figbaselines.csv":      "e0269a95138b3569083fb09a805a9ee05ceba21e6c175b63a3124691924badca",
-	"fig/warm=false/figprofiles.csv":       "e0a989a10ea8f581b386c56d4d7a29c12cbddbd5632bfb5189bf3477c12004a3",
-	"fig/warm=false/stdout":                "7515fee330edf4ea8915c17345a2f4c4a5d037b8e1b5e329fa5f84d03845c195",
-	"fig/warm=true/fig2.csv":               "c77817bd0bf579c0fdec462a017eea041a3aeeb241fad9522914d94dd83d60da",
-	"fig/warm=true/fig3.csv":               "7b031caa5d679db28e1a9366e94cb64901ca29e34edd5e5fb6554ecaa1a610e8",
-	"fig/warm=true/fig4.csv":               "b1bc74e27fd57f758d92d4b9e6eef837a43d83b6e0335510555037f37fed89d9",
-	"fig/warm=true/fig5.csv":               "5380ca14369f1ca3f58bfeb7083890abfeae5a0a7ce8eb6046870ca2a48fb0d9",
-	"fig/warm=true/fig6.csv":               "c089fb1ca720776cdb4cb6d40fa6216479c746119a82b3eb81f184c833a28772",
-	"fig/warm=true/fig7.csv":               "59c1ec6f8f1b963ae6d97fa96a37b5f3a2e67fd48068cdf7faf02fd11499f791",
-	"fig/warm=true/figbaselines.csv":       "7ea35a159534cb523d26f1aceda829030082d4da5bc213d6de770465ddecda98",
-	"fig/warm=true/figprofiles.csv":        "e0a989a10ea8f581b386c56d4d7a29c12cbddbd5632bfb5189bf3477c12004a3",
-	"fig/warm=true/stdout":                 "7017a40889cc02acd87ac1cd4beed545b4749ded26e52f340ea6bc6dde48f8d0",
-	"hetero/warm=false/hetero.csv":         "ddb03b7dc83124193bb3413e6ac108988839f376c9c8cd21fad685e68c3d8d71",
+	"fig/warm=false/fig2.csv":              "54669d440de102b31aa808b48c37302013606ab65947b2fc0aa8d911d8e58ce4",
+	"fig/warm=false/fig3.csv":              "8968e6e892e977cde1795a162d62e87e9ee21568e7f39a5e6d8fea0761be3c94",
+	"fig/warm=false/fig4.csv":              "a306f95dc69e02555f4521906793bcf83af45160dcb7f6760bafaf405059f24f",
+	"fig/warm=false/fig5.csv":              "a1749a49ce5db1da0b8a7979e1e29dd522c7d8d2834001c48b0265db6a7e9936",
+	"fig/warm=false/fig6.csv":              "a8584c369bf7a13d4c726d4c6bf5bf75235a243e981c111aab08ca552ac7476d",
+	"fig/warm=false/fig7.csv":              "2ebf238def4501e810777ef6750d2db288dbbb06db790c6b49f27fae8ba96441",
+	"fig/warm=false/figbaselines.csv":      "ded889b3647e9343b523da9b0d620151e97c901c95504892e08311b126b117d1",
+	"fig/warm=false/figprofiles.csv":       "68ee86745f9492d3b858527c8ec0ac4234684d807d8066fdcc9d15d46d99f1fc",
+	"fig/warm=false/stdout":                "e8e85e34b8748f3c88149d01d25d57c969fd5b723efff439c4a21f6196a7b80c",
+	"fig/warm=true/fig2.csv":               "4ad7f9073e641dcfb0e1ac3b17b4cc073a3f6dd5633f2bc600907bc5f275b19f",
+	"fig/warm=true/fig3.csv":               "8968e6e892e977cde1795a162d62e87e9ee21568e7f39a5e6d8fea0761be3c94",
+	"fig/warm=true/fig4.csv":               "3669d143e9638402b1128933d31baa57203f7fa4b7a06962aaa311102c6784ca",
+	"fig/warm=true/fig5.csv":               "8c1c6c6b454c11575d891311a2118a770f64277d1de156d99026b11681f0f666",
+	"fig/warm=true/fig6.csv":               "ca36c19d9a0b041c3fe627341c028c51c3da9ff322b0766a71658eb98f73cdb6",
+	"fig/warm=true/fig7.csv":               "affe1d34935185a9b3dfd63736c53b1c5a9a736e6248a071e6370bcbea075de6",
+	"fig/warm=true/figbaselines.csv":       "aa0b4030be1eb4172bd0ffd7ea8d8c01066434bfb87a0883271a756bfa3596d3",
+	"fig/warm=true/figprofiles.csv":        "68ee86745f9492d3b858527c8ec0ac4234684d807d8066fdcc9d15d46d99f1fc",
+	"fig/warm=true/stdout":                 "eb4553474ba2ce88dd996a4cb1b01f2726e961245a0c12eaa0ab1f8bed579b3b",
+	"hetero/warm=false/hetero.csv":         "645a961ab609889807f28f0b0ab44d128e349c6e8eabea2eccf982a59249bb63",
 	"hetero/warm=false/stdout":             "2e8ba800e390ddef9508905cb7e60be29c0266ae03d1b11fc3aea2b712d881ee",
-	"hetero/warm=true/hetero.csv":          "ddb03b7dc83124193bb3413e6ac108988839f376c9c8cd21fad685e68c3d8d71",
+	"hetero/warm=true/hetero.csv":          "645a961ab609889807f28f0b0ab44d128e349c6e8eabea2eccf982a59249bb63",
 	"hetero/warm=true/stdout":              "2e8ba800e390ddef9508905cb7e60be29c0266ae03d1b11fc3aea2b712d881ee",
-	"multilevel/warm=false/multilevel.csv": "252d56ae3de798d8814369b4b8dde16c359cf6f35708ba61e3c78739a600e5a9",
+	"multilevel/warm=false/multilevel.csv": "3a589ad01d2b7076da2f07c10804d5a14097717989b6e646063ff491f55063ef",
 	"multilevel/warm=false/stdout":         "1520c4cf68d0f51b577e28114cc833355ca76d5872ee8d13c982a9c72cf112e1",
-	"multilevel/warm=true/multilevel.csv":  "89be0a50004a9fde6ac97724b47499d34d009da3e7038999f38114fa0762e0d4",
+	"multilevel/warm=true/multilevel.csv":  "5268bb22c6e51b5ab67eb61110fdf1a68d6ad7adaa74a99e583d9242734ba7ee",
 	"multilevel/warm=true/stdout":          "1520c4cf68d0f51b577e28114cc833355ca76d5872ee8d13c982a9c72cf112e1",
-	"robustness/warm=false/robustness.csv": "2ce2562d846f265606a6d7812cc2032931f9cf027b927dd9eeea170ec2a289e0",
+	"robustness/warm=false/robustness.csv": "f2945131fd3c8d930fb4da8bbc46b1098b2cb105c2106b8ebdc8cf11adb5009f",
 	"robustness/warm=false/stdout":         "b2ba0305deec5a9f3544f025836d239dbc76e00fe0dbde4d26feb6b703689540",
-	"robustness/warm=true/robustness.csv":  "b1db20f8a2d85e4e2ddc5c4de7e0fd8aecf23616719ed07ae66c08a51cfe9a00",
+	"robustness/warm=true/robustness.csv":  "4daf0333d4cb40920bd48aa517e61eb5903a9ce66efc2dbbdbe58003cd1ce9cc",
 	"robustness/warm=true/stdout":          "b2ba0305deec5a9f3544f025836d239dbc76e00fe0dbde4d26feb6b703689540",
 }
 

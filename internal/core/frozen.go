@@ -174,20 +174,24 @@ func (f *Frozen) FirstOrderPatternTime(t float64) float64 {
 		f.foConstV
 }
 
-// OverflowsBeyond reports that Overhead(e^u) is +Inf and provably +Inf
-// for every period t ≥ e^u. The fail-stop exponent λf·(C+t+V) + λs·t is
-// monotone non-decreasing in t even under rounding (every operation is a
-// correctly-rounded add or multiply by a non-negative constant), and once
-// Expm1 overflows the pattern time is +Inf whatever the silent-error term
-// does (k, e^{λf·R} > 0, and the Inf−Inf case is mapped to +Inf too). The
-// period minimizer uses this to reject an entire infeasible grid after
-// probing only its low edge.
-func (f *Frozen) OverflowsBeyond(u float64) bool {
-	if !f.neverLimit {
-		return false // λf→0 regime: the limit branch never overflows this way
-	}
-	t := math.Exp(u)
-	return math.IsInf(math.Expm1(f.LambdaF*(f.C+t+f.V)+f.LambdaS*t), 1)
+// overflowExponent sits just above log(MaxFloat64) ≈ 709.78: past it
+// Expm1 and Exp overflow whatever rounding the exponent carries.
+const overflowExponent = 710
+
+// OverflowPeriod returns the period t at which the fail-stop exponent
+// λf·(C+t+V) + λs·t reaches overflowExponent. Overhead is +Inf at every
+// period beyond it: the exponent is monotone non-decreasing in t even
+// under rounding (every operation is a correctly-rounded add or multiply
+// by a non-negative constant), Expm1 of it overflows, and the pattern
+// time is then +Inf whatever the silent-error term does (k, e^{λf·R} > 0,
+// and the Inf−Inf case is mapped to +Inf too). In the λf→0 limit branch
+// e^{λs·t} overflows at the same point, which gives +Inf, or NaN when
+// R = 0. The result is +Inf when both rates are zero, negative when no
+// period is finite, and NaN when a rate is +Inf (every period overflows
+// then too). The period minimizer clips its bracket here, so no grid
+// point is spent on the overflow plateau.
+func (f *Frozen) OverflowPeriod() float64 {
+	return (overflowExponent - f.LambdaF*f.cv) / (f.LambdaF + f.LambdaS)
 }
 
 // OptimalPeriod returns Theorem 1's first-order optimal period T*_P at

@@ -99,9 +99,9 @@ func TestFrozenMatchesModel(t *testing.T) {
 			checked++
 		}
 
-		// OverflowsBeyond must only ever claim +Inf regions.
-		if u := math.Log(period); fz.OverflowsBeyond(u) && !math.IsInf(fz.Overhead(period), 1) {
-			t.Fatalf("OverflowsBeyond(%g) true but Overhead finite at P=%g", u, p)
+		// OverflowPeriod must only ever bound +Inf regions.
+		if tOv := fz.OverflowPeriod(); !(period <= tOv) && !math.IsInf(fz.Overhead(period), 1) {
+			t.Fatalf("T=%g beyond OverflowPeriod %g but Overhead finite at P=%g", period, tOv, p)
 		}
 	}
 	if checked == 0 {
@@ -138,10 +138,12 @@ func TestFrozenBitExact(t *testing.T) {
 	}
 }
 
-// TestFrozenOverflowsBeyondMonotone checks the monotonicity contract that
-// the infeasible-grid rejection relies on: once OverflowsBeyond reports
-// true at u, the overhead is +Inf at every probed u' ≥ u.
-func TestFrozenOverflowsBeyondMonotone(t *testing.T) {
+// TestFrozenOverflowPeriodBoundsInf checks the contract the period
+// minimizer's bracket clip relies on: the overhead is +Inf at every
+// period beyond OverflowPeriod, in the regular and the λf→0 limit
+// branch alike, and finite on the near side in the failure-dominated
+// regime (so the clip does not cut the feasible band short).
+func TestFrozenOverflowPeriodBoundsInf(t *testing.T) {
 	res, err := costmodel.Scenario1.Calibrate(512, 300, 15.4, 3600)
 	if err != nil {
 		t.Fatal(err)
@@ -153,17 +155,38 @@ func TestFrozenOverflowsBeyondMonotone(t *testing.T) {
 		Res:          res,
 		Profile:      speedup.Amdahl{Alpha: 0.1},
 	}
-	fz := m.Freeze(1e11) // deep failure-dominated regime
-	uStart := math.Log(1e-6)
-	for u := uStart; u < 30; u += 0.25 {
-		if fz.OverflowsBeyond(u) {
-			for du := 0.0; du < 40; du += 0.5 {
-				if !math.IsInf(fz.Overhead(math.Exp(u+du)), 1) {
-					t.Fatalf("overhead finite at u=%g beyond overflow point u=%g", u+du, u)
-				}
+	silentOnly := m
+	silentOnly.FailStopFrac, silentOnly.SilentFrac = 0, 1
+	failureDominated := m.Freeze(1e5)
+	for _, c := range []struct {
+		name string
+		fz   Frozen
+	}{
+		{"failure-dominated", failureDominated},
+		{"paper regime", m.Freeze(219)},
+		{"silent only (limit branch)", silentOnly.Freeze(1e11)},
+	} {
+		tOv := c.fz.OverflowPeriod()
+		if !(tOv > 0) || math.IsInf(tOv, 0) {
+			t.Fatalf("%s: OverflowPeriod = %g", c.name, tOv)
+		}
+		for r := 1 + 1e-12; r < 1e12; r *= 1.5 {
+			if h := c.fz.Overhead(tOv * r); !math.IsInf(h, 1) {
+				t.Fatalf("%s: overhead %g finite at %g × OverflowPeriod", c.name, h, r)
 			}
-			return
 		}
 	}
-	t.Skip("no overflow point found in probe range (platform too reliable)")
+	if h := failureDominated.Overhead(failureDominated.OverflowPeriod() / 1.1); math.IsInf(h, 0) {
+		t.Error("failure-dominated: overhead +Inf short of OverflowPeriod")
+	}
+	// Deeper in, C + V alone overflows the exponent: no period is finite.
+	if fz := m.Freeze(1e11); !(fz.OverflowPeriod() < 0) || !math.IsInf(fz.Overhead(1e-6), 1) {
+		t.Errorf("P = 1e11: OverflowPeriod %g, overhead at 1 µs %g; want < 0 and +Inf",
+			fz.OverflowPeriod(), fz.Overhead(1e-6))
+	}
+	noErrors := m
+	noErrors.LambdaInd = 0
+	if fz := noErrors.Freeze(512); !math.IsInf(fz.OverflowPeriod(), 1) {
+		t.Errorf("error-free OverflowPeriod = %g, want +Inf", fz.OverflowPeriod())
+	}
 }

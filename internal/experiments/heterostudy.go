@@ -142,8 +142,9 @@ func HeterogeneousStudy(ctx context.Context, pl platform.Platform, comms, splits
 	}
 
 	// Phase 1b: one warm chain per (scenario, split) along the comm axis.
-	// IntegerP keeps the joint optimum on integral allocations, so warm
-	// and cold chains land on bit-identical cells and the phase-2
+	// IntegerP keeps the joint optimum on integral allocations, and warm
+	// and cold solves run the same inner period search at each of them,
+	// so warm and cold chains land on bit-identical cells and the phase-2
 	// campaigns replay bit-identically across -warm modes.
 	nSc, nSp, nCo := len(scenarios), len(splits), len(comms)
 	nCells := nSc * nSp * nCo
@@ -171,10 +172,6 @@ func HeterogeneousStudy(ctx context.Context, pl platform.Platform, comms, splits
 			}
 			res, err := solver.Solve(hm)
 			if err != nil {
-				return fmt.Errorf("experiments: hetero/%s/%v/split=%g/comm=%g: %w",
-					pl.Name, sc, splits[pi], comm, err)
-			}
-			if res, err = canonicalizePlan(hm, res); err != nil {
 				return fmt.Errorf("experiments: hetero/%s/%v/split=%g/comm=%g: %w",
 					pl.Name, sc, splits[pi], comm, err)
 			}
@@ -260,46 +257,10 @@ func HeterogeneousStudy(ctx context.Context, pl platform.Platform, comms, splits
 
 // singleIntegerOpts is the per-group search box shared by the study's
 // baseline and heterogeneous solves: integral allocations, so warm and
-// cold chains land on bit-identical cells.
+// cold chains land on the same P and, through the shared inner period
+// search, on bit-identical cells.
 func singleIntegerOpts() optimize.PatternOptions {
 	return optimize.PatternOptions{IntegerP: true}
-}
-
-// canonicalizePlan re-solves each active group's period at its chosen
-// integral allocation with the reference inner search
-// (optimize.OptimalPeriod) and reassembles the harmonic combination in
-// hetero's arithmetic order. On a cold solve this is a bit-identical
-// no-op (the cold path's inner probe is the same search); on a warm
-// solve it snaps the period found on the warm short grid onto the
-// reference answer, so warm and cold studies land on bit-identical cells
-// and the phase-2 campaigns replay bit-identically across -warm modes.
-func canonicalizePlan(hm core.HeteroModel, res hetero.PatternResult) (hetero.PatternResult, error) {
-	inv := 0.0
-	for i := range res.Groups {
-		gp := &res.Groups[i]
-		m, err := hm.ActiveModel(gp.Group, res.Active)
-		if err != nil {
-			return hetero.PatternResult{}, err
-		}
-		t, h, err := optimize.OptimalPeriod(m, gp.P, singleIntegerOpts())
-		if err != nil {
-			return hetero.PatternResult{}, err
-		}
-		gp.T, gp.GroupOverhead = t, h
-		inv += 1 / h
-	}
-	if res.Active == 1 {
-		// The degenerate case passes the overhead through untouched, as in
-		// hetero's assemble: the 1/(1/A) round trip is not bit-exact.
-		res.Overhead = res.Groups[0].GroupOverhead
-		res.Groups[0].Fraction = 1
-		return res, nil
-	}
-	res.Overhead = 1 / inv
-	for i := range res.Groups {
-		res.Groups[i].Fraction = res.Overhead / res.Groups[i].GroupOverhead
-	}
-	return res, nil
 }
 
 // heteroColumns render the study: the joint heterogeneous optimum and

@@ -33,6 +33,10 @@ const (
 	riseAfter = 2
 )
 
+// healthClient carries readiness probes and warm-fills on a transport of
+// their own, so a probe never queues behind the router's forwards.
+var healthClient = &http.Client{Transport: http.DefaultTransport.(*http.Transport).Clone()}
+
 func (o HealthOptions) interval() time.Duration {
 	if o.Interval > 0 {
 		return o.Interval
@@ -160,7 +164,7 @@ func (h *HealthChecker) probe(ctx context.Context, base string) bool {
 	if err != nil {
 		return false
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := healthClient.Do(req)
 	if err != nil {
 		return false
 	}
@@ -221,7 +225,7 @@ func WarmFill(ctx context.Context, donorURL, joinerURL string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := healthClient.Do(req)
 	if err != nil {
 		return 0, fmt.Errorf("fleet: warm-fill pull from %s: %w", donorURL, err)
 	}
@@ -238,7 +242,7 @@ func WarmFill(ctx context.Context, donorURL, joinerURL string) (int, error) {
 		return 0, err
 	}
 	preq.Header.Set("Content-Type", "application/json")
-	presp, err := http.DefaultClient.Do(preq)
+	presp, err := healthClient.Do(preq)
 	if err != nil {
 		return 0, fmt.Errorf("fleet: warm-fill push to %s: %w", joinerURL, err)
 	}

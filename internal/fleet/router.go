@@ -69,7 +69,8 @@ type RouterOptions struct {
 	// MaxDelay caps any single backoff wait, including a replica's
 	// Retry-After (default 2 s).
 	MaxDelay time.Duration
-	// Client is the forwarding HTTP client (default http.DefaultClient).
+	// Client is the forwarding HTTP client (default: one shared client
+	// whose transport keeps up to maxInFlight idle connections per peer).
 	Client *http.Client
 }
 
@@ -105,11 +106,22 @@ func (o RouterOptions) maxDelay() time.Duration {
 	return 2 * time.Second
 }
 
+// forwardClient is the default forwarding client. Its transport is
+// http.DefaultTransport's with the per-peer idle pool raised to the
+// in-flight bound: the default pool keeps 2 idle connections per host,
+// so under concurrency most forwards would dial a new connection.
+var forwardClient = func() *http.Client {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns = 0 // no fleet-wide cap; the per-peer bound holds
+	tr.MaxIdleConnsPerHost = maxInFlight
+	return &http.Client{Transport: tr}
+}()
+
 func (o RouterOptions) client() *http.Client {
 	if o.Client != nil {
 		return o.Client
 	}
-	return http.DefaultClient
+	return forwardClient
 }
 
 // peerCounters is the per-peer forwarding ledger behind /v1/stats.

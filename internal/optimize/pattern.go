@@ -10,11 +10,11 @@ import (
 // The search resolution every pattern solver shares.
 const (
 	// GridP is the outer log-grid resolution of a full-box processor
-	// scan, ~7 points per decade over the default 13-decade box.
+	// scan, ~7 points per decade over the default 13-decade box. H(P) is
+	// not unimodal across objective-class changes and bounds, so the
+	// outer level keeps a dense grid; the inner period search needs none
+	// (minimizeT).
 	GridP = 96
-	// gridT is the inner log-grid resolution of the cold period search
-	// (twice that on the full-range fallback).
-	gridT = 48
 	// refineTol is the relative x tolerance of every Brent refinement.
 	refineTol = 1e-10
 )
@@ -51,11 +51,14 @@ func (o PatternOptions) withDefaults() PatternOptions {
 	return o
 }
 
+// validate rejects an empty, inverted or unbounded search box; NaN
+// bounds fail the ordering tests. The period search runs in u = log T, so
+// the period box must be non-empty there too.
 func (o PatternOptions) validate() error {
-	if !(o.PMax > o.PMin) || o.PMin < 1 {
+	if !(o.PMax > o.PMin) || o.PMin < 1 || math.IsInf(o.PMax, 1) {
 		return fmt.Errorf("optimize: bad processor bounds [%g, %g]", o.PMin, o.PMax)
 	}
-	if !(o.TMax > o.TMin) || o.TMin <= 0 {
+	if !(o.TMin > 0) || !(math.Log(o.TMax) > math.Log(o.TMin)) || math.IsInf(o.TMax, 1) {
 		return fmt.Errorf("optimize: bad period bounds [%g, %g]", o.TMin, o.TMax)
 	}
 	return nil
@@ -86,8 +89,14 @@ func OptimalPeriod(m core.Model, p float64, opts PatternOptions) (float64, float
 	if err := opts.validate(); err != nil {
 		return 0, 0, err
 	}
+	if err := m.Validate(); err != nil {
+		return 0, 0, err
+	}
+	if !(p >= 1) || math.IsInf(p, 1) {
+		return 0, 0, fmt.Errorf("optimize: processor count %g is not a finite value ≥ 1", p)
+	}
 	fz := m.Freeze(p)
-	res, err := minimizeT(&fz, opts, false)
+	res, err := minimizeT(&fz, opts)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -95,60 +104,49 @@ func OptimalPeriod(m core.Model, p float64, opts PatternOptions) (float64, float
 }
 
 // minimizeT solves the inner period problem min_T H(T, P) on a compiled
-// evaluator, so the ~50–100 objective evaluations of the grid scan and the
-// refinement pay only the frozen per-call cost (no Rates, cost-model or
-// exponential recomputation).
+// evaluator, so every objective evaluation pays only the frozen per-call
+// cost (no Rates, cost-model or exponential recomputation).
 //
-// The cold search runs a gridT-point grid plus Brent in a bracket of a
-// factor 1e3 around Theorem 1's period, falling back to the full
-// [TMin, TMax] range with twice the points. warm first tries the sweep
-// solver's short search in the same bracket, a warmGrid-point grid;
-// any failure of it continues with the cold search.
-func minimizeT(fz *core.Frozen, opts PatternOptions, warm bool) (Result, error) {
-	lo, hi := opts.TMin, opts.TMax
-	// Tighten the bracket around the first-order seed: the exact optimum
-	// sits within a small factor of Theorem 1's T*_P whenever the
-	// approximation is anywhere near valid.
+// At a fixed P, Proposition 1's pattern time E(T) is convex, so
+// H(T) = E(T)/T·H(P) has exactly one minimum in T, hence in u = log T
+// (DESIGN.md): three grid points bracket it and Brent polishes. The
+// search runs in a bracket of a factor 1e3 around Theorem 1's period,
+// where the exact optimum sits whenever the approximation is anywhere
+// near valid, and on the full [TMin, TMax] range when that period is not
+// finite or its bracket has no finite point. Warm and cold solves share
+// it.
+func minimizeT(fz *core.Frozen, opts PatternOptions) (Result, error) {
 	if seed := fz.OptimalPeriod(); !math.IsInf(seed, 0) && seed > 0 {
-		sLo := math.Max(opts.TMin, seed/1e3)
-		sHi := math.Min(opts.TMax, seed*1e3)
-		if sHi > sLo {
-			if warm {
-				if res, err := searchT(fz, sLo, sHi, warmGrid); err == nil {
-					return res, nil
-				}
-			}
-			lo, hi = sLo, sHi
+		res, err := searchT(fz, math.Max(opts.TMin, seed/1e3), math.Min(opts.TMax, seed*1e3))
+		if err == nil {
+			return res, nil
 		}
 	}
-	res, err := searchT(fz, lo, hi, gridT)
-	if err != nil {
-		// Fall back to the full range (the seed bracket may have missed).
-		return searchT(fz, opts.TMin, opts.TMax, gridT*2)
-	}
-	return res, nil
+	return searchT(fz, opts.TMin, opts.TMax)
 }
 
-// searchT runs gridRefine over u = log T in [log lo, log hi], with the
-// exp transform fused into the frozen kernel (OverheadLog).
-func searchT(fz *core.Frozen, lo, hi float64, points int) (Result, error) {
+// searchT runs a 3-point gridRefine over u = log T in [log lo, log hi],
+// with the exp transform fused into the frozen kernel (OverheadLog). The
+// bracket is first clipped at the overflow period, beyond which the
+// overhead is +Inf: no grid point lands on that plateau, and a bracket
+// that starts past it is rejected without an evaluation (what the P
+// grid's deep failure-dominated tail would cost otherwise).
+func searchT(fz *core.Frozen, lo, hi float64) (Result, error) {
+	tOv := fz.OverflowPeriod()
+	if !(tOv > lo) {
+		return Result{}, errGridAllInf
+	}
+	hi = math.Min(hi, tOv)
 	uLo, uHi := math.Log(lo), math.Log(hi)
 	if !(uHi > uLo) {
 		return Result{}, errGridBounds
 	}
-	// The overhead's overflow exponent is monotone in the period, so an
-	// overflow at the grid's low edge proves every grid point is +Inf:
-	// reject the whole bracket after one probe instead of points+refine
-	// evaluations (this is what the P-grid's deep failure-dominated tail
-	// costs otherwise). A too-small grid keeps its own error.
-	if points >= 3 && fz.OverflowsBeyond(uLo) {
-		return Result{}, errGridAllInf
-	}
-	res, err := gridRefine(fz.OverheadLog, uLo, uHi, points)
+	res, err := gridRefine(fz.OverheadLog, uLo, uHi, 3)
 	if err != nil {
 		return Result{}, err
 	}
-	res.X = math.Exp(res.X)
+	// e^{log T} can round a bracket edge just outside the bracket.
+	res.X = math.Min(math.Max(math.Exp(res.X), lo), hi)
 	return res, nil
 }
 
@@ -165,19 +163,18 @@ func OptimalPattern(m core.Model, opts PatternOptions) (PatternResult, error) {
 	if err := m.Validate(); err != nil {
 		return PatternResult{}, err
 	}
-	return solvePattern(m, opts, nil, opts.PMin, opts.PMax, GridP, false)
+	return solvePattern(m, opts, nil, opts.PMin, opts.PMax, GridP)
 }
 
 // solvePattern runs the outer Scan over [lo, hi] on a gridP-point log-grid
-// with the inner period search at every probe. warm selects the warm
-// path's short inner grid; memo is the caller's probe memo (nil for a
-// fresh one) of each P's optimal period.
-func solvePattern(m core.Model, opts PatternOptions, memo map[float64]Probe[float64], lo, hi float64, gridP int, warm bool) (PatternResult, error) {
+// with the inner period search at every probe. memo is the caller's probe
+// memo (nil for a fresh one) of each P's optimal period.
+func solvePattern(m core.Model, opts PatternOptions, memo map[float64]Probe[float64], lo, hi float64, gridP int) (PatternResult, error) {
 	s := Scan[float64]{
 		PMin: opts.PMin, PMax: opts.PMax, IntegerP: opts.IntegerP, Memo: memo,
 		Inner: func(p float64) (Probe[float64], int) {
 			fz := m.Freeze(p)
-			res, err := minimizeT(&fz, opts, warm)
+			res, err := minimizeT(&fz, opts)
 			return Probe[float64]{Inner: res.X, F: res.F, Err: err}, res.Evals
 		},
 	}

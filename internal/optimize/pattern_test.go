@@ -1,6 +1,8 @@
 package optimize
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -196,6 +198,31 @@ func TestOptionValidation(t *testing.T) {
 	bad.LambdaInd = -1
 	if _, err := OptimalPattern(bad, PatternOptions{}); err == nil {
 		t.Error("invalid model accepted")
+	}
+
+	// Inputs the solvers cannot honour fail validation by name: neither
+	// as an infeasible search box nor as an all-+Inf objective.
+	named := func(label string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Errorf("%s accepted", label)
+		} else if errors.Is(err, ErrNoFeasible) || errors.Is(err, errGridAllInf) {
+			t.Errorf("%s reported as infeasibility: %v", label, err)
+		}
+	}
+	_, err := OptimalPattern(m, PatternOptions{PMax: math.Inf(1)})
+	named("PMax = +Inf", err)
+	_, err = OptimalPattern(m, PatternOptions{TMax: math.Inf(1)})
+	named("TMax = +Inf", err)
+	_, _, err = OptimalPeriod(m, 512, PatternOptions{TMax: math.Inf(1)})
+	named("OptimalPeriod with TMax = +Inf", err)
+	nanRate := m
+	nanRate.LambdaInd = math.NaN()
+	_, _, err = OptimalPeriod(nanRate, 512, PatternOptions{})
+	named("OptimalPeriod with λ_ind = NaN", err)
+	for _, p := range []float64{math.NaN(), math.Inf(1), -5, 0, 0.5} {
+		_, _, err = OptimalPeriod(m, p, PatternOptions{})
+		named(fmt.Sprintf("OptimalPeriod at P = %g", p), err)
 	}
 }
 

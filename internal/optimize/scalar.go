@@ -133,9 +133,9 @@ func BrentMin(f Func, a, b, tol float64) Result {
 
 // gridRefine scans f on points evenly spaced grid points over [lo, hi],
 // then refines the bracket around the best point with bounded Brent at
-// refineTol. It is robust to objectives that are not globally unimodal,
-// at the cost of the initial sweep; both searches run it in u = log x
-// coordinates. The returned Result is the refined minimum; ties prefer
+// refineTol. A dense grid makes it robust to objectives that are not
+// globally unimodal (the outer P scan); three points suffice for one that
+// is (the inner period search). Both run it in u = log x coordinates. The returned Result is the refined minimum; ties prefer
 // the smaller x, and the grid best wins a plateau. Callers check lo < hi
 // in their own coordinates.
 func gridRefine(f Func, lo, hi float64, points int) (Result, error) {
@@ -173,7 +173,7 @@ func gridRefine(f Func, lo, hi float64, points int) (Result, error) {
 }
 
 // Shared error values of the grid refinement (allocated once; the
-// infeasible-grid rejection fires on every deep-tail P probe).
+// overflow-clip rejection fires on every deep-tail P probe).
 var (
 	errGridBounds = errors.New("optimize: GridRefine needs hi > lo")
 	errGridPoints = errors.New("optimize: GridRefine needs at least 3 grid points")

@@ -122,7 +122,7 @@ func TestGridRefineErrors(t *testing.T) {
 		}
 	}
 	fz := heraModel(t, costmodel.Scenario1, 0.1).Freeze(512)
-	if _, err := searchT(&fz, 5, 5, 10); !errors.Is(err, errGridBounds) {
+	if _, err := searchT(&fz, 5, 5); !errors.Is(err, errGridBounds) {
 		t.Errorf("empty period bracket returned %v", err)
 	}
 }

@@ -25,10 +25,9 @@ const (
 	// per-cell drift in Figs. 4–7, where P* moves by at most a few ×
 	// between adjacent sweep coordinates.
 	warmBracketFactor = 32
-	// warmGrid is the grid resolution inside a warm bracket, for the
-	// outer P and the inner T search alike: it only needs to localize
-	// the minimum for the Brent polish, not survive a cold multi-decade
-	// scan.
+	// warmGrid is the outer P grid resolution inside a warm bracket: it
+	// only needs to localize the minimum for the Brent polish, not
+	// survive a cold multi-decade scan.
 	warmGrid = 10
 	// coldScanGridP is the outer grid of a chain-restart scan: coarser
 	// than GridP (the Brent polish converges from a coarser localization
@@ -153,12 +152,11 @@ func (c *WarmChain) atWarmEdge(p, lo, hi float64) bool {
 // (α, λ_ind, D, platform) the optimum moves by at most a few × per cell.
 // A warm cell therefore brackets the outer P search around the previous
 // P* (WarmChain), localizes the minimum on a short log-grid, and polishes
-// with bounded Brent; the inner u = log T minimization runs the same
-// short-grid-plus-Brent scheme around the Theorem 1 seed. A cell whose
-// objective class changed since the previous cell restarts on the full
-// cold box, as does any warm solve WarmChain rejects (the sweep property
-// tests pin warm against per-cell OptimalPattern within bounds derived
-// from refineTol).
+// with bounded Brent; the inner u = log T minimization is the cold
+// path's own (minimizeT). A cell whose objective class changed since the
+// previous cell restarts on the full cold box, as does any warm solve
+// WarmChain rejects (the sweep property tests pin warm against per-cell
+// OptimalPattern within bounds derived from refineTol).
 //
 // A solver is stateful (the chain state and a reusable per-P probe memo)
 // and must not be shared between goroutines; run one solver per chain.
@@ -197,8 +195,7 @@ func (s *SweepSolver) Observe(m core.Model, res PatternResult) {
 // cold scan; subsequent cells typically cost an order of magnitude less.
 // A full-box solve is OptimalPattern's scan in Cold mode (bit-identical
 // to a per-cell call); otherwise it runs the coarser coldScanGridP outer
-// grid over the short inner search, so even chain restarts cost well
-// under the reference scan.
+// grid, so even chain restarts cost less than the reference scan.
 func (s *SweepSolver) Solve(m core.Model) (PatternResult, error) {
 	// Hold warm mode to the same option contract as OptimalPattern: a
 	// bad search box must fail loudly here, not surface as an
@@ -213,7 +210,7 @@ func (s *SweepSolver) Solve(m core.Model) (PatternResult, error) {
 	var res PatternResult
 	warm, err := s.chain.Solve(class != s.prevClass, func(lo, hi float64, gridP int) (float64, bool, int, error) {
 		var err error
-		res, err = solvePattern(m, s.opts.PatternOptions, s.memo, lo, hi, gridP, !s.opts.Cold)
+		res, err = solvePattern(m, s.opts.PatternOptions, s.memo, lo, hi, gridP)
 		return res.P, res.AtPBound, res.Evals, err
 	})
 	if err != nil {

@@ -28,13 +28,13 @@ var unaryGolden = map[string]string{
 	"/v1/hetero/optimize malformed":         "400 application/json retry-after=\"\" 9cf4ee19006dac1ae185d98e141aecee071257fb6720e8db83151af4365fcc27",
 	"/v1/hetero/optimize saturated":         "503 application/json retry-after=\"1\" 634e30b25437dbf2fb057106de072dc6965433db2d2316dfe82796b475dbf16f",
 	"/v1/hetero/optimize unknown-field":     "400 application/json retry-after=\"\" 3cf9d273f53a2acb98f3ac3509607ba6e0ab620d1f7da55b8045d5cfe8efe698",
-	"/v1/hetero/optimize valid":             "200 application/json retry-after=\"\" 1972b4e1b5c96841749ab91a0c2bf3b07c36295a59eca1a590a1759d671b60dd",
+	"/v1/hetero/optimize valid":             "200 application/json retry-after=\"\" 0ce6a9f758743f3c7ef005fdf78d61db8822861ff0e6ef9ad9e0f518be7280d3",
 	"/v1/hetero/simulate bad-model":         "400 application/json retry-after=\"\" 4c400bd4290c09379519b0be582db080361b423bd173bd02604948b956b11f80",
 	"/v1/hetero/simulate malformed":         "400 application/json retry-after=\"\" 9cf4ee19006dac1ae185d98e141aecee071257fb6720e8db83151af4365fcc27",
 	"/v1/hetero/simulate over-budget":       "422 application/json retry-after=\"\" b9c4c92f3c1852056bfaccea8da736617a48ffea04e21b56b9567293196d3dac",
 	"/v1/hetero/simulate saturated":         "503 application/json retry-after=\"1\" 634e30b25437dbf2fb057106de072dc6965433db2d2316dfe82796b475dbf16f",
 	"/v1/hetero/simulate unknown-field":     "400 application/json retry-after=\"\" 3cf9d273f53a2acb98f3ac3509607ba6e0ab620d1f7da55b8045d5cfe8efe698",
-	"/v1/hetero/simulate valid":             "200 application/json retry-after=\"\" a3747fdc82d57386a69ae0a2ccbb2e44d543e3f0147df1971c1a7345f1793434",
+	"/v1/hetero/simulate valid":             "200 application/json retry-after=\"\" e24cd1fa23d16b63fdf7651927bcca2a94557018a26da3ce89b89b10ba1512a0",
 	"/v1/multilevel/optimize bad-model":     "400 application/json retry-after=\"\" 59778867268cd29ef0b0136e31832d4097d96081413240d91325be803f5d313b",
 	"/v1/multilevel/optimize malformed":     "400 application/json retry-after=\"\" 9cf4ee19006dac1ae185d98e141aecee071257fb6720e8db83151af4365fcc27",
 	"/v1/multilevel/optimize saturated":     "503 application/json retry-after=\"1\" 634e30b25437dbf2fb057106de072dc6965433db2d2316dfe82796b475dbf16f",
@@ -50,7 +50,7 @@ var unaryGolden = map[string]string{
 	"/v1/optimize malformed":                "400 application/json retry-after=\"\" 9cf4ee19006dac1ae185d98e141aecee071257fb6720e8db83151af4365fcc27",
 	"/v1/optimize saturated":                "503 application/json retry-after=\"1\" 634e30b25437dbf2fb057106de072dc6965433db2d2316dfe82796b475dbf16f",
 	"/v1/optimize unknown-field":            "400 application/json retry-after=\"\" 3cf9d273f53a2acb98f3ac3509607ba6e0ab620d1f7da55b8045d5cfe8efe698",
-	"/v1/optimize valid":                    "200 application/json retry-after=\"\" c78ecf3877f063f51845cc68087692d0001c55eeabd195f04029d0c9607421fb",
+	"/v1/optimize valid":                    "200 application/json retry-after=\"\" 7681d939e144a38351417261772bb2d0e92a90e9e9c544bcca7f20bb34cfcb89",
 	"/v1/simulate bad-model":                "400 application/json retry-after=\"\" 669290898f2106f29a87be7ebb0f01c7442f8cdb32d2416a5fc0aa7eb16396de",
 	"/v1/simulate machine":                  "200 application/json retry-after=\"\" d7a6c92b8a9ee1f519955b439c43a5909aea40f567dbb6e59aba6ce97333d511",
 	"/v1/simulate machine-weibull":          "200 application/json retry-after=\"\" 98032238216662ad6e90b15bef68f3d3d666cb4badbf572f9f335b13561ef6e2",

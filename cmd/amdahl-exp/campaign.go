@@ -38,6 +38,9 @@ func runCampaign(ctx context.Context, args []string) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
+	if err := nonNegative(fs, "workers", "retries", "budget", "timeout"); err != nil {
+		return err
+	}
 	if *list {
 		for _, name := range campaign.PresetNames() {
 			fmt.Println(name)

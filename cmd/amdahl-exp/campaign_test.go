@@ -110,6 +110,10 @@ func TestRunCampaignFlagErrors(t *testing.T) {
 		{"-preset", "smoke", "-manifest", "m"}, // mutually exclusive
 		{"-preset", "smoke", "-out", out, "stray"},
 		{"-preset", "smoke", "-runs", "-3", "-out", out}, // override fails manifest validation
+		{"-preset", "smoke", "-out", out, "-workers", "-1"},
+		{"-preset", "smoke", "-out", out, "-retries", "-1"},
+		{"-preset", "smoke", "-out", out, "-budget", "-1"},
+		{"-preset", "smoke", "-out", out, "-timeout", "-1s"},
 	}
 	for _, args := range cases {
 		stdout, err := capture(t, func() error { return runCampaign(context.Background(), args) })

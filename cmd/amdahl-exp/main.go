@@ -60,10 +60,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -101,59 +102,132 @@ func main() {
 	}
 }
 
-// buildConfig assembles the Monte-Carlo budget shared by every
-// subcommand: -quick selects the reduced preset, -runs/-patterns
-// override either axis, and 0 keeps the preset's value.
-func buildConfig(quick bool, seed uint64, runs, patterns int) (experiments.Config, error) {
-	if runs < 0 {
-		return experiments.Config{}, fmt.Errorf("-runs %d is negative (0 keeps the default)", runs)
+// gridCmd is the flag scaffold of the figure suite and the three
+// studies: the platform, the Monte-Carlo budget, the CSV directory, the
+// warm-start switch and, for the studies, -scenario. parse resolves
+// them into the fields below the flags.
+type gridCmd struct {
+	fs                       *flag.FlagSet
+	platName, out            *string
+	quick, warm              *bool
+	seed                     *uint64
+	runs, patterns, scenario *int
+
+	platOptional bool // an empty -platform selects the command's own set
+	platform     platform.Platform
+	cfg          experiments.Config
+	scenarios    []costmodel.Scenario // nil: the command's default set
+}
+
+// newGridCmd registers the shared flags. scenarioAll names what
+// -scenario 0 selects; an empty one registers no -scenario flag.
+func newGridCmd(name, platDefault, platHelp, warmHelp, scenarioAll string) *gridCmd {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	g := &gridCmd{
+		fs:           fs,
+		platOptional: platDefault == "",
+		platName:     fs.String("platform", platDefault, platHelp),
+		quick:        fs.Bool("quick", false, "reduced Monte-Carlo budget (~100× faster)"),
+		out:          fs.String("out", "", "directory for CSV output (optional)"),
+		seed:         fs.Uint64("seed", 1, "random seed"),
+		runs:         fs.Int("runs", 0, "override Monte-Carlo runs per point"),
+		patterns:     fs.Int("patterns", 0, "override patterns per run"),
+		warm:         fs.Bool("warm", true, warmHelp),
 	}
-	if patterns < 0 {
-		return experiments.Config{}, fmt.Errorf("-patterns %d is negative (0 keeps the default)", patterns)
+	if scenarioAll != "" {
+		g.scenario = fs.Int("scenario", 0, "restrict to one Table III scenario 1-6 (0 = "+scenarioAll+")")
 	}
-	cfg := experiments.Config{Seed: seed}
-	if quick {
-		cfg = experiments.Quick()
-		cfg.Seed = seed
+	return g
+}
+
+// parse parses args and resolves the shared flags: no stray positional
+// (strayHint extends that error), a known platform, a budget where
+// -quick selects the reduced preset and -runs/-patterns override either
+// axis (0 keeps the preset's value), and a valid scenario.
+func (g *gridCmd) parse(args []string, strayHint string) error {
+	if err := g.fs.Parse(args); err != nil {
+		return err
 	}
-	if runs > 0 {
-		cfg.Runs = runs
+	if g.fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q%s", g.fs.Arg(0), strayHint)
 	}
-	if patterns > 0 {
-		cfg.Patterns = patterns
+	if *g.platName != "" || !g.platOptional {
+		pl, err := platform.Lookup(*g.platName)
+		if err != nil {
+			return err
+		}
+		g.platform = pl
 	}
-	return cfg, nil
+	if err := nonNegative(g.fs, "runs", "patterns"); err != nil {
+		return err
+	}
+	if *g.quick {
+		g.cfg = experiments.Quick()
+	}
+	g.cfg.Seed, g.cfg.ColdSolve = *g.seed, !*g.warm
+	if *g.runs > 0 {
+		g.cfg.Runs = *g.runs
+	}
+	if *g.patterns > 0 {
+		g.cfg.Patterns = *g.patterns
+	}
+	if g.scenario != nil && *g.scenario != 0 {
+		sc := costmodel.Scenario(*g.scenario)
+		if !sc.Valid() {
+			return fmt.Errorf("scenario %d outside 1-6", *g.scenario)
+		}
+		g.scenarios = []costmodel.Scenario{sc}
+	}
+	return nil
+}
+
+// emit renders a result to stdout, Figs. 5 and 6 followed by their
+// slopes, and with -out writes it to <out>/<name>.csv.
+func (g *gridCmd) emit(name string, res renderable) error {
+	if err := res.Render(os.Stdout); err != nil {
+		return err
+	}
+	if sw, ok := res.(*experiments.SweepResult); ok && (name == "fig5" || name == "fig6") {
+		printSlopes(sw)
+	}
+	if *g.out == "" {
+		return nil
+	}
+	if err := os.MkdirAll(*g.out, 0o755); err != nil {
+		return err
+	}
+	path := filepath.Join(*g.out, name+".csv")
+	// Temp-and-rename: an interrupt mid-write leaves the previous CSV
+	// intact instead of a truncated file a downstream plot would trust.
+	if err := atomicio.WriteFile(path, res.WriteCSV); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n\n", path)
+	return nil
+}
+
+// nonNegative rejects a negative value of any named int or duration
+// flag (their Values print it with a leading minus): 0 keeps each
+// flag's default, and none has a negative meaning.
+func nonNegative(fs *flag.FlagSet, names ...string) error {
+	for _, name := range names {
+		if v := fs.Lookup(name).Value; strings.HasPrefix(v.String(), "-") {
+			return fmt.Errorf("-%s %s is negative (0 keeps the default)", name, v)
+		}
+	}
+	return nil
 }
 
 // runRobustness drives the non-exponential robustness study (extension
 // beyond the paper; see DESIGN.md, distribution substrate).
 func runRobustness(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("amdahl-exp robustness", flag.ContinueOnError)
-	platName := fs.String("platform", "hera", "platform supplying rates and costs")
-	dist := fs.String("dist", "weibull", "true failure law: weibull, lognormal or gamma (exponential = sanity baseline)")
-	shape := fs.Float64("shape", 0, "distribution shape (Weibull/Gamma k, log-normal σ); 0 sweeps the default Weibull range [0.5, 1]")
-	scenario := fs.Int("scenario", 0, "restrict to one Table III scenario 1-6 (0 = all)")
-	quick := fs.Bool("quick", false, "reduced Monte-Carlo budget (~100× faster)")
-	outDir := fs.String("out", "", "directory for CSV output (optional)")
-	seed := fs.Uint64("seed", 1, "random seed")
-	runs := fs.Int("runs", 0, "override Monte-Carlo runs per point")
-	patterns := fs.Int("patterns", 0, "override patterns per run")
-	warm := fs.Bool("warm", true, "warm-start the per-scenario optimizations; -warm=false restores the per-cell grid scans")
-	if err := fs.Parse(args); err != nil {
+	g := newGridCmd("amdahl-exp robustness", "hera", "platform supplying rates and costs",
+		"warm-start the per-scenario optimizations; -warm=false restores the per-cell grid scans", "all")
+	dist := g.fs.String("dist", "weibull", "true failure law: weibull, lognormal or gamma (exponential = sanity baseline)")
+	shape := g.fs.Float64("shape", 0, "distribution shape (Weibull/Gamma k, log-normal σ); 0 sweeps the default Weibull range [0.5, 1]")
+	if err := g.parse(args, ""); err != nil {
 		return err
 	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
-	}
-	pl, err := platform.Lookup(*platName)
-	if err != nil {
-		return err
-	}
-	cfg, err := buildConfig(*quick, *seed, *runs, *patterns)
-	if err != nil {
-		return err
-	}
-	cfg.ColdSolve = !*warm
 	shapes := experiments.DefaultRobustnessShapes
 	switch {
 	case failures.IsExponentialName(*dist):
@@ -173,25 +247,11 @@ func runRobustness(ctx context.Context, args []string) error {
 		// a σ sweep must be an explicit choice.
 		return fmt.Errorf("-dist lognormal needs an explicit -shape (σ)")
 	}
-	var scenarios []costmodel.Scenario
-	if *scenario != 0 {
-		sc := costmodel.Scenario(*scenario)
-		if !sc.Valid() {
-			return fmt.Errorf("scenario %d outside 1-6", *scenario)
-		}
-		scenarios = []costmodel.Scenario{sc}
-	}
-	res, err := experiments.RobustnessStudy(ctx, pl, *dist, shapes, scenarios, cfg)
+	res, err := experiments.RobustnessStudy(ctx, g.platform, *dist, shapes, g.scenarios, g.cfg)
 	if err != nil {
 		return err
 	}
-	if err := res.Render(os.Stdout); err != nil {
-		return err
-	}
-	if *outDir != "" {
-		return writeCSV(*outDir, "robustness", res)
-	}
-	return nil
+	return g.emit("robustness", res)
 }
 
 // runMultilevel drives the two-level resilience study (extension beyond
@@ -199,54 +259,21 @@ func runRobustness(ctx context.Context, args []string) error {
 // end-to-end"): the joint (T, K, P) optimum per scenario × in-memory
 // cost fraction, priced by Monte-Carlo against the single-level optimum.
 func runMultilevel(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("amdahl-exp multilevel", flag.ContinueOnError)
-	platName := fs.String("platform", "hera", "platform supplying rates and costs")
-	fracs := fs.String("frac", "", "comma-separated in-memory cost fractions C1/C2 (default 1/60,1/15,0.2,0.5,1)")
-	scenario := fs.Int("scenario", 0, "restrict to one Table III scenario 1-6 (0 = scenarios 1,3,5)")
-	quick := fs.Bool("quick", false, "reduced Monte-Carlo budget (~100× faster)")
-	outDir := fs.String("out", "", "directory for CSV output (optional)")
-	seed := fs.Uint64("seed", 1, "random seed")
-	runs := fs.Int("runs", 0, "override Monte-Carlo runs per point")
-	patterns := fs.Int("patterns", 0, "override patterns per run")
-	warm := fs.Bool("warm", true, "warm-start the per-scenario (T, K, P) chains; -warm=false restores per-cell full-box scans")
-	if err := fs.Parse(args); err != nil {
+	g := newGridCmd("amdahl-exp multilevel", "hera", "platform supplying rates and costs",
+		"warm-start the per-scenario (T, K, P) chains; -warm=false restores per-cell full-box scans", "scenarios 1,3,5")
+	fracs := g.fs.String("frac", "", "comma-separated in-memory cost fractions C1/C2 (default 1/60,1/15,0.2,0.5,1)")
+	if err := g.parse(args, ""); err != nil {
 		return err
 	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
-	}
-	pl, err := platform.Lookup(*platName)
-	if err != nil {
-		return err
-	}
-	cfg, err := buildConfig(*quick, *seed, *runs, *patterns)
-	if err != nil {
-		return err
-	}
-	cfg.ColdSolve = !*warm
 	fracList, err := parseFloats(*fracs)
 	if err != nil {
 		return fmt.Errorf("-frac: %w", err)
 	}
-	var scenarios []costmodel.Scenario
-	if *scenario != 0 {
-		sc := costmodel.Scenario(*scenario)
-		if !sc.Valid() {
-			return fmt.Errorf("scenario %d outside 1-6", *scenario)
-		}
-		scenarios = []costmodel.Scenario{sc}
-	}
-	res, err := experiments.MultilevelStudy(ctx, pl, fracList, scenarios, cfg)
+	res, err := experiments.MultilevelStudy(ctx, g.platform, fracList, g.scenarios, g.cfg)
 	if err != nil {
 		return err
 	}
-	if err := res.Render(os.Stdout); err != nil {
-		return err
-	}
-	if *outDir != "" {
-		return writeCSV(*outDir, "multilevel", res)
-	}
-	return nil
+	return g.emit("multilevel", res)
 }
 
 // runHetero drives the heterogeneous-platform study (extension beyond
@@ -256,32 +283,13 @@ func runMultilevel(ctx context.Context, args []string) error {
 // inter-group comm term and the accelerator size, priced by Monte-Carlo
 // against the CPU-only optimum.
 func runHetero(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("amdahl-exp hetero", flag.ContinueOnError)
-	platName := fs.String("platform", "hera", "CPU platform supplying rates and costs (the accelerator group is derived from it)")
-	comms := fs.String("comm", "", "comma-separated inter-group comm coefficients κ (default 0,1e-6,3e-6,1e-5,3e-5,1e-4)")
-	splits := fs.String("split", "", "comma-separated accelerator sizes as fractions of the CPU size (default 0.0625,0.25,1)")
-	scenario := fs.Int("scenario", 0, "restrict to one Table III scenario 1-6 (0 = scenarios 1,3,5)")
-	quick := fs.Bool("quick", false, "reduced Monte-Carlo budget (~100× faster)")
-	outDir := fs.String("out", "", "directory for CSV output (optional)")
-	seed := fs.Uint64("seed", 1, "random seed")
-	runs := fs.Int("runs", 0, "override Monte-Carlo runs per point")
-	patterns := fs.Int("patterns", 0, "override patterns per run")
-	warm := fs.Bool("warm", true, "warm-start the per-(scenario, split) chains along the comm axis; -warm=false restores per-cell full-box scans")
-	if err := fs.Parse(args); err != nil {
+	g := newGridCmd("amdahl-exp hetero", "hera", "CPU platform supplying rates and costs (the accelerator group is derived from it)",
+		"warm-start the per-(scenario, split) chains along the comm axis; -warm=false restores per-cell full-box scans", "scenarios 1,3,5")
+	comms := g.fs.String("comm", "", "comma-separated inter-group comm coefficients κ (default 0,1e-6,3e-6,1e-5,3e-5,1e-4)")
+	splits := g.fs.String("split", "", "comma-separated accelerator sizes as fractions of the CPU size (default 0.0625,0.25,1)")
+	if err := g.parse(args, ""); err != nil {
 		return err
 	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
-	}
-	pl, err := platform.Lookup(*platName)
-	if err != nil {
-		return err
-	}
-	cfg, err := buildConfig(*quick, *seed, *runs, *patterns)
-	if err != nil {
-		return err
-	}
-	cfg.ColdSolve = !*warm
 	commList, err := parseFloats(*comms)
 	if err != nil {
 		return fmt.Errorf("-comm: %w", err)
@@ -290,25 +298,11 @@ func runHetero(ctx context.Context, args []string) error {
 	if err != nil {
 		return fmt.Errorf("-split: %w", err)
 	}
-	var scenarios []costmodel.Scenario
-	if *scenario != 0 {
-		sc := costmodel.Scenario(*scenario)
-		if !sc.Valid() {
-			return fmt.Errorf("scenario %d outside 1-6", *scenario)
-		}
-		scenarios = []costmodel.Scenario{sc}
-	}
-	res, err := experiments.HeterogeneousStudy(ctx, pl, commList, splitList, scenarios, cfg)
+	res, err := experiments.HeterogeneousStudy(ctx, g.platform, commList, splitList, g.scenarios, g.cfg)
 	if err != nil {
 		return err
 	}
-	if err := res.Render(os.Stdout); err != nil {
-		return err
-	}
-	if *outDir != "" {
-		return writeCSV(*outDir, "hetero", res)
-	}
-	return nil
+	return g.emit("hetero", res)
 }
 
 // parseFloats parses a comma-separated list of floats ("" = nil, which
@@ -335,39 +329,18 @@ type renderable interface {
 }
 
 func run(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("amdahl-exp", flag.ContinueOnError)
-	fig := fs.String("fig", "all", "figure to regenerate: 2, 3, 4, 5, 6, 7 or all")
-	platName := fs.String("platform", "", "platform for Figs. 3-7 (default hera) or Fig. 2 (default all)")
-	quick := fs.Bool("quick", false, "reduced Monte-Carlo budget (~100× faster)")
-	outDir := fs.String("out", "", "directory for CSV output (optional)")
-	seed := fs.Uint64("seed", 1, "random seed")
-	runs := fs.Int("runs", 0, "override Monte-Carlo runs per point")
-	patterns := fs.Int("patterns", 0, "override patterns per run")
-	warm := fs.Bool("warm", true, "warm-start sweep cells from the neighbouring optimum; -warm=false restores the per-cell grid scans")
-	if err := fs.Parse(args); err != nil {
+	g := newGridCmd("amdahl-exp", "", "platform for Figs. 3-7 (default hera) or Fig. 2 (default all)",
+		"warm-start sweep cells from the neighbouring optimum; -warm=false restores the per-cell grid scans", "")
+	fig := g.fs.String("fig", "all", "figure to regenerate: 2, 3, 4, 5, 6, 7 or all")
+	// A misspelled subcommand ("robustnes") or a misplaced positional
+	// must not silently launch the full-budget figure suite.
+	if err := g.parse(args, " (subcommands: robustness, multilevel, hetero, campaign)"); err != nil {
 		return err
 	}
-	if fs.NArg() > 0 {
-		// A misspelled subcommand ("robustnes") or a misplaced positional
-		// must not silently launch the full-budget figure suite.
-		return fmt.Errorf("unexpected argument %q (subcommands: robustness, multilevel, hetero, campaign)", fs.Arg(0))
-	}
-
-	cfg, err := buildConfig(*quick, *seed, *runs, *patterns)
-	if err != nil {
-		return err
-	}
-	cfg.ColdSolve = !*warm
-
-	sweepPlatform := platform.Hera()
-	fig2Platforms := platform.All()
-	if *platName != "" {
-		pl, err := platform.Lookup(*platName)
-		if err != nil {
-			return err
-		}
-		sweepPlatform = pl
-		fig2Platforms = []platform.Platform{pl}
+	cfg := g.cfg
+	sweepPlatform, fig2Platforms := platform.Hera(), platform.All()
+	if *g.platName != "" {
+		sweepPlatform, fig2Platforms = g.platform, []platform.Platform{g.platform}
 	}
 
 	figures := map[string]func() (renderable, error){
@@ -402,21 +375,12 @@ func run(ctx context.Context, args []string) error {
 	}
 
 	for _, f := range names {
-		name := "fig" + f
 		res, err := figures[f]()
 		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+			return fmt.Errorf("fig%s: %w", f, err)
 		}
-		if err := res.Render(os.Stdout); err != nil {
+		if err := g.emit("fig"+f, res); err != nil {
 			return err
-		}
-		if sw, ok := res.(*experiments.SweepResult); ok && (f == "5" || f == "6") {
-			printSlopes(sw)
-		}
-		if *outDir != "" {
-			if err := writeCSV(*outDir, name, res); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
@@ -425,29 +389,10 @@ func run(ctx context.Context, args []string) error {
 func printSlopes(sw *experiments.SweepResult) {
 	fmt.Println("log-log slopes of the numerical optimum vs λ_ind:")
 	slopes := sw.Slopes()
-	scs := make([]costmodel.Scenario, 0, len(slopes))
-	for sc := range slopes {
-		scs = append(scs, sc)
-	}
-	sort.Slice(scs, func(i, j int) bool { return scs[i] < scs[j] })
-	for _, sc := range scs {
+	for _, sc := range slices.Sorted(maps.Keys(slopes)) {
 		s := slopes[sc]
 		fmt.Printf("  %v: P* slope %+.3f, T* slope %+.3f, H slope %+.3f\n",
 			sc, s.P, s.T, s.H)
 	}
 	fmt.Println()
-}
-
-func writeCSV(dir, name string, res renderable) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(dir, name+".csv")
-	// Temp-and-rename: an interrupt mid-write leaves the previous CSV
-	// intact instead of a truncated file a downstream plot would trust.
-	if err := atomicio.WriteFile(path, res.WriteCSV); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n\n", path)
-	return nil
 }

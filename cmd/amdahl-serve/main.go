@@ -98,6 +98,13 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Sizes have no negative meaning, and NewEngine would panic on one;
+	// -max-queued is exempt (negative = unbounded).
+	for _, name := range []string{"frozen-cache", "result-cache", "max-concurrent", "sim-workers"} {
+		if v := fs.Lookup(name).Value; strings.HasPrefix(v.String(), "-") {
+			return fmt.Errorf("-%s %s is negative (0 keeps the default)", name, v)
+		}
+	}
 
 	var handler http.Handler
 	var apiSrv *service.Server // replica mode only: owns the drain lifecycle

@@ -90,8 +90,8 @@
 // (T, K) solve per compiled evaluator; multilevel.SweepSolver warm-starts
 // (T*, K*, P*) chains along smooth axes on the same optimize.WarmChain
 // as optimize.SweepSolver; Simulator.SimulateContext prices patterns on
-// the shared chunked-dispatch runner (sim.ForEachRun) with per-run
-// streams and fail-fast cancellation, and multilevel.SimulateModel
+// the shared worker pool (sim.ForEachRun) with per-run streams and
+// fail-fast cancellation, and multilevel.SimulateModel
 // derives costs, rates and H(P) from a core.Model for every caller. The
 // simulator refuses patterns beyond the single-level simulators'
 // iteration budget with sim.ErrErrorPressure. New two-level work goes through
@@ -124,7 +124,7 @@
 // endpoints are /v1/hetero/optimize, /v1/hetero/simulate and the
 // "hetero" switch on /v1/sweep; the campaign preset is "hetero" (comm
 // axis). sim.SimulateHeteroContext prices a joint plan on the shared
-// chunked runner, scoring each run by its makespan overhead
+// worker pool, scoring each run by its makespan overhead
 // max_g x_g·H_g. See DESIGN.md, "Heterogeneous topologies".
 //
 // # Service layer

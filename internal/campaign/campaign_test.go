@@ -422,6 +422,29 @@ func TestCancellation(t *testing.T) {
 	assertSameReports(t, clean, interrupted)
 }
 
+// TestRunRejectsNegativeOptions: a negative size or duration fails by
+// name before the output directory is created (a negative Workers used
+// to panic, a negative MaxAttempts ran no attempt at all).
+func TestRunRejectsNegativeOptions(t *testing.T) {
+	for name, mutate := range map[string]func(*Options){
+		"Workers":       func(o *Options) { o.Workers = -1 },
+		"MaxAttempts":   func(o *Options) { o.MaxAttempts = -1 },
+		"FailureBudget": func(o *Options) { o.FailureBudget = -1 },
+		"CellTimeout":   func(o *Options) { o.CellTimeout = -time.Second },
+	} {
+		dir := filepath.Join(t.TempDir(), "run")
+		opts := testOptions(dir)
+		mutate(&opts)
+		_, err := Run(context.Background(), testManifest(), opts)
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("negative %s: err = %v, want an error naming it", name, err)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("negative %s: output directory touched (stat: %v)", name, err)
+		}
+	}
+}
+
 // TestManifestPinning: a directory holds exactly one campaign, and
 // re-entering it requires Resume.
 func TestManifestPinning(t *testing.T) {

@@ -107,6 +107,12 @@ type runner struct {
 // cancellation returns an error after banking all completed cells as
 // artifacts, so a later Resume finishes the difference.
 func Run(ctx context.Context, manifest Manifest, opts Options) (Summary, error) {
+	// Zero keeps each default; a negative value has no meaning (a
+	// negative MaxAttempts would run no attempt at all).
+	if opts.Workers < 0 || opts.MaxAttempts < 0 || opts.FailureBudget < 0 || opts.CellTimeout < 0 {
+		return Summary{}, fmt.Errorf("campaign: negative option in Workers %d, MaxAttempts %d, FailureBudget %d, CellTimeout %v (0 keeps each default)",
+			opts.Workers, opts.MaxAttempts, opts.FailureBudget, opts.CellTimeout)
+	}
 	opts = opts.withDefaults()
 	if opts.OutDir == "" {
 		return Summary{}, errors.New("campaign: Options.OutDir is required")
@@ -136,7 +142,13 @@ func Run(ctx context.Context, manifest Manifest, opts Options) (Summary, error) 
 	jrn.log(journalEntry{Event: event, Detail: fmt.Sprintf("%s: %d cells in %d chains",
 		plan.Manifest.Name, len(plan.Cells), len(plan.Chains))})
 
-	r.runChains(ctx)
+	// Chains are independent; cells within a chain are sequential by
+	// construction. Cell failures reach the budget below and cancellation
+	// reaches ctx, so the pool's own error adds nothing.
+	_ = sim.ForEachRun(ctx, len(plan.Chains), opts.Workers, func(ctx context.Context, i int) error {
+		r.runChain(ctx, plan.Chains[i])
+		return nil
+	})
 
 	sum := Summary{
 		Planned:  len(plan.Cells),
@@ -203,26 +215,6 @@ func pinManifest(m Manifest, opts Options) error {
 	default:
 		return fmt.Errorf("campaign: %w", err)
 	}
-}
-
-// runChains fans the warm-start chains out over the worker pool. Chains
-// are independent; cells within a chain are sequential by construction.
-func (r *runner) runChains(ctx context.Context) {
-	sem := make(chan struct{}, r.opts.Workers)
-	var wg sync.WaitGroup
-	for _, chain := range r.plan.Chains {
-		if ctx.Err() != nil {
-			break
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(chain []*Cell) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			r.runChain(ctx, chain)
-		}(chain)
-	}
-	wg.Wait()
 }
 
 // chainSolver abstracts the three warm-start solvers behind the cell

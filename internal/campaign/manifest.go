@@ -10,6 +10,7 @@ import (
 	"amdahlyd/internal/experiments"
 	"amdahlyd/internal/failures"
 	"amdahlyd/internal/platform"
+	"amdahlyd/internal/sim"
 )
 
 // Protocol names the resilience protocol a cell runs.
@@ -119,12 +120,8 @@ func (m Manifest) withDefaults() Manifest {
 	if m.Name == "" {
 		m.Name = "campaign"
 	}
-	if m.Runs == 0 {
-		m.Runs = 500
-	}
-	if m.Patterns == 0 {
-		m.Patterns = 500
-	}
+	d := sim.RunConfig{Runs: m.Runs, Patterns: m.Patterns}.WithDefaults()
+	m.Runs, m.Patterns = d.Runs, d.Patterns
 	if m.Protocol == "" {
 		m.Protocol = ProtocolSingle
 	}

@@ -87,22 +87,26 @@ func (m Model) Freeze(p float64) Frozen {
 }
 
 // PatternTime evaluates Proposition 1 (Equation (2)) at the compiled P,
-// bit-exactly equal to Model.ExactPatternTime(t, P).
+// bit-exactly equal to Model.ExactPatternTime(t, P). It is the one
+// Proposition 1 kernel: Overhead and OverheadLog call it.
 func (f *Frozen) PatternTime(t float64) float64 {
 	if t <= 0 {
 		return math.Inf(1)
 	}
 	lsT := f.LambdaS * t
-	// λf so small that λf·(everything) is far below the cancellation
-	// floor: use the exact limit instead of the 0/0 form.
+	var e float64
 	if !f.neverLimit && f.LambdaF*(f.crv+t+f.D) < 1e-13 {
-		expLsT := math.Exp(lsT)
-		return f.C + (t+f.V)*expLsT + math.Expm1(lsT)*f.R
+		// λf so small that λf·(everything) is far below the cancellation
+		// floor: use the exact limit instead of the 0/0 form.
+		e = f.C + (t+f.V)*math.Exp(lsT) + math.Expm1(lsT)*f.R
+	} else {
+		// e^{λf(C+T+V)+λsT} − 1, kept in expm1 form for small exponents.
+		grow := math.Expm1(f.LambdaF*(f.C+t+f.V) + lsT)
+		shrink := math.Expm1(lsT) // e^{λsT} − 1 >= 0
+		e = f.k * (f.expR*grow - f.expC*shrink)
 	}
-	// e^{λf(C+T+V)+λsT} − 1, kept in expm1 form for small exponents.
-	grow := math.Expm1(f.LambdaF*(f.C+t+f.V) + lsT)
-	shrink := math.Expm1(lsT) // e^{λsT} − 1 >= 0
-	e := f.k * (f.expR*grow - f.expC*shrink)
+	// Overflow gives NaN in either branch (Inf − Inf in the regular one,
+	// Inf·0 in the limit one when R = 0); the pattern time is +Inf there.
 	if math.IsNaN(e) {
 		return math.Inf(1)
 	}
@@ -110,53 +114,22 @@ func (f *Frozen) PatternTime(t float64) float64 {
 }
 
 // Overhead returns H(T, P) = E(PATTERN)/T · H(P) at the compiled P,
-// bit-exactly equal to Model.Overhead(t, P).
-//
-// PatternTime is manually inlined here: this is the innermost objective of
-// the nested (T, P) optimizer and the extra call frame plus the +Inf
-// re-check are measurable at that call rate. With t and H(P) finite and
-// positive, e/t·H(P) is +Inf exactly when e is, so the overflow guard of
-// the two-step formulation is redundant.
+// bit-exactly equal to Model.Overhead(t, P). An infinite pattern time
+// passes through unchanged (at t = +Inf the quotient would be NaN). The
+// call into PatternTime is priced in DESIGN.md, "Evaluator
+// architecture".
 func (f *Frozen) Overhead(t float64) float64 {
-	if t <= 0 {
-		return math.Inf(1)
-	}
-	lsT := f.LambdaS * t
-	if !f.neverLimit && f.LambdaF*(f.crv+t+f.D) < 1e-13 {
-		expLsT := math.Exp(lsT)
-		e := f.C + (t+f.V)*expLsT + math.Expm1(lsT)*f.R
-		return e / t * f.hP
-	}
-	grow := math.Expm1(f.LambdaF*(f.C+t+f.V) + lsT)
-	shrink := math.Expm1(lsT)
-	e := f.k * (f.expR*grow - f.expC*shrink)
-	if math.IsNaN(e) {
-		return math.Inf(1)
+	e := f.PatternTime(t)
+	if math.IsInf(e, 1) {
+		return e
 	}
 	return e / t * f.hP
 }
 
-// OverheadLog returns Overhead(e^u): the form the log-grid period
-// minimizer consumes. The transform and the kernel share one stack frame
-// (the kernel body is repeated rather than called — at the optimizer's
-// call rate the extra frame is measurable), and the period t = e^u is
-// always positive, so only the overflow guards remain. Bit-exactly equal
-// to Overhead(math.Exp(u)).
+// OverheadLog returns Overhead(e^u): the form the period minimizer
+// consumes in u = log T.
 func (f *Frozen) OverheadLog(u float64) float64 {
-	t := math.Exp(u)
-	lsT := f.LambdaS * t
-	if !f.neverLimit && f.LambdaF*(f.crv+t+f.D) < 1e-13 {
-		expLsT := math.Exp(lsT)
-		e := f.C + (t+f.V)*expLsT + math.Expm1(lsT)*f.R
-		return e / t * f.hP
-	}
-	grow := math.Expm1(f.LambdaF*(f.C+t+f.V) + lsT)
-	shrink := math.Expm1(lsT)
-	e := f.k * (f.expR*grow - f.expC*shrink)
-	if math.IsNaN(e) {
-		return math.Inf(1)
-	}
-	return e / t * f.hP
+	return f.Overhead(math.Exp(u))
 }
 
 // FirstOrderPatternTime evaluates the second-order Taylor expansion of
@@ -185,11 +158,11 @@ const overflowExponent = 710
 // by a non-negative constant), Expm1 of it overflows, and the pattern
 // time is then +Inf whatever the silent-error term does (k, e^{λf·R} > 0,
 // and the Inf−Inf case is mapped to +Inf too). In the λf→0 limit branch
-// e^{λs·t} overflows at the same point, which gives +Inf, or NaN when
-// R = 0. The result is +Inf when both rates are zero, negative when no
-// period is finite, and NaN when a rate is +Inf (every period overflows
-// then too). The period minimizer clips its bracket here, so no grid
-// point is spent on the overflow plateau.
+// e^{λs·t} overflows at the same point, which gives +Inf too. The result
+// is +Inf when both rates are zero, negative when no period is finite,
+// and NaN when a rate is +Inf (every period overflows then too). The
+// period minimizer clips its bracket here, so no grid point is spent on
+// the overflow plateau.
 func (f *Frozen) OverflowPeriod() float64 {
 	return (overflowExponent - f.LambdaF*f.cv) / (f.LambdaF + f.LambdaS)
 }

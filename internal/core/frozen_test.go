@@ -190,3 +190,47 @@ func TestFrozenOverflowPeriodBoundsInf(t *testing.T) {
 		t.Errorf("error-free OverflowPeriod = %g, want +Inf", fz.OverflowPeriod())
 	}
 }
+
+// TestLimitBranchOverflowIsInf pins Proposition 1's λf → 0 limit branch
+// at the point where e^{λs·T} overflows with R = 0: Expm1(λs·T)·R is
+// Inf·0 there, and the pattern time and overhead must read +Inf, as the
+// regular branch does, not NaN. Just below the overflow the values are
+// pinned bit-exactly.
+func TestLimitBranchOverflowIsInf(t *testing.T) {
+	m := Model{
+		LambdaInd:    1e-20,
+		FailStopFrac: 0,
+		SilentFrac:   1,
+		Res: costmodel.Resilience{
+			Checkpoint:   costmodel.Checkpoint{A: 60},
+			Verification: costmodel.Verification{V: 10},
+		},
+		Profile: speedup.Amdahl{Alpha: 0.1},
+	}
+	fz := m.Freeze(100)
+	const over = 1e21 // λs·T = 1000
+	for name, got := range map[string]float64{
+		"Model.ExactPatternTime": m.ExactPatternTime(over, 100),
+		"Model.Overhead":         m.Overhead(over, 100),
+		"Frozen.OverheadLog":     fz.OverheadLog(math.Log(over)),
+	} {
+		if !math.IsInf(got, 1) {
+			t.Errorf("%s at T = %g: %g, want +Inf", name, over, got)
+		}
+	}
+	const below = 5e20 // λs·T = 500
+	for _, c := range []struct {
+		name string
+		got  float64
+		want uint64
+	}{
+		{"Model.ExactPatternTime", m.ExactPatternTime(below, 100), 0x71513e6d492f6b28},
+		{"Model.Overhead", m.Overhead(below, 100), 0x6cd1c08bcb82241c},
+		{"Frozen.OverheadLog", fz.OverheadLog(math.Log(below)), 0x6cd1c08bcb8201b7},
+	} {
+		if bits := math.Float64bits(c.got); bits != c.want {
+			t.Errorf("%s at T = %g: %g (%#x), want %g (%#x)", c.name, below,
+				c.got, bits, math.Float64frombits(c.want), c.want)
+		}
+	}
+}

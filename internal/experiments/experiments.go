@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
 	"amdahlyd/internal/core"
 	"amdahlyd/internal/costmodel"
@@ -51,12 +50,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Runs == 0 {
-		c.Runs = 500
-	}
-	if c.Patterns == 0 {
-		c.Patterns = 500
-	}
+	d := sim.RunConfig{Runs: c.Runs, Patterns: c.Patterns}.WithDefaults()
+	c.Runs, c.Patterns = d.Runs, d.Patterns
 	return c
 }
 
@@ -199,52 +194,13 @@ func solveFirstOrder(ctx context.Context, m core.Model, cfg Config, label string
 	return &ev, nil
 }
 
-// parallelFor runs fn(ctx, i) for i in [0, n) on up to GOMAXPROCS
-// goroutines and returns the first error; every cell derives its own
-// seed, so the worker count never changes results. Cancellation is
-// two-way: a done ctx stops further cells from being dispatched (and the
-// per-cell ctx aborts in-flight campaigns via sim.SimulateContext), and
-// the first cell error cancels every other cell — an experiment with a
-// broken cell fails fast instead of finishing the sweep.
+// parallelFor runs fn(ctx, i) for i in [0, n) on the shared pool with
+// GOMAXPROCS workers (sim.ForEachRun): every cell derives its own seed,
+// so the worker count never changes results; the first cell error
+// cancels the cells still running, and a failing experiment reports its
+// lowest failed cell.
 func parallelFor(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
-	workers := min(runtime.GOMAXPROCS(0), n)
-	cellCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	jobs := make(chan int)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if cellCtx.Err() != nil {
-					continue // drain: a cell failed or the caller cancelled
-				}
-				if err := fn(cellCtx, i); err != nil {
-					if cellCtx.Err() != nil && errors.Is(err, context.Canceled) {
-						// A secondary abort of an in-flight cell, not the
-						// root cause; recording it would bury the real
-						// error under cancellation noise.
-						continue
-					}
-					errs[i] = err
-					cancel()
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		// The caller's cancellation wins over the secondary ctx errors the
-		// in-flight cells reported while aborting.
-		return err
-	}
-	return errors.Join(errs...)
+	return sim.ForEachRun(ctx, n, runtime.GOMAXPROCS(0), fn)
 }
 
 // scenarios135 is the scenario subset used by Figs. 4–7: the paper drops

@@ -58,15 +58,12 @@ type PatternOptions struct {
 	MaxGroups int
 }
 
-// pMaxDefault mirrors optimize.PatternOptions' default processor bound.
-const pMaxDefault = 1e13
-
 // groupOptions derives the per-group search box: the shared options with
 // PMax clamped to the group capacity.
 func (o PatternOptions) groupOptions(size float64) optimize.PatternOptions {
 	po := o.PatternOptions
 	if po.PMax == 0 {
-		po.PMax = pMaxDefault
+		po.PMax = optimize.DefaultPMax
 	}
 	if size < po.PMax {
 		po.PMax = size

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 
 	"amdahlyd/internal/core"
 	"amdahlyd/internal/rng"
@@ -39,15 +38,8 @@ type CampaignConfig struct {
 // by configuration (the service result cache) normalize exactly the way
 // SimulateContext will.
 func (c CampaignConfig) WithDefaults() CampaignConfig {
-	if c.Runs == 0 {
-		c.Runs = 500
-	}
-	if c.Patterns == 0 {
-		c.Patterns = 500
-	}
-	if c.Workers == 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
+	d := sim.RunConfig{Runs: c.Runs, Patterns: c.Patterns, Workers: c.Workers}.WithDefaults()
+	c.Runs, c.Patterns, c.Workers = d.Runs, d.Patterns, d.Workers
 	return c
 }
 
@@ -68,13 +60,13 @@ type CampaignResult struct {
 }
 
 // SimulateContext runs the Monte-Carlo campaign for the simulator's
-// two-level pattern on the shared chunked-dispatch runner
-// (sim.ForEachRun): runs fan out over a bounded worker pool, run i
-// always draws from the deterministic child stream Split(i) — so the
-// statistics are bit-independent of the worker count — and the first run
-// error (or ctx becoming done) cancels outstanding work instead of
-// paying for the remaining runs. Two-level campaigns therefore cost the
-// same machinery as the single-level ones in internal/sim.
+// two-level pattern on the shared worker pool (sim.ForEachRun): runs
+// fan out over at most cfg.Workers goroutines, run i always draws from
+// the deterministic child stream Split(i) — so the statistics are
+// bit-independent of the worker count — and the first run error (or ctx
+// becoming done) cancels outstanding work instead of paying for the
+// remaining runs. Two-level campaigns therefore cost the same machinery
+// as the single-level ones in internal/sim.
 func (s *Simulator) SimulateContext(ctx context.Context, cfg CampaignConfig) (CampaignResult, error) {
 	cfg = cfg.WithDefaults()
 	if cfg.Runs < 1 || cfg.Patterns < 1 {
@@ -89,7 +81,7 @@ func (s *Simulator) SimulateContext(ctx context.Context, cfg CampaignConfig) (Ca
 	master := rng.New(cfg.Seed)
 	work := float64(s.pattern.K) * s.pattern.T * float64(cfg.Patterns)
 	outs := make([]Stats, cfg.Runs)
-	err := sim.ForEachRun(ctx, cfg.Runs, cfg.Workers, func(i int) error {
+	err := sim.ForEachRun(ctx, cfg.Runs, cfg.Workers, func(_ context.Context, i int) error {
 		r := master.Split(uint64(i))
 		st := &outs[i]
 		for p := 0; p < cfg.Patterns; p++ {

@@ -40,7 +40,7 @@ func (o PatternOptions) withDefaults() PatternOptions {
 		o.PMin = 1
 	}
 	if o.PMax == 0 {
-		o.PMax = 1e13
+		o.PMax = optimize.DefaultPMax
 	}
 	return o
 }

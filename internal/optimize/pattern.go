@@ -19,6 +19,10 @@ const (
 	refineTol = 1e-10
 )
 
+// DefaultPMax is PatternOptions' default processor bound, shared by the
+// two-level and heterogeneous search boxes.
+const DefaultPMax = 1e13
+
 // PatternOptions tunes the nested (T, P) optimization. The zero value
 // selects defaults suitable for every experiment in the paper.
 type PatternOptions struct {
@@ -40,7 +44,7 @@ func (o PatternOptions) withDefaults() PatternOptions {
 		o.PMin = 1
 	}
 	if o.PMax == 0 {
-		o.PMax = 1e13
+		o.PMax = DefaultPMax
 	}
 	if o.TMin == 0 {
 		o.TMin = 1e-6
@@ -125,12 +129,12 @@ func minimizeT(fz *core.Frozen, opts PatternOptions) (Result, error) {
 	return searchT(fz, opts.TMin, opts.TMax)
 }
 
-// searchT runs a 3-point gridRefine over u = log T in [log lo, log hi],
-// with the exp transform fused into the frozen kernel (OverheadLog). The
-// bracket is first clipped at the overflow period, beyond which the
-// overhead is +Inf: no grid point lands on that plateau, and a bracket
-// that starts past it is rejected without an evaluation (what the P
-// grid's deep failure-dominated tail would cost otherwise).
+// searchT runs a 3-point gridRefine over u = log T in [log lo, log hi]
+// on the frozen kernel's log-period form (OverheadLog). The bracket is
+// first clipped at the overflow period, beyond which the overhead is
+// +Inf: no grid point lands on that plateau, and a bracket that starts
+// past it is rejected without an evaluation (what the P grid's deep
+// failure-dominated tail would cost otherwise).
 func searchT(fz *core.Frozen, lo, hi float64) (Result, error) {
 	tOv := fz.OverflowPeriod()
 	if !(tOv > lo) {

@@ -46,7 +46,7 @@ type HeteroRunResult struct {
 }
 
 // SimulateHeteroContext runs the Monte-Carlo campaign for a
-// heterogeneous plan on the shared chunked runner: each run plays every
+// heterogeneous plan on the shared worker pool: each run plays every
 // group's pattern stream independently and scores the run by its
 // makespan overhead max_g x_g·H_g. Run i draws from the deterministic
 // child stream Split(i) and group g within the run from the grandchild
@@ -83,7 +83,7 @@ func SimulateHeteroContext(ctx context.Context, groups []HeteroGroupRun, cfg Run
 
 	master := rng.New(cfg.Seed)
 	outs := make([][]PatternStats, cfg.Runs)
-	err := ForEachRun(ctx, cfg.Runs, cfg.Workers, func(i int) error {
+	err := ForEachRun(ctx, cfg.Runs, cfg.Workers, func(_ context.Context, i int) error {
 		stream := master.Split(uint64(i))
 		sts := make([]PatternStats, len(groups))
 		for g, pr := range prs {

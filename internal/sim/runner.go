@@ -144,14 +144,13 @@ func SimulateContext(ctx context.Context, m core.Model, t, p float64, cfg RunCon
 	}
 
 	// Run i always draws from the deterministic child stream Split(i), so
-	// the dispatch strategy (sequential fast path or chunked work
-	// stealing) never changes the results. Split only reads the master
-	// state, so concurrent splitting is race-free.
+	// the worker count never changes the results. Split only reads the
+	// master state, so concurrent splitting is race-free.
 	master := rng.New(cfg.Seed)
 	hOfP := m.Profile.Overhead(p)
 
 	outs := make([]PatternStats, cfg.Runs)
-	err := ForEachRun(ctx, cfg.Runs, cfg.Workers, func(i int) error {
+	err := ForEachRun(ctx, cfg.Runs, cfg.Workers, func(_ context.Context, i int) error {
 		st, err := runOne(master.Split(uint64(i)))
 		outs[i] = st
 		return err
@@ -174,111 +173,86 @@ func SimulateContext(ctx context.Context, m core.Model, t, p float64, cfg RunCon
 	return res, nil
 }
 
-// ForEachRun executes fn(i) for every i in [0, runs) over a bounded
-// worker pool, failing fast: the first error — or ctx becoming done —
-// stops every worker from claiming further work, so a run-0 failure does
-// not pay for the remaining runs. On failure it returns the error of the
-// lowest-index failed run (wrapped with the index), which keeps error
-// reporting deterministic even though later runs may or may not have
-// executed; a cancelled context wins only when no run error was recorded.
+// ForEachRun calls fn(ctx, i) for every i in [0, n) on at most workers
+// goroutines: the repository's one work-splitting pool, behind every
+// Monte-Carlo campaign, figure and study cell and campaign chain.
+// Callers fill per-index slots and derive index i's stream from i alone
+// (rng.Rand.Split(i)), so results never depend on the worker count.
 //
-// It is exported as the shared chunked-dispatch substrate for every
-// Monte-Carlo campaign in the repository (the single-level simulators
-// here and the two-level campaigns in internal/multilevel): callers
-// derive run i's stream with rng.Rand.Split(i) and write into
-// preallocated per-run slots, which keeps results independent of the
-// worker count and of the dispatch order.
-func ForEachRun(ctx context.Context, runs, workers int, fn func(i int) error) error {
-	if workers < 1 {
-		// A negative Workers would otherwise spawn no goroutines and
-		// return all-zero stats (NaN overheads) with a nil error.
-		workers = 1
-	}
-	if workers > runs {
-		workers = runs
-	}
-
-	if workers == 1 {
-		// The experiment drivers parallelize at the cell level and run
-		// each campaign with a single worker: skip the goroutine and
-		// dispatch machinery entirely.
-		for i := 0; i < runs; i++ {
+// Workers claim indices in order from one atomic cursor; one worker (or
+// fewer) runs the calls inline and allocates nothing. The first error
+// stops the claiming and cancels the ctx handed to the calls still
+// running, and the lowest failed index's error returns as "sim: run N:
+// …"; a call that returns context.Canceled or DeadlineExceeded after
+// that ctx is done has not failed on its own. Otherwise the caller's
+// cancellation is returned, unless every call had already completed.
+func ForEachRun(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
+	if workers <= 1 || n <= 1 {
+		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := fn(i); err != nil {
+			if err := fn(ctx, i); err != nil {
+				if ctx.Err() != nil && isCancellation(err) {
+					return ctx.Err()
+				}
 				return fmt.Errorf("sim: run %d: %w", i, err)
 			}
 		}
 		return nil
 	}
 
-	// Chunked dispatch: workers claim contiguous run ranges from an
-	// atomic cursor instead of receiving one channel message per run.
-	chunk := runs / (workers * 4)
-	if chunk < 1 {
-		chunk = 1
+	poolCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	// One shared state and one worker closure: the fan-out allocates
+	// the same few objects whatever the worker count.
+	var st struct {
+		next, completed atomic.Int64
+		wg              sync.WaitGroup
+		mu              sync.Mutex
+		failed          int // lowest failed index
+		failure         error
 	}
-	var (
-		next      atomic.Int64
-		stopped   atomic.Bool
-		completed atomic.Int64
-		wg        sync.WaitGroup
-	)
-	errs := make([]error, runs)
-	done := ctx.Done()
-	canceled := func() bool {
-		if stopped.Load() {
-			return true
-		}
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if canceled() {
-					return
-				}
-				end := int(next.Add(int64(chunk)))
-				start := end - chunk
-				if start >= runs {
-					return
-				}
-				if end > runs {
-					end = runs
-				}
-				for i := start; i < end; i++ {
-					if canceled() {
-						return
-					}
-					if err := fn(i); err != nil {
-						errs[i] = err
-						stopped.Store(true)
-						return
-					}
-					completed.Add(1)
-				}
+	work := func() {
+		defer st.wg.Done()
+		for poolCtx.Err() == nil {
+			i := int(st.next.Add(1)) - 1
+			if i >= n {
+				return
 			}
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("sim: run %d: %w", i, err)
+			err := fn(poolCtx, i)
+			switch {
+			case err == nil:
+				st.completed.Add(1)
+			case poolCtx.Err() != nil && isCancellation(err):
+				// Aborted by another call's failure or by the caller.
+			default:
+				st.mu.Lock()
+				if st.failure == nil || i < st.failed {
+					st.failed, st.failure = i, err
+				}
+				st.mu.Unlock()
+				cancel()
+			}
 		}
 	}
-	if completed.Load() == int64(runs) {
-		// Every run finished before the cancellation (if any) could bite:
-		// the campaign is fully computed, so return it rather than
-		// discarding paid-for work over a last-instant ctx.Err().
+	workers = min(workers, n)
+	st.wg.Add(workers)
+	for range workers {
+		go work()
+	}
+	st.wg.Wait()
+	if st.failure != nil {
+		return fmt.Errorf("sim: run %d: %w", st.failed, st.failure)
+	}
+	if st.completed.Load() == int64(n) {
 		return nil
 	}
 	return ctx.Err()
+}
+
+// isCancellation reports whether err is a context's own error, the
+// answer of a call that was aborted rather than one that failed.
+func isCancellation(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"amdahlyd/internal/core"
 	"amdahlyd/internal/costmodel"
@@ -142,7 +143,7 @@ func TestForEachRunFailFast(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var executed atomic.Int64
 		const runs = 512
-		err := ForEachRun(context.Background(), runs, workers, func(i int) error {
+		err := ForEachRun(context.Background(), runs, workers, func(_ context.Context, i int) error {
 			executed.Add(1)
 			if i == 0 {
 				return sentinel
@@ -167,7 +168,7 @@ func TestForEachRunFailFast(t *testing.T) {
 // when several runs fail concurrently.
 func TestForEachRunReportsLowestIndex(t *testing.T) {
 	sentinel := errors.New("boom")
-	err := ForEachRun(context.Background(), 64, 8, func(i int) error {
+	err := ForEachRun(context.Background(), 64, 8, func(_ context.Context, i int) error {
 		if i%2 == 1 { // every odd run fails; 1 is the lowest
 			return sentinel
 		}
@@ -178,6 +179,62 @@ func TestForEachRunReportsLowestIndex(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "run 1:") {
 		t.Errorf("err %q, want the lowest failed index (run 1)", err)
+	}
+}
+
+// TestForEachRunInlineAllocatesNothing pins the one-worker path every
+// service simulate and every figure-cell campaign takes: the calls run
+// inline and the pool itself allocates nothing.
+func TestForEachRunInlineAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not pinned under -race")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	fn := func(context.Context, int) error { return nil }
+	if n := testing.AllocsPerRun(100, func() {
+		if err := ForEachRun(ctx, 64, 1, fn); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("one worker allocates %v objects per call, want 0", n)
+	}
+}
+
+// TestForEachRunCallerDeadline pins that the caller's own deadline comes
+// back bare, not as a failed run: calls that return the deadline error
+// once their ctx is done have not failed on their own.
+func TestForEachRunCallerDeadline(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		err := ForEachRun(ctx, 64, workers, func(ctx context.Context, _ int) error {
+			<-ctx.Done()
+			return ctx.Err()
+		})
+		cancel()
+		if err != context.DeadlineExceeded {
+			t.Errorf("workers=%d: err = %v, want context.DeadlineExceeded bare", workers, err)
+		}
+	}
+}
+
+// TestForEachRunCancelledAfterLastCall pins that a cancellation landing
+// after every call completed does not discard the finished work.
+func TestForEachRunCancelledAfterLastCall(t *testing.T) {
+	const n = 64
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var finished atomic.Int64
+		err := ForEachRun(ctx, n, workers, func(context.Context, int) error {
+			if finished.Add(1) == n {
+				cancel()
+			}
+			return nil
+		})
+		cancel()
+		if err != nil {
+			t.Errorf("workers=%d: err = %v after all %d calls completed, want nil", workers, err, n)
+		}
 	}
 }
 

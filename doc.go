@@ -136,7 +136,7 @@
 // and sweep (a whole axis solved as one warm-start chain, streamed as
 // NDJSON, one cache entry per cell).
 // The engine caches compiled Frozen evaluators, optimizer results and
-// campaign results in sharded LRUs under canonical model keys
+// campaign results in LRUs under canonical model keys
 // (core.Model.CacheKey: exact hex float encoding, structural profile
 // keys), deduplicates concurrent identical requests (single-flight, one
 // solve per key), bounds heavy jobs on a scheduler, and threads request

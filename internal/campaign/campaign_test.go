@@ -202,6 +202,33 @@ func TestManifestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadersRefuseTrailingData: a manifest or fault-plan file holds
+// exactly one JSON value. A second value, junk or a stray closing
+// bracket after it is refused rather than silently dropped; trailing
+// whitespace is fine.
+func TestReadersRefuseTrailingData(t *testing.T) {
+	canon, err := testManifest().MarshalCanonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifest := strings.TrimSpace(string(canon))
+	plan := `{"*":{"delay_ms":1}}`
+	for _, tail := range []string{` {"name":"y"} junk`, ` trailing`, `}`, `]`, ` {}`, ` 1`} {
+		if _, err := ReadManifest(strings.NewReader(manifest + tail)); err == nil {
+			t.Errorf("manifest followed by %q accepted", tail)
+		}
+		if _, err := ReadFaultPlan(strings.NewReader(plan + tail)); err == nil {
+			t.Errorf("fault plan followed by %q accepted", tail)
+		}
+	}
+	if _, err := ReadManifest(strings.NewReader(manifest + "\n\t \n")); err != nil {
+		t.Errorf("manifest with trailing whitespace refused: %v", err)
+	}
+	if _, err := ReadFaultPlan(strings.NewReader(plan + "\n")); err != nil {
+		t.Errorf("fault plan with trailing whitespace refused: %v", err)
+	}
+}
+
 func TestPresetsExpand(t *testing.T) {
 	names := PresetNames()
 	if len(names) < 6 {

@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -52,9 +51,7 @@ func (fp FaultPlan) find(c *Cell) (Fault, bool) {
 // ReadFaultPlan decodes a plan from JSON ({"cell-or-label-or-*": fault}).
 func ReadFaultPlan(r io.Reader) (FaultPlan, error) {
 	var fp FaultPlan
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&fp); err != nil {
+	if err := decodeOne(r, &fp); err != nil {
 		return nil, fmt.Errorf("campaign: bad fault plan: %w", err)
 	}
 	for k, f := range fp {

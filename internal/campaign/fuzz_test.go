@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,9 +10,10 @@ import (
 )
 
 // FuzzManifest holds the manifest grammar to its canonical form: no
-// input makes ReadManifest panic, an accepted manifest's canonical bytes
-// read back to the same canonical bytes, and a grid of at most 64 cells
-// expands twice to the same cell IDs and seeds, or to the same error.
+// input makes ReadManifest panic, an accepted input holds exactly one
+// JSON value, an accepted manifest's canonical bytes read back to the
+// same canonical bytes, and a grid of at most 64 cells expands twice to
+// the same cell IDs and seeds, or to the same error.
 func FuzzManifest(f *testing.F) {
 	for _, name := range PresetNames() {
 		m, err := Preset(name)
@@ -35,10 +37,20 @@ func FuzzManifest(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	// A manifest followed by a stray bracket or junk is one value too many.
+	canon, err := testManifest().MarshalCanonical()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(bytes.TrimSpace(canon), '}'))
+	f.Add(append(canon, " junk"...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ReadManifest(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if !json.Valid(data) {
+			t.Fatalf("accepted input is not exactly one JSON value:\n%s", data)
 		}
 		canon, err := m.MarshalCanonical()
 		if err != nil {

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -277,15 +278,29 @@ func (m Manifest) Validate() error {
 // ReadManifest decodes and validates a manifest from JSON.
 func ReadManifest(r io.Reader) (Manifest, error) {
 	var m Manifest
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&m); err != nil {
+	if err := decodeOne(r, &m); err != nil {
 		return Manifest{}, fmt.Errorf("campaign: bad manifest: %w", err)
 	}
 	if err := m.Validate(); err != nil {
 		return Manifest{}, err
 	}
 	return m, nil
+}
+
+// decodeOne decodes exactly one JSON value from r, refusing unknown
+// fields: whitespace may follow the value, anything else is an error.
+// (Decoder.More is not enough: it reports false before a stray '}' or
+// ']'.)
+func decodeOne(r io.Reader, into any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(into); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
 }
 
 // MarshalCanonical renders the manifest as deterministic, indented JSON —

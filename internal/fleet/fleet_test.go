@@ -178,6 +178,40 @@ func TestRouterRejectsMalformedModel(t *testing.T) {
 	}
 }
 
+// TestRouterAndReplicaAgreeOnTrailingData: a body holding more than one
+// JSON value (junk, a stray bracket or a second value after a valid
+// request) gets the same status through the router as from a lone
+// replica, on every unary endpoint; trailing whitespace is valid on
+// both.
+func TestRouterAndReplicaAgreeOnTrailingData(t *testing.T) {
+	single := httptest.NewServer(service.NewServer(service.NewEngine(service.Options{MaxConcurrent: 2})))
+	defer single.Close()
+	rt, _ := newFleet(t, 2, nil, -1)
+	front := httptest.NewServer(rt)
+	defer front.Close()
+	for _, req := range []struct{ path, valid string }{
+		{"/v1/evaluate", `{"model":{"platform":"hera","scenario":1}}`},
+		{"/v1/optimize", `{"model":{"platform":"hera","scenario":1}}`},
+		{"/v1/simulate", `{"model":{"platform":"hera"},"runs":5,"patterns":5,"seed":7}`},
+		{"/v1/multilevel/optimize", `{"model":{"platform":"hera","scenario":3}}`},
+		{"/v1/multilevel/simulate", `{"model":{"platform":"hera","scenario":3},"runs":5,"patterns":5,"seed":3}`},
+		{"/v1/hetero/optimize", `{"topology":` + heteroTopology + `}`},
+		{"/v1/hetero/simulate", `{"topology":` + heteroTopology + `,"runs":5,"patterns":5,"seed":7}`},
+	} {
+		for _, tail := range []string{"}", " junk", " {}", "]", "\n\t "} {
+			body := req.valid + tail
+			wantCode, wantBody := post(t, single.URL, req.path, body)
+			gotCode, gotBody := post(t, front.URL, req.path, body)
+			if gotCode != wantCode {
+				t.Errorf("%s %q: router %d (%s), lone replica %d (%s)", req.path, body, gotCode, gotBody, wantCode, wantBody)
+			}
+			if ok := strings.TrimSpace(tail) == ""; ok != (wantCode == http.StatusOK) {
+				t.Errorf("%s %q: lone replica answered %d (%s)", req.path, body, wantCode, wantBody)
+			}
+		}
+	}
+}
+
 func post(t *testing.T, base, path, body string) (int, string) {
 	t.Helper()
 	resp, err := http.Post(base+path, "application/json", strings.NewReader(body))

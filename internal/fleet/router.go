@@ -49,7 +49,8 @@ type Router struct {
 	inflight chan struct{}
 	shed     atomic.Uint64
 
-	mu    sync.Mutex
+	// peers is built once in NewRouter and never changes, so it is read
+	// without a lock; the counters in it are atomic.
 	peers map[string]*peerCounters
 }
 
@@ -126,11 +127,11 @@ func (o RouterOptions) client() *http.Client {
 
 // peerCounters is the per-peer forwarding ledger behind /v1/stats.
 type peerCounters struct {
-	forwards  uint64 // requests sent to this peer (hedges and retries included)
-	hedges    uint64 // duplicate sends because the owner was slow
-	failovers uint64 // re-routes to this peer after another peer failed
-	retries   uint64 // re-sends to this same peer after it failed
-	errors    uint64 // transport errors and transient statuses from this peer
+	forwards  atomic.Uint64 // requests sent to this peer (hedges and retries included)
+	hedges    atomic.Uint64 // duplicate sends because the owner was slow
+	failovers atomic.Uint64 // re-routes to this peer after another peer failed
+	retries   atomic.Uint64 // re-sends to this same peer after it failed
+	errors    atomic.Uint64 // transport errors and transient statuses from this peer
 }
 
 // NewRouter builds a router over the given peers; all peers start in the
@@ -182,12 +183,13 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rt.mux.ServeHTTP(w, r)
 }
 
-func (rt *Router) bump(peer string, f func(*peerCounters)) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
+// ledger returns the peer's counters; a peer the router was not built
+// with counts into a throwaway ledger.
+func (rt *Router) ledger(peer string) *peerCounters {
 	if c, ok := rt.peers[peer]; ok {
-		f(c)
+		return c
 	}
+	return new(peerCounters)
 }
 
 // admit claims an in-flight slot, or reports the router saturated.
@@ -257,12 +259,18 @@ func ShardKey(path string, body []byte) (string, error) {
 		if err := json.Unmarshal(body, &q); err != nil {
 			return "", fmt.Errorf("bad request body: %w", err)
 		}
-		if q.Hetero != nil {
-			return topologyKey(q.Hetero.Topology)
-		}
-		return modelKey(q.Model)
+		return sweepKey(q)
 	}
 	return "", fmt.Errorf("fleet: no shard key for %q", path)
+}
+
+// sweepKey is a decoded sweep's shard key: its topology's for a
+// heterogeneous sweep, its base model's otherwise.
+func sweepKey(q service.SweepRequest) (string, error) {
+	if q.Hetero != nil {
+		return topologyKey(q.Hetero.Topology)
+	}
+	return modelKey(q.Model)
 }
 
 // RequestClass maps an URL path onto its request class: the first path
@@ -325,7 +333,7 @@ func (rt *Router) send(ctx context.Context, peer, path string, body []byte) (*ht
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	rt.bump(peer, func(c *peerCounters) { c.forwards++ })
+	rt.ledger(peer).forwards.Add(1)
 	return rt.opts.client().Do(req)
 }
 
@@ -389,7 +397,7 @@ func (rt *Router) dispatch(ctx context.Context, key, path string, body []byte) (
 			if launched < maxAttempts {
 				peer := owners[next%len(owners)]
 				next++
-				rt.bump(peer, func(c *peerCounters) { c.hedges++ })
+				rt.ledger(peer).hedges.Add(1)
 				launch(peer)
 				inFlight++
 			}
@@ -399,7 +407,7 @@ func (rt *Router) dispatch(ctx context.Context, key, path string, body []byte) (
 			if ar.err == nil && !service.RetryableStatus(ar.resp.StatusCode) {
 				return ar.resp, ar.peer, nil
 			}
-			rt.bump(ar.peer, func(c *peerCounters) { c.errors++ })
+			rt.ledger(ar.peer).errors.Add(1)
 			if ar.err != nil {
 				lastErr = ar.err
 			} else {
@@ -426,9 +434,9 @@ func (rt *Router) dispatch(ctx context.Context, key, path string, body []byte) (
 			peer := owners[next%len(owners)]
 			next++
 			if peer == ar.peer {
-				rt.bump(peer, func(c *peerCounters) { c.retries++ })
+				rt.ledger(peer).retries.Add(1)
 			} else {
-				rt.bump(peer, func(c *peerCounters) { c.failovers++ })
+				rt.ledger(peer).failovers.Add(1)
 			}
 			launch(peer)
 			inFlight++
@@ -494,7 +502,7 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	key, err := ShardKey(r.URL.Path, body)
+	key, err := sweepKey(req)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -542,9 +550,9 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 		peer := owners[(attempt-1)%len(owners)]
 		if attempt > 1 {
 			if peer == lastPeer {
-				rt.bump(peer, func(c *peerCounters) { c.retries++ })
+				rt.ledger(peer).retries.Add(1)
 			} else {
-				rt.bump(peer, func(c *peerCounters) { c.failovers++ })
+				rt.ledger(peer).failovers.Add(1)
 			}
 		}
 		lastPeer = peer
@@ -562,12 +570,12 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		resp, err := rt.send(r.Context(), peer, "/v1/sweep", sendBody)
 		if err != nil {
-			rt.bump(peer, func(c *peerCounters) { c.errors++ })
+			rt.ledger(peer).errors.Add(1)
 			lastErr = err
 			continue
 		}
 		if service.RetryableStatus(resp.StatusCode) {
-			rt.bump(peer, func(c *peerCounters) { c.errors++ })
+			rt.ledger(peer).errors.Add(1)
 			lastErr = fmt.Errorf("fleet: sweep via %s: transient status %d", peer, resp.StatusCode)
 			retryFloor = service.RetryAfter(resp)
 			drainClose(resp)
@@ -589,7 +597,7 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 		if emitted >= want && !terminated && err == nil {
 			return // clean full stream
 		}
-		rt.bump(peer, func(c *peerCounters) { c.errors++ })
+		rt.ledger(peer).errors.Add(1)
 		if err != nil {
 			lastErr = fmt.Errorf("fleet: sweep via %s died mid-stream after %d rows: %w", peer, emitted, err)
 		} else {
@@ -687,7 +695,6 @@ func (rt *Router) Stats(ctx context.Context) RouterStats {
 		Peers: make(map[string]PeerStats, len(rt.opts.Peers)),
 	}
 	names := make([]string, 0, len(rt.peers))
-	rt.mu.Lock()
 	for name := range rt.peers {
 		names = append(names, name)
 	}
@@ -697,14 +704,13 @@ func (rt *Router) Stats(ctx context.Context) RouterStats {
 		out.Peers[name] = PeerStats{
 			URL:       rt.opts.Peers[name],
 			InRing:    rt.ring.Has(name),
-			Forwards:  c.forwards,
-			Hedges:    c.hedges,
-			Failovers: c.failovers,
-			Retries:   c.retries,
-			Errors:    c.errors,
+			Forwards:  c.forwards.Load(),
+			Hedges:    c.hedges.Load(),
+			Failovers: c.failovers.Load(),
+			Retries:   c.retries.Load(),
+			Errors:    c.errors.Load(),
 		}
 	}
-	rt.mu.Unlock()
 	if ctx == nil {
 		return out
 	}

@@ -3,6 +3,7 @@ package multilevel
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"amdahlyd/internal/core"
 	"amdahlyd/internal/optimize"
@@ -46,7 +47,7 @@ func (o PatternOptions) withDefaults() PatternOptions {
 }
 
 func (o PatternOptions) validate() error {
-	if !(o.PMax > o.PMin) || o.PMin < 1 {
+	if !(o.PMax > o.PMin) || o.PMin < 1 || math.IsInf(o.PMax, 1) {
 		return fmt.Errorf("multilevel: bad processor bounds [%g, %g]", o.PMin, o.PMax)
 	}
 	return nil

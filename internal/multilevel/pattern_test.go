@@ -159,6 +159,25 @@ func TestOptimalPatternValidation(t *testing.T) {
 	}
 }
 
+// TestTwoLevelSolversRejectInfinitePMax: a non-finite processor bound
+// fails option validation by name, in the one-shot and the sweep solver
+// alike, instead of surfacing as an infeasible search box.
+func TestTwoLevelSolversRejectInfinitePMax(t *testing.T) {
+	m := jointModel(t, costmodel.Scenario3, 0.1, 1.69e-8)
+	opts := PatternOptions{PMax: math.Inf(1)}
+	_, err := OptimalPattern(m, InMemoryFraction(m, 0.1), opts)
+	if err == nil || !strings.Contains(err.Error(), "bad processor bounds") {
+		t.Errorf("OptimalPattern with PMax = +Inf: %v, want a bad processor bounds error", err)
+	}
+	for _, cold := range []bool{false, true} {
+		s := NewSweepSolver(SweepOptions{PatternOptions: opts, Cold: cold})
+		_, err := s.Solve(m, InMemoryFraction(m, 0.1))
+		if err == nil || !strings.Contains(err.Error(), "bad processor bounds") {
+			t.Errorf("SweepSolver (cold %t) with PMax = +Inf: %v, want a bad processor bounds error", cold, err)
+		}
+	}
+}
+
 // TestOptimalPatternIntegerP: the rounded allocation must be one of the
 // integers adjacent to the continuous optimum and feasible.
 func TestOptimalPatternIntegerP(t *testing.T) {

@@ -7,7 +7,7 @@
 //
 //   - canonical request keys — core.Model.CacheKey plus exact parameter
 //     encodings identify a request independent of representation;
-//   - a sharded LRU of compiled core.Frozen evaluators, memoized
+//   - one-lock LRUs of compiled core.Frozen evaluators, memoized
 //     optimizer results and Monte-Carlo campaign results (all are pure
 //     functions of their key: campaigns are seeded, so even simulation
 //     results are cacheable bit-exactly);

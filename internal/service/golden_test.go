@@ -24,33 +24,39 @@ var unaryGolden = map[string]string{
 	"/v1/evaluate malformed":                "400 application/json retry-after=\"\" 9cf4ee19006dac1ae185d98e141aecee071257fb6720e8db83151af4365fcc27",
 	"/v1/evaluate unknown-field":            "400 application/json retry-after=\"\" 3cf9d273f53a2acb98f3ac3509607ba6e0ab620d1f7da55b8045d5cfe8efe698",
 	"/v1/evaluate valid":                    "200 application/json retry-after=\"\" cc36423cb2d9c5300e82399e654855c63e2705caa02ede501a7459e7eed78ad3",
+	"/v1/evaluate trailing-data":            "400 application/json retry-after=\"\" 52c6a30a6e7a64591357180b3d233c54620079c9fad7af0b75dd75122bbe9b54",
 	"/v1/hetero/optimize bad-model":         "400 application/json retry-after=\"\" 4c400bd4290c09379519b0be582db080361b423bd173bd02604948b956b11f80",
 	"/v1/hetero/optimize malformed":         "400 application/json retry-after=\"\" 9cf4ee19006dac1ae185d98e141aecee071257fb6720e8db83151af4365fcc27",
 	"/v1/hetero/optimize saturated":         "503 application/json retry-after=\"1\" 634e30b25437dbf2fb057106de072dc6965433db2d2316dfe82796b475dbf16f",
 	"/v1/hetero/optimize unknown-field":     "400 application/json retry-after=\"\" 3cf9d273f53a2acb98f3ac3509607ba6e0ab620d1f7da55b8045d5cfe8efe698",
 	"/v1/hetero/optimize valid":             "200 application/json retry-after=\"\" 0ce6a9f758743f3c7ef005fdf78d61db8822861ff0e6ef9ad9e0f518be7280d3",
+	"/v1/hetero/optimize trailing-data":     "400 application/json retry-after=\"\" 52c6a30a6e7a64591357180b3d233c54620079c9fad7af0b75dd75122bbe9b54",
 	"/v1/hetero/simulate bad-model":         "400 application/json retry-after=\"\" 4c400bd4290c09379519b0be582db080361b423bd173bd02604948b956b11f80",
 	"/v1/hetero/simulate malformed":         "400 application/json retry-after=\"\" 9cf4ee19006dac1ae185d98e141aecee071257fb6720e8db83151af4365fcc27",
 	"/v1/hetero/simulate over-budget":       "422 application/json retry-after=\"\" b9c4c92f3c1852056bfaccea8da736617a48ffea04e21b56b9567293196d3dac",
 	"/v1/hetero/simulate saturated":         "503 application/json retry-after=\"1\" 634e30b25437dbf2fb057106de072dc6965433db2d2316dfe82796b475dbf16f",
 	"/v1/hetero/simulate unknown-field":     "400 application/json retry-after=\"\" 3cf9d273f53a2acb98f3ac3509607ba6e0ab620d1f7da55b8045d5cfe8efe698",
 	"/v1/hetero/simulate valid":             "200 application/json retry-after=\"\" e24cd1fa23d16b63fdf7651927bcca2a94557018a26da3ce89b89b10ba1512a0",
+	"/v1/hetero/simulate trailing-data":     "400 application/json retry-after=\"\" 52c6a30a6e7a64591357180b3d233c54620079c9fad7af0b75dd75122bbe9b54",
 	"/v1/multilevel/optimize bad-model":     "400 application/json retry-after=\"\" 59778867268cd29ef0b0136e31832d4097d96081413240d91325be803f5d313b",
 	"/v1/multilevel/optimize malformed":     "400 application/json retry-after=\"\" 9cf4ee19006dac1ae185d98e141aecee071257fb6720e8db83151af4365fcc27",
 	"/v1/multilevel/optimize saturated":     "503 application/json retry-after=\"1\" 634e30b25437dbf2fb057106de072dc6965433db2d2316dfe82796b475dbf16f",
 	"/v1/multilevel/optimize unknown-field": "400 application/json retry-after=\"\" 3cf9d273f53a2acb98f3ac3509607ba6e0ab620d1f7da55b8045d5cfe8efe698",
 	"/v1/multilevel/optimize valid":         "200 application/json retry-after=\"\" 94a23cc200dd9f9af72fa3a0b0a713c1900366aebd435a9d11212695b8d686c7",
+	"/v1/multilevel/optimize trailing-data": "400 application/json retry-after=\"\" 52c6a30a6e7a64591357180b3d233c54620079c9fad7af0b75dd75122bbe9b54",
 	"/v1/multilevel/simulate bad-model":     "400 application/json retry-after=\"\" 580ca0d60f35d791e7d04e9989026a378d14179b152c989c67a1e44f9019afc6",
 	"/v1/multilevel/simulate malformed":     "400 application/json retry-after=\"\" 9cf4ee19006dac1ae185d98e141aecee071257fb6720e8db83151af4365fcc27",
 	"/v1/multilevel/simulate over-budget":   "422 application/json retry-after=\"\" 2d8dfbbaee721745d2b1325728074d0b7f0f4adfd960e29405967a345d5a534d",
 	"/v1/multilevel/simulate saturated":     "503 application/json retry-after=\"1\" 634e30b25437dbf2fb057106de072dc6965433db2d2316dfe82796b475dbf16f",
 	"/v1/multilevel/simulate unknown-field": "400 application/json retry-after=\"\" 3cf9d273f53a2acb98f3ac3509607ba6e0ab620d1f7da55b8045d5cfe8efe698",
 	"/v1/multilevel/simulate valid":         "200 application/json retry-after=\"\" 8302bf126a8366431dada2f45aa82ded67e0728ce4118d06e2571696e86ffdd1",
+	"/v1/multilevel/simulate trailing-data": "400 application/json retry-after=\"\" 52c6a30a6e7a64591357180b3d233c54620079c9fad7af0b75dd75122bbe9b54",
 	"/v1/optimize bad-model":                "400 application/json retry-after=\"\" 293408010017f39999e60ee16108fb6477a83f9fa0dd35cc373cf16f53c6c21e",
 	"/v1/optimize malformed":                "400 application/json retry-after=\"\" 9cf4ee19006dac1ae185d98e141aecee071257fb6720e8db83151af4365fcc27",
 	"/v1/optimize saturated":                "503 application/json retry-after=\"1\" 634e30b25437dbf2fb057106de072dc6965433db2d2316dfe82796b475dbf16f",
 	"/v1/optimize unknown-field":            "400 application/json retry-after=\"\" 3cf9d273f53a2acb98f3ac3509607ba6e0ab620d1f7da55b8045d5cfe8efe698",
 	"/v1/optimize valid":                    "200 application/json retry-after=\"\" 7681d939e144a38351417261772bb2d0e92a90e9e9c544bcca7f20bb34cfcb89",
+	"/v1/optimize trailing-data":            "400 application/json retry-after=\"\" 52c6a30a6e7a64591357180b3d233c54620079c9fad7af0b75dd75122bbe9b54",
 	"/v1/simulate bad-model":                "400 application/json retry-after=\"\" 669290898f2106f29a87be7ebb0f01c7442f8cdb32d2416a5fc0aa7eb16396de",
 	"/v1/simulate machine":                  "200 application/json retry-after=\"\" d7a6c92b8a9ee1f519955b439c43a5909aea40f567dbb6e59aba6ce97333d511",
 	"/v1/simulate machine-weibull":          "200 application/json retry-after=\"\" 98032238216662ad6e90b15bef68f3d3d666cb4badbf572f9f335b13561ef6e2",
@@ -59,16 +65,18 @@ var unaryGolden = map[string]string{
 	"/v1/simulate saturated":                "503 application/json retry-after=\"1\" 634e30b25437dbf2fb057106de072dc6965433db2d2316dfe82796b475dbf16f",
 	"/v1/simulate unknown-field":            "400 application/json retry-after=\"\" 3cf9d273f53a2acb98f3ac3509607ba6e0ab620d1f7da55b8045d5cfe8efe698",
 	"/v1/simulate valid":                    "200 application/json retry-after=\"\" ceb829f8d7df55a77efad240b48f32ab45b1f970578da7d1e7193aa60c22e31b",
+	"/v1/simulate trailing-data":            "400 application/json retry-after=\"\" 52c6a30a6e7a64591357180b3d233c54620079c9fad7af0b75dd75122bbe9b54",
 }
 
 // goldenRequest is one row of the table: a name and the raw body.
 type goldenRequest struct{ name, body string }
 
 // unaryGoldenTable is the request table. Every endpoint gets a valid
-// request, malformed JSON, an unknown field and a bad model; the
-// campaign endpoints also get an over-budget request, and /v1/simulate
-// also runs the machine-level simulator under both failure laws.
-func unaryGoldenTable(t *testing.T) map[string][]goldenRequest {
+// request, the valid request followed by a stray '}' (trailing data),
+// malformed JSON, an unknown field and a bad model; the campaign
+// endpoints also get an over-budget request, and /v1/simulate also runs
+// the machine-level simulator under both failure laws.
+func unaryGoldenTable(t testing.TB) map[string][]goldenRequest {
 	t.Helper()
 	js := func(v any) string {
 		buf, err := json.Marshal(v)
@@ -85,7 +93,7 @@ func unaryGoldenTable(t *testing.T) map[string][]goldenRequest {
 	rows := func(extra ...goldenRequest) []goldenRequest {
 		return append(append([]goldenRequest{}, bad...), extra...)
 	}
-	return map[string][]goldenRequest{
+	table := map[string][]goldenRequest{
 		"/v1/evaluate": rows(
 			goldenRequest{"valid", `{"model":{"platform":"hera","scenario":1},"t":6240,"p":219}`},
 			goldenRequest{"bad-model", `{"model":{"platform":"nonesuch"}}`},
@@ -120,6 +128,14 @@ func unaryGoldenTable(t *testing.T) map[string][]goldenRequest {
 			goldenRequest{"over-budget", `{"topology":` + topo + `,"runs":100000,"patterns":10000}`},
 		),
 	}
+	for path, reqs := range table {
+		for _, r := range reqs {
+			if r.name == "valid" {
+				table[path] = append(reqs, goldenRequest{"trailing-data", r.body + "}"})
+			}
+		}
+	}
+	return table
 }
 
 // goldenAnswer posts body to path and renders the pinned answer.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"sync/atomic"
@@ -412,8 +413,21 @@ func decode[T any](w http.ResponseWriter, r *http.Request, into *T) error {
 	// protected instead of left mid-body.
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
+	if err := decodeOne(dec, into); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
+	}
+	return nil
+}
+
+// decodeOne decodes exactly one JSON value: whitespace may follow it,
+// anything else is an error. (dec.More is not enough: it reports false
+// before a stray '}' or ']'.)
+func decodeOne(dec *json.Decoder, into any) error {
+	if err := dec.Decode(into); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
 	}
 	return nil
 }

@@ -5,12 +5,6 @@ import (
 	"sync/atomic"
 )
 
-// lruShards is the fixed shard count of every cache. Sixteen shards keep
-// lock contention negligible at the request rates the service targets
-// (requests touch a cache for well under a microsecond) without bloating
-// the per-cache footprint.
-const lruShards = 16
-
 // CacheStats is a point-in-time counter snapshot of one cache.
 type CacheStats struct {
 	Hits      uint64 `json:"hits"`
@@ -20,28 +14,23 @@ type CacheStats struct {
 	Capacity  int    `json:"capacity"`
 }
 
-// lruCache is a sharded, mutex-per-shard LRU map from canonical request
-// keys to values. Keys are hashed with FNV-1a onto shards; each shard
-// keeps an intrusive doubly-linked recency list, so Get and Add are O(1)
-// under the shard lock. Values are stored as given — callers share them
-// across goroutines, so they must be immutable once inserted (compiled
-// core.Frozen evaluators, optimizer results and campaign results all
-// are).
+// lruCache is an LRU map from canonical request keys to values under one
+// mutex: a map finds the entry and an intrusive doubly-linked recency
+// list orders the entries, so Get and Add are O(1) under the lock and a
+// full cache evicts its least recently used entry. Values are stored as
+// given — callers share them across goroutines, so they must be
+// immutable once inserted (compiled core.Frozen evaluators, optimizer
+// results and campaign results all are).
 type lruCache[V any] struct {
-	shards   [lruShards]lruShard[V]
-	capacity int // total across shards
-
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	evictions atomic.Uint64
-}
-
-type lruShard[V any] struct {
 	mu       sync.Mutex
 	entries  map[string]*lruEntry[V]
 	head     *lruEntry[V] // most recently used
 	tail     *lruEntry[V] // least recently used
 	capacity int
+
+	hits      atomic.Uint64
+	misses    atomic.Uint64
+	evictions atomic.Uint64
 }
 
 type lruEntry[V any] struct {
@@ -50,179 +39,114 @@ type lruEntry[V any] struct {
 	prev, next *lruEntry[V]
 }
 
-// newLRU returns a cache bounded to capacity entries in total (rounded up
-// to a multiple of the shard count; minimum one entry per shard).
+// newLRU returns a cache bounded to capacity entries (at least one).
 func newLRU[V any](capacity int) *lruCache[V] {
-	perShard := (capacity + lruShards - 1) / lruShards
-	if perShard < 1 {
-		perShard = 1
-	}
-	c := &lruCache[V]{capacity: perShard * lruShards}
-	for i := range c.shards {
-		c.shards[i] = lruShard[V]{
-			entries:  make(map[string]*lruEntry[V]),
-			capacity: perShard,
-		}
-	}
-	return c
-}
-
-// fnv1a hashes a key for shard selection.
-func fnv1a(s string) uint64 {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-func (c *lruCache[V]) shard(key string) *lruShard[V] {
-	return &c.shards[fnv1a(key)%lruShards]
+	return &lruCache[V]{entries: make(map[string]*lruEntry[V]), capacity: max(capacity, 1)}
 }
 
 // Get returns the cached value and marks it most recently used.
 func (c *lruCache[V]) Get(key string) (V, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	e, ok := s.entries[key]
+	c.mu.Lock()
+	e, ok := c.entries[key]
 	if !ok {
-		s.mu.Unlock()
+		c.mu.Unlock()
 		c.misses.Add(1)
 		var zero V
 		return zero, false
 	}
-	s.moveToFront(e)
+	c.moveToFront(e)
 	v := e.val
-	s.mu.Unlock()
+	c.mu.Unlock()
 	c.hits.Add(1)
 	return v, true
 }
 
-// Add inserts (or refreshes) a value, evicting the shard's least recently
-// used entry when full.
+// Add inserts (or refreshes) a value, evicting the least recently used
+// entry when the cache is full.
 func (c *lruCache[V]) Add(key string, v V) {
-	s := c.shard(key)
-	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
+	c.mu.Lock()
+	if e, ok := c.entries[key]; ok {
 		e.val = v
-		s.moveToFront(e)
-		s.mu.Unlock()
+		c.moveToFront(e)
+		c.mu.Unlock()
 		return
 	}
 	e := &lruEntry[V]{key: key, val: v}
-	s.entries[key] = e
-	s.pushFront(e)
-	var evicted bool
-	if len(s.entries) > s.capacity {
-		victim := s.tail
-		s.unlink(victim)
-		delete(s.entries, victim.key)
-		evicted = true
+	c.entries[key] = e
+	c.pushFront(e)
+	evicted := len(c.entries) > c.capacity
+	if evicted {
+		victim := c.tail
+		c.unlink(victim)
+		delete(c.entries, victim.key)
 	}
-	s.mu.Unlock()
+	c.mu.Unlock()
 	if evicted {
 		c.evictions.Add(1)
 	}
 }
 
-// Hot returns up to max (key, value) pairs in roughly most-recently-used
-// order: each shard is walked from its recency head and the shards are
-// interleaved round-robin, so the result is a fair "hottest entries"
-// sample without a global recency list. Reading does not touch recency.
-// It is the export side of peer warm-fill: a joining fleet replica pulls
-// these entries from its neighbour instead of cold-solving them.
-func (c *lruCache[V]) Hot(max int) (keys []string, vals []V) {
-	if max <= 0 {
-		return nil, nil
-	}
-	perShard := make([][]*lruEntry[V], lruShards)
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for e := s.head; e != nil && len(perShard[i]) < max; e = e.next {
-			perShard[i] = append(perShard[i], e)
-		}
-		// Copy key/value out under the lock; entries are immutable once
-		// inserted, so the values themselves are safe to share.
-		copied := make([]*lruEntry[V], len(perShard[i]))
-		for j, e := range perShard[i] {
-			copied[j] = &lruEntry[V]{key: e.key, val: e.val}
-		}
-		perShard[i] = copied
-		s.mu.Unlock()
-	}
-	for depth := 0; len(keys) < max; depth++ {
-		advanced := false
-		for i := 0; i < lruShards && len(keys) < max; i++ {
-			if depth < len(perShard[i]) {
-				keys = append(keys, perShard[i][depth].key)
-				vals = append(vals, perShard[i][depth].val)
-				advanced = true
-			}
-		}
-		if !advanced {
-			break
-		}
+// Hot returns up to limit (key, value) pairs in most-recently-used order,
+// walking the recency list from its head; reading does not touch
+// recency. It is the export side of peer warm-fill: a joining fleet
+// replica pulls these entries from its neighbour instead of cold-solving
+// them.
+func (c *lruCache[V]) Hot(limit int) (keys []string, vals []V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for e := c.head; e != nil && len(keys) < limit; e = e.next {
+		keys = append(keys, e.key)
+		vals = append(vals, e.val)
 	}
 	return keys, vals
 }
 
-// Len returns the current number of cached entries.
-func (c *lruCache[V]) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.entries)
-		s.mu.Unlock()
-	}
-	return n
-}
-
 // Stats snapshots the cache counters.
 func (c *lruCache[V]) Stats() CacheStats {
+	c.mu.Lock()
+	n := len(c.entries)
+	c.mu.Unlock()
 	return CacheStats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Evictions: c.evictions.Load(),
-		Entries:   c.Len(),
+		Entries:   n,
 		Capacity:  c.capacity,
 	}
 }
 
-// --- intrusive recency list (callers hold the shard lock) ---
+// --- intrusive recency list (callers hold c.mu) ---
 
-func (s *lruShard[V]) pushFront(e *lruEntry[V]) {
+func (c *lruCache[V]) pushFront(e *lruEntry[V]) {
 	e.prev = nil
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
+	e.next = c.head
+	if c.head != nil {
+		c.head.prev = e
 	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
+	c.head = e
+	if c.tail == nil {
+		c.tail = e
 	}
 }
 
-func (s *lruShard[V]) unlink(e *lruEntry[V]) {
+func (c *lruCache[V]) unlink(e *lruEntry[V]) {
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {
-		s.head = e.next
+		c.head = e.next
 	}
 	if e.next != nil {
 		e.next.prev = e.prev
 	} else {
-		s.tail = e.prev
+		c.tail = e.prev
 	}
 	e.prev, e.next = nil, nil
 }
 
-func (s *lruShard[V]) moveToFront(e *lruEntry[V]) {
-	if s.head == e {
+func (c *lruCache[V]) moveToFront(e *lruEntry[V]) {
+	if c.head == e {
 		return
 	}
-	s.unlink(e)
-	s.pushFront(e)
+	c.unlink(e)
+	c.pushFront(e)
 }

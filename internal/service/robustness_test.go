@@ -340,6 +340,33 @@ func TestWarmFillHTTPEndpoints(t *testing.T) {
 	}
 }
 
+// TestCacheFillRefusesTrailingData: a fill body is exactly one JSON
+// array. Junk, a stray bracket or a second array after it is a 400 with
+// nothing imported; trailing whitespace is fine.
+func TestCacheFillRefusesTrailingData(t *testing.T) {
+	srv := NewServer(NewEngine(Options{}))
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	for body, want := range map[string]int{
+		"[] junk": http.StatusBadRequest,
+		"[]]":     http.StatusBadRequest,
+		"[] []":   http.StatusBadRequest,
+		"[]\n\t ": http.StatusOK,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/cache/fill", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("fill body %q: status %d, want %d", body, resp.StatusCode, want)
+		}
+	}
+	if n := srv.Engine().Stats().CacheFills; n != 0 {
+		t.Errorf("cache_fills = %d after empty fills", n)
+	}
+}
+
 // --- ImportHot rejects garbage without aborting the fill ---
 
 func TestImportHotRejectsMalformedEntriesIndividually(t *testing.T) {

@@ -181,7 +181,7 @@ func (s *Server) handleCacheFill(w http.ResponseWriter, r *http.Request) {
 	// modest results fit comfortably in 8 MiB.
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
 	var entries []CacheEntry
-	if err := dec.Decode(&entries); err != nil {
+	if err := decodeOne(dec, &entries); err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad fill body: %w", err))
 		return
 	}

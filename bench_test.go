@@ -154,7 +154,7 @@ func BenchmarkFrozenOverhead(b *testing.B) {
 }
 
 // BenchmarkFrozenOverheadLog measures the same kernel in the u = log T
-// form the grid-and-golden period minimizer actually drives.
+// form, with one math.Exp in front of it.
 func BenchmarkFrozenOverheadLog(b *testing.B) {
 	m := heraModel(b, costmodel.Scenario1, 0.1)
 	fz := m.Freeze(512)
@@ -191,10 +191,10 @@ func BenchmarkNumericalOptimum(b *testing.B) {
 // BenchmarkBatchSweepSolve measures the warm-start batch solver over a
 // 32-cell λ_ind axis (scenario 3, the Fig. 5 shape). The amortized
 // per-cell cost is the reported ns/cell metric. Warm and cold cells run
-// the same 3-point inner period search, so a warm cell saves only the
-// outer P scan: on a 2-CPU Xeon host (go1.24.0) ns/cell measured 2.8×
-// below the cold BenchmarkNumericalOptimum (94 µs against 268 µs,
-// medians of three runs).
+// the same Newton inner period search, so a warm cell saves only the
+// outer P scan: on a 2-CPU Xeon host (go1.24.0) ns/cell measured 4.0×
+// below the cold BenchmarkNumericalOptimum (21.6 µs against 85.8 µs,
+// medians of five interleaved runs).
 func BenchmarkBatchSweepSolve(b *testing.B) {
 	base := heraModel(b, costmodel.Scenario3, 0.1)
 	lambdas := xmath.Logspace(1e-12, 1e-8, 32)
@@ -466,8 +466,9 @@ func BenchmarkHeteroSweep(b *testing.B) {
 // Ablations called out in DESIGN.md.
 // ---------------------------------------------------------------------
 
-// BenchmarkInnerBrent: the scalar minimizer behind every refinement, on
-// the real inner objective (overhead as a function of log-period).
+// BenchmarkInnerBrent: the scalar minimizer behind the outer P scan's
+// refinement, on a smooth unimodal objective (the overhead as a function
+// of log-period; the period search itself runs Newton, not Brent).
 func BenchmarkInnerBrent(b *testing.B) {
 	m := heraModel(b, costmodel.Scenario1, 0.1)
 	obj := func(logT float64) float64 {

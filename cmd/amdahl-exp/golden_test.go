@@ -19,45 +19,45 @@ import (
 // Refactors of the drivers, the renderers or the seed derivation must
 // leave every digest unchanged.
 var goldenDigests = map[string]string{
-	"campaign/hetero/report.csv":           "ba93e3e2c2852b4e47dd0aed8aa17287f69e0d4202b1db75f86a68779f383936",
+	"campaign/hetero/report.csv":           "bd56414f136c817db5c098936a69a72a3f8a2cc3cb8e73e8713e49b5ac4fc691",
 	"campaign/hetero/report.txt":           "bdd48296022640efd5f0d6c62330fac67dd1bbc572f6e8f7076db9190218d9d2",
 	"campaign/multilevel/report.csv":       "5af1d4cc5ab4ff4e8dc85616bbb8ed80cbffb2f9d61fe2be18b70bc7a0cad661",
 	"campaign/multilevel/report.txt":       "260fa56537abf5eda3ca48f4534b53472d3d077355ab057ccee954fed92c25d8",
-	"campaign/robustness/report.csv":       "d5d8eccd0b01c7762afb537c55d54103b3c9db91385dc1f6a641176997722fab",
-	"campaign/robustness/report.txt":       "45aee7bb572bd93e08e465f5e572775e0a7311e56a4d974746cc4f3a5acd8e3e",
-	"campaign/smoke/report.csv":            "7d2cba4cd17e9cac175c54c54eb068ce587bae29b0d3901f17df75c49e0918ed",
+	"campaign/robustness/report.csv":       "c04ed711c260df180ea33dd7e3f78203f33786ad7e851cf220c0a0414ae5f1a5",
+	"campaign/robustness/report.txt":       "8dee502acd48358afdcd14baed89631c6cdeb76f6875f232cd5c0879eff4f797",
+	"campaign/smoke/report.csv":            "ced06aac0c16185b013ad3ad1d38e10a74c1650933a93de363e3768952e4f622",
 	"campaign/smoke/report.txt":            "3d4e054fab316b9c1cf098d73fd8f44ca4b88b9de401cef19393e6106877406c",
-	"campaign/sweep-alpha/report.csv":      "398a644d89b0d60cb8224cf5adc6b9e3deb592b2a1844630e3135c99e272ea76",
+	"campaign/sweep-alpha/report.csv":      "52bad1b90cd3526c5896a1732bdd349d7a20d1812b71f0433dfebb23455ac82a",
 	"campaign/sweep-alpha/report.txt":      "ce732c7c28466d9493cb97b08d50c437d431fb928ff8e06dbc4d5ec2219f9568",
-	"fig/warm=false/fig2.csv":              "54669d440de102b31aa808b48c37302013606ab65947b2fc0aa8d911d8e58ce4",
-	"fig/warm=false/fig3.csv":              "8968e6e892e977cde1795a162d62e87e9ee21568e7f39a5e6d8fea0761be3c94",
-	"fig/warm=false/fig4.csv":              "a306f95dc69e02555f4521906793bcf83af45160dcb7f6760bafaf405059f24f",
-	"fig/warm=false/fig5.csv":              "a1749a49ce5db1da0b8a7979e1e29dd522c7d8d2834001c48b0265db6a7e9936",
-	"fig/warm=false/fig6.csv":              "a8584c369bf7a13d4c726d4c6bf5bf75235a243e981c111aab08ca552ac7476d",
-	"fig/warm=false/fig7.csv":              "2ebf238def4501e810777ef6750d2db288dbbb06db790c6b49f27fae8ba96441",
-	"fig/warm=false/figbaselines.csv":      "ded889b3647e9343b523da9b0d620151e97c901c95504892e08311b126b117d1",
-	"fig/warm=false/figprofiles.csv":       "68ee86745f9492d3b858527c8ec0ac4234684d807d8066fdcc9d15d46d99f1fc",
-	"fig/warm=false/stdout":                "e8e85e34b8748f3c88149d01d25d57c969fd5b723efff439c4a21f6196a7b80c",
-	"fig/warm=true/fig2.csv":               "4ad7f9073e641dcfb0e1ac3b17b4cc073a3f6dd5633f2bc600907bc5f275b19f",
-	"fig/warm=true/fig3.csv":               "8968e6e892e977cde1795a162d62e87e9ee21568e7f39a5e6d8fea0761be3c94",
-	"fig/warm=true/fig4.csv":               "3669d143e9638402b1128933d31baa57203f7fa4b7a06962aaa311102c6784ca",
-	"fig/warm=true/fig5.csv":               "8c1c6c6b454c11575d891311a2118a770f64277d1de156d99026b11681f0f666",
-	"fig/warm=true/fig6.csv":               "ca36c19d9a0b041c3fe627341c028c51c3da9ff322b0766a71658eb98f73cdb6",
-	"fig/warm=true/fig7.csv":               "affe1d34935185a9b3dfd63736c53b1c5a9a736e6248a071e6370bcbea075de6",
-	"fig/warm=true/figbaselines.csv":       "aa0b4030be1eb4172bd0ffd7ea8d8c01066434bfb87a0883271a756bfa3596d3",
-	"fig/warm=true/figprofiles.csv":        "68ee86745f9492d3b858527c8ec0ac4234684d807d8066fdcc9d15d46d99f1fc",
-	"fig/warm=true/stdout":                 "eb4553474ba2ce88dd996a4cb1b01f2726e961245a0c12eaa0ab1f8bed579b3b",
-	"hetero/warm=false/hetero.csv":         "645a961ab609889807f28f0b0ab44d128e349c6e8eabea2eccf982a59249bb63",
+	"fig/warm=false/fig2.csv":              "0ebd6c9a97ba7f21b7010c826ca86911d85e2dd8c8fef931f0057493f676ee7c",
+	"fig/warm=false/fig3.csv":              "b74912e20c01c775513d29d6a699c1e913a9dba1fc324c0728610366f9933e38",
+	"fig/warm=false/fig4.csv":              "e5c75473992c3cbec83d01071e2ea9d64dbbd21f7089aede393189fd59013950",
+	"fig/warm=false/fig5.csv":              "46e6732cdaa6f2b4e3ae7faad994a1101a63fd471c7c2d3c04c0c06055635ad7",
+	"fig/warm=false/fig6.csv":              "3302d27188186183856fa3cdc2de36293062996fa84e46976a14cbc3cb33de26",
+	"fig/warm=false/fig7.csv":              "92f6aa8e6e2e6f48e69b4d2fff5c26448cd1592d1bc48040d656e07653d578d3",
+	"fig/warm=false/figbaselines.csv":      "55f4d6bd1dd715015ce81737715e3dd238fe2a366d78eea9042a6c15c00c0024",
+	"fig/warm=false/figprofiles.csv":       "2e47f561b12cb1b46cd3ccfe4aa99b9509ed96294315ce1b45bd5c4378750622",
+	"fig/warm=false/stdout":                "f175059da4e58779d4cba9ddf6cbfa1f5d8c4ec9ec1871fa35fbb24967b96333",
+	"fig/warm=true/fig2.csv":               "f4997a93ab2b23cc379397a518b975be9aef6e3085a29ea953460c29fd2cf97b",
+	"fig/warm=true/fig3.csv":               "b74912e20c01c775513d29d6a699c1e913a9dba1fc324c0728610366f9933e38",
+	"fig/warm=true/fig4.csv":               "3242267d10495885a657e0ec63ad74694bc040d1cf349f6a622d329a608cd12a",
+	"fig/warm=true/fig5.csv":               "def038ba0415058a206dc4adab5525a37a69c8646f4bdded6b86c9288f568579",
+	"fig/warm=true/fig6.csv":               "850b7bfafa7e3353652e51c429a4abc8f688ddf3c0f881df64ff4fb3a18c7a3b",
+	"fig/warm=true/fig7.csv":               "7831c922411c22c631e8f05c869e68b139633b8485e2c50519c395d421a14e0f",
+	"fig/warm=true/figbaselines.csv":       "c3dca1774e8a9fd942a6a28df90a4e84e40f3ab273ea58a49011d5f1d4e9a3a1",
+	"fig/warm=true/figprofiles.csv":        "2e47f561b12cb1b46cd3ccfe4aa99b9509ed96294315ce1b45bd5c4378750622",
+	"fig/warm=true/stdout":                 "a13318389934d1fd56c6d21f00df4fc94fc9264c9eecac9d58e1476c73d2b55d",
+	"hetero/warm=false/hetero.csv":         "c3ff50638326dba0d743f39d49aa86d4447953def5f9df2590e3e4f6357a2e8b",
 	"hetero/warm=false/stdout":             "2e8ba800e390ddef9508905cb7e60be29c0266ae03d1b11fc3aea2b712d881ee",
-	"hetero/warm=true/hetero.csv":          "645a961ab609889807f28f0b0ab44d128e349c6e8eabea2eccf982a59249bb63",
+	"hetero/warm=true/hetero.csv":          "c3ff50638326dba0d743f39d49aa86d4447953def5f9df2590e3e4f6357a2e8b",
 	"hetero/warm=true/stdout":              "2e8ba800e390ddef9508905cb7e60be29c0266ae03d1b11fc3aea2b712d881ee",
-	"multilevel/warm=false/multilevel.csv": "3a589ad01d2b7076da2f07c10804d5a14097717989b6e646063ff491f55063ef",
+	"multilevel/warm=false/multilevel.csv": "de273ab0a33bd72051c09b11dec101d2cc58d178ed98ff01c96848e92308a86c",
 	"multilevel/warm=false/stdout":         "1520c4cf68d0f51b577e28114cc833355ca76d5872ee8d13c982a9c72cf112e1",
-	"multilevel/warm=true/multilevel.csv":  "5268bb22c6e51b5ab67eb61110fdf1a68d6ad7adaa74a99e583d9242734ba7ee",
+	"multilevel/warm=true/multilevel.csv":  "3e770c81d608aa7eb93db85d2c2abb297066b7285dd71bc2b4bcd9ca7ff6f2eb",
 	"multilevel/warm=true/stdout":          "1520c4cf68d0f51b577e28114cc833355ca76d5872ee8d13c982a9c72cf112e1",
-	"robustness/warm=false/robustness.csv": "f2945131fd3c8d930fb4da8bbc46b1098b2cb105c2106b8ebdc8cf11adb5009f",
+	"robustness/warm=false/robustness.csv": "0100439601e0e59331fd0110d79b781c0ff43dd388f3e8a9da232583109ba43b",
 	"robustness/warm=false/stdout":         "b2ba0305deec5a9f3544f025836d239dbc76e00fe0dbde4d26feb6b703689540",
-	"robustness/warm=true/robustness.csv":  "4daf0333d4cb40920bd48aa517e61eb5903a9ce66efc2dbbdbe58003cd1ce9cc",
+	"robustness/warm=true/robustness.csv":  "de9153da63012a6427e8bb9314d55e79968e800760e8c5767586464594fbdb7e",
 	"robustness/warm=true/stdout":          "b2ba0305deec5a9f3544f025836d239dbc76e00fe0dbde4d26feb6b703689540",
 }
 

@@ -8,10 +8,10 @@ import "math"
 // R_P, V_P, the downtime D, the renewal constant k = 1/λf + D, the
 // exponentials e^{λf·C} and e^{λf·R}, the error-free overhead H(P) and the
 // Theorem 1 constants — is evaluated once at construction. The per-call
-// cost of PatternTime and Overhead is then two expm1 calls and a handful
-// of multiplies, with zero allocations, which is what the inner
-// T-minimization of the nested (T, P) optimizer and the Monte-Carlo
-// pricing loops actually pay.
+// cost of PatternTime, PatternTimeDerivs and Overhead is then two expm1
+// calls and a handful of multiplies, with zero allocations, which is
+// what the inner T-minimization of the nested (T, P) optimizer and the
+// Monte-Carlo pricing loops actually pay.
 //
 // Frozen is the compiled-kernel counterpart of Model (the specification):
 // use Model for one-off evaluations and validation, Freeze once per P for
@@ -88,29 +88,83 @@ func (m Model) Freeze(p float64) Frozen {
 
 // PatternTime evaluates Proposition 1 (Equation (2)) at the compiled P,
 // bit-exactly equal to Model.ExactPatternTime(t, P). It is the one
-// Proposition 1 kernel: Overhead and OverheadLog call it.
+// Proposition 1 kernel: Overhead and OverheadLog call it, and
+// PatternTimeDerivs shares its branch code.
 func (f *Frozen) PatternTime(t float64) float64 {
-	if t <= 0 {
-		return math.Inf(1)
+	e, _, _, _ := f.pattern(t)
+	return e
+}
+
+// pattern is the branch code of PatternTime and PatternTimeDerivs. Beside
+// E(t) it returns what the derivatives are built from: on the regular
+// branch g = e^{λf(C+t+V)+λs·t} − 1 and q = E/k, the bracket that E is k
+// times; on the λf→0 limit branch (limit set) x = e^{λs·t} in g.
+func (f *Frozen) pattern(t float64) (e, g, q float64, limit bool) {
+	if !(t > 0) {
+		return math.Inf(1), 0, 0, false
 	}
 	lsT := f.LambdaS * t
-	var e float64
 	if !f.neverLimit && f.LambdaF*(f.crv+t+f.D) < 1e-13 {
 		// λf so small that λf·(everything) is far below the cancellation
 		// floor: use the exact limit instead of the 0/0 form.
-		e = f.C + (t+f.V)*math.Exp(lsT) + math.Expm1(lsT)*f.R
+		g, limit = math.Exp(lsT), true
+		e = f.C + (t+f.V)*g + math.Expm1(lsT)*f.R
 	} else {
 		// e^{λf(C+T+V)+λsT} − 1, kept in expm1 form for small exponents.
-		grow := math.Expm1(f.LambdaF*(f.C+t+f.V) + lsT)
+		g = math.Expm1(f.LambdaF*(f.C+t+f.V) + lsT)
 		shrink := math.Expm1(lsT) // e^{λsT} − 1 >= 0
-		e = f.k * (f.expR*grow - f.expC*shrink)
+		q = f.expR*g - f.expC*shrink
+		e = f.k * q
 	}
 	// Overflow gives NaN in either branch (Inf − Inf in the regular one,
 	// Inf·0 in the limit one when R = 0); the pattern time is +Inf there.
 	if math.IsNaN(e) {
-		return math.Inf(1)
+		e = math.Inf(1)
 	}
-	return e
+	return e, g, q, limit
+}
+
+// PatternTimeDerivs returns E(t), bit-identical to PatternTime(t),
+// together with its first two derivatives in dimensionless form,
+// r = t·E′/E (the elasticity of E) and s = t²·E″/E, from the same two
+// exponentials. On the regular branch, with
+// A = k·e^{λf·R}·e^{λf(C+t+V)+λs·t} and Δ = e^{λf·R} − e^{λf·C},
+//
+//	E′ = λf·A + λs·(E + k·Δ)
+//	E″ = (λf² + 2λf·λs)·A + λs²·(E + k·Δ)
+//
+// and on the λf→0 limit branch, with x = e^{λs·t},
+//
+//	E′ = x·(1 + λs·(t+V+R))
+//	E″ = λs·x·(2 + λs·(t+V+R)).
+//
+// E + k·Δ = A − k·e^{λf·C}·e^{λs·t} is never negative, so no term
+// cancels another. The regular branch forms A/E and k·Δ/E with k
+// cancelled: A alone overflows when k is within e^{λf(C+t+V)+λs·t} of
+// the float64 range (a downtime near 1e308) while E, r and s are
+// finite. Δ is exactly 0 when R = C, as on every platform of the paper;
+// otherwise it costs one more expm1. Where E is +Inf (t ≤ 0, NaN or
+// overflow) r and s are +Inf too.
+func (f *Frozen) PatternTimeDerivs(t float64) (e, r, s float64) {
+	e, g, q, limit := f.pattern(t)
+	if math.IsInf(e, 1) {
+		return e, e, e
+	}
+	lsT := f.LambdaS * t
+	if limit {
+		w := f.LambdaS * (t + f.V + f.R)
+		tx := t * g / e // t·x/E ≤ 1
+		return e, tx * (1 + w), tx * lsT * (2 + w)
+	}
+	// λf·t·A/E, in an order whose partial products stay below it.
+	lfT := f.LambdaF * t
+	a := lfT / q * f.expR * (1 + g)
+	b := lsT // λs·t·(E + k·Δ)/E
+	if f.R != f.C && lsT > 0 {
+		// The clamp absorbs rounding; with λs = 0 the term drops out.
+		b = lsT * math.Max(0, 1+f.expC*math.Expm1(f.LambdaF*(f.R-f.C))/q)
+	}
+	return e, a + b, a*(lfT+2*lsT) + lsT*b
 }
 
 // Overhead returns H(T, P) = E(PATTERN)/T · H(P) at the compiled P,
@@ -126,8 +180,7 @@ func (f *Frozen) Overhead(t float64) float64 {
 	return e / t * f.hP
 }
 
-// OverheadLog returns Overhead(e^u): the form the period minimizer
-// consumes in u = log T.
+// OverheadLog returns Overhead(e^u), the overhead in u = log T.
 func (f *Frozen) OverheadLog(u float64) float64 {
 	return f.Overhead(math.Exp(u))
 }

@@ -82,8 +82,9 @@ type GroupPlan struct {
 	// GroupOverhead is A_g: the group's effective overhead (including the
 	// comm charge of the active count) per unit of its own work.
 	GroupOverhead float64
-	// AtPBound reports the group's solve stopped at its capacity (or the
-	// global PMax) with the overhead still decreasing.
+	// AtPBound reports that the group's optimum sits at its capacity (or
+	// the global PMax): the overhead there is within a relative 1e-12 of
+	// the optimum.
 	AtPBound bool
 }
 
@@ -97,8 +98,9 @@ type PatternResult struct {
 	// Overhead is the combined overhead H = 1/Σ 1/A_g (A_0 itself when a
 	// single group is active — not the round-tripped reciprocal).
 	Overhead float64
-	// Evals counts exact-formula evaluations across the distinct
-	// per-group solves; a solve reused across active counts counts once.
+	// Evals counts exact-formula evaluations (kernel calls, as in
+	// optimize.PatternResult.Evals) across the distinct per-group
+	// solves; a solve reused across active counts counts once.
 	Evals int
 	// Warm reports the result came from a SweepSolver warm-start solve.
 	Warm bool

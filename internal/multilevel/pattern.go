@@ -60,9 +60,9 @@ type PatternResult struct {
 	Plan
 	// P is the optimal processor allocation.
 	P float64
-	// AtPBound reports that the optimizer stopped at PMax with the
-	// overhead still decreasing (unbounded-allocation regimes, exactly as
-	// in the single-level optimizer).
+	// AtPBound reports that the optimum sits at PMax: the overhead there
+	// is within a relative 1e-12 of the optimum (unbounded-allocation
+	// regimes, exactly as in the single-level optimizer).
 	AtPBound bool
 	// Evals counts inner (T, K) solves — one per distinct probed P.
 	Evals int

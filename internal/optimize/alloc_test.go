@@ -42,7 +42,7 @@ func TestAllocationContracts(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if cold > 5 {
-		t.Errorf("OptimalPattern: %v allocs/op, want at most 5 (the probe memo)", cold)
+	if cold > 3 {
+		t.Errorf("OptimalPattern: %v allocs/op, want at most 3 (the probe memo)", cold)
 	}
 }

@@ -12,8 +12,8 @@ import (
 // The (T*, P*, H) solutions of OptimalPattern on the four Table II
 // platforms at α = 0.1, D = 3600 s, printed at full float64 precision.
 // The frozen evaluation engine, the probe memo, the u-space Brent
-// refinement and the three-point period search with its overflow clip
-// are all required to reproduce these bit-for-bit: any divergence means
+// refinement and the Newton period search with its overflow clip are
+// all required to reproduce these bit-for-bit: any divergence means
 // the "compiled kernel"
 // no longer evaluates Proposition 1 exactly like the reference Model path,
 // or the search itself changed.
@@ -22,18 +22,18 @@ var numericalOptimumGoldens = []struct {
 	scenario costmodel.Scenario
 	t, p, h  float64
 }{
-	{"Hera", costmodel.Scenario1, 6554.8576883111355, 207.21388292140819, 0.10903714666640314},
-	{"Hera", costmodel.Scenario3, 9241.4858277951189, 237.22451929792112, 0.11133239179670219},
-	{"Hera", costmodel.Scenario5, 4558.079930472918, 707.37066984084902, 0.11288296011137557},
-	{"Atlas", costmodel.Scenario1, 5411.2982769171404, 227.99778806996756, 0.10816583383988679},
-	{"Atlas", costmodel.Scenario3, 11191.708893502095, 219.17949993951748, 0.11263046376794265},
-	{"Atlas", costmodel.Scenario5, 3978.9722481912049, 1305.973121008393, 0.11959376429642778},
-	{"Coastal", costmodel.Scenario1, 15560.029176433112, 360.45499890886231, 0.10505791825469993},
-	{"Coastal", costmodel.Scenario3, 38614.808828379973, 321.20820804527818, 0.10852991054057873},
-	{"Coastal", costmodel.Scenario5, 12708.514626039618, 2415.0315951830121, 0.11529437228572936},
-	{"CoastalSSD", costmodel.Scenario1, 29074.372502862327, 287.68119621817118, 0.10696421761265983},
-	{"CoastalSSD", costmodel.Scenario3, 71506.243396726641, 235.50667073776245, 0.11175114020514064},
-	{"CoastalSSD", costmodel.Scenario5, 34900.240405322489, 1357.907589837992, 0.12466478759098572},
+	{"Hera", costmodel.Scenario1, 6554.8577677677431, 207.21389357262512, 0.10903714666640321},
+	{"Hera", costmodel.Scenario3, 9241.48619939948, 237.22449358043028, 0.11133239179670223},
+	{"Hera", costmodel.Scenario5, 4558.0797596382008, 707.37071565259657, 0.11288296011137561},
+	{"Atlas", costmodel.Scenario1, 5411.2982252086185, 227.99782572690515, 0.10816583383988677},
+	{"Atlas", costmodel.Scenario3, 11191.709001406816, 219.1794935876313, 0.11263046376794304},
+	{"Atlas", costmodel.Scenario5, 3978.9722344125025, 1305.973089871645, 0.11959376429642807},
+	{"Coastal", costmodel.Scenario1, 15560.029066189156, 360.45497987352184, 0.10505791825469996},
+	{"Coastal", costmodel.Scenario3, 38614.808884198355, 321.20822135466335, 0.10852991054057881},
+	{"Coastal", costmodel.Scenario5, 12708.513042885275, 2415.0318265581095, 0.11529437228572946},
+	{"CoastalSSD", costmodel.Scenario1, 29074.375924440275, 287.68119537525524, 0.10696421761265987},
+	{"CoastalSSD", costmodel.Scenario3, 71506.238997891196, 235.50669105455421, 0.11175114020514071},
+	{"CoastalSSD", costmodel.Scenario5, 34900.241326457181, 1357.9075481021173, 0.12466478759098573},
 }
 
 // TestOptimalPatternBitIdentical verifies OptimalPattern returns

@@ -12,10 +12,11 @@ const (
 	// GridP is the outer log-grid resolution of a full-box processor
 	// scan, ~7 points per decade over the default 13-decade box. H(P) is
 	// not unimodal across objective-class changes and bounds, so the
-	// outer level keeps a dense grid; the inner period search needs none
-	// (minimizeT).
+	// outer level keeps a dense grid; the inner period search runs no
+	// grid (minimizeT).
 	GridP = 96
-	// refineTol is the relative x tolerance of every Brent refinement.
+	// refineTol is the relative x tolerance of every Brent refinement
+	// and of the Newton period search.
 	refineTol = 1e-10
 )
 
@@ -72,12 +73,16 @@ func (o PatternOptions) validate() error {
 // H(T, P) = E(PATTERN)/(T·S(P)) from Proposition 1.
 type PatternResult struct {
 	core.Solution
-	// AtPBound reports that the optimizer stopped at PMax: the overhead
-	// was still decreasing, so the true optimum lies beyond the search
-	// bound (this happens by design in scenario 6 with α = 0, where the
-	// paper finds the allocation unbounded).
+	// AtPBound reports that the optimum sits at PMax: the overhead there
+	// is within a relative 1e-12 of the optimum, so the search cannot
+	// tell them apart and the true optimum may lie beyond the bound (this
+	// happens by design in scenario 6 with α = 0, where the paper finds
+	// the allocation unbounded). It is decided on H, not on P, which can
+	// land anywhere on a stretch that flat.
 	AtPBound bool
-	// Evals counts exact-formula evaluations.
+	// Evals counts exact-formula evaluations: one per call of the
+	// Proposition 1 kernel, so a Newton step's E, T·E′/E and T²·E″/E
+	// count once.
 	Evals int
 	// Warm reports that the result was produced by a SweepSolver
 	// warm-start solve (narrow bracket around the previous cell's
@@ -107,51 +112,100 @@ func OptimalPeriod(m core.Model, p float64, opts PatternOptions) (float64, float
 	return res.X, res.F, nil
 }
 
-// minimizeT solves the inner period problem min_T H(T, P) on a compiled
-// evaluator, so every objective evaluation pays only the frozen per-call
-// cost (no Rates, cost-model or exponential recomputation).
-//
-// At a fixed P, Proposition 1's pattern time E(T) is convex, so
-// H(T) = E(T)/T·H(P) has exactly one minimum in T, hence in u = log T
-// (DESIGN.md): three grid points bracket it and Brent polishes. The
-// search runs in a bracket of a factor 1e3 around Theorem 1's period,
-// where the exact optimum sits whenever the approximation is anywhere
-// near valid, and on the full [TMin, TMax] range when that period is not
-// finite or its bracket has no finite point. Warm and cold solves share
-// it.
-func minimizeT(fz *core.Frozen, opts PatternOptions) (Result, error) {
-	if seed := fz.OptimalPeriod(); !math.IsInf(seed, 0) && seed > 0 {
-		res, err := searchT(fz, math.Max(opts.TMin, seed/1e3), math.Min(opts.TMax, seed*1e3))
-		if err == nil {
-			return res, nil
-		}
-	}
-	return searchT(fz, opts.TMin, opts.TMax)
-}
+// maxPeriodSteps bounds the kernel calls of one period search. Bisection
+// alone narrows the widest box float64 allows, u = log T from −745 to
+// 710, to the 1e-10 tolerance in about 45 steps, and to edgeTol in
+// about 60.
+const maxPeriodSteps = 100
 
-// searchT runs a 3-point gridRefine over u = log T in [log lo, log hi]
-// on the frozen kernel's log-period form (OverheadLog). The bracket is
-// first clipped at the overflow period, beyond which the overhead is
-// +Inf: no grid point lands on that plateau, and a bracket that starts
-// past it is rejected without an evaluation (what the P grid's deep
-// failure-dominated tail would cost otherwise).
-func searchT(fz *core.Frozen, lo, hi float64) (Result, error) {
-	tOv := fz.OverflowPeriod()
-	if !(tOv > lo) {
+// edgeTol is the relative bracket width, in u, at which the period
+// search stops when its bracket ends where E overflows: at least four
+// ulps of u, where a bisection midpoint still differs from both ends.
+const edgeTol = 0x1p-50
+
+// minimizeT solves the inner period problem min_T H(T, P) on a compiled
+// evaluator by a safeguarded Newton iteration in u = log T on
+// Proposition 1's analytic derivatives (core.Frozen.PatternTimeDerivs),
+// warm and cold solves alike.
+//
+// H′(u) = H·ψ with ψ = T·E′/E − 1, and ψ has the sign of T·E′ − E,
+// which never decreases because E(T) is convex (DESIGN.md): ψ changes
+// sign once, at the minimum. The iteration starts at Theorem 1's period
+// and steps −ψ/ψ′, with ψ′ = r − r² + s from the kernel's r = T·E′/E
+// = ψ + 1 and s = T²·E″/E, over the whole period box clipped at the
+// overflow period, beyond which H is +Inf. It keeps a sign bracket: a step that leaves it, or has no finite
+// positive ψ′, bisects instead, except that a box edge whose sign is
+// still unknown is probed first, once; when ψ shows no sign change
+// there, that edge is the answer, because H is monotone over the box. A
+// non-finite E counts as ψ > 0, the overflow side. The search stops
+// when a step or the bracket is within refineTol of u (relative, with
+// an absolute floor at |u| < 1) and returns the lowest H seen, with T
+// clamped into the box. A bracket that ends where E overflows narrows
+// to edgeTol instead: with a downtime near the float64 range E can
+// overflow while H still falls, and the minimum is then that edge,
+// where H is not flat. Evals counts kernel calls, one per step.
+func minimizeT(fz *core.Frozen, opts PatternOptions) (Result, error) {
+	lo, hi := opts.TMin, math.Min(opts.TMax, fz.OverflowPeriod())
+	if !(hi > lo) {
 		return Result{}, errGridAllInf
 	}
-	hi = math.Min(hi, tOv)
-	uLo, uHi := math.Log(lo), math.Log(hi)
-	if !(uHi > uLo) {
-		return Result{}, errGridBounds
+	hP := fz.ProfileOverhead()
+	// ψ < 0 at a and ψ > 0 at b once aSeen and bSeen; until then a and b
+	// are the box edges. bInf records that E overflowed at b.
+	a, b := math.Log(lo), math.Log(hi)
+	aSeen, bSeen, bInf := false, false, false
+	u := math.Log(fz.OptimalPeriod()) // +Inf without errors, −Inf when C + V = 0
+	if !(u > a) {
+		u = a
+	} else if u > b {
+		u = b
 	}
-	res, err := gridRefine(fz.OverheadLog, uLo, uHi, 3)
-	if err != nil {
-		return Result{}, err
+	best := Result{F: math.Inf(1)}
+	for best.Evals < maxPeriodSteps {
+		t := math.Min(math.Max(math.Exp(u), lo), hi)
+		e, r, s := fz.PatternTimeDerivs(t)
+		best.Evals++
+		h, psi, step := e, math.Inf(1), math.NaN()
+		if !math.IsInf(e, 1) {
+			h = e / t * hP // Overhead(t), bit for bit
+			psi = r - 1
+			if dpsi := r - r*r + s; dpsi > 0 && !math.IsInf(dpsi, 1) {
+				step = -psi / dpsi
+			}
+		}
+		if h < best.F {
+			best.X, best.F = t, h
+		}
+		if psi < 0 {
+			a, aSeen = u, true
+		} else if psi != 0 { // ψ > 0 or NaN
+			b, bSeen, bInf = u, true, math.IsInf(e, 1)
+		}
+		scale := math.Max(math.Abs(u), 1)
+		tol, width := refineTol*scale, refineTol*scale
+		if bInf {
+			width = edgeTol * scale
+		}
+		if psi == 0 || b-a <= width || math.Abs(step) <= tol {
+			break
+		}
+		next := u + step
+		if !(next > a && next < b) {
+			switch {
+			case psi < 0 && !bSeen:
+				next = b
+			case !(psi < 0) && !aSeen:
+				next = a
+			default:
+				next = a + (b-a)/2
+			}
+		}
+		u = next
 	}
-	// e^{log T} can round a bracket edge just outside the bracket.
-	res.X = math.Min(math.Max(math.Exp(res.X), lo), hi)
-	return res, nil
+	if math.IsInf(best.F, 1) {
+		return Result{}, errGridAllInf
+	}
+	return best, nil
 }
 
 // OptimalPattern minimizes the exact overhead jointly over T and P by a

@@ -12,9 +12,9 @@ import (
 	"amdahlyd/internal/speedup"
 )
 
-// The inner period search brackets the minimum with three grid points,
-// which is sound only because H(T) has one minimum in u = log T. These
-// tests check that landscape and the search against a dense reference.
+// The inner period search follows the sign of H′, which is sound only
+// because H(T) has one minimum in u = log T. These tests check that
+// landscape and the search against a dense reference.
 
 // referenceGrid is the resolution of the dense reference search and of
 // the landscape scan.
@@ -54,22 +54,29 @@ const (
 	allInf periodVerdict = iota
 	// checked: the search ended at most 1e-12 above the reference's H.
 	checked
-	// nearOverflow: the minimum lies within e^Δ of the float64 range,
-	// where the search may miss its finite window (see the proof below);
-	// only NaN and the box were checked.
+	// nearOverflow: checked as fully, but the minimum lies within e^Δ of
+	// the float64 range (Δ half the clipped box in u), where H is finite
+	// only in a window that a coarse grid can miss and the dense one may
+	// miss too (then the search's answer is re-evaluated instead).
 	nearOverflow
 )
 
-// checkPeriodSearch scans OverheadLog on a dense u grid over the whole
-// period box, then checks (a) that its finite values form one interval
-// with no second local minimum beyond a 1e-12 relative rounding slack,
-// and (b) that minimizeT agrees on the error status with the dense
-// grid-plus-Brent reference and, when both succeed, ends no more than
-// 1e-12 relative above its H, with T inside the box. Ending below the
+// checkPeriodSearch scans the overhead on a dense u grid over the whole
+// period box, at e^u clamped into the box as the search clamps its T
+// (e^{log TMin} can round below TMin, where a steep H reads lower than
+// anywhere inside: corpus entry box-edge-rounds-outside), then checks
+// (a) that its finite values form one interval with no second local
+// minimum beyond a 1e-12 relative rounding slack, and (b) that minimizeT
+// agrees on the error status with the dense grid-plus-Brent reference
+// and, when both succeed, ends no more than 1e-12 relative above its H,
+// with T inside the box. Ending below the
 // reference is no miss: on a flat minimum the reference's own Brent
 // polish can stop short, because its last probes, a relative 1e-10
 // apart in u, cannot resolve the slope under the kernel's rounding
-// (corpus entry reference-stops-short: 2.9e-11 above the search).
+// (corpus entry reference-stops-short: 2.9e-11 above the search). A
+// finite answer where the dense grid is +Inf everywhere is a minimum
+// whose window falls between grid points: it must re-evaluate to the
+// same H at its T (the corpus entries near-overflow-*).
 func checkPeriodSearch(fz *core.Frozen, opts PatternOptions, vals []float64) (periodVerdict, error) {
 	const slack = 1e-12
 	uLo, uHi := math.Log(opts.TMin), math.Log(opts.TMax)
@@ -80,13 +87,16 @@ func checkPeriodSearch(fz *core.Frozen, opts PatternOptions, vals []float64) (pe
 		}
 		return uLo + float64(i)*step
 	}
+	overheadLog := func(u float64) float64 {
+		return fz.Overhead(math.Min(math.Max(math.Exp(u), opts.TMin), opts.TMax))
+	}
 	best, prev, rising, ended := -1, 0.0, false, false
 	for i := range vals {
-		v := fz.OverheadLog(gridU(i))
+		v := overheadLog(gridU(i))
 		vals[i] = v
 		switch {
 		case math.IsNaN(v):
-			return allInf, fmt.Errorf("OverheadLog(%g) is NaN", gridU(i))
+			return allInf, fmt.Errorf("overhead at u = %g is NaN", gridU(i))
 		case math.IsInf(v, 1):
 			ended = best >= 0
 			continue
@@ -105,38 +115,54 @@ func checkPeriodSearch(fz *core.Frozen, opts PatternOptions, vals []float64) (pe
 
 	res, err := minimizeT(fz, opts)
 	if best < 0 {
-		if err == nil {
-			return allInf, fmt.Errorf("search found H = %g at T = %g where the dense grid is +Inf", res.F, res.X)
+		if err != nil {
+			return allInf, nil
 		}
-		return allInf, nil
+		if h := fz.Overhead(res.X); math.IsInf(h, 0) || math.IsNaN(h) || h != res.F || !(res.X >= opts.TMin && res.X <= opts.TMax) {
+			return nearOverflow, fmt.Errorf("search found H = %g at T = %g where the dense grid is +Inf, and Overhead(T) = %g",
+				res.F, res.X, h)
+		}
+		return nearOverflow, nil
 	}
-	ref := BrentMin(fz.OverheadLog, gridU(max(best-1, 0)), gridU(min(best+1, len(vals)-1)), refineTol)
+	ref := BrentMin(overheadLog, gridU(max(best-1, 0)), gridU(min(best+1, len(vals)-1)), refineTol)
 	if vals[best] < ref.F {
 		ref.F = vals[best]
 	}
-	if err == nil && (math.IsNaN(res.F) || math.IsNaN(res.X)) {
-		return checked, fmt.Errorf("search returned NaN: T = %g, H = %g", res.X, res.F)
-	}
-	if err == nil && !(res.X >= opts.TMin && res.X <= opts.TMax) {
-		return checked, fmt.Errorf("T = %g outside the box [%g, %g]", res.X, opts.TMin, opts.TMax)
-	}
-	// Three points spaced Δ apart in u bracket the minimum whenever
-	// E(t*)/t* ≤ MaxFloat·e^{−Δ} (the kernel forms E/t before scaling by
-	// H(P)): E(t) ≤ E(t*) for t ≤ t*, so E(t)/t ≤ E(t*)/t*·e^{u*−u} stays
-	// finite over a length of u below u* that holds a grid point. Only a
-	// minimum within e^Δ of the float64 range, Δ the full-range
-	// fallback's spacing, can have a finite window narrower than the
-	// grid, which the search may miss or leave short of its minimum.
-	delta := (math.Log(math.Min(opts.TMax, fz.OverflowPeriod())) - uLo) / 2
-	if ref.F/fz.ProfileOverhead() >= math.MaxFloat64*math.Exp(-delta) {
-		return nearOverflow, nil
+	if best+1 < len(vals) && math.IsInf(vals[best+1], 1) {
+		// H may still fall where E overflows (a downtime near the float64
+		// range), and Brent stops short of such an edge: bisect the grid
+		// cell on finiteness down to adjacent floats (corpus entry
+		// overflow-edge-coastal-s6-huge-downtime).
+		a, b := gridU(best), gridU(best+1)
+		for m := a + (b-a)/2; m > a && m < b; m = a + (b-a)/2 {
+			if v := overheadLog(m); math.IsInf(v, 1) {
+				b = m
+			} else {
+				a, ref.F = m, math.Min(ref.F, v)
+			}
+		}
 	}
 	if err != nil {
 		return checked, fmt.Errorf("search failed (%v) where the dense grid reaches H = %g", err, ref.F)
 	}
+	if math.IsNaN(res.F) || math.IsNaN(res.X) {
+		return checked, fmt.Errorf("search returned NaN: T = %g, H = %g", res.X, res.F)
+	}
+	if !(res.X >= opts.TMin && res.X <= opts.TMax) {
+		return checked, fmt.Errorf("T = %g outside the box [%g, %g]", res.X, opts.TMin, opts.TMax)
+	}
 	if res.F > ref.F*(1+slack) {
 		return checked, fmt.Errorf("search ends at H = %.17g (T = %g), %.2g above the dense reference %.17g",
 			res.F, res.X, (res.F-ref.F)/ref.F, ref.F)
+	}
+	// E(t) ≤ E(t*) for t ≤ t*, so E(t)/t ≤ E(t*)/t*·e^{u*−u} stays finite
+	// over a length Δ of u below u* whenever E(t*)/t* ≤ MaxFloat·e^{−Δ}
+	// (the kernel forms E/t before scaling by H(P)): only a minimum
+	// closer to the float64 range can have a finite window narrower
+	// than a 3-point grid on the clipped box.
+	delta := (math.Log(math.Min(opts.TMax, fz.OverflowPeriod())) - uLo) / 2
+	if ref.F/fz.ProfileOverhead() >= math.MaxFloat64*math.Exp(-delta) {
+		return nearOverflow, nil
 	}
 	return checked, nil
 }
@@ -181,7 +207,8 @@ func TestPeriodSearchMatchesDenseReference(t *testing.T) {
 // downtime), processor counts and period boxes. Inputs the API rejects
 // must fail validation, never panic; accepted ones must return a finite
 // T inside the box. The seed corpus (testdata/fuzz/FuzzOptimalPeriod)
-// holds P = 1 and 1e13, α = 0, D = 0, λ_ind = 1e300 and extreme boxes.
+// holds P = 1 and 1e13, α = 0, D = 0, λ_ind = 1e300, extreme boxes and
+// two minima within e^Δ of the float64 range (near-overflow-*).
 func FuzzOptimalPeriod(f *testing.F) {
 	f.Fuzz(func(t *testing.T, plat, sc uint8, alpha, lambda, downtime, p, tMin, tMax float64) {
 		pl := platform.All()[int(plat)%4]

@@ -6,7 +6,8 @@
 // optimizer over (T, P) built on the exact overhead formula of
 // Proposition 1, the semi-analytic optimum, the warm-start sweep solver
 // and the two-level optimizer in internal/multilevel all run on that
-// scan.
+// scan. The single-level inner solve, the period at a fixed P, is a
+// Newton iteration on Proposition 1's analytic derivatives (minimizeT).
 package optimize
 
 import (
@@ -134,8 +135,8 @@ func BrentMin(f Func, a, b, tol float64) Result {
 // gridRefine scans f on points evenly spaced grid points over [lo, hi],
 // then refines the bracket around the best point with bounded Brent at
 // refineTol. A dense grid makes it robust to objectives that are not
-// globally unimodal (the outer P scan); three points suffice for one that
-// is (the inner period search). Both run it in u = log x coordinates. The returned Result is the refined minimum; ties prefer
+// globally unimodal, as the outer P scan's is; the scan runs it in
+// u = log P. The returned Result is the refined minimum; ties prefer
 // the smaller x, and the grid best wins a plateau. Callers check lo < hi
 // in their own coordinates.
 func gridRefine(f Func, lo, hi float64, points int) (Result, error) {
@@ -172,10 +173,10 @@ func gridRefine(f Func, lo, hi float64, points int) (Result, error) {
 	return res, nil
 }
 
-// Shared error values of the grid refinement (allocated once; the
-// overflow-clip rejection fires on every deep-tail P probe).
+// Shared error values of the grid refinement and the period search
+// (allocated once; the overflow-clip rejection fires on every deep-tail
+// P probe).
 var (
-	errGridBounds = errors.New("optimize: GridRefine needs hi > lo")
 	errGridPoints = errors.New("optimize: GridRefine needs at least 3 grid points")
 	errGridAllInf = errors.New("optimize: objective is +Inf over the whole grid")
 )

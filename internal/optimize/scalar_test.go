@@ -121,9 +121,12 @@ func TestGridRefineErrors(t *testing.T) {
 			t.Errorf("scan over [%g, %g] returned %v, want ErrNoFeasible", box[0], box[1], err)
 		}
 	}
+	// A period box wholly past the overflow period is rejected without a
+	// kernel call.
 	fz := heraModel(t, costmodel.Scenario1, 0.1).Freeze(512)
-	if _, err := searchT(&fz, 5, 5); !errors.Is(err, errGridBounds) {
-		t.Errorf("empty period bracket returned %v", err)
+	tOv := fz.OverflowPeriod()
+	if res, err := minimizeT(&fz, PatternOptions{TMin: 2 * tOv, TMax: 4 * tOv}); !errors.Is(err, errGridAllInf) || res.Evals != 0 {
+		t.Errorf("period box beyond the overflow period returned %v after %d evaluations", err, res.Evals)
 	}
 }
 

@@ -18,14 +18,25 @@ type Probe[R any] struct {
 	Err   error
 }
 
+// memoSlack is the probe-memo room a scan needs beyond its grid points:
+// the Brent polish, the integer rounding and the final probe add up to
+// ~30 distinct P (a cold GridP scan probes 113–125 at p50–p90), so a memo
+// sized for the grid alone would grow once per solve.
+const memoSlack = 32
+
+// boundSlack is how close to the optimum g(PMax) must come for a scan to
+// report the optimum at the bound: the relative resolution in H to which
+// two solves of one model agree (their H differ by ~1e-14 at most).
+const boundSlack = 1e-12
+
 // Scan is the outer processor search behind every pattern solver: the
 // paper's "optimal (numerical)" pattern is min over P of g(P), the best
 // inner solution at P. The inner result R is the single-level period
 // optimum, the two-level (T, K) plan or Theorem 1's overhead.
 type Scan[R any] struct {
-	// PMin and PMax are the global processor bounds: an optimum within a
-	// relative 1e-6 of PMax is reported at the bound, and the integer
-	// rounding stays inside them.
+	// PMin and PMax are the global processor bounds: an optimum whose g
+	// is within boundSlack of g(PMax) is reported at the bound, and the
+	// integer rounding stays inside them.
 	PMin, PMax float64
 	// IntegerP rounds the optimum to the better of floor/ceil.
 	IntegerP bool
@@ -44,7 +55,9 @@ type ScanResult[R any] struct {
 	Inner R
 	F     float64
 	P     float64
-	// AtBound reports that the search stopped at PMax.
+	// AtBound reports that the search box reached PMax and g(PMax) is
+	// within boundSlack of the optimum: the search cannot tell the two
+	// apart, so the true optimum may lie beyond the bound.
 	AtBound bool
 	// Evals totals the evaluation counts of the distinct probes.
 	Evals int
@@ -63,7 +76,7 @@ func (s *Scan[R]) Run(lo, hi float64, gridP int) (ScanResult[R], error) {
 	}
 	memo := s.Memo
 	if memo == nil {
-		memo = make(map[float64]Probe[R], gridP+8)
+		memo = make(map[float64]Probe[R], gridP+memoSlack)
 	} else {
 		clear(memo)
 	}
@@ -89,8 +102,12 @@ func (s *Scan[R]) Run(lo, hi float64, gridP int) (ScanResult[R], error) {
 	if err != nil {
 		return ScanResult[R]{}, ErrNoFeasible
 	}
+	// The bound is judged on g, not on P: near PMax g can be flat to
+	// rounding, where the refined P lands anywhere in the flat stretch
+	// and a test on P flips between solves that agree on g. The grid's
+	// last point is the bound's probe, so the test costs no inner solve.
 	p := math.Exp(outer.X)
-	atBound := p >= s.PMax*(1-1e-6)
+	atBound := hi >= s.PMax && g(math.Exp(math.Log(hi))) <= outer.F*(1+boundSlack)
 	if s.IntegerP && !atBound {
 		p = betterInteger(g, p, s.PMin, s.PMax)
 	}

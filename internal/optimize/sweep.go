@@ -175,7 +175,7 @@ func NewSweepSolver(opts SweepOptions) *SweepSolver {
 	return &SweepSolver{
 		opts:  opts,
 		chain: NewWarmChain(opts.PMin, opts.PMax, opts.Cold),
-		memo:  make(map[float64]Probe[float64], GridP+8),
+		memo:  make(map[float64]Probe[float64], GridP+memoSlack),
 	}
 }
 

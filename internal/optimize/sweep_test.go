@@ -6,6 +6,7 @@ import (
 
 	"amdahlyd/internal/core"
 	"amdahlyd/internal/costmodel"
+	"amdahlyd/internal/platform"
 	"amdahlyd/internal/xmath"
 )
 
@@ -261,5 +262,50 @@ func TestBatchAmortizesEvals(t *testing.T) {
 	}
 	if math.IsNaN(batch[0].Overhead) {
 		t.Fatal("NaN overhead")
+	}
+}
+
+// TestAtPBoundAgreesOnFlatBound pins AtPBound where H is flat to
+// rounding near PMax: Coastal and CoastalSSD, scenario 6, α = 0.1, D = 0,
+// where P* lands anywhere above ~0.999·PMax with H equal to ~1e-15. The
+// reference scan, a warm chain's first cell (a 64-point restart scan) and
+// a Cold chain's must all report the bound; a test on P read it
+// differently across the three. The Hera paper point, an interior
+// optimum, must not.
+func TestAtPBoundAgreesOnFlatBound(t *testing.T) {
+	for _, c := range []struct {
+		pl    platform.Platform
+		sc    costmodel.Scenario
+		d     float64
+		bound bool
+	}{
+		{platform.Coastal(), costmodel.Scenario6, 0, true},
+		{platform.CoastalSSD(), costmodel.Scenario6, 0, true},
+		{platform.Hera(), costmodel.Scenario1, 3600, false},
+	} {
+		m, err := periodModel(c.pl, c.sc, 0.1, c.pl.LambdaInd, c.d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := OptimalPattern(m, PatternOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cold := range []bool{false, true} {
+			got, err := NewSweepSolver(SweepOptions{Cold: cold}).Solve(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range []PatternResult{ref, got} {
+				if r.AtPBound != c.bound {
+					t.Errorf("%s/%v, Cold %t: AtPBound = %t at P = %.17g (H = %.17g), want %t",
+						c.pl.Name, c.sc, cold, r.AtPBound, r.P, r.Overhead, c.bound)
+				}
+			}
+			if d := xmath.RelDiff(got.Overhead, ref.Overhead); d > 1e-14 {
+				t.Errorf("%s/%v, Cold %t: H = %.17g against the reference's %.17g",
+					c.pl.Name, c.sc, cold, got.Overhead, ref.Overhead)
+			}
+		}
 	}
 }

@@ -29,14 +29,14 @@ var unaryGolden = map[string]string{
 	"/v1/hetero/optimize malformed":         "400 application/json retry-after=\"\" 9cf4ee19006dac1ae185d98e141aecee071257fb6720e8db83151af4365fcc27",
 	"/v1/hetero/optimize saturated":         "503 application/json retry-after=\"1\" 634e30b25437dbf2fb057106de072dc6965433db2d2316dfe82796b475dbf16f",
 	"/v1/hetero/optimize unknown-field":     "400 application/json retry-after=\"\" 3cf9d273f53a2acb98f3ac3509607ba6e0ab620d1f7da55b8045d5cfe8efe698",
-	"/v1/hetero/optimize valid":             "200 application/json retry-after=\"\" 0ce6a9f758743f3c7ef005fdf78d61db8822861ff0e6ef9ad9e0f518be7280d3",
+	"/v1/hetero/optimize valid":             "200 application/json retry-after=\"\" 1df496c7f884e8f2fcfec3106d015a9922a155be78af047844bfbfe24752dd0f",
 	"/v1/hetero/optimize trailing-data":     "400 application/json retry-after=\"\" 52c6a30a6e7a64591357180b3d233c54620079c9fad7af0b75dd75122bbe9b54",
 	"/v1/hetero/simulate bad-model":         "400 application/json retry-after=\"\" 4c400bd4290c09379519b0be582db080361b423bd173bd02604948b956b11f80",
 	"/v1/hetero/simulate malformed":         "400 application/json retry-after=\"\" 9cf4ee19006dac1ae185d98e141aecee071257fb6720e8db83151af4365fcc27",
 	"/v1/hetero/simulate over-budget":       "422 application/json retry-after=\"\" b9c4c92f3c1852056bfaccea8da736617a48ffea04e21b56b9567293196d3dac",
 	"/v1/hetero/simulate saturated":         "503 application/json retry-after=\"1\" 634e30b25437dbf2fb057106de072dc6965433db2d2316dfe82796b475dbf16f",
 	"/v1/hetero/simulate unknown-field":     "400 application/json retry-after=\"\" 3cf9d273f53a2acb98f3ac3509607ba6e0ab620d1f7da55b8045d5cfe8efe698",
-	"/v1/hetero/simulate valid":             "200 application/json retry-after=\"\" e24cd1fa23d16b63fdf7651927bcca2a94557018a26da3ce89b89b10ba1512a0",
+	"/v1/hetero/simulate valid":             "200 application/json retry-after=\"\" 31a076cf43021f373f957eb08e34d4fb882f02ddbb8225dadb5fa2a9c9c00bd9",
 	"/v1/hetero/simulate trailing-data":     "400 application/json retry-after=\"\" 52c6a30a6e7a64591357180b3d233c54620079c9fad7af0b75dd75122bbe9b54",
 	"/v1/multilevel/optimize bad-model":     "400 application/json retry-after=\"\" 59778867268cd29ef0b0136e31832d4097d96081413240d91325be803f5d313b",
 	"/v1/multilevel/optimize malformed":     "400 application/json retry-after=\"\" 9cf4ee19006dac1ae185d98e141aecee071257fb6720e8db83151af4365fcc27",
@@ -55,7 +55,7 @@ var unaryGolden = map[string]string{
 	"/v1/optimize malformed":                "400 application/json retry-after=\"\" 9cf4ee19006dac1ae185d98e141aecee071257fb6720e8db83151af4365fcc27",
 	"/v1/optimize saturated":                "503 application/json retry-after=\"1\" 634e30b25437dbf2fb057106de072dc6965433db2d2316dfe82796b475dbf16f",
 	"/v1/optimize unknown-field":            "400 application/json retry-after=\"\" 3cf9d273f53a2acb98f3ac3509607ba6e0ab620d1f7da55b8045d5cfe8efe698",
-	"/v1/optimize valid":                    "200 application/json retry-after=\"\" 7681d939e144a38351417261772bb2d0e92a90e9e9c544bcca7f20bb34cfcb89",
+	"/v1/optimize valid":                    "200 application/json retry-after=\"\" 8d6bf1a9e28750ea0b20d1306fd2a629cbe13499a4413055d964ce6786c3ee99",
 	"/v1/optimize trailing-data":            "400 application/json retry-after=\"\" 52c6a30a6e7a64591357180b3d233c54620079c9fad7af0b75dd75122bbe9b54",
 	"/v1/simulate bad-model":                "400 application/json retry-after=\"\" 669290898f2106f29a87be7ebb0f01c7442f8cdb32d2416a5fc0aa7eb16396de",
 	"/v1/simulate machine":                  "200 application/json retry-after=\"\" d7a6c92b8a9ee1f519955b439c43a5909aea40f567dbb6e59aba6ce97333d511",

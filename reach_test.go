@@ -40,6 +40,7 @@ var reachAllowlist = map[string]string{
 	"core.Model.FirstOrderPatternTime":     "mirror of the Frozen method; TestFrozenMatchesModel",
 	"core.Model.Speedup":                   "mirror of the Frozen method; TestFrozenMatchesModel",
 	"core.Frozen.OverheadAtOptimalPeriod":  "Theorem 1 at T*_P; TestFrozenMatchesModel and the semi-analytic optimum tests",
+	"core.Frozen.OverheadLog":              "the u = log T form the gated BenchmarkFrozenOverheadLog times; TestFrozenMatchesModel holds it to Model",
 	"core.DecreasingCostOverhead":          "Theorem 3 closed form; TestDecreasingCostOverheadMonotone",
 	"core.MaxOrderDelta":                   "Theorem 2 closed form; TestMaxOrderDelta",
 	"core.PerfectlyParallelOverhead":       "Theorem 2 closed form; TestPerfectlyParallelOverheadSubcases",

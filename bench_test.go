@@ -153,16 +153,17 @@ func BenchmarkFrozenOverhead(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkFrozenOverheadLog measures the same kernel in the u = log T
-// form, with one math.Exp in front of it.
-func BenchmarkFrozenOverheadLog(b *testing.B) {
+// BenchmarkFrozenPatternTimeDerivs measures the kernel the Newton period
+// search calls on every step: E together with r = T·E′/E and
+// s = T²·E″/E, at the same pre-frozen point as BenchmarkFrozenOverhead.
+func BenchmarkFrozenPatternTimeDerivs(b *testing.B) {
 	m := heraModel(b, costmodel.Scenario1, 0.1)
 	fz := m.Freeze(512)
 	var sink float64
-	u := math.Log(6000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink += fz.OverheadLog(u)
+		e, r, s := fz.PatternTimeDerivs(6000)
+		sink += e + r + s
 	}
 	_ = sink
 }

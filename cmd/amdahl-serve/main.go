@@ -84,11 +84,9 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("amdahl-serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	frozenCache := fs.Int("frozen-cache", 0, "compiled-evaluator cache entries (0 = default 4096)")
 	resultCache := fs.Int("result-cache", 0, "optimizer/campaign result cache entries per cache (0 = default 1024)")
 	maxConcurrent := fs.Int("max-concurrent", 0, "concurrent optimize/simulate jobs (0 = GOMAXPROCS)")
-	maxQueued := fs.Int("max-queued", 0, "jobs waiting for a scheduler slot before shedding load with 503 (0 = 8×max-concurrent, negative = unbounded)")
-	simWorkers := fs.Int("sim-workers", 0, "worker pool per campaign (0 = 1; results are worker-count independent)")
+	maxQueued := fs.Int("max-queued", 0, "jobs waiting for a scheduler slot before shedding load with 503 (0 = 8×max-concurrent)")
 	shutdownTimeout := fs.Duration("shutdown-timeout", 15*time.Second, "graceful-shutdown budget: in-flight work (including NDJSON sweep streams) drains within it")
 	router := fs.Bool("router", false, "run as a fleet router over -peers instead of serving an engine")
 	peersFlag := fs.String("peers", "", "router mode: comma-separated replica base URLs, each \"name=url\" or bare \"url\"")
@@ -98,9 +96,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// Sizes have no negative meaning, and NewEngine would panic on one;
-	// -max-queued is exempt (negative = unbounded).
-	for _, name := range []string{"frozen-cache", "result-cache", "max-concurrent", "sim-workers"} {
+	// Sizes have no negative meaning: fail by name instead of letting
+	// NewEngine panic on one or quietly read it as another value.
+	for _, name := range []string{"result-cache", "max-concurrent", "max-queued"} {
 		if v := fs.Lookup(name).Value; strings.HasPrefix(v.String(), "-") {
 			return fmt.Errorf("-%s %s is negative (0 keeps the default)", name, v)
 		}
@@ -129,11 +127,9 @@ func run(args []string) error {
 		handler = rt
 	} else {
 		engine := service.NewEngine(service.Options{
-			FrozenCacheSize: *frozenCache,
 			ResultCacheSize: *resultCache,
 			MaxConcurrent:   *maxConcurrent,
 			MaxQueued:       *maxQueued,
-			SimWorkers:      *simWorkers,
 		})
 		apiSrv = service.NewServer(engine)
 		handler = apiSrv

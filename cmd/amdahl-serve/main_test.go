@@ -13,7 +13,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	// Negative sizes fail by name before the engine is built (the
 	// unusable address keeps a missed check from serving forever).
-	for _, name := range []string{"max-concurrent", "frozen-cache", "result-cache", "sim-workers"} {
+	for _, name := range []string{"max-concurrent", "result-cache", "max-queued"} {
 		err := run([]string{"-addr", "missing-a-port", "-" + name, "-1"})
 		if err == nil || !strings.Contains(err.Error(), "-"+name) {
 			t.Errorf("-%s -1: err = %v, want an error naming the flag", name, err)

@@ -55,14 +55,7 @@ func run(args []string) error {
 		return err
 	}
 	sc := costmodel.Scenario(*scenario)
-	p := *procs
-	if p == 0 {
-		p = pl.Processors
-	}
-	t := *period
-	if t == 0 {
-		t = m.OptimalPeriodFixedP(p)
-	}
+	t, p := experiments.ResolvePattern(m, pl, *period, *procs)
 
 	cfg := sim.RunConfig{Runs: *runs, Patterns: *patterns, Seed: *seed, Machine: *machine}.WithDefaults()
 

@@ -215,14 +215,7 @@ func runReplay(args []string) error {
 	if err != nil {
 		return err
 	}
-	p := *procs
-	if p == 0 {
-		p = pl.Processors
-	}
-	t := *period
-	if t == 0 {
-		t = m.OptimalPeriodFixedP(p)
-	}
+	t, p := experiments.ResolvePattern(m, pl, *period, *procs)
 	f, err := os.Open(*in)
 	if err != nil {
 		return err

@@ -44,7 +44,9 @@
 // one-shot Freeze, and property tests pin the equivalence — so use Frozen
 // in any loop that holds P fixed (the period minimizer probes one P
 // thousands of times; the Monte-Carlo runner prices one (T, P) over
-// hundreds of runs) and Model everywhere else.
+// hundreds of runs) and Model everywhere else. What only a loop or the
+// service needs lives on Frozen alone: the first-order expansion, the
+// speedup and the derivatives the period search steps on.
 //
 // # Failure distributions beyond the exponential
 //

@@ -15,9 +15,10 @@ import "math"
 //
 // Frozen is the compiled-kernel counterpart of Model (the specification):
 // use Model for one-off evaluations and validation, Freeze once per P for
-// any loop that holds P fixed. All methods reproduce the corresponding
-// Model methods bit-exactly (the arithmetic is performed in the same
-// order on the same intermediate values).
+// any loop that holds P fixed. Every method with a Model counterpart
+// reproduces it bit-exactly (the arithmetic is performed in the same
+// order on the same intermediate values); the rest (the first-order
+// expansion, the speedup, the derivatives) exist only here.
 type Frozen struct {
 	// P is the processor count the evaluator was compiled for (clamped
 	// to 1 like Model.Rates does).
@@ -88,8 +89,8 @@ func (m Model) Freeze(p float64) Frozen {
 
 // PatternTime evaluates Proposition 1 (Equation (2)) at the compiled P,
 // bit-exactly equal to Model.ExactPatternTime(t, P). It is the one
-// Proposition 1 kernel: Overhead and OverheadLog call it, and
-// PatternTimeDerivs shares its branch code.
+// Proposition 1 kernel: Overhead calls it, and PatternTimeDerivs shares
+// its branch code.
 func (f *Frozen) PatternTime(t float64) float64 {
 	e, _, _, _ := f.pattern(t)
 	return e
@@ -180,14 +181,12 @@ func (f *Frozen) Overhead(t float64) float64 {
 	return e / t * f.hP
 }
 
-// OverheadLog returns Overhead(e^u), the overhead in u = log T.
-func (f *Frozen) OverheadLog(u float64) float64 {
-	return f.Overhead(math.Exp(u))
-}
-
 // FirstOrderPatternTime evaluates the second-order Taylor expansion of
-// E(PATTERN) at the compiled P, bit-exactly equal to
-// Model.FirstOrderPatternTime(t, P).
+// E(PATTERN) used in the proof of Theorem 1 (lower-order terms dropped)
+// at the compiled P:
+//
+//	E ≈ T + V + C + (λf/2 + λs)·T² + λf·T·(V+C+R+D) + λs·T·(V+R)
+//	  + λf·C·(C/2+R+V+D) + λf·V·(V+R+D)
 func (f *Frozen) FirstOrderPatternTime(t float64) float64 {
 	if t <= 0 {
 		return math.Inf(1)
@@ -227,12 +226,6 @@ func (f *Frozen) OptimalPeriod() float64 {
 		return math.Inf(1) // no errors: checkpoint never
 	}
 	return math.Sqrt(f.cv / f.effRate)
-}
-
-// OverheadAtOptimalPeriod returns Theorem 1's overhead at T*_P,
-// bit-exactly equal to Model.OverheadAtOptimalPeriod(P).
-func (f *Frozen) OverheadAtOptimalPeriod() float64 {
-	return f.hP * (1 + 2*math.Sqrt(f.effRate*f.cv))
 }
 
 // ErrorFreeOverhead returns H(T, P) with both error rates forced to zero,

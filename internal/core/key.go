@@ -29,7 +29,7 @@ type CacheKeyer interface {
 //     iff they are the same float64 bit pattern (with -0 and +0 collapsed
 //     deliberately — they evaluate identically in every formula);
 //   - the speedup profile is keyed by exact type plus its parameters for
-//     the four built-in profiles; a custom profile must implement
+//     the five built-in profiles; a custom profile must implement
 //     CacheKeyer (preferred) or provide an injective Name();
 //   - NaN parameters are rejected: NaN never compares equal, so a NaN key
 //     would poison a cache with unreachable entries (and the model is

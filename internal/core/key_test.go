@@ -132,3 +132,114 @@ func TestCacheKeyCustomProfiles(t *testing.T) {
 		t.Errorf("Name fallback missing: %s", k)
 	}
 }
+
+// keyProfileKinds are the five built-in profile kinds, each built from
+// the profile parameters x[12:] = (α, σ, κ, γ); params lists the indices
+// of x the kind reads.
+var keyProfileKinds = []struct {
+	params []int
+	build  func(x []float64) speedup.Profile
+}{
+	{[]int{12}, func(x []float64) speedup.Profile { return speedup.Amdahl{Alpha: x[12]} }},
+	{nil, func([]float64) speedup.Profile { return speedup.PerfectlyParallel{} }},
+	{[]int{12, 13, 14}, func(x []float64) speedup.Profile {
+		return speedup.AmdahlComm{Alpha: x[12], Speed: x[13], Comm: x[14]}
+	}},
+	{[]int{12}, func(x []float64) speedup.Profile { return speedup.Gustafson{Alpha: x[12]} }},
+	{[]int{15}, func(x []float64) speedup.Profile { return speedup.PowerLaw{Gamma: x[15]} }},
+}
+
+// keyParamModel builds the model whose twelve platform and resilience
+// parameters are x[:12], in CacheKey's order, with a profile of the
+// given kind.
+func keyParamModel(kind int, x []float64) Model {
+	return Model{
+		LambdaInd:    x[0],
+		FailStopFrac: x[1],
+		SilentFrac:   x[2],
+		Res: costmodel.Resilience{
+			Checkpoint:   costmodel.Checkpoint{A: x[3], B: x[4], C: x[5]},
+			Recovery:     costmodel.Checkpoint{A: x[6], B: x[7], C: x[8]},
+			Verification: costmodel.Verification{V: x[9], U: x[10]},
+			Downtime:     x[11],
+		},
+		Profile: keyProfileKinds[kind].build(x),
+	}
+}
+
+// FuzzModelCacheKey builds a valid model from its input (a rate, a
+// fail-stop fraction, a cost scale that sets the nine resilience costs
+// and the downtime, and a profile parameter), changes one of its
+// parameters and keys both. The keys must be equal exactly when the old
+// and new values compare == (so +0 and −0 share a key), a NaN value must
+// be an error, and rebuilding the model with another built-in profile
+// kind must change the key. how picks the new value: the raw input, the
+// old value, its negation or the next float above it.
+func FuzzModelCacheKey(f *testing.F) {
+	for _, seed := range []struct {
+		lambda, frac, cost, prof float64
+		kind, other, which, how  uint8
+		raw                      float64
+	}{
+		{1.69e-8, 0.2188, 300, 0.1, 0, 1, 0, 3, 0},
+		{0, 0.5, 60, 0.1, 0, 3, 0, 2, 0},
+		{1e-9, 0, 0, 0, 2, 4, 11, 2, 0},
+		{1e-9, 1, 120, 0.3, 2, 0, 13, 0, math.NaN()},
+		{2.3e-9, 0.1667, 2500, 0.5, 4, 2, 12, 1, 0},
+		{1e-6, 0.75, 10, 2, 3, 0, 5, 0, math.Inf(1)},
+	} {
+		f.Add(seed.lambda, seed.frac, seed.cost, seed.prof, seed.kind, seed.other, seed.which, seed.how, seed.raw)
+	}
+	f.Fuzz(func(t *testing.T, lambda, frac, cost, prof float64, kind, other, which, how uint8, raw float64) {
+		frac = math.Mod(math.Abs(frac), 1)
+		cost = math.Abs(cost)
+		prof = math.Abs(prof)
+		x := []float64{
+			math.Abs(lambda), frac, 1 - frac,
+			cost, cost / 3, cost * 1e-3, cost / 2, cost / 5, cost * 2e-3,
+			cost / 10, cost / 100, cost * 12,
+			math.Mod(prof, 1), 1 + prof, prof * 1e-6, math.Mod(prof, 1),
+		}
+		k := int(kind) % len(keyProfileKinds)
+		m := keyParamModel(k, x)
+		if m.Validate() != nil {
+			t.Skip("the input builds no valid model")
+		}
+		base, err := m.CacheKey()
+		if err != nil {
+			t.Fatalf("valid model %+v: %v", m, err)
+		}
+
+		if o := int(other) % len(keyProfileKinds); o != k {
+			if key, err := keyParamModel(o, x).CacheKey(); err != nil || key == base {
+				t.Fatalf("profile kinds %d and %d share key %q (err %v)", k, o, base, err)
+			}
+		}
+
+		params := append([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, keyProfileKinds[k].params...)
+		i := params[int(which)%len(params)]
+		old := x[i]
+		v := raw
+		switch how % 4 {
+		case 1:
+			v = old
+		case 2:
+			v = -old
+		case 3:
+			v = math.Nextafter(old, math.Inf(1))
+		}
+		y := append([]float64(nil), x...)
+		y[i] = v
+		key, err := keyParamModel(k, y).CacheKey()
+		switch {
+		case math.IsNaN(v):
+			if err == nil {
+				t.Fatalf("parameter %d = NaN keyed as %q", i, key)
+			}
+		case err != nil:
+			t.Fatalf("parameter %d = %g: %v", i, v, err)
+		case (key == base) != (v == old):
+			t.Fatalf("parameter %d: %g → %g, keys equal = %t\nbefore: %s\nafter:  %s", i, old, v, key == base, base, key)
+		}
+	})
+}

@@ -114,19 +114,6 @@ func (m Model) ExactPatternTime(t, p float64) float64 {
 	return f.PatternTime(t)
 }
 
-// FirstOrderPatternTime evaluates the second-order Taylor expansion of
-// E(PATTERN) used in the proof of Theorem 1 (lower-order terms dropped):
-//
-//	E ≈ T + V + C + (λf/2 + λs)·T² + λf·T·(V+C+R+D) + λs·T·(V+R)
-//	  + λf·C·(C/2+R+V+D) + λf·V·(V+R+D)
-func (m Model) FirstOrderPatternTime(t, p float64) float64 {
-	if t <= 0 || p < 1 {
-		return math.Inf(1)
-	}
-	f := m.Freeze(p)
-	return f.FirstOrderPatternTime(t)
-}
-
 // Overhead returns the expected execution overhead of the pattern,
 // H(T, P) = E(PATTERN)/(T·S(P)) = (E/T)·H(P): the expected seconds of
 // wall-clock time per second of sequential work. Minimizing it minimizes
@@ -139,14 +126,11 @@ func (m Model) Overhead(t, p float64) float64 {
 	return f.Overhead(t)
 }
 
-// Speedup returns the expected pattern speedup S(T, P) = T·S(P)/E.
-func (m Model) Speedup(t, p float64) float64 {
-	return 1 / m.Overhead(t, p)
-}
-
 // ErrorFreeOverhead returns H(T, P) with both error rates forced to zero:
-// the pattern still pays V_P + C_P per period. The service reports the
-// Frozen form; TestFrozenMatchesModel holds it to this one.
+// the pattern still pays V_P + C_P per period. It prices V_P + C_P through
+// CombinedVC, not through Freeze, so it is the independent oracle that
+// TestFrozenMatchesModel holds the Frozen form, the one /v1/evaluate
+// reports, to.
 func (m Model) ErrorFreeOverhead(t, p float64) float64 {
 	if t <= 0 {
 		return math.Inf(1)

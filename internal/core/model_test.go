@@ -190,7 +190,8 @@ func TestFirstOrderExpansionConvergence(t *testing.T) {
 		mm := m
 		mm.LambdaInd = lam
 		exact := mm.ExactPatternTime(tt, p)
-		approx := mm.FirstOrderPatternTime(tt, p)
+		fz := mm.Freeze(p)
+		approx := fz.FirstOrderPatternTime(tt)
 		relErr := xmath.RelDiff(exact, approx)
 		if relErr >= prevErr {
 			t.Errorf("λ=%g: first-order error %g did not shrink (prev %g)", lam, relErr, prevErr)
@@ -212,7 +213,8 @@ func TestFirstOrderPatternTimeTermStructure(t *testing.T) {
 	r := c
 	want := tt + v + c + (lf/2+ls)*tt*tt + lf*tt*(v+c+r+d) + ls*tt*(v+r) +
 		lf*c*(c/2+r+v+d) + lf*v*(v+r+d)
-	got := m.FirstOrderPatternTime(tt, p)
+	fz := m.Freeze(p)
+	got := fz.FirstOrderPatternTime(tt)
 	if !xmath.EqualWithin(got, want, 1e-12, 0) {
 		t.Errorf("expansion = %g, want %g", got, want)
 	}
@@ -227,7 +229,8 @@ func TestOverheadDefinition(t *testing.T) {
 	if got := m.Overhead(tt, p); !xmath.EqualWithin(got, wantH, 1e-12, 0) {
 		t.Errorf("Overhead = %g, want %g", got, wantH)
 	}
-	if got := m.Speedup(tt, p); !xmath.EqualWithin(got, 1/wantH, 1e-12, 0) {
+	fz := m.Freeze(p)
+	if got := fz.Speedup(tt); !xmath.EqualWithin(got, 1/wantH, 1e-12, 0) {
 		t.Errorf("Speedup = %g, want %g", got, 1/wantH)
 	}
 	if !math.IsInf(m.Overhead(0, p), 1) {
@@ -265,7 +268,8 @@ func TestExactVsExpansionAcrossScenarios(t *testing.T) {
 		for _, p := range []float64{32, 512, 8192} {
 			tt := m.OptimalPeriodFixedP(p)
 			exact := m.ExactPatternTime(tt, p)
-			approx := m.FirstOrderPatternTime(tt, p)
+			fz := m.Freeze(p)
+			approx := fz.FirstOrderPatternTime(tt)
 			// At the optimal period λ_P·T is O(sqrt(λ_P·CV)), so the
 			// dropped third-order terms contribute O((λT)³/6) ≈ 0.2%
 			// at the largest P probed here.

@@ -118,6 +118,20 @@ func ResolveModel(platformName string, scenario int, alpha, downtime, lambda flo
 	return m, pl, err
 }
 
+// ResolvePattern fills in the pattern a CLI invocation or a service
+// request leaves at zero: P = 0 takes the platform's deployed count, and
+// T = 0 takes Theorem 1's period at that P. Every surface that prices a
+// pattern the caller may leave out resolves through here.
+func ResolvePattern(m core.Model, pl platform.Platform, t, p float64) (float64, float64) {
+	if p == 0 {
+		p = pl.Processors
+	}
+	if t == 0 {
+		t = m.OptimalPeriodFixedP(p)
+	}
+	return t, p
+}
+
 // Eval is one evaluated pattern configuration: the parameters, the model
 // prediction and the Monte-Carlo measurement.
 type Eval struct {

@@ -3,15 +3,12 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
 	"sync"
 	"time"
-
-	"amdahlyd/internal/service"
 )
 
 // HealthOptions tunes the checker; the zero value probes every 500 ms.
@@ -66,7 +63,6 @@ type HealthChecker struct {
 	mu     sync.Mutex
 	fails  map[string]int
 	passes map[string]int
-	fills  int // completed warm-fills (test observability)
 
 	stop chan struct{}
 	done chan struct{}
@@ -114,13 +110,6 @@ func (h *HealthChecker) Stop() {
 	close(h.stop)
 	<-h.done
 	h.stop = nil
-}
-
-// Fills returns how many warm-fills have completed.
-func (h *HealthChecker) Fills() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.fills
 }
 
 // ProbeOnce runs one probe round across all peers (concurrently) and
@@ -199,60 +188,50 @@ func (h *HealthChecker) observe(ctx context.Context, peer string, ok bool) {
 		// The fill is two requests, a pull and a push; each gets one probe
 		// timeout. A donor that is ready but never answers its hot set
 		// must not hold this round, and with it every other peer's
-		// membership, hostage.
+		// membership, hostage. A failed or timed-out fill is no reason to
+		// keep a ready peer out of the ring either: it joins cold, exactly
+		// as if it had no donor, so the fill's error is dropped.
 		fctx, cancel := context.WithTimeout(ctx, 2*h.opts.timeout())
-		_, err := WarmFill(fctx, h.peers[donor], h.peers[peer])
+		_ = WarmFill(fctx, h.peers[donor], h.peers[peer])
 		cancel()
-		if err == nil {
-			h.mu.Lock()
-			h.fills++
-			h.mu.Unlock()
-		}
-		// A failed or timed-out fill is not a reason to keep a ready peer
-		// out of the ring: it joins cold, exactly as if it had no donor.
 	}
 	h.ring.Add(peer)
 }
 
 // WarmFill pulls the donor replica's hot cache entries (as many as its
-// /v1/cache/hot returns by default) and pushes them into the joiner,
-// returning how many the joiner accepted. Sound end to end: entries are
-// pure functions of their keys and float64 survives the JSON hop
-// bit-exactly, so a filled entry is indistinguishable from one the
-// joiner solved itself.
-func WarmFill(ctx context.Context, donorURL, joinerURL string) (int, error) {
+// /v1/cache/hot returns by default) and pushes them into the joiner.
+// Sound end to end: entries are pure functions of their keys and float64
+// survives the JSON hop bit-exactly, so a filled entry is
+// indistinguishable from one the joiner solved itself.
+func WarmFill(ctx context.Context, donorURL, joinerURL string) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, donorURL+"/v1/cache/hot", nil)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	resp, err := healthClient.Do(req)
 	if err != nil {
-		return 0, fmt.Errorf("fleet: warm-fill pull from %s: %w", donorURL, err)
+		return fmt.Errorf("fleet: warm-fill pull from %s: %w", donorURL, err)
 	}
 	hot, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
 	resp.Body.Close()
 	if err != nil {
-		return 0, fmt.Errorf("fleet: warm-fill pull from %s: %w", donorURL, err)
+		return fmt.Errorf("fleet: warm-fill pull from %s: %w", donorURL, err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("fleet: warm-fill pull from %s: status %d", donorURL, resp.StatusCode)
+		return fmt.Errorf("fleet: warm-fill pull from %s: status %d", donorURL, resp.StatusCode)
 	}
 	preq, err := http.NewRequestWithContext(ctx, http.MethodPost, joinerURL+"/v1/cache/fill", bytes.NewReader(hot))
 	if err != nil {
-		return 0, err
+		return err
 	}
 	preq.Header.Set("Content-Type", "application/json")
 	presp, err := healthClient.Do(preq)
 	if err != nil {
-		return 0, fmt.Errorf("fleet: warm-fill push to %s: %w", joinerURL, err)
+		return fmt.Errorf("fleet: warm-fill push to %s: %w", joinerURL, err)
 	}
 	defer drainClose(presp)
 	if presp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("fleet: warm-fill push to %s: status %d", joinerURL, presp.StatusCode)
+		return fmt.Errorf("fleet: warm-fill push to %s: status %d", joinerURL, presp.StatusCode)
 	}
-	var fr service.FillResponse
-	if err := json.NewDecoder(io.LimitReader(presp.Body, 1<<20)).Decode(&fr); err != nil {
-		return 0, fmt.Errorf("fleet: warm-fill push to %s: %w", joinerURL, err)
-	}
-	return fr.Accepted, nil
+	return nil
 }

@@ -141,15 +141,6 @@ func (r *Ring) Owners(key string, n int) []string {
 	return out
 }
 
-// Owner returns the key's owner, or "" on an empty ring.
-func (r *Ring) Owner(key string) string {
-	owners := r.Owners(key, 1)
-	if len(owners) == 0 {
-		return ""
-	}
-	return owners[0]
-}
-
 // Neighbour returns the peer that owns most of peer's keyspace in its
 // absence: the first distinct peer after peer's first virtual node. It
 // is the warm-fill donor for a joining peer — the member that has been

@@ -24,7 +24,7 @@ func TestRingSpreadsKeysRoughlyEvenly(t *testing.T) {
 	counts := map[string]int{}
 	keys := testKeys(9000)
 	for _, k := range keys {
-		counts[r.Owner(k)]++
+		counts[r.Owners(k, 1)[0]]++
 	}
 	for _, p := range peers {
 		share := float64(counts[p]) / float64(len(keys))
@@ -45,11 +45,11 @@ func TestRingRemovalOnlyMovesTheRemovedPeersKeys(t *testing.T) {
 	keys := testKeys(4000)
 	before := make([]string, len(keys))
 	for i, k := range keys {
-		before[i] = r.Owner(k)
+		before[i] = r.Owners(k, 1)[0]
 	}
 	r.Remove("p3")
 	for i, k := range keys {
-		after := r.Owner(k)
+		after := r.Owners(k, 1)[0]
 		if before[i] != "p3" && after != before[i] {
 			t.Fatalf("key %q moved %s → %s although p3 was removed", k, before[i], after)
 		}
@@ -61,7 +61,7 @@ func TestRingRemovalOnlyMovesTheRemovedPeersKeys(t *testing.T) {
 	// are deterministic).
 	r.Add("p3")
 	for i, k := range keys {
-		if got := r.Owner(k); got != before[i] {
+		if got := r.Owners(k, 1)[0]; got != before[i] {
 			t.Fatalf("key %q owned by %s after rejoin; was %s", k, got, before[i])
 		}
 	}
@@ -84,15 +84,15 @@ func TestRingOwnersDistinctAndOrdered(t *testing.T) {
 			}
 			seen[p] = true
 		}
-		if owners[0] != r.Owner(k) {
-			t.Fatalf("Owners[0] %s != Owner %s", owners[0], r.Owner(k))
+		if first := r.Owners(k, 1); len(first) != 1 || first[0] != owners[0] {
+			t.Fatalf("Owners(%q, 1) = %v; want [%s], the head of Owners(%q, 3)", k, first, owners[0], k)
 		}
 	}
 	if got := r.Owners("x", 10); len(got) != 3 {
 		t.Fatalf("Owners with n beyond membership = %v; want all 3", got)
 	}
-	if got := NewRing().Owner("x"); got != "" {
-		t.Fatalf("empty ring Owner = %q; want empty", got)
+	if got := NewRing().Owners("x", 1); len(got) != 0 {
+		t.Fatalf("empty ring Owners = %v; want none", got)
 	}
 }
 

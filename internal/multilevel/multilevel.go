@@ -263,8 +263,10 @@ func (s *Simulator) attemptPattern(r *rng.Rand, st *Stats) bool {
 	c := s.costs
 	seg := 0
 	for seg < s.pattern.K {
-		// One segment: T + V, then (except after the last segment) an
-		// in-memory checkpoint C1.
+		// One segment: T + V, then an in-memory checkpoint C1. C1 is
+		// charged after every segment, the last one included (before the
+		// disk checkpoint C2), as the first-order overhead's (V+C1)/T
+		// term charges it.
 		window := s.pattern.T + c.V
 		if lost, struck := s.failStopIn(window, r); struck {
 			st.FailStops++

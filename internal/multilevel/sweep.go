@@ -47,10 +47,6 @@ func NewSweepSolver(opts SweepOptions) *SweepSolver {
 	}
 }
 
-// Stats returns the per-chain solve counters accumulated so far; Evals
-// counts inner (T, K) solves.
-func (s *SweepSolver) Stats() optimize.SweepStats { return s.chain.Stats() }
-
 // Observe primes the warm-start state from an externally obtained
 // optimum (e.g. a cache hit for the cell), so the chain stays warm
 // across cells the solver did not compute itself.

@@ -106,10 +106,14 @@ func TestMultilevelBatchMatchesColdAlphaAndFracAxes(t *testing.T) {
 	// whole range on a single chain.
 	m := jointModel(t, costmodel.Scenario3, 0.1, 1.69e-8)
 	s := NewSweepSolver(SweepOptions{})
+	warm := 0
 	for _, frac := range []float64{0, 0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 1} {
 		res, err := s.Solve(m, InMemoryFraction(m, frac))
 		if err != nil {
 			t.Fatalf("frac %g: %v", frac, err)
+		}
+		if res.Warm {
+			warm++
 		}
 		cold, err := OptimalPattern(m, InMemoryFraction(m, frac), PatternOptions{})
 		if err != nil {
@@ -117,8 +121,8 @@ func TestMultilevelBatchMatchesColdAlphaAndFracAxes(t *testing.T) {
 		}
 		assertJointAgrees(t, "frac-axis", res, cold)
 	}
-	if st := s.Stats(); st.WarmSolves == 0 {
-		t.Errorf("stats = %+v: no warm solves on a smooth fraction axis", st)
+	if warm == 0 {
+		t.Error("no warm solves on a smooth fraction axis")
 	}
 }
 
@@ -142,9 +146,11 @@ func TestMultilevelAxisJumpFallsBack(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertJointAgrees(t, "axis-jump", res, cold)
-	}
-	if st := s.Stats(); st.Fallbacks == 0 {
-		t.Errorf("stats = %+v, want at least one fallback across the λ jump", st)
+		// The second cell is seeded by the first, so it tries the warm
+		// bracket; a result that is not Warm is the full-box fallback.
+		if i > 0 && res.Warm {
+			t.Errorf("cell %d: warm solve accepted across the λ jump; want the fallback", i)
+		}
 	}
 }
 

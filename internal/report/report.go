@@ -78,9 +78,6 @@ func (t *Table) AddFloats(label string, vals ...float64) error {
 	return t.AddRow(cells...)
 }
 
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
-
 // Render writes the table with aligned columns.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.Columns))

@@ -40,10 +40,6 @@ import (
 
 // Options tunes the engine. The zero value serves with sensible bounds.
 type Options struct {
-	// FrozenCacheSize bounds the compiled-evaluator cache (default 4096
-	// entries; a Frozen is ~200 bytes, so the default is well under a
-	// megabyte).
-	FrozenCacheSize int
 	// ResultCacheSize bounds each of the optimizer- and campaign-result
 	// caches (default 1024 entries).
 	ResultCacheSize int
@@ -53,38 +49,36 @@ type Options struct {
 	// Evaluate requests are never queued — a cached-kernel evaluation is
 	// cheaper than the bookkeeping would be.
 	MaxConcurrent int
-	// SimWorkers is the per-campaign worker count handed to sim.RunConfig
-	// (default 1: with MaxConcurrent campaigns in flight the process is
-	// already saturated, and per-run streams make the setting invisible
-	// in the results).
-	SimWorkers int
 	// MaxQueued bounds how many jobs may wait for a scheduler slot beyond
 	// the MaxConcurrent executing ones. Past the bound the engine sheds
 	// load immediately with ErrSaturated (HTTP 503 + Retry-After) instead
-	// of accepting an unbounded backlog whose tail would time out anyway.
-	// Zero selects the default 8×MaxConcurrent; negative means unbounded
-	// (the historical behaviour).
+	// of accepting a backlog whose tail would time out anyway. Zero or
+	// less selects the default 8×MaxConcurrent.
 	MaxQueued int
 }
 
 func (o Options) withDefaults() Options {
-	if o.FrozenCacheSize == 0 {
-		o.FrozenCacheSize = 4096
-	}
 	if o.ResultCacheSize == 0 {
 		o.ResultCacheSize = 1024
 	}
 	if o.MaxConcurrent == 0 {
 		o.MaxConcurrent = runtime.GOMAXPROCS(0)
 	}
-	if o.SimWorkers == 0 {
-		o.SimWorkers = 1
-	}
-	if o.MaxQueued == 0 {
+	if o.MaxQueued <= 0 {
 		o.MaxQueued = 8 * o.MaxConcurrent
 	}
 	return o
 }
+
+// frozenCacheSize bounds the compiled-evaluator cache. A Frozen is ~200
+// bytes, so the cache stays under a megabyte.
+const frozenCacheSize = 4096
+
+// campaignWorkers is the worker count of every campaign the engine runs.
+// With MaxConcurrent campaigns in flight the process is already
+// saturated, and per-run streams make the count invisible in the
+// results, so one worker runs the runs inline.
+const campaignWorkers = 1
 
 // ErrSaturated reports that the scheduler's wait queue is full: the job
 // was rejected without queueing. Clients should retry after a short
@@ -116,7 +110,7 @@ type Engine struct {
 	sem chan struct{}
 	// queue bounds the waiting set behind sem: a job must claim a queue
 	// token before it may block on a scheduler slot, and a full queue is an
-	// immediate ErrSaturated. nil means an unbounded queue (MaxQueued < 0).
+	// immediate ErrSaturated.
 	queue chan struct{}
 
 	evals        atomic.Uint64
@@ -139,14 +133,9 @@ type Engine struct {
 // NewEngine builds an engine with the given options.
 func NewEngine(opts Options) *Engine {
 	opts = opts.withDefaults()
-	var queue chan struct{}
-	if opts.MaxQueued > 0 {
-		queue = make(chan struct{}, opts.MaxQueued)
-	}
 	return &Engine{
-		queue:       queue,
 		opts:        opts,
-		frozen:      newLRU[*core.Frozen](opts.FrozenCacheSize),
+		frozen:      newLRU[*core.Frozen](frozenCacheSize),
 		optimizes:   newLRU[optimize.PatternResult](opts.ResultCacheSize),
 		sims:        newLRU[sim.RunResult](opts.ResultCacheSize),
 		mlOptimizes: newLRU[multilevel.PatternResult](opts.ResultCacheSize),
@@ -155,6 +144,7 @@ func NewEngine(opts Options) *Engine {
 		hgSims:      newLRU[sim.HeteroRunResult](opts.ResultCacheSize),
 		flight:      newFlightGroup(),
 		sem:         make(chan struct{}, opts.MaxConcurrent),
+		queue:       make(chan struct{}, opts.MaxQueued),
 	}
 }
 
@@ -410,7 +400,7 @@ func (e *Engine) Simulate(ctx context.Context, m core.Model, t, p float64, cfg s
 	// entry (Workers is then overridden — like the excluded Workers key
 	// component, it cannot affect results).
 	cfg = cfg.WithDefaults()
-	cfg.Workers = e.opts.SimWorkers
+	cfg.Workers = campaignWorkers
 	key := simKey(mk, t, p, cfg)
 	if r, ok := e.sims.Get(key); ok {
 		return r, true, nil
@@ -434,15 +424,13 @@ func (e *Engine) acquire(ctx context.Context) error {
 		return nil
 	default:
 	}
-	if e.queue != nil {
-		select {
-		case e.queue <- struct{}{}:
-		default:
-			e.saturated.Add(1)
-			return ErrSaturated
-		}
-		defer func() { <-e.queue }()
+	select {
+	case e.queue <- struct{}{}:
+	default:
+		e.saturated.Add(1)
+		return ErrSaturated
 	}
+	defer func() { <-e.queue }()
 	e.queued.Add(1)
 	defer e.queued.Add(-1)
 	select {
@@ -460,16 +448,16 @@ func (e *Engine) release() {
 }
 
 // Ready reports whether the scheduler would admit one more job without
-// shedding: a free executing slot, or room in the bounded wait queue (an
-// unbounded queue is always ready). It is the readiness half of the
-// health split — /readyz turns this false into a 503 so a fleet router
-// stops routing to a replica *before* it starts failing requests, while
-// /healthz keeps answering as long as the process lives.
+// shedding: a free executing slot, or room in the bounded wait queue. It
+// is the readiness half of the health split — /readyz turns this false
+// into a 503 so a fleet router stops routing to a replica *before* it
+// starts failing requests, while /healthz keeps answering as long as the
+// process lives.
 func (e *Engine) Ready() bool {
 	if len(e.sem) < cap(e.sem) {
 		return true
 	}
-	return e.queue == nil || len(e.queue) < cap(e.queue)
+	return len(e.queue) < cap(e.queue)
 }
 
 // Stats is the observable state of the engine.

@@ -305,7 +305,9 @@ func TestEngineSchedulerBound(t *testing.T) {
 }
 
 // A full wait queue sheds load immediately with ErrSaturated instead of
-// queueing without bound; draining the queue restores admission.
+// queueing without bound; draining the queue restores admission, and a
+// queued waiter whose context is cancelled leaves with context.Canceled
+// and frees its queue slot.
 func TestEngineSaturationShedsLoad(t *testing.T) {
 	e := NewEngine(Options{MaxConcurrent: 1, MaxQueued: 1})
 
@@ -351,37 +353,37 @@ func TestEngineSaturationShedsLoad(t *testing.T) {
 	if err := e.acquire(context.Background()); err != nil {
 		t.Fatalf("acquire after drain failed: %v", err)
 	}
-	e.release()
-}
 
-// A negative MaxQueued disables shedding: waiters queue without bound
-// (the historical behaviour) and leave when their context is cancelled.
-func TestEngineUnboundedQueue(t *testing.T) {
-	e := NewEngine(Options{MaxConcurrent: 1, MaxQueued: -1})
-	if err := e.acquire(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	const waiters = 8
-	ctx, cancel := context.WithCancel(context.Background())
-	errs := make(chan error, waiters)
-	for i := 0; i < waiters; i++ {
-		go func() { errs <- e.acquire(ctx) }()
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for e.Stats().Queued < waiters {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d waiters queued", e.Stats().Queued, waiters)
+	// A waiter cancelled in the queue returns context.Canceled, and its
+	// queue slot is free for the next job, which queues instead of being
+	// shed.
+	queueOne := func(ctx context.Context) {
+		t.Helper()
+		go func() { waiter <- e.acquire(ctx) }()
+		deadline := time.Now().Add(5 * time.Second)
+		for e.Stats().Queued == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("waiter never queued")
+			}
+			time.Sleep(100 * time.Microsecond)
 		}
-		time.Sleep(100 * time.Microsecond)
 	}
-	if n := e.Stats().Saturated; n != 0 {
-		t.Errorf("unbounded queue shed %d jobs", n)
+	cctx, ccancel := context.WithCancel(context.Background())
+	queueOne(cctx)
+	ccancel()
+	if err := <-waiter; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter returned %v, want context.Canceled", err)
 	}
-	cancel()
-	for i := 0; i < waiters; i++ {
-		if err := <-errs; !errors.Is(err, context.Canceled) {
-			t.Errorf("cancelled waiter returned %v", err)
-		}
+	if st := e.Stats(); st.Queued != 0 || len(e.queue) != 0 {
+		t.Fatalf("cancelled waiter kept its place: Queued = %d, queue tokens %d", st.Queued, len(e.queue))
+	}
+	queueOne(ctx)
+	if n := e.Stats().Saturated; n != 1 {
+		t.Errorf("Saturated = %d after the freed queue slot was reused, want 1", n)
+	}
+	e.release()
+	if err := <-waiter; err != nil {
+		t.Fatalf("waiter after the cancelled one failed: %v", err)
 	}
 	e.release()
 }

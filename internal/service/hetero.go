@@ -115,7 +115,7 @@ func (e *Engine) HeteroSimulate(ctx context.Context, hm core.HeteroModel, plan [
 		return res, false, err
 	}
 	cfg := sim.RunConfig{Runs: runs, Patterns: patterns, Seed: seed}.WithDefaults()
-	cfg.Workers = e.opts.SimWorkers
+	cfg.Workers = campaignWorkers
 	key := hgSimKey(hmk, plan, cfg)
 	if r, ok := e.hgSims.Get(key); ok {
 		return r, true, nil

@@ -472,25 +472,12 @@ func checkBudget(runs, patterns, groups int) error {
 		budget, float64(maxRequestPatternBudget)))
 }
 
-// defaultTP resolves the T = 0 / P = 0 conventions shared by evaluate and
-// simulate: P defaults to the platform's deployed count, T to the
-// Theorem 1 optimum at P — the same lines amdahl-sim runs.
-func defaultTP(m core.Model, pl platform.Platform, t, p float64) (float64, float64) {
-	if p == 0 {
-		p = pl.Processors
-	}
-	if t == 0 {
-		t = m.OptimalPeriodFixedP(p)
-	}
-	return t, p
-}
-
 func (s *Server) evaluate(_ context.Context, req *EvaluateRequest) (any, error) {
 	m, pl, err := req.Model.Build()
 	if err != nil {
 		return nil, err
 	}
-	t, p := defaultTP(m, pl, req.T, req.P)
+	t, p := experiments.ResolvePattern(m, pl, req.T, req.P)
 	ev, err := s.engine.Evaluate(m, t, p)
 	if err != nil {
 		return nil, err
@@ -524,7 +511,7 @@ func (s *Server) simulate(ctx context.Context, req *SimulateRequest) (any, error
 	if err != nil {
 		return nil, err
 	}
-	t, p := defaultTP(m, pl, req.T, req.P)
+	t, p := experiments.ResolvePattern(m, pl, req.T, req.P)
 	if err := checkBudget(req.Runs, req.Patterns, 0); err != nil {
 		return nil, err
 	}

@@ -84,7 +84,7 @@ func (e *Engine) MultilevelSimulate(ctx context.Context, m core.Model, frac floa
 		return res, false, err
 	}
 	cfg := multilevel.CampaignConfig{Runs: runs, Patterns: patterns, Seed: seed}.WithDefaults()
-	cfg.Workers = e.opts.SimWorkers
+	cfg.Workers = campaignWorkers
 	key := mlSimKey(mk, frac, pat, p, cfg)
 	if r, ok := e.mlSims.Get(key); ok {
 		return r, true, nil

@@ -14,8 +14,8 @@ func TestWelfordAgainstDirect(t *testing.T) {
 	for _, x := range xs {
 		w.Add(x)
 	}
-	if w.N() != int64(len(xs)) {
-		t.Errorf("N = %d", w.N())
+	if n := w.Summarize().N; n != int64(len(xs)) {
+		t.Errorf("N = %d", n)
 	}
 	if w.Mean() != 5 {
 		t.Errorf("mean = %g, want 5", w.Mean())

@@ -24,6 +24,9 @@ import (
 // request keys in internal/service; changing it invalidates (never
 // aliases) existing keys, as they all embed it.
 func FloatKey(v float64) string {
+	if v == 0 {
+		v = 0 // −0 formats with its sign
+	}
 	return strconv.FormatFloat(v, 'x', -1, 64)
 }
 

@@ -25,22 +25,14 @@ var reachAllowlist = map[string]string{
 	"analyzers.SeedParamFact.AFact":        "analysis.Fact marker; TestSeedFlow exports and imports the fact",
 	"analyzers.StatusClassifierFact.AFact": "analysis.Fact marker; TestErrClass exports and imports the fact",
 
-	// Test accessors.
-	"analyzers/analysis.LoadDir":   "the analysistest fixture loader behind TestSeedFlow and the other analyzer tests",
-	"fleet.HealthChecker.Fills":    "TestFleetWarmFillOnRejoin counts warm-fills",
-	"fleet.Ring.Owner":             "TestRingRemovalOnlyMovesTheRemovedPeersKeys reads single-key placement",
-	"multilevel.SweepSolver.Stats": "TestMultilevelAxisJumpFallsBack reads the warm/cold/fallback counts",
-	"report.Table.Rows":            "TestTableRender reads the rows back",
-	"stats.Welford.N":              "TestWelfordAgainstDirect checks the count",
-	"platform.Atlas":               "Table II row beside the linked Hera and Coastal; TestTable2Values",
-	"platform.CoastalSSD":          "Table II row beside the linked Hera and Coastal; TestTable2Values",
+	// The analyzer fixture loader and the Table II rows beside the
+	// linked Hera and Coastal.
+	"analyzers/analysis.LoadDir": "the analysistest fixture loader behind TestSeedFlow and the other analyzer tests",
+	"platform.Atlas":             "Table II row beside the linked Hera and Coastal; TestTable2Values",
+	"platform.CoastalSSD":        "Table II row beside the linked Hera and Coastal; TestTable2Values",
 
 	// Oracles that tests compare production code against.
-	"core.Model.ErrorFreeOverhead":         "mirror of the Frozen method; TestFrozenMatchesModel",
-	"core.Model.FirstOrderPatternTime":     "mirror of the Frozen method; TestFrozenMatchesModel",
-	"core.Model.Speedup":                   "mirror of the Frozen method; TestFrozenMatchesModel",
-	"core.Frozen.OverheadAtOptimalPeriod":  "Theorem 1 at T*_P; TestFrozenMatchesModel and the semi-analytic optimum tests",
-	"core.Frozen.OverheadLog":              "the u = log T form the gated BenchmarkFrozenOverheadLog times; TestFrozenMatchesModel holds it to Model",
+	"core.Model.ErrorFreeOverhead":         "computed from CombinedVC, not Freeze: the oracle TestFrozenMatchesModel holds the Frozen method /v1/evaluate serves to",
 	"core.DecreasingCostOverhead":          "Theorem 3 closed form; TestDecreasingCostOverheadMonotone",
 	"core.MaxOrderDelta":                   "Theorem 2 closed form; TestMaxOrderDelta",
 	"core.PerfectlyParallelOverhead":       "Theorem 2 closed form; TestPerfectlyParallelOverheadSubcases",

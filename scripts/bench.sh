@@ -27,7 +27,7 @@ cd "$(dirname "$0")/.."
 # these must only ever go down. BenchmarkFleetLoadGen is the one gated
 # end-to-end path: warm per-request latency through the fleet router
 # (its qps/p50/p99 extras are recorded alongside, not gated).
-frozen_benchmarks="BenchmarkExactPatternTime BenchmarkFreeze BenchmarkFrozenOverhead BenchmarkFrozenOverheadLog BenchmarkFirstOrderSolve BenchmarkMultilevelOptimize BenchmarkMultilevelCampaign BenchmarkHeteroOptimize BenchmarkHeteroSweep BenchmarkFleetLoadGen"
+frozen_benchmarks="BenchmarkExactPatternTime BenchmarkFreeze BenchmarkFrozenOverhead BenchmarkFrozenPatternTimeDerivs BenchmarkFirstOrderSolve BenchmarkMultilevelOptimize BenchmarkMultilevelCampaign BenchmarkHeteroOptimize BenchmarkHeteroSweep BenchmarkFleetLoadGen"
 regression_pct=15
 
 # parse_min <raw-file>: emit "name ns allocs" lines, the minimum ns/op

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"amdahlyd/internal/costmodel"
+	"amdahlyd/internal/hetero"
 	"amdahlyd/internal/platform"
 	"amdahlyd/internal/xmath"
 )
@@ -115,6 +116,35 @@ func TestHeterogeneousStudyRejectsNonPositiveSplits(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("split %g is not positive", split)) {
 			t.Errorf("split %g: err = %v; want it rejected by value", split, err)
 		}
+	}
+}
+
+// TestHeteroColdSolveEvals pins the mean kernel calls of a cold
+// hetero.OptimalPattern on the study topology (comm 1e-5, split 0.25,
+// α = 0.1, D = 3,600 s) over the four platforms and six scenarios: each
+// solve runs the single-level scan for every group at every active
+// count. Counts do not depend on the host; a 96-point grid polished to a
+// relative 1e-10 (1,471) fails the ceiling.
+func TestHeteroColdSolveEvals(t *testing.T) {
+	total, n := 0, 0
+	for _, pl := range platform.All() {
+		for _, sc := range costmodel.AllScenarios {
+			hm, err := hetero.CompileTopology(HeteroStudyTopology(pl, 1e-5, 0.25), sc, 0.1, 3600)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := hetero.OptimalPattern(hm, hetero.PatternOptions{})
+			if err != nil {
+				t.Fatalf("%s/%v: %v", pl.Name, sc, err)
+			}
+			total += res.Evals
+			n++
+		}
+	}
+	mean := float64(total) / float64(n)
+	t.Logf("mean evaluations per cold hetero solve: %.1f", mean)
+	if mean > 420 {
+		t.Errorf("mean evaluations per cold hetero solve %.1f, want at most 420", mean)
 	}
 }
 

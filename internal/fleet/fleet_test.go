@@ -449,6 +449,33 @@ func TestFleetSweepMidStreamFailover(t *testing.T) {
 	}
 }
 
+// TestRelayRowsEndsOnlyAtATerminationNotice feeds relayRows a sweep row
+// as the service encodes it, a positional error line and a drain notice:
+// the row and the positional line are relayed, the notice ends the
+// stream unrelayed, and nothing after it is read.
+func TestRelayRowsEndsOnlyAtATerminationNotice(t *testing.T) {
+	row, err := json.Marshal(service.SweepRow{X: 1e-10, T: 6000, P: 512, Overhead: 0.1, Method: "numerical", Evals: 80})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := []string{
+		string(row) + "\n",
+		`{"error":"cell 1 not representable in JSON: json: unsupported value: +Inf"}` + "\n",
+		`{"error":"service: server draining, stream terminated early"}` + "\n",
+		string(row) + "\n",
+	}
+	resp := &http.Response{Body: io.NopCloser(strings.NewReader(strings.Join(lines, "")))}
+	var got []string
+	emitted := 0
+	terminated, err := (&Router{}).relayRows(resp, len(lines), &emitted, func(l string) { got = append(got, l) })
+	if err != nil || !terminated {
+		t.Fatalf("relayRows = (terminated %t, %v), want a termination", terminated, err)
+	}
+	if emitted != 2 || len(got) != 2 || got[0] != lines[0] || got[1] != lines[1] {
+		t.Fatalf("relayed %d lines %q, want the row and the positional line", emitted, got)
+	}
+}
+
 // TestFleetWarmFillOnRejoin walks a replica through death and rebirth:
 // while it is out, its neighbour serves (and caches) its keyspace; on
 // rejoin the checker warm-fills it from that neighbour, so its first

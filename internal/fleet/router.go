@@ -621,7 +621,8 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 // replica announced an early termination (a trailing non-positional
 // error line, e.g. a drain), and a non-nil error when the connection
 // died mid-stream; a clean return with *emitted == want is a full
-// stream.
+// stream. A sweep row is relayed without decoding: it always begins with
+// its first field, x, and errorLine returns false for every such line.
 func (rt *Router) relayRows(resp *http.Response, want int, emitted *int, emitLine func(string)) (terminated bool, err error) {
 	br := bufio.NewReader(resp.Body)
 	for *emitted < want {
@@ -632,16 +633,21 @@ func (rt *Router) relayRows(resp *http.Response, want int, emitted *int, emitLin
 			// EOF short of the full axis is a death at a row boundary.
 			return false, fmt.Errorf("stream ended after %d of %d rows: %w", *emitted, want, err)
 		}
-		if msg, isErr := errorLine(line); isErr && !positionalError(msg) {
-			// A server-side termination notice (drain, cancellation): do not
-			// relay it — the remaining rows come from the next peer.
-			return true, nil
+		if !strings.HasPrefix(line, rowPrefix) {
+			if msg, isErr := errorLine(line); isErr && !positionalError(msg) {
+				// A server-side termination notice (drain, cancellation): do
+				// not relay it — the remaining rows come from the next peer.
+				return true, nil
+			}
 		}
 		emitLine(line)
 		*emitted++
 	}
 	return false, nil
 }
+
+// rowPrefix opens every encoded service.SweepRow: X is its first field.
+const rowPrefix = `{"x":`
 
 // errorLine reports whether an NDJSON line is an error envelope rather
 // than a sweep row (rows always carry an "x" field; envelopes only

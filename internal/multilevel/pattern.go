@@ -71,6 +71,13 @@ type PatternResult struct {
 	Warm bool
 }
 
+// fullBoxGrid is the outer log-grid size of a full-box two-level scan, cold
+// solves and chain restarts alike: ~7 points per decade over the default
+// 13-decade box. g(P) is a minimum over the integer segment count K, with
+// near-equal local minima a few percent apart in P, so unlike the
+// single-level scans (16 points on that box) it keeps a dense grid.
+const fullBoxGrid = 96
+
 // errNilCosts is shared by every entry point that takes a CostsFunc.
 var errNilCosts = errors.New("multilevel: nil CostsFunc")
 
@@ -121,7 +128,7 @@ func OptimalPattern(m core.Model, costsFor CostsFunc, opts PatternOptions) (Patt
 	if costsFor == nil {
 		return PatternResult{}, errNilCosts
 	}
-	return scanBox(m, costsFor, opts, opts.PMin, opts.PMax, optimize.GridP)
+	return scanBox(m, costsFor, opts, opts.PMin, opts.PMax, fullBoxGrid)
 }
 
 // scanBox runs the shared outer optimize.Scan over [pLo, pHi] on a

@@ -43,7 +43,7 @@ func NewSweepSolver(opts SweepOptions) *SweepSolver {
 	po := opts.PatternOptions.withDefaults()
 	return &SweepSolver{
 		opts:  po,
-		chain: optimize.NewWarmChain(po.PMin, po.PMax, opts.Cold),
+		chain: optimize.NewWarmChain(po.PMin, po.PMax, fullBoxGrid, opts.Cold),
 	}
 }
 
@@ -57,10 +57,8 @@ func (s *SweepSolver) Observe(res PatternResult) {
 // Solve returns the joint (T, K, P) optimum for the next cell of the
 // chain. The first cell (and any cell whose warm solve is rejected)
 // pays a full-box scan; subsequent cells search only the narrow bracket
-// around the previous P*. In Cold mode every cell is bit-identical to a
-// per-cell OptimalPattern call (same grid, same refinement); a chain
-// restart in warm mode uses the same reference scan at a coarser outer
-// grid.
+// around the previous P*. A Cold-mode cell and a warm chain's restart
+// run OptimalPattern's full-box scan, bit-identical to a per-cell call.
 func (s *SweepSolver) Solve(m core.Model, costsFor CostsFunc) (PatternResult, error) {
 	if err := s.opts.validate(); err != nil {
 		return PatternResult{}, err

@@ -22,18 +22,18 @@ var numericalOptimumGoldens = []struct {
 	scenario costmodel.Scenario
 	t, p, h  float64
 }{
-	{"Hera", costmodel.Scenario1, 6554.8577677677431, 207.21389357262512, 0.10903714666640321},
-	{"Hera", costmodel.Scenario3, 9241.48619939948, 237.22449358043028, 0.11133239179670223},
-	{"Hera", costmodel.Scenario5, 4558.0797596382008, 707.37071565259657, 0.11288296011137561},
-	{"Atlas", costmodel.Scenario1, 5411.2982252086185, 227.99782572690515, 0.10816583383988677},
-	{"Atlas", costmodel.Scenario3, 11191.709001406816, 219.1794935876313, 0.11263046376794304},
-	{"Atlas", costmodel.Scenario5, 3978.9722344125025, 1305.973089871645, 0.11959376429642807},
-	{"Coastal", costmodel.Scenario1, 15560.029066189156, 360.45497987352184, 0.10505791825469996},
-	{"Coastal", costmodel.Scenario3, 38614.808884198355, 321.20822135466335, 0.10852991054057881},
-	{"Coastal", costmodel.Scenario5, 12708.513042885275, 2415.0318265581095, 0.11529437228572946},
-	{"CoastalSSD", costmodel.Scenario1, 29074.375924440275, 287.68119537525524, 0.10696421761265987},
-	{"CoastalSSD", costmodel.Scenario3, 71506.238997891196, 235.50669105455421, 0.11175114020514071},
-	{"CoastalSSD", costmodel.Scenario5, 34900.241326457181, 1357.9075481021173, 0.12466478759098573},
+	{"Hera", costmodel.Scenario1, 6554.8577790478976, 207.21388817602994, 0.10903714666640325},
+	{"Hera", costmodel.Scenario3, 9241.486240594777, 237.22449150058358, 0.11133239179670225},
+	{"Hera", costmodel.Scenario5, 4558.0797273755761, 707.37072082647944, 0.11288296011137565},
+	{"Atlas", costmodel.Scenario1, 5411.2982845031283, 227.99777763436904, 0.10816583383988683},
+	{"Atlas", costmodel.Scenario3, 11191.7083136652, 219.17952000653744, 0.11263046376794297},
+	{"Atlas", costmodel.Scenario5, 3978.973554385997, 1305.9726498988175, 0.119593764296428},
+	{"Coastal", costmodel.Scenario1, 15560.029056120396, 360.45499292494839, 0.10505791825470008},
+	{"Coastal", costmodel.Scenario3, 38614.808988652949, 321.20821964009457, 0.10852991054057884},
+	{"Coastal", costmodel.Scenario5, 12708.510081942954, 2415.0323906022254, 0.11529437228572946},
+	{"CoastalSSD", costmodel.Scenario1, 29074.376060800118, 287.68118775136503, 0.10696421761265998},
+	{"CoastalSSD", costmodel.Scenario3, 71506.23949624419, 235.50668783135802, 0.11175114020514078},
+	{"CoastalSSD", costmodel.Scenario5, 34900.240897908909, 1357.9075651435608, 0.12466478759098575},
 }
 
 // TestOptimalPatternBitIdentical verifies OptimalPattern returns

@@ -7,18 +7,33 @@ import (
 	"amdahlyd/internal/core"
 )
 
-// The search resolution every pattern solver shares.
+// The search resolution of the single-level solvers.
 const (
-	// GridP is the outer log-grid resolution of a full-box processor
-	// scan, ~7 points per decade over the default 13-decade box. H(P) is
-	// not unimodal across objective-class changes and bounds, so the
-	// outer level keeps a dense grid; the inner period search runs no
-	// grid (minimizeT).
-	GridP = 96
-	// refineTol is the relative x tolerance of every Brent refinement
-	// and of the Newton period search.
+	// gridStep is the spacing in u = log P of a full-box single-level
+	// processor scan: 16 points over the default 13-decade box. On every
+	// single-level objective a differential run found the optimum's basin
+	// from this grid as it did from a 96-point one (DESIGN.md, "Ablations
+	// pinned by benchmarks"); the two-level objective, a minimum over an
+	// integer segment count, keeps a dense grid of its own. It is a
+	// spacing, not a count, so a wide box is no coarser: a box up to
+	// 1e300 gets ~348 points, almost all +Inf probes past the overflow
+	// period that make no kernel call.
+	gridStep = 13 * math.Ln10 / 15
+	// refineTol is the relative u tolerance of the Newton period search.
 	refineTol = 1e-10
 )
+
+// gridPoints is the size of a full-box single-level scan's log-grid over
+// [lo, hi]: points gridStep apart, never fewer than 3. The 1e-9 slack
+// keeps the default box at 16 points, whatever the rounding of its log
+// width. A box validate rejects gets 3.
+func gridPoints(lo, hi float64) int {
+	steps := math.Ceil((math.Log(hi)-math.Log(lo))/gridStep - 1e-9)
+	if !(steps >= 2) || math.IsInf(steps, 1) {
+		return 3
+	}
+	return int(steps) + 1
+}
 
 // DefaultPMax is PatternOptions' default processor bound, shared by the
 // two-level and heterogeneous search boxes.
@@ -221,7 +236,7 @@ func OptimalPattern(m core.Model, opts PatternOptions) (PatternResult, error) {
 	if err := m.Validate(); err != nil {
 		return PatternResult{}, err
 	}
-	return solvePattern(m, opts, nil, opts.PMin, opts.PMax, GridP)
+	return solvePattern(m, opts, nil, opts.PMin, opts.PMax, gridPoints(opts.PMin, opts.PMax))
 }
 
 // solvePattern runs the outer Scan over [lo, hi] on a gridP-point log-grid

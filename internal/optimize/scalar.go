@@ -132,13 +132,17 @@ func BrentMin(f Func, a, b, tol float64) Result {
 	return Result{X: x, F: fx, Evals: evals, Converged: converged}
 }
 
+// polishTol is the relative x tolerance of gridRefine's Brent polish:
+// √ε. The scan runs it in u = log P on an objective known to ~1e-16, so
+// below √ε in u Brent's parabola fits rounding, not curvature.
+const polishTol = 0x1p-26
+
 // gridRefine scans f on points evenly spaced grid points over [lo, hi],
 // then refines the bracket around the best point with bounded Brent at
-// refineTol. A dense grid makes it robust to objectives that are not
-// globally unimodal, as the outer P scan's is; the scan runs it in
-// u = log P. The returned Result is the refined minimum; ties prefer
-// the smaller x, and the grid best wins a plateau. Callers check lo < hi
-// in their own coordinates.
+// polishTol. The grid localizes the minimum on objectives that are not
+// globally unimodal; the scan runs it in u = log P. The returned Result
+// is the refined minimum; ties prefer the smaller x, and the grid best
+// wins a plateau. Callers check lo < hi in their own coordinates.
 func gridRefine(f Func, lo, hi float64, points int) (Result, error) {
 	if points < 3 {
 		return Result{}, errGridPoints
@@ -164,7 +168,7 @@ func gridRefine(f Func, lo, hi float64, points int) (Result, error) {
 		return Result{}, errGridAllInf
 	}
 
-	res := BrentMin(f, gridPoint(max(bestI-1, 0)), gridPoint(min(bestI+1, points-1)), refineTol)
+	res := BrentMin(f, gridPoint(max(bestI-1, 0)), gridPoint(min(bestI+1, points-1)), polishTol)
 	res.Evals += points
 	// The grid best might still beat the refined point on plateaus.
 	if bestF < res.F {

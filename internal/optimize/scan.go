@@ -19,9 +19,10 @@ type Probe[R any] struct {
 }
 
 // memoSlack is the probe-memo room a scan needs beyond its grid points:
-// the Brent polish, the integer rounding and the final probe add up to
-// ~30 distinct P (a cold GridP scan probes 113–125 at p50–p90), so a memo
-// sized for the grid alone would grow once per solve.
+// the Brent polish, the integer rounding and the final probe add 10
+// distinct P at p50, 14 at p90 and up to ~35 (cold single-level scans
+// of random models), so a memo sized for the grid alone would grow in
+// most solves.
 const memoSlack = 32
 
 // boundSlack is how close to the optimum g(PMax) must come for a scan to
@@ -97,7 +98,11 @@ func (s *Scan[R]) Run(lo, hi float64, gridP int) (ScanResult[R], error) {
 		return math.Inf(1)
 	}
 
-	outer, err := gridRefine(func(u float64) float64 { return g(math.Exp(u)) },
+	// P is e^u clamped into the box, as the period search clamps T:
+	// e^{log hi} rounds past hi on the default box (1e13 + 0.002), where
+	// an optimum at the bound would fall outside it.
+	at := func(u float64) float64 { return math.Min(math.Max(math.Exp(u), lo), hi) }
+	outer, err := gridRefine(func(u float64) float64 { return g(at(u)) },
 		math.Log(lo), math.Log(hi), gridP)
 	if err != nil {
 		return ScanResult[R]{}, ErrNoFeasible
@@ -106,9 +111,9 @@ func (s *Scan[R]) Run(lo, hi float64, gridP int) (ScanResult[R], error) {
 	// rounding, where the refined P lands anywhere in the flat stretch
 	// and a test on P flips between solves that agree on g. The grid's
 	// last point is the bound's probe, so the test costs no inner solve.
-	p := math.Exp(outer.X)
-	atBound := hi >= s.PMax && g(math.Exp(math.Log(hi))) <= outer.F*(1+boundSlack)
-	if s.IntegerP && !atBound {
+	p := at(outer.X)
+	atBound := hi >= s.PMax && g(at(math.Log(hi))) <= outer.F*(1+boundSlack)
+	if s.IntegerP {
 		p = betterInteger(g, p, s.PMin, s.PMax)
 	}
 	pr := probe(p)

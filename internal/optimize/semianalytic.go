@@ -31,7 +31,7 @@ func SemiAnalyticOptimum(m core.Model, opts PatternOptions) (core.Solution, erro
 			return Probe[struct{}]{F: m.OverheadAtOptimalPeriod(p)}, 1
 		},
 	}
-	res, err := s.Run(opts.PMin, opts.PMax, GridP)
+	res, err := s.Run(opts.PMin, opts.PMax, gridPoints(opts.PMin, opts.PMax))
 	if err != nil {
 		return core.Solution{}, errors.New("optimize: semi-analytic objective infeasible")
 	}

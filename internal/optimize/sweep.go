@@ -29,12 +29,6 @@ const (
 	// only needs to localize the minimum for the Brent polish, not
 	// survive a cold multi-decade scan.
 	warmGrid = 10
-	// coldScanGridP is the outer grid of a chain-restart scan: coarser
-	// than GridP (the Brent polish converges from a coarser localization
-	// at equal tolerance), still dense enough to not skip the feasible
-	// band of any Table II/III configuration (~5 points per decade over
-	// the default 13-decade box).
-	coldScanGridP = 64
 )
 
 // SweepStats counts how a solver spent its cells: the measurable record
@@ -75,14 +69,10 @@ type WarmChain struct {
 	stats   SweepStats
 }
 
-// NewWarmChain starts a chain over the processor box [pMin, pMax]. A
-// cold chain solves every cell with the reference GridP-point full-box
-// scan; a warm chain's restarts use coldScanGridP points.
-func NewWarmChain(pMin, pMax float64, cold bool) WarmChain {
-	gridP := coldScanGridP
-	if cold {
-		gridP = GridP
-	}
+// NewWarmChain starts a chain over the processor box [pMin, pMax] whose
+// full-box solves run the caller's gridP-point scan: every cell of a cold
+// chain, and the first cell and every restart of a warm one.
+func NewWarmChain(pMin, pMax float64, gridP int, cold bool) WarmChain {
 	return WarmChain{pMin: pMin, pMax: pMax, gridP: gridP, cold: cold}
 }
 
@@ -156,7 +146,7 @@ func (c *WarmChain) atWarmEdge(p, lo, hi float64) bool {
 // path's own (minimizeT). A cell whose objective class changed since the
 // previous cell restarts on the full cold box, as does any warm solve
 // WarmChain rejects (the sweep property tests pin warm against per-cell
-// OptimalPattern within bounds derived from refineTol).
+// OptimalPattern within bounds derived from the polish tolerance).
 //
 // A solver is stateful (the chain state and a reusable per-P probe memo)
 // and must not be shared between goroutines; run one solver per chain.
@@ -172,10 +162,11 @@ type SweepSolver struct {
 // NewSweepSolver builds a solver for one chain of related models.
 func NewSweepSolver(opts SweepOptions) *SweepSolver {
 	opts.PatternOptions = opts.PatternOptions.withDefaults()
+	gridP := gridPoints(opts.PMin, opts.PMax)
 	return &SweepSolver{
 		opts:  opts,
-		chain: NewWarmChain(opts.PMin, opts.PMax, opts.Cold),
-		memo:  make(map[float64]Probe[float64], GridP+memoSlack),
+		chain: NewWarmChain(opts.PMin, opts.PMax, gridP, opts.Cold),
+		memo:  make(map[float64]Probe[float64], gridP+memoSlack),
 	}
 }
 
@@ -192,10 +183,9 @@ func (s *SweepSolver) Observe(m core.Model, res PatternResult) {
 
 // Solve returns the numerical optimum for the next cell of the chain.
 // The first cell (and any cell whose warm solve is rejected) pays a full
-// cold scan; subsequent cells typically cost an order of magnitude less.
-// A full-box solve is OptimalPattern's scan in Cold mode (bit-identical
-// to a per-cell call); otherwise it runs the coarser coldScanGridP outer
-// grid, so even chain restarts cost less than the reference scan.
+// cold scan; subsequent cells typically cost a fraction of one. Every
+// full-box solve is OptimalPattern's scan, so a Cold-mode cell and a
+// chain restart are bit-identical to a per-cell call.
 func (s *SweepSolver) Solve(m core.Model) (PatternResult, error) {
 	// Hold warm mode to the same option contract as OptimalPattern: a
 	// bad search box must fail loudly here, not surface as an

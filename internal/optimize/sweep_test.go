@@ -10,12 +10,12 @@ import (
 	"amdahlyd/internal/xmath"
 )
 
-// Warm-vs-cold agreement bounds. The cold reference converges its
-// refinement interval to Tol = 1e-10 (relative, in log coordinates);
-// near a quadratic minimum an interval of that size leaves the objective
-// determined to ~Tol² and the minimizer's position to ~√Tol, so the
-// solvers may legitimately disagree by ~1e-5 in (T*, P*) on flat basins
-// while agreeing far more tightly on the overhead itself.
+// Warm-vs-cold agreement bounds. Both solvers polish P to a relative √ε
+// in log coordinates, where H, known to ~1e-16, no longer shows its
+// curvature; on a flat basin the minimizer's position is only determined
+// to ~√(rounding/curvature), so the solvers may legitimately disagree by
+// ~1e-5 in (T*, P*) while agreeing far more tightly on the overhead
+// itself.
 const (
 	sweepTolH  = 1e-8
 	sweepTolXY = 1e-4
@@ -268,10 +268,9 @@ func TestBatchAmortizesEvals(t *testing.T) {
 // TestAtPBoundAgreesOnFlatBound pins AtPBound where H is flat to
 // rounding near PMax: Coastal and CoastalSSD, scenario 6, α = 0.1, D = 0,
 // where P* lands anywhere above ~0.999·PMax with H equal to ~1e-15. The
-// reference scan, a warm chain's first cell (a 64-point restart scan) and
-// a Cold chain's must all report the bound; a test on P read it
-// differently across the three. The Hera paper point, an interior
-// optimum, must not.
+// reference scan and the first cells of a warm and a Cold chain must all
+// report the bound; a test on P read it differently across the three.
+// The Hera paper point, an interior optimum, must not.
 func TestAtPBoundAgreesOnFlatBound(t *testing.T) {
 	for _, c := range []struct {
 		pl    platform.Platform

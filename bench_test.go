@@ -189,13 +189,14 @@ func BenchmarkNumericalOptimum(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchSweepSolve measures the warm-start batch solver over a
-// 32-cell λ_ind axis (scenario 3, the Fig. 5 shape). The amortized
-// per-cell cost is the reported ns/cell metric. Warm and cold cells run
-// the same Newton inner period search, so a warm cell saves only the
-// outer P scan: on a 2-CPU Xeon host (go1.24.0) ns/cell measured 4.0×
-// below the cold BenchmarkNumericalOptimum (21.6 µs against 85.8 µs,
-// medians of five interleaved runs).
+// BenchmarkBatchSweepSolve measures one warm-start SweepSolver chain
+// over a 32-cell λ_ind axis (scenario 3, the Fig. 5 shape). The
+// amortized per-cell cost is the reported ns/cell metric. Warm and cold
+// cells run the same Newton inner period search and the cold scan runs
+// 16 points, so a warm cell saves little: on a 2-CPU Xeon host
+// (go1.24.0) ns/cell measured 1.3× below the cold
+// BenchmarkNumericalOptimum (15.0 µs against 19.3 µs, medians of five
+// interleaved runs).
 func BenchmarkBatchSweepSolve(b *testing.B) {
 	base := heraModel(b, costmodel.Scenario3, 0.1)
 	lambdas := xmath.Logspace(1e-12, 1e-8, 32)
@@ -207,12 +208,11 @@ func BenchmarkBatchSweepSolve(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := optimize.BatchOptimalPattern(models, optimize.SweepOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res) != len(models) {
-			b.Fatal("short result")
+		s := optimize.NewSweepSolver(optimize.SweepOptions{})
+		for _, m := range models {
+			if _, err := s.Solve(m); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(models)), "ns/cell")

@@ -7,14 +7,10 @@
 //	amdahl-exp -fig 2                  # Fig. 2 on all four platforms
 //	amdahl-exp -fig 5 -quick           # reduced Monte-Carlo budget
 //	amdahl-exp -fig all -out results/  # everything, with CSV files
-//	amdahl-exp -fig 4 -warm=false      # per-cell grid scans (no warm-start)
 //
-// Sweep cells are solved by a warm-start chain per scenario (see
-// DESIGN.md, "Warm-start sweep solver"); -warm=false runs per-cell grid
-// scans instead, bit-identical to per-cell OptimalPattern calls. Warm
-// results agree with cold ones within the SweepSolver tolerance, so a
-// render may differ in its last printed digit; byte-identical renders
-// are pinned for Fig. 4 and for the two-level and hetero studies.
+// Every figure and study cell solves its own optimum: the paper's
+// "optimal (numerical)" curves are independent per-point optima (see
+// DESIGN.md, "Warm-start sweep solver", for why no driver warm-starts).
 //
 // The robustness subcommand stresses the exponential-optimal patterns
 // against non-memoryless failure laws (Weibull, log-normal, Gamma),
@@ -103,13 +99,13 @@ func main() {
 }
 
 // gridCmd is the flag scaffold of the figure suite and the three
-// studies: the platform, the Monte-Carlo budget, the CSV directory, the
-// warm-start switch and, for the studies, -scenario. parse resolves
-// them into the fields below the flags.
+// studies: the platform, the Monte-Carlo budget, the CSV directory and,
+// for the studies, -scenario. parse resolves them into the fields below
+// the flags.
 type gridCmd struct {
 	fs                       *flag.FlagSet
 	platName, out            *string
-	quick, warm              *bool
+	quick                    *bool
 	seed                     *uint64
 	runs, patterns, scenario *int
 
@@ -121,7 +117,7 @@ type gridCmd struct {
 
 // newGridCmd registers the shared flags. scenarioAll names what
 // -scenario 0 selects; an empty one registers no -scenario flag.
-func newGridCmd(name, platDefault, platHelp, warmHelp, scenarioAll string) *gridCmd {
+func newGridCmd(name, platDefault, platHelp, scenarioAll string) *gridCmd {
 	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	g := &gridCmd{
 		fs:           fs,
@@ -132,7 +128,6 @@ func newGridCmd(name, platDefault, platHelp, warmHelp, scenarioAll string) *grid
 		seed:         fs.Uint64("seed", 1, "random seed"),
 		runs:         fs.Int("runs", 0, "override Monte-Carlo runs per point"),
 		patterns:     fs.Int("patterns", 0, "override patterns per run"),
-		warm:         fs.Bool("warm", true, warmHelp),
 	}
 	if scenarioAll != "" {
 		g.scenario = fs.Int("scenario", 0, "restrict to one Table III scenario 1-6 (0 = "+scenarioAll+")")
@@ -164,7 +159,7 @@ func (g *gridCmd) parse(args []string, strayHint string) error {
 	if *g.quick {
 		g.cfg = experiments.Quick()
 	}
-	g.cfg.Seed, g.cfg.ColdSolve = *g.seed, !*g.warm
+	g.cfg.Seed = *g.seed
 	if *g.runs > 0 {
 		g.cfg.Runs = *g.runs
 	}
@@ -221,8 +216,7 @@ func nonNegative(fs *flag.FlagSet, names ...string) error {
 // runRobustness drives the non-exponential robustness study (extension
 // beyond the paper; see DESIGN.md, distribution substrate).
 func runRobustness(ctx context.Context, args []string) error {
-	g := newGridCmd("amdahl-exp robustness", "hera", "platform supplying rates and costs",
-		"warm-start the per-scenario optimizations; -warm=false restores the per-cell grid scans", "all")
+	g := newGridCmd("amdahl-exp robustness", "hera", "platform supplying rates and costs", "all")
 	dist := g.fs.String("dist", "weibull", "true failure law: weibull, lognormal or gamma (exponential = sanity baseline)")
 	shape := g.fs.Float64("shape", 0, "distribution shape (Weibull/Gamma k, log-normal σ); 0 sweeps the default Weibull range [0.5, 1]")
 	if err := g.parse(args, ""); err != nil {
@@ -259,8 +253,7 @@ func runRobustness(ctx context.Context, args []string) error {
 // end-to-end"): the joint (T, K, P) optimum per scenario × in-memory
 // cost fraction, priced by Monte-Carlo against the single-level optimum.
 func runMultilevel(ctx context.Context, args []string) error {
-	g := newGridCmd("amdahl-exp multilevel", "hera", "platform supplying rates and costs",
-		"warm-start the per-scenario (T, K, P) chains; -warm=false restores per-cell full-box scans", "scenarios 1,3,5")
+	g := newGridCmd("amdahl-exp multilevel", "hera", "platform supplying rates and costs", "scenarios 1,3,5")
 	fracs := g.fs.String("frac", "", "comma-separated in-memory cost fractions C1/C2 (default 1/60,1/15,0.2,0.5,1)")
 	if err := g.parse(args, ""); err != nil {
 		return err
@@ -283,8 +276,7 @@ func runMultilevel(ctx context.Context, args []string) error {
 // inter-group comm term and the accelerator size, priced by Monte-Carlo
 // against the CPU-only optimum.
 func runHetero(ctx context.Context, args []string) error {
-	g := newGridCmd("amdahl-exp hetero", "hera", "CPU platform supplying rates and costs (the accelerator group is derived from it)",
-		"warm-start the per-(scenario, split) chains along the comm axis; -warm=false restores per-cell full-box scans", "scenarios 1,3,5")
+	g := newGridCmd("amdahl-exp hetero", "hera", "CPU platform supplying rates and costs (the accelerator group is derived from it)", "scenarios 1,3,5")
 	comms := g.fs.String("comm", "", "comma-separated inter-group comm coefficients κ (default 0,1e-6,3e-6,1e-5,3e-5,1e-4)")
 	splits := g.fs.String("split", "", "comma-separated accelerator sizes as fractions of the CPU size (default 0.0625,0.25,1)")
 	if err := g.parse(args, ""); err != nil {
@@ -329,8 +321,7 @@ type renderable interface {
 }
 
 func run(ctx context.Context, args []string) error {
-	g := newGridCmd("amdahl-exp", "", "platform for Figs. 3-7 (default hera) or Fig. 2 (default all)",
-		"warm-start sweep cells from the neighbouring optimum; -warm=false restores the per-cell grid scans", "")
+	g := newGridCmd("amdahl-exp", "", "platform for Figs. 3-7 (default hera) or Fig. 2 (default all)", "")
 	fig := g.fs.String("fig", "all", "figure to regenerate: 2, 3, 4, 5, 6, 7 or all")
 	// A misspelled subcommand ("robustnes") or a misplaced positional
 	// must not silently launch the full-budget figure suite.

@@ -62,25 +62,28 @@
 // against a re-tuned period. Exponential fast paths stay bit-identical
 // for fixed seeds, pinned by golden tests. See DESIGN.md.
 //
-// # Batch sweeps: SweepSolver, not per-cell solves
+// # Batch sweeps: SweepSolver for served and campaign axes
 //
-// Sweep-shaped work — many optimizations along an ordered axis over
-// which the optimum varies smoothly — should go through
-// optimize.SweepSolver / optimize.BatchOptimalPattern (or the service's
-// POST /v1/sweep, which adds per-cell caching), never through per-cell
-// OptimalPattern calls: the solver warm-starts each cell from its
-// neighbour's optimum (narrow bracket + Brent polish, cold fallback on
-// class changes or bracket escapes) at ~an order of magnitude below the
-// per-cell cost, with property tests pinning warm-vs-cold agreement.
-// The bracket state and fallback rule are one type, optimize.WarmChain,
+// A POST /v1/sweep request and a campaign chain — many optimizations
+// along an ordered axis over which the optimum varies smoothly — run
+// on optimize.SweepSolver (or its two-level and hetero counterparts),
+// which warm-starts each cell from its neighbour's optimum (narrow
+// bracket + Brent polish, cold fallback on class changes or bracket
+// escapes). Against the 16-point cold scan a warm cell costs about
+// 1.3× less than a per-cell OptimalPattern, and FuzzSweepWarmMatchesCold
+// pins their agreement on the error status, AtPBound and H. The
+// bracket state and fallback rule are one type, optimize.WarmChain,
 // which the two-level solver shares. Underneath, every pattern solver —
 // OptimalPattern, SweepSolver, SemiAnalyticOptimum and the two-level
 // solvers — runs one outer processor scan, optimize.Scan, over one
 // grid-then-refine routine with bounded Brent as its only refinement;
 // warm and cold solves differ in grids and brackets, not in algorithm.
-// The experiment drivers (Figs. 2, 4–7, baselines, robustness) already
-// route through it; amdahl-exp -warm=false runs per-cell scans instead.
-// See DESIGN.md, "Warm-start sweep solver".
+// The experiment drivers (Figs. 2, 4–7 and the studies) do not
+// warm-start: the paper's curves are independent per-point optima, so
+// each figure and study cell solves its own (OptimalPattern,
+// multilevel.OptimalPattern or hetero.OptimalPattern) inside the
+// parallel job that prices it. See DESIGN.md, "Warm-start sweep
+// solver".
 //
 // # Two-level resilience end-to-end
 //
@@ -97,8 +100,8 @@
 // derives costs, rates and H(P) from a core.Model for every caller. The
 // simulator refuses patterns beyond the single-level simulators'
 // iteration budget with sim.ErrErrorPressure. New two-level work goes through
-// multilevel.SweepSolver (or POST /v1/multilevel/*), never per-cell
-// FirstOrder calls in a loop. The study driver is
+// multilevel.OptimalPattern, multilevel.SweepSolver or POST
+// /v1/multilevel/*, never per-cell FirstOrder calls in a loop. The study driver is
 // experiments.MultilevelStudy ("amdahl-exp multilevel"); the service
 // endpoints are /v1/multilevel/optimize, /v1/multilevel/simulate and
 // the "multilevel" axis switch on /v1/sweep, cached under the
@@ -121,7 +124,8 @@
 // axes by hetero.SweepSolver over per-(group, active-count) chains,
 // which its Cold mode runs cold.
 // Group-shaped platform work goes through platform.Topology +
-// hetero.SweepSolver, not ad-hoc per-group loops. The study driver is
+// hetero.OptimalPattern or hetero.SweepSolver, not ad-hoc per-group
+// loops. The study driver is
 // experiments.HeterogeneousStudy ("amdahl-exp hetero"); the service
 // endpoints are /v1/hetero/optimize, /v1/hetero/simulate and the
 // "hetero" switch on /v1/sweep; the campaign preset is "hetero" (comm

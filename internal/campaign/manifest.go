@@ -97,7 +97,7 @@ type Manifest struct {
 	Values []float64 `json:"values,omitempty"`
 	// ColdSolve disables warm-starting: every cell pays the full grid
 	// scan (bit-identical to per-cell OptimalPattern, like the
-	// amdahl-exp -warm=false escape hatch).
+	// amdahl-exp figure and study cells).
 	ColdSolve bool `json:"cold_solve,omitempty"`
 }
 

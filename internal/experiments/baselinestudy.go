@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"amdahlyd/internal/baselines"
-	"amdahlyd/internal/core"
 	"amdahlyd/internal/costmodel"
 	"amdahlyd/internal/optimize"
 	"amdahlyd/internal/platform"
@@ -41,29 +40,23 @@ type BaselineStudyResult struct {
 }
 
 // BaselineStudy runs the comparison on the given platforms under one
-// scenario at α = DefaultAlpha. The numerical optima are solved as one
-// warm-start chain across the platform list (the scenario — and hence
-// the objective class — is fixed, so adjacent platforms bracket each
-// other; see optimize.SweepSolver).
+// scenario at α = DefaultAlpha. Each platform is one parallelFor job
+// that builds its model, solves its numerical optimum and prices every
+// policy.
 func BaselineStudy(ctx context.Context, platforms []platform.Platform, sc costmodel.Scenario, cfg Config) (*BaselineStudyResult, error) {
 	cfg = cfg.withDefaults()
-	models := make([]core.Model, len(platforms))
-	for i, pl := range platforms {
+	cells := make([]BaselineCell, len(platforms))
+	err := parallelFor(ctx, len(platforms), func(ctx context.Context, i int) error {
+		pl := platforms[i]
 		m, err := BuildModel(pl, sc, DefaultAlpha, DefaultDowntime)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		models[i] = m
-	}
-	nums, err := optimize.BatchOptimalPattern(models, optimize.SweepOptions{Cold: cfg.ColdSolve})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: optimizing baselines/%v: %w", sc, err)
-	}
-	cells := make([]BaselineCell, len(platforms))
-	err = parallelFor(ctx, len(platforms), func(ctx context.Context, i int) error {
-		pl := platforms[i]
+		num, err := optimize.OptimalPattern(m, optimize.PatternOptions{})
+		if err != nil {
+			return fmt.Errorf("experiments: optimizing baselines/%v: %w", sc, err)
+		}
 		label := fmt.Sprintf("baselines/%s/%v", pl.Name, sc)
-		m, num := models[i], nums[i]
 		opt, err := simulateEval(ctx, m, num.Solution, num.AtPBound, cfg, label+"/optimal")
 		if err != nil {
 			return err

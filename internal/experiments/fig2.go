@@ -29,12 +29,8 @@ type Fig2Result struct {
 }
 
 // Fig2 reproduces Fig. 2 on the given platforms (the paper uses all four
-// of Table II). It is a sweep whose x is the platform index: the
-// numerical optima are solved as one warm-start chain per scenario
-// across the platform list — for a fixed scenario the optimum moves by
-// only a few × between Table II platforms, so most platform cells
-// warm-start from their neighbour; a platform whose optimum drifted
-// outside the bracket falls back to the full scan.
+// of Table II). It is a sweep whose x is the platform index, so every
+// (platform, scenario) cell solves and prices its own optimum.
 func Fig2(ctx context.Context, platforms []platform.Platform, cfg Config) (*Fig2Result, error) {
 	cfg = cfg.withDefaults()
 	xs := make([]float64, len(platforms))

@@ -43,9 +43,6 @@ type HeteroCell struct {
 	// SavingPct is the relative overhead reduction of the simulated
 	// heterogeneous optimum over the CPU-only baseline, in percent.
 	SavingPct float64
-	// Warm reports that the cell was solved in the warm bracket of its
-	// comm-axis neighbour.
-	Warm bool
 }
 
 // HeteroResult is the full study: scenarios × comm terms × group splits
@@ -95,11 +92,11 @@ func HeteroStudyTopology(pl platform.Platform, comm, split float64) platform.Top
 // CPU-only single-group optimum. nil comms and splits select the default
 // axes; scenarios defaults to 1, 3 and 5 as in the sweep figures.
 //
-// It runs the two-phase sweep shape: phase 1 solves the joint optima as
-// one hetero.SweepSolver chain per (scenario, split) along the comm axis
-// (cfg.ColdSolve restores per-cell full-box scans) plus one CPU-only
-// baseline solve per scenario, phase 2 prices every cell by Monte-Carlo
-// in parallel with per-cell label seeds.
+// It solves the CPU-only baseline once per scenario, then runs one
+// parallelFor job per cell that compiles the cell's topology, solves its
+// joint optimum (hetero.OptimalPattern on integral allocations) and
+// prices it by Monte-Carlo with a per-cell label seed; the per-scenario
+// CPU-only campaigns run as jobs appended after the cells.
 func HeterogeneousStudy(ctx context.Context, pl platform.Platform, comms, splits []float64,
 	scenarios []costmodel.Scenario, cfg Config) (*HeteroResult, error) {
 	cfg = cfg.withDefaults()
@@ -121,9 +118,13 @@ func HeterogeneousStudy(ctx context.Context, pl platform.Platform, comms, splits
 		scenarios = scenarios135
 	}
 
-	// Phase 1a: the CPU-only baseline, one single-group solve per scenario
-	// through the same hetero path (degenerate by construction, so the
-	// baseline is exactly the classical numerical optimum).
+	// Every solve, baseline and cell, runs on integral allocations, so
+	// the priced plans stay physical.
+	opts := hetero.PatternOptions{PatternOptions: optimize.PatternOptions{IntegerP: true}}
+
+	// The CPU-only baseline, one single-group solve per scenario through
+	// the same hetero path (degenerate by construction, so the baseline is
+	// exactly the classical numerical optimum).
 	baseModels := make([]core.HeteroModel, len(scenarios))
 	basePlans := make([]hetero.PatternResult, len(scenarios))
 	for si, sc := range scenarios {
@@ -132,83 +133,21 @@ func HeterogeneousStudy(ctx context.Context, pl platform.Platform, comms, splits
 		if err != nil {
 			return nil, fmt.Errorf("experiments: hetero/%s/%v baseline: %w", pl.Name, sc, err)
 		}
-		res, err := hetero.OptimalPattern(hm, hetero.PatternOptions{
-			PatternOptions: singleIntegerOpts(),
-		})
+		res, err := hetero.OptimalPattern(hm, opts)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: hetero/%s/%v baseline: %w", pl.Name, sc, err)
 		}
 		baseModels[si], basePlans[si] = hm, res
 	}
 
-	// Phase 1b: one warm chain per (scenario, split) along the comm axis.
-	// IntegerP keeps the joint optimum on integral allocations, and warm
-	// and cold solves run the same inner period search at each of them,
-	// so warm and cold chains land on bit-identical cells and the phase-2
-	// campaigns replay bit-identically across -warm modes.
+	// One job per (scenario, split, comm) cell, then one CPU-only
+	// baseline campaign per scenario (appended after the cells in the job
+	// index space).
 	nSc, nSp, nCo := len(scenarios), len(splits), len(comms)
 	nCells := nSc * nSp * nCo
 	cells := make([]HeteroCell, nCells)
-	models := make([]core.HeteroModel, nCells)
-	plans := make([]hetero.PatternResult, nCells)
-	swOpts := hetero.SweepOptions{
-		PatternOptions: hetero.PatternOptions{PatternOptions: singleIntegerOpts()},
-		Cold:           cfg.ColdSolve,
-	}
-	err := parallelFor(ctx, nSc*nSp, func(ctx context.Context, j int) error {
-		si, pi := j/nSp, j%nSp
-		sc := scenarios[si]
-		solver := hetero.NewSweepSolver(swOpts)
-		for ci, comm := range comms {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			tp := HeteroStudyTopology(pl, comm, splits[pi])
-			//lint:allow frozenloop one compile per (scenario, split, comm) cell, each a distinct topology
-			hm, err := hetero.CompileTopology(tp, sc, DefaultAlpha, DefaultDowntime)
-			if err != nil {
-				return fmt.Errorf("experiments: hetero/%s/%v/split=%g/comm=%g: %w",
-					pl.Name, sc, splits[pi], comm, err)
-			}
-			res, err := solver.Solve(hm)
-			if err != nil {
-				return fmt.Errorf("experiments: hetero/%s/%v/split=%g/comm=%g: %w",
-					pl.Name, sc, splits[pi], comm, err)
-			}
-			i := (si*nSp+pi)*nCo + ci
-			models[i], plans[i] = hm, res
-			cell := HeteroCell{
-				Scenario:   sc,
-				Comm:       comm,
-				Split:      splits[pi],
-				Active:     res.Active,
-				CPUP:       math.NaN(),
-				AccelP:     math.NaN(),
-				PredictedH: res.Overhead,
-				Warm:       res.Warm,
-			}
-			for _, gp := range res.Groups {
-				switch gp.Group {
-				case 0:
-					cell.CPUP = gp.P
-				case 1:
-					cell.AccelP = gp.P
-					cell.AccelFrac = gp.Fraction
-				}
-			}
-			cells[i] = cell
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 2: all Monte-Carlo campaigns in parallel — one heterogeneous
-	// campaign per cell plus one CPU-only baseline per scenario (appended
-	// after the cells in the job index space).
-	singleH := make([]float64, len(scenarios))
-	err = parallelFor(ctx, nCells+nSc, func(ctx context.Context, i int) error {
+	singleH := make([]float64, nSc)
+	err := parallelFor(ctx, nCells+nSc, func(ctx context.Context, i int) error {
 		if i >= nCells {
 			si := i - nCells
 			plan := basePlans[si].Groups[0]
@@ -220,13 +159,40 @@ func HeterogeneousStudy(ctx context.Context, pl platform.Platform, comms, splits
 			singleH[si] = ev.SimulatedH
 			return nil
 		}
+		sc, split, comm := scenarios[i/(nSp*nCo)], splits[i/nCo%nSp], comms[i%nCo]
+		label := fmt.Sprintf("hetero/%s/%v/split=%g/comm=%g", pl.Name, sc, split, comm)
+		hm, err := hetero.CompileTopology(HeteroStudyTopology(pl, comm, split), sc, DefaultAlpha, DefaultDowntime)
+		if err != nil {
+			return fmt.Errorf("experiments: %s: %w", label, err)
+		}
+		res, err := hetero.OptimalPattern(hm, opts)
+		if err != nil {
+			return fmt.Errorf("experiments: %s: %w", label, err)
+		}
 		cell := &cells[i]
-		groups, err := hetero.GroupRuns(models[i], plans[i].Groups)
+		*cell = HeteroCell{
+			Scenario:   sc,
+			Comm:       comm,
+			Split:      split,
+			Active:     res.Active,
+			CPUP:       math.NaN(),
+			AccelP:     math.NaN(),
+			PredictedH: res.Overhead,
+		}
+		for _, gp := range res.Groups {
+			switch gp.Group {
+			case 0:
+				cell.CPUP = gp.P
+			case 1:
+				cell.AccelP = gp.P
+				cell.AccelFrac = gp.Fraction
+			}
+		}
+		groups, err := hetero.GroupRuns(hm, res.Groups)
 		if err != nil {
 			return err
 		}
-		label := fmt.Sprintf("hetero/%s/%v/split=%g/comm=%g", pl.Name, cell.Scenario, cell.Split, cell.Comm)
-		res, err := sim.SimulateHeteroContext(ctx, groups, sim.RunConfig{
+		mc, err := sim.SimulateHeteroContext(ctx, groups, sim.RunConfig{
 			Runs:     cfg.Runs,
 			Patterns: cfg.Patterns,
 			Seed:     cellSeed(cfg.Seed, label),
@@ -239,7 +205,7 @@ func HeterogeneousStudy(ctx context.Context, pl platform.Platform, comms, splits
 		if err != nil {
 			return fmt.Errorf("experiments: simulating %s: %w", label, err)
 		}
-		cell.SimulatedH, cell.SimCI = res.Overhead.Mean, res.Overhead.CI95
+		cell.SimulatedH, cell.SimCI = mc.Overhead.Mean, mc.Overhead.CI95
 		return nil
 	})
 	if err != nil {
@@ -253,14 +219,6 @@ func HeterogeneousStudy(ctx context.Context, pl platform.Platform, comms, splits
 		cells[i].SavingPct = (1 - cells[i].SimulatedH/singleH[si]) * 100
 	}
 	return &HeteroResult{Platform: pl.Name, Cells: cells, Cfg: cfg}, nil
-}
-
-// singleIntegerOpts is the per-group search box shared by the study's
-// baseline and heterogeneous solves: integral allocations, so warm and
-// cold chains land on the same P and, through the shared inner period
-// search, on bit-identical cells.
-func singleIntegerOpts() optimize.PatternOptions {
-	return optimize.PatternOptions{IntegerP: true}
 }
 
 // heteroColumns render the study: the joint heterogeneous optimum and

@@ -14,11 +14,10 @@ import (
 	"amdahlyd/internal/xmath"
 )
 
-func quickHeteroStudy(t *testing.T, cold bool) *HeteroResult {
+func quickHeteroStudy(t *testing.T) *HeteroResult {
 	t.Helper()
 	cfg := Quick()
 	cfg.Seed = 42
-	cfg.ColdSolve = cold
 	res, err := HeterogeneousStudy(context.Background(), platform.Hera(),
 		[]float64{0, 1e-5, 1e-4}, []float64{0.25},
 		[]costmodel.Scenario{costmodel.Scenario1}, cfg)
@@ -29,7 +28,7 @@ func quickHeteroStudy(t *testing.T, cold bool) *HeteroResult {
 }
 
 func TestHeterogeneousStudyShape(t *testing.T) {
-	res := quickHeteroStudy(t, false)
+	res := quickHeteroStudy(t)
 	if len(res.Cells) != 3 {
 		t.Fatalf("expected 3 cells, got %d", len(res.Cells))
 	}
@@ -62,26 +61,8 @@ func TestHeterogeneousStudyShape(t *testing.T) {
 	}
 }
 
-// TestHeterogeneousStudyWarmColdIdentical pins the -warm escape hatch:
-// with integral allocations, warm and cold studies produce bit-identical
-// cells (same optima, same seeds, same campaigns).
-func TestHeterogeneousStudyWarmColdIdentical(t *testing.T) {
-	warm := quickHeteroStudy(t, false)
-	cold := quickHeteroStudy(t, true)
-	for i := range warm.Cells {
-		wc, cc := warm.Cells[i], cold.Cells[i]
-		wc.Warm, cc.Warm = false, false
-		// Format-compare: an inactive group's allocation is NaN, and
-		// NaN != NaN would fail a direct struct comparison on equal cells.
-		w, c := fmt.Sprintf("%+v", wc), fmt.Sprintf("%+v", cc)
-		if w != c {
-			t.Errorf("cell %d differs warm vs cold:\n warm %s\n cold %s", i, w, c)
-		}
-	}
-}
-
 func TestHeterogeneousStudyRenderAndCSV(t *testing.T) {
-	res := quickHeteroStudy(t, false)
+	res := quickHeteroStudy(t)
 	var buf bytes.Buffer
 	if err := res.Render(&buf); err != nil {
 		t.Fatal(err)

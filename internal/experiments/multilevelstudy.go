@@ -43,9 +43,6 @@ type MultilevelCell struct {
 	// bound; such cells are reported unsimulated, as are cells the
 	// two-level simulator refuses for error pressure.
 	AtBound bool
-	// Warm reports that the cell was solved in the warm bracket of its
-	// axis neighbour.
-	Warm bool
 }
 
 // MultilevelResult is the full study: Table III scenarios × in-memory
@@ -70,11 +67,11 @@ var DefaultMultilevelFractions = []float64{1.0 / 60, 1.0 / 15, 0.2, 0.5, 1}
 // DefaultMultilevelFractions axis; scenarios 1, 3, 5 as in the sweep
 // figures).
 //
-// It runs the two-phase sweep shape: phase 1 solves the joint optima as
-// one warm-start chain per scenario along the fraction axis
-// (multilevel.SweepSolver; cfg.ColdSolve restores per-cell full-box
-// scans) plus one single-level chain across scenarios, phase 2 prices
-// every cell by Monte-Carlo in parallel with per-cell label seeds.
+// It solves the single-level optimum once per scenario, then runs one
+// parallelFor job per cell that solves the joint optimum on integral
+// allocations (multilevel.OptimalPattern with IntegerP) and prices it by
+// Monte-Carlo with a per-cell label seed; the per-scenario single-level
+// campaigns run as jobs appended after the cells.
 func MultilevelStudy(ctx context.Context, pl platform.Platform, fracs []float64,
 	scenarios []costmodel.Scenario, cfg Config) (*MultilevelResult, error) {
 	cfg = cfg.withDefaults()
@@ -85,67 +82,28 @@ func MultilevelStudy(ctx context.Context, pl platform.Platform, fracs []float64,
 		scenarios = scenarios135
 	}
 
-	// Phase 1a: one single-level warm-start chain across the scenarios
-	// (the baseline depends only on the scenario, not on the fraction).
+	// The single-level baseline depends only on the scenario, not on the
+	// fraction.
 	scModels := make([]core.Model, len(scenarios))
+	scNums := make([]optimize.PatternResult, len(scenarios))
 	for i, sc := range scenarios {
 		m, err := BuildModel(pl, sc, DefaultAlpha, DefaultDowntime)
 		if err != nil {
 			return nil, err
 		}
-		scModels[i] = m
-	}
-	scNums, err := optimize.BatchOptimalPattern(scModels, optimize.SweepOptions{Cold: cfg.ColdSolve})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: multilevel/%s single-level baseline: %w", pl.Name, err)
+		num, err := optimize.OptimalPattern(m, optimize.PatternOptions{})
+		if err != nil {
+			return nil, fmt.Errorf("experiments: multilevel/%s single-level baseline: %w", pl.Name, err)
+		}
+		scModels[i], scNums[i] = m, num
 	}
 
-	// Phase 1b: one multilevel chain per scenario along the fraction
-	// axis. IntegerP keeps the joint optimum on integral allocations, so
-	// warm and cold chains land on bit-identical cells (the refinement
-	// difference is far below the rounding step) and the phase-2
-	// campaigns replay bit-identically across -warm modes.
+	// One job per cell, then one single-level baseline campaign per
+	// scenario (appended after the cells in the job index space).
 	nCells := len(scenarios) * len(fracs)
 	cells := make([]MultilevelCell, nCells)
-	mlOpts := multilevel.SweepOptions{
-		PatternOptions: multilevel.PatternOptions{IntegerP: true},
-		Cold:           cfg.ColdSolve,
-	}
-	err = parallelFor(ctx, len(scenarios), func(ctx context.Context, si int) error {
-		sc := scenarios[si]
-		m := scModels[si]
-		solver := multilevel.NewSweepSolver(mlOpts)
-		for fi, frac := range fracs {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			res, err := solver.Solve(m, multilevel.InMemoryFraction(m, frac))
-			if err != nil {
-				return fmt.Errorf("experiments: multilevel/%s/%v/frac=%g: %w",
-					pl.Name, sc, frac, err)
-			}
-			cells[si*len(fracs)+fi] = MultilevelCell{
-				Scenario:   sc,
-				Frac:       frac,
-				T:          res.T,
-				K:          res.K,
-				P:          res.P,
-				PredictedH: res.PredictedH,
-				AtBound:    res.AtPBound,
-				Warm:       res.Warm,
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 2: all Monte-Carlo campaigns in parallel — one two-level
-	// campaign per cell plus one single-level baseline per scenario
-	// (appended after the cells in the job index space).
 	singleH := make([]float64, len(scenarios))
-	err = parallelFor(ctx, nCells+len(scenarios), func(ctx context.Context, i int) error {
+	err := parallelFor(ctx, nCells+len(scenarios), func(ctx context.Context, i int) error {
 		if i >= nCells {
 			// Single-level baseline: the scenario's numerical optimum
 			// priced by the pattern-level simulator.
@@ -159,14 +117,29 @@ func MultilevelStudy(ctx context.Context, pl platform.Platform, fracs []float64,
 			singleH[si] = ev.SimulatedH
 			return nil
 		}
+		sc, m, frac := scenarios[i/len(fracs)], scModels[i/len(fracs)], fracs[i%len(fracs)]
+		res, err := multilevel.OptimalPattern(m, multilevel.InMemoryFraction(m, frac),
+			multilevel.PatternOptions{IntegerP: true})
+		if err != nil {
+			return fmt.Errorf("experiments: multilevel/%s/%v/frac=%g: %w", pl.Name, sc, frac, err)
+		}
 		cell := &cells[i]
+		*cell = MultilevelCell{
+			Scenario:   sc,
+			Frac:       frac,
+			T:          res.T,
+			K:          res.K,
+			P:          res.P,
+			PredictedH: res.PredictedH,
+			AtBound:    res.AtPBound,
+		}
 		if cell.AtBound {
 			cell.SimulatedH, cell.SimCI = math.NaN(), math.NaN()
 			return nil
 		}
-		label := fmt.Sprintf("multilevel/%s/%v/frac=%g", pl.Name, cell.Scenario, cell.Frac)
-		res, err := multilevel.SimulateModel(ctx, scModels[i/len(fracs)], cell.Frac,
-			multilevel.Pattern{T: cell.T, K: cell.K}, cell.P, multilevel.CampaignConfig{
+		label := fmt.Sprintf("multilevel/%s/%v/frac=%g", pl.Name, sc, frac)
+		mc, err := multilevel.SimulateModel(ctx, m, frac, multilevel.Pattern{T: res.T, K: res.K}, res.P,
+			multilevel.CampaignConfig{
 				Runs:     cfg.Runs,
 				Patterns: cfg.Patterns,
 				Seed:     cellSeed(cfg.Seed, label),
@@ -179,7 +152,7 @@ func MultilevelStudy(ctx context.Context, pl platform.Platform, fracs []float64,
 		if err != nil {
 			return fmt.Errorf("experiments: simulating %s: %w", label, err)
 		}
-		cell.SimulatedH, cell.SimCI = res.Overhead.Mean, res.Overhead.CI95
+		cell.SimulatedH, cell.SimCI = mc.Overhead.Mean, mc.Overhead.CI95
 		return nil
 	})
 	if err != nil {

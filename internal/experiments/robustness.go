@@ -105,23 +105,24 @@ func RobustnessStudy(ctx context.Context, pl platform.Platform, distName string,
 	}
 
 	// The exponential-optimal pattern depends only on the scenario, not
-	// on the stressed shape: solve once per scenario (one warm-start
-	// chain) instead of once per (scenario, shape) cell.
+	// on the stressed shape: solve once per scenario instead of once per
+	// (scenario, shape) cell.
 	scModels := make([]core.Model, len(scenarios))
+	scNums := make([]optimize.PatternResult, len(scenarios))
 	for i, sc := range scenarios {
 		m, err := BuildModel(pl, sc, DefaultAlpha, DefaultDowntime)
 		if err != nil {
 			return nil, err
 		}
-		scModels[i] = m
-	}
-	scNums, err := optimize.BatchOptimalPattern(scModels, optimize.SweepOptions{Cold: cfg.ColdSolve})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: optimizing robustness/%s/%s: %w", pl.Name, distName, err)
+		num, err := optimize.OptimalPattern(m, optimize.PatternOptions{})
+		if err != nil {
+			return nil, fmt.Errorf("experiments: optimizing robustness/%s/%s: %w", pl.Name, distName, err)
+		}
+		scModels[i], scNums[i] = m, num
 	}
 
 	cells := make([]RobustnessCell, len(scenarios)*len(shapes))
-	err = parallelFor(ctx, len(cells), func(ctx context.Context, i int) error {
+	err := parallelFor(ctx, len(cells), func(ctx context.Context, i int) error {
 		sc := scenarios[i/len(shapes)]
 		shape := shapes[i%len(shapes)]
 		label := fmt.Sprintf("robustness/%s/%s/k%g/%v", pl.Name, distName, shape, sc)

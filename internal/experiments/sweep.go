@@ -37,50 +37,26 @@ type SweepResult struct {
 // modelBuilder produces the model for a given sweep coordinate.
 type modelBuilder func(x float64, sc costmodel.Scenario) (core.Model, error)
 
-// runSweep prices every (scenario, x) cell in two phases and returns
-// them scenario-major. Phase 1 solves the numerical optima as one
-// warm-start chain per scenario along xs: the cells along a sweep axis
-// are ordered and (T*, P*) varies smoothly, so each cell's optimum
-// brackets the next solve (optimize.SweepSolver; cfg.ColdSolve runs
-// per-cell OptimalPattern scans instead). Phase 2 prices each cell's
-// first-order and numerical patterns by Monte-Carlo in parallel, seeded
-// from label(sc, x) — formatted once per priced cell. cfg must carry
-// its defaults.
+// runSweep prices every (scenario, x) cell and returns them
+// scenario-major. Each cell is one parallelFor job that builds its
+// model, solves its numerical optimum (optimize.OptimalPattern: the
+// paper's curves are independent per-point optima) and prices its
+// first-order and numerical patterns by Monte-Carlo, seeded from
+// label(sc, x) — formatted once per cell. cfg must carry its defaults.
 func runSweep(ctx context.Context, scenarios []costmodel.Scenario, xs []float64, build modelBuilder,
 	label func(sc costmodel.Scenario, x float64) string, cfg Config) ([]SweepPoint, error) {
-	nCells := len(scenarios) * len(xs)
-	models := make([]core.Model, nCells)
-	nums := make([]optimize.PatternResult, nCells)
-
-	err := parallelFor(ctx, len(scenarios), func(ctx context.Context, si int) error {
-		sc := scenarios[si]
-		solver := optimize.NewSweepSolver(optimize.SweepOptions{Cold: cfg.ColdSolve})
-		for xi, x := range xs {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			m, err := build(x, sc)
-			if err != nil {
-				return err
-			}
-			num, err := solver.Solve(m)
-			if err != nil {
-				return fmt.Errorf("experiments: optimizing %s: %w", label(sc, x), err)
-			}
-			i := si*len(xs) + xi
-			models[i], nums[i] = m, num
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	points := make([]SweepPoint, nCells)
-	err = parallelFor(ctx, nCells, func(ctx context.Context, i int) error {
+	points := make([]SweepPoint, len(scenarios)*len(xs))
+	err := parallelFor(ctx, len(points), func(ctx context.Context, i int) error {
 		sc, x := scenarios[i/len(xs)], xs[i%len(xs)]
-		m, num := models[i], nums[i]
+		m, err := build(x, sc)
+		if err != nil {
+			return err
+		}
 		cell := label(sc, x)
+		num, err := optimize.OptimalPattern(m, optimize.PatternOptions{})
+		if err != nil {
+			return fmt.Errorf("experiments: optimizing %s: %w", cell, err)
+		}
 		fo, err := solveFirstOrder(ctx, m, cfg, cell)
 		if err != nil {
 			return err

@@ -102,7 +102,10 @@ type PatternResult struct {
 	// optimize.PatternResult.Evals) across the distinct per-group
 	// solves; a solve reused across active counts counts once.
 	Evals int
-	// Warm reports the result came from a SweepSolver warm-start solve.
+	// Warm reports that every per-group solve of the cell was accepted in
+	// the warm bracket of its SweepSolver chain; a cell with any full-box
+	// group solve (a chain's first cell, a fallback, Cold mode, an
+	// infeasible group) and every OptimalPattern result report false.
 	Warm bool
 }
 

@@ -2,6 +2,7 @@ package hetero
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -309,6 +310,43 @@ func TestSweepColdModeBitIdentical(t *testing.T) {
 			if b.Groups[j] != ref.Groups[j] {
 				t.Errorf("cell %d group %d: %+v vs %+v", i, j, b.Groups[j], ref.Groups[j])
 			}
+		}
+	}
+}
+
+// TestSweepWarmFlagMeansEveryGroupWarm pins PatternResult.Warm on the
+// sweep solver: a cell is warm exactly when every per-group solve of it
+// was accepted in its warm bracket, read off the chain counters. On a
+// comm axis from 0 the first cell runs only full-box scans and the
+// second opens the two-group chains, so neither is warm; a later cell
+// is, and a Cold chain has no warm cell.
+func TestSweepWarmFlagMeansEveryGroupWarm(t *testing.T) {
+	comms := []float64{0, 1e-6, 4e-6, 1e-5}
+	for _, cold := range []bool{false, true} {
+		s := NewSweepSolver(SweepOptions{Cold: cold})
+		prev := s.Stats()
+		var warm []bool
+		for i, c := range comms {
+			res, err := s.Solve(compile(t, heraAccel(c), costmodel.Scenario1, 0.1, 3600))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := s.Stats()
+			groupWarm, groupFull := st.WarmSolves-prev.WarmSolves, st.ColdSolves-prev.ColdSolves
+			if want := groupFull == 0 && groupWarm > 0; res.Warm != want {
+				t.Errorf("Cold %t, cell %d: Warm = %t after %d warm and %d full-box group solves",
+					cold, i, res.Warm, groupWarm, groupFull)
+			}
+			warm = append(warm, res.Warm)
+			prev = st
+		}
+		switch {
+		case warm[0] || warm[1]:
+			t.Errorf("Cold %t: warm flags %v, want the first two cells not warm", cold, warm)
+		case !cold && !slices.Contains(warm[2:], true):
+			t.Errorf("warm chain: flags %v, want a later cell warm", warm)
+		case cold && slices.Contains(warm, true):
+			t.Errorf("Cold chain: flags %v, want no warm cell", warm)
 		}
 	}
 }

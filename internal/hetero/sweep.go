@@ -108,17 +108,22 @@ func (s *SweepSolver) Observe(hm core.HeteroModel, res PatternResult) {
 // Solve returns the joint heterogeneous optimum for the next cell of the
 // chain. The first cell (and any per-group solve whose warm attempt is
 // rejected) pays full-box scans; subsequent cells search only the narrow
-// brackets around the previous per-group optima.
+// brackets around the previous per-group optima. The result is Warm only
+// when every per-group solve of the cell was accepted in its warm
+// bracket.
 func (s *SweepSolver) Solve(hm core.HeteroModel) (PatternResult, error) {
 	if err := hm.Validate(); err != nil {
 		return PatternResult{}, err
 	}
+	warm := true
 	res, err := solveScan(hm, s.opts.PatternOptions, func(g, active int, m core.Model, po optimize.PatternOptions) (optimize.PatternResult, error) {
-		return s.chain(g, active, po).Solve(m)
+		r, err := s.chain(g, active, po).Solve(m)
+		warm = warm && err == nil && r.Warm
+		return r, err
 	})
 	if err != nil {
 		return PatternResult{}, err
 	}
-	res.Warm = !s.opts.Cold
+	res.Warm = warm
 	return res, nil
 }

@@ -134,7 +134,8 @@ func OptimalPeriod(m core.Model, p float64, opts PatternOptions) (float64, float
 const maxPeriodSteps = 100
 
 // edgeTol is the relative bracket width, in u, at which the period
-// search stops when its bracket ends where E overflows: at least four
+// search stops when its bracket ends where E overflows, and to which the
+// processor scan bisects an edge where g turns infinite: at least four
 // ulps of u, where a bisection midpoint still differs from both ends.
 const edgeTol = 0x1p-50
 

@@ -39,8 +39,9 @@ type Result struct {
 // BrentMin assumes f is finite on [a, b]. A +Inf region is no barrier:
 // Brent accepts fu <= fx as progress, so from a +Inf first probe it can
 // walk across a +Inf plateau and return F = +Inf. gridRefine is safe,
-// because its bracket is centred on a finite grid point and it keeps the
-// grid best when the refinement ends worse.
+// because it narrows a bracket end where f is +Inf to the finite region
+// before polishing and keeps the grid best when the refinement ends
+// worse.
 func BrentMin(f Func, a, b, tol float64) Result {
 	if b < a {
 		a, b = b, a
@@ -139,10 +140,12 @@ const polishTol = 0x1p-26
 
 // gridRefine scans f on points evenly spaced grid points over [lo, hi],
 // then refines the bracket around the best point with bounded Brent at
-// polishTol. The grid localizes the minimum on objectives that are not
-// globally unimodal; the scan runs it in u = log P. The returned Result
-// is the refined minimum; ties prefer the smaller x, and the grid best
-// wins a plateau. Callers check lo < hi in their own coordinates.
+// polishTol, after narrowing a bracket end where f is +Inf to the edge
+// of the finite region (finiteEdge). The grid localizes the minimum on
+// objectives that are not globally unimodal; the scan runs it in
+// u = log P. The returned Result is the refined minimum; ties prefer the
+// smaller x, and the grid best wins a plateau. Callers check lo < hi in
+// their own coordinates.
 func gridRefine(f Func, lo, hi float64, points int) (Result, error) {
 	if points < 3 {
 		return Result{}, errGridPoints
@@ -168,13 +171,53 @@ func gridRefine(f Func, lo, hi float64, points int) (Result, error) {
 		return Result{}, errGridAllInf
 	}
 
-	res := BrentMin(f, gridPoint(max(bestI-1, 0)), gridPoint(min(bestI+1, points-1)), polishTol)
+	// A neighbour where f is +Inf puts the end of the finite region inside
+	// the bracket, and Brent walks across a +Inf plateau from a first
+	// probe there. That side of the bracket is narrowed to the edge first,
+	// and the edge is a candidate: f can fall all the way to where it
+	// turns infinite (the period search starts to overflow), and the
+	// minimum is then the edge itself.
+	x := gridPoint(bestI)
+	a, b := gridPoint(max(bestI-1, 0)), gridPoint(min(bestI+1, points-1))
+	aEdge, bEdge := math.IsInf(f(a), 1), math.IsInf(f(b), 1)
+	if aEdge {
+		a = finiteEdge(f, x, a)
+	}
+	if bEdge {
+		b = finiteEdge(f, x, b)
+	}
+	res := BrentMin(f, a, b, polishTol)
 	res.Evals += points
+	if aEdge {
+		if v := f(a); v < res.F {
+			res.X, res.F = a, v
+		}
+	}
+	if bEdge {
+		if v := f(b); v < res.F {
+			res.X, res.F = b, v
+		}
+	}
 	// The grid best might still beat the refined point on plateaus.
 	if bestF < res.F {
-		res.X, res.F = gridPoint(bestI), bestF
+		res.X, res.F = x, bestF
 	}
 	return res, nil
+}
+
+// finiteEdge bisects between a point in, where f is finite, and a point
+// out, where it is +Inf, until they are edgeTol apart (relative, with an
+// absolute floor at |x| < 1), and returns the finite end.
+func finiteEdge(f Func, in, out float64) float64 {
+	for math.Abs(out-in) > edgeTol*math.Max(math.Abs(in), 1) {
+		mid := in + (out-in)/2
+		if math.IsInf(f(mid), 1) {
+			out = mid
+		} else {
+			in = mid
+		}
+	}
+	return in
 }
 
 // Shared error values of the grid refinement and the period search

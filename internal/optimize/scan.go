@@ -25,6 +25,11 @@ type Probe[R any] struct {
 // most solves.
 const memoSlack = 32
 
+// rescanPerDecade is the density, in points per decade of P, of the
+// rescan Scan.Run makes when its grid holds no feasible probe: the
+// density of the dense reference the scans are fuzzed against.
+const rescanPerDecade = 30
+
 // boundSlack is how close to the optimum g(PMax) must come for a scan to
 // report the optimum at the bound: the relative resolution in H to which
 // two solves of one model agree (their H differ by ~1e-14 at most).
@@ -56,9 +61,10 @@ type ScanResult[R any] struct {
 	Inner R
 	F     float64
 	P     float64
-	// AtBound reports that the search box reached PMax and g(PMax) is
-	// within boundSlack of the optimum: the search cannot tell the two
-	// apart, so the true optimum may lie beyond the bound.
+	// AtBound reports that g(PMax) is within boundSlack of the optimum:
+	// the search cannot tell the two apart, so the true optimum may lie
+	// beyond the bound. A box below PMax reports it only when g is flat
+	// to within boundSlack up to the box's top as well.
 	AtBound bool
 	// Evals totals the evaluation counts of the distinct probes.
 	Evals int
@@ -70,7 +76,8 @@ type ScanResult[R any] struct {
 // grid scan, the refinement, the rounding and the final probe all
 // revisit grid points and bracket endpoints through the memo. The final
 // probe's error is returned as is; a grid with no feasible probe is
-// ErrNoFeasible.
+// rescanned once at rescanPerDecade when that is denser, and is
+// ErrNoFeasible when the rescan finds none either.
 func (s *Scan[R]) Run(lo, hi float64, gridP int) (ScanResult[R], error) {
 	if !(hi > lo && lo > 0) {
 		return ScanResult[R]{}, ErrNoFeasible
@@ -102,17 +109,32 @@ func (s *Scan[R]) Run(lo, hi float64, gridP int) (ScanResult[R], error) {
 	// e^{log hi} rounds past hi on the default box (1e13 + 0.002), where
 	// an optimum at the bound would fall outside it.
 	at := func(u float64) float64 { return math.Min(math.Max(math.Exp(u), lo), hi) }
-	outer, err := gridRefine(func(u float64) float64 { return g(at(u)) },
-		math.Log(lo), math.Log(hi), gridP)
+	f := func(u float64) float64 { return g(at(u)) }
+	uLo, uHi := math.Log(lo), math.Log(hi)
+	outer, err := gridRefine(f, uLo, uHi, gridP)
+	// A feasible island narrower than the grid step can hide between two
+	// infeasible probes (Hera, scenario 5, α = 0.1, D = 7 s, λ_ind ≈
+	// 0.0105: g is finite only for P in [7.6, 32.8], and the default grid
+	// probes 7.36 and 54.1), so an all-infeasible grid is rescanned once
+	// at rescanPerDecade before the box is declared infeasible. Probes
+	// past the overflow period make no kernel call.
+	if dense := max(3, int(math.Ceil(rescanPerDecade*(uHi-uLo)/math.Ln10))+1); err != nil && dense > gridP {
+		outer, err = gridRefine(f, uLo, uHi, dense)
+	}
 	if err != nil {
 		return ScanResult[R]{}, ErrNoFeasible
 	}
 	// The bound is judged on g, not on P: near PMax g can be flat to
 	// rounding, where the refined P lands anywhere in the flat stretch
 	// and a test on P flips between solves that agree on g. The grid's
-	// last point is the bound's probe, so the test costs no inner solve.
+	// last point is the box top's probe, so a full-box test costs no
+	// inner solve. A box below PMax (a warm bracket) whose g is flat up
+	// to its top probes PMax itself: with α = 1, g is flat to rounding
+	// over decades of P, and a bracket short of PMax would report no
+	// bound where the full box reports one.
 	p := at(outer.X)
-	atBound := hi >= s.PMax && g(at(math.Log(hi))) <= outer.F*(1+boundSlack)
+	atBound := g(at(uHi)) <= outer.F*(1+boundSlack) &&
+		(hi >= s.PMax || g(s.PMax) <= outer.F*(1+boundSlack))
 	if s.IntegerP {
 		p = betterInteger(g, p, s.PMin, s.PMax)
 	}

@@ -73,9 +73,14 @@ func referencePattern(m core.Model, opts PatternOptions) (p, h float64, atBound 
 // fractional bound of the box (the rounding clips floor and ceil into
 // it). The seed corpus (testdata/fuzz/FuzzOptimalPattern) holds the
 // period-box-edge model where a 12-point grid stopped 9% short of P*,
-// PMax 1e300, the processor boxes [1e6, 1e7] and [1, 2], TMin 1e5, and
-// two optima at PMax that e^{log PMax} put outside the box or off an
-// integer.
+// PMax 1e300, the processor boxes [1e6, 1e7] and [1, 2], TMin 1e5, two
+// optima at PMax that e^{log PMax} put outside the box or off an
+// integer, a feasible island between two grid points
+// (feasible-island-between-grid-points, which the scan reported
+// infeasible without its rescan) and an optimum where g turns infinite
+// between the only feasible grid point and its neighbour
+// (optimum-at-overflow-edge, 83% above the reference before gridRefine
+// bisected to the edge).
 func FuzzOptimalPattern(f *testing.F) {
 	f.Fuzz(func(t *testing.T, plat, sc uint8, alpha, lambda, downtime, pMin, pMax, tMin, tMax float64, integerP bool) {
 		pl := platform.All()[int(plat)%4]

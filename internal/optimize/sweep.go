@@ -14,8 +14,9 @@ type SweepOptions struct {
 	// a warm solve never leaves it, and every fallback runs inside it.
 	PatternOptions
 	// Cold disables warm-starting entirely: every cell runs the reference
-	// OptimalPattern grid scan (the -warm=false escape hatch; results are
-	// then bit-identical to per-cell OptimalPattern calls).
+	// OptimalPattern grid scan (a /v1/sweep request's "cold", a campaign
+	// manifest's cold_solve; results are then bit-identical to per-cell
+	// OptimalPattern calls).
 	Cold bool
 }
 
@@ -209,22 +210,4 @@ func (s *SweepSolver) Solve(m core.Model) (PatternResult, error) {
 	s.prevClass = class
 	res.Warm = warm
 	return res, nil
-}
-
-// BatchOptimalPattern solves every model of an ordered sweep axis with
-// one warm-start chain, returning one result per model. It is the batch
-// counterpart of per-cell OptimalPattern calls: same answers within the
-// refinement tolerance, at a fraction of the evaluations (each
-// PatternResult carries its own Evals count and Warm flag).
-func BatchOptimalPattern(models []core.Model, opts SweepOptions) ([]PatternResult, error) {
-	s := NewSweepSolver(opts)
-	out := make([]PatternResult, len(models))
-	for i, m := range models {
-		res, err := s.Solve(m)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res
-	}
-	return out, nil
 }

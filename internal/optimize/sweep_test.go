@@ -1,6 +1,7 @@
 package optimize
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -33,6 +34,21 @@ func modelWithLambda(t *testing.T, sc costmodel.Scenario, alpha, lambda float64)
 	return m
 }
 
+// solveChain solves every model of an ordered sweep axis with one
+// SweepSolver chain, returning one result per model.
+func solveChain(models []core.Model, opts SweepOptions) ([]PatternResult, error) {
+	s := NewSweepSolver(opts)
+	out := make([]PatternResult, len(models))
+	for i, m := range models {
+		res, err := s.Solve(m)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = res
+	}
+	return out, nil
+}
+
 func assertAgrees(t *testing.T, label string, warm, cold PatternResult) {
 	t.Helper()
 	if warm.AtPBound != cold.AtPBound {
@@ -62,7 +78,7 @@ func TestBatchMatchesColdDenseLambdaAxis(t *testing.T) {
 			for _, lambda := range lambdaAxis(17) {
 				models = append(models, modelWithLambda(t, sc, alpha, lambda))
 			}
-			batch, err := BatchOptimalPattern(models, SweepOptions{})
+			batch, err := solveChain(models, SweepOptions{})
 			if err != nil {
 				t.Fatalf("%v α=%g: %v", sc, alpha, err)
 			}
@@ -98,7 +114,7 @@ func TestBatchMatchesColdAlphaAndDowntimeAxes(t *testing.T) {
 			m.Res = res
 			models = append(models, m)
 		}
-		batch, err := BatchOptimalPattern(models, SweepOptions{})
+		batch, err := solveChain(models, SweepOptions{})
 		if err != nil {
 			t.Fatalf("%v: %v", sc, err)
 		}
@@ -171,14 +187,15 @@ func TestBatchAxisJumpFallsBack(t *testing.T) {
 	}
 }
 
-// TestSweepSolverColdModeBitIdentical pins the -warm=false escape hatch:
-// Cold mode must return bit-identical results to per-cell OptimalPattern.
+// TestSweepSolverColdModeBitIdentical pins Cold mode (a /v1/sweep
+// request's "cold" and a campaign manifest's cold_solve): every cell
+// must be bit-identical to a per-cell OptimalPattern call.
 func TestSweepSolverColdModeBitIdentical(t *testing.T) {
 	var models []core.Model
 	for _, lambda := range lambdaAxis(5) {
 		models = append(models, modelWithLambda(t, costmodel.Scenario3, 0.1, lambda))
 	}
-	batch, err := BatchOptimalPattern(models, SweepOptions{Cold: true})
+	batch, err := solveChain(models, SweepOptions{Cold: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +246,7 @@ func TestBatchAmortizesEvals(t *testing.T) {
 	for _, lambda := range lambdaAxis(17) {
 		models = append(models, modelWithLambda(t, costmodel.Scenario3, 0.1, lambda))
 	}
-	batch, err := BatchOptimalPattern(models, SweepOptions{})
+	batch, err := solveChain(models, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,4 +324,77 @@ func TestAtPBoundAgreesOnFlatBound(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzSweepWarmMatchesCold is the warm-vs-cold differential oracle of
+// SweepSolver: one warm chain along a generated axis (λ_ind log-spaced,
+// or α or D linear, between two ends, with 2 to 16 cells, the other two
+// parameters at their base values) against a per-cell OptimalPattern,
+// on a Table II platform and scenario, with or without IntegerP. Every
+// cell must agree on the error status and AtPBound and put H within
+// sweepTolH (relative). T* and P* are not compared: on a basin flat to
+// rounding they differ by more than sweepTolXY at equal H. The seed
+// corpus (testdata/fuzz/FuzzSweepWarmMatchesCold) holds the Fig. 4, 5
+// and 7 axes at their defaults, such a flat basin (Coastal, scenario 6,
+// D = 0), a λ axis onto the feasible island of FuzzOptimalPattern's
+// seed feasible-island-between-grid-points, which the warm bracket found
+// and a cold scan without its rescan did not, and two findings of this
+// target: α = 1, where g is flat to rounding up to PMax and a warm
+// bracket short of PMax reported no bound (alpha-one-flat-to-pmax), and
+// a cell whose optimum sits where g turns infinite, which the warm
+// bracket reached and the cold grid's polish did not
+// (lambda-axis-onto-overflow-edge).
+func FuzzSweepWarmMatchesCold(f *testing.F) {
+	f.Fuzz(func(t *testing.T, plat, sc, axis, cells uint8, lo, hi, alpha, lambda, downtime float64, integerP bool) {
+		pl := platform.All()[int(plat)%4]
+		scenario := costmodel.Scenario(1 + int(sc)%6)
+		n := 2 + int(cells)%15
+		var xs []float64
+		if axis%3 == 0 {
+			if !(lo > 0 && hi > 0) || math.IsInf(lo, 1) || math.IsInf(hi, 1) {
+				return
+			}
+			xs = xmath.Logspace(lo, hi, n)
+		} else {
+			xs = xmath.Linspace(lo, hi, n)
+		}
+		models := make([]core.Model, n)
+		for i, x := range xs {
+			a, l, d := alpha, lambda, downtime
+			switch axis % 3 {
+			case 0:
+				l = x
+			case 1:
+				a = x
+			case 2:
+				d = x
+			}
+			m, err := periodModel(pl, scenario, a, l, d)
+			if err != nil {
+				return
+			}
+			models[i] = m
+		}
+		opts := PatternOptions{IntegerP: integerP}
+		s := NewSweepSolver(SweepOptions{PatternOptions: opts})
+		for i, m := range models {
+			warm, werr := s.Solve(m)
+			cold, cerr := OptimalPattern(m, opts)
+			cell := func() string {
+				return fmt.Sprintf("%s/%v axis %d cell %d/%d (x = %g, α=%g λ=%g D=%g, IntegerP %t)",
+					pl.Name, scenario, axis%3, i, n, xs[i], alpha, lambda, downtime, integerP)
+			}
+			switch {
+			case (werr != nil) != (cerr != nil):
+				t.Fatalf("%s: warm error %v, cold error %v", cell(), werr, cerr)
+			case werr != nil:
+			case warm.AtPBound != cold.AtPBound:
+				t.Fatalf("%s: AtPBound warm %t, cold %t (H %.17g against %.17g)",
+					cell(), warm.AtPBound, cold.AtPBound, warm.Overhead, cold.Overhead)
+			case !(xmath.RelDiff(warm.Overhead, cold.Overhead) <= sweepTolH):
+				t.Fatalf("%s: H warm %.17g at P = %g, cold %.17g at P = %g",
+					cell(), warm.Overhead, warm.P, cold.Overhead, cold.P)
+			}
+		}
+	})
 }

@@ -249,20 +249,31 @@ func TestHeteroSweepAxis(t *testing.T) {
 		}
 	}
 
-	// The warm chain agrees with cold within the refinement tolerance.
+	// The warm chain agrees with cold within the refinement tolerance. A
+	// row is warm only when every per-group solve of its cell was: the
+	// first cell runs full-box scans only, a later one warm-starts, and
+	// no Cold row is warm.
 	warmReq := req
 	warmReq.Cold = false
 	warmRows, code := postNDJSON(t, ts.URL, warmReq)
 	if code != http.StatusOK {
 		t.Fatalf("warm status %d", code)
 	}
+	laterWarm := false
 	for i, wr := range warmRows {
-		if !wr.Warm {
-			t.Errorf("warm cell %d not flagged warm", i)
+		if i == 0 && wr.Warm {
+			t.Error("first warm-mode cell flagged warm after full-box scans only")
+		}
+		laterWarm = laterWarm || (i > 0 && wr.Warm)
+		if rows[i].Warm {
+			t.Errorf("Cold cell %d flagged warm", i)
 		}
 		if relDiffF(wr.Overhead, rows[i].Overhead) > 1e-8 {
 			t.Errorf("cell %d: warm overhead %g vs cold %g", i, wr.Overhead, rows[i].Overhead)
 		}
+	}
+	if !laterWarm {
+		t.Error("no warm-mode cell after the first flagged warm")
 	}
 
 	// A second identical warm sweep replays every cell from cache.

@@ -82,8 +82,14 @@
 // warm-start: the paper's curves are independent per-point optima, so
 // each figure and study cell solves its own (OptimalPattern,
 // multilevel.OptimalPattern or hetero.OptimalPattern) inside the
-// parallel job that prices it. See DESIGN.md, "Warm-start sweep
-// solver".
+// parallel job that prices it. Figure, study and campaign cells all
+// price through one function per protocol — experiments.PricePattern
+// (pattern-level, or machine-level at the rounded allocation under a
+// non-exponential law), PriceTwoLevel and PriceHetero — which own the
+// rule that makes a cell unsimulable: error pressure, a machine
+// population above sim.MaxMachineProcs, or a two-level optimum at the
+// allocation bound. See DESIGN.md, "Warm-start sweep solver" and
+// "Campaign orchestrator".
 //
 // # Two-level resilience end-to-end
 //

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -16,11 +15,11 @@ import (
 	"amdahlyd/internal/atomicio"
 	"amdahlyd/internal/backoff"
 	"amdahlyd/internal/core"
+	"amdahlyd/internal/experiments"
 	"amdahlyd/internal/hetero"
 	"amdahlyd/internal/multilevel"
 	"amdahlyd/internal/optimize"
 	"amdahlyd/internal/sim"
-	"amdahlyd/internal/stats"
 )
 
 // Options tunes the executor. The zero value runs a fresh campaign with
@@ -442,70 +441,28 @@ func (r *runner) attempt(ctx context.Context, c *Cell, a *Artifact, fault Fault,
 	return r.simulate(actx, c, a)
 }
 
-// simulate prices the solved cell on the protocol's simulator with the
+// simulate prices the solved cell through its protocol's pricer with the
 // cell's deterministic seed. Per-run streams are seed-derived, so the
 // result is independent of scheduling; Workers stays 1 because the
 // parallelism budget lives at the chain level. A pattern off the
-// simulable map (error pressure, an oversized machine population, a
-// two-level optimum at the allocation bound) completes unsimulable.
-func (r *runner) simulate(ctx context.Context, c *Cell, a *Artifact) error {
-	cfg := sim.RunConfig{Runs: r.man.Runs, Patterns: r.man.Patterns, Seed: c.Seed, Workers: 1}
-	var (
-		overhead stats.Summary
-		err      error
-	)
-	switch {
-	case c.Protocol == ProtocolHetero:
-		var groups []sim.HeteroGroupRun
-		if groups, err = hetero.GroupRuns(c.Hetero, a.heteroPlan()); err != nil {
-			return err
-		}
-		var res sim.HeteroRunResult
-		res, err = sim.SimulateHeteroContext(ctx, groups, cfg)
-		overhead = res.Overhead
-
-	case c.Protocol == ProtocolMultilevel:
-		if a.AtPBound {
-			// At-bound optima stay unsimulated, as in the multilevel study.
-			a.Unsimulable = true
-			return nil
-		}
-		var res multilevel.CampaignResult
-		res, err = multilevel.SimulateModel(ctx, c.Model, c.Frac, multilevel.Pattern{T: a.T, K: a.K}, a.P,
-			multilevel.CampaignConfig{Runs: cfg.Runs, Patterns: cfg.Patterns, Seed: cfg.Seed, Workers: 1})
-		overhead = res.Overhead
-
-	case c.Dist != nil:
-		// Non-memoryless law: replay the exponential-optimal pattern on
-		// the machine-level simulator at the rounded integral allocation
-		// (the robustness-study pricing protocol).
-		procs := int(math.Round(a.P))
-		if procs < 1 {
-			procs = 1
-		}
-		if procs > sim.MaxMachineProcs {
-			a.Unsimulable = true
-			return nil
-		}
-		a.SimProcs = procs
-		cfg.Machine, cfg.Dist = true, c.Dist
-		var res sim.RunResult
-		res, err = sim.SimulateContext(ctx, c.Model, a.T, float64(procs), cfg)
-		overhead = res.Overhead
-
+// simulable map (experiments.Price) completes unsimulable.
+func (r *runner) simulate(ctx context.Context, c *Cell, a *Artifact) (err error) {
+	cfg := sim.RunConfig{Runs: r.man.Runs, Patterns: r.man.Patterns, Seed: c.Seed, Workers: 1, Dist: c.Dist}
+	var pr experiments.Price
+	switch c.Protocol {
+	case ProtocolHetero:
+		pr, err = experiments.PriceHetero(ctx, c.Hetero, a.heteroPlan(), cfg)
+	case ProtocolMultilevel:
+		pr, err = experiments.PriceTwoLevel(ctx, c.Model, c.Frac, multilevel.Pattern{T: a.T, K: a.K}, a.P,
+			a.AtPBound, cfg)
 	default:
-		var res sim.RunResult
-		res, err = sim.SimulateContext(ctx, c.Model, a.T, a.P, cfg)
-		overhead = res.Overhead
-	}
-	if errors.Is(err, sim.ErrErrorPressure) {
-		a.Unsimulable = true
-		return nil
+		pr, err = experiments.PricePattern(ctx, c.Model, a.T, a.P, cfg)
 	}
 	if err != nil {
 		return err
 	}
-	a.SimH, a.SimCI = floatPtr(overhead.Mean), floatPtr(overhead.CI95)
+	a.SimProcs, a.Unsimulable = pr.Procs, pr.Unsimulable
+	a.SimH, a.SimCI = floatPtr(pr.H), floatPtr(pr.CI)
 	return nil
 }
 

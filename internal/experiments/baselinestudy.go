@@ -36,7 +36,6 @@ type BaselineCell struct {
 // modelling silent errors at all.
 type BaselineStudyResult struct {
 	Cells []BaselineCell
-	Cfg   Config
 }
 
 // BaselineStudy runs the comparison on the given platforms under one
@@ -52,12 +51,12 @@ func BaselineStudy(ctx context.Context, platforms []platform.Platform, sc costmo
 		if err != nil {
 			return err
 		}
+		label := fmt.Sprintf("baselines/%s/%v", pl.Name, sc)
 		num, err := optimize.OptimalPattern(m, optimize.PatternOptions{})
 		if err != nil {
-			return fmt.Errorf("experiments: optimizing baselines/%v: %w", sc, err)
+			return fmt.Errorf("experiments: optimizing %s: %w", label, err)
 		}
-		label := fmt.Sprintf("baselines/%s/%v", pl.Name, sc)
-		opt, err := simulateEval(ctx, m, num.Solution, num.AtPBound, cfg, label+"/optimal")
+		opt, err := simulateEval(ctx, m, num.T, num.P, cfg, label+"/optimal")
 		if err != nil {
 			return err
 		}
@@ -66,27 +65,25 @@ func BaselineStudy(ctx context.Context, platforms []platform.Platform, sc costmo
 		if err != nil {
 			return err
 		}
-		youngEval, err := simulateEval(ctx, m, solutionAt(young.T, num.P), false, cfg, label+"/young")
+		youngEval, err := simulateEval(ctx, m, young.T, num.P, cfg, label+"/young")
 		if err != nil {
 			return err
 		}
-		youngEval.Method = "young"
 
 		daly, err := baselines.PlanDaly(m, num.P)
 		if err != nil {
 			return err
 		}
-		dalyEval, err := simulateEval(ctx, m, solutionAt(daly.T, num.P), false, cfg, label+"/daly")
+		dalyEval, err := simulateEval(ctx, m, daly.T, num.P, cfg, label+"/daly")
 		if err != nil {
 			return err
 		}
-		dalyEval.Method = "daly"
 
 		relax, _, err := baselines.IterativeRelaxation(m, 0, 0)
 		if err != nil {
 			return err
 		}
-		relaxEval, err := simulateEval(ctx, m, relax, false, cfg, label+"/relaxation")
+		relaxEval, err := simulateEval(ctx, m, relax.T, relax.P, cfg, label+"/relaxation")
 		if err != nil {
 			return err
 		}
@@ -105,7 +102,7 @@ func BaselineStudy(ctx context.Context, platforms []platform.Platform, sc costmo
 	if err != nil {
 		return nil, err
 	}
-	return &BaselineStudyResult{Cells: cells, Cfg: cfg}, nil
+	return &BaselineStudyResult{Cells: cells}, nil
 }
 
 // baselineColumns render the comparison. The "Young believes" column

@@ -80,3 +80,15 @@ func TestBaselineStudySilentHeavyPlatformSuffersMore(t *testing.T) {
 			excess(atlas), excess(hera))
 	}
 }
+
+// TestBaselineStudyErrorNamesPlatform: with several platforms, a failed
+// solve names the platform of the failing cell, like every other driver.
+func TestBaselineStudyErrorNamesPlatform(t *testing.T) {
+	doomed := platform.Hera()
+	doomed.Name, doomed.LambdaInd = "Doomed", 1e300
+	_, err := BaselineStudy(context.Background(), []platform.Platform{platform.Hera(), doomed},
+		costmodel.Scenario1, Config{Runs: 2, Patterns: 2, Seed: 1})
+	if err == nil || !strings.Contains(err.Error(), "optimizing baselines/Doomed/scenario 1: ") {
+		t.Errorf("err = %v; want the failing cell baselines/Doomed/scenario 1 named", err)
+	}
+}

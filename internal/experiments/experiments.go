@@ -20,6 +20,7 @@ import (
 
 	"amdahlyd/internal/core"
 	"amdahlyd/internal/costmodel"
+	"amdahlyd/internal/optimize"
 	"amdahlyd/internal/platform"
 	"amdahlyd/internal/rng"
 	"amdahlyd/internal/sim"
@@ -134,14 +135,12 @@ type Eval struct {
 	P, T float64
 	// PredictedH is the exact-model overhead H(T, P).
 	PredictedH float64
-	// SimulatedH is the Monte-Carlo mean overhead, with CI95 half-width.
+	// SimulatedH is the Monte-Carlo mean overhead, with CI95 half-width
+	// (NaN when the pattern is unsimulable).
 	SimulatedH float64
 	SimCI      float64
-	// AtBound flags a numerical optimum that stopped at the processor
-	// search bound (unbounded-allocation regimes).
-	AtBound bool
-	// Method records the solver ("first-order" or "numerical").
-	Method string
+	// Unsimulable flags a pattern off the simulable map (Price).
+	Unsimulable bool
 }
 
 // cellSeed derives a stable per-cell seed from the master seed and a cell
@@ -150,37 +149,24 @@ func cellSeed(master uint64, label string) uint64 {
 	return rng.HashLabel(label) ^ master
 }
 
-// simulateEval prices a solution with the Monte-Carlo simulator. A
-// solution that sits too deep in the failure-dominated regime to simulate
-// (sim.ErrErrorPressure — this happens when a first-order method is
-// applied far outside its validity region, e.g. weak-scaling profiles at
-// the processor search bound) is returned with NaN simulated fields and
-// the model prediction intact.
-func simulateEval(ctx context.Context, m core.Model, sol core.Solution, atBound bool, cfg Config, label string) (Eval, error) {
-	res, err := sim.SimulateContext(ctx, m, sol.T, sol.P, sim.RunConfig{
-		Runs:     cfg.Runs,
-		Patterns: cfg.Patterns,
-		Seed:     cellSeed(cfg.Seed, label),
-		Workers:  1, // parallelism lives at the cell level
-	})
-	ev := Eval{
-		P:          sol.P,
-		T:          sol.T,
-		PredictedH: m.Overhead(sol.T, sol.P),
-		SimulatedH: res.Overhead.Mean,
-		SimCI:      res.Overhead.CI95,
-		AtBound:    atBound,
-		Method:     sol.Method,
-	}
-	if errors.Is(err, sim.ErrErrorPressure) {
-		ev.SimulatedH, ev.SimCI = math.NaN(), math.NaN()
-		ev.Method += " (unsimulable)"
-		return ev, nil
-	}
+// runConfig is the Monte-Carlo budget of the cell named label: its own
+// label seed and one worker, because parallelism lives at the cell level.
+func (c Config) runConfig(label string) sim.RunConfig {
+	return sim.RunConfig{Runs: c.Runs, Patterns: c.Patterns, Seed: cellSeed(c.Seed, label), Workers: 1}
+}
+
+// simulateEval prices PATTERN(T, P) on the pattern-level simulator. A
+// pattern that sits too deep in the failure-dominated regime to simulate
+// — a first-order method applied far outside its validity region, e.g.
+// weak-scaling profiles at the processor search bound — is returned
+// unsimulable, with NaN simulated fields and the model prediction intact.
+func simulateEval(ctx context.Context, m core.Model, t, p float64, cfg Config, label string) (Eval, error) {
+	pr, err := PricePattern(ctx, m, t, p, cfg.runConfig(label))
 	if err != nil {
 		return Eval{}, fmt.Errorf("experiments: simulating %s: %w", label, err)
 	}
-	return ev, nil
+	return Eval{P: p, T: t, PredictedH: m.Overhead(t, p),
+		SimulatedH: pr.H, SimCI: pr.CI, Unsimulable: pr.Unsimulable}, nil
 }
 
 // solveFirstOrder returns the simulated first-order solution, or nil when
@@ -196,11 +182,38 @@ func solveFirstOrder(ctx context.Context, m core.Model, cfg Config, label string
 	if sol.P < 1 {
 		sol.P = 1
 	}
-	ev, err := simulateEval(ctx, m, sol, false, cfg, label+"/first-order")
+	ev, err := simulateEval(ctx, m, sol.T, sol.P, cfg, label+"/first-order")
 	if err != nil {
 		return nil, err
 	}
 	return &ev, nil
+}
+
+// scenarioBaselines solves and prices each scenario's single-level
+// numerical optimum on pl at DefaultAlpha and DefaultDowntime, one
+// parallelFor job per scenario seeded from label(sc): the baseline the
+// multilevel and heterogeneous studies join into every cell of the
+// scenario.
+func scenarioBaselines(ctx context.Context, pl platform.Platform, scenarios []costmodel.Scenario,
+	opts optimize.PatternOptions, cfg Config, label func(costmodel.Scenario) string) ([]Eval, error) {
+	single := make([]Eval, len(scenarios))
+	err := parallelFor(ctx, len(scenarios), func(ctx context.Context, i int) error {
+		m, err := BuildModel(pl, scenarios[i], DefaultAlpha, DefaultDowntime)
+		if err != nil {
+			return err
+		}
+		cell := label(scenarios[i])
+		num, err := optimize.OptimalPattern(m, opts)
+		if err != nil {
+			return fmt.Errorf("experiments: optimizing %s: %w", cell, err)
+		}
+		single[i], err = simulateEval(ctx, m, num.T, num.P, cfg, cell)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return single, nil
 }
 
 // parallelFor runs fn(ctx, i) for i in [0, n) on the shared pool with
@@ -224,9 +237,4 @@ func orNaN(e *Eval, f func(Eval) float64) float64 {
 		return math.NaN()
 	}
 	return f(*e)
-}
-
-// solutionAt wraps a fixed (T, P) pair as a Solution for pricing.
-func solutionAt(t, p float64) core.Solution {
-	return core.Solution{T: t, P: p, Method: "fixed"}
 }

@@ -25,7 +25,6 @@ type Fig2Cell struct {
 // predicted vs simulated) at α = 0.1.
 type Fig2Result struct {
 	Cells []Fig2Cell
-	Cfg   Config
 }
 
 // Fig2 reproduces Fig. 2 on the given platforms (the paper uses all four
@@ -54,7 +53,7 @@ func Fig2(ctx context.Context, platforms []platform.Platform, cfg Config) (*Fig2
 		cells[pi*nS+si] = Fig2Cell{Platform: platforms[pi].Name, Scenario: pt.Scenario,
 			FirstOrder: pt.FirstOrder, Optimal: pt.Optimal}
 	}
-	return &Fig2Result{Cells: cells, Cfg: cfg}, nil
+	return &Fig2Result{Cells: cells}, nil
 }
 
 // fig2Columns are the paper's three panels (P*, T*, overhead), first-order

@@ -20,11 +20,10 @@ type Fig3Point struct {
 	// SimOverheadFO is the simulated overhead at (T*_P, P) (panel b).
 	SimOverheadFO float64
 	SimCI         float64
-	// PeriodNum and the exact overheads feed panel (c): the gap between
-	// the first-order period and the true optimal period for this P.
-	PeriodNum  float64
+	// The exact overheads feed panel (c): the gap between the first-order
+	// period and the numerically optimal period for this P.
 	OverheadFO float64 // exact model at (PeriodFO, P)
-	OverheadN  float64 // exact model at (PeriodNum, P)
+	OverheadN  float64 // exact model at the optimal period for P
 }
 
 // DiffPercent returns panel (c): the overhead excess of the first-order
@@ -37,7 +36,6 @@ func (p Fig3Point) DiffPercent() float64 {
 type Fig3Result struct {
 	Platform string
 	Points   []Fig3Point
-	Cfg      Config
 }
 
 // DefaultFig3Procs mirrors the paper's x-axis on Hera: 128 to 1472
@@ -78,7 +76,7 @@ func Fig3(ctx context.Context, pl platform.Platform, procs []float64, cfg Config
 			return err
 		}
 		tFO := m.OptimalPeriodFixedP(p)
-		ev, err := simulateEval(ctx, m, solutionAt(tFO, p), false, cfg, label)
+		ev, err := simulateEval(ctx, m, tFO, p, cfg, label)
 		if err != nil {
 			return err
 		}
@@ -92,7 +90,6 @@ func Fig3(ctx context.Context, pl platform.Platform, procs []float64, cfg Config
 			PeriodFO:      tFO,
 			SimOverheadFO: ev.SimulatedH,
 			SimCI:         ev.SimCI,
-			PeriodNum:     tNum,
 			OverheadFO:    m.Overhead(tFO, p),
 			OverheadN:     m.Overhead(tNum, p),
 		}
@@ -101,7 +98,7 @@ func Fig3(ctx context.Context, pl platform.Platform, procs []float64, cfg Config
 	if err != nil {
 		return nil, err
 	}
-	return &Fig3Result{Platform: pl.Name, Points: points, Cfg: cfg}, nil
+	return &Fig3Result{Platform: pl.Name, Points: points}, nil
 }
 
 // PanelSeries returns the three panels as series keyed by scenario:
@@ -124,46 +121,27 @@ func (r *Fig3Result) PanelSeries() (periods, overheads, diffs []report.Series) {
 	return periods, overheads, diffs
 }
 
-// Render writes the three panels as tables.
+// Render writes the three panels as tables: a row per processor count,
+// in driver order, with a column per scenario.
 func (r *Fig3Result) Render(w io.Writer) error {
-	ta := report.NewTable(
-		fmt.Sprintf("Fig. 3(a) — optimal period T*_P on %s (α=%g)", r.Platform, DefaultAlpha),
-		"P", "sc1", "sc2", "sc3", "sc4", "sc5", "sc6")
-	tb := report.NewTable(
-		fmt.Sprintf("Fig. 3(b) — simulated overhead on %s", r.Platform),
-		"P", "sc1", "sc2", "sc3", "sc4", "sc5", "sc6")
-	tc := report.NewTable(
-		fmt.Sprintf("Fig. 3(c) — overhead gap first-order vs optimal (%%) on %s", r.Platform),
-		"P", "sc1", "sc2", "sc3", "sc4", "sc5", "sc6")
-
-	byP := map[float64]map[costmodel.Scenario]Fig3Point{}
-	var order []float64
-	for _, pt := range r.Points {
-		if _, ok := byP[pt.P]; !ok {
-			byP[pt.P] = map[costmodel.Scenario]Fig3Point{}
-			order = append(order, pt.P)
+	rows := axisRows(len(r.Points), len(costmodel.AllScenarios))
+	for _, panel := range []struct {
+		title string
+		get   func(Fig3Point) float64
+	}{
+		{fmt.Sprintf("Fig. 3(a) — optimal period T*_P on %s (α=%g)", r.Platform, DefaultAlpha),
+			func(pt Fig3Point) float64 { return pt.PeriodFO }},
+		{fmt.Sprintf("Fig. 3(b) — simulated overhead on %s", r.Platform),
+			func(pt Fig3Point) float64 { return pt.SimOverheadFO }},
+		{fmt.Sprintf("Fig. 3(c) — overhead gap first-order vs optimal (%%) on %s", r.Platform),
+			Fig3Point.DiffPercent},
+	} {
+		cols := []column[int]{{header: "P", value: func(i int) float64 { return r.Points[i].P }}}
+		for si, sc := range costmodel.AllScenarios {
+			cols = append(cols, column[int]{header: fmt.Sprintf("sc%d", int(sc)),
+				value: func(i int) float64 { return panel.get(r.Points[si*len(rows)+i]) }})
 		}
-		byP[pt.P][pt.Scenario] = pt
-	}
-	for _, p := range order {
-		rowA := make([]float64, 0, 6)
-		rowB := make([]float64, 0, 6)
-		rowC := make([]float64, 0, 6)
-		for _, sc := range costmodel.AllScenarios {
-			pt := byP[p][sc]
-			rowA = append(rowA, pt.PeriodFO)
-			rowB = append(rowB, pt.SimOverheadFO)
-			rowC = append(rowC, pt.DiffPercent())
-		}
-		ta.AddFloats(report.Fmt(p), rowA...)
-		tb.AddFloats(report.Fmt(p), rowB...)
-		tc.AddFloats(report.Fmt(p), rowC...)
-	}
-	for _, t := range []*report.Table{ta, tb, tc} {
-		if err := t.Render(w); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(w, "\n"); err != nil {
+		if err := renderTable(w, panel.title, cols, rows); err != nil {
 			return err
 		}
 	}

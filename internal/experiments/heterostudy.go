@@ -2,18 +2,15 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
 
-	"amdahlyd/internal/core"
 	"amdahlyd/internal/costmodel"
 	"amdahlyd/internal/hetero"
 	"amdahlyd/internal/optimize"
 	"amdahlyd/internal/platform"
-	"amdahlyd/internal/sim"
 )
 
 // HeteroCell is one (scenario, comm, split) cell of the heterogeneous
@@ -50,7 +47,6 @@ type HeteroCell struct {
 type HeteroResult struct {
 	Platform string
 	Cells    []HeteroCell
-	Cfg      Config
 }
 
 // DefaultHeteroComms is the communication axis of the study, from free
@@ -92,11 +88,13 @@ func HeteroStudyTopology(pl platform.Platform, comm, split float64) platform.Top
 // CPU-only single-group optimum. nil comms and splits select the default
 // axes; scenarios defaults to 1, 3 and 5 as in the sweep figures.
 //
-// It solves the CPU-only baseline once per scenario, then runs one
-// parallelFor job per cell that compiles the cell's topology, solves its
-// joint optimum (hetero.OptimalPattern on integral allocations) and
-// prices it by Monte-Carlo with a per-cell label seed; the per-scenario
-// CPU-only campaigns run as jobs appended after the cells.
+// It solves and prices the CPU-only baseline once per scenario
+// (scenarioBaselines: a one-group topology is the classical optimum, so
+// the baseline is optimize.OptimalPattern with PMax at the CPU size),
+// then runs one parallelFor job per cell that compiles the cell's
+// topology, solves its joint optimum (hetero.OptimalPattern on integral
+// allocations) and prices it with PriceHetero under a per-cell label
+// seed.
 func HeterogeneousStudy(ctx context.Context, pl platform.Platform, comms, splits []float64,
 	scenarios []costmodel.Scenario, cfg Config) (*HeteroResult, error) {
 	cfg = cfg.withDefaults()
@@ -120,46 +118,19 @@ func HeterogeneousStudy(ctx context.Context, pl platform.Platform, comms, splits
 
 	// Every solve, baseline and cell, runs on integral allocations, so
 	// the priced plans stay physical.
+	single, err := scenarioBaselines(ctx, pl, scenarios,
+		optimize.PatternOptions{IntegerP: true, PMax: pl.Processors}, cfg,
+		func(sc costmodel.Scenario) string { return fmt.Sprintf("hetero/%s/%v/cpu-only", pl.Name, sc) })
+	if err != nil {
+		return nil, err
+	}
 	opts := hetero.PatternOptions{PatternOptions: optimize.PatternOptions{IntegerP: true}}
 
-	// The CPU-only baseline, one single-group solve per scenario through
-	// the same hetero path (degenerate by construction, so the baseline is
-	// exactly the classical numerical optimum).
-	baseModels := make([]core.HeteroModel, len(scenarios))
-	basePlans := make([]hetero.PatternResult, len(scenarios))
-	for si, sc := range scenarios {
-		//lint:allow frozenloop one baseline compile per scenario; the optimizer runs on the compiled model
-		hm, err := hetero.CompileTopology(platform.SingleGroup(pl), sc, DefaultAlpha, DefaultDowntime)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: hetero/%s/%v baseline: %w", pl.Name, sc, err)
-		}
-		res, err := hetero.OptimalPattern(hm, opts)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: hetero/%s/%v baseline: %w", pl.Name, sc, err)
-		}
-		baseModels[si], basePlans[si] = hm, res
-	}
-
-	// One job per (scenario, split, comm) cell, then one CPU-only
-	// baseline campaign per scenario (appended after the cells in the job
-	// index space).
-	nSc, nSp, nCo := len(scenarios), len(splits), len(comms)
-	nCells := nSc * nSp * nCo
-	cells := make([]HeteroCell, nCells)
-	singleH := make([]float64, nSc)
-	err := parallelFor(ctx, nCells+nSc, func(ctx context.Context, i int) error {
-		if i >= nCells {
-			si := i - nCells
-			plan := basePlans[si].Groups[0]
-			ev, err := simulateEval(ctx, baseModels[si].Groups[0].Model, solutionAt(plan.T, plan.P), false, cfg,
-				fmt.Sprintf("hetero/%s/%v/cpu-only", pl.Name, scenarios[si]))
-			if err != nil {
-				return err
-			}
-			singleH[si] = ev.SimulatedH
-			return nil
-		}
-		sc, split, comm := scenarios[i/(nSp*nCo)], splits[i/nCo%nSp], comms[i%nCo]
+	nSp, nCo := len(splits), len(comms)
+	cells := make([]HeteroCell, len(scenarios)*nSp*nCo)
+	err = parallelFor(ctx, len(cells), func(ctx context.Context, i int) error {
+		sc, base := scenarios[i/(nSp*nCo)], single[i/(nSp*nCo)]
+		split, comm := splits[i/nCo%nSp], comms[i%nCo]
 		label := fmt.Sprintf("hetero/%s/%v/split=%g/comm=%g", pl.Name, sc, split, comm)
 		hm, err := hetero.CompileTopology(HeteroStudyTopology(pl, comm, split), sc, DefaultAlpha, DefaultDowntime)
 		if err != nil {
@@ -169,8 +140,11 @@ func HeterogeneousStudy(ctx context.Context, pl platform.Platform, comms, splits
 		if err != nil {
 			return fmt.Errorf("experiments: %s: %w", label, err)
 		}
-		cell := &cells[i]
-		*cell = HeteroCell{
+		pr, err := PriceHetero(ctx, hm, res.Groups, cfg.runConfig(label))
+		if err != nil {
+			return fmt.Errorf("experiments: simulating %s: %w", label, err)
+		}
+		cell := HeteroCell{
 			Scenario:   sc,
 			Comm:       comm,
 			Split:      split,
@@ -178,6 +152,10 @@ func HeterogeneousStudy(ctx context.Context, pl platform.Platform, comms, splits
 			CPUP:       math.NaN(),
 			AccelP:     math.NaN(),
 			PredictedH: res.Overhead,
+			SimulatedH: pr.H,
+			SimCI:      pr.CI,
+			SingleH:    base.SimulatedH,
+			SavingPct:  (1 - pr.H/base.SimulatedH) * 100,
 		}
 		for _, gp := range res.Groups {
 			switch gp.Group {
@@ -188,37 +166,13 @@ func HeterogeneousStudy(ctx context.Context, pl platform.Platform, comms, splits
 				cell.AccelFrac = gp.Fraction
 			}
 		}
-		groups, err := hetero.GroupRuns(hm, res.Groups)
-		if err != nil {
-			return err
-		}
-		mc, err := sim.SimulateHeteroContext(ctx, groups, sim.RunConfig{
-			Runs:     cfg.Runs,
-			Patterns: cfg.Patterns,
-			Seed:     cellSeed(cfg.Seed, label),
-			Workers:  1, // parallelism lives at the cell level
-		})
-		if errors.Is(err, sim.ErrErrorPressure) {
-			cell.SimulatedH, cell.SimCI = math.NaN(), math.NaN()
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("experiments: simulating %s: %w", label, err)
-		}
-		cell.SimulatedH, cell.SimCI = mc.Overhead.Mean, mc.Overhead.CI95
+		cells[i] = cell
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	// Join the baseline into every cell of its scenario.
-	for i := range cells {
-		si := i / (nSp * nCo)
-		cells[i].SingleH = singleH[si]
-		cells[i].SavingPct = (1 - cells[i].SimulatedH/singleH[si]) * 100
-	}
-	return &HeteroResult{Platform: pl.Name, Cells: cells, Cfg: cfg}, nil
+	return &HeteroResult{Platform: pl.Name, Cells: cells}, nil
 }
 
 // heteroColumns render the study: the joint heterogeneous optimum and

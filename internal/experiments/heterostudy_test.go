@@ -10,6 +10,7 @@ import (
 
 	"amdahlyd/internal/costmodel"
 	"amdahlyd/internal/hetero"
+	"amdahlyd/internal/optimize"
 	"amdahlyd/internal/platform"
 	"amdahlyd/internal/xmath"
 )
@@ -141,5 +142,47 @@ func TestHeteroStudyTopologyShape(t *testing.T) {
 	tiny := HeteroStudyTopology(platform.Hera(), 0, 1e-9)
 	if tiny.Groups[1].Size != 1 {
 		t.Errorf("split clamp failed: %g", tiny.Groups[1].Size)
+	}
+}
+
+// TestCPUOnlyBaselineIsTheDegenerateHeteroSolve: the heterogeneous
+// study's CPU-only baseline is the classical optimum on integral
+// allocations with PMax at the CPU size, which is what the hetero solver
+// returns for the one-group topology platform.SingleGroup. T, P, H and
+// AtPBound agree bit for bit on every platform and scenario at α ∈
+// {0, 1e-4, 0.1, 0.5} and D ∈ {0, 3,600 s}.
+func TestCPUOnlyBaselineIsTheDegenerateHeteroSolve(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, pl := range platform.All() {
+		for _, sc := range costmodel.AllScenarios {
+			for _, alpha := range []float64{0, 1e-4, 0.1, 0.5} {
+				for _, downtime := range []float64{0, 3600} {
+					name := fmt.Sprintf("%s/%v/α=%g/D=%g", pl.Name, sc, alpha, downtime)
+					m, err := BuildModel(pl, sc, alpha, downtime)
+					if err != nil {
+						t.Fatal(err)
+					}
+					num, err := optimize.OptimalPattern(m, optimize.PatternOptions{IntegerP: true, PMax: pl.Processors})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					hm, err := hetero.CompileTopology(platform.SingleGroup(pl), sc, alpha, downtime)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := hetero.OptimalPattern(hm, hetero.PatternOptions{
+						PatternOptions: optimize.PatternOptions{IntegerP: true}})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					g := res.Groups[0]
+					if res.Active != 1 || !same(g.T, num.T) || !same(g.P, num.P) ||
+						!same(res.Overhead, num.Overhead) || g.AtPBound != num.AtPBound {
+						t.Errorf("%s: hetero (T %v, P %v, H %v, at bound %t, G %d) != classical (T %v, P %v, H %v, at bound %t)",
+							name, g.T, g.P, res.Overhead, g.AtPBound, res.Active, num.T, num.P, num.Overhead, num.AtPBound)
+					}
+				}
+			}
+		}
 	}
 }

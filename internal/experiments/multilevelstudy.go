@@ -2,18 +2,14 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 
-	"amdahlyd/internal/core"
 	"amdahlyd/internal/costmodel"
 	"amdahlyd/internal/multilevel"
 	"amdahlyd/internal/optimize"
 	"amdahlyd/internal/platform"
-	"amdahlyd/internal/sim"
 )
 
 // MultilevelCell is one (scenario, in-memory fraction) cell of the
@@ -50,7 +46,6 @@ type MultilevelCell struct {
 type MultilevelResult struct {
 	Platform string
 	Cells    []MultilevelCell
-	Cfg      Config
 }
 
 // DefaultMultilevelFractions is the in-memory cost axis of the study:
@@ -67,11 +62,11 @@ var DefaultMultilevelFractions = []float64{1.0 / 60, 1.0 / 15, 0.2, 0.5, 1}
 // DefaultMultilevelFractions axis; scenarios 1, 3, 5 as in the sweep
 // figures).
 //
-// It solves the single-level optimum once per scenario, then runs one
-// parallelFor job per cell that solves the joint optimum on integral
-// allocations (multilevel.OptimalPattern with IntegerP) and prices it by
-// Monte-Carlo with a per-cell label seed; the per-scenario single-level
-// campaigns run as jobs appended after the cells.
+// It solves and prices the single-level optimum once per scenario
+// (scenarioBaselines), then runs one parallelFor job per cell that
+// solves the joint optimum on integral allocations
+// (multilevel.OptimalPattern with IntegerP) and prices it with
+// PriceTwoLevel under a per-cell label seed.
 func MultilevelStudy(ctx context.Context, pl platform.Platform, fracs []float64,
 	scenarios []costmodel.Scenario, cfg Config) (*MultilevelResult, error) {
 	cfg = cfg.withDefaults()
@@ -81,92 +76,50 @@ func MultilevelStudy(ctx context.Context, pl platform.Platform, fracs []float64,
 	if len(scenarios) == 0 {
 		scenarios = scenarios135
 	}
-
-	// The single-level baseline depends only on the scenario, not on the
-	// fraction.
-	scModels := make([]core.Model, len(scenarios))
-	scNums := make([]optimize.PatternResult, len(scenarios))
-	for i, sc := range scenarios {
-		m, err := BuildModel(pl, sc, DefaultAlpha, DefaultDowntime)
-		if err != nil {
-			return nil, err
-		}
-		num, err := optimize.OptimalPattern(m, optimize.PatternOptions{})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: multilevel/%s single-level baseline: %w", pl.Name, err)
-		}
-		scModels[i], scNums[i] = m, num
+	single, err := scenarioBaselines(ctx, pl, scenarios, optimize.PatternOptions{}, cfg,
+		func(sc costmodel.Scenario) string { return fmt.Sprintf("multilevel/%s/%v/single-level", pl.Name, sc) })
+	if err != nil {
+		return nil, err
 	}
 
-	// One job per cell, then one single-level baseline campaign per
-	// scenario (appended after the cells in the job index space).
-	nCells := len(scenarios) * len(fracs)
-	cells := make([]MultilevelCell, nCells)
-	singleH := make([]float64, len(scenarios))
-	err := parallelFor(ctx, nCells+len(scenarios), func(ctx context.Context, i int) error {
-		if i >= nCells {
-			// Single-level baseline: the scenario's numerical optimum
-			// priced by the pattern-level simulator.
-			si := i - nCells
-			num := scNums[si]
-			ev, err := simulateEval(ctx, scModels[si], num.Solution, num.AtPBound, cfg,
-				fmt.Sprintf("multilevel/%s/%v/single-level", pl.Name, scenarios[si]))
-			if err != nil {
-				return err
-			}
-			singleH[si] = ev.SimulatedH
-			return nil
+	cells := make([]MultilevelCell, len(scenarios)*len(fracs))
+	err = parallelFor(ctx, len(cells), func(ctx context.Context, i int) error {
+		sc, base, frac := scenarios[i/len(fracs)], single[i/len(fracs)], fracs[i%len(fracs)]
+		m, err := BuildModel(pl, sc, DefaultAlpha, DefaultDowntime)
+		if err != nil {
+			return err
 		}
-		sc, m, frac := scenarios[i/len(fracs)], scModels[i/len(fracs)], fracs[i%len(fracs)]
+		label := fmt.Sprintf("multilevel/%s/%v/frac=%g", pl.Name, sc, frac)
 		res, err := multilevel.OptimalPattern(m, multilevel.InMemoryFraction(m, frac),
 			multilevel.PatternOptions{IntegerP: true})
 		if err != nil {
-			return fmt.Errorf("experiments: multilevel/%s/%v/frac=%g: %w", pl.Name, sc, frac, err)
+			return fmt.Errorf("experiments: %s: %w", label, err)
 		}
-		cell := &cells[i]
-		*cell = MultilevelCell{
+		pr, err := PriceTwoLevel(ctx, m, frac, multilevel.Pattern{T: res.T, K: res.K}, res.P,
+			res.AtPBound, cfg.runConfig(label))
+		if err != nil {
+			return fmt.Errorf("experiments: simulating %s: %w", label, err)
+		}
+		cells[i] = MultilevelCell{
 			Scenario:   sc,
 			Frac:       frac,
 			T:          res.T,
 			K:          res.K,
 			P:          res.P,
 			PredictedH: res.PredictedH,
+			SimulatedH: pr.H,
+			SimCI:      pr.CI,
+			SingleP:    base.P,
+			SingleH:    base.SimulatedH,
+			SavingPct:  (1 - pr.H/base.SimulatedH) * 100,
 			AtBound:    res.AtPBound,
 		}
-		if cell.AtBound {
-			cell.SimulatedH, cell.SimCI = math.NaN(), math.NaN()
-			return nil
-		}
-		label := fmt.Sprintf("multilevel/%s/%v/frac=%g", pl.Name, sc, frac)
-		mc, err := multilevel.SimulateModel(ctx, m, frac, multilevel.Pattern{T: res.T, K: res.K}, res.P,
-			multilevel.CampaignConfig{
-				Runs:     cfg.Runs,
-				Patterns: cfg.Patterns,
-				Seed:     cellSeed(cfg.Seed, label),
-				Workers:  1, // parallelism lives at the cell level
-			})
-		if errors.Is(err, sim.ErrErrorPressure) {
-			cell.SimulatedH, cell.SimCI = math.NaN(), math.NaN()
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("experiments: simulating %s: %w", label, err)
-		}
-		cell.SimulatedH, cell.SimCI = mc.Overhead.Mean, mc.Overhead.CI95
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	// Join the baseline into every cell of its scenario.
-	for i := range cells {
-		si := i / len(fracs)
-		cells[i].SingleP = scNums[si].P
-		cells[i].SingleH = singleH[si]
-		cells[i].SavingPct = (1 - cells[i].SimulatedH/singleH[si]) * 100
-	}
-	return &MultilevelResult{Platform: pl.Name, Cells: cells, Cfg: cfg}, nil
+	return &MultilevelResult{Platform: pl.Name, Cells: cells}, nil
 }
 
 // multilevelColumns render the study: the joint two-level structure and

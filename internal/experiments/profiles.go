@@ -28,7 +28,6 @@ type ProfileCell struct {
 type ProfileStudyResult struct {
 	Platform string
 	Cells    []ProfileCell
-	Cfg      Config
 }
 
 // DefaultProfiles is the profile set of the study: the paper's Amdahl
@@ -88,7 +87,7 @@ func ProfileStudy(ctx context.Context, pl platform.Platform, sc costmodel.Scenar
 		if err != nil {
 			return fmt.Errorf("%s: %w", label, err)
 		}
-		saEval, err := simulateEval(ctx, m, sa, false, cfg, label+"/semi-analytic")
+		saEval, err := simulateEval(ctx, m, sa.T, sa.P, cfg, label+"/semi-analytic")
 		if err != nil {
 			return err
 		}
@@ -97,7 +96,7 @@ func ProfileStudy(ctx context.Context, pl platform.Platform, sc costmodel.Scenar
 		if err != nil {
 			return fmt.Errorf("%s: %w", label, err)
 		}
-		numEval, err := simulateEval(ctx, m, num.Solution, num.AtPBound, cfg, label+"/numerical")
+		numEval, err := simulateEval(ctx, m, num.T, num.P, cfg, label+"/numerical")
 		if err != nil {
 			return err
 		}
@@ -112,7 +111,7 @@ func ProfileStudy(ctx context.Context, pl platform.Platform, sc costmodel.Scenar
 	if err != nil {
 		return nil, err
 	}
-	return &ProfileStudyResult{Platform: pl.Name, Cells: cells, Cfg: cfg}, nil
+	return &ProfileStudyResult{Platform: pl.Name, Cells: cells}, nil
 }
 
 // profileColumns render the study; the periods are table-only.

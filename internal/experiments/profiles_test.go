@@ -35,8 +35,8 @@ func TestProfileStudy(t *testing.T) {
 		// unsimulable with NaN.)
 		for _, e := range []Eval{c.SemiAnalytic, c.Optimal} {
 			if math.IsNaN(e.SimulatedH) {
-				if !strings.Contains(e.Method, "unsimulable") {
-					t.Errorf("%s: NaN simulated overhead without the unsimulable tag", c.Profile)
+				if !e.Unsimulable {
+					t.Errorf("%s: NaN simulated overhead without the unsimulable flag", c.Profile)
 				}
 				continue
 			}

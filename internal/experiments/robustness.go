@@ -66,7 +66,6 @@ type RobustnessResult struct {
 	Platform string
 	DistName string
 	Cells    []RobustnessCell
-	Cfg      Config
 }
 
 // retuneMultipliers is the log-symmetric period grid of the re-tuning
@@ -133,10 +132,7 @@ func RobustnessStudy(ctx context.Context, pl platform.Platform, distName string,
 			return err
 		}
 		num := scNums[i/len(shapes)]
-		procs := int(math.Round(num.P))
-		if procs < 1 {
-			procs = 1
-		}
+		procs, ok := machineProcs(num.P)
 		cell := RobustnessCell{
 			Scenario:   sc,
 			Shape:      shape,
@@ -145,7 +141,7 @@ func RobustnessStudy(ctx context.Context, pl platform.Platform, distName string,
 			P:          float64(procs),
 			PredictedH: m.Overhead(num.T, float64(procs)),
 		}
-		if procs > sim.MaxMachineProcs {
+		if !ok {
 			cell.markUnsimulable()
 			cells[i] = cell
 			return nil
@@ -161,65 +157,57 @@ func RobustnessStudy(ctx context.Context, pl platform.Platform, distName string,
 		// sweep stays at ~GOMAXPROCS total. Per-run streams are
 		// seed-derived, so the worker count never changes results.
 		cellWorkers := max(runtime.GOMAXPROCS(0)/len(cells), 1)
-		price := func(t float64, s uint64) (mean, ci float64, pressure bool, err error) {
-			res, err := sim.SimulateContext(ctx, m, t, float64(procs), sim.RunConfig{
+		price := func(t float64, s uint64) (Price, error) {
+			return PricePattern(ctx, m, t, float64(procs), sim.RunConfig{
 				Runs:     cfg.Runs,
 				Patterns: cfg.Patterns,
 				Seed:     s,
 				Workers:  cellWorkers,
-				Machine:  true,
 				Dist:     dist,
 			})
-			if errors.Is(err, sim.ErrErrorPressure) {
-				return 0, 0, true, nil
-			}
-			if err != nil {
-				return 0, 0, false, err
-			}
-			return res.Overhead.Mean, res.Overhead.CI95, false, nil
 		}
 
 		// The naive (exponential-optimal) period anchors the comparison;
 		// if it is unsimulable the whole cell is reported so — a re-tuned
 		// column without its baseline would be contradictory — and the
 		// rest of the grid's Monte-Carlo budget is not spent.
-		naiveH, naiveCI, pressure, err := price(num.T, seed)
+		naive, err := price(num.T, seed)
 		if err != nil {
 			return fmt.Errorf("experiments: simulating %s ×1: %w", label, err)
 		}
-		if pressure {
+		if naive.Unsimulable {
 			cell.markUnsimulable()
 			cells[i] = cell
 			return nil
 		}
-		cell.NaiveH, cell.NaiveCI = naiveH, naiveCI
-		bestH, bestT := naiveH, num.T
+		cell.NaiveH, cell.NaiveCI = naive.H, naive.CI
+		bestH, bestT := naive.H, num.T
 		for _, mult := range retuneMultipliers {
 			if mult == 1 {
 				continue // the naive point, already priced
 			}
 			t := num.T * mult
-			mean, _, pressure, err := price(t, seed)
+			pr, err := price(t, seed)
 			if err != nil {
 				return fmt.Errorf("experiments: simulating %s ×%g: %w", label, mult, err)
 			}
-			if pressure {
+			if pr.Unsimulable {
 				continue // this grid point is off the simulable map
 			}
-			if mean < bestH {
-				bestH, bestT = mean, t
+			if pr.H < bestH {
+				bestH, bestT = pr.H, t
 			}
 		}
-		cell.RetunedT, cell.RetunedH, cell.RetunedCI = num.T, naiveH, naiveCI
+		cell.RetunedT, cell.RetunedH, cell.RetunedCI = num.T, naive.H, naive.CI
 		if bestT != num.T {
 			// Confirm the selected period on an independent stream; the
 			// CRN minimum that chose it is upward-biased for the gap.
-			confirmH, confirmCI, pressure, err := price(bestT, cellSeed(seed, "retune-confirm"))
+			confirm, err := price(bestT, cellSeed(seed, "retune-confirm"))
 			if err != nil {
 				return fmt.Errorf("experiments: confirming %s T=%g: %w", label, bestT, err)
 			}
-			if !pressure && confirmH < naiveH {
-				cell.RetunedT, cell.RetunedH, cell.RetunedCI = bestT, confirmH, confirmCI
+			if !confirm.Unsimulable && confirm.H < naive.H {
+				cell.RetunedT, cell.RetunedH, cell.RetunedCI = bestT, confirm.H, confirm.CI
 			}
 		}
 		cell.GapPct = (cell.NaiveH - cell.RetunedH) / cell.RetunedH * 100
@@ -233,7 +221,6 @@ func RobustnessStudy(ctx context.Context, pl platform.Platform, distName string,
 		Platform: pl.Name,
 		DistName: distName,
 		Cells:    cells,
-		Cfg:      cfg,
 	}, nil
 }
 

@@ -31,7 +31,6 @@ type SweepResult struct {
 	// XLabel names the swept parameter ("alpha", "lambda_ind", "D").
 	XLabel string
 	Points []SweepPoint
-	Cfg    Config
 }
 
 // modelBuilder produces the model for a given sweep coordinate.
@@ -61,7 +60,7 @@ func runSweep(ctx context.Context, scenarios []costmodel.Scenario, xs []float64,
 		if err != nil {
 			return err
 		}
-		opt, err := simulateEval(ctx, m, num.Solution, num.AtPBound, cfg, cell+"/numerical")
+		opt, err := simulateEval(ctx, m, num.T, num.P, cfg, cell+"/numerical")
 		if err != nil {
 			return err
 		}
@@ -84,7 +83,7 @@ func runSweepFigure(ctx context.Context, name, xLabel string, xs []float64, buil
 	if err != nil {
 		return nil, err
 	}
-	return &SweepResult{Name: name, XLabel: xLabel, Points: points, Cfg: cfg}, nil
+	return &SweepResult{Name: name, XLabel: xLabel, Points: points}, nil
 }
 
 // quantity selects which panel of a sweep figure to extract.
@@ -140,49 +139,29 @@ func (r *SweepResult) TSeries() []report.Series { return r.Series(quantityT) }
 // HSeries returns the simulated-overhead panel.
 func (r *SweepResult) HSeries() []report.Series { return r.Series(quantityH) }
 
-// Render writes the three panels as tables: for each x, the first-order
-// and numerical P*, T* and simulated overhead per scenario.
+// Render writes the three panels as tables: a row per axis value, in
+// driver order, with the first-order and numerical P*, T* and simulated
+// overhead per scenario.
 func (r *SweepResult) Render(w io.Writer) error {
-	panels := []struct {
+	rows := axisRows(len(r.Points), len(scenarios135))
+	for _, panel := range []struct {
 		title string
 		q     quantity
 	}{
 		{fmt.Sprintf("%s(a) — optimal processors P* vs %s", r.Name, r.XLabel), quantityP},
 		{fmt.Sprintf("%s(b) — optimal period T* vs %s", r.Name, r.XLabel), quantityT},
 		{fmt.Sprintf("%s(c) — simulated overhead vs %s", r.Name, r.XLabel), quantityH},
-	}
-	for _, panel := range panels {
-		cols := []string{r.XLabel}
-		for _, sc := range scenarios135 {
+	} {
+		cols := []column[int]{{header: r.XLabel, value: func(i int) float64 { return r.Points[i].X }}}
+		for si, sc := range scenarios135 {
+			at := func(i int) SweepPoint { return r.Points[si*len(rows)+i] }
 			cols = append(cols,
-				fmt.Sprintf("sc%d first-order", int(sc)),
-				fmt.Sprintf("sc%d optimal", int(sc)))
+				column[int]{header: fmt.Sprintf("sc%d first-order", int(sc)),
+					value: func(i int) float64 { return orNaN(at(i).FirstOrder, panel.q.get) }},
+				column[int]{header: fmt.Sprintf("sc%d optimal", int(sc)),
+					value: func(i int) float64 { return orNaN(at(i).Optimal, panel.q.get) }})
 		}
-		tb := report.NewTable(panel.title, cols...)
-
-		byX := map[float64]map[costmodel.Scenario]SweepPoint{}
-		var order []float64
-		for _, pt := range r.Points {
-			if _, ok := byX[pt.X]; !ok {
-				byX[pt.X] = map[costmodel.Scenario]SweepPoint{}
-				order = append(order, pt.X)
-			}
-			byX[pt.X][pt.Scenario] = pt
-		}
-		for _, x := range order {
-			row := make([]float64, 0, 6)
-			for _, sc := range scenarios135 {
-				pt := byX[x][sc]
-				row = append(row,
-					orNaN(pt.FirstOrder, panel.q.get),
-					orNaN(pt.Optimal, panel.q.get))
-			}
-			tb.AddFloats(report.Fmt(x), row...)
-		}
-		if err := tb.Render(w); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(w, "\n"); err != nil {
+		if err := renderTable(w, panel.title, cols, rows); err != nil {
 			return err
 		}
 	}

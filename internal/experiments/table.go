@@ -51,6 +51,17 @@ func renderTable[C any](w io.Writer, title string, cols []column[C], cells []C) 
 	return err
 }
 
+// axisRows are the row indexes of a figure panel over n scenario-major
+// points of k scenarios: one row per axis value, in driver order, so
+// point si·len(rows)+i is scenario si at row i.
+func axisRows(n, k int) []int {
+	rows := make([]int, n/k)
+	for i := range rows {
+		rows[i] = i
+	}
+	return rows
+}
+
 // writeColumnsCSV emits the cells in long form: one series per CSV
 // column, x = the cell index.
 func writeColumnsCSV[C any](w io.Writer, xLabel string, cols []column[C], cells []C) error {

@@ -68,16 +68,6 @@ func (t *Table) AddRow(cells ...string) error {
 	return nil
 }
 
-// AddFloats appends a row of formatted floats after a leading label.
-func (t *Table) AddFloats(label string, vals ...float64) error {
-	cells := make([]string, 0, len(vals)+1)
-	cells = append(cells, label)
-	for _, v := range vals {
-		cells = append(cells, Fmt(v))
-	}
-	return t.AddRow(cells...)
-}
-
 // Render writes the table with aligned columns.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.Columns))

@@ -37,7 +37,7 @@ func TestTableRender(t *testing.T) {
 	if err := tb.AddRow("1", "219", "6240"); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.AddFloats("2", 220.0, 6240.0); err != nil {
+	if err := tb.AddRow("2", Fmt(220.0), Fmt(6240.0)); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

@@ -30,6 +30,7 @@ var reachAllowlist = map[string]string{
 	"analyzers/analysis.LoadDir": "the analysistest fixture loader behind TestSeedFlow and the other analyzer tests",
 	"platform.Atlas":             "Table II row beside the linked Hera and Coastal; TestTable2Values",
 	"platform.CoastalSSD":        "Table II row beside the linked Hera and Coastal; TestTable2Values",
+	"platform.SingleGroup":       "the one-group topology TestSingleGroupDegeneracy holds the hetero layers to, and TestCPUOnlyBaselineIsTheDegenerateHeteroSolve the hetero study's CPU-only baseline",
 
 	// Oracles that tests compare production code against.
 	"core.Model.ErrorFreeOverhead":         "computed from CombinedVC, not Freeze: the oracle TestFrozenMatchesModel holds the Frozen method /v1/evaluate serves to",

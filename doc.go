@@ -146,12 +146,15 @@
 // given (T, P)), optimize ((T*, P*) via internal/optimize), simulate
 // (seeded Monte-Carlo campaigns, machine-level and -dist laws included)
 // and sweep (a whole axis solved as one warm-start chain, streamed as
-// NDJSON, one cache entry per cell).
+// NDJSON, one cache entry per cell; rows leave in batches, flushed at
+// most every 5 ms, so a fast axis is one write and a slow one still
+// streams row by row).
 // The engine caches compiled Frozen evaluators, optimizer results and
 // campaign results in LRUs under canonical model keys
 // (core.Model.CacheKey: exact hex float encoding, structural profile
-// keys), deduplicates concurrent identical requests (single-flight, one
-// solve per key), bounds heavy jobs on a scheduler, and threads request
+// keys; every request key is appended into one stack buffer, so it
+// costs one allocation), deduplicates concurrent identical requests
+// (single-flight, one solve per key), bounds heavy jobs on a scheduler, and threads request
 // contexts into sim.SimulateContext so a client hang-up aborts its
 // campaign. The three protocols share that machinery rather than copy
 // it: one generic cache-miss path behind all six optimize/simulate

@@ -18,9 +18,11 @@ import (
 // values into one key (cache poisoning across models), and even the
 // round-tripping forms fork the key space from every existing m1|/ml1|/
 // hg1| entry. The analyzer scans functions whose name contains "key" —
-// the repo convention for key builders (CacheKey, optionsKey, mcKey,
-// ...) — and flags float-typed arguments reaching fmt verbs, fmt.Sprint
-// concatenation, or non-'x' strconv.FormatFloat calls.
+// the repo convention for key builders (CacheKey, AppendCacheKey,
+// appendOptionsKey, ...) — and flags float-typed arguments reaching fmt
+// verbs, fmt.Sprint concatenation, or non-'x' strconv.FormatFloat and
+// strconv.AppendFloat calls (the latter is how the append-form builders
+// spell the token, via xmath.AppendFloatKey).
 var KeyFmt = &analysis.Analyzer{
 	Name: "keyfmt",
 	Doc: "flags %v/%g/%f formatting of floats inside cache-key construction " +
@@ -74,15 +76,25 @@ func checkKeyCall(pass *analysis.Pass, call *ast.CallExpr) {
 			}
 		}
 	case "strconv":
-		if fn.Name() == "FormatFloat" && len(call.Args) == 4 {
-			if tv, ok := pass.TypesInfo.Types[call.Args[1]]; ok && tv.Value != nil &&
-				tv.Value.Kind() == constant.Int {
-				if v, ok := constant.Int64Val(tv.Value); ok && v != 'x' && v != 'X' {
-					pass.Reportf(call.Pos(),
-						"strconv.FormatFloat(%q) inside a key builder is not the canonical token; "+
-							"cache keys use the exact-hex 'x' encoding of core.FormatFloatKey",
-						rune(v))
-				}
+		// The format byte: FormatFloat(f, fmt, prec, bitSize) and
+		// AppendFloat(dst, f, fmt, prec, bitSize).
+		fmtIdx := -1
+		switch {
+		case fn.Name() == "FormatFloat" && len(call.Args) == 4:
+			fmtIdx = 1
+		case fn.Name() == "AppendFloat" && len(call.Args) == 5:
+			fmtIdx = 2
+		}
+		if fmtIdx < 0 {
+			return
+		}
+		if tv, ok := pass.TypesInfo.Types[call.Args[fmtIdx]]; ok && tv.Value != nil &&
+			tv.Value.Kind() == constant.Int {
+			if v, ok := constant.Int64Val(tv.Value); ok && v != 'x' && v != 'X' {
+				pass.Reportf(call.Pos(),
+					"strconv.%s(%q) inside a key builder is not the canonical token; "+
+						"cache keys use the exact-hex 'x' encoding of core.FormatFloatKey",
+					fn.Name(), rune(v))
 			}
 		}
 	}

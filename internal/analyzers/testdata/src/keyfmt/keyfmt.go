@@ -29,14 +29,22 @@ func decimalKey(f float64) string {
 	return strconv.FormatFloat(f, 'g', -1, 64) // want `strconv\.FormatFloat\('g'\) inside a key builder`
 }
 
+func appendDecimalKey(dst []byte, f float64) []byte {
+	return strconv.AppendFloat(dst, f, 'e', -1, 64) // want `strconv\.AppendFloat\('e'\) inside a key builder`
+}
+
 // The canonical token: exact-hex encoding, shared with core.CacheKey.
 func goodKey(lambda float64, n int) string {
 	return fmt.Sprintf("m|%s|%d", core.FormatFloatKey(lambda), n)
 }
 
-// A hand-rolled hex token is bit-exact and accepted.
+// A hand-rolled hex token is bit-exact and accepted, in either form.
 func hexKeyToken(v float64) string {
 	return strconv.FormatFloat(v, 'x', -1, 64)
+}
+
+func appendHexKeyToken(dst []byte, v float64) []byte {
+	return strconv.AppendFloat(dst, v, 'x', -1, 64)
 }
 
 // Non-key functions are out of scope: %g in reports and errors is fine.

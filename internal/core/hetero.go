@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 
 	"amdahlyd/internal/speedup"
+	"amdahlyd/internal/xmath"
 )
 
 // HeteroGroup pairs one group's compiled-down specification — a complete
@@ -100,29 +100,35 @@ func (hm HeteroModel) ActiveModel(i, active int) (Model, error) {
 // rejected); group order is meaningful — permuted groups are observably
 // different models (group indices appear in results).
 func (hm HeteroModel) CacheKey() (string, error) {
+	var buf [64 + 2*modelKeyBuf]byte // two groups without a heap buffer
+	b, err := hm.AppendCacheKey(buf[:0])
+	if err != nil {
+		return "", err
+	}
+	return string(b), nil
+}
+
+// AppendCacheKey appends the bytes CacheKey returns to dst. On error the
+// returned slice is meaningless.
+func (hm HeteroModel) AppendCacheKey(dst []byte) ([]byte, error) {
 	if len(hm.Groups) == 0 {
-		return "", errors.New("core: cannot key a heterogeneous model with no groups")
+		return dst, errors.New("core: cannot key a heterogeneous model with no groups")
 	}
 	if math.IsNaN(hm.Comm) {
-		return "", errors.New("core: cannot key a heterogeneous model with NaN comm")
+		return dst, errors.New("core: cannot key a heterogeneous model with NaN comm")
 	}
-	var b strings.Builder
-	b.Grow(64 + 224*len(hm.Groups))
-	b.WriteString("hg1|") // key-format version: bump when the layout changes
-	b.WriteString(FormatFloatKey(hm.Comm))
+	dst = append(dst, "hg1|"...) // key-format version: bump when the layout changes
+	dst = xmath.AppendFloatKey(dst, hm.Comm)
 	for _, g := range hm.Groups {
 		if math.IsNaN(g.Size) {
-			return "", errors.New("core: cannot key a heterogeneous group with NaN size")
+			return dst, errors.New("core: cannot key a heterogeneous group with NaN size")
 		}
-		mk, err := g.Model.CacheKey()
-		if err != nil {
-			return "", err
+		dst = xmath.AppendFloatKey(append(dst, '['), g.Size)
+		var err error
+		if dst, err = g.Model.AppendCacheKey(append(dst, '@')); err != nil {
+			return dst, err
 		}
-		b.WriteString("[")
-		b.WriteString(FormatFloatKey(g.Size))
-		b.WriteString("@")
-		b.WriteString(mk)
-		b.WriteString("]")
+		dst = append(dst, ']')
 	}
-	return b.String(), nil
+	return dst, nil
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"amdahlyd/internal/speedup"
 	"amdahlyd/internal/xmath"
@@ -24,10 +23,11 @@ type CacheKeyer interface {
 //
 // Canonicalization rules (documented in DESIGN.md, "Service layer"):
 //
-//   - every float64 parameter is encoded with strconv.FormatFloat 'x'
-//     (exact shortest hexadecimal): two parameters map to the same token
-//     iff they are the same float64 bit pattern (with -0 and +0 collapsed
-//     deliberately — they evaluate identically in every formula);
+//   - every float64 parameter is encoded with strconv's 'x' format
+//     (xmath.AppendFloatKey, exact shortest hexadecimal): two parameters
+//     map to the same token iff they are the same float64 bit pattern
+//     (with -0 and +0 collapsed deliberately — they evaluate identically
+//     in every formula);
 //   - the speedup profile is keyed by exact type plus its parameters for
 //     the five built-in profiles; a custom profile must implement
 //     CacheKeyer (preferred) or provide an injective Name();
@@ -39,37 +39,77 @@ type CacheKeyer interface {
 // equal (e.g. a zero-rate exponential vs a zero silent fraction) hash
 // apart, which only costs a duplicate cache slot, never a wrong result.
 func (m Model) CacheKey() (string, error) {
-	for _, v := range []float64{
+	var buf [modelKeyBuf]byte
+	b, err := m.AppendCacheKey(buf[:0])
+	if err != nil {
+		return "", err
+	}
+	return string(b), nil
+}
+
+// modelKeyBuf holds a typical model key on the stack: twelve hex floats
+// of up to 24 bytes each plus a built-in profile.
+const modelKeyBuf = 384
+
+// AppendCacheKey appends the bytes CacheKey returns to dst, so a caller
+// can build a key that extends the model key (a request key, a
+// heterogeneous group) in one buffer. On error the returned slice is
+// meaningless.
+func (m Model) AppendCacheKey(dst []byte) ([]byte, error) {
+	params := [...]float64{
 		m.LambdaInd, m.FailStopFrac, m.SilentFrac,
 		m.Res.Checkpoint.A, m.Res.Checkpoint.B, m.Res.Checkpoint.C,
 		m.Res.Recovery.A, m.Res.Recovery.B, m.Res.Recovery.C,
 		m.Res.Verification.V, m.Res.Verification.U, m.Res.Downtime,
-	} {
+	}
+	for _, v := range params {
 		if math.IsNaN(v) {
-			return "", fmt.Errorf("core: cannot key a model with NaN parameters")
+			return dst, fmt.Errorf("core: cannot key a model with NaN parameters")
 		}
 	}
-	prof, err := profileKey(m.Profile)
-	if err != nil {
-		return "", err
+	dst = append(dst, "m1|"...) // key-format version: bump when the layout changes
+	for _, v := range params {
+		dst = xmath.AppendFloatKey(dst, v)
+		dst = append(dst, '|')
 	}
-	var b strings.Builder
-	b.Grow(192)
-	b.WriteString("m1|") // key-format version: bump when the layout changes
-	appendHex(&b, m.LambdaInd)
-	appendHex(&b, m.FailStopFrac)
-	appendHex(&b, m.SilentFrac)
-	appendHex(&b, m.Res.Checkpoint.A)
-	appendHex(&b, m.Res.Checkpoint.B)
-	appendHex(&b, m.Res.Checkpoint.C)
-	appendHex(&b, m.Res.Recovery.A)
-	appendHex(&b, m.Res.Recovery.B)
-	appendHex(&b, m.Res.Recovery.C)
-	appendHex(&b, m.Res.Verification.V)
-	appendHex(&b, m.Res.Verification.U)
-	appendHex(&b, m.Res.Downtime)
-	b.WriteString(prof)
-	return b.String(), nil
+	// The speedup profile: the built-in profiles are keyed structurally
+	// (exact type + exact parameters); anything else must either
+	// implement CacheKeyer or rely on an injective Name().
+	switch prof := m.Profile.(type) {
+	case nil:
+		return dst, fmt.Errorf("core: cannot key a model with a nil profile")
+	case speedup.Amdahl:
+		if math.IsNaN(prof.Alpha) {
+			return dst, fmt.Errorf("core: cannot key an Amdahl profile with NaN α")
+		}
+		return xmath.AppendFloatKey(append(dst, "amdahl:"...), prof.Alpha), nil
+	case speedup.PerfectlyParallel:
+		return append(dst, "pp"...), nil
+	case speedup.AmdahlComm:
+		if math.IsNaN(prof.Alpha) || math.IsNaN(prof.Speed) || math.IsNaN(prof.Comm) {
+			return dst, fmt.Errorf("core: cannot key an AmdahlComm profile with NaN parameters")
+		}
+		dst = xmath.AppendFloatKey(append(dst, "amdahlcomm:"...), prof.Alpha)
+		dst = xmath.AppendFloatKey(append(dst, ','), prof.Speed)
+		return xmath.AppendFloatKey(append(dst, ','), prof.Comm), nil
+	case speedup.Gustafson:
+		if math.IsNaN(prof.Alpha) {
+			return dst, fmt.Errorf("core: cannot key a Gustafson profile with NaN α")
+		}
+		return xmath.AppendFloatKey(append(dst, "gustafson:"...), prof.Alpha), nil
+	case speedup.PowerLaw:
+		if math.IsNaN(prof.Gamma) {
+			return dst, fmt.Errorf("core: cannot key a power-law profile with NaN γ")
+		}
+		return xmath.AppendFloatKey(append(dst, "powerlaw:"...), prof.Gamma), nil
+	case CacheKeyer:
+		return append(append(dst, "custom:"...), prof.CacheKey()...), nil
+	}
+	// Last resort: the display name. Names are meant for humans — nothing
+	// forces a custom profile to embed every parameter, or to format them
+	// losslessly — so this is only safe for profiles whose Name() is
+	// injective, hence the preference order above.
+	return append(append(dst, "named:"...), m.Profile.Name()...), nil
 }
 
 // FormatFloatKey encodes one float64 exactly for use inside cache keys;
@@ -78,50 +118,4 @@ func (m Model) CacheKey() (string, error) {
 // internal/service.
 func FormatFloatKey(v float64) string {
 	return xmath.FloatKey(v)
-}
-
-func appendHex(b *strings.Builder, v float64) {
-	b.WriteString(FormatFloatKey(v))
-	b.WriteByte('|')
-}
-
-// profileKey canonicalizes the speedup profile. The built-in profiles are
-// keyed structurally (exact type + exact parameters); anything else must
-// either implement CacheKeyer or rely on an injective Name().
-func profileKey(p speedup.Profile) (string, error) {
-	switch prof := p.(type) {
-	case nil:
-		return "", fmt.Errorf("core: cannot key a model with a nil profile")
-	case speedup.Amdahl:
-		if math.IsNaN(prof.Alpha) {
-			return "", fmt.Errorf("core: cannot key an Amdahl profile with NaN α")
-		}
-		return "amdahl:" + FormatFloatKey(prof.Alpha), nil
-	case speedup.PerfectlyParallel:
-		return "pp", nil
-	case speedup.AmdahlComm:
-		if math.IsNaN(prof.Alpha) || math.IsNaN(prof.Speed) || math.IsNaN(prof.Comm) {
-			return "", fmt.Errorf("core: cannot key an AmdahlComm profile with NaN parameters")
-		}
-		return "amdahlcomm:" + FormatFloatKey(prof.Alpha) + "," +
-			FormatFloatKey(prof.Speed) + "," + FormatFloatKey(prof.Comm), nil
-	case speedup.Gustafson:
-		if math.IsNaN(prof.Alpha) {
-			return "", fmt.Errorf("core: cannot key a Gustafson profile with NaN α")
-		}
-		return "gustafson:" + FormatFloatKey(prof.Alpha), nil
-	case speedup.PowerLaw:
-		if math.IsNaN(prof.Gamma) {
-			return "", fmt.Errorf("core: cannot key a power-law profile with NaN γ")
-		}
-		return "powerlaw:" + FormatFloatKey(prof.Gamma), nil
-	}
-	if k, ok := p.(CacheKeyer); ok {
-		return "custom:" + k.CacheKey(), nil
-	}
-	// Last resort: the display name. Names are meant for humans — nothing
-	// forces a custom profile to embed every parameter, or to format them
-	// losslessly — so this is only safe for profiles whose Name() is
-	// injective, hence the preference order above.
-	return "named:" + p.Name(), nil
 }

@@ -135,6 +135,8 @@ func (c *Controller) Wrap(peer string, next http.Handler) http.Handler {
 
 // droppingWriter forwards writes until rowsLeft complete NDJSON rows
 // have passed, then aborts the connection — a replica dying mid-stream.
+// The rows it let through are flushed before the abort: the replica dies
+// after they reached the wire, not while they sat in its buffer.
 type droppingWriter struct {
 	http.ResponseWriter
 	rowsLeft int
@@ -142,6 +144,7 @@ type droppingWriter struct {
 
 func (d *droppingWriter) Write(p []byte) (int, error) {
 	if d.rowsLeft <= 0 {
+		d.Flush()
 		panic(http.ErrAbortHandler)
 	}
 	d.rowsLeft -= strings.Count(string(p), "\n")

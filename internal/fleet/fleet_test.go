@@ -71,9 +71,15 @@ const heteroTopology = `{"name":"hera+accel","comm":0.02,"scenario":1,"groups":[
 	`{"name":"cpu","lambda_ind":1.69e-8,"f":0.2188,"s":0.7812,"size":25600,"speed":1,"cp":300,"vp":15},` +
 	`{"name":"accel","lambda_ind":8.45e-7,"f":0.2188,"s":0.7812,"size":128,"speed":8,"cp":60,"vp":4}]}`
 
+// infeasibleSweep is a warm sweep whose cell 2 (λ = 1e300) has no
+// feasible pattern: its stream is two rows and that cell's error line,
+// on every replica alike.
+const infeasibleSweep = `{"model":{"platform":"hera","scenario":3},"axis":"lambda","values":[1e-10,1e-9,1e300,1e-8]}`
+
 // fleetRequests covers every shardable request class, including the
 // multilevel (ml1|) and heterogeneous (hg1|) key namespaces. Sweeps are
-// cold so rows are bitwise independent of request history.
+// cold so rows are bitwise independent of request history, except the
+// failing one, whose warm cells no earlier request caches.
 func fleetRequests() []struct{ path, body string } {
 	return []struct{ path, body string }{
 		{"/v1/evaluate", `{"model":{"platform":"hera","scenario":1}}`},
@@ -88,6 +94,7 @@ func fleetRequests() []struct{ path, body string } {
 		{"/v1/sweep", `{"model":{"platform":"hera","scenario":1},"axis":"lambda","values":[1e-10,1e-9,1e-8],"cold":true}`},
 		{"/v1/sweep", `{"model":{"platform":"hera","scenario":3},"axis":"alpha","values":[0.05,0.1,0.2],"cold":true,"multilevel":{}}`},
 		{"/v1/sweep", `{"axis":"comm","values":[0.01,0.02],"cold":true,"hetero":{"topology":` + heteroTopology + `}}`},
+		{"/v1/sweep", infeasibleSweep},
 		// Repeat of an earlier optimize: must be cached=true on both sides
 		// (the fleet routes same-model requests to the same replica).
 		{"/v1/optimize", `{"model":{"platform":"hera","scenario":1}}`},
@@ -414,38 +421,119 @@ func TestFleetHedgesSlowOwner(t *testing.T) {
 
 // TestFleetSweepMidStreamFailover kills the owner after 3 NDJSON rows:
 // the router must resume the remaining axis on the successor and the
-// spliced stream must be byte-identical to a single node's.
+// spliced stream must be byte-identical to a single node's. The axes
+// with an infeasible cell (λ = 1e300) end in that cell's error line,
+// whether the successor meets the cell mid-stream or as its first cell.
 func TestFleetSweepMidStreamFailover(t *testing.T) {
-	single := httptest.NewServer(service.NewServer(service.NewEngine(service.Options{MaxConcurrent: 2})))
-	defer single.Close()
-	ctrl := NewController(nil)
-	rt, _ := newFleet(t, 3, ctrl, -1)
+	for _, tc := range []struct {
+		name    string
+		values  string
+		rows    int // rows in the spliced stream
+		resumed int // cells the successor solves after the splice
+	}{
+		{"alpha", `"axis":"alpha","values":[0.01,0.02,0.05,0.1,0.15,0.2,0.3,0.4]`, 8, 5},
+		{"failing-cell-after-the-drop", `"axis":"lambda","values":[1e-10,2e-10,5e-10,1e-9,2e-9,1e300,1e-8,2e-8]`, 5, 2},
+		{"failing-cell-resumes-the-axis", `"axis":"lambda","values":[1e-10,2e-10,5e-10,1e300,1e-9,2e-9,1e-8,2e-8]`, 3, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			single := httptest.NewServer(service.NewServer(service.NewEngine(service.Options{MaxConcurrent: 2})))
+			defer single.Close()
+			ctrl := NewController(nil)
+			rt, reps := newFleet(t, 3, ctrl, -1)
+			front := httptest.NewServer(rt)
+			defer front.Close()
+
+			body := `{"model":{"platform":"hera","scenario":1},` + tc.values + `,"cold":true}`
+			key, err := ShardKey("/v1/sweep", []byte(body))
+			if err != nil {
+				t.Fatalf("ShardKey: %v", err)
+			}
+			owners := rt.Ring().Owners(key, 2)
+			owner, successor := owners[0], owners[1]
+			ctrl.SetPlan(FaultPlan{owner + "|sweep": {Drop: true, DropAfterRows: 3, Reqs: 1}})
+
+			_, want := post(t, single.URL, "/v1/sweep", body)
+			code, got := post(t, front.URL, "/v1/sweep", body)
+			if code != http.StatusOK {
+				t.Fatalf("sweep status %d: %s", code, got)
+			}
+			if got != want {
+				t.Fatalf("spliced sweep differs from single node\ngot:  %s\nwant: %s", got, want)
+			}
+			lines := strings.Split(strings.TrimSpace(got), "\n")
+			rows := 0
+			for _, l := range lines {
+				if strings.HasPrefix(l, rowPrefix) {
+					rows++
+				}
+			}
+			if rows != tc.rows {
+				t.Fatalf("spliced sweep has %d rows; want %d", rows, tc.rows)
+			}
+			if rows < 8 && !strings.Contains(lines[len(lines)-1], `sweep cell lambda=1e+300: `) {
+				t.Fatalf("short stream does not end in the infeasible cell's error line: %s", lines[len(lines)-1])
+			}
+			// The splice is at row 3: the successor solved only the cells
+			// after the owner's three rows, each one cold optimize entry.
+			if n := byName(reps, successor).srv.Engine().Stats().OptimizeCache.Entries; n != tc.resumed {
+				t.Fatalf("successor cached %d cells; want the %d after the splice at row 3", n, tc.resumed)
+			}
+			st := rt.Stats(nil)
+			if st.Peers[owner].Errors == 0 {
+				t.Fatalf("mid-stream death not recorded against owner: %+v", st.Peers)
+			}
+			if st.Peers[successor].Errors != 0 {
+				t.Fatalf("the successor's answer was charged as an error: %+v", st.Peers)
+			}
+		})
+	}
+}
+
+// TestFleetRelaysADeterministicCellError: a sweep cell that fails on
+// every replica alike is the stream's answer, not a replica failure. The
+// router relays the owner's rows and the cell's error line after one
+// forward, charges no peer an error, and does not fail over.
+func TestFleetRelaysADeterministicCellError(t *testing.T) {
+	rt, _ := newFleet(t, 3, nil, -1)
 	front := httptest.NewServer(rt)
 	defer front.Close()
 
-	body := `{"model":{"platform":"hera","scenario":1},"axis":"alpha",` +
-		`"values":[0.01,0.02,0.05,0.1,0.15,0.2,0.3,0.4],"cold":true}`
-	key, err := ShardKey("/v1/sweep", []byte(body))
-	if err != nil {
-		t.Fatalf("ShardKey: %v", err)
-	}
-	owner := rt.Ring().Owners(key, 1)[0]
-	ctrl.SetPlan(FaultPlan{owner + "|sweep": {Drop: true, DropAfterRows: 3, Reqs: 1}})
-
-	_, want := post(t, single.URL, "/v1/sweep", body)
-	code, got := post(t, front.URL, "/v1/sweep", body)
+	code, got := post(t, front.URL, "/v1/sweep", infeasibleSweep)
 	if code != http.StatusOK {
 		t.Fatalf("sweep status %d: %s", code, got)
 	}
-	if got != want {
-		t.Fatalf("spliced sweep differs from single node\ngot:  %s\nwant: %s", got, want)
+	lines := strings.Split(strings.TrimSpace(got), "\n")
+	if len(lines) != 3 || !strings.Contains(lines[2], `"service: sweep cell lambda=1e+300: `) {
+		t.Fatalf("want two rows and the error line of cell lambda=1e+300, got:\n%s", got)
 	}
-	if n := len(strings.Split(strings.TrimSpace(got), "\n")); n != 8 {
-		t.Fatalf("spliced sweep has %d rows; want 8", n)
+	var forwards, errs, reroutes uint64
+	for _, ps := range rt.Stats(nil).Peers {
+		forwards += ps.Forwards
+		errs += ps.Errors
+		reroutes += ps.Failovers + ps.Retries
 	}
-	st := rt.Stats(nil)
-	if st.Peers[owner].Errors == 0 {
-		t.Fatalf("mid-stream death not recorded against owner: %+v", st.Peers)
+	if forwards != 1 || errs != 0 || reroutes != 0 {
+		t.Fatalf("%d forwards, %d peer errors, %d re-routes; want 1, 0, 0", forwards, errs, reroutes)
+	}
+}
+
+// TestRelayRowsFlushesWhenItsInputIsDrained: a 16-row stream that sits
+// wholly in the relay's read buffer reaches the client in one flush, not
+// one per row.
+func TestRelayRowsFlushesWhenItsInputIsDrained(t *testing.T) {
+	row, err := json.Marshal(service.SweepRow{X: 1e-10, T: 6000, P: 512, Overhead: 0.1, Method: "numerical", Evals: 80})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 16
+	resp := &http.Response{Body: io.NopCloser(strings.NewReader(strings.Repeat(string(row)+"\n", rows)))}
+	emitted, flushes := 0, 0
+	terminated, err := (&Router{}).relayRows(resp, rows, &emitted, func(string) {}, func() { flushes++ })
+	if err != nil || terminated || emitted != rows {
+		t.Fatalf("relayRows = (terminated %t, %v) after %d rows, want a full stream of %d", terminated, err, emitted, rows)
+	}
+	if flushes != 1 {
+		t.Fatalf("%d flushes for a stream already in the buffer, want 1", flushes)
 	}
 }
 
@@ -467,7 +555,7 @@ func TestRelayRowsEndsOnlyAtATerminationNotice(t *testing.T) {
 	resp := &http.Response{Body: io.NopCloser(strings.NewReader(strings.Join(lines, "")))}
 	var got []string
 	emitted := 0
-	terminated, err := (&Router{}).relayRows(resp, len(lines), &emitted, func(l string) { got = append(got, l) })
+	terminated, err := (&Router{}).relayRows(resp, len(lines), &emitted, func(l string) { got = append(got, l) }, func() {})
 	if err != nil || !terminated {
 		t.Fatalf("relayRows = (terminated %t, %v), want a termination", terminated, err)
 	}

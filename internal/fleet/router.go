@@ -485,12 +485,14 @@ func copyHeader(w http.ResponseWriter, resp *http.Response, name string) {
 
 // handleSweep forwards a streaming sweep with mid-stream failover: the
 // router relays whole NDJSON rows as they arrive and counts them; when
-// the replica dies (connection cut, partial line, or a server-side
-// termination notice like "draining"), it re-issues the request with the
-// remaining axis values to the next ring peer and splices the streams at
-// the row boundary. Cold sweeps splice bit-identically (every cell is an
-// independent full solve); warm sweeps stay within the documented
-// refinement tolerance, exactly as on a single node whose chain restarts.
+// the replica dies (connection cut, partial line) or drains
+// (service.ErrDraining), it re-issues the request with the remaining
+// axis values to the next ring peer and splices the streams at the row
+// boundary. Any other error line is the stream's own answer — a cell
+// that fails fails alike on every replica — and ends the relay. Cold
+// sweeps splice bit-identically (every cell is an independent full
+// solve); warm sweeps stay within the documented refinement tolerance,
+// exactly as on a single node whose chain restarts.
 func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(w, r)
 	if err != nil {
@@ -513,7 +515,15 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	defer rt.done()
 
+	// Relayed lines are written without a flush: relayRows flushes when
+	// the relay would otherwise wait, and the handler's return sends the
+	// rest.
 	flusher, _ := w.(http.Flusher)
+	flush := func() {
+		if flusher != nil {
+			flusher.Flush()
+		}
+	}
 	want := len(req.Values)
 	emitted := 0
 	wroteHeader := false
@@ -524,9 +534,6 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 			wroteHeader = true
 		}
 		_, _ = io.WriteString(w, line)
-		if flusher != nil {
-			flusher.Flush()
-		}
 	}
 
 	var lastPeer string
@@ -582,9 +589,21 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if resp.StatusCode != http.StatusOK {
-			// Definitive non-stream answer (400/422/...): relay it verbatim.
-			// Possible only before any rows went out — a resumed request is a
-			// valid request, so a mid-splice 400 cannot arise.
+			// Definitive non-stream answer (400/422/...). Before any rows it
+			// is relayed verbatim. A resumed request gets one when its first
+			// cell fails, as that cell fails on every replica: the status
+			// line is spent, so its body goes out as the stream's trailing
+			// error line, which names the cell by axis value exactly as a
+			// single node's stream does.
+			if wroteHeader {
+				line, _ := io.ReadAll(io.LimitReader(resp.Body, maxRouterBody))
+				resp.Body.Close()
+				if !bytes.HasSuffix(line, []byte("\n")) {
+					line = append(line, '\n')
+				}
+				emitLine(string(line))
+				return
+			}
 			copyHeader(w, resp, "Content-Type")
 			w.Header().Set("X-Fleet-Peer", peer)
 			w.WriteHeader(resp.StatusCode)
@@ -592,10 +611,10 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 			resp.Body.Close()
 			return
 		}
-		terminated, err := rt.relayRows(resp, want, &emitted, emitLine)
+		terminated, err := rt.relayRows(resp, want, &emitted, emitLine, flush)
 		resp.Body.Close()
-		if emitted >= want && !terminated && err == nil {
-			return // clean full stream
+		if !terminated && err == nil {
+			return // the stream's end: every row, or its own trailing error line
 		}
 		rt.ledger(peer).errors.Add(1)
 		if err != nil {
@@ -617,15 +636,32 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 // relayRows copies complete NDJSON rows from a replica stream to the
-// client, bumping *emitted per row. It returns terminated=true when the
-// replica announced an early termination (a trailing non-positional
-// error line, e.g. a drain), and a non-nil error when the connection
-// died mid-stream; a clean return with *emitted == want is a full
-// stream. A sweep row is relayed without decoding: it always begins with
+// client, bumping *emitted per row. It returns terminated=true at the
+// replica's drain notice (service.ErrDraining), which is not relayed,
+// and a non-nil error when the connection died mid-stream: in both cases
+// the remaining rows are the next peer's to send. Any other error line
+// that does not stand in for one cell is the stream's own answer (a cell
+// that failed, and would fail alike on any replica): it is relayed as
+// the last line and relayRows returns cleanly, as it does after the full
+// axis. A sweep row is relayed without decoding: it always begins with
 // its first field, x, and errorLine returns false for every such line.
-func (rt *Router) relayRows(resp *http.Response, want int, emitted *int, emitLine func(string)) (terminated bool, err error) {
+// emitLine writes without flushing. Lines it relayed are flushed when
+// the reader's buffer is empty, just before a read that can block on the
+// replica, and on return: the router never holds a row it already has
+// while it waits for more.
+func (rt *Router) relayRows(resp *http.Response, want int, emitted *int, emitLine func(string), flush func()) (terminated bool, err error) {
+	unflushed := false
+	defer func() {
+		if unflushed {
+			flush()
+		}
+	}()
 	br := bufio.NewReader(resp.Body)
 	for *emitted < want {
+		if unflushed && br.Buffered() == 0 {
+			flush()
+			unflushed = false
+		}
 		line, err := br.ReadString('\n')
 		if err != nil {
 			// EOF with a partial line means the replica died mid-row; the
@@ -635,12 +671,17 @@ func (rt *Router) relayRows(resp *http.Response, want int, emitted *int, emitLin
 		}
 		if !strings.HasPrefix(line, rowPrefix) {
 			if msg, isErr := errorLine(line); isErr && !positionalError(msg) {
-				// A server-side termination notice (drain, cancellation): do
-				// not relay it — the remaining rows come from the next peer.
-				return true, nil
+				if msg == service.ErrDraining.Error() {
+					// Not relayed: the remaining rows come from the next peer.
+					return true, nil
+				}
+				emitLine(line)
+				unflushed = true
+				return false, nil
 			}
 		}
 		emitLine(line)
+		unflushed = true
 		*emitted++
 	}
 	return false, nil

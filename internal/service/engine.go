@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strconv"
 	"sync/atomic"
 
 	"amdahlyd/internal/core"
@@ -36,6 +37,7 @@ import (
 	"amdahlyd/internal/multilevel"
 	"amdahlyd/internal/optimize"
 	"amdahlyd/internal/sim"
+	"amdahlyd/internal/xmath"
 )
 
 // Options tunes the engine. The zero value serves with sensible bounds.
@@ -79,6 +81,17 @@ const frozenCacheSize = 4096
 // saturated, and per-run streams make the count invisible in the
 // results, so one worker runs the runs inline.
 const campaignWorkers = 1
+
+// A request key is built in one stack buffer: the model key
+// (core.Model.AppendCacheKey), the request's namespace and its options or
+// campaign shape, every float as the exact-hex xmath.AppendFloatKey
+// token. The one allocation a key costs is the string the cache stores.
+// keyBuf holds a single-group request key and heteroKeyBuf a two-group
+// topology's; a longer key moves to the heap with the same bytes.
+const (
+	keyBuf       = 512
+	heteroKeyBuf = 1024
+)
 
 // ErrSaturated reports that the scheduler's wait queue is full: the job
 // was rejected without queueing. Clients should retry after a short
@@ -159,11 +172,12 @@ func (e *Engine) Frozen(m core.Model, p float64) (*core.Frozen, error) {
 	if !(p >= 1) || math.IsInf(p, 0) {
 		return nil, fmt.Errorf("service: processor count P = %g must be >= 1 and finite", p)
 	}
-	mk, err := m.CacheKey()
+	var buf [keyBuf]byte
+	mk, err := m.AppendCacheKey(buf[:0])
 	if err != nil {
 		return nil, err
 	}
-	key := mk + "#p=" + core.FormatFloatKey(p)
+	key := string(xmath.AppendFloatKey(append(mk, "#p="...), p))
 	if fz, ok := e.frozen.Get(key); ok {
 		return fz, nil
 	}
@@ -212,26 +226,29 @@ func (e *Engine) Evaluate(m core.Model, t, p float64) (Evaluation, error) {
 	}, nil
 }
 
-// optionsKey canonically encodes the optimizer options (every field is
-// observable in the result).
-func optionsKey(o optimize.PatternOptions) string {
-	return fmt.Sprintf("%s,%s,%s,%s,%t",
-		core.FormatFloatKey(o.PMin), core.FormatFloatKey(o.PMax),
-		core.FormatFloatKey(o.TMin), core.FormatFloatKey(o.TMax), o.IntegerP)
+// appendOptionsKey appends the canonical encoding of the optimizer
+// options (every field is observable in the result).
+func appendOptionsKey(dst []byte, o optimize.PatternOptions) []byte {
+	dst = xmath.AppendFloatKey(dst, o.PMin)
+	dst = xmath.AppendFloatKey(append(dst, ','), o.PMax)
+	dst = xmath.AppendFloatKey(append(dst, ','), o.TMin)
+	dst = xmath.AppendFloatKey(append(dst, ','), o.TMax)
+	return strconv.AppendBool(append(dst, ','), o.IntegerP)
 }
 
-// optKey is the optimizer-cache key of the model keyed mk, for a protocol
-// whose key version is version (mlKeyVersion for two-level results, empty
-// otherwise) and whose options encode as optsKey. Per-request optima live
-// under opt#, which cold sweep cells share in both directions; warm sweep
-// cells agree only within the refinement tolerance, so they live under
-// swopt# and a sweep never changes what an optimize request returns.
-func optKey(mk, version string, warm bool, optsKey string) string {
-	ns := "opt#"
+// appendOptKey appends to the model key mk the optimizer-cache namespace
+// of a protocol whose key version is version (mlKeyVersion for two-level
+// results, empty otherwise); the options' encoding follows it.
+// Per-request optima live under opt#, which cold sweep cells share in
+// both directions; warm sweep cells agree only within the refinement
+// tolerance, so they live under swopt# and a sweep never changes what an
+// optimize request returns.
+func appendOptKey(mk []byte, version string, warm bool) []byte {
+	mk = append(append(mk, '#'), version...)
 	if warm {
-		ns = "swopt#"
+		return append(mk, "swopt#"...)
 	}
-	return mk + "#" + version + ns + optsKey
+	return append(mk, "opt#"...)
 }
 
 // solveOnce serves a cache miss for key as one job: concurrent identical
@@ -267,11 +284,12 @@ func solveOnce[R any](ctx context.Context, e *Engine, c *lruCache[R], key string
 // request did not pay for a solve).
 func (e *Engine) Optimize(ctx context.Context, m core.Model, opts optimize.PatternOptions) (res optimize.PatternResult, cached bool, err error) {
 	e.optCalls.Add(1)
-	mk, err := m.CacheKey()
+	var buf [keyBuf]byte
+	mk, err := m.AppendCacheKey(buf[:0])
 	if err != nil {
 		return res, false, err
 	}
-	key := optKey(mk, "", false, optionsKey(opts))
+	key := string(appendOptionsKey(appendOptKey(mk, "", false), opts))
 	if r, ok := e.optimizes.Get(key); ok {
 		return r, true, nil
 	}
@@ -291,10 +309,15 @@ type SweepCell struct {
 // chain (optimize.SweepSolver) and hands each cell to emit as soon as it
 // is solved, with the contract of sweepStream. Cold-mode cells are
 // bit-identical to Optimize and share its cache entries in both
-// directions; warm-mode cells live under their own namespace (optKey).
+// directions; warm-mode cells live under their own namespace
+// (appendOptKey).
 func (e *Engine) SweepStream(ctx context.Context, models []core.Model, opts optimize.PatternOptions, cold bool, emit func(i int, c SweepCell) error) error {
 	e.sweepCalls.Add(1)
-	keys, err := sweepKeys(models, "", cold, optionsKey(opts))
+	if len(models) == 0 {
+		return errors.New("service: sweep needs at least one cell")
+	}
+	var ob [keyBuf]byte
+	keys, err := sweepKeys(models, "", cold, appendOptionsKey(ob[:0], opts))
 	if err != nil {
 		return err
 	}
@@ -307,19 +330,19 @@ func (e *Engine) SweepStream(ctx context.Context, models []core.Model, opts opti
 		})
 }
 
-// sweepKeys builds the per-cell optimizer-cache keys of a sweep axis over
-// models of any protocol (see optKey).
-func sweepKeys[M interface{ CacheKey() (string, error) }](models []M, version string, cold bool, optsKey string) ([]string, error) {
-	if len(models) == 0 {
-		return nil, errors.New("service: sweep needs at least one cell")
-	}
+// sweepKeys builds the per-cell optimizer-cache keys of a sweep axis
+// (see appendOptKey); opts is the axis's options encoding. The model
+// type is spelled out rather than generic: a method called through a
+// type parameter would move the key buffer to the heap.
+func sweepKeys(models []core.Model, version string, cold bool, opts []byte) ([]string, error) {
+	var buf [keyBuf]byte
 	keys := make([]string, len(models))
 	for i, m := range models {
-		mk, err := m.CacheKey()
+		mk, err := m.AppendCacheKey(buf[:0])
 		if err != nil {
 			return nil, err
 		}
-		keys[i] = optKey(mk, version, !cold, optsKey)
+		keys[i] = string(append(appendOptKey(mk, version, !cold), opts...))
 	}
 	return keys, nil
 }
@@ -354,7 +377,7 @@ func sweepStream[R any](ctx context.Context, e *Engine, c *lruCache[R], keys []s
 		} else {
 			var err error
 			if r, err = solve(i); err != nil {
-				return fmt.Errorf("service: sweep cell %d: %w", i, err)
+				return &cellError{i: i, err: err}
 			}
 			c.Add(key, r)
 		}
@@ -365,6 +388,17 @@ func sweepStream[R any](ctx context.Context, e *Engine, c *lruCache[R], keys []s
 	return nil
 }
 
+// cellError is the failure of sweep cell i. The engine names the cell
+// by its index; the HTTP layer, which knows the axis, by its value.
+type cellError struct {
+	i   int
+	err error
+}
+
+func (e *cellError) Error() string { return fmt.Sprintf("service: sweep cell %d: %v", e.i, e.err) }
+
+func (e *cellError) Unwrap() error { return e.err }
+
 // countCancelled maintains the operator-facing cancellation counter: only
 // genuine cancellations count, not arbitrary errors that happen to race a
 // client hang-up.
@@ -374,14 +408,24 @@ func (e *Engine) countCancelled(err error) {
 	}
 }
 
-// simKey canonically encodes a campaign request. Workers is deliberately
-// excluded: per-run streams make campaign results worker-count
-// independent (pinned by the sim runner tests), so requests differing
-// only in parallelism share a cache entry.
-func simKey(mk string, t, p float64, cfg sim.RunConfig) string {
-	return fmt.Sprintf("%s#sim#%s,%s,%d,%d,%d,%t,%s",
-		mk, core.FormatFloatKey(t), core.FormatFloatKey(p),
-		cfg.Runs, cfg.Patterns, cfg.Seed, cfg.Machine, failures.CacheKey(cfg.Dist))
+// appendSimKey appends to the model key mk the canonical encoding of a
+// campaign request. Workers is deliberately excluded: per-run streams
+// make campaign results worker-count independent (pinned by the sim
+// runner tests), so requests differing only in parallelism share a cache
+// entry.
+func appendSimKey(mk []byte, t, p float64, cfg sim.RunConfig) []byte {
+	mk = xmath.AppendFloatKey(append(mk, "#sim#"...), t)
+	mk = xmath.AppendFloatKey(append(mk, ','), p)
+	mk = appendCampaignShape(append(mk, ','), cfg.Runs, cfg.Patterns, cfg.Seed)
+	mk = strconv.AppendBool(append(mk, ','), cfg.Machine)
+	return append(append(mk, ','), failures.CacheKey(cfg.Dist)...)
+}
+
+// appendCampaignShape appends a campaign's "runs,patterns,seed".
+func appendCampaignShape(dst []byte, runs, patterns int, seed uint64) []byte {
+	dst = strconv.AppendInt(dst, int64(runs), 10)
+	dst = strconv.AppendInt(append(dst, ','), int64(patterns), 10)
+	return strconv.AppendUint(append(dst, ','), seed, 10)
 }
 
 // Simulate runs (or replays from cache) a Monte-Carlo campaign. Seeded
@@ -391,7 +435,8 @@ func simKey(mk string, t, p float64, cfg sim.RunConfig) string {
 // every requester has hung up.
 func (e *Engine) Simulate(ctx context.Context, m core.Model, t, p float64, cfg sim.RunConfig) (res sim.RunResult, cached bool, err error) {
 	e.simCalls.Add(1)
-	mk, err := m.CacheKey()
+	var buf [keyBuf]byte
+	mk, err := m.AppendCacheKey(buf[:0])
 	if err != nil {
 		return res, false, err
 	}
@@ -401,7 +446,7 @@ func (e *Engine) Simulate(ctx context.Context, m core.Model, t, p float64, cfg s
 	// component, it cannot affect results).
 	cfg = cfg.WithDefaults()
 	cfg.Workers = campaignWorkers
-	key := simKey(mk, t, p, cfg)
+	key := string(appendSimKey(mk, t, p, cfg))
 	if r, ok := e.sims.Get(key); ok {
 		return r, true, nil
 	}

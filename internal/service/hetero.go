@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
+	"strconv"
 
 	"amdahlyd/internal/core"
 	"amdahlyd/internal/costmodel"
@@ -13,6 +13,7 @@ import (
 	"amdahlyd/internal/hetero"
 	"amdahlyd/internal/platform"
 	"amdahlyd/internal/sim"
+	"amdahlyd/internal/xmath"
 )
 
 // Heterogeneous results need no service-side version prefix: the model
@@ -20,10 +21,26 @@ import (
 // with "hg1|"), so a layout change bumps every derived cache and flight
 // key at once. The service only appends its per-operation namespaces.
 
-// hgOptionsKey canonically encodes the joint heterogeneous optimizer
-// options (every field is observable in the result).
-func hgOptionsKey(o hetero.PatternOptions) string {
-	return optionsKey(o.PatternOptions) + fmt.Sprintf(",maxg=%d", o.MaxGroups)
+// appendHGOptionsKey appends the canonical encoding of the joint
+// heterogeneous optimizer options (every field is observable in the
+// result).
+func appendHGOptionsKey(dst []byte, o hetero.PatternOptions) []byte {
+	dst = append(appendOptionsKey(dst, o.PatternOptions), ",maxg="...)
+	return strconv.AppendInt(dst, int64(o.MaxGroups), 10)
+}
+
+// heteroSweepKeys is sweepKeys for an axis of heterogeneous models.
+func heteroSweepKeys(models []core.HeteroModel, cold bool, opts []byte) ([]string, error) {
+	var buf [heteroKeyBuf]byte
+	keys := make([]string, len(models))
+	for i, hm := range models {
+		hmk, err := hm.AppendCacheKey(buf[:0])
+		if err != nil {
+			return nil, err
+		}
+		keys[i] = string(append(appendOptKey(hmk, "", !cold), opts...))
+	}
+	return keys, nil
 }
 
 // HeteroOptimize returns the joint heterogeneous optimum (active set,
@@ -33,11 +50,12 @@ func hgOptionsKey(o hetero.PatternOptions) string {
 // engine only adds reuse.
 func (e *Engine) HeteroOptimize(ctx context.Context, hm core.HeteroModel, opts hetero.PatternOptions) (res hetero.PatternResult, cached bool, err error) {
 	e.hgOptCalls.Add(1)
-	hmk, err := hm.CacheKey()
+	var buf [heteroKeyBuf]byte
+	hmk, err := hm.AppendCacheKey(buf[:0])
 	if err != nil {
 		return res, false, err
 	}
-	key := optKey(hmk, "", false, hgOptionsKey(opts))
+	key := string(appendHGOptionsKey(appendOptKey(hmk, "", false), opts))
 	if r, ok := e.hgOptimizes.Get(key); ok {
 		return r, true, nil
 	}
@@ -46,22 +64,22 @@ func (e *Engine) HeteroOptimize(ctx context.Context, hm core.HeteroModel, opts h
 	})
 }
 
-// hgSimKey canonically encodes a heterogeneous campaign request: the
-// model key (which pins every group's model, size and the comm term), the
-// per-group plan in plan order, and the campaign shape. Workers is
-// deliberately excluded — per-run and per-group streams make results
-// worker-count independent (pinned by the sim hetero tests).
-func hgSimKey(hmk string, plan []hetero.GroupPlan, cfg sim.RunConfig) string {
-	var b strings.Builder
-	b.WriteString(hmk)
-	b.WriteString("#sim#")
+// appendHGSimKey appends to the model key hmk (which pins every group's
+// model, size and the comm term) the canonical encoding of a
+// heterogeneous campaign request: the per-group plan in plan order and
+// the campaign shape. Workers is deliberately excluded — per-run and
+// per-group streams make results worker-count independent (pinned by
+// the sim hetero tests).
+func appendHGSimKey(hmk []byte, plan []hetero.GroupPlan, cfg sim.RunConfig) []byte {
+	hmk = append(hmk, "#sim#"...)
 	for _, gp := range plan {
-		fmt.Fprintf(&b, "%d:%s:%s:%s;", gp.Group,
-			core.FormatFloatKey(gp.T), core.FormatFloatKey(gp.P),
-			core.FormatFloatKey(gp.Fraction))
+		hmk = strconv.AppendInt(hmk, int64(gp.Group), 10)
+		hmk = xmath.AppendFloatKey(append(hmk, ':'), gp.T)
+		hmk = xmath.AppendFloatKey(append(hmk, ':'), gp.P)
+		hmk = xmath.AppendFloatKey(append(hmk, ':'), gp.Fraction)
+		hmk = append(hmk, ';')
 	}
-	fmt.Fprintf(&b, "%d,%d,%d", cfg.Runs, cfg.Patterns, cfg.Seed)
-	return b.String()
+	return appendCampaignShape(hmk, cfg.Runs, cfg.Patterns, cfg.Seed)
 }
 
 // validatePlan holds a request-supplied plan to the cache-key standard
@@ -107,7 +125,8 @@ func validatePlan(hm core.HeteroModel, plan []hetero.GroupPlan) error {
 // identical campaigns run once.
 func (e *Engine) HeteroSimulate(ctx context.Context, hm core.HeteroModel, plan []hetero.GroupPlan, runs, patterns int, seed uint64) (res sim.HeteroRunResult, cached bool, err error) {
 	e.hgSimCalls.Add(1)
-	hmk, err := hm.CacheKey()
+	var buf [heteroKeyBuf]byte
+	hmk, err := hm.AppendCacheKey(buf[:0])
 	if err != nil {
 		return res, false, err
 	}
@@ -116,7 +135,7 @@ func (e *Engine) HeteroSimulate(ctx context.Context, hm core.HeteroModel, plan [
 	}
 	cfg := sim.RunConfig{Runs: runs, Patterns: patterns, Seed: seed}.WithDefaults()
 	cfg.Workers = campaignWorkers
-	key := hgSimKey(hmk, plan, cfg)
+	key := string(appendHGSimKey(hmk, plan, cfg))
 	if r, ok := e.hgSims.Get(key); ok {
 		return r, true, nil
 	}

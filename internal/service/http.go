@@ -37,6 +37,10 @@ const (
 	maxRequestSweepCells    = 4096 // axis values per sweep request
 )
 
+// sweepFlushEvery bounds how long a written sweep row may wait in the
+// response buffer before the stream flushes it (see handleSweep).
+const sweepFlushEvery = 5 * time.Millisecond
+
 // ModelSpec selects a model the same way the CLI tools do: a Table II
 // platform, a Table III scenario, the sequential fraction, the downtime,
 // and an optional λ_ind override. Defaults mirror the CLI flags
@@ -637,19 +641,28 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	stopAfter := context.AfterFunc(s.drainCtx, cancel)
 	defer stopAfter()
-	// True streaming: each NDJSON row is written (and flushed) the moment
-	// its cell is solved, so the first row of a long axis reaches the
-	// client while the chain is still running, and a mid-stream hang-up
-	// stops the chain instead of solving the rest for nobody. Rows are
-	// marshalled individually so one unrepresentable value (a non-finite
-	// overhead) degrades that row to an error line instead of truncating
-	// the stream silently.
+	// Streaming in batches: each NDJSON row is written the moment its cell
+	// is solved, and flushed once sweepFlushEvery has passed since the
+	// stream's last flush. net/http sends a full 4 KB buffer by itself and
+	// the handler's return sends the rest, so a row waits at most
+	// sweepFlushEvery plus one cell's solve: the first rows of a long axis
+	// reach the client while the chain is still running, an axis whose
+	// cells take longer than the bound flushes every row, and a fast axis
+	// leaves in one write. A mid-stream hang-up cancels the request
+	// context, which stops the chain instead of solving the rest for
+	// nobody. Rows are marshalled individually so one unrepresentable
+	// value (a non-finite overhead) degrades that row to an error line
+	// instead of truncating the stream silently.
 	flusher, _ := w.(http.Flusher)
 	wrote := false
+	lastFlush := time.Now()
+	// cell names axis cell i by its value, as the request does, so a
+	// replica that resumes the axis from a later cell names it alike.
+	cell := func(i int) string { return fmt.Sprintf("%s=%g", req.Axis, req.Values[i]) }
 	writeRow := func(i int, row SweepRow) error {
 		buf, err := json.Marshal(row)
 		if err != nil {
-			buf, _ = json.Marshal(apiError{Error: fmt.Sprintf("cell %d not representable in JSON: %v", i, err)})
+			buf, _ = json.Marshal(apiError{Error: fmt.Sprintf("cell %s not representable in JSON: %v", cell(i), err)})
 		}
 		if !wrote {
 			w.Header().Set("Content-Type", "application/x-ndjson")
@@ -660,8 +673,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		if _, err := w.Write(buf); err != nil {
 			return errClientGone
 		}
-		if flusher != nil {
+		if flusher != nil && time.Since(lastFlush) >= sweepFlushEvery {
 			flusher.Flush()
+			lastFlush = time.Now()
 		}
 		return nil
 	}
@@ -673,7 +687,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		e.hgSweepCalls.Add(1)
 		opts := HeteroOptions{OptimizeOptions: req.Options, MaxGroups: req.Hetero.MaxGroups}.pattern()
 		solver := hetero.NewSweepSolver(hetero.SweepOptions{PatternOptions: opts, Cold: req.Cold})
-		if keys, err = sweepKeys(heteroModels, "", req.Cold, hgOptionsKey(opts)); err != nil {
+		var ob [keyBuf]byte
+		if keys, err = heteroSweepKeys(heteroModels, req.Cold, appendHGOptionsKey(ob[:0], opts)); err != nil {
 			break
 		}
 		err = sweepStream(ctx, e, e.hgOptimizes, keys,
@@ -699,7 +714,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		if err = validateFraction(frac); err != nil {
 			break
 		}
-		if keys, err = sweepKeys(models, mlKeyVersion, req.Cold, mlOptionsKey(frac, opts)); err != nil {
+		var ob [keyBuf]byte
+		if keys, err = sweepKeys(models, mlKeyVersion, req.Cold, appendMLOptionsKey(ob[:0], frac, opts)); err != nil {
 			break
 		}
 		err = sweepStream(ctx, e, e.mlOptimizes, keys,
@@ -745,11 +761,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		// client's: report it as such (503 before any rows, a clean
 		// trailing error line after) so the client can retry elsewhere.
 		if errors.Is(err, context.Canceled) && s.drainCtx.Err() != nil && r.Context().Err() == nil {
-			err = errDraining
+			err = ErrDraining
+		}
+		var ce *cellError
+		if errors.As(err, &ce) {
+			err = fmt.Errorf("service: sweep cell %s: %w", cell(ce.i), ce.err)
 		}
 		if !wrote {
 			status := statusFor(r.Context(), err)
-			if errors.Is(err, errDraining) {
+			if errors.Is(err, ErrDraining) {
 				w.Header().Set("Retry-After", "1")
 				status = http.StatusServiceUnavailable
 			}
@@ -763,9 +783,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// errDraining marks a stream terminated by the server's own drain
-// deadline rather than by the client.
-var errDraining = errors.New("service: server draining, stream terminated early")
+// ErrDraining marks a stream terminated by the server's own drain
+// deadline rather than by the client. After rows went out it is the
+// stream's trailing error line, which tells a fleet router to resume the
+// remaining cells on another replica.
+var ErrDraining = errors.New("service: server draining, stream terminated early")
 
 // errClientGone marks a response write that failed because the client
 // hung up mid-stream: the sweep chain stops, and there is no one left to

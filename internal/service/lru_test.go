@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"amdahlyd/internal/core"
 	"amdahlyd/internal/optimize"
 )
 
@@ -134,17 +135,17 @@ func TestLRUConcurrentUse(t *testing.T) {
 func BenchmarkLRUGetParallel(b *testing.B) {
 	base := heraModel(b)
 	c := newLRU[optimize.PatternResult](1024)
-	keys := make([]string, 250)
-	opts := optionsKey(optimize.PatternOptions{})
-	for i := range keys {
-		m := base
-		m.LambdaInd *= 1 + float64(i)*1e-3
-		mk, err := m.CacheKey()
-		if err != nil {
-			b.Fatal(err)
-		}
-		keys[i] = optKey(mk, "", false, opts)
-		c.Add(keys[i], optimize.PatternResult{})
+	models := make([]core.Model, 250)
+	for i := range models {
+		models[i] = base
+		models[i].LambdaInd *= 1 + float64(i)*1e-3
+	}
+	keys, err := sweepKeys(models, "", true, appendOptionsKey(nil, optimize.PatternOptions{}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, key := range keys {
+		c.Add(key, optimize.PatternResult{})
 	}
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {

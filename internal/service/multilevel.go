@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strconv"
 
 	"amdahlyd/internal/core"
 	"amdahlyd/internal/multilevel"
+	"amdahlyd/internal/xmath"
 )
 
 // Two-level results live under a versioned key extension so a layout
@@ -14,11 +16,14 @@ import (
 // namespaces: every multilevel cache and flight key embeds mlKeyVersion.
 const mlKeyVersion = "ml1|"
 
-// mlOptionsKey canonically encodes the in-memory fraction and the
-// joint-optimizer options (every field is observable in the result).
-func mlOptionsKey(frac float64, o multilevel.PatternOptions) string {
-	return fmt.Sprintf("%s#%s,%s,%t", core.FormatFloatKey(frac),
-		core.FormatFloatKey(o.PMin), core.FormatFloatKey(o.PMax), o.IntegerP)
+// appendMLOptionsKey appends the canonical encoding of the in-memory
+// fraction and the joint-optimizer options (every field is observable in
+// the result).
+func appendMLOptionsKey(dst []byte, frac float64, o multilevel.PatternOptions) []byte {
+	dst = xmath.AppendFloatKey(dst, frac)
+	dst = xmath.AppendFloatKey(append(dst, '#'), o.PMin)
+	dst = xmath.AppendFloatKey(append(dst, ','), o.PMax)
+	return strconv.AppendBool(append(dst, ','), o.IntegerP)
 }
 
 // validateFraction holds the request-supplied in-memory fraction to the
@@ -42,11 +47,12 @@ func (e *Engine) MultilevelOptimize(ctx context.Context, m core.Model, frac floa
 	if err := validateFraction(frac); err != nil {
 		return res, false, err
 	}
-	mk, err := m.CacheKey()
+	var buf [keyBuf]byte
+	mk, err := m.AppendCacheKey(buf[:0])
 	if err != nil {
 		return res, false, err
 	}
-	key := optKey(mk, mlKeyVersion, false, mlOptionsKey(frac, opts))
+	key := string(appendMLOptionsKey(appendOptKey(mk, mlKeyVersion, false), frac, opts))
 	if r, ok := e.mlOptimizes.Get(key); ok {
 		return r, true, nil
 	}
@@ -55,15 +61,17 @@ func (e *Engine) MultilevelOptimize(ctx context.Context, m core.Model, frac floa
 	})
 }
 
-// mlSimKey canonically encodes a two-level campaign request. Workers and
-// HOfP are deliberately excluded: per-run streams make results
-// worker-count independent, and H(P) is derived from the model and P,
-// both already in the key.
-func mlSimKey(mk string, frac float64, pat multilevel.Pattern, p float64, cfg multilevel.CampaignConfig) string {
-	return fmt.Sprintf("%s#%ssim#%s,%s,%d,%s,%d,%d,%d",
-		mk, mlKeyVersion, core.FormatFloatKey(frac),
-		core.FormatFloatKey(pat.T), pat.K, core.FormatFloatKey(p),
-		cfg.Runs, cfg.Patterns, cfg.Seed)
+// appendMLSimKey appends to the model key mk the canonical encoding of a
+// two-level campaign request. Workers and HOfP are deliberately
+// excluded: per-run streams make results worker-count independent, and
+// H(P) is derived from the model and P, both already in the key.
+func appendMLSimKey(mk []byte, frac float64, pat multilevel.Pattern, p float64, cfg multilevel.CampaignConfig) []byte {
+	mk = append(append(append(mk, '#'), mlKeyVersion...), "sim#"...)
+	mk = xmath.AppendFloatKey(mk, frac)
+	mk = xmath.AppendFloatKey(append(mk, ','), pat.T)
+	mk = strconv.AppendInt(append(mk, ','), int64(pat.K), 10)
+	mk = xmath.AppendFloatKey(append(mk, ','), p)
+	return appendCampaignShape(append(mk, ','), cfg.Runs, cfg.Patterns, cfg.Seed)
 }
 
 // MultilevelSimulate runs (or replays from cache) a seeded two-level
@@ -79,13 +87,14 @@ func (e *Engine) MultilevelSimulate(ctx context.Context, m core.Model, frac floa
 	if !(p >= 1) || math.IsInf(p, 0) {
 		return res, false, fmt.Errorf("service: processor count P = %g must be >= 1 and finite", p)
 	}
-	mk, err := m.CacheKey()
+	var buf [keyBuf]byte
+	mk, err := m.AppendCacheKey(buf[:0])
 	if err != nil {
 		return res, false, err
 	}
 	cfg := multilevel.CampaignConfig{Runs: runs, Patterns: patterns, Seed: seed}.WithDefaults()
 	cfg.Workers = campaignWorkers
-	key := mlSimKey(mk, frac, pat, p, cfg)
+	key := string(appendMLSimKey(mk, frac, pat, p, cfg))
 	if r, ok := e.mlSims.Get(key); ok {
 		return r, true, nil
 	}

@@ -451,3 +451,55 @@ func TestSweepHTTPClientHangUpMidStream(t *testing.T) {
 	ts.Close()
 	waitNoExtraGoroutines(t, before)
 }
+
+// flushCounter is a ResponseWriter that counts the handler's flushes.
+type flushCounter struct {
+	*httptest.ResponseRecorder
+	flushes int
+}
+
+func (f *flushCounter) Flush() {
+	f.flushes++
+	f.ResponseRecorder.Flush()
+}
+
+// TestSweepCachedStreamLeavesInOneFlush pins the batched stream: rows
+// are flushed only once sweepFlushEvery has passed since the last flush,
+// so a 16-cell sweep served wholly from the cache reaches the client in
+// at most one flush instead of one per row.
+func TestSweepCachedStreamLeavesInOneFlush(t *testing.T) {
+	srv := NewServer(NewEngine(Options{}))
+	values := make([]float64, 16)
+	for i := range values {
+		values[i] = 1e-10 * (1 + float64(i))
+	}
+	body, err := json.Marshal(SweepRequest{Model: ModelSpec{Platform: "hera", Scenario: 3}, Axis: "lambda", Values: values})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func() *flushCounter {
+		rec := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweep", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("sweep status %d: %s", rec.Code, rec.Body)
+		}
+		return rec
+	}
+	serve()
+	rec := serve()
+	sc := bufio.NewScanner(rec.Body)
+	rows := 0
+	for sc.Scan() {
+		var row SweepRow
+		if err := json.Unmarshal(sc.Bytes(), &row); err != nil || !row.Cached {
+			t.Fatalf("row %d = %s (err %v), want a cached row", rows, sc.Bytes(), err)
+		}
+		rows++
+	}
+	if rows != len(values) {
+		t.Fatalf("%d rows, want %d", rows, len(values))
+	}
+	if rec.flushes > 1 {
+		t.Errorf("a cached 16-row stream made %d flushes, want at most 1", rec.flushes)
+	}
+}

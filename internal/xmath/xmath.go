@@ -24,10 +24,17 @@ import (
 // request keys in internal/service; changing it invalidates (never
 // aliases) existing keys, as they all embed it.
 func FloatKey(v float64) string {
+	var buf [32]byte
+	return string(AppendFloatKey(buf[:0], v))
+}
+
+// AppendFloatKey appends FloatKey's token for v to dst, so a key builder
+// can encode every float of a key into one buffer.
+func AppendFloatKey(dst []byte, v float64) []byte {
 	if v == 0 {
 		v = 0 // −0 formats with its sign
 	}
-	return strconv.FormatFloat(v, 'x', -1, 64)
+	return strconv.AppendFloat(dst, v, 'x', -1, 64)
 }
 
 // Clamp limits v to the closed interval [lo, hi].

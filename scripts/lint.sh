@@ -8,8 +8,8 @@
 #
 #        scripts/lint.sh -selfcheck [packages...]
 #   Gate-of-the-gate: before the real run, seed known violations in a
-#   scratch module — one each for five of the nine analyzers
-#   (atomicwrite, mapiter, walltime, errclass, seedflow) — and require
+#   scratch module — one each for six of the nine analyzers
+#   (atomicwrite, mapiter, walltime, errclass, keyfmt, seedflow) — and require
 #   the suite to reject every one, so a silently broken analyzer build
 #   cannot pass as "no findings". The seedflow seed is cross-package
 #   (the SeedParam fact is earned in seed/lib and the bad caller lives
@@ -48,6 +48,7 @@ EOF
 package lib
 
 import (
+	"fmt"
 	"os"
 	"time"
 
@@ -70,6 +71,8 @@ func walltimeSeed() int64 { return time.Now().UnixNano() }
 
 func errclassSeed(code int) bool { return code == 503 }
 
+func keyfmtSeedKey(lambda float64) string { return fmt.Sprintf("m|%g", lambda) }
+
 // NewStream earns a SeedParam fact; the violating caller is in seed/app,
 // one compilation unit downstream.
 func NewStream(s uint64) *rng.Rand { return rng.New(s) }
@@ -90,7 +93,7 @@ EOF
         echo "lint.sh: SELF-CHECK FAILED: analyzers missed every seeded violation" >&2
         exit 2
     fi
-    for a in atomicwrite mapiter walltime errclass seedflow; do
+    for a in atomicwrite mapiter walltime errclass keyfmt seedflow; do
         if ! grep -q "\[$a\]" <<<"$out"; then
             echo "lint.sh: SELF-CHECK FAILED: analyzer $a missed its seeded violation" >&2
             echo "$out" >&2

@@ -1,5 +1,5 @@
 //go:build !race
 
-package optimize
+package optimize_test
 
 const raceEnabled = false

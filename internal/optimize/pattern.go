@@ -237,15 +237,14 @@ func OptimalPattern(m core.Model, opts PatternOptions) (PatternResult, error) {
 	if err := m.Validate(); err != nil {
 		return PatternResult{}, err
 	}
-	return solvePattern(m, opts, nil, opts.PMin, opts.PMax, gridPoints(opts.PMin, opts.PMax))
+	return solvePattern(m, opts, opts.PMin, opts.PMax, gridPoints(opts.PMin, opts.PMax))
 }
 
 // solvePattern runs the outer Scan over [lo, hi] on a gridP-point log-grid
-// with the inner period search at every probe. memo is the caller's probe
-// memo (nil for a fresh one) of each P's optimal period.
-func solvePattern(m core.Model, opts PatternOptions, memo map[float64]Probe[float64], lo, hi float64, gridP int) (PatternResult, error) {
+// with the inner period search at every probe.
+func solvePattern(m core.Model, opts PatternOptions, lo, hi float64, gridP int) (PatternResult, error) {
 	s := Scan[float64]{
-		PMin: opts.PMin, PMax: opts.PMax, IntegerP: opts.IntegerP, Memo: memo,
+		PMin: opts.PMin, PMax: opts.PMax, IntegerP: opts.IntegerP,
 		Inner: func(p float64) (Probe[float64], int) {
 			fz := m.Freeze(p)
 			res, err := minimizeT(&fz, opts)

@@ -18,12 +18,20 @@ type Probe[R any] struct {
 	Err   error
 }
 
-// memoSlack is the probe-memo room a scan needs beyond its grid points:
-// the Brent polish, the integer rounding and the final probe add 10
-// distinct P at p50, 14 at p90 and up to ~35 (cold single-level scans
-// of random models), so a memo sized for the grid alone would grow in
-// most solves.
-const memoSlack = 32
+// memoCap is how many distinct probes a scan keeps in the memo array on
+// its stack: a default-box single-level scan makes at most ~50 and a
+// full-box two-level scan (96 grid points plus its polish) ~130, so
+// neither leaves the array, and the array stays a few KB (~6 KB
+// single-level, ~8 KB two-level). A scan with more distinct probes — a
+// box out to 1e300, or the dense rescan — spills the rest into a map
+// made once for that scan, so its cost stays linear in its probes.
+const memoCap = 160
+
+// memoEntry is one probe of a scan's memo, keyed by its P.
+type memoEntry[R any] struct {
+	p  float64
+	pr Probe[R]
+}
 
 // rescanPerDecade is the density, in points per decade of P, of the
 // rescan Scan.Run makes when its grid holds no feasible probe: the
@@ -46,10 +54,6 @@ type Scan[R any] struct {
 	PMin, PMax float64
 	// IntegerP rounds the optimum to the better of floor/ceil.
 	IntegerP bool
-	// Memo, when set, is the caller's per-P probe memo: Run clears it and
-	// reuses its storage, so a solver running many scans allocates it
-	// once. A nil Memo gets a fresh map per Run.
-	Memo map[float64]Probe[R]
 	// Inner solves the inner problem at P and returns its evaluation
 	// count.
 	Inner func(p float64) (Probe[R], int)
@@ -74,28 +78,39 @@ type ScanResult[R any] struct {
 // refined by gridRefine's bounded Brent, the optional integer rounding
 // and a final probe at the chosen P. Each distinct P is solved once: the
 // grid scan, the refinement, the rounding and the final probe all
-// revisit grid points and bracket endpoints through the memo. The final
-// probe's error is returned as is; a grid with no feasible probe is
-// rescanned once at rescanPerDecade when that is denser, and is
-// ErrNoFeasible when the rescan finds none either.
+// revisit grid points and bracket endpoints through the memo, whose
+// keys match by ==, as a map's float64 keys do: +0 and −0 are one P, and
+// a NaN is never found. The final probe's error is returned as is; a
+// grid with no feasible probe is rescanned once at rescanPerDecade when
+// that is denser, and is ErrNoFeasible when the rescan finds none
+// either.
 func (s *Scan[R]) Run(lo, hi float64, gridP int) (ScanResult[R], error) {
 	if !(hi > lo && lo > 0) {
 		return ScanResult[R]{}, ErrNoFeasible
 	}
-	memo := s.Memo
-	if memo == nil {
-		memo = make(map[float64]Probe[R], gridP+memoSlack)
-	} else {
-		clear(memo)
-	}
-	evals := 0
+	var memo [memoCap]memoEntry[R]
+	var spill map[float64]Probe[R]
+	held, evals := 0, 0
 	probe := func(p float64) Probe[R] {
-		if pr, ok := memo[p]; ok {
+		for i := range memo[:held] {
+			if memo[i].p == p {
+				return memo[i].pr
+			}
+		}
+		if pr, ok := spill[p]; ok {
 			return pr
 		}
 		pr, n := s.Inner(p)
 		evals += n
-		memo[p] = pr
+		if held < memoCap {
+			memo[held] = memoEntry[R]{p: p, pr: pr}
+			held++
+		} else {
+			if spill == nil {
+				spill = make(map[float64]Probe[R])
+			}
+			spill[p] = pr
+		}
 		return pr
 	}
 	g := func(p float64) float64 {

@@ -149,3 +149,35 @@ func TestColdScanEvals(t *testing.T) {
 		t.Errorf("mean evaluations per cold solve %.1f, want at most 100", mean)
 	}
 }
+
+// TestScanMemoSpillsPastItsArray drives a scan past its stack memo: a
+// 3,000-point grid over [1, 1e6] plus its polish and integer rounding,
+// with thousands of distinct P. Every P must reach the inner solve once,
+// revisits included (the polish's bracket ends are grid points, the
+// final probe the polished one), and Evals must count each P once.
+func TestScanMemoSpillsPastItsArray(t *testing.T) {
+	calls := map[float64]int{}
+	s := Scan[int]{PMin: 1, PMax: 1e6, IntegerP: true, Inner: func(p float64) (Probe[int], int) {
+		calls[p]++
+		u := math.Log(p) - math.Log(3e4)
+		return Probe[int]{Inner: calls[p], F: 1 + u*u}, 2
+	}}
+	res, err := s.Run(1, 1e6, 3000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) <= 2*memoCap {
+		t.Fatalf("%d distinct probes, want well past the %d-entry array", len(calls), memoCap)
+	}
+	for p, n := range calls {
+		if n != 1 {
+			t.Errorf("P = %.17g solved %d times", p, n)
+		}
+	}
+	if res.Evals != 2*len(calls) {
+		t.Errorf("Evals = %d, want 2 per distinct P (%d)", res.Evals, 2*len(calls))
+	}
+	if res.Inner != 1 || math.Abs(res.P-3e4) > 1 {
+		t.Errorf("scan answered P = %g from solve %d, want 30000 from the first", res.P, res.Inner)
+	}
+}

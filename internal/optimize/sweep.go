@@ -149,25 +149,20 @@ func (c *WarmChain) atWarmEdge(p, lo, hi float64) bool {
 // WarmChain rejects (the sweep property tests pin warm against per-cell
 // OptimalPattern within bounds derived from the polish tolerance).
 //
-// A solver is stateful (the chain state and a reusable per-P probe memo)
-// and must not be shared between goroutines; run one solver per chain.
-// The memo is keyed by P and valid only within one cell — the model
-// changes between cells — so only its allocation is reused.
+// A solver is stateful (the chain state) and must not be shared between
+// goroutines; run one solver per chain.
 type SweepSolver struct {
 	opts      SweepOptions
 	chain     WarmChain
 	prevClass costmodel.Class
-	memo      map[float64]Probe[float64]
 }
 
 // NewSweepSolver builds a solver for one chain of related models.
 func NewSweepSolver(opts SweepOptions) *SweepSolver {
 	opts.PatternOptions = opts.PatternOptions.withDefaults()
-	gridP := gridPoints(opts.PMin, opts.PMax)
 	return &SweepSolver{
 		opts:  opts,
-		chain: NewWarmChain(opts.PMin, opts.PMax, gridP, opts.Cold),
-		memo:  make(map[float64]Probe[float64], gridP+memoSlack),
+		chain: NewWarmChain(opts.PMin, opts.PMax, gridPoints(opts.PMin, opts.PMax), opts.Cold),
 	}
 }
 
@@ -201,7 +196,7 @@ func (s *SweepSolver) Solve(m core.Model) (PatternResult, error) {
 	var res PatternResult
 	warm, err := s.chain.Solve(class != s.prevClass, func(lo, hi float64, gridP int) (float64, bool, int, error) {
 		var err error
-		res, err = solvePattern(m, s.opts.PatternOptions, s.memo, lo, hi, gridP)
+		res, err = solvePattern(m, s.opts.PatternOptions, lo, hi, gridP)
 		return res.P, res.AtPBound, res.Evals, err
 	})
 	if err != nil {

@@ -177,7 +177,7 @@ func (e *Engine) Frozen(m core.Model, p float64) (*core.Frozen, error) {
 	if err != nil {
 		return nil, err
 	}
-	key := string(xmath.AppendFloatKey(append(mk, "#p="...), p))
+	key := xmath.AppendFloatKey(append(mk, "#p="...), p)
 	if fz, ok := e.frozen.Get(key); ok {
 		return fz, nil
 	}
@@ -185,7 +185,7 @@ func (e *Engine) Frozen(m core.Model, p float64) (*core.Frozen, error) {
 		return nil, err
 	}
 	fz := m.Freeze(p)
-	e.frozen.Add(key, &fz)
+	e.frozen.Add(string(key), &fz)
 	return &fz, nil
 }
 
@@ -289,11 +289,11 @@ func (e *Engine) Optimize(ctx context.Context, m core.Model, opts optimize.Patte
 	if err != nil {
 		return res, false, err
 	}
-	key := string(appendOptionsKey(appendOptKey(mk, "", false), opts))
+	key := appendOptionsKey(appendOptKey(mk, "", false), opts)
 	if r, ok := e.optimizes.Get(key); ok {
 		return r, true, nil
 	}
-	return solveOnce(ctx, e, e.optimizes, key, func(context.Context) (optimize.PatternResult, error) {
+	return solveOnce(ctx, e, e.optimizes, string(key), func(context.Context) (optimize.PatternResult, error) {
 		return optimize.OptimalPattern(m, opts)
 	})
 }
@@ -371,7 +371,7 @@ func sweepStream[R any](ctx context.Context, e *Engine, c *lruCache[R], keys []s
 			e.countCancelled(err)
 			return err
 		}
-		r, cached := c.Get(key)
+		r, cached := c.Get([]byte(key))
 		if cached {
 			observe(i, r)
 		} else {
@@ -446,11 +446,11 @@ func (e *Engine) Simulate(ctx context.Context, m core.Model, t, p float64, cfg s
 	// component, it cannot affect results).
 	cfg = cfg.WithDefaults()
 	cfg.Workers = campaignWorkers
-	key := string(appendSimKey(mk, t, p, cfg))
+	key := appendSimKey(mk, t, p, cfg)
 	if r, ok := e.sims.Get(key); ok {
 		return r, true, nil
 	}
-	return solveOnce(ctx, e, e.sims, key, func(ctx context.Context) (sim.RunResult, error) {
+	return solveOnce(ctx, e, e.sims, string(key), func(ctx context.Context) (sim.RunResult, error) {
 		return sim.SimulateContext(ctx, m, t, p, cfg)
 	})
 }

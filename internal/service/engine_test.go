@@ -392,17 +392,17 @@ func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
 	c := newLRU[int](2)
 	c.Add("a", 1)
 	c.Add("b", 2)
-	if v, ok := c.Get("a"); !ok || v != 1 {
+	if v, ok := c.Get([]byte("a")); !ok || v != 1 {
 		t.Fatal("missing fresh entry")
 	}
 	c.Add("c", 3) // b is now the least recently used
-	if _, ok := c.Get("b"); ok {
+	if _, ok := c.Get([]byte("b")); ok {
 		t.Error("LRU kept the least recently used entry")
 	}
-	if v, ok := c.Get("a"); !ok || v != 1 {
+	if v, ok := c.Get([]byte("a")); !ok || v != 1 {
 		t.Error("recently touched entry evicted instead")
 	}
-	if v, ok := c.Get("c"); !ok || v != 3 {
+	if v, ok := c.Get([]byte("c")); !ok || v != 3 {
 		t.Error("newest entry evicted instead")
 	}
 	if c.Stats().Evictions != 1 {

@@ -55,11 +55,11 @@ func (e *Engine) HeteroOptimize(ctx context.Context, hm core.HeteroModel, opts h
 	if err != nil {
 		return res, false, err
 	}
-	key := string(appendHGOptionsKey(appendOptKey(hmk, "", false), opts))
+	key := appendHGOptionsKey(appendOptKey(hmk, "", false), opts)
 	if r, ok := e.hgOptimizes.Get(key); ok {
 		return r, true, nil
 	}
-	return solveOnce(ctx, e, e.hgOptimizes, key, func(context.Context) (hetero.PatternResult, error) {
+	return solveOnce(ctx, e, e.hgOptimizes, string(key), func(context.Context) (hetero.PatternResult, error) {
 		return hetero.OptimalPattern(hm, opts)
 	})
 }
@@ -135,11 +135,11 @@ func (e *Engine) HeteroSimulate(ctx context.Context, hm core.HeteroModel, plan [
 	}
 	cfg := sim.RunConfig{Runs: runs, Patterns: patterns, Seed: seed}.WithDefaults()
 	cfg.Workers = campaignWorkers
-	key := string(appendHGSimKey(hmk, plan, cfg))
+	key := appendHGSimKey(hmk, plan, cfg)
 	if r, ok := e.hgSims.Get(key); ok {
 		return r, true, nil
 	}
-	return solveOnce(ctx, e, e.hgSims, key, func(ctx context.Context) (sim.HeteroRunResult, error) {
+	return solveOnce(ctx, e, e.hgSims, string(key), func(ctx context.Context) (sim.HeteroRunResult, error) {
 		groups, err := hetero.GroupRuns(hm, plan)
 		if err != nil {
 			return sim.HeteroRunResult{}, err

@@ -44,10 +44,13 @@ func newLRU[V any](capacity int) *lruCache[V] {
 	return &lruCache[V]{entries: make(map[string]*lruEntry[V]), capacity: max(capacity, 1)}
 }
 
-// Get returns the cached value and marks it most recently used.
-func (c *lruCache[V]) Get(key string) (V, bool) {
+// Get returns the cached value for the key bytes and marks it most
+// recently used. The lookup converts key in the map index, which does
+// not allocate, so a caller builds the key's string only on a miss, for
+// Add.
+func (c *lruCache[V]) Get(key []byte) (V, bool) {
 	c.mu.Lock()
-	e, ok := c.entries[key]
+	e, ok := c.entries[string(key)]
 	if !ok {
 		c.mu.Unlock()
 		c.misses.Add(1)

@@ -22,16 +22,16 @@ func TestLRUHoldsExactlyItsCapacity(t *testing.T) {
 		if st := c.Stats(); st.Capacity != n || st.Entries != n || st.Evictions != 0 {
 			t.Fatalf("n=%d: after %d adds: %+v, want capacity and entries %d, no evictions", n, n, st, n)
 		}
-		c.Get("k0") // k1 is now the least recently used
+		c.Get([]byte("k0")) // k1 is now the least recently used
 		c.Add("new", n)
 		if st := c.Stats(); st.Entries != n || st.Evictions != 1 {
 			t.Fatalf("n=%d: after the (n+1)-th add: %+v, want %d entries, 1 eviction", n, st, n)
 		}
-		if _, ok := c.Get("k1"); ok {
+		if _, ok := c.Get([]byte("k1")); ok {
 			t.Errorf("n=%d: least recently used entry k1 survived", n)
 		}
 		for i := 0; i < n; i++ {
-			if _, ok := c.Get(fmt.Sprint("k", i)); !ok && i != 1 {
+			if _, ok := c.Get([]byte(fmt.Sprint("k", i))); !ok && i != 1 {
 				t.Errorf("n=%d: k%d evicted in place of k1", n, i)
 			}
 		}
@@ -46,7 +46,7 @@ func TestLRUHotIsMostRecentlyUsedOrder(t *testing.T) {
 	for i, k := range []string{"a", "b", "c", "d", "e"} {
 		c.Add(k, i)
 	}
-	c.Get("b")
+	c.Get([]byte("b"))
 	c.Add("a", 10) // a refresh counts as a use
 	want := []string{"a", "b", "e", "d", "c"}
 	wantVal := map[string]int{"a": 10, "b": 1, "c": 2, "d": 3, "e": 4}
@@ -91,10 +91,10 @@ func TestLRUConcurrentUse(t *testing.T) {
 			for i := 0; i < perWork; i++ {
 				k := fmt.Sprintf("w%d-%d", w, i)
 				c.Add(k, i)
-				if v, ok := c.Get(k); ok && v != i {
+				if v, ok := c.Get([]byte(k)); ok && v != i {
 					t.Errorf("%s holds %d, want %d", k, v, i)
 				}
-				c.Get(fmt.Sprintf("w%d-%d", (w+1)%workers, i/2))
+				c.Get([]byte(fmt.Sprintf("w%d-%d", (w+1)%workers, i/2)))
 				if keys, vals := c.Hot(8); len(keys) != len(vals) || len(keys) > 8 {
 					t.Errorf("Hot(8) returned %d keys and %d values", len(keys), len(vals))
 				}
@@ -151,7 +151,7 @@ func BenchmarkLRUGetParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			if _, ok := c.Get(keys[i%len(keys)]); !ok {
+			if _, ok := c.Get([]byte(keys[i%len(keys)])); !ok {
 				b.Error("warm probe missed")
 				return
 			}

@@ -52,11 +52,11 @@ func (e *Engine) MultilevelOptimize(ctx context.Context, m core.Model, frac floa
 	if err != nil {
 		return res, false, err
 	}
-	key := string(appendMLOptionsKey(appendOptKey(mk, mlKeyVersion, false), frac, opts))
+	key := appendMLOptionsKey(appendOptKey(mk, mlKeyVersion, false), frac, opts)
 	if r, ok := e.mlOptimizes.Get(key); ok {
 		return r, true, nil
 	}
-	return solveOnce(ctx, e, e.mlOptimizes, key, func(context.Context) (multilevel.PatternResult, error) {
+	return solveOnce(ctx, e, e.mlOptimizes, string(key), func(context.Context) (multilevel.PatternResult, error) {
 		return multilevel.OptimalPattern(m, multilevel.InMemoryFraction(m, frac), opts)
 	})
 }
@@ -94,11 +94,11 @@ func (e *Engine) MultilevelSimulate(ctx context.Context, m core.Model, frac floa
 	}
 	cfg := multilevel.CampaignConfig{Runs: runs, Patterns: patterns, Seed: seed}.WithDefaults()
 	cfg.Workers = campaignWorkers
-	key := string(appendMLSimKey(mk, frac, pat, p, cfg))
+	key := appendMLSimKey(mk, frac, pat, p, cfg)
 	if r, ok := e.mlSims.Get(key); ok {
 		return r, true, nil
 	}
-	return solveOnce(ctx, e, e.mlSims, key, func(ctx context.Context) (multilevel.CampaignResult, error) {
+	return solveOnce(ctx, e, e.mlSims, string(key), func(ctx context.Context) (multilevel.CampaignResult, error) {
 		return multilevel.SimulateModel(ctx, m, frac, pat, p, cfg)
 	})
 }

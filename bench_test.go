@@ -189,6 +189,28 @@ func BenchmarkNumericalOptimum(b *testing.B) {
 	}
 }
 
+// BenchmarkScanWideBox measures a single-level solve on a box out to
+// PMax = 1e300 whose feasible processor counts, P in [7.6, 32.8], lie
+// between two grid points (Hera, scenario 5, α = 0.1, D = 7 s,
+// λ_ind = 0.010492665906728114, FuzzOptimalPattern's corpus entry
+// feasible-island-between-grid-points): the 348-point grid finds
+// nothing, and the scan
+// rescans the box at 30 points per decade, ~9,000 probes. It holds the
+// scan's probe memo to a cost linear in its probes once they outgrow the
+// memo's stack array.
+func BenchmarkScanWideBox(b *testing.B) {
+	m, err := experiments.BuildModel(platform.Hera(), costmodel.Scenario5, 0.1, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.LambdaInd = 0.010492665906728114
+	for i := 0; i < b.N; i++ {
+		if _, err := optimize.OptimalPattern(m, optimize.PatternOptions{PMax: 1e300}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkBatchSweepSolve measures one warm-start SweepSolver chain
 // over a 32-cell λ_ind axis (scenario 3, the Fig. 5 shape). The
 // amortized per-cell cost is the reported ns/cell metric. Warm and cold

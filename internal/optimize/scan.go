@@ -23,8 +23,9 @@ type Probe[R any] struct {
 // full-box two-level scan (96 grid points plus its polish) ~130, so
 // neither leaves the array, and the array stays a few KB (~6 KB
 // single-level, ~8 KB two-level). A scan with more distinct probes — a
-// box out to 1e300, or the dense rescan — spills the rest into a map
-// made once for that scan, so its cost stays linear in its probes.
+// box out to 1e300, or the dense rescan — moves the array into a map
+// made once for that scan and memoizes there, so its cost stays linear
+// in its probes.
 const memoCap = 160
 
 // memoEntry is one probe of a scan's memo, keyed by its P.
@@ -92,23 +93,32 @@ func (s *Scan[R]) Run(lo, hi float64, gridP int) (ScanResult[R], error) {
 	var spill map[float64]Probe[R]
 	held, evals := 0, 0
 	probe := func(p float64) Probe[R] {
-		for i := range memo[:held] {
-			if memo[i].p == p {
-				return memo[i].pr
+		if spill != nil {
+			if pr, ok := spill[p]; ok {
+				return pr
 			}
-		}
-		if pr, ok := spill[p]; ok {
-			return pr
+		} else {
+			for i := range memo[:held] {
+				if memo[i].p == p {
+					return memo[i].pr
+				}
+			}
 		}
 		pr, n := s.Inner(p)
 		evals += n
-		if held < memoCap {
+		switch {
+		case held < memoCap:
 			memo[held] = memoEntry[R]{p: p, pr: pr}
 			held++
-		} else {
-			if spill == nil {
-				spill = make(map[float64]Probe[R])
+		case spill == nil:
+			// The array is full: from here on every probe goes through
+			// one map, so a scan's cost stays linear in its probes.
+			spill = make(map[float64]Probe[R], 4*memoCap)
+			for _, e := range memo {
+				spill[e.p] = e.pr
 			}
+			fallthrough
+		default:
 			spill[p] = pr
 		}
 		return pr

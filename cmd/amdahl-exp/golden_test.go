@@ -22,26 +22,26 @@ var goldenDigests = map[string]string{
 	"campaign/hetero/report.txt":      "bdd48296022640efd5f0d6c62330fac67dd1bbc572f6e8f7076db9190218d9d2",
 	"campaign/multilevel/report.csv":  "5af1d4cc5ab4ff4e8dc85616bbb8ed80cbffb2f9d61fe2be18b70bc7a0cad661",
 	"campaign/multilevel/report.txt":  "260fa56537abf5eda3ca48f4534b53472d3d077355ab057ccee954fed92c25d8",
-	"campaign/robustness/report.csv":  "8bf6a23eff8319dde80200da170265b8ba02b4bb63f31c29d8706e069f5fb592",
+	"campaign/robustness/report.csv":  "916e8f6a312c6d2e77406ebc27e8045c269e9bdae62254ad41c64c242e6d794a",
 	"campaign/robustness/report.txt":  "8dee502acd48358afdcd14baed89631c6cdeb76f6875f232cd5c0879eff4f797",
-	"campaign/smoke/report.csv":       "720dfa94c9d44d6cd17af317327bb169d9bed4c276bbcc5ae41a7b135249f9fd",
+	"campaign/smoke/report.csv":       "85246cab4f73e4a0f5e9690d13c0aab557ae4ff0d17d91e9297afdeb5ba29186",
 	"campaign/smoke/report.txt":       "3d4e054fab316b9c1cf098d73fd8f44ca4b88b9de401cef19393e6106877406c",
-	"campaign/sweep-alpha/report.csv": "e5dbe238d7e375a94ea26d62643bbc79613f96a04c04cc3e75c63dafd8836326",
-	"campaign/sweep-alpha/report.txt": "ce732c7c28466d9493cb97b08d50c437d431fb928ff8e06dbc4d5ec2219f9568",
-	"fig/fig2.csv":                    "0d68dff243118a35d98e737c0f96ec8156e6173649d836dd5b45ef57f4220835",
+	"campaign/sweep-alpha/report.csv": "3b696b023b602d1905e91353faedf1364d28ed88fd3a4b410b455116a0e44600",
+	"campaign/sweep-alpha/report.txt": "d3da0d3907bbd78d2ebc4869703e2f916487433199f853c24eb1d8c8167b4d39",
+	"fig/fig2.csv":                    "9c41cc02da2d37a9d8dc3d95918282b18d496bb917bcf785a48013ffe51b7c63",
 	"fig/fig3.csv":                    "b74912e20c01c775513d29d6a699c1e913a9dba1fc324c0728610366f9933e38",
-	"fig/fig4.csv":                    "8552c45a4e67d16d3333117945d95fae30152fbad99bd98e7d330c8cfd9ac22c",
-	"fig/fig5.csv":                    "2f56b633ca08d7b5b0cb111c42a75a677f321f5b7aeaad0f46b9036f981cb269",
-	"fig/fig6.csv":                    "5b0052a41face10e18e60b827c952829cc31e47ba3b2903e16b9db3aeb8cd4c9",
-	"fig/fig7.csv":                    "1a5ffd238ff2d3c9c4e7cd6a8bbf57d082655d66f9b6842211712b2906fb23f7",
-	"fig/figbaselines.csv":            "8e0f57dcbc2f1a034c494c06a7f5778b4cdf856353e70cce3549a9b46cec108f",
-	"fig/figprofiles.csv":             "47c06e4f70fc89d8176f2c591d95ad137fd70800792fcfe0b1892f673145bd3b",
-	"fig/stdout":                      "29e409f03d712e5920b2de6d75efa7c896fdc7739461c4d81a2529eaecebcd12",
+	"fig/fig4.csv":                    "f06aee73a8f8e90e6d6e44c3498c4195dd8752bc93ca9670a3c0f8613c03dc44",
+	"fig/fig5.csv":                    "5ccb8de89579d233b5bb79791ac593d9e2ca16ef6fb352f017ab080e48bebdd2",
+	"fig/fig6.csv":                    "645c5da1b530d2cdbba08040560565d1c3ccc5180545fda5f15298fc8f487078",
+	"fig/fig7.csv":                    "897890aa6aaf32d5eb369e9e163b77dc074a9e51b065feb0f91b2e41015b3f68",
+	"fig/figbaselines.csv":            "e48d4b8f18b1ca602c00fc6777ea479af4e3be8194276b4de4da0a06c7faaf7a",
+	"fig/figprofiles.csv":             "e907d0095c562227f867371e2b47cfa9400dd7b15ae4df2e31f4775bf36f9119",
+	"fig/stdout":                      "b1df67ef2085bf18b2a6e410070c8d1f19824cc9452a3edd96cbc5faa89cb955",
 	"hetero/hetero.csv":               "c3ff50638326dba0d743f39d49aa86d4447953def5f9df2590e3e4f6357a2e8b",
 	"hetero/stdout":                   "2e8ba800e390ddef9508905cb7e60be29c0266ae03d1b11fc3aea2b712d881ee",
-	"multilevel/multilevel.csv":       "004901ce001e2e38eee39fca195ac0aba9b49747c1d3da88cbe1baf367b3eb24",
+	"multilevel/multilevel.csv":       "ba995406e6b83719edd8607614d1669595243dd8aba339fd26b6928782d4f658",
 	"multilevel/stdout":               "1520c4cf68d0f51b577e28114cc833355ca76d5872ee8d13c982a9c72cf112e1",
-	"robustness/robustness.csv":       "bbc11430ab2f21e0c5e89e9bbc1d1a92b49d3132ce8f3fe7457f09a67e97a624",
+	"robustness/robustness.csv":       "0f6a21b5a6dba7a7d8a66c3fffe689fd0faeadd57dcc187a24301ccc99aa0937",
 	"robustness/stdout":               "b2ba0305deec5a9f3544f025836d239dbc76e00fe0dbde4d26feb6b703689540",
 }
 

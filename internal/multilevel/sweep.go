@@ -38,12 +38,25 @@ type SweepSolver struct {
 	chain optimize.WarmChain
 }
 
+const (
+	// warmBracketFactor is the half-width of a two-level warm bracket:
+	// cell i searches P in [P*_{i-1}/32, P*_{i-1}·32]. The single-level
+	// chain's one-grid-step bracket is too narrow here: g(P) is a
+	// minimum over an integer K with kinks where K switches, and its
+	// cold scan keeps a dense grid for the same reason.
+	warmBracketFactor = 32
+	// warmGrid is the outer P grid resolution inside a warm bracket: it
+	// only needs to localize the minimum for the Brent polish, not
+	// survive a cold multi-decade scan.
+	warmGrid = 10
+)
+
 // NewSweepSolver builds a solver for one chain of related cells.
 func NewSweepSolver(opts SweepOptions) *SweepSolver {
 	po := opts.PatternOptions.withDefaults()
 	return &SweepSolver{
 		opts:  po,
-		chain: optimize.NewWarmChain(po.PMin, po.PMax, fullBoxGrid, opts.Cold),
+		chain: optimize.NewWarmChain(po.PMin, po.PMax, fullBoxGrid, warmBracketFactor, warmGrid, opts.Cold),
 	}
 }
 

@@ -46,23 +46,72 @@ func BrentMin(f Func, a, b, tol float64) Result {
 	if b < a {
 		a, b = b, a
 	}
-	const (
-		maxIter = 200
-		tiny    = 1e-21
-		cg      = 0.3819660112501051 // (3 − √5)/2, the golden-section step
-	)
+	res, _, _ := brent(f, golden(f, a, b), tol, 0, 1e-21)
+	return res
+}
 
+// cg is the golden-section step, (3 − √5)/2.
+const cg = 0.3819660112501051
+
+// brentState is where a Brent iteration stands: the bracket [a, b], the
+// best point x, the second best w and the previous w, v, with their
+// values, and the last two step lengths (rat, the last; deltaX, the one
+// before it), which decide whether a parabolic step is accepted. A
+// seeded state may restart from the golden-section point of [a, b]
+// after its first step (seeded says when).
+type brentState struct {
+	a, b, x, w, v float64
+	fx, fw, fv    float64
+	deltaX, rat   float64
+	evals         int
+	seeded        bool
+}
+
+// golden is the textbook start: one probe at the golden-section point of
+// [a, b], with no step taken yet, so the first step is golden too.
+func golden(f Func, a, b float64) brentState {
 	x := a + cg*(b-a)
-	w, v := x, x
 	fx := f(x)
-	fw, fv := fx, fx
-	evals := 1
-	var deltaX, rat float64
+	return brentState{a: a, b: b, x: x, w: x, v: x, fx: fx, fw: fx, fv: fx, evals: 1}
+}
+
+// seeded starts Brent from three points the caller already holds: the
+// best x inside [a, b] and the two ends, the better end as w. The step
+// before last spans the bracket and the last step half of it (the
+// spacing of a grid that put x between a and b), so the first step is
+// the parabola through the three points, accepted anywhere inside the
+// bracket. No probe is made. With x the best of the three, the vertex
+// lies within half a grid step of x, and at a smooth minimum it lands
+// lower than x wherever it lies in the outer half of that range (one
+// neighbour then nearly ties x, so the minimum lies between them). A
+// first step there that is higher than x says the three points are not
+// one smooth basin but a corner, where the period search reaches its box
+// bound: flat to one side, steep to the other. The polish then restarts
+// from the golden-section point, whose path does not trust them.
+func seeded(a, b, x, fa, fx, fb float64) brentState {
+	st := brentState{a: a, b: b, x: x, fx: fx, w: a, fw: fa, v: b, fv: fb,
+		deltaX: b - a, rat: (b - a) / 2, seeded: true}
+	if fb < fa {
+		st.w, st.fw, st.v, st.fv = b, fb, a, fa
+	}
+	return st
+}
+
+// brent iterates Brent's method from st until the bracket is within the
+// tolerance of x, tol·max(|x|, floor) + tiny, or 200 steps, and returns
+// the best point and the final bracket. Evals counts st's probes and
+// every step's.
+func brent(f Func, st brentState, tol, floor, tiny float64) (Result, float64, float64) {
+	const maxIter = 200
+	a, b, x, w, v := st.a, st.b, st.x, st.w, st.v
+	fx, fw, fv := st.fx, st.fw, st.fv
+	deltaX, rat := st.deltaX, st.rat
+	evals := st.evals
 	converged := false
 
 	for i := 0; i < maxIter; i++ {
 		mid := 0.5 * (a + b)
-		tol1 := tol*math.Abs(x) + tiny
+		tol1 := tol*math.Max(math.Abs(x), floor) + tiny
 		tol2 := 2 * tol1
 		if math.Abs(x-mid) <= tol2-0.5*(b-a) {
 			converged = true
@@ -108,6 +157,11 @@ func BrentMin(f Func, a, b, tol float64) Result {
 		}
 		fu := f(u)
 		evals++
+		if i == 0 && st.seeded && fu > fx && 8*math.Abs(u-x) > st.b-st.a {
+			res, lo, hi := brent(f, golden(f, st.a, st.b), tol, floor, tiny)
+			res.Evals += evals
+			return res, lo, hi
+		}
 		if fu <= fx {
 			if u >= x {
 				a = x
@@ -130,22 +184,35 @@ func BrentMin(f Func, a, b, tol float64) Result {
 			}
 		}
 	}
-	return Result{X: x, F: fx, Evals: evals, Converged: converged}
+	return Result{X: x, F: fx, Evals: evals, Converged: converged}, a, b
 }
 
 // polishTol is the relative x tolerance of gridRefine's Brent polish:
 // √ε. The scan runs it in u = log P on an objective known to ~1e-16, so
-// below √ε in u Brent's parabola fits rounding, not curvature.
+// below √ε in u Brent's parabola fits rounding, not curvature. Like the
+// period search's, it is floored at |u| < 1: relative to u alone it
+// would shrink toward nothing as P → 1, where no other P asks for it.
 const polishTol = 0x1p-26
+
+// polishStep is the polish's x tolerance at x.
+func polishStep(x float64) float64 { return polishTol * math.Max(math.Abs(x), 1) }
 
 // gridRefine scans f on points evenly spaced grid points over [lo, hi],
 // then refines the bracket around the best point with bounded Brent at
-// polishTol, after narrowing a bracket end where f is +Inf to the edge
-// of the finite region (finiteEdge). The grid localizes the minimum on
-// objectives that are not globally unimodal; the scan runs it in
-// u = log P. The returned Result is the refined minimum; ties prefer the
-// smaller x, and the grid best wins a plateau. Callers check lo < hi in
-// their own coordinates.
+// polishTol. The grid localizes the minimum on objectives that are not
+// globally unimodal; the scan runs it in u = log P. The returned Result
+// is the refined minimum; ties prefer the smaller x, and the grid best
+// wins a plateau. Callers check lo < hi in their own coordinates.
+//
+// Brent starts from what the grid already holds. At an interior best
+// point with two finite neighbours it is seeded with the three grid
+// points, so its first step is their parabola's vertex. At an end of the
+// grid one probe a polish step inside the end decides: no lower, and the
+// end is the answer, since under the unimodality the polish assumes the
+// minimum then lies within that step of it; lower, and Brent polishes
+// the end's bracket from its golden-section point. A neighbour where f is
+// +Inf is narrowed to the edge of the finite region first (finiteEdge),
+// and that bracket, too, is polished from its golden-section point.
 func gridRefine(f Func, lo, hi float64, points int) (Result, error) {
 	if points < 3 {
 		return Result{}, errGridPoints
@@ -171,22 +238,40 @@ func gridRefine(f Func, lo, hi float64, points int) (Result, error) {
 		return Result{}, errGridAllInf
 	}
 
+	x := gridPoint(bestI)
+	a, b := gridPoint(max(bestI-1, 0)), gridPoint(min(bestI+1, points-1))
+	atEnd := bestI == 0 || bestI == points-1
+	if atEnd {
+		inner := x + polishStep(x)
+		if bestI > 0 {
+			inner = x - polishStep(x)
+		}
+		if !(f(inner) < bestF) {
+			return Result{X: x, F: bestF, Evals: points + 1, Converged: true}, nil
+		}
+	}
 	// A neighbour where f is +Inf puts the end of the finite region inside
 	// the bracket, and Brent walks across a +Inf plateau from a first
 	// probe there. That side of the bracket is narrowed to the edge first,
 	// and the edge is a candidate: f can fall all the way to where it
 	// turns infinite (the period search starts to overflow), and the
 	// minimum is then the edge itself.
-	x := gridPoint(bestI)
-	a, b := gridPoint(max(bestI-1, 0)), gridPoint(min(bestI+1, points-1))
-	aEdge, bEdge := math.IsInf(f(a), 1), math.IsInf(f(b), 1)
+	fa, fb := f(a), f(b)
+	aEdge, bEdge := math.IsInf(fa, 1), math.IsInf(fb, 1)
 	if aEdge {
 		a = finiteEdge(f, x, a)
 	}
 	if bEdge {
 		b = finiteEdge(f, x, b)
 	}
-	res := BrentMin(f, a, b, polishTol)
+	var start brentState
+	if atEnd || aEdge || bEdge {
+		start = golden(f, a, b)
+	} else {
+		start = seeded(a, b, x, fa, bestF, fb)
+	}
+	res, lo, hi := brent(f, start, polishTol, 1, 0)
+	res = sharpen(f, res, lo, hi)
 	res.Evals += points
 	if aEdge {
 		if v := f(a); v < res.F {
@@ -203,6 +288,49 @@ func gridRefine(f Func, lo, hi float64, points int) (Result, error) {
 		res.X, res.F = x, bestF
 	}
 	return res, nil
+}
+
+// cornerSlack is how far above the polished minimum, relative, the ends
+// of the polish's final bracket may lie. At a smooth minimum they lie
+// ~1e-15 above it; at a corner — the processor count where the period
+// search reaches its box bound — H rises linearly on both sides, and the
+// √ε polish leaves it ~1e-9 above the corner.
+const cornerSlack = 1e-13
+
+// sharpen narrows the polish's final bracket [a, b] around its best point
+// res.X by golden-section steps, which need no smoothness, until both
+// ends lie within cornerSlack of the best value or the bracket is
+// edgeTol wide. At a smooth minimum it probes nothing: the ends are
+// probed points, memo hits in the scan. A probe above the end beyond it
+// breaks the unimodality the polish assumes, so what the ends show is
+// rounding, not a corner (H near the float64 range is known to a few
+// 1e-13 only), and sharpen stops there.
+func sharpen(f Func, res Result, a, b float64) Result {
+	x, fx := res.X, res.F
+	fa, fb := f(a), f(b)
+	for b-a > edgeTol*math.Max(math.Abs(x), 1) && math.Max(fa, fb)-fx > cornerSlack*math.Abs(fx) {
+		u := x + cg*(b-x)
+		if x-a > b-x {
+			u = x - cg*(x-a)
+		}
+		fu := f(u)
+		res.Evals++
+		switch {
+		case fu < fx && u < x:
+			b, fb, x, fx = x, fx, u, fu
+		case fu < fx:
+			a, fa, x, fx = x, fx, u, fu
+		case u < x && fu <= fa:
+			a, fa = u, fu
+		case u > x && fu <= fb:
+			b, fb = u, fu
+		default:
+			res.X, res.F = x, fx
+			return res
+		}
+	}
+	res.X, res.F = x, fx
+	return res
 }
 
 // finiteEdge bisects between a point in, where f is finite, and a point

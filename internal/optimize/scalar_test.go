@@ -141,3 +141,29 @@ func TestGridRefineBoundaryMinimum(t *testing.T) {
 		t.Errorf("boundary minimum at %g, want 10", res.X)
 	}
 }
+
+// TestSeededPolishStartsAtTheVertex pins the seeded start gridRefine
+// gives Brent at an interior grid point: on a parabola, its first step
+// lands on the vertex, and no step re-evaluates one of the three seeds.
+func TestSeededPolishStartsAtTheVertex(t *testing.T) {
+	const vertex = 0.3
+	parabola := func(x float64) float64 { return 2*(x-vertex)*(x-vertex) + 1 }
+	a, x, b := -1.0, 0.0, 1.0
+	var probes []float64
+	f := func(u float64) float64 {
+		probes = append(probes, u)
+		return parabola(u)
+	}
+	res, _, _ := brent(f, seeded(a, b, x, parabola(a), parabola(x), parabola(b)), polishTol, 1, 0)
+	if len(probes) == 0 || math.Abs(probes[0]-vertex) > 1e-15 {
+		t.Fatalf("first probe at %v, want the vertex %g", probes, vertex)
+	}
+	for _, u := range probes {
+		if u == a || u == x || u == b {
+			t.Errorf("probe at seed %g (probes %v)", u, probes)
+		}
+	}
+	if math.Abs(res.X-vertex) > 1e-7 || res.Evals != len(probes) {
+		t.Errorf("polish ended at %g after %d evaluations (%d probes), want %g", res.X, res.Evals, len(probes), vertex)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"amdahlyd/internal/core"
 	"amdahlyd/internal/costmodel"
 	"amdahlyd/internal/platform"
+	"amdahlyd/internal/xmath"
 )
 
 // referencePattern is OptimalPattern's outer search made dense: g(P), the
@@ -77,10 +78,15 @@ func referencePattern(m core.Model, opts PatternOptions) (p, h float64, atBound 
 // optima at PMax that e^{log PMax} put outside the box or off an
 // integer, a feasible island between two grid points
 // (feasible-island-between-grid-points, which the scan reported
-// infeasible without its rescan) and an optimum where g turns infinite
+// infeasible without its rescan), an optimum where g turns infinite
 // between the only feasible grid point and its neighbour
 // (optimum-at-overflow-edge, 83% above the reference before gridRefine
-// bisected to the edge).
+// bisected to the edge) and two corners, where the period search reaches
+// its box bound: corner-at-tmin-flat-side, where g falls by 1e-11 over a
+// unit of u before T* reaches TMin and a polish seeded from the grid
+// stopped 4.1e-12 above the corner (fixed by its golden restart), and
+// corner-at-tmax, a V-shaped corner at TMax that the √ε polish left 2e-9
+// above (fixed by sharpen).
 func FuzzOptimalPattern(f *testing.F) {
 	f.Fuzz(func(t *testing.T, plat, sc uint8, alpha, lambda, downtime, pMin, pMax, tMin, tMax float64, integerP bool) {
 		pl := platform.All()[int(plat)%4]
@@ -179,5 +185,39 @@ func TestScanMemoSpillsPastItsArray(t *testing.T) {
 	}
 	if res.Inner != 1 || math.Abs(res.P-3e4) > 1 {
 		t.Errorf("scan answered P = %g from solve %d, want 30000 from the first", res.P, res.Inner)
+	}
+}
+
+// TestEdgeOptimumCost pins what an optimum on the edge of the scanned
+// range costs: four Hera, scenario 1, D = 3,600 s models whose optimum is
+// P = 1. The parent of this test spent 171–255 kernel calls on them
+// (interior optima cost 55–96): the polish chased a tolerance that
+// collapsed toward 1e-21 as u = log P → 0, and walked to the end by
+// golden-section steps. Each must answer P = 1 exactly in at most 40
+// calls, with H within 1e-14 of the value recorded before the edge rule
+// and T within 1e-14 of that code's period search at P = 1 (two of those
+// answers landed 1e-11 and 1e-13 inside P = 1, where T* differs by more).
+func TestEdgeOptimumCost(t *testing.T) {
+	pl := platform.Hera()
+	for _, c := range []struct{ alpha, lambda, t, h float64 }{
+		{1, 1e-9, 133968.1838202065, 1.0002394495749263},
+		{1, 1e-6, 4228.6742657546338, 1.0083633579762032},
+		{1, 1e-4, 415.71146832934585, 1.1627266369446434},
+		{0.9, 1e-4, 415.71146832934585, 1.1627266369446434},
+	} {
+		m, err := periodModel(pl, costmodel.Scenario1, c.alpha, c.lambda, 3600)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := OptimalPattern(m, PatternOptions{})
+		switch {
+		case err != nil:
+			t.Errorf("α=%g λ=%g: %v", c.alpha, c.lambda, err)
+		case res.P != 1 || xmath.RelDiff(res.T, c.t) > 1e-14 || xmath.RelDiff(res.Overhead, c.h) > 1e-14:
+			t.Errorf("α=%g λ=%g: P=%.17g T=%.17g H=%.17g, want P=1 T=%.17g H=%.17g",
+				c.alpha, c.lambda, res.P, res.T, res.Overhead, c.t, c.h)
+		case res.Evals > 40:
+			t.Errorf("α=%g λ=%g: %d kernel calls, want at most 40", c.alpha, c.lambda, res.Evals)
+		}
 	}
 }

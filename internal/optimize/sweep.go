@@ -20,17 +20,16 @@ type SweepOptions struct {
 	Cold bool
 }
 
-const (
-	// warmBracketFactor is the half-width of the warm bracket: cell i
-	// searches P in [P*_{i-1}/32, P*_{i-1}·32], generous for every
-	// per-cell drift in Figs. 4–7, where P* moves by at most a few ×
-	// between adjacent sweep coordinates.
-	warmBracketFactor = 32
-	// warmGrid is the outer P grid resolution inside a warm bracket: it
-	// only needs to localize the minimum for the Brent polish, not
-	// survive a cold multi-decade scan.
-	warmGrid = 10
-)
+// warmPoints is the grid of a single-level warm cell, whose bracket
+// reaches one cold-grid step (gridStep, a factor 10^(13/15) ≈ 7.4) each
+// side of the previous optimum: the bracket a cold scan polishes in,
+// centred on that optimum, so a warm cell is the previous optimum, its
+// two neighbours and one seeded polish. The cold grid's spacing
+// localizes every single-level optimum (DESIGN.md, "Ablations pinned by
+// benchmarks"), and P* moves by at most a few × between adjacent cells
+// of Figs. 4–7; a larger jump puts the optimum on the bracket's edge,
+// and the cell falls back.
+const warmPoints = 3
 
 // SweepStats counts how a solver spent its cells: the measurable record
 // of what warm-starting bought a sweep.
@@ -52,16 +51,19 @@ type SweepStats struct {
 // bracket/fallback discipline, shared by SweepSolver and the two-level
 // solver in internal/multilevel. The first cell, every cell of a cold
 // chain and every cell the caller marks as a restart is solved on the
-// full box. Any other cell searches P in a bracket a factor 32 around the
-// previous optimum (up to PMax when that optimum sat at the bound) and
-// falls back to the full box when the bracket is empty, the warm solve
-// fails, or its optimum is pinned against a bracket edge that is not a
-// global bound — the axis jumped further than the bracket, so the narrow
-// solve localized the wrong basin. Warm-starting is an accelerator, never
-// a different answer beyond the refinement tolerance.
+// full box. Any other cell searches P in a bracket a chain-specific
+// factor around the previous optimum (up to PMax when that optimum sat
+// at the bound) and falls back to the full box when the bracket is
+// empty, the warm solve fails, or its optimum is pinned against a
+// bracket edge that is not a global bound — the axis jumped further than
+// the bracket, so the narrow solve localized the wrong basin.
+// Warm-starting is an accelerator, never a different answer beyond the
+// refinement tolerance.
 type WarmChain struct {
 	pMin, pMax float64
 	gridP      int
+	warmFactor float64
+	warmGrid   int
 	cold       bool
 
 	seeded  bool
@@ -72,9 +74,11 @@ type WarmChain struct {
 
 // NewWarmChain starts a chain over the processor box [pMin, pMax] whose
 // full-box solves run the caller's gridP-point scan: every cell of a cold
-// chain, and the first cell and every restart of a warm one.
-func NewWarmChain(pMin, pMax float64, gridP int, cold bool) WarmChain {
-	return WarmChain{pMin: pMin, pMax: pMax, gridP: gridP, cold: cold}
+// chain, and the first cell and every restart of a warm one. A warm cell
+// searches [P/warmFactor, P·warmFactor] around the previous optimum P on
+// warmGrid points, clipped to the box.
+func NewWarmChain(pMin, pMax float64, gridP int, warmFactor float64, warmGrid int, cold bool) WarmChain {
+	return WarmChain{pMin: pMin, pMax: pMax, gridP: gridP, warmFactor: warmFactor, warmGrid: warmGrid, cold: cold}
 }
 
 // Stats returns the chain's solve counters so far.
@@ -95,8 +99,8 @@ func (c *WarmChain) Observe(p float64, atBound bool) {
 // attempt.
 func (c *WarmChain) Solve(restart bool, solve func(lo, hi float64, gridP int) (p float64, atBound bool, evals int, err error)) (warm bool, err error) {
 	if c.seeded && !c.cold && !restart {
-		lo := math.Max(c.pMin, c.p/warmBracketFactor)
-		hi := math.Min(c.pMax, c.p*warmBracketFactor)
+		lo := math.Max(c.pMin, c.p/c.warmFactor)
+		hi := math.Min(c.pMax, c.p*c.warmFactor)
 		if c.atBound {
 			hi = c.pMax
 		}
@@ -104,7 +108,7 @@ func (c *WarmChain) Solve(restart bool, solve func(lo, hi float64, gridP int) (p
 			// An infeasible or unsolvable warm bracket is a fallback
 			// trigger, not a sweep failure: the full box may still
 			// contain an optimum.
-			p, atBound, evals, err := solve(lo, hi, warmGrid)
+			p, atBound, evals, err := solve(lo, hi, c.warmGrid)
 			if err == nil && !c.atWarmEdge(p, lo, hi) {
 				c.stats.WarmSolves++
 				c.stats.Evals += evals
@@ -141,13 +145,14 @@ func (c *WarmChain) atWarmEdge(p, lo, hi float64) bool {
 //
 // The paper's sweep figures are continuous curves: along any one axis
 // (α, λ_ind, D, platform) the optimum moves by at most a few × per cell.
-// A warm cell therefore brackets the outer P search around the previous
-// P* (WarmChain), localizes the minimum on a short log-grid, and polishes
-// with bounded Brent; the inner u = log T minimization is the cold
-// path's own (minimizeT). A cell whose objective class changed since the
-// previous cell restarts on the full cold box, as does any warm solve
-// WarmChain rejects (the sweep property tests pin warm against per-cell
-// OptimalPattern within bounds derived from the polish tolerance).
+// A warm cell therefore searches one cold-grid step each side of the
+// previous P* (WarmChain) on 3 points, the previous optimum and its two
+// neighbours, and polishes from their parabola with bounded Brent; the
+// inner u = log T minimization is the cold path's own (minimizeT). A
+// cell whose objective class changed since the previous cell restarts
+// on the full cold box, as does any warm solve WarmChain rejects (the
+// sweep property tests pin warm against per-cell OptimalPattern within
+// bounds derived from the polish tolerance).
 //
 // A solver is stateful (the chain state) and must not be shared between
 // goroutines; run one solver per chain.
@@ -161,8 +166,9 @@ type SweepSolver struct {
 func NewSweepSolver(opts SweepOptions) *SweepSolver {
 	opts.PatternOptions = opts.PatternOptions.withDefaults()
 	return &SweepSolver{
-		opts:  opts,
-		chain: NewWarmChain(opts.PMin, opts.PMax, gridPoints(opts.PMin, opts.PMax), opts.Cold),
+		opts: opts,
+		chain: NewWarmChain(opts.PMin, opts.PMax, gridPoints(opts.PMin, opts.PMax),
+			math.Exp(gridStep), warmPoints, opts.Cold),
 	}
 }
 

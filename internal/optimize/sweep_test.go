@@ -398,3 +398,48 @@ func FuzzSweepWarmMatchesCold(f *testing.F) {
 		}
 	})
 }
+
+// TestWarmCellEvals pins what a warm single-level cell costs against a
+// cold solve: the 24 Table II × Table III models (α = 0.1, D = 3,600 s),
+// each on a 16-cell λ_ind axis over 1e-12 … 1e-8, the axis a serving
+// sweep walks. A warm cell is the previous optimum, its two neighbours
+// one cold-grid step away and one seeded polish; its mean kernel calls
+// must be at most 0.6× those of a per-cell cold solve, and no cell may
+// fall back. A 10-point grid over a ×32 bracket costs about as much as
+// the cold scan and fails the ratio.
+func TestWarmCellEvals(t *testing.T) {
+	warmEvals, warmCells, coldEvals, coldCells := 0, 0, 0, 0
+	for _, pl := range platform.All() {
+		for _, sc := range costmodel.AllScenarios {
+			s := NewSweepSolver(SweepOptions{})
+			for i, lambda := range lambdaAxis(16) {
+				m, err := periodModel(pl, sc, 0.1, lambda, 3600)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := s.Solve(m)
+				if err != nil {
+					t.Fatalf("%s/%v cell %d: %v", pl.Name, sc, i, err)
+				}
+				cold, err := OptimalPattern(m, PatternOptions{})
+				if err != nil {
+					t.Fatalf("%s/%v cell %d: %v", pl.Name, sc, i, err)
+				}
+				coldEvals += cold.Evals
+				coldCells++
+				if i > 0 {
+					warmEvals += res.Evals
+					warmCells++
+				}
+			}
+			if st := s.Stats(); st.Fallbacks != 0 {
+				t.Errorf("%s/%v: %d fallbacks on a smooth λ axis", pl.Name, sc, st.Fallbacks)
+			}
+		}
+	}
+	warm, cold := float64(warmEvals)/float64(warmCells), float64(coldEvals)/float64(coldCells)
+	t.Logf("mean kernel calls: warm cell %.1f, cold solve %.1f (%.2f×)", warm, cold, warm/cold)
+	if warm > 0.6*cold {
+		t.Errorf("warm cell %.1f kernel calls, above 0.6× a cold solve's %.1f", warm, cold)
+	}
+}

@@ -29,20 +29,20 @@ var unaryGolden = map[string]string{
 	"/v1/hetero/optimize malformed":         "400 application/json retry-after=\"\" 9cf4ee19006dac1ae185d98e141aecee071257fb6720e8db83151af4365fcc27",
 	"/v1/hetero/optimize saturated":         "503 application/json retry-after=\"1\" 634e30b25437dbf2fb057106de072dc6965433db2d2316dfe82796b475dbf16f",
 	"/v1/hetero/optimize unknown-field":     "400 application/json retry-after=\"\" 3cf9d273f53a2acb98f3ac3509607ba6e0ab620d1f7da55b8045d5cfe8efe698",
-	"/v1/hetero/optimize valid":             "200 application/json retry-after=\"\" f4c679637cb830abca0a935431f4c9186af429ed94a640c9c764960fc095dbb0",
+	"/v1/hetero/optimize valid":             "200 application/json retry-after=\"\" f7c34f6ab03200920d8491414740f255eb7d66bd9433a6823830e1098e1fa1f8",
 	"/v1/hetero/optimize trailing-data":     "400 application/json retry-after=\"\" 52c6a30a6e7a64591357180b3d233c54620079c9fad7af0b75dd75122bbe9b54",
 	"/v1/hetero/simulate bad-model":         "400 application/json retry-after=\"\" 4c400bd4290c09379519b0be582db080361b423bd173bd02604948b956b11f80",
 	"/v1/hetero/simulate malformed":         "400 application/json retry-after=\"\" 9cf4ee19006dac1ae185d98e141aecee071257fb6720e8db83151af4365fcc27",
 	"/v1/hetero/simulate over-budget":       "422 application/json retry-after=\"\" b9c4c92f3c1852056bfaccea8da736617a48ffea04e21b56b9567293196d3dac",
 	"/v1/hetero/simulate saturated":         "503 application/json retry-after=\"1\" 634e30b25437dbf2fb057106de072dc6965433db2d2316dfe82796b475dbf16f",
 	"/v1/hetero/simulate unknown-field":     "400 application/json retry-after=\"\" 3cf9d273f53a2acb98f3ac3509607ba6e0ab620d1f7da55b8045d5cfe8efe698",
-	"/v1/hetero/simulate valid":             "200 application/json retry-after=\"\" f736ce25ff425ab81ef897d35a426550cebcd73f196af11dead82e9d93c58c17",
+	"/v1/hetero/simulate valid":             "200 application/json retry-after=\"\" afd3280a6bb33ca62593a13ed80d8c4e62052a2d2cff2d3ab8baa5f38f9dd9fb",
 	"/v1/hetero/simulate trailing-data":     "400 application/json retry-after=\"\" 52c6a30a6e7a64591357180b3d233c54620079c9fad7af0b75dd75122bbe9b54",
 	"/v1/multilevel/optimize bad-model":     "400 application/json retry-after=\"\" 59778867268cd29ef0b0136e31832d4097d96081413240d91325be803f5d313b",
 	"/v1/multilevel/optimize malformed":     "400 application/json retry-after=\"\" 9cf4ee19006dac1ae185d98e141aecee071257fb6720e8db83151af4365fcc27",
 	"/v1/multilevel/optimize saturated":     "503 application/json retry-after=\"1\" 634e30b25437dbf2fb057106de072dc6965433db2d2316dfe82796b475dbf16f",
 	"/v1/multilevel/optimize unknown-field": "400 application/json retry-after=\"\" 3cf9d273f53a2acb98f3ac3509607ba6e0ab620d1f7da55b8045d5cfe8efe698",
-	"/v1/multilevel/optimize valid":         "200 application/json retry-after=\"\" 5d44b78251695653daf2d2cf7e49a566d46766a66af858a5349abcab753f0de1",
+	"/v1/multilevel/optimize valid":         "200 application/json retry-after=\"\" f81591cb64dd9d269cb6569c9a6f246728c3dcd5108d17544ac4266fe147f485",
 	"/v1/multilevel/optimize trailing-data": "400 application/json retry-after=\"\" 52c6a30a6e7a64591357180b3d233c54620079c9fad7af0b75dd75122bbe9b54",
 	"/v1/multilevel/simulate bad-model":     "400 application/json retry-after=\"\" 580ca0d60f35d791e7d04e9989026a378d14179b152c989c67a1e44f9019afc6",
 	"/v1/multilevel/simulate malformed":     "400 application/json retry-after=\"\" 9cf4ee19006dac1ae185d98e141aecee071257fb6720e8db83151af4365fcc27",
@@ -55,7 +55,7 @@ var unaryGolden = map[string]string{
 	"/v1/optimize malformed":                "400 application/json retry-after=\"\" 9cf4ee19006dac1ae185d98e141aecee071257fb6720e8db83151af4365fcc27",
 	"/v1/optimize saturated":                "503 application/json retry-after=\"1\" 634e30b25437dbf2fb057106de072dc6965433db2d2316dfe82796b475dbf16f",
 	"/v1/optimize unknown-field":            "400 application/json retry-after=\"\" 3cf9d273f53a2acb98f3ac3509607ba6e0ab620d1f7da55b8045d5cfe8efe698",
-	"/v1/optimize valid":                    "200 application/json retry-after=\"\" bbdde1ef1e1a1533923a3d261f26afad3d734c18e2fbcd134d0d44f7808606e6",
+	"/v1/optimize valid":                    "200 application/json retry-after=\"\" 4305e9768f9077301c47ce8e9566dd1cbb333720b7d66316559f17d8dff752a7",
 	"/v1/optimize trailing-data":            "400 application/json retry-after=\"\" 52c6a30a6e7a64591357180b3d233c54620079c9fad7af0b75dd75122bbe9b54",
 	"/v1/simulate bad-model":                "400 application/json retry-after=\"\" 669290898f2106f29a87be7ebb0f01c7442f8cdb32d2416a5fc0aa7eb16396de",
 	"/v1/simulate machine":                  "200 application/json retry-after=\"\" d7a6c92b8a9ee1f519955b439c43a5909aea40f567dbb6e59aba6ce97333d511",

@@ -38,6 +38,7 @@ var reachAllowlist = map[string]string{
 	"core.MaxOrderDelta":                   "Theorem 2 closed form; TestMaxOrderDelta",
 	"core.PerfectlyParallelOverhead":       "Theorem 2 closed form; TestPerfectlyParallelOverheadSubcases",
 	"costmodel.Scenario.ExpectedClass":     "TestScenarioExpectedClassMatchesClassify checks the dispatch against it",
+	"optimize.BrentMin":                    "textbook bounded Brent; FuzzOptimalPattern's dense reference and TestPeriodSearchMatchesDenseReference polish with it, and the scan's seeded polish runs its loop",
 	"speedup.AmdahlComm.OptimalAllocation": "TestAmdahlCommShape checks the comm profile's optimum",
 	"xmath.EqualWithin":                    "tolerance comparator of the numerical tests, TestFrozenMatchesModel among them",
 	"xmath.RelDiff":                        "relative-error comparator of the warm-vs-cold tests, TestSweepWarmMatchesCold among them",

@@ -214,11 +214,11 @@ func BenchmarkScanWideBox(b *testing.B) {
 // BenchmarkBatchSweepSolve measures one warm-start SweepSolver chain
 // over a 32-cell λ_ind axis (scenario 3, the Fig. 5 shape). The
 // amortized per-cell cost is the reported ns/cell metric. Warm and cold
-// cells run the same Newton inner period search and the cold scan runs
-// 16 points, so a warm cell saves little: on a 2-CPU Xeon host
-// (go1.24.0) ns/cell measured 1.3× below the cold
-// BenchmarkNumericalOptimum (15.0 µs against 19.3 µs, medians of five
-// interleaved runs).
+// cells run the same Newton inner period search; a warm cell is the
+// previous optimum, its two neighbours and one seeded polish. On a 2-CPU
+// Xeon host (go1.24.0) ns/cell measured 1.7× below the cold
+// BenchmarkNumericalOptimum (7.4 µs against 12.3 µs, medians of five
+// runs); with a 10-point grid over a ×32 bracket it was 1.3×.
 func BenchmarkBatchSweepSolve(b *testing.B) {
 	base := heraModel(b, costmodel.Scenario3, 0.1)
 	lambdas := xmath.Logspace(1e-12, 1e-8, 32)

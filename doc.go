@@ -67,17 +67,22 @@
 // A POST /v1/sweep request and a campaign chain — many optimizations
 // along an ordered axis over which the optimum varies smoothly — run
 // on optimize.SweepSolver (or its two-level and hetero counterparts),
-// which warm-starts each cell from its neighbour's optimum (narrow
-// bracket + Brent polish, cold fallback on class changes or bracket
-// escapes). Against the 16-point cold scan a warm cell costs about
-// 1.3× less than a per-cell OptimalPattern, and FuzzSweepWarmMatchesCold
-// pins their agreement on the error status, AtPBound and H. The
-// bracket state and fallback rule are one type, optimize.WarmChain,
-// which the two-level solver shares. Underneath, every pattern solver —
-// OptimalPattern, SweepSolver, SemiAnalyticOptimum and the two-level
-// solvers — runs one outer processor scan, optimize.Scan, over one
-// grid-then-refine routine with bounded Brent as its only refinement;
-// warm and cold solves differ in grids and brackets, not in algorithm.
+// which warm-starts each cell from its neighbour's optimum (a
+// single-level cell is the previous optimum, its two neighbours one
+// cold-grid step away and one Brent polish seeded with the three; cold
+// fallback on class changes or bracket escapes). A warm single-level
+// cell costs about half the kernel calls of a per-cell OptimalPattern
+// (TestWarmCellEvals), and FuzzSweepWarmMatchesCold pins their
+// agreement on the error status, AtPBound and H. The bracket state and
+// fallback rule are one type, optimize.WarmChain, which the two-level
+// solver shares with its own ×32, 10-point bracket. Underneath, every
+// pattern solver — OptimalPattern, SweepSolver, SemiAnalyticOptimum
+// and the two-level solvers — runs one outer processor scan,
+// optimize.Scan, whose probe memo lives on its stack, over one
+// grid-then-refine routine whose Brent polish starts from the grid's
+// own three points and answers a grid end without a polish when a
+// probe just inside it is no lower (TestEdgeOptimumCost); warm and
+// cold solves differ in grids and brackets, not in algorithm.
 // The experiment drivers (Figs. 2, 4–7 and the studies) do not
 // warm-start: the paper's curves are independent per-point optima, so
 // each figure and study cell solves its own (OptimalPattern,
@@ -137,7 +142,10 @@
 // "hetero" switch on /v1/sweep; the campaign preset is "hetero" (comm
 // axis). sim.SimulateHeteroContext prices a joint plan on the shared
 // worker pool, scoring each run by its makespan overhead
-// max_g x_g·H_g. See DESIGN.md, "Heterogeneous topologies".
+// max_g x_g·H_g. FuzzHeteroDivisibleLoad holds every answer to the
+// divisible-load optimality conditions (equal finish times, shares
+// summing to 1, no profitable shift of work, every useful group active
+// without comm). See DESIGN.md, "Heterogeneous topologies".
 //
 // # Service layer
 //
@@ -152,8 +160,9 @@
 // The engine caches compiled Frozen evaluators, optimizer results and
 // campaign results in LRUs under canonical model keys
 // (core.Model.CacheKey: exact hex float encoding, structural profile
-// keys; every request key is appended into one stack buffer, so it
-// costs one allocation), deduplicates concurrent identical requests
+// keys; every request key is appended into one stack buffer and looked
+// up by its bytes, so a hit allocates nothing and a miss one string),
+// deduplicates concurrent identical requests
 // (single-flight, one solve per key), bounds heavy jobs on a scheduler, and threads request
 // contexts into sim.SimulateContext so a client hang-up aborts its
 // campaign. The three protocols share that machinery rather than copy

@@ -111,8 +111,7 @@ func (s *Scan[R]) Run(lo, hi float64, gridP int) (ScanResult[R], error) {
 			memo[held] = memoEntry[R]{p: p, pr: pr}
 			held++
 		case spill == nil:
-			// The array is full: from here on every probe goes through
-			// one map, so a scan's cost stays linear in its probes.
+			// The array is full: the rest of the scan memoizes in one map.
 			spill = make(map[float64]Probe[R], 4*memoCap)
 			for _, e := range memo {
 				spill[e.p] = e.pr

@@ -190,13 +190,13 @@ func TestScanMemoSpillsPastItsArray(t *testing.T) {
 
 // TestEdgeOptimumCost pins what an optimum on the edge of the scanned
 // range costs: four Hera, scenario 1, D = 3,600 s models whose optimum is
-// P = 1. The parent of this test spent 171–255 kernel calls on them
-// (interior optima cost 55–96): the polish chased a tolerance that
-// collapsed toward 1e-21 as u = log P → 0, and walked to the end by
-// golden-section steps. Each must answer P = 1 exactly in at most 40
-// calls, with H within 1e-14 of the value recorded before the edge rule
-// and T within 1e-14 of that code's period search at P = 1 (two of those
-// answers landed 1e-11 and 1e-13 inside P = 1, where T* differs by more).
+// P = 1. A polish whose tolerance was relative to u alone spent 171–255
+// kernel calls on them (interior optima cost 55–96): it chased a
+// tolerance that collapsed toward 1e-21 as u = log P → 0, and walked to
+// the end by golden-section steps. Each must answer P = 1 exactly in at
+// most 40 calls, with H within 1e-14 of the value that polish found and
+// T within 1e-14 of the period search at P = 1 (two of its answers
+// landed 1e-11 and 1e-13 inside P = 1, where T* differs by more).
 func TestEdgeOptimumCost(t *testing.T) {
 	pl := platform.Hera()
 	for _, c := range []struct{ alpha, lambda, t, h float64 }{

@@ -405,8 +405,8 @@ func FuzzSweepWarmMatchesCold(f *testing.F) {
 // sweep walks. A warm cell is the previous optimum, its two neighbours
 // one cold-grid step away and one seeded polish; its mean kernel calls
 // must be at most 0.6× those of a per-cell cold solve, and no cell may
-// fall back. A 10-point grid over a ×32 bracket costs about as much as
-// the cold scan and fails the ratio.
+// fall back. A 10-point grid over a ×32 bracket costs 0.75× and fails
+// the ratio.
 func TestWarmCellEvals(t *testing.T) {
 	warmEvals, warmCells, coldEvals, coldCells := 0, 0, 0, 0
 	for _, pl := range platform.All() {

@@ -46,7 +46,7 @@ func BrentMin(f Func, a, b, tol float64) Result {
 	if b < a {
 		a, b = b, a
 	}
-	res, _, _ := brent(f, golden(f, a, b), tol, 0, 1e-21)
+	res, _, _ := brent(f, golden(f, a, b), tolerance{rel: tol, abs: 1e-21})
 	return res
 }
 
@@ -97,11 +97,33 @@ func seeded(a, b, x, fa, fx, fb float64) brentState {
 	return st
 }
 
+// tolerance is Brent's x tolerance at x, rel·max(|x|, floor) + abs.
+// widen lets near scale rel to the objective's rounding (polishStep).
+type tolerance struct {
+	rel, floor, abs float64
+	widen           bool
+}
+
+func (t tolerance) at(x float64) float64 {
+	if a := math.Abs(x); a > t.floor {
+		return t.rel*a + t.abs
+	}
+	return t.rel*t.floor + t.abs
+}
+
+// near is t for an objective near fx: with widen set and fx above
+// noisyH, rel grows by √(ln fx / 64), the square root of the rounding.
+func (t tolerance) near(fx float64) tolerance {
+	if t.widen && fx > noisyH && !math.IsInf(fx, 1) {
+		t.rel *= math.Sqrt(math.Log(fx) / 64)
+	}
+	return t
+}
+
 // brent iterates Brent's method from st until the bracket is within the
-// tolerance of x, tol·max(|x|, floor) + tiny, or 200 steps, and returns
-// the best point and the final bracket. Evals counts st's probes and
-// every step's.
-func brent(f Func, st brentState, tol, floor, tiny float64) (Result, float64, float64) {
+// tolerance of its best point, or 200 steps, and returns the best point
+// and the final bracket. Evals counts st's probes and every step's.
+func brent(f Func, st brentState, tol tolerance) (Result, float64, float64) {
 	const maxIter = 200
 	a, b, x, w, v := st.a, st.b, st.x, st.w, st.v
 	fx, fw, fv := st.fx, st.fw, st.fv
@@ -111,7 +133,7 @@ func brent(f Func, st brentState, tol, floor, tiny float64) (Result, float64, fl
 
 	for i := 0; i < maxIter; i++ {
 		mid := 0.5 * (a + b)
-		tol1 := tol*math.Max(math.Abs(x), floor) + tiny
+		tol1 := tol.at(x)
 		tol2 := 2 * tol1
 		if math.Abs(x-mid) <= tol2-0.5*(b-a) {
 			converged = true
@@ -158,7 +180,7 @@ func brent(f Func, st brentState, tol, floor, tiny float64) (Result, float64, fl
 		fu := f(u)
 		evals++
 		if i == 0 && st.seeded && fu > fx && 8*math.Abs(u-x) > st.b-st.a {
-			res, lo, hi := brent(f, golden(f, st.a, st.b), tol, floor, tiny)
+			res, lo, hi := brent(f, golden(f, st.a, st.b), tol)
 			res.Evals += evals
 			return res, lo, hi
 		}
@@ -194,8 +216,17 @@ func brent(f Func, st brentState, tol, floor, tiny float64) (Result, float64, fl
 // would shrink toward nothing as P → 1, where no other P asks for it.
 const polishTol = 0x1p-26
 
-// polishStep is the polish's x tolerance at x.
-func polishStep(x float64) float64 { return polishTol * math.Max(math.Abs(x), 1) }
+// noisyH is e^64, above which the polish step widens. The kernel's
+// exponent arguments reach ln H, so H carries ~ε·ln H of rounding, not
+// ε, and a √ε step reads a slope below that rounding as flat: within a
+// factor 2 of MaxFloat64 a √ε polish settled 1.25e-6 in u (30 steps)
+// from a smooth minimum, 1.7e-12 above it. Below e^64 the rounding
+// stays under 64ε and the √ε step resolves the minimum to ~1e-14.
+const noisyH = 6.235149080811617e27
+
+// polishStep is the polish's x tolerance: polishTol relative to x,
+// floored at |x| < 1, and widened near noisyH and above (near).
+var polishStep = tolerance{rel: polishTol, floor: 1, widen: true}
 
 // gridRefine scans f on points evenly spaced grid points over [lo, hi],
 // then refines the bracket around the best point with bounded Brent at
@@ -241,10 +272,11 @@ func gridRefine(f Func, lo, hi float64, points int) (Result, error) {
 	x := gridPoint(bestI)
 	a, b := gridPoint(max(bestI-1, 0)), gridPoint(min(bestI+1, points-1))
 	atEnd := bestI == 0 || bestI == points-1
+	tol := polishStep.near(bestF)
 	if atEnd {
-		inner := x + polishStep(x)
+		inner := x + tol.at(x)
 		if bestI > 0 {
-			inner = x - polishStep(x)
+			inner = x - tol.at(x)
 		}
 		if !(f(inner) < bestF) {
 			return Result{X: x, F: bestF, Evals: points + 1, Converged: true}, nil
@@ -270,7 +302,7 @@ func gridRefine(f Func, lo, hi float64, points int) (Result, error) {
 	} else {
 		start = seeded(a, b, x, fa, bestF, fb)
 	}
-	res, lo, hi := brent(f, start, polishTol, 1, 0)
+	res, lo, hi := brent(f, start, tol)
 	res = sharpen(f, res, lo, hi)
 	res.Evals += points
 	if aEdge {

@@ -154,7 +154,7 @@ func TestSeededPolishStartsAtTheVertex(t *testing.T) {
 		probes = append(probes, u)
 		return parabola(u)
 	}
-	res, _, _ := brent(f, seeded(a, b, x, parabola(a), parabola(x), parabola(b)), polishTol, 1, 0)
+	res, _, _ := brent(f, seeded(a, b, x, parabola(a), parabola(x), parabola(b)), polishStep.near(parabola(x)))
 	if len(probes) == 0 || math.Abs(probes[0]-vertex) > 1e-15 {
 		t.Fatalf("first probe at %v, want the vertex %g", probes, vertex)
 	}

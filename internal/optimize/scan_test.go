@@ -86,7 +86,10 @@ func referencePattern(m core.Model, opts PatternOptions) (p, h float64, atBound 
 // unit of u before T* reaches TMin and a polish seeded from the grid
 // stopped 4.1e-12 above the corner (fixed by its golden restart), and
 // corner-at-tmax, a V-shaped corner at TMax that the √ε polish left 2e-9
-// above (fixed by sharpen).
+// above (fixed by sharpen); and smooth-minimum-near-overflow, a smooth
+// minimum at H ≈ 5.7e307, where H carries ~1e-13 of rounding and a √ε
+// polish stopped 1.7e-12 above it (fixed by widening the polish step
+// above noisyH).
 func FuzzOptimalPattern(f *testing.F) {
 	f.Fuzz(func(t *testing.T, plat, sc uint8, alpha, lambda, downtime, pMin, pMax, tMin, tMax float64, integerP bool) {
 		pl := platform.All()[int(plat)%4]

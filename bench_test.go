@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -675,13 +677,31 @@ func BenchmarkServiceSweepWarm(b *testing.B) {
 // mix of requests over 16 distinct models (warmed once, so the steady
 // state measured is the sharded-cache serving path — the fleet's whole
 // point). Beyond the gated ns/op (≈ mean request latency divided by the
-// load-generator parallelism), it reports fleet throughput (qps) and
-// client-observed tail latency (p50-ns, p99-ns), which bench.sh records
-// into BENCH_<N>.json.
-func BenchmarkFleetLoadGen(b *testing.B) {
+// load-generator parallelism), it reports fleet throughput (qps),
+// client-observed tail latency (p50-ns, p99-ns) and the replica
+// connections the router opened per request (conns/op), which bench.sh
+// records into BENCH_<N>.json.
+func BenchmarkFleetLoadGen(b *testing.B) { fleetLoad(b, 1) }
+
+// BenchmarkFleetConns drives the same fleet from 16 callers per CPU,
+// where a forwarding pool too small for the concurrency shows up as
+// conns/op. Ungated: TestRouterReusesReplicaConnections pins the count.
+func BenchmarkFleetConns(b *testing.B) { fleetLoad(b, 16) }
+
+// fleetLoad serves b.N cached optimize requests through a 3-replica
+// fleet from callersPerCPU callers per CPU, each client connection kept
+// idle between its requests.
+func fleetLoad(b *testing.B, callersPerCPU int) {
+	var opened atomic.Int64
 	peers := make(map[string]string, 3)
 	for i := 1; i <= 3; i++ {
-		ts := httptest.NewServer(service.NewServer(service.NewEngine(service.Options{})))
+		ts := httptest.NewUnstartedServer(service.NewServer(service.NewEngine(service.Options{})))
+		ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+			if st == http.StateNew {
+				opened.Add(1)
+			}
+		}
+		ts.Start()
 		defer ts.Close()
 		peers[fmt.Sprintf("p%d", i)] = ts.URL
 	}
@@ -692,6 +712,7 @@ func BenchmarkFleetLoadGen(b *testing.B) {
 	front := httptest.NewServer(rt)
 	defer front.Close()
 	client := front.Client()
+	client.Transport.(*http.Transport).MaxIdleConnsPerHost = callersPerCPU * runtime.GOMAXPROCS(0)
 
 	bodies := make([][]byte, 16)
 	for i := range bodies {
@@ -721,6 +742,8 @@ func BenchmarkFleetLoadGen(b *testing.B) {
 	var mu sync.Mutex
 	latencies := make([]time.Duration, 0, b.N)
 	var n atomic.Uint64
+	opened.Store(0)
+	b.SetParallelism(callersPerCPU)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		local := make([]time.Duration, 0, 256)
@@ -740,4 +763,5 @@ func BenchmarkFleetLoadGen(b *testing.B) {
 	b.ReportMetric(float64(len(latencies))/b.Elapsed().Seconds(), "qps")
 	b.ReportMetric(float64(latencies[len(latencies)/2]), "p50-ns")
 	b.ReportMetric(float64(latencies[len(latencies)*99/100]), "p99-ns")
+	b.ReportMetric(float64(opened.Load())/float64(len(latencies)), "conns/op")
 }

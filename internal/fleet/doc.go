@@ -11,10 +11,14 @@
 // statuses with bounded jittered backoff (internal/backoff), resumes a
 // sweep stream mid-axis when a replica dies after k rows, and sheds load
 // at its own bounded in-flight cap instead of amplifying a saturated
-// replica into a retry storm. The HealthChecker drives ring membership
-// from /readyz probes and warm-fills a rejoining replica from its ring
-// Neighbour before readmission, under a deadline derived from the probe
-// timeout so a hung donor cannot stall membership.
+// replica into a retry storm. It forwards over keep-alive connections
+// of its own, each exchange on the request's goroutine, and replays a
+// request once on a fresh connection when a reused one proves closed
+// before any byte of the response (forward.go). The HealthChecker
+// drives ring membership from /readyz probes and warm-fills a rejoining
+// replica from its ring Neighbour before readmission, under a deadline
+// derived from the probe timeout so a hung donor cannot stall
+// membership.
 //
 // Everything rests on one invariant inherited from the service layer:
 // responses are pure functions of requests (solves are deterministic,

@@ -384,6 +384,55 @@ func TestFleetDropsConnectionAndFailsOver(t *testing.T) {
 	}
 }
 
+// TestFleetRetriesADropOnAReusedConnection scripts an owner that drops
+// a request arriving on a connection the router reused, with no byte of
+// a response: the router cannot tell that from an idle connection the
+// owner closed, so it replays the request once on a fresh connection to
+// the same owner, and one drop costs no failover. A second drop, on the
+// fresh connection, fails over.
+func TestFleetRetriesADropOnAReusedConnection(t *testing.T) {
+	const body = `{"model":{"platform":"coastalssd","scenario":4}}`
+	for _, tc := range []struct {
+		drops     int
+		failovers uint64
+	}{{1, 0}, {2, 1}} {
+		t.Run(fmt.Sprintf("drops-%d", tc.drops), func(t *testing.T) {
+			ctrl := NewController(nil)
+			rt, _ := newFleet(t, 3, ctrl, -1)
+			front := httptest.NewServer(rt)
+			defer front.Close()
+			key, err := ShardKey("/v1/optimize", []byte(body))
+			if err != nil {
+				t.Fatalf("ShardKey: %v", err)
+			}
+			owner := rt.Ring().Owners(key, 1)[0]
+			// The first request leaves an idle connection to the owner.
+			if code, respBody := post(t, front.URL, "/v1/optimize", body); code != http.StatusOK {
+				t.Fatalf("status %d: %s", code, respBody)
+			}
+			ctrl.SetPlan(FaultPlan{owner + "|optimize": {Drop: true, Reqs: tc.drops}})
+
+			code, respBody := post(t, front.URL, "/v1/optimize", body)
+			if code != http.StatusOK {
+				t.Fatalf("status %d after %d drops: %s", code, tc.drops, respBody)
+			}
+			if n := ctrl.Seen(owner, "optimize"); n != 3 {
+				t.Fatalf("owner saw %d optimize requests; want 3 (one before the fault, the drop and its replay)", n)
+			}
+			var failovers, retries, errs uint64
+			for _, ps := range rt.Stats(nil).Peers {
+				failovers += ps.Failovers
+				retries += ps.Retries
+				errs += ps.Errors
+			}
+			if failovers != tc.failovers || retries != 0 || errs != tc.failovers {
+				t.Fatalf("%d drops cost %d failovers, %d retries and %d peer errors; want %d, 0 and %d",
+					tc.drops, failovers, retries, errs, tc.failovers, tc.failovers)
+			}
+		})
+	}
+}
+
 // TestFleetHedgesSlowOwner scripts a slow owner: the hedge to the ring
 // successor must win long before the owner's injected delay expires.
 func TestFleetHedgesSlowOwner(t *testing.T) {

@@ -14,15 +14,17 @@ import (
 )
 
 // TestRouterReusesReplicaConnections pins the router's connection reuse:
-// with 32 concurrent callers sending cached optimize bodies, the router
-// opens at most one connection per caller and replica, however many
-// requests follow. The replicas count new connections through ConnState,
-// so the bound is a count, not a timing.
+// with 32 concurrent callers (16 per CPU on a 2-CPU host) sending cached
+// optimize bodies, the router opens at most one connection per caller
+// and replica, however many requests follow, and at most 0.01 per
+// forwarded request. The replicas count new connections through
+// ConnState, so the bound is a count, not a timing.
 func TestRouterReusesReplicaConnections(t *testing.T) {
 	const (
 		replicas = 3
 		callers  = 32
-		perCall  = 100
+		perCall  = 300 // callers·replicas/(callers·perCall) < 0.01
+		maxRatio = 0.01
 	)
 	var opened atomic.Int64
 	peers := make(map[string]string, replicas)
@@ -78,5 +80,13 @@ func TestRouterReusesReplicaConnections(t *testing.T) {
 	if n := opened.Load(); n > callers*replicas {
 		t.Fatalf("router opened %d replica connections for %d requests; want at most %d (one per caller and replica)",
 			n, callers*perCall+len(bodies), callers*replicas)
+	}
+	var forwards uint64
+	for _, ps := range rt.Stats(nil).Peers {
+		forwards += ps.Forwards
+	}
+	if ratio := float64(opened.Load()) / float64(forwards); ratio > maxRatio {
+		t.Fatalf("router opened %d replica connections for %d forwards (%.4f per forward); want at most %g",
+			opened.Load(), forwards, ratio, maxRatio)
 	}
 }

@@ -52,6 +52,10 @@ type Router struct {
 	// peers is built once in NewRouter and never changes, so it is read
 	// without a lock; the counters in it are atomic.
 	peers map[string]*peerCounters
+
+	// do sends one request to a peer: RouterOptions.Client's Do, or the
+	// router's own forwarder.
+	do func(*http.Request) (*http.Response, error)
 }
 
 // RouterOptions configures a Router. Peers is required; everything else
@@ -70,8 +74,9 @@ type RouterOptions struct {
 	// MaxDelay caps any single backoff wait, including a replica's
 	// Retry-After (default 2 s).
 	MaxDelay time.Duration
-	// Client is the forwarding HTTP client (default: one shared client
-	// whose transport keeps up to maxInFlight idle connections per peer).
+	// Client is the forwarding HTTP client (default: a forwarder of the
+	// router's own, which keeps up to maxInFlight idle connections per
+	// peer and runs each forward on the calling goroutine).
 	Client *http.Client
 }
 
@@ -107,24 +112,6 @@ func (o RouterOptions) maxDelay() time.Duration {
 	return 2 * time.Second
 }
 
-// forwardClient is the default forwarding client. Its transport is
-// http.DefaultTransport's with the per-peer idle pool raised to the
-// in-flight bound: the default pool keeps 2 idle connections per host,
-// so under concurrency most forwards would dial a new connection.
-var forwardClient = func() *http.Client {
-	tr := http.DefaultTransport.(*http.Transport).Clone()
-	tr.MaxIdleConns = 0 // no fleet-wide cap; the per-peer bound holds
-	tr.MaxIdleConnsPerHost = maxInFlight
-	return &http.Client{Transport: tr}
-}()
-
-func (o RouterOptions) client() *http.Client {
-	if o.Client != nil {
-		return o.Client
-	}
-	return forwardClient
-}
-
 // peerCounters is the per-peer forwarding ledger behind /v1/stats.
 type peerCounters struct {
 	forwards  atomic.Uint64 // requests sent to this peer (hedges and retries included)
@@ -135,7 +122,8 @@ type peerCounters struct {
 }
 
 // NewRouter builds a router over the given peers; all peers start in the
-// ring (a HealthChecker prunes the sick ones).
+// ring (a HealthChecker prunes the sick ones). A peer's base URL must be
+// http: replicas serve no TLS.
 func NewRouter(opts RouterOptions) (*Router, error) {
 	if len(opts.Peers) == 0 {
 		return nil, errors.New("fleet: router needs at least one peer")
@@ -153,11 +141,19 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		if err != nil || u.Scheme == "" || u.Host == "" {
 			return nil, fmt.Errorf("fleet: peer %q: base URL %q is not absolute", name, base)
 		}
+		if u.Scheme != "http" {
+			return nil, fmt.Errorf("fleet: peer %q: base URL %q is not http", name, base)
+		}
 		opts.Peers[name] = strings.TrimRight(base, "/")
 		ring.Add(name)
 		peers[name] = &peerCounters{}
 	}
 	rt := &Router{opts: opts, ring: ring, peers: peers, inflight: make(chan struct{}, maxInFlight)}
+	if opts.Client != nil {
+		rt.do = opts.Client.Do
+	} else {
+		rt.do = newForwarder().RoundTrip
+	}
 	rt.mux = http.NewServeMux()
 	for _, p := range []string{
 		"/v1/evaluate", "/v1/optimize", "/v1/simulate",
@@ -334,7 +330,7 @@ func (rt *Router) send(ctx context.Context, peer, path string, body []byte) (*ht
 	}
 	req.Header.Set("Content-Type", "application/json")
 	rt.ledger(peer).forwards.Add(1)
-	return rt.opts.client().Do(req)
+	return rt.do(req)
 }
 
 type attemptResult struct {
@@ -777,7 +773,7 @@ func (rt *Router) Stats(ctx context.Context) RouterStats {
 			if err != nil {
 				return
 			}
-			resp, err := rt.opts.client().Do(req)
+			resp, err := rt.do(req)
 			if err != nil {
 				return
 			}

@@ -146,7 +146,7 @@ function esc(s) { gsub(/"/, "\\\"", s); return s }
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)
-    ns = ""; bytes = ""; allocs = ""; qps = ""; p50 = ""; p99 = ""
+    ns = ""; bytes = ""; allocs = ""; qps = ""; p50 = ""; p99 = ""; conns = ""
     for (i = 2; i <= NF; i++) {
         if ($(i) == "ns/op") ns = $(i - 1)
         if ($(i) == "B/op") bytes = $(i - 1)
@@ -154,6 +154,7 @@ function esc(s) { gsub(/"/, "\\\"", s); return s }
         if ($(i) == "qps") qps = $(i - 1)
         if ($(i) == "p50-ns") p50 = $(i - 1)
         if ($(i) == "p99-ns") p99 = $(i - 1)
+        if ($(i) == "conns/op") conns = $(i - 1)
     }
     if (ns == "") next
     if (!(name in best) || ns + 0 < best[name]) {
@@ -163,6 +164,7 @@ function esc(s) { gsub(/"/, "\\\"", s); return s }
         q[name] = qps
         l50[name] = p50
         l99[name] = p99
+        c[name] = conns
         if (!(name in seen)) { order[++k] = name; seen[name] = 1 }
     }
 }
@@ -182,6 +184,7 @@ END {
         if (q[name] != "") printf ", \"qps\": %s", q[name]
         if (l50[name] != "") printf ", \"p50_ns\": %s", l50[name]
         if (l99[name] != "") printf ", \"p99_ns\": %s", l99[name]
+        if (c[name] != "") printf ", \"conns_per_op\": %s", c[name]
         printf "}%s\n", (i < k ? "," : "")
     }
     printf "  }\n}\n"
